@@ -187,15 +187,12 @@ func TestPublicAPISharded(t *testing.T) {
 		if len(results) != len(jobs) {
 			t.Fatalf("shards=%d: %d of %d completed", shards, len(results), len(jobs))
 		}
-		if shards == 1 {
-			single = stats
-			if stats.PerShard != nil {
-				t.Error("single-disk run should have no PerShard breakdown")
-			}
-			continue
-		}
 		if len(stats.PerShard) != shards {
 			t.Fatalf("PerShard has %d entries, want %d", len(stats.PerShard), shards)
+		}
+		if shards == 1 {
+			single = stats
+			continue
 		}
 		var ss liferaft.ShardStats = stats.PerShard[0]
 		if ss.Buckets == 0 {

@@ -18,7 +18,6 @@ import (
 	"liferaft"
 	"liferaft/internal/core"
 	"liferaft/internal/exper"
-	"liferaft/internal/zones"
 )
 
 var (
@@ -292,42 +291,4 @@ func BenchmarkEndToEndQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkZonesVsMergeJoin compares the paper's HTM-sorted merge join
-// with the Zones algorithm (Gray et al., the paper's ref [8]) on the same
-// bucket-sized inputs — the two scan-based cross-match formulations must
-// agree on results and differ only in constant factors.
-func BenchmarkZonesVsMergeJoin(b *testing.B) {
-	e := env(b)
-	objs := e.Part.Materialize(0)
-	var queue []liferaft.WorkloadObject
-	for _, j := range e.Jobs {
-		for _, wo := range j.Objects {
-			if wo.MinID >= e.Part.Bucket(0).Span.Start && wo.MaxID <= e.Part.Bucket(0).Span.End {
-				queue = append(queue, wo)
-			}
-		}
-	}
-	if len(queue) == 0 {
-		// Synthesize a queue from the bucket itself.
-		for i := 0; i < 64 && i < len(objs); i += 2 {
-			queue = append(queue, liferaft.NewWorkloadObject(1, objs[i], liferaft.ArcsecToRad(5)))
-		}
-	}
-	b.Run("merge", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			liferaft.MergeJoin(objs, queue, nil)
-		}
-	})
-	b.Run("zones", func(b *testing.B) {
-		idx, err := zones.NewIndex(objs, 0.01)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			idx.CrossMatch(queue, nil)
-		}
-	})
 }

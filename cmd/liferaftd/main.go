@@ -106,7 +106,7 @@ func main() {
 	flag.IntVar(&o.perBucket, "bucket", 500, "objects per bucket")
 	flag.Float64Var(&o.alpha, "alpha", 0.25, "LifeRaft age bias in [0,1]")
 	flag.IntVar(&o.cache, "cache", 20, "bucket cache capacity")
-	flag.IntVar(&o.shards, "shards", 1, "disk/worker shards for this node's engine (1 = single disk)")
+	flag.IntVar(&o.shards, "shards", 1, "disk/worker shards for this node's engine (1 = one shard of the same engine)")
 	flag.BoolVar(&o.virtual, "virtual-clock", true, "charge modeled I/O cost to a virtual clock (instant) instead of sleeping")
 	flag.StringVar(&o.httpAddr, "http", "", "HTTP gateway listen address (empty = disabled)")
 	flag.StringVar(&o.debugAddr, "debug-addr", "", "debug listen address serving /debug/traces and /debug/pprof (empty = disabled)")

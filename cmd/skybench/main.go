@@ -47,7 +47,7 @@ import (
 func main() {
 	scaleName := flag.String("scale", "ci", "experiment scale: ci, mid, or paper")
 	expName := flag.String("exp", "all", "experiment: all, fig2, fig4, fig5, fig6, fig7, fig8, indexonly, cache, ablations")
-	shards := flag.Int("shards", 1, "disk/worker shards per engine (1 = the paper's single disk)")
+	shards := flag.Int("shards", 1, "disk/worker shards per engine (1 = one shard of the same engine)")
 	benchJSON := flag.String("bench-json", "", "measure the scheduler hot path (vqps, picks/sec, allocs/op), print an old-vs-new comparison, write the snapshot to this file, and exit")
 	dataDir := flag.String("data-dir", "", "with -bench-json: also replay a trace against the real-I/O segment store under this directory (built there on first use)")
 	overloadJSON := flag.String("overload", "", "run the serving-layer overload scenarios, write per-scenario SLO verdicts to this file, and exit (nonzero on any failed verdict)")

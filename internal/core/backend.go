@@ -1,31 +1,10 @@
 package core
 
 import (
-	"fmt"
-
 	"liferaft/internal/bucket"
-	"liferaft/internal/cache"
 	"liferaft/internal/cache/disktier"
-	"liferaft/internal/disk"
 	"liferaft/internal/segment"
 	"liferaft/internal/simclock"
-	"liferaft/internal/xmatch"
-)
-
-// BackendKind names the storage backend serving Config.Store.
-type BackendKind string
-
-const (
-	// BackendSim serves buckets from the analytic disk model: costs are
-	// charged to the configured clock (virtual for experiments) and
-	// objects come from the synthetic catalog. The default, and the
-	// configuration every paper figure and golden test runs.
-	BackendSim BackendKind = "sim"
-	// BackendFile serves buckets from segment files under
-	// Config.DataDir with real I/O: reads block for as long as the
-	// hardware takes and the engine runs on the real clock, so measured
-	// throughput is hardware throughput. Built with NewFileBacked.
-	BackendFile BackendKind = "file"
 )
 
 // NewFileBacked builds the real-I/O stack: the segment store under
@@ -54,22 +33,7 @@ func NewFileBackedFrom(part *bucket.Partition, alpha float64, materialize bool, 
 		set.Close()
 		return Config{}, err
 	}
-	clk := simclock.Real{}
-	d := disk.New(disk.SkyQuery(), clk)
-	st := bucket.NewStore(part, d, materialize).WithBackend(segment.NewBackend(set, materialize))
-	return Config{
-		Store:              st,
-		Disk:               d,
-		Clock:              clk,
-		Policy:             PolicyLifeRaft,
-		Alpha:              alpha,
-		CacheBuckets:       20,
-		CachePolicy:        cache.PolicyLRU,
-		HybridThreshold:    xmatch.DefaultThreshold,
-		MaterializeResults: materialize,
-		Backend:            BackendFile,
-		DataDir:            set.Dir(),
-	}, nil
+	return newConfig(part, alpha, materialize, simclock.Real{}, segment.NewBackend(set, materialize)), nil
 }
 
 // TierOptions configures the disk cache tier of a tiered file-backed
@@ -119,45 +83,7 @@ func NewFileBackedTieredFrom(part *bucket.Partition, alpha float64, materialize 
 		set.Close()
 		return Config{}, err
 	}
-	clk := simclock.Real{}
-	d := disk.New(disk.SkyQuery(), clk)
-	st := bucket.NewStore(part, d, materialize).WithBackend(segment.NewTieredBackend(set, tier, materialize))
-	return Config{
-		Store:              st,
-		Disk:               d,
-		Clock:              clk,
-		Policy:             PolicyLifeRaft,
-		Alpha:              alpha,
-		CacheBuckets:       20,
-		CachePolicy:        cache.PolicyLRU,
-		HybridThreshold:    xmatch.DefaultThreshold,
-		MaterializeResults: materialize,
-		Backend:            BackendFile,
-		DataDir:            set.Dir(),
-		PrefetchDepth:      topt.PrefetchDepth,
-	}, nil
-}
-
-// validateBackend checks the backend knob against the rest of the
-// config; called from withDefaults after Store/Clock presence checks.
-func (c Config) validateBackend() error {
-	switch c.Backend {
-	case BackendSim:
-		if c.Store.Backend() != nil {
-			return fmt.Errorf("core: Backend %q but Store has a real-I/O backend attached", c.Backend)
-		}
-	case BackendFile:
-		if c.DataDir == "" {
-			return fmt.Errorf("core: Backend %q requires DataDir", c.Backend)
-		}
-		if c.Store.Backend() == nil {
-			return fmt.Errorf("core: Backend %q but Store serves the disk model; build the config with NewFileBacked", c.Backend)
-		}
-		if _, virtual := c.Clock.(*simclock.Virtual); virtual {
-			return fmt.Errorf("core: Backend %q does real I/O and must run on the real clock, not a virtual one", c.Backend)
-		}
-	default:
-		return fmt.Errorf("core: unknown Backend %q", c.Backend)
-	}
-	return nil
+	cfg := newConfig(part, alpha, materialize, simclock.Real{}, segment.NewTieredBackend(set, tier, materialize))
+	cfg.PrefetchDepth = topt.PrefetchDepth
+	return cfg, nil
 }

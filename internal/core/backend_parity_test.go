@@ -143,8 +143,6 @@ func mkFileParity(t *testing.T, part *bucket.Partition, dir string, pc parityCas
 		MaterializeResults:   pc.materialize,
 		AgeDepreciationGamma: pc.gamma,
 		WorkloadMemoryCap:    pc.memCap,
-		Backend:              BackendFile,
-		DataDir:              dir,
 	}
 	s, err := newScheduler(cfg)
 	if err != nil {
@@ -261,7 +259,6 @@ func shardedParity(t *testing.T, part *bucket.Partition, dir string, hotJobs []J
 		Store: bucket.NewStore(part, fileDisk, false).WithBackend(segment.NewBackend(set, false)),
 		Disk:  fileDisk, Clock: simclock.Real{},
 		Alpha: 0.5, CacheBuckets: 20, Shards: 4,
-		Backend: BackendFile, DataDir: dir,
 	}
 	fileRes, fileStats, err := Run(fileCfg, hotJobs, offsets)
 	if err != nil {

@@ -100,44 +100,51 @@ func TestSchedulerCancelDropsQueuedObjects(t *testing.T) {
 }
 
 // TestLiveCancelDropsWork submits a long-running job on the real clock and
-// cancels it: the delivered result must be marked Cancelled and the engine
-// must report dropped workload objects.
+// cancels it: the cancel reaches every shard, the delivered (merged) result
+// must be marked Cancelled, and the engine must report the query cancelled
+// once however many shards dropped workload objects for it.
 func TestLiveCancelDropsWork(t *testing.T) {
 	part, _ := fixture(t)
 	job, _ := bigJob(t, 60)
-	cfg := NewOn(part, 0.5, false, simclock.Real{})
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := l.Submit(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Cancel(job.ID); err != nil {
-		t.Fatal(err)
-	}
-	r, ok := <-ch
-	if !ok {
-		t.Fatal("channel closed without a result")
-	}
-	if !r.Cancelled {
-		t.Fatalf("result not cancelled: %+v", r)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	stats, ok := l.Stats()
-	if !ok {
-		t.Fatal("stats unavailable after Close")
-	}
-	if stats.Cancelled != 1 || stats.CancelledObjects == 0 {
-		t.Errorf("stats cancelled=%d objects=%d, want 1 and > 0",
-			stats.Cancelled, stats.CancelledObjects)
-	}
-	if stats.Completed != 0 {
-		t.Errorf("completed = %d, want 0 (only query was cancelled)", stats.Completed)
-	}
+	forEachK(t, func(t *testing.T, k int) {
+		cfg := NewOn(part, 0.5, false, simclock.Real{})
+		cfg.Shards = k
+		l, err := NewLive(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch, err := l.Submit(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Cancel(job.ID); err != nil {
+			t.Fatal(err)
+		}
+		r, ok := <-ch
+		if !ok {
+			t.Fatal("channel closed without a result")
+		}
+		if !r.Cancelled {
+			t.Fatalf("result not cancelled: %+v", r)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		stats, ok := l.Stats()
+		if !ok {
+			t.Fatal("stats unavailable after Close")
+		}
+		if stats.Cancelled != 1 || stats.CancelledObjects == 0 {
+			t.Errorf("stats cancelled=%d objects=%d, want 1 and > 0",
+				stats.Cancelled, stats.CancelledObjects)
+		}
+		if stats.Completed != 0 {
+			t.Errorf("completed = %d, want 0 (only query was cancelled)", stats.Completed)
+		}
+		if err := l.Cancel(1); err != ErrClosed {
+			t.Errorf("Cancel after Close = %v, want ErrClosed", err)
+		}
+	})
 }
 
 // TestLiveSubmitCtx covers the context path: an expired context cancels
@@ -145,73 +152,36 @@ func TestLiveCancelDropsWork(t *testing.T) {
 func TestLiveSubmitCtx(t *testing.T) {
 	part, _ := fixture(t)
 	job, rest := bigJob(t, 60)
-	cfg := NewOn(part, 0.5, false, simclock.Real{})
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
+	forEachK(t, func(t *testing.T, k int) {
+		cfg := NewOn(part, 0.5, false, simclock.Real{})
+		cfg.Shards = k
+		l, err := NewLive(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // expired before submission
-	ch, err := l.SubmitCtx(ctx, job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, ok := <-ch
-	if !ok || !r.Cancelled {
-		t.Fatalf("result = %+v ok=%v, want a cancelled result", r, ok)
-	}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel() // expired before submission
+		ch, err := l.SubmitCtx(ctx, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, ok := <-ch
+		if !ok || !r.Cancelled {
+			t.Fatalf("result = %+v ok=%v, want a cancelled result", r, ok)
+		}
 
-	// A background context passes through untouched.
-	ch, err = l.SubmitCtx(context.Background(), rest[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, ok = <-ch
-	if !ok || r.Cancelled || r.QueryID != rest[0].ID {
-		t.Fatalf("background-ctx result = %+v ok=%v", r, ok)
-	}
-}
-
-// TestLiveCancelSharded covers the broadcast path: a cancel on a sharded
-// engine reaches every shard and the merged result is marked Cancelled.
-func TestLiveCancelSharded(t *testing.T) {
-	part, _ := fixture(t)
-	job, _ := bigJob(t, 60)
-	cfg := NewOn(part, 0.5, false, simclock.Real{})
-	cfg.Shards = 2
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := l.Submit(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Cancel(job.ID); err != nil {
-		t.Fatal(err)
-	}
-	r, ok := <-ch
-	if !ok || !r.Cancelled {
-		t.Fatalf("merged result = %+v ok=%v, want cancelled", r, ok)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	stats, ok := l.Stats()
-	if !ok {
-		t.Fatal("stats unavailable after Close")
-	}
-	if stats.Cancelled != 1 {
-		t.Errorf("merged cancelled = %d, want 1", stats.Cancelled)
-	}
-	if stats.CancelledObjects == 0 {
-		t.Error("no cancelled objects recorded across shards")
-	}
-	if err := l.Cancel(1); err != ErrClosed {
-		t.Errorf("Cancel after Close = %v, want ErrClosed", err)
-	}
+		// A background context passes through untouched.
+		ch, err = l.SubmitCtx(context.Background(), rest[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, ok = <-ch
+		if !ok || r.Cancelled || r.QueryID != rest[0].ID {
+			t.Fatalf("background-ctx result = %+v ok=%v", r, ok)
+		}
+	})
 }
 
 // TestCancelTouchesOnlyOwningQueues: cancelling a query must examine only

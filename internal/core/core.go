@@ -84,42 +84,34 @@ type Config struct {
 	// leaves the service loop byte-for-byte on its untiered path.
 	PrefetchDepth int
 
-	// Backend selects the storage backend: BackendSim (default) serves
-	// buckets from the analytic disk model on the configured clock;
-	// BackendFile serves them from segment files under DataDir with
-	// real I/O on the real clock. Build file-backed configs with
-	// NewFileBacked, which opens and validates the segment store.
-	Backend BackendKind
-	// DataDir is the segment directory backing BackendFile.
-	DataDir string
-
-	// Shards runs the engine as K independent disk/worker shards: the
-	// bucket space is partitioned across shards (ShardPartitioner), each
-	// shard gets its own forked disk, bucket cache, and workload queues,
-	// and a worker services each shard's local aged-workload-throughput
-	// schedule concurrently. A query's completion is the completion of
-	// its last shard. 0 or 1 preserves the single-disk engine exactly.
-	// Config.Disk serves as the cost-model template; each shard forks
-	// its own disk from it. Each shard's cache holds CacheBuckets
-	// buckets (scaling out adds memory along with arms).
+	// Shards is K, the number of independent disk/worker shards the
+	// engine runs as: the bucket space is partitioned across shards
+	// (ShardPartitioner), each shard gets its own forked clock, disk,
+	// store, bucket cache, and workload queues, and a worker services
+	// each shard's local aged-workload-throughput schedule concurrently.
+	// A query's completion is the completion of its last shard. 0 means
+	// 1: one shard owning every bucket, the paper's single-disk engine,
+	// on the same code path as any other K. Config.Disk and Config.Store
+	// serve as templates; each shard forks its own from them. Each
+	// shard's cache holds CacheBuckets buckets (scaling out adds memory
+	// along with arms).
 	Shards int
-	// ShardPartitioner assigns buckets to shards when Shards > 1; nil
-	// means shard.ByRange (contiguous, balanced bucket counts).
+	// ShardPartitioner assigns buckets to shards; nil means
+	// shard.ByRange (contiguous, balanced bucket counts).
 	ShardPartitioner shard.Partitioner
 	// ownsBucket, when non-nil, restricts admission to the buckets a
-	// shard owns. Set only by the sharded engine on its per-shard
-	// configs; external callers cannot (and must not) set it.
+	// shard owns. Set only by forkConfigs on the per-shard configs;
+	// external callers cannot (and must not) set it.
 	ownsBucket func(int) bool
 
 	// Metrics, when non-nil, instruments the engine: pick latency,
 	// service strategy, cache hit/miss, completions, and store read
 	// latency are recorded per shard (internal/metric handles, resolved
-	// once at construction; nil costs nothing on the hot path). The
-	// sharded engine passes the same EngineMetrics to every shard with
-	// the shard's own index.
+	// once at construction; nil costs nothing on the hot path). Every
+	// shard gets the same EngineMetrics with the shard's own index.
 	Metrics *EngineMetrics
 	// shardIndex is the shard label the engine reports metrics under.
-	// Set by forkConfigs; 0 for the single-disk engine.
+	// Set by forkConfigs.
 	shardIndex int
 
 	// AgeDepreciationGamma enables the §6 QoS extension: the age of a
@@ -143,11 +135,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Clock == nil {
 		return c, fmt.Errorf("core: Config.Clock is required")
 	}
-	if c.Backend == "" {
-		c.Backend = BackendSim
-	}
-	if err := c.validateBackend(); err != nil {
-		return c, err
+	if _, virtual := c.Clock.(*simclock.Virtual); virtual && c.Store.Backend() != nil {
+		return c, fmt.Errorf("core: the store's backend does real I/O and must run on the real clock, not a virtual one")
 	}
 	if c.Policy == "" {
 		c.Policy = PolicyLifeRaft
@@ -175,6 +164,9 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Shards < 0 {
 		return c, fmt.Errorf("core: negative Shards")
+	}
+	if c.Shards == 0 {
+		c.Shards = 1
 	}
 	if c.PrefetchDepth < 0 {
 		return c, fmt.Errorf("core: negative PrefetchDepth")
@@ -260,14 +252,16 @@ type RunStats struct {
 	// dropped from the queues by those cancellations.
 	Cancelled        int
 	CancelledObjects int64
-	// PerShard breaks a sharded run down by shard (nil for the
-	// single-disk engine). The aggregate fields above are the merged
-	// view: counters sum across shards and Makespan is the latest shard
+	// PerShard breaks the run down by shard: K entries for a K-shard
+	// engine, so one entry for the default single shard (nil only on the
+	// per-shard Stats inside it, and for the NoShare/IndexOnly
+	// baselines). The aggregate fields above are the merged view:
+	// counters sum across shards and Makespan is the latest shard
 	// finish, so Throughput reflects the parallel wall clock.
 	PerShard []ShardStats
 }
 
-// ShardStats is one shard's slice of a sharded run.
+// ShardStats is one shard's slice of a run.
 type ShardStats struct {
 	// Shard is the shard index in [0, Config.Shards).
 	Shard int
@@ -295,39 +289,15 @@ func (s RunStats) String() string {
 		s.BucketsServed, s.ScanServices, s.IndexServices, s.Cache)
 }
 
-// NewVirtual builds the standard experiment stack: a virtual clock, a disk
-// with the SkyQuery model, a store over the partition (materializing if
-// materialize is set), and a Config pre-filled with paper defaults
-// (LifeRaft policy, 20-bucket LRU cache, 3% hybrid threshold).
-func NewVirtual(part *bucket.Partition, alpha float64, materialize bool) (Config, *simclock.Virtual) {
-	clk := simclock.NewVirtual()
+// newConfig is the one builder behind every exported constructor: a disk
+// with the SkyQuery model on clk, a store over the partition (materializing
+// if materialize is set) served by backend (nil: the analytic disk model),
+// and a Config pre-filled with paper defaults (LifeRaft policy, 20-bucket
+// LRU cache, 3% hybrid threshold).
+func newConfig(part *bucket.Partition, alpha float64, materialize bool, clk simclock.Clock, backend bucket.Backend) Config {
 	d := disk.New(disk.SkyQuery(), clk)
-	st := bucket.NewStore(part, d, materialize)
 	return Config{
-		Store:              st,
-		Disk:               d,
-		Clock:              clk,
-		Policy:             PolicyLifeRaft,
-		Alpha:              alpha,
-		CacheBuckets:       20,
-		CachePolicy:        cache.PolicyLRU,
-		HybridThreshold:    xmatch.DefaultThreshold,
-		MaterializeResults: materialize,
-	}, clk
-}
-
-// bucketObjects is the cached payload: a materialized bucket (nil in
-// cost-only mode, where membership alone matters).
-type bucketObjects []catalog.Object
-
-// NewOn is NewVirtual generalized to a caller-provided clock: federation
-// nodes pass the real clock (deployments) or a shared virtual clock
-// (experiments).
-func NewOn(part *bucket.Partition, alpha float64, materialize bool, clk simclock.Clock) Config {
-	d := disk.New(disk.SkyQuery(), clk)
-	st := bucket.NewStore(part, d, materialize)
-	return Config{
-		Store:              st,
+		Store:              bucket.NewStore(part, d, materialize).WithBackend(backend),
 		Disk:               d,
 		Clock:              clk,
 		Policy:             PolicyLifeRaft,
@@ -338,3 +308,21 @@ func NewOn(part *bucket.Partition, alpha float64, materialize bool, clk simclock
 		MaterializeResults: materialize,
 	}
 }
+
+// NewVirtual builds the standard experiment stack: the paper-default
+// Config (see newConfig) over the simulated disk on a fresh virtual clock.
+func NewVirtual(part *bucket.Partition, alpha float64, materialize bool) (Config, *simclock.Virtual) {
+	clk := simclock.NewVirtual()
+	return newConfig(part, alpha, materialize, clk, nil), clk
+}
+
+// NewOn is NewVirtual generalized to a caller-provided clock: federation
+// nodes pass the real clock (deployments) or a shared virtual clock
+// (experiments).
+func NewOn(part *bucket.Partition, alpha float64, materialize bool, clk simclock.Clock) Config {
+	return newConfig(part, alpha, materialize, clk, nil)
+}
+
+// bucketObjects is the cached payload: a materialized bucket (nil in
+// cost-only mode, where membership alone matters).
+type bucketObjects []catalog.Object

@@ -4,55 +4,62 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"liferaft/internal/shard"
 	"liferaft/internal/simclock"
 )
 
 // Live runs the LifeRaft scheduler as a long-lived service: queries are
-// submitted concurrently and results delivered on per-query channels. The
-// scheduling loop owns the workload manager exclusively and services one
-// bucket at a time, exactly as the paper's architecture prescribes
-// ("buckets are read from disk by scheduler one at a time", §3); Submit
-// never blocks on in-progress bucket services.
+// submitted concurrently and results delivered on per-query channels.
+//
+// Live is the front end of K = max(1, Config.Shards) shard workers. It owns
+// the shard map, the fan-out, the merge, and the lifecycle (the one closed
+// check); each worker owns one forked clock, disk, store, and bucket cache
+// and runs the scheduling loop exclusively over its own workload queues,
+// servicing one bucket at a time exactly as the paper's architecture
+// prescribes ("buckets are read from disk by scheduler one at a time", §3).
+// Submit fans the query's workload objects out to the shards owning the
+// buckets they overlap and never blocks on in-progress bucket services; the
+// worker that finishes the query's last shard merges the partial results
+// and resolves the caller's channel. SetAlpha and Cancel broadcast to every
+// shard. One shard is the paper's single-disk engine.
 //
 // Live is the deployment form a federation node uses (see the federation
 // package); experiments use Run instead, which replays a trace against a
 // virtual clock.
-//
-// With Config.Shards > 1, Live runs one inner engine per shard: Submit
-// fans the query's workload objects out to the shards owning the buckets
-// they overlap and the result channel delivers the merged Result when the
-// last shard finishes. SetAlpha broadcasts to every shard.
 type Live struct {
+	clock   simclock.Clock
+	smap    *shard.Map
+	cfgs    []Config // forked per-shard configs; Close releases their stores
+	workers []*shardWorker
+
+	// Merged query counts, bumped by the worker resolving a query. Atomics,
+	// not mu: a worker must never wait on a lock Submit holds while sending
+	// to that worker's inbox.
+	completed atomic.Int64
+	cancelled atomic.Int64
+
+	closeOnce sync.Once
+	mu        sync.Mutex
+	closed    bool
+	stats     RunStats
+	statsOK   bool
+}
+
+// shardWorker is one shard's scheduling goroutine: its inbox, its shutdown
+// handshake, and the statistics it leaves behind (valid once done closes).
+type shardWorker struct {
 	inbox   chan submission
 	closing chan struct{}
 	done    chan struct{}
-	clock   simclock.Clock
-
-	// Sharded mode (Config.Shards > 1): inner engines and the fan-out
-	// machinery; nil in single-disk mode. shardCfgs holds the forked
-	// per-shard configs so Close can release their forked stores.
-	inner     []*Live
-	smap      *shard.Map
-	shardCfgs []Config
-	mergeWG   sync.WaitGroup
-	closeOnce sync.Once
-
-	mu        sync.Mutex
-	closed    bool
-	completed int // sharded mode: merged queries delivered
-	cancelled int // sharded mode: merged queries cancelled
-
-	// Err reports a scheduler construction failure; checked by callers
-	// of NewLive via the returned error instead.
 	stats   RunStats
-	statsOK bool
 }
 
 type submission struct {
 	job Job
-	ch  chan Result
+	// part is where the worker delivers its share of the query's result.
+	part *part
 	// setAlpha, when non-nil, is a control message instead of a query:
 	// the scheduling loop updates its age bias (the §4 adaptive knob).
 	setAlpha *float64
@@ -63,35 +70,57 @@ type submission struct {
 	cancel *uint64
 }
 
+// merge is one in-flight query's fan-in. Each shard the query fanned out
+// to delivers into its own part; the worker delivering the last one merges
+// them in shard order — counters summed, pairs concatenated, completion the
+// latest — and resolves the caller's channel. No goroutine relays a result.
+type merge struct {
+	l     *Live
+	out   chan Result
+	parts []part
+	left  atomic.Int32
+	// stop releases the context.AfterFunc registration that cancels the
+	// query when its context expires; nil for uncancellable contexts.
+	stop func() bool
+}
+
+// part is one shard's slot in a merge.
+type part struct {
+	m   *merge
+	res Result
+}
+
+func (p *part) deliver(r Result) {
+	m := p.m
+	p.res = r
+	if m.left.Add(-1) > 0 {
+		return
+	}
+	if m.stop != nil {
+		m.stop()
+	}
+	res := m.parts[0].res
+	for i := 1; i < len(m.parts); i++ {
+		res.absorb(m.parts[i].res)
+	}
+	if res.Cancelled {
+		m.l.cancelled.Add(1)
+	} else {
+		m.l.completed.Add(1)
+	}
+	m.out <- res
+	close(m.out)
+}
+
 // Clock returns the engine's time source (set by its Config).
 func (l *Live) Clock() simclock.Clock { return l.clock }
 
 // ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("core: live engine closed")
 
-// NewLive starts a live engine. The returned engine must be Closed to
-// release its scheduling goroutine(s).
+// NewLive starts a live engine: one scheduling goroutine per shard. The
+// returned engine must be Closed to release them.
 func NewLive(cfg Config) (*Live, error) {
-	if cfg.Shards > 1 {
-		return newShardedLive(cfg)
-	}
-	s, err := newScheduler(cfg)
-	if err != nil {
-		return nil, err
-	}
-	l := &Live{
-		inbox:   make(chan submission, 1024),
-		closing: make(chan struct{}),
-		done:    make(chan struct{}),
-		clock:   cfg.Clock,
-	}
-	go l.loop(cfg, s)
-	return l, nil
-}
-
-// newShardedLive starts one inner single-shard engine per shard plus the
-// fan-out front end.
-func newShardedLive(cfg Config) (*Live, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -100,26 +129,28 @@ func newShardedLive(cfg Config) (*Live, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Live{
-		done:  make(chan struct{}),
-		clock: cfg.Clock,
-		smap:  m,
-	}
-	shardCfgs, err := forkConfigs(cfg, m)
+	cfgs, err := forkConfigs(cfg, m)
 	if err != nil {
 		return nil, err
 	}
-	l.shardCfgs = shardCfgs
-	for _, sc := range shardCfgs {
-		in, err := NewLive(sc)
-		if err != nil {
-			for _, started := range l.inner {
-				started.Close()
-			}
-			closeForked(shardCfgs)
+	scheds := make([]*scheduler, len(cfgs))
+	for s, sc := range cfgs {
+		if scheds[s], err = newScheduler(sc); err != nil {
+			closeForked(cfgs)
 			return nil, err
 		}
-		l.inner = append(l.inner, in)
+	}
+	l := &Live{clock: cfg.Clock, smap: m, cfgs: cfgs}
+	for s, sc := range cfgs {
+		w := &shardWorker{
+			// Deep enough that a burst of submissions lands without the
+			// front end waiting out the shard's current bucket service.
+			inbox:   make(chan submission, 1024),
+			closing: make(chan struct{}),
+			done:    make(chan struct{}),
+		}
+		l.workers = append(l.workers, w)
+		go w.loop(sc, scheds[s])
 	}
 	return l, nil
 }
@@ -127,152 +158,79 @@ func newShardedLive(cfg Config) (*Live, error) {
 // Submit enqueues a query. The returned channel delivers exactly one
 // Result when the query completes, then closes.
 func (l *Live) Submit(job Job) (<-chan Result, error) {
-	if l.inner != nil {
-		return l.submitSharded(job)
-	}
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return nil, ErrClosed
-	}
-	ch := make(chan Result, 1)
-	//lifevet:allow lockdiscipline -- the send deliberately happens inside l.mu: the closed check and the enqueue must be one atomic step against Close, and the loop drains the inbox until closing, so the send bounds in one step latency
-	l.inbox <- submission{job: job, ch: ch}
-	l.mu.Unlock()
-	return ch, nil
+	// No context to thread through: nil is SubmitCtx's "never cancelled".
+	return l.SubmitCtx(nil, job)
 }
 
 // SubmitCtx is Submit with cancellation: when ctx expires before the query
 // completes, the query is cancelled — its remaining workload objects are
 // dropped from the queues so an abandoned query stops consuming workload
 // slots — and the channel delivers a Result with Cancelled set (carrying
-// the partial work done before the cancel). A ctx that can never be
-// cancelled makes SubmitCtx identical to Submit.
+// the partial work done before the cancel). If the engine is closing by
+// then, the query drains to its uncancelled result instead. A nil ctx, or
+// one that can never be cancelled, makes SubmitCtx identical to Submit.
 func (l *Live) SubmitCtx(ctx context.Context, job Job) (<-chan Result, error) {
-	inner, err := l.Submit(job)
-	if err != nil {
-		return nil, err
-	}
-	if ctx == nil || ctx.Done() == nil {
-		return inner, nil
-	}
-	out := make(chan Result, 1)
-	go func() {
-		defer close(out)
-		select {
-		case r, ok := <-inner:
-			if ok {
-				out <- r
-			}
-		case <-ctx.Done():
-			// Best-effort: if the engine is closing, the drain below
-			// still delivers the (uncancelled) result.
-			l.Cancel(job.ID)
-			if r, ok := <-inner; ok {
-				out <- r
-			}
-		}
-	}()
-	return out, nil
-}
-
-// Cancel withdraws an in-flight query by ID: its remaining workload
-// objects are dropped from the queues and its result channel delivers a
-// Result with Cancelled set. Cancelling an unknown or already completed
-// query is a no-op. On a sharded engine the cancel is broadcast to every
-// shard; shards that already finished their part ignore it, and the merged
-// result is marked Cancelled if any shard cancelled.
-func (l *Live) Cancel(id uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.inner != nil {
-		for _, in := range l.inner {
-			//lifevet:allow lockdiscipline -- the shard's own inbox send bounds in one shard step; the parent lock must span the broadcast so a concurrent Close cannot interleave
-			if err := in.Cancel(id); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	qid := id
-	//lifevet:allow lockdiscipline -- same atomic closed-check-and-enqueue pattern as Submit: the loop drains the inbox until closing
-	l.inbox <- submission{cancel: &qid}
-	return nil
-}
-
-// submitSharded fans the job out to the shards owning its buckets and
-// merges their results: the delivered Result completes when the last
-// shard does, with assignments and matches summed and pairs concatenated
-// in shard order.
-func (l *Live) submitSharded(job Job) (<-chan Result, error) {
 	// Keep the parent clock tracking the furthest shard clock: on a
 	// virtual clock, observers of Clock() — the Adaptive saturation
 	// estimator, empty-fan-out completion stamps — would otherwise see
 	// time frozen at the engine start until Close.
-	for _, in := range l.inner {
-		simclock.Join(l.clock, in.Clock().Now())
+	for _, sc := range l.cfgs {
+		simclock.Join(l.clock, sc.Clock.Now())
 	}
+	fan := l.smap.Fanout(job.Objects)
+	width := 0
+	for _, objs := range fan {
+		if len(objs) > 0 {
+			width++
+		}
+	}
+	m := &merge{l: l, out: make(chan Result, 1), parts: make([]part, width)}
+	m.left.Store(int32(width))
+
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return nil, ErrClosed
 	}
-	ch := make(chan Result, 1)
-	fan := l.smap.Fanout(job.Objects)
-	var subs []<-chan Result
+	if width == 0 {
+		// No bucket overlaps anywhere: complete immediately.
+		l.completed.Add(1)
+		l.mu.Unlock()
+		now := l.clock.Now()
+		m.out <- Result{QueryID: job.ID, Arrived: now, Completed: now}
+		close(m.out)
+		return m.out, nil
+	}
+	if ctx != nil && ctx.Done() != nil {
+		// Registered before the fan-out so the resolving worker sees stop;
+		// the cancel itself needs l.mu, so it still lands behind the
+		// submissions below in every inbox.
+		id := job.ID
+		m.stop = context.AfterFunc(ctx, func() { l.Cancel(id) })
+	}
+	i := 0
 	for s, objs := range fan {
 		if len(objs) == 0 {
 			continue
 		}
-		//lifevet:allow lockdiscipline -- each shard Submit bounds in one shard step; the parent lock must span the fan-out so all shards see the submission before a concurrent Close
-		c, err := l.inner[s].Submit(Job{ID: job.ID, Objects: objs, Pred: job.Pred, Trace: job.Trace})
-		if err != nil {
-			l.mu.Unlock()
-			return nil, err
-		}
-		subs = append(subs, c)
+		p := &m.parts[i]
+		p.m = m
+		i++
+		//lifevet:allow lockdiscipline -- the sends deliberately happen inside l.mu: the closed check and the fan-out must be one atomic step against Close, and every worker drains its inbox until closing, so each send bounds in one shard step
+		l.workers[s].inbox <- submission{job: Job{ID: job.ID, Objects: objs, Pred: job.Pred, Trace: job.Trace}, part: p}
 	}
-	if len(subs) == 0 {
-		// No bucket overlaps anywhere: complete immediately, as the
-		// single-disk engine does.
-		now := l.clock.Now()
-		ch <- Result{QueryID: job.ID, Arrived: now, Completed: now}
-		close(ch)
-		l.completed++
-		l.mu.Unlock()
-		return ch, nil
-	}
-	l.mergeWG.Add(1)
 	l.mu.Unlock()
-	go func() {
-		defer l.mergeWG.Done()
-		var merged Result
-		first := true
-		for _, c := range subs {
-			r, ok := <-c
-			if !ok {
-				continue
-			}
-			if first {
-				merged, first = r, false
-				continue
-			}
-			merged.absorb(r)
-		}
-		ch <- merged
-		close(ch)
-		l.mu.Lock()
-		if merged.Cancelled {
-			l.cancelled++
-		} else {
-			l.completed++
-		}
-		l.mu.Unlock()
-	}()
-	return ch, nil
+	return m.out, nil
+}
+
+// Cancel withdraws an in-flight query by ID: its remaining workload
+// objects are dropped from the queues and its result channel delivers a
+// Result with Cancelled set. Cancelling an unknown or already completed
+// query is a no-op. The cancel is broadcast to every shard; shards that
+// already finished their part (or never had one) ignore it, and the merged
+// result is marked Cancelled if any shard cancelled.
+func (l *Live) Cancel(id uint64) error {
+	return l.broadcast(submission{cancel: &id})
 }
 
 // SetAlpha changes the engine's age bias for all subsequent scheduling
@@ -280,76 +238,53 @@ func (l *Live) submitSharded(job Job) (<-chan Result, error) {
 // tuning turns as workload saturation changes; see Adaptive for the
 // closed loop.
 func (l *Live) SetAlpha(alpha float64) error {
-	if alpha < 0 {
-		alpha = 0
-	}
-	if alpha > 1 {
-		alpha = 1
-	}
+	alpha = min(max(alpha, 0), 1)
+	return l.broadcast(submission{setAlpha: &alpha})
+}
+
+// broadcast sends a control message to every shard, atomically against
+// Close and in the same order relative to other broadcasts on every shard.
+func (l *Live) broadcast(ctl submission) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
-	if l.inner != nil {
-		for _, in := range l.inner {
-			//lifevet:allow lockdiscipline -- the shard's inbox send bounds in one shard step; the parent lock spans the broadcast so every shard sees the same α ordering
-			if err := in.SetAlpha(alpha); err != nil {
-				return err
-			}
-		}
-		return nil
+	for _, w := range l.workers {
+		//lifevet:allow lockdiscipline -- same atomic closed-check-and-enqueue pattern as SubmitCtx: each worker drains its inbox until closing
+		w.inbox <- ctl
 	}
-	//lifevet:allow lockdiscipline -- same atomic closed-check-and-enqueue pattern as Submit
-	l.inbox <- submission{setAlpha: &alpha}
 	return nil
 }
 
 // Close stops accepting queries, waits for all submitted queries to
-// complete, and shuts the scheduling loop down. It is idempotent.
+// complete, shuts the scheduling loops down, and snapshots the merged
+// statistics. It is idempotent.
 func (l *Live) Close() error {
-	if l.inner != nil {
-		return l.closeSharded()
-	}
-	l.mu.Lock()
-	if !l.closed {
-		l.closed = true
-		close(l.closing)
-	}
-	l.mu.Unlock()
-	<-l.done
-	return nil
-}
-
-// closeSharded drains every inner engine, waits for in-flight merges, and
-// snapshots the merged statistics.
-func (l *Live) closeSharded() error {
-	l.mu.Lock()
-	l.closed = true
-	l.mu.Unlock()
 	l.closeOnce.Do(func() {
-		for _, in := range l.inner {
-			in.Close()
+		l.mu.Lock()
+		l.closed = true
+		l.mu.Unlock()
+		for _, w := range l.workers {
+			close(w.closing)
 		}
-		l.mergeWG.Wait()
+		for s, w := range l.workers {
+			<-w.done
+			// On a virtual parent clock, adopt the latest shard clock.
+			simclock.Join(l.clock, l.cfgs[s].Clock.Now())
+		}
+		// Every worker drained before exiting, so every merge resolved.
 		stats := mergeShardStats(l.smap, func(s int) (RunStats, int) {
-			st, _ := l.inner[s].Stats()
+			st := l.workers[s].stats
 			return st, st.Completed
 		})
+		stats.Completed = int(l.completed.Load())
+		stats.Cancelled = int(l.cancelled.Load())
+		closeForked(l.cfgs)
 		l.mu.Lock()
-		stats.Completed = l.completed
-		stats.Cancelled = l.cancelled
-		l.stats = stats
-		l.statsOK = true
+		l.stats, l.statsOK = stats, true
 		l.mu.Unlock()
-		// On a virtual parent clock, adopt the latest shard clock.
-		for _, in := range l.inner {
-			simclock.Join(l.clock, in.Clock().Now())
-		}
-		closeForked(l.shardCfgs)
-		close(l.done)
 	})
-	<-l.done
 	return nil
 }
 
@@ -361,10 +296,11 @@ func (l *Live) Stats() (RunStats, bool) {
 	return l.stats, l.statsOK
 }
 
-func (l *Live) loop(cfg Config, s *scheduler) {
-	defer close(l.done)
+// loop is one shard's scheduling loop: it owns s exclusively.
+func (w *shardWorker) loop(cfg Config, s *scheduler) {
+	defer close(w.done)
 	start := cfg.Clock.Now()
-	waiters := make(map[uint64]chan Result)
+	waiters := make(map[uint64]*part)
 	completed := 0
 
 	deliver := func(rs []Result) {
@@ -375,9 +311,8 @@ func (l *Live) loop(cfg Config, s *scheduler) {
 					s.obs.completed.Inc()
 				}
 			}
-			if ch := waiters[r.QueryID]; ch != nil {
-				ch <- r
-				close(ch)
+			if p := waiters[r.QueryID]; p != nil {
+				p.deliver(r)
 				delete(waiters, r.QueryID)
 			}
 		}
@@ -398,7 +333,7 @@ func (l *Live) loop(cfg Config, s *scheduler) {
 			}
 			return
 		}
-		waiters[sub.job.ID] = sub.ch
+		waiters[sub.job.ID] = sub.part
 		if r := s.admit(sub.job, cfg.Clock.Now()); r != nil {
 			deliver([]Result{*r})
 		}
@@ -406,7 +341,7 @@ func (l *Live) loop(cfg Config, s *scheduler) {
 	drainInbox := func() {
 		for {
 			select {
-			case sub := <-l.inbox:
+			case sub := <-w.inbox:
 				admit(sub)
 			default:
 				return
@@ -422,7 +357,7 @@ func (l *Live) loop(cfg Config, s *scheduler) {
 				// Definitive drain check: nothing pending and the
 				// inbox is empty after the closing signal.
 				select {
-				case sub := <-l.inbox:
+				case sub := <-w.inbox:
 					admit(sub)
 					continue
 				default:
@@ -430,27 +365,24 @@ func (l *Live) loop(cfg Config, s *scheduler) {
 				break
 			}
 			select {
-			case sub := <-l.inbox:
+			case sub := <-w.inbox:
 				admit(sub)
-			case <-l.closing:
+			case <-w.closing:
 				closing = true
 			}
 			continue
 		}
 		// step's slice aliases scheduler scratch (valid until the next
-		// step); deliver sends the Results by value before then.
+		// step); deliver copies the Results out before then.
 		done, _ := s.step(cfg.Clock.Now())
 		deliver(done)
 		if !closing {
 			select {
-			case <-l.closing:
+			case <-w.closing:
 				closing = true
 			default:
 			}
 		}
 	}
-	l.mu.Lock()
-	l.stats = s.finalize(cfg.Clock.Now().Sub(start), completed)
-	l.statsOK = true
-	l.mu.Unlock()
+	w.stats = s.finalize(cfg.Clock.Now().Sub(start), completed)
 }

@@ -83,8 +83,8 @@ func NewEngineMetrics(reg *metric.Registry) *EngineMetrics {
 	}
 }
 
-// Shard resolves the per-shard handles for shard i (0 for the single-disk
-// engine). The returned EngineObs implements bucket.Observer.
+// Shard resolves the per-shard handles for shard i (0 is the only shard
+// of a default engine). The returned EngineObs implements bucket.Observer.
 func (m *EngineMetrics) Shard(i int) *EngineObs {
 	s := strconv.Itoa(i)
 	return &EngineObs{

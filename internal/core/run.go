@@ -9,25 +9,8 @@ import (
 	"liferaft/internal/xmatch"
 )
 
-// Run replays a query trace through the LifeRaft (or round-robin) engine:
-// jobs[i] arrives at offsets[i] after the start of the run. It returns one
-// Result per job, in completion order, plus aggregate statistics. With a
-// virtual clock this is the discrete-event simulation used by every
-// experiment; with a real clock it blocks for the actual durations.
-//
-// With Config.Shards > 1 the replay runs on the sharded engine: one
-// worker and one modeled disk per shard, each servicing its own local
-// schedule, with results and statistics merged across shards (see
-// runSharded). Shards <= 1 is exactly the single-disk engine.
-func Run(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunStats, error) {
-	if cfg.Shards > 1 {
-		return runSharded(cfg, jobs, offsets)
-	}
-	return runEngine(cfg, jobs, offsets)
-}
-
-// runEngine is the single-disk replay loop: the legacy engine, and the
-// per-shard worker body of the sharded one.
+// runEngine is the one-disk replay loop: the per-shard worker body of Run,
+// and the reference TestShardedOneShardMatchesLegacy compares Run against.
 func runEngine(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunStats, error) {
 	if len(jobs) != len(offsets) {
 		return nil, RunStats{}, fmt.Errorf("core: %d jobs but %d offsets", len(jobs), len(offsets))

@@ -10,22 +10,28 @@ import (
 	"liferaft/internal/simclock"
 )
 
-// runSharded replays a trace on the sharded engine: the bucket space is
-// split across cfg.Shards shards (cfg.ShardPartitioner), each shard gets
-// its own forked clock, disk, bucket cache, and workload queues, and a
-// worker goroutine per shard services that shard's local
-// aged-workload-throughput schedule. The coordinator fans each job's
-// workload objects out to the shards owning the buckets they overlap,
-// tracks per-query completion across shards (a query completes when its
-// last shard does), and merges per-shard RunStats into one aggregate with
-// a PerShard breakdown.
+// Run replays a query trace through the LifeRaft (or round-robin) engine:
+// jobs[i] arrives at offsets[i] after the start of the run. It returns one
+// Result per job, in completion order, plus aggregate statistics. With a
+// virtual clock this is the discrete-event simulation used by every
+// experiment; with a real clock it blocks for the actual durations.
+//
+// The bucket space is split across K = max(1, cfg.Shards) shards
+// (cfg.ShardPartitioner); each shard gets its own forked clock, disk,
+// bucket cache, and workload queues, and a worker goroutine per shard
+// (runEngine) services that shard's local aged-workload-throughput
+// schedule. The coordinator fans each job's workload objects out to the
+// shards owning the buckets they overlap, tracks per-query completion
+// across shards (a query completes when its last shard does), and merges
+// per-shard RunStats into one aggregate with a PerShard breakdown. One
+// shard owning every bucket is the paper's single-disk engine.
 //
 // On a virtual parent clock each shard charges costs to its own forked
 // clock, so K shards replaying the same work finish in ~1/K the virtual
 // time instead of serializing on one modeled disk; the parent clock is
 // advanced to the latest shard finish before returning. On the real clock
 // the shard workers genuinely run in parallel.
-func runSharded(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunStats, error) {
+func Run(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunStats, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, RunStats{}, err
@@ -68,8 +74,7 @@ func runSharded(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunS
 			width++
 		}
 		if width == 0 {
-			// No bucket overlaps anywhere: complete on arrival, as the
-			// single-disk engine does.
+			// No bucket overlaps anywhere: complete on arrival.
 			at := start.Add(offsets[i])
 			results = append(results, Result{QueryID: j.ID, Arrived: at, Completed: at})
 			continue
@@ -125,8 +130,8 @@ func runSharded(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunS
 	if n := coord.Pending(); n != 0 || len(partial) != 0 {
 		return nil, RunStats{}, fmt.Errorf("core: %d queries never completed across shards", n+len(partial))
 	}
-	// Single-disk Run returns completion order; reproduce it across
-	// shards (ties broken by arrival, then query ID, for determinism).
+	// Results are returned in completion order across shards (ties
+	// broken by arrival, then query ID, for determinism).
 	sort.SliceStable(results, func(a, b int) bool {
 		ra, rb := results[a], results[b]
 		if !ra.Completed.Equal(rb.Completed) {

@@ -88,9 +88,9 @@ func TestShardsValidation(t *testing.T) {
 	}
 }
 
-// TestShardedOneShardMatchesLegacy runs the full sharded machinery with
-// K=1 (one shard owning every bucket) and requires it to reproduce the
-// legacy single-disk engine exactly: same per-query results, same
+// TestShardedOneShardMatchesLegacy runs Run with K=1 (one shard owning
+// every bucket) and requires it to reproduce the bare single-disk replay
+// loop (runEngine, the per-shard worker body) exactly: same per-query results, same
 // aggregate statistics modulo the PerShard breakdown.
 func TestShardedOneShardMatchesLegacy(t *testing.T) {
 	part, jobs := shardFixture(t)
@@ -100,7 +100,7 @@ func TestShardedOneShardMatchesLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardedRes, shardedStats, err := runSharded(shardCfg(part, 1, true), jobs, offs)
+	shardedRes, shardedStats, err := Run(shardCfg(part, 1, true), jobs, offs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,69 +311,6 @@ func TestShardedRunDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(resA, resB) {
 		t.Error("results diverge across identical runs")
-	}
-}
-
-// TestLiveSharded drives the sharded live engine from concurrent
-// submitters and checks merged delivery against the single-disk engine.
-func TestLiveSharded(t *testing.T) {
-	part, jobs := shardFixture(t)
-	single, _, err := Run(shardCfg(part, 1, true), jobs, make([]time.Duration, len(jobs)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sm := byQueryID(single)
-
-	cfg := shardCfg(part, 4, true)
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.SetAlpha(0.5); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	results := make([]Result, len(jobs))
-	for i, job := range jobs {
-		wg.Add(1)
-		go func(i int, job Job) {
-			defer wg.Done()
-			ch, err := l.Submit(job)
-			if err != nil {
-				return
-			}
-			results[i] = <-ch
-		}(i, job)
-	}
-	wg.Wait()
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		want := sm[jobs[i].ID]
-		if r.QueryID != jobs[i].ID {
-			t.Fatalf("job %d: result for query %d", i, r.QueryID)
-		}
-		if r.Assignments != want.Assignments || r.Matches != want.Matches {
-			t.Errorf("q%d: assignments/matches %d/%d, single-disk %d/%d",
-				r.QueryID, r.Assignments, r.Matches, want.Assignments, want.Matches)
-		}
-	}
-	stats, ok := l.Stats()
-	if !ok {
-		t.Fatal("no stats after Close")
-	}
-	if stats.Completed != len(jobs) {
-		t.Errorf("completed %d, want %d", stats.Completed, len(jobs))
-	}
-	if len(stats.PerShard) != 4 {
-		t.Errorf("PerShard has %d entries, want 4", len(stats.PerShard))
-	}
-	if _, err := l.Submit(jobs[0]); err != ErrClosed {
-		t.Errorf("submit after close: %v, want ErrClosed", err)
-	}
-	if err := l.Close(); err != nil {
-		t.Errorf("second close: %v", err)
 	}
 }
 

@@ -41,8 +41,6 @@ func mkTieredParity(t *testing.T, part *bucket.Partition, dir, tierDir string, p
 		MaterializeResults:   pc.materialize,
 		AgeDepreciationGamma: pc.gamma,
 		WorkloadMemoryCap:    pc.memCap,
-		Backend:              BackendFile,
-		DataDir:              dir,
 		PrefetchDepth:        depth,
 	}
 	s, err := newScheduler(cfg)

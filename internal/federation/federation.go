@@ -124,7 +124,7 @@ type NodeConfig struct {
 	Alpha        float64
 	CacheBuckets int
 	// Shards runs the node's engine across K independent disk/worker
-	// shards (see core.Config.Shards); 0 or 1 is the single-disk
+	// shards (see core.Config.Shards); 0 or 1 is one shard of the same
 	// engine. Each site in a federation shards independently, exactly
 	// as each site batches independently.
 	Shards int
@@ -142,7 +142,7 @@ type NodeConfig struct {
 	// segment store under it (built beforehand; see segment.Ensure and
 	// skygen -write-segments) instead of the analytic disk model. The
 	// engine then does real I/O on the real clock, so Clock must be nil
-	// or the real clock.
+	// or the real clock (the engine rejects a virtual one).
 	DataDir string
 	// ObjectBytes is the on-disk size per object for the node's
 	// partition (0 = the paper's 4 KiB). A file-backed node's segment
@@ -212,9 +212,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	var ecfg core.Config
 	switch {
 	case cfg.DataDir != "" && cfg.CacheDir != "":
-		if _, virtual := clk.(*simclock.Virtual); virtual {
-			return nil, fmt.Errorf("federation: DataDir does real I/O and needs the real clock, not a virtual one")
-		}
 		if cfg.DiskTierBytes <= 0 {
 			return nil, fmt.Errorf("federation: CacheDir requires a positive DiskTierBytes bound")
 		}
@@ -228,9 +225,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			return nil, err
 		}
 	case cfg.DataDir != "":
-		if _, virtual := clk.(*simclock.Virtual); virtual {
-			return nil, fmt.Errorf("federation: DataDir does real I/O and needs the real clock, not a virtual one")
-		}
 		if cfg.PrefetchDepth > 0 {
 			return nil, fmt.Errorf("federation: PrefetchDepth requires CacheDir (the disk tier is the prefetch target)")
 		}
@@ -247,6 +241,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.CacheBuckets > 0 {
 		ecfg.CacheBuckets = cfg.CacheBuckets
 	}
+	// The node runs on the clock it was given; core.NewLive rejects a
+	// file-backed store (real I/O) on a virtual one.
+	ecfg.Clock = clk
 	ecfg.Shards = cfg.Shards
 	ecfg.Metrics = cfg.Metrics
 	eng, err := core.NewLive(ecfg)

@@ -8,8 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"liferaft/internal/bucket"
 	"liferaft/internal/catalog"
 	"liferaft/internal/geom"
+	"liferaft/internal/segment"
 	"liferaft/internal/simclock"
 )
 
@@ -509,5 +511,41 @@ func TestShardedNodeEquivalence(t *testing.T) {
 		if !b[k] {
 			t.Fatalf("row %v missing from sharded result", k)
 		}
+	}
+}
+
+// TestFileBackedNodeNeedsRealClock: a node serving from a segment store does
+// real I/O; the engine (not a copy of the check here) rejects running it on
+// a virtual clock, and the same node starts on the real one.
+func TestFileBackedNodeNeedsRealClock(t *testing.T) {
+	cat, err := catalog.New(catalog.Config{Name: "sdss", N: 2000, Seed: 5, GenLevel: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := bucket.NewPartition(cat, 250, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := segment.Write(dir, part, segment.WriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	cfg := NodeConfig{Catalog: cat, ObjectsPerBucket: 250, ObjectBytes: 64, Alpha: 0.25, DataDir: dir}
+
+	cfg.Clock = simclock.NewVirtual()
+	if n, err := NewNode(cfg); err == nil {
+		n.Close()
+		t.Fatal("file-backed node on a virtual clock should fail")
+	} else if !strings.Contains(err.Error(), "real clock") {
+		t.Errorf("error %q should say the store needs the real clock", err)
+	}
+
+	cfg.Clock = nil
+	n, err := NewNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

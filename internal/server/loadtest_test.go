@@ -68,7 +68,7 @@ func loadFixture(t *testing.T) (*bucket.Partition, []core.Job, []core.Job) {
 	return ltPart, ltSteady, ltBursty
 }
 
-func newShardedLive(t *testing.T) *core.Live {
+func newLoadEngine(t *testing.T) *core.Live {
 	t.Helper()
 	part, _, _ := loadFixture(t)
 	cfg, _ := core.NewVirtual(part, 0.5, false)
@@ -130,7 +130,7 @@ func TestLoadSteadyTenantBoundedP99(t *testing.T) {
 	}
 
 	// Solo run: the steady tenant alone, through the serving layer.
-	solo := newShardedLive(t)
+	solo := newLoadEngine(t)
 	sSolo, err := New(solo, serveCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestLoadSteadyTenantBoundedP99(t *testing.T) {
 	// Competitive run with admission control: the bursty tenant floods
 	// continuously (open loop, rejects dropped) while the steady tenant
 	// runs its closed loop.
-	eng := newShardedLive(t)
+	eng := newLoadEngine(t)
 	s, err := New(eng, serveCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestLoadSteadyTenantBoundedP99(t *testing.T) {
 	// backlogged at every steady submission (pre-load plus top-ups, the
 	// steady state of a saturating open-loop arrival process) and checks
 	// the steady tenant pays for it.
-	raw := newShardedLive(t)
+	raw := newLoadEngine(t)
 	next := 0
 	flood := func(n int) {
 		for i := 0; i < n; i++ {

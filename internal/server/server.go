@@ -36,7 +36,7 @@ import (
 )
 
 // Engine is the scheduling engine the serving layer feeds; *core.Live
-// (single-disk or sharded) implements it.
+// (any shard count) implements it.
 type Engine interface {
 	SubmitCtx(ctx context.Context, job core.Job) (<-chan core.Result, error)
 	Cancel(id uint64) error

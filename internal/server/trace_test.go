@@ -64,7 +64,7 @@ func spanCoverage(d trace.Data) float64 {
 // the forensics ring.
 func TestTracedRequestCoverageAndExemplar(t *testing.T) {
 	_, steady, _ := loadFixture(t)
-	eng := newShardedLive(t)
+	eng := newLoadEngine(t)
 	defer eng.Close()
 
 	reg := metric.NewRegistry()

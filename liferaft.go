@@ -32,19 +32,20 @@
 // # Sharded execution
 //
 // The paper's engine drives a single disk arm; this module scales the
-// same aged-workload-throughput policy across K disks. Setting
-// Config.Shards to K > 1 partitions the bucket space across K shards
-// (ShardByRange for contiguous balanced ranges, ShardByHTMHash to spread
-// spatial hotspots; the ShardPartitioner interface is pluggable). Each
-// shard owns its own modeled disk, bucket cache, and workload queues, and
-// a worker per shard services that shard's local LifeRaft schedule. A
-// coordinator fans each query's workload objects out to the shards owning
-// the buckets they overlap and completes the query when its last shard
-// finishes; RunStats merges across shards with a PerShard breakdown. On a
-// virtual clock each shard charges costs to its own forked clock, so K
-// shards finish in ~1/K the virtual time instead of serializing on one
-// modeled disk. Shards <= 1 preserves the paper's single-disk engine —
-// and its results — exactly.
+// same aged-workload-throughput policy across K disks, and there is one
+// engine for every K. Config.Shards = K partitions the bucket space
+// across K shards (ShardByRange for contiguous balanced ranges,
+// ShardByHTMHash to spread spatial hotspots; the ShardPartitioner
+// interface is pluggable). Each shard owns its own modeled disk, bucket
+// cache, and workload queues, and a worker per shard services that
+// shard's local LifeRaft schedule. A coordinator fans each query's
+// workload objects out to the shards owning the buckets they overlap and
+// completes the query when its last shard finishes; RunStats merges
+// across shards with a PerShard breakdown (K entries). On a virtual clock
+// each shard charges costs to its own forked clock, so K shards finish in
+// ~1/K the virtual time instead of serializing on one modeled disk.
+// Shards 0 or 1 (the default) is one shard owning every bucket: the
+// paper's single-disk engine and its results, on the same code path.
 //
 //	cfg, clk := liferaft.NewVirtualConfig(part, 0.25, false)
 //	cfg.Shards = 4
@@ -96,7 +97,9 @@
 // partition into checksummed, versioned segment files; a Store built by
 // NewFileBackedConfig serves buckets from them with pread-based real
 // I/O on the real clock, recording measured read times in the disk
-// statistics. Sharded engines open one segment set per shard, and
+// statistics (the engine observes the store's backend; there is no
+// separate backend option, and a real-I/O store on a virtual clock is
+// rejected). Every shard opens its own segment set, and
 // federation nodes take FedNodeConfig.DataDir (liferaftd -data-dir). A
 // parity test proves the file backend makes bit-identical scheduling
 // decisions to the simulated disk on the golden traces.
@@ -351,16 +354,6 @@ type (
 	SegmentWriteOptions = segment.WriteOptions
 	// SegmentWriteStats reports what a segment build produced.
 	SegmentWriteStats = segment.WriteStats
-	// BackendKind names a storage backend (BackendSim or BackendFile).
-	BackendKind = core.BackendKind
-)
-
-// Storage backends for Config.Backend.
-const (
-	// BackendSim serves buckets from the analytic disk model (default).
-	BackendSim = core.BackendSim
-	// BackendFile serves buckets from segment files with real I/O.
-	BackendFile = core.BackendFile
 )
 
 var (
