@@ -161,19 +161,21 @@ func (p *Partition) Materialize(i int) []catalog.Object {
 // Backend is a pluggable storage layer under a Store. The default
 // (nil) backend is the analytic disk model: reads cost what the model
 // says and objects come from the synthetic catalog. A non-nil backend
-// performs real I/O — ReadBucket and Probe block for as long as the
-// hardware takes — and the Store accounts the measured elapsed time to
+// performs real I/O — ReadBucket and ProbeRanges block for as long as
+// the hardware takes — and the Store accounts the measured elapsed time to
 // the disk's statistics instead of charging model cost to the clock.
 // internal/segment provides the file-backed implementation.
 type Backend interface {
 	// ReadBucket returns bucket i's objects in HTM-curve order (nil in
 	// cost-only mode) and the number of data bytes read.
 	ReadBucket(i int) (objs []catalog.Object, bytesRead int64, err error)
-	// Probe performs the I/O of n index probes into bucket i. In
-	// materializing mode it returns the bucket's objects so the join
-	// evaluator can probe them in memory, mirroring the simulated
-	// store's contract.
-	Probe(i, n int) (objs []catalog.Object, bytesRead int64, err error)
+	// ProbeRanges performs the I/O of len(ranges) index probes into
+	// bucket i, one per level-14 HTM ID range. In materializing mode it
+	// returns, in HTM-curve order, a subset of the bucket that holds
+	// every object with an ID in any of the ranges, so the join
+	// evaluator can probe it in memory; the slice is the backend's and
+	// is valid until its next ProbeRanges.
+	ProbeRanges(i int, ranges []htm.Range) (objs []catalog.Object, bytesRead int64, err error)
 	// Fork opens an independent backend over the same data (fresh file
 	// descriptors); each shard of a sharded engine gets its own.
 	Fork() (Backend, error)
@@ -218,10 +220,10 @@ const (
 // must be safe for use from the single scheduling goroutine that owns
 // the Store and must not block: they run on the service path.
 type Observer interface {
-	// ObserveRead reports one completed read: the access kind and its
-	// elapsed cost — measured wall time on a real backend, modeled cost
-	// on the simulated disk.
-	ObserveRead(kind ReadKind, elapsed time.Duration)
+	// ObserveRead reports one completed read: the access kind, its
+	// elapsed cost and the data bytes it moved — measured on a real
+	// backend, modeled on the simulated disk.
+	ObserveRead(kind ReadKind, elapsed time.Duration, bytes int64)
 	// ObserveReadError reports a failed backend read (checksum mismatch,
 	// vanished file) just before the Store's fail-stop panic; it gives
 	// the error a chance to reach a metrics scrape or log before the
@@ -324,13 +326,14 @@ func (s *Store) ReadBucket(i int) ([]catalog.Object, time.Duration) {
 		elapsed := time.Since(start)
 		s.dsk.AccountSequential(n, elapsed)
 		if s.obs != nil {
-			s.obs.ObserveRead(ReadScan, elapsed)
+			s.obs.ObserveRead(ReadScan, elapsed, n)
 		}
 		return objs, elapsed
 	}
-	cost := s.dsk.ReadSequential(s.part.BucketBytes(i))
+	n := s.part.BucketBytes(i)
+	cost := s.dsk.ReadSequential(n)
 	if s.obs != nil {
-		s.obs.ObserveRead(ReadScan, cost)
+		s.obs.ObserveRead(ReadScan, cost, n)
 	}
 	if !s.materialize {
 		return nil, cost
@@ -338,14 +341,19 @@ func (s *Store) ReadBucket(i int) ([]catalog.Object, time.Duration) {
 	return s.part.Materialize(i), cost
 }
 
-// Probe charges the cost of n index probes into bucket i (objects are
-// located via the spatial index instead of a scan). In materializing mode
-// it returns the bucket's objects so the caller can evaluate matches; the
-// cost charged is the probe cost, not a scan.
-func (s *Store) Probe(i, n int) ([]catalog.Object, time.Duration) {
+// ProbeRanges charges the cost of len(ranges) index probes into bucket i
+// (objects are located via the spatial index instead of a scan), one per
+// level-14 HTM ID range. In materializing mode it returns objects of the
+// bucket, in HTM-curve order, that include every one with an ID in any of
+// the ranges, so the caller can evaluate matches: the whole bucket from
+// the simulated disk, the overlapping granules from a real backend (valid
+// until the next ProbeRanges). The cost charged is the probe cost, not a
+// scan.
+func (s *Store) ProbeRanges(i int, ranges []htm.Range) ([]catalog.Object, time.Duration) {
+	n := len(ranges)
 	if s.backend != nil {
 		start := time.Now()
-		objs, _, err := s.backend.Probe(i, n)
+		objs, read, err := s.backend.ProbeRanges(i, ranges)
 		if err != nil {
 			if s.obs != nil {
 				s.obs.ObserveReadError(ReadProbe, err)
@@ -355,13 +363,13 @@ func (s *Store) Probe(i, n int) ([]catalog.Object, time.Duration) {
 		elapsed := time.Since(start)
 		s.dsk.AccountProbes(n, elapsed)
 		if s.obs != nil {
-			s.obs.ObserveRead(ReadProbe, elapsed)
+			s.obs.ObserveRead(ReadProbe, elapsed, read)
 		}
 		return objs, elapsed
 	}
 	cost := s.dsk.ReadProbes(n)
 	if s.obs != nil {
-		s.obs.ObserveRead(ReadProbe, cost)
+		s.obs.ObserveRead(ReadProbe, cost, int64(n)*s.dsk.Model().PageSize)
 	}
 	if !s.materialize {
 		return nil, cost

@@ -210,7 +210,7 @@ func TestStoreCostAndMaterialization(t *testing.T) {
 	if cost != d.Model().SequentialRead(p.BucketBytes(0)) {
 		t.Errorf("scan cost = %v", cost)
 	}
-	objs2, cost2 := s.Probe(0, 7)
+	objs2, cost2 := s.ProbeRanges(0, make([]htm.Range, 7))
 	if len(objs2) != 200 {
 		t.Errorf("probe returned %d objects", len(objs2))
 	}
@@ -223,7 +223,7 @@ func TestStoreCostAndMaterialization(t *testing.T) {
 	if objs3 != nil {
 		t.Error("cost-only store should not materialize")
 	}
-	objs4, _ := cs.Probe(1, 3)
+	objs4, _ := cs.ProbeRanges(1, make([]htm.Range, 3))
 	if objs4 != nil {
 		t.Error("cost-only probe should not materialize")
 	}

@@ -22,6 +22,7 @@ type EngineMetrics struct {
 	cacheHits *metric.CounterVec
 	cacheMiss *metric.CounterVec
 	readSec   *metric.HistogramVec
+	readBytes *metric.CounterVec
 	readErrs  *metric.CounterVec
 
 	// Per-tier cache families ({shard, tier}; tier is "ram" or "disk")
@@ -62,6 +63,9 @@ func NewEngineMetrics(reg *metric.Registry) *EngineMetrics {
 		readSec: reg.NewHistogramVec("liferaft_store_read_seconds",
 			"Store read latency by kind (scan = full bucket, probe = index lookups); modeled cost on the sim backend, measured on segment files.",
 			[]string{"shard", "kind"}, metric.ExpBuckets(1e-5, 4, 10), metric.VecOpts{}),
+		readBytes: reg.NewCounterVec("liferaft_store_read_bytes_total",
+			"Data bytes moved by store reads, by kind; divide by liferaft_store_read_seconds_count for the bytes one scan or one probe pass costs here.",
+			[]string{"shard", "kind"}, metric.VecOpts{}),
 		readErrs: reg.NewCounterVec("liferaft_store_read_errors_total",
 			"Store read failures by kind, including checksum mismatches; the store fail-stops after counting.",
 			[]string{"shard", "kind"}, metric.VecOpts{}),
@@ -88,17 +92,19 @@ func NewEngineMetrics(reg *metric.Registry) *EngineMetrics {
 func (m *EngineMetrics) Shard(i int) *EngineObs {
 	s := strconv.Itoa(i)
 	return &EngineObs{
-		pick:      m.pick.With(s),
-		scanSvc:   m.services.With(s, "scan"),
-		indexSvc:  m.services.With(s, "index"),
-		completed: m.completed.With(s),
-		vqps:      m.vqps.With(s),
-		cacheHits: m.cacheHits.With(s),
-		cacheMiss: m.cacheMiss.With(s),
-		readScan:  m.readSec.With(s, string(bucket.ReadScan)),
-		readProbe: m.readSec.With(s, string(bucket.ReadProbe)),
-		errScan:   m.readErrs.With(s, string(bucket.ReadScan)),
-		errProbe:  m.readErrs.With(s, string(bucket.ReadProbe)),
+		pick:       m.pick.With(s),
+		scanSvc:    m.services.With(s, "scan"),
+		indexSvc:   m.services.With(s, "index"),
+		completed:  m.completed.With(s),
+		vqps:       m.vqps.With(s),
+		cacheHits:  m.cacheHits.With(s),
+		cacheMiss:  m.cacheMiss.With(s),
+		readScan:   m.readSec.With(s, string(bucket.ReadScan)),
+		readProbe:  m.readSec.With(s, string(bucket.ReadProbe)),
+		scanBytes:  m.readBytes.With(s, string(bucket.ReadScan)),
+		probeBytes: m.readBytes.With(s, string(bucket.ReadProbe)),
+		errScan:    m.readErrs.With(s, string(bucket.ReadScan)),
+		errProbe:   m.readErrs.With(s, string(bucket.ReadProbe)),
 
 		ramHits:    m.tierHits.With(s, "ram"),
 		ramMiss:    m.tierMiss.With(s, "ram"),
@@ -117,17 +123,19 @@ func (m *EngineMetrics) Shard(i int) *EngineObs {
 // EngineObs is one shard's resolved metric handles. All methods are cheap
 // atomic updates safe from the shard's scheduling goroutine.
 type EngineObs struct {
-	pick      *metric.Histogram
-	scanSvc   *metric.Counter
-	indexSvc  *metric.Counter
-	completed *metric.Counter
-	vqps      *metric.Gauge
-	cacheHits *metric.Counter
-	cacheMiss *metric.Counter
-	readScan  *metric.Histogram
-	readProbe *metric.Histogram
-	errScan   *metric.Counter
-	errProbe  *metric.Counter
+	pick       *metric.Histogram
+	scanSvc    *metric.Counter
+	indexSvc   *metric.Counter
+	completed  *metric.Counter
+	vqps       *metric.Gauge
+	cacheHits  *metric.Counter
+	cacheMiss  *metric.Counter
+	readScan   *metric.Histogram
+	readProbe  *metric.Histogram
+	scanBytes  *metric.Counter
+	probeBytes *metric.Counter
+	errScan    *metric.Counter
+	errProbe   *metric.Counter
 
 	ramHits    *metric.Counter
 	ramMiss    *metric.Counter
@@ -143,12 +151,14 @@ type EngineObs struct {
 }
 
 // ObserveRead implements bucket.Observer.
-func (o *EngineObs) ObserveRead(kind bucket.ReadKind, elapsed time.Duration) {
+func (o *EngineObs) ObserveRead(kind bucket.ReadKind, elapsed time.Duration, bytes int64) {
 	if kind == bucket.ReadProbe {
 		o.readProbe.Observe(elapsed.Seconds())
+		o.probeBytes.Add(float64(bytes))
 		return
 	}
 	o.readScan.Observe(elapsed.Seconds())
+	o.scanBytes.Add(float64(bytes))
 }
 
 // ObserveReadError implements bucket.Observer. The store fail-stops right

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"liferaft/internal/htm"
 	"liferaft/internal/simclock"
 	"liferaft/internal/xmatch"
 )
@@ -102,7 +103,11 @@ func RunNoShare(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunS
 				objs, _ = cfg.Store.ReadBucket(bi)
 				stats.ScanServices++
 			case xmatch.Index:
-				objs, _ = cfg.Store.Probe(bi, len(wos))
+				ranges := make([]htm.Range, len(wos))
+				for k, wo := range wos {
+					ranges[k] = wo.Range()
+				}
+				objs, _ = cfg.Store.ProbeRanges(bi, ranges)
 				stats.IndexServices++
 			}
 			cfg.Disk.MatchObjects(len(wos))

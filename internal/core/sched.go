@@ -9,6 +9,7 @@ import (
 	"liferaft/internal/bucket"
 	"liferaft/internal/cache"
 	"liferaft/internal/cache/disktier"
+	"liferaft/internal/htm"
 	"liferaft/internal/trace"
 	"liferaft/internal/xmatch"
 )
@@ -134,6 +135,7 @@ type scheduler struct {
 	// completedBuf and is valid only until the next step; both engine
 	// loops consume it immediately.
 	wosBuf       []xmatch.WorkloadObject
+	rangesBuf    []htm.Range
 	byQueryBuf   map[uint64][]xmatch.Pair
 	seenBuf      map[uint64]int
 	completedBuf []Result
@@ -796,7 +798,16 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 		if traced {
 			readT0 = s.cfg.Clock.Now()
 		}
-		objs, _ = s.cfg.Store.Probe(idx, count)
+		// One probe per queued object, over its bounding ID range. A real
+		// backend returns only the granules those ranges overlap, in a
+		// buffer it reuses on its next probe: objs is not kept past the
+		// join (pairs copy the objects they hold).
+		ranges := s.rangesBuf[:0]
+		for _, it := range items {
+			ranges = append(ranges, it.wo.Range())
+		}
+		s.rangesBuf = ranges
+		objs, _ = s.cfg.Store.ProbeRanges(idx, ranges)
 		if traced {
 			readT1, readKind = s.cfg.Clock.Now(), "probe"
 		}

@@ -313,29 +313,15 @@ func (c *Client) roundTripCtx(ctx context.Context, req rpcRequest) (rpcResponse,
 		deadline = d
 	}
 	// watch expires conn's deadline the moment ctx is cancelled
-	// (net.Conn deadlines are safe to set concurrently); the returned
-	// stop ends the watch.
-	watch := func(conn net.Conn) func() {
-		if ctx.Done() == nil {
-			return func() {}
-		}
-		stop := make(chan struct{})
-		go func() {
-			select {
-			case <-ctx.Done():
-				conn.SetDeadline(time.Now())
-			case <-stop:
-			}
-		}()
-		return func() { close(stop) }
+	// (net.Conn deadlines are safe to set concurrently). The returned
+	// stop ends the watch and reports whether conn is still clean: once
+	// it has returned true the expiry can no longer fire — not even under
+	// the next request on the shared connection — and when it returns
+	// false the expiry has fired or is about to, so conn must not be
+	// reused.
+	watch := func(conn net.Conn) (stop func() bool) {
+		return context.AfterFunc(ctx, func() { conn.SetDeadline(time.Now()) })
 	}
-	defer func() {
-		// A cancelled exchange leaves the stream mid-message: never
-		// reuse the connection.
-		if ctx.Err() != nil {
-			c.reset()
-		}
-	}()
 
 	if err := c.connect(deadline); err != nil {
 		return rpcResponse{}, err
@@ -360,12 +346,15 @@ func (c *Client) roundTripCtx(ctx context.Context, req rpcRequest) (rpcResponse,
 			return rpcResponse{}, fmt.Errorf("federation: send: %w", err2)
 		}
 	}
-	if err := c.dec.Decode(&resp); err != nil {
-		stop()
+	err := c.dec.Decode(&resp)
+	if clean := stop(); err != nil || !clean {
+		// A failed or cancelled exchange leaves the stream mid-message or
+		// the deadline expired: never reuse the connection.
 		c.reset()
+	}
+	if err != nil {
 		return rpcResponse{}, fmt.Errorf("federation: receive: %w", err)
 	}
-	stop()
 	c.lastUsed = time.Now()
 	if resp.Err != "" {
 		return rpcResponse{}, errors.New(resp.Err)

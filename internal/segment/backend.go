@@ -1,19 +1,26 @@
 package segment
 
 import (
+	"math"
+
 	"liferaft/internal/bucket"
 	"liferaft/internal/catalog"
+	"liferaft/internal/htm"
 )
 
 // FileBackend adapts a Set to the bucket.Backend interface: the store's
 // sequential scans become full-region preads with checksum
-// verification, and index probes become page reads from the bucket's
-// block run. In cost-only mode (the configuration scheduling
-// experiments use) reads still move every byte — that is the point —
-// but skip decoding.
+// verification, and index probes become preads of just the granules
+// the probed ID ranges overlap. In cost-only mode (the configuration
+// scheduling experiments use) reads still move every byte — that is
+// the point — but skip decoding.
+//
+// A FileBackend serves one scheduling goroutine: probes decode into
+// scratch the backend owns. Shards each Fork their own.
 type FileBackend struct {
 	set         *Set
 	materialize bool
+	scratch     probeScratch
 }
 
 // NewBackend wraps an opened Set. materialize must match the Store the
@@ -36,28 +43,37 @@ func (b *FileBackend) ReadBucket(i int) ([]catalog.Object, int64, error) {
 	return b.set.ReadBucket(i)
 }
 
-// Probe implements bucket.Backend. A materializing probe must hand the
-// join evaluator the bucket's objects (it probes them in memory, as the
-// simulated store's contract prescribes), so it reads the full region;
-// a cost-only probe reads just the n head pages an index pass would
-// touch. Either way the caller accounts n probes, not a scan.
-func (b *FileBackend) Probe(i, n int) ([]catalog.Object, int64, error) {
+// ProbeRanges implements bucket.Backend. A materializing probe reads,
+// verifies and decodes the granules that ranges overlap, into a buffer
+// that is valid until the next probe; a cost-only probe reads just the
+// len(ranges) head pages an index pass would touch. Either way the
+// caller accounts len(ranges) probes, not a scan.
+func (b *FileBackend) ProbeRanges(i int, ranges []htm.Range) ([]catalog.Object, int64, error) {
 	if !b.materialize {
-		read, err := b.set.ReadPages(i, n)
+		read, err := b.set.ReadPages(i, len(ranges))
 		return nil, read, err
 	}
-	objs, read, err := b.set.ReadBucket(i)
-	return objs, read, err
+	return b.set.probeRanges(&b.scratch, i, ranges, nil)
+}
+
+// Probe is ProbeRanges for a caller that does not know its keys: it
+// probes bucket i over the whole ID span, so it reads, verifies and
+// decodes every granule. It is not part of bucket.Backend; the
+// benchmark's segment.probe_* kernels call it, and therefore keep
+// reading the whole ≈2 000 KB bucket until a benchmark issue re-points
+// them at ProbeRanges with recorded ranges.
+func (b *FileBackend) Probe(i, _ int) ([]catalog.Object, int64, error) {
+	return b.ProbeRanges(i, []htm.Range{{Start: 0, End: math.MaxUint64}})
 }
 
 // Fork implements bucket.Backend: an independent Set over the same
-// directory, with its own file descriptors.
+// directory, with its own file descriptors and probe scratch.
 func (b *FileBackend) Fork() (bucket.Backend, error) {
 	set, err := b.set.Reopen()
 	if err != nil {
 		return nil, err
 	}
-	return &FileBackend{set: set, materialize: b.materialize}, nil
+	return NewBackend(set, b.materialize), nil
 }
 
 // Close implements bucket.Backend.

@@ -1,11 +1,14 @@
 package segment
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 
 	"liferaft/internal/bucket"
 	"liferaft/internal/catalog"
@@ -24,19 +27,21 @@ type Set struct {
 	bucketSeg []int
 }
 
-// segFile is one opened segment file with its decoded index.
+// segFile is one opened segment file with its decoded index and fence
+// table. Both are immutable after open, so Reopen shares them.
 type segFile struct {
 	f       *os.File
 	hdr     header
 	entries []indexEntry
+	fences  []fence
 	// dataStart/dataEnd bound the bucket data region (both zero when
 	// every bucket is empty), fixed at open.
 	dataStart, dataEnd int64
 }
 
 // OpenSet opens the segment directory at dir: it reads the manifest,
-// opens every segment file, and verifies each header and index
-// checksum. Bucket data checksums are verified on read.
+// opens every segment file, and verifies each header, index and fence
+// table checksum. Bucket data checksums are verified on read.
 func OpenSet(dir string) (*Set, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -50,7 +55,7 @@ func OpenSet(dir string) (*Set, error) {
 		return nil, fmt.Errorf("segment: corrupt manifest in %s: %w", dir, err)
 	}
 	if man.FormatVersion != FormatVersion {
-		return nil, fmt.Errorf("segment: %s is format version %d (reader supports %d)", dir, man.FormatVersion, FormatVersion)
+		return nil, fmt.Errorf("segment: %s is format version %d (reader supports %d; %s)", dir, man.FormatVersion, FormatVersion, rebuildHint)
 	}
 	// A manifest that parses but carries nonsense geometry must fail
 	// like any other corruption, not panic allocating the lookup table.
@@ -102,20 +107,35 @@ func OpenSet(dir string) (*Set, error) {
 	return s, nil
 }
 
-// openSegFile opens and verifies one segment file's header and index.
+// openSegFile opens and verifies one segment file's header, index and
+// fence table.
 func openSegFile(path string) (*segFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	hb := make([]byte, BlockSize)
-	if _, err := f.ReadAt(hb, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("reading header: %w", err)
-	}
-	hdr, err := unmarshalHeader(hb)
+	sf, err := loadSegFile(f)
 	if err != nil {
 		f.Close()
+		return nil, err
+	}
+	return sf, nil
+}
+
+// readHeader preads and verifies f's header block.
+func readHeader(f *os.File) (header, error) {
+	hb := make([]byte, BlockSize)
+	if _, err := f.ReadAt(hb, 0); err != nil {
+		return header{}, fmt.Errorf("reading header: %w", err)
+	}
+	return unmarshalHeader(hb)
+}
+
+// loadSegFile verifies f's header, index and fence table and decodes
+// them; f stays the caller's to close on error.
+func loadSegFile(f *os.File) (*segFile, error) {
+	hdr, err := readHeader(f)
+	if err != nil {
 		return nil, err
 	}
 	// Bound every header-derived size by the actual file size before
@@ -123,36 +143,66 @@ func openSegFile(path string) (*segFile, error) {
 	// drive a multi-gigabyte allocation or out-of-range reads.
 	fi, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
 	size := fi.Size()
 	indexBytes := alignUp(int64(hdr.numBuckets) * indexEntryBytes)
 	if BlockSize+indexBytes > size {
-		f.Close()
 		return nil, fmt.Errorf("segment: header claims %d buckets (%d index bytes) but the file is only %d bytes", hdr.numBuckets, indexBytes, size)
 	}
 	ib := make([]byte, indexBytes)
 	if _, err := f.ReadAt(ib, BlockSize); err != nil {
-		f.Close()
 		return nil, fmt.Errorf("reading index: %w", err)
 	}
 	if sum := crc32.Checksum(ib, castagnoli); sum != hdr.indexCRC {
-		f.Close()
 		return nil, fmt.Errorf("index checksum mismatch")
 	}
+	// A bucket's fence count follows from its length and the stride, and
+	// fences sit in bucket order: anything else is a forged index. Each
+	// length is checked against the file size first, so the fence table
+	// this sizes is a small fraction of the file.
 	sf := &segFile{f: f, hdr: hdr, entries: make([]indexEntry, hdr.numBuckets)}
-	dataStart := uint64(BlockSize + indexBytes)
+	stride := int64(hdr.objectBytes)
+	var granules int64
 	for i := range sf.entries {
 		e := getIndexEntry(ib[i*indexEntryBytes:])
-		if e.length != 0 {
-			end := e.offset + e.length
-			if end < e.offset || e.offset < dataStart || end > uint64(size) {
-				f.Close()
-				return nil, fmt.Errorf("segment: bucket %d index entry [%d,+%d) outside the data region [%d,%d)", i, e.offset, e.length, dataStart, size)
-			}
+		if e.length > uint64(size) {
+			return nil, fmt.Errorf("segment: bucket %d index entry claims %d bytes but the file is only %d bytes", i, e.length, size)
 		}
+		if want := granuleCount(int64(e.length), stride); int64(e.fenceOff) != granules || int64(e.fences) != want {
+			return nil, fmt.Errorf("segment: bucket %d index entry claims fences [%d,+%d), want [%d,+%d)", i, e.fenceOff, e.fences, granules, want)
+		}
+		granules += int64(e.fences)
 		sf.entries[i] = e
+	}
+	fenceBytes := alignUp(granules * fenceEntryBytes)
+	dataStart := BlockSize + indexBytes + fenceBytes
+	if dataStart > size {
+		return nil, fmt.Errorf("segment: index claims %d fences (%d bytes) but the file is only %d bytes", granules, fenceBytes, size)
+	}
+	for i, e := range sf.entries {
+		if e.length != 0 && (e.offset < uint64(dataStart) || e.offset > uint64(size)-e.length) {
+			return nil, fmt.Errorf("segment: bucket %d index entry [%d,+%d) outside the data region [%d,%d)", i, e.offset, e.length, dataStart, size)
+		}
+	}
+	fb := make([]byte, fenceBytes)
+	if _, err := f.ReadAt(fb, BlockSize+indexBytes); err != nil {
+		return nil, fmt.Errorf("reading fence table: %w", err)
+	}
+	if sum := crc32.Checksum(fb, castagnoli); sum != hdr.fenceCRC {
+		return nil, fmt.Errorf("fence table checksum mismatch")
+	}
+	sf.fences = make([]fence, granules)
+	for i := range sf.fences {
+		sf.fences[i] = getFence(fb[i*fenceEntryBytes:])
+	}
+	// Probes binary-search a bucket's fences, which is only sound over
+	// non-decreasing first IDs.
+	for i, e := range sf.entries {
+		fs := sf.fences[e.fenceOff : e.fenceOff+e.fences]
+		if !slices.IsSortedFunc(fs, func(a, b fence) int { return cmp.Compare(a.first, b.first) }) {
+			return nil, fmt.Errorf("segment: bucket %d fences are not in HTM ID order", i)
+		}
 	}
 	sf.dataStart, sf.dataEnd = sf.dataBounds()
 	return sf, nil
@@ -239,46 +289,66 @@ func (s *Set) entry(i int) (*segFile, indexEntry, error) {
 	return sf, sf.entries[i-int(sf.hdr.firstBucket)], nil
 }
 
+// readBucket preads bucket i's full data region into buf (grown as
+// needed) and verifies its checksum.
+func (s *Set) readBucket(i int, buf []byte) ([]byte, error) {
+	sf, e, err := s.entry(i)
+	if err != nil {
+		return nil, err
+	}
+	buf = slices.Grow(buf[:0], int(e.length))[:e.length]
+	if len(buf) == 0 {
+		return buf, nil
+	}
+	if _, err := sf.f.ReadAt(buf, int64(e.offset)); err != nil {
+		return nil, fmt.Errorf("segment: bucket %d pread: %w", i, err)
+	}
+	if sum := crc32.Checksum(buf, castagnoli); sum != e.crc {
+		return nil, fmt.Errorf("segment: bucket %d data checksum mismatch (corrupt store)", i)
+	}
+	return buf, nil
+}
+
 // ReadBucketRaw preads bucket i's full data region and verifies its
 // checksum, returning the raw records and the number of data bytes
 // read. This is the real sequential bucket scan.
 func (s *Set) ReadBucketRaw(i int) ([]byte, int64, error) {
-	sf, e, err := s.entry(i)
-	if err != nil {
-		return nil, 0, err
-	}
-	buf := make([]byte, e.length)
-	if len(buf) == 0 {
-		return buf, 0, nil
-	}
-	if _, err := sf.f.ReadAt(buf, int64(e.offset)); err != nil {
-		return nil, 0, fmt.Errorf("segment: bucket %d pread: %w", i, err)
-	}
-	if sum := crc32.Checksum(buf, castagnoli); sum != e.crc {
-		return nil, 0, fmt.Errorf("segment: bucket %d data checksum mismatch (corrupt store)", i)
-	}
-	return buf, int64(e.length), nil
+	buf, err := s.readBucket(i, nil)
+	return buf, int64(len(buf)), err
 }
+
+// rawPool recycles the raw record buffers ReadBucket decodes out of: the
+// decoded objects outlive the read (they go to the RAM tier), the raw
+// bytes never do.
+var rawPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // ReadBucket is ReadBucketRaw plus decoding: the bucket's objects in
 // HTM-curve order, bit-identical to what the catalog materializes.
 func (s *Set) ReadBucket(i int) ([]catalog.Object, int64, error) {
-	buf, n, err := s.ReadBucketRaw(i)
+	bp := rawPool.Get().(*[]byte)
+	defer rawPool.Put(bp)
+	buf, err := s.readBucket(i, *bp)
 	if err != nil {
 		return nil, 0, err
 	}
-	stride := int(s.man.ObjectBytes)
-	objs := make([]catalog.Object, len(buf)/stride)
-	for j := range objs {
-		objs[j] = decodeObject(buf[j*stride:])
+	*bp = buf
+	return appendRecords(nil, buf, int(s.man.ObjectBytes)), int64(len(buf)), nil
+}
+
+// appendRecords decodes the whole fixed-stride records in raw onto dst.
+func appendRecords(dst []catalog.Object, raw []byte, stride int) []catalog.Object {
+	dst = slices.Grow(dst, len(raw)/stride)
+	for ; len(raw) >= stride; raw = raw[stride:] {
+		dst = append(dst, decodeObject(raw))
 	}
-	return objs, n, nil
+	return dst
 }
 
 // ReadPages preads up to n BlockSize pages from the head of bucket i's
-// data region — the I/O an index probe pass issues — and returns the
-// bytes actually read. Partial reads skip the checksum (it covers the
-// full region); scans verify it.
+// data region — the I/O a cost-only index probe pass issues — and
+// returns the bytes actually read. Nothing is decoded, so nothing is
+// verified: this is the one partial read that skips the checksums
+// (materializing probes verify every granule, scans the whole region).
 func (s *Set) ReadPages(i, n int) (int64, error) {
 	sf, e, err := s.entry(i)
 	if err != nil {
@@ -385,8 +455,32 @@ func (s *Set) GroupExtent(i int) (g int, lo, hi int64, err error) {
 }
 
 // Reopen opens an independent Set over the same directory (fresh file
-// descriptors). Sharded engines give each shard its own.
-func (s *Set) Reopen() (*Set, error) { return OpenSet(s.dir) }
+// descriptors). Sharded engines give each shard its own. The index and
+// fence tables are immutable and shared with s; a file whose header no
+// longer matches the one they were loaded under is refused.
+func (s *Set) Reopen() (*Set, error) {
+	ns := &Set{dir: s.dir, man: s.man, bucketSeg: s.bucketSeg}
+	for si, sf := range s.segs {
+		name := s.man.Segments[si]
+		f, err := os.Open(filepath.Join(s.dir, name))
+		if err != nil {
+			ns.Close()
+			return nil, err
+		}
+		nsf := *sf
+		nsf.f = f
+		ns.segs = append(ns.segs, &nsf)
+		hdr, err := readHeader(f)
+		if err == nil && hdr != sf.hdr {
+			err = fmt.Errorf("header differs")
+		}
+		if err != nil {
+			ns.Close()
+			return nil, fmt.Errorf("segment: %s changed since %s was opened: %w", name, s.dir, err)
+		}
+	}
+	return ns, nil
+}
 
 // Close releases every file handle. Safe to call more than once.
 func (s *Set) Close() error {

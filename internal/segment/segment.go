@@ -10,18 +10,24 @@
 // MANIFEST.json written last (its atomic rename marks the directory
 // complete). Each segment file is
 //
-//	[ header block | bucket index | bucket blocks ... ]
+//	[ header block | bucket index | fence table | bucket blocks ... ]
 //
 // where every region starts on a BlockSize (4 KiB) boundary:
 //
 //   - The header is one 4 KiB block: magic, format version, the bucket
-//     range the file covers, the record stride, and two CRC32-C
-//     checksums (one over the header fields, one over the index
-//     region), so a truncated or foreign file is rejected before any
-//     bucket is read.
+//     range the file covers, the record stride, and three CRC32-C
+//     checksums (over the header fields, the index region, and the
+//     fence table), so a truncated or foreign file is rejected before
+//     any bucket is read.
 //   - The index holds one fixed-width entry per bucket: data offset,
-//     byte length, object count, and the CRC32-C of the bucket's data
-//     region.
+//     byte length, object count, the CRC32-C of the bucket's data
+//     region, and where the bucket's fences sit in the fence table.
+//   - The fence table holds one entry per granule — a run of whole
+//     records of about 4 KiB — of every bucket: the granule's first
+//     level-14 HTM ID and the CRC32-C of its bytes. Buckets are sorted
+//     by HTM ID, so the fences are a sparse index: a probe
+//     binary-searches them and reads, verifies and decodes only the
+//     granules its ID ranges overlap (see probe.go).
 //   - A bucket block is the bucket's objects encoded as fixed-stride
 //     records (the stride is the partition's on-disk object size, the
 //     paper's 4 KiB SDSS row by default), in HTM-curve order — exactly
@@ -60,7 +66,7 @@ const (
 	Magic = 0x4C465347
 	// FormatVersion is bumped on any incompatible layout change;
 	// readers reject files from other versions.
-	FormatVersion = 1
+	FormatVersion = 2
 	// BlockSize aligns the header, index, and every bucket's data
 	// region. 4 KiB matches both the paper's per-object row size and
 	// the page size real disks and file systems transfer in.
@@ -75,6 +81,8 @@ const (
 	headerBytes = 40
 	// indexEntryBytes is the fixed width of one bucket index entry.
 	indexEntryBytes = 32
+	// fenceEntryBytes is the fixed width of one fence table entry.
+	fenceEntryBytes = 16
 	// ManifestName is the directory's completion marker, written last.
 	ManifestName = "MANIFEST.json"
 )
@@ -91,11 +99,12 @@ type header struct {
 	objectBytes uint32
 	blockSize   uint32
 	indexCRC    uint32
+	fenceCRC    uint32
 }
 
 // marshalHeader encodes h into a BlockSize block. Layout (little-endian
 // u32 words): magic, version, flags, firstBucket, numBuckets,
-// objectBytes, blockSize, indexCRC, reserved, headerCRC.
+// objectBytes, blockSize, indexCRC, fenceCRC, headerCRC.
 func marshalHeader(h header) []byte {
 	b := make([]byte, BlockSize)
 	le := binary.LittleEndian
@@ -107,7 +116,7 @@ func marshalHeader(h header) []byte {
 	le.PutUint32(b[20:], h.objectBytes)
 	le.PutUint32(b[24:], h.blockSize)
 	le.PutUint32(b[28:], h.indexCRC)
-	le.PutUint32(b[32:], 0) // reserved
+	le.PutUint32(b[32:], h.fenceCRC)
 	le.PutUint32(b[36:], crc32.Checksum(b[:36], castagnoli))
 	return b
 }
@@ -131,9 +140,10 @@ func unmarshalHeader(b []byte) (header, error) {
 		objectBytes: le.Uint32(b[20:]),
 		blockSize:   le.Uint32(b[24:]),
 		indexCRC:    le.Uint32(b[28:]),
+		fenceCRC:    le.Uint32(b[32:]),
 	}
 	if h.version != FormatVersion {
-		return header{}, fmt.Errorf("segment: format version %d (reader supports %d)", h.version, FormatVersion)
+		return header{}, fmt.Errorf("segment: format version %d (reader supports %d; %s)", h.version, FormatVersion, rebuildHint)
 	}
 	if h.blockSize != BlockSize {
 		return header{}, fmt.Errorf("segment: block size %d (reader supports %d)", h.blockSize, BlockSize)
@@ -144,12 +154,21 @@ func unmarshalHeader(b []byte) (header, error) {
 	return h, nil
 }
 
-// indexEntry locates one bucket's data region within its segment file.
+// rebuildHint ends every version-mismatch error: a store is a
+// deterministic function of its catalog, so an old one is replaced, not
+// migrated.
+const rebuildHint = "delete the directory; it is rebuilt from the catalog"
+
+// indexEntry locates one bucket's data region within its segment file,
+// and its fences [fenceOff, fenceOff+fences) within the file's fence
+// table.
 type indexEntry struct {
-	offset  uint64
-	length  uint64
-	objects uint32
-	crc     uint32
+	offset   uint64
+	length   uint64
+	objects  uint32
+	crc      uint32
+	fenceOff uint32
+	fences   uint32
 }
 
 func putIndexEntry(b []byte, e indexEntry) {
@@ -158,17 +177,58 @@ func putIndexEntry(b []byte, e indexEntry) {
 	le.PutUint64(b[8:], e.length)
 	le.PutUint32(b[16:], e.objects)
 	le.PutUint32(b[20:], e.crc)
-	le.PutUint64(b[24:], 0) // reserved
+	le.PutUint32(b[24:], e.fenceOff)
+	le.PutUint32(b[28:], e.fences)
 }
 
 func getIndexEntry(b []byte) indexEntry {
 	le := binary.LittleEndian
 	return indexEntry{
-		offset:  le.Uint64(b[0:]),
-		length:  le.Uint64(b[8:]),
-		objects: le.Uint32(b[16:]),
-		crc:     le.Uint32(b[20:]),
+		offset:   le.Uint64(b[0:]),
+		length:   le.Uint64(b[8:]),
+		objects:  le.Uint32(b[16:]),
+		crc:      le.Uint32(b[20:]),
+		fenceOff: le.Uint32(b[24:]),
+		fences:   le.Uint32(b[28:]),
 	}
+}
+
+// fence is one granule's entry in the fence table: the level-14 HTM ID
+// of the granule's first record and the CRC32-C of the granule's bytes.
+// On disk: first (u64), crc (u32), zero (u32).
+type fence struct {
+	first htm.ID
+	crc   uint32
+}
+
+func putFence(b []byte, f fence) {
+	le := binary.LittleEndian
+	le.PutUint64(b[0:], uint64(f.first))
+	le.PutUint32(b[8:], f.crc)
+	le.PutUint32(b[12:], 0)
+}
+
+func getFence(b []byte) fence {
+	le := binary.LittleEndian
+	return fence{first: htm.ID(le.Uint64(b[0:])), crc: le.Uint32(b[8:])}
+}
+
+// granuleBytes returns the size of one fence granule at the given
+// record stride: as many whole records as fit in a block, at least one
+// (the paper's 4 KiB rows are one record per granule). Every granule of
+// a bucket but the last is exactly this long.
+func granuleBytes(stride int64) int64 {
+	if stride >= BlockSize {
+		return stride
+	}
+	return BlockSize / stride * stride
+}
+
+// granuleCount returns how many granules a data region of length bytes
+// splits into.
+func granuleCount(length, stride int64) int64 {
+	gb := granuleBytes(stride)
+	return (length + gb - 1) / gb
 }
 
 // encodeObject writes o as one fixed-stride record into dst (stride

@@ -7,6 +7,7 @@ import (
 	"liferaft/internal/bucket"
 	"liferaft/internal/cache/disktier"
 	"liferaft/internal/catalog"
+	"liferaft/internal/htm"
 )
 
 // TieredBackend layers the disk cache tier between the bucket store and
@@ -21,13 +22,15 @@ import (
 //
 // The tier is shared across forks (one promotion benefits every shard);
 // the segment Set is reopened per fork as before so descriptors stay
-// shard-private. Foreground hit/miss counters are per fork, giving the
-// per-shard tier metrics without cross-shard double counting.
+// shard-private. Foreground hit/miss counters and the probe scratch are
+// per fork, giving the per-shard tier metrics without cross-shard
+// double counting.
 type TieredBackend struct {
 	set         *Set
 	tier        *disktier.Tier
 	tierRefs    *atomic.Int32
 	materialize bool
+	scratch     probeScratch
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -102,17 +105,6 @@ func (b *TieredBackend) touchPages(region []byte) int64 {
 	return int64(len(region))
 }
 
-// decodeRegion decodes the fixed-stride records of one bucket's slice
-// of a group region.
-func (b *TieredBackend) decodeRegion(region []byte) []catalog.Object {
-	stride := int(b.set.man.ObjectBytes)
-	objs := make([]catalog.Object, len(region)/stride)
-	for j := range objs {
-		objs[j] = decodeObject(region[j*stride:])
-	}
-	return objs
-}
-
 // ReadBucket implements bucket.Backend: a tier hit serves the bucket
 // from the mapped group region (decoded in place when materializing,
 // page-touched when cost-only); a miss reads the segment file exactly
@@ -128,7 +120,7 @@ func (b *TieredBackend) ReadBucket(i int) ([]catalog.Object, int64, error) {
 		region := h.Bytes()[lo:hi]
 		var objs []catalog.Object
 		if b.materialize {
-			objs = b.decodeRegion(region)
+			objs = appendRecords(nil, region, int(b.set.man.ObjectBytes))
 		} else {
 			b.touchPages(region)
 		}
@@ -144,39 +136,33 @@ func (b *TieredBackend) ReadBucket(i int) ([]catalog.Object, int64, error) {
 	return b.set.ReadBucket(i)
 }
 
-// Probe implements bucket.Backend: on a tier hit a cost-only probe
-// touches just the n head pages of the bucket's region, a
-// materializing probe decodes the whole bucket (the join evaluator
-// needs its objects, per the simulated store's contract). Misses fall
-// through and promote, like ReadBucket.
-func (b *TieredBackend) Probe(i, n int) ([]catalog.Object, int64, error) {
+// ProbeRanges implements bucket.Backend: on a tier hit a cost-only
+// probe touches just the len(ranges) head pages of the bucket's region,
+// a materializing probe verifies and decodes the granules ranges
+// overlap straight out of the mapping (see Set.probeRanges). Misses
+// fall through to the segment file and promote, like ReadBucket.
+func (b *TieredBackend) ProbeRanges(i int, ranges []htm.Range) ([]catalog.Object, int64, error) {
 	h, lo, hi, ok, err := b.get(i)
 	if err != nil {
 		return nil, 0, err
 	}
 	if ok {
+		defer h.Release()
 		b.hits.Add(1)
 		region := h.Bytes()[lo:hi]
-		if !b.materialize {
-			want := int64(n) * BlockSize
-			if want > int64(len(region)) {
-				want = int64(len(region))
-			}
-			b.touchPages(region[:want])
-			h.Release()
-			return nil, want, nil
+		if b.materialize {
+			return b.set.probeRanges(&b.scratch, i, ranges, region)
 		}
-		objs := b.decodeRegion(region)
-		h.Release()
-		return objs, hi - lo, nil
+		want := min(int64(len(ranges))*BlockSize, int64(len(region)))
+		return nil, b.touchPages(region[:want]), nil
 	}
 	b.misses.Add(1)
 	b.promote(i, false)
 	if !b.materialize {
-		read, err := b.set.ReadPages(i, n)
+		read, err := b.set.ReadPages(i, len(ranges))
 		return nil, read, err
 	}
-	return b.set.ReadBucket(i)
+	return b.set.probeRanges(&b.scratch, i, ranges, nil)
 }
 
 // Fork implements bucket.Backend: an independent Set (own descriptors)

@@ -117,7 +117,7 @@ func TestTieredBackendParityWarm(t *testing.T) {
 		if !reflect.DeepEqual(objs, want) || n != wn {
 			t.Fatalf("warm bucket %d diverges from the plain backend", i)
 		}
-		pobjs, _, err := tb.Probe(i, 1)
+		pobjs, _, err := tb.ProbeRanges(i, everyID)
 		if err != nil {
 			t.Fatalf("warm probe %d: %v", i, err)
 		}
@@ -156,7 +156,7 @@ func TestTieredBackendCostOnly(t *testing.T) {
 			t.Fatalf("warm cost-only bucket %d read %d bytes, want %d", i, n, part.BucketBytes(i))
 		}
 		// One warm probe touches at most one page of the bucket region.
-		_, pn, err := tb.Probe(i, 1)
+		_, pn, err := tb.ProbeRanges(i, everyID)
 		if err != nil {
 			t.Fatal(err)
 		}

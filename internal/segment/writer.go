@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"liferaft/internal/bucket"
 )
@@ -132,9 +133,11 @@ func syncDir(dir string) error {
 }
 
 // writeSegment writes one segment file covering buckets [first,
-// first+n) and returns its final size and object count. The header and
-// index are laid out first as zero blocks, the bucket data streamed
-// behind them, and both are back-filled once every checksum is known.
+// first+n) and returns its final size and object count. The header,
+// index and fence table are laid out first as zero blocks (bucket
+// object counts, and with them the granule counts, are known from the
+// partition), the bucket data streamed behind them granule by granule,
+// and all three are back-filled once every checksum is known.
 func writeSegment(path string, part *bucket.Partition, first, n, stride int) (int64, int64, error) {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -148,58 +151,78 @@ func writeSegment(path string, part *bucket.Partition, first, n, stride int) (in
 		}
 	}()
 
+	entries := make([]indexEntry, n)
+	var granules int64
+	for i := range entries {
+		length := int64(part.Bucket(first+i).Count()) * int64(stride)
+		g := granuleCount(length, int64(stride))
+		if granules+g > 1<<32-1 {
+			return 0, 0, fmt.Errorf("bucket group needs more than 2^32 fences")
+		}
+		entries[i] = indexEntry{length: uint64(length), fenceOff: uint32(granules), fences: uint32(g)}
+		granules += g
+	}
 	indexBytes := alignUp(int64(n) * indexEntryBytes)
-	dataStart := BlockSize + indexBytes
+	fenceBytes := alignUp(granules * fenceEntryBytes)
+	dataStart := BlockSize + indexBytes + fenceBytes
 	if _, err := f.Seek(dataStart, 0); err != nil {
 		return 0, 0, err
 	}
 	w := bufio.NewWriterSize(f, 1<<20)
-	entries := make([]indexEntry, n)
-	record := make([]byte, stride)
+	fences := make([]byte, fenceBytes)
+	// The stride tails past RecordBytes stay zero from the initial make;
+	// encodeObject rewrites all of [0, RecordBytes) of every record slot
+	// it uses, so the granule buffer needs no clearing.
+	granule := make([]byte, granuleBytes(int64(stride)))
+	perGranule := len(granule) / stride
 	var pad [BlockSize]byte
 	off := dataStart
 	var objects int64
-	for i := 0; i < n; i++ {
+	for i := range entries {
+		e := &entries[i]
 		objs := part.Materialize(first + i)
-		crc := crc32.New(castagnoli)
-		length := int64(0)
-		// The stride tail past RecordBytes stays zero from the initial
-		// make; encodeObject rewrites all of [0, RecordBytes) each
-		// iteration, so the buffer needs no per-object clearing.
-		for _, o := range objs {
-			encodeObject(record, o)
-			crc.Write(record)
-			if _, err := w.Write(record); err != nil {
+		if int64(len(objs))*int64(stride) != int64(e.length) {
+			return 0, 0, fmt.Errorf("bucket %d materialized %d objects, partition says %d", first+i, len(objs), part.Bucket(first+i).Count())
+		}
+		e.offset, e.objects = uint64(off), uint32(len(objs))
+		g := int(e.fenceOff)
+		for recs := range slices.Chunk(objs, perGranule) {
+			buf := granule[:len(recs)*stride]
+			for j, o := range recs {
+				encodeObject(buf[j*stride:], o)
+			}
+			putFence(fences[g*fenceEntryBytes:], fence{first: recs[0].HTMID, crc: crc32.Checksum(buf, castagnoli)})
+			g++
+			e.crc = crc32.Update(e.crc, castagnoli, buf)
+			if _, err := w.Write(buf); err != nil {
 				return 0, 0, err
 			}
-			length += int64(stride)
-		}
-		entries[i] = indexEntry{
-			offset:  uint64(off),
-			length:  uint64(length),
-			objects: uint32(len(objs)),
-			crc:     crc.Sum32(),
 		}
 		objects += int64(len(objs))
 		// Pad to the next block boundary so every bucket read is
 		// block-aligned.
-		if padding := alignUp(off+length) - (off + length); padding > 0 {
+		end := off + int64(e.length)
+		if padding := alignUp(end) - end; padding > 0 {
 			if _, err := w.Write(pad[:padding]); err != nil {
 				return 0, 0, err
 			}
 		}
-		off = alignUp(off + length)
+		off = alignUp(end)
 	}
 	if err := w.Flush(); err != nil {
 		return 0, 0, err
 	}
 
-	// Back-fill the index and header now that the checksums are known.
+	// Back-fill the index, fence table and header now that the checksums
+	// are known.
 	index := make([]byte, indexBytes)
 	for i, e := range entries {
 		putIndexEntry(index[i*indexEntryBytes:], e)
 	}
 	if _, err := f.WriteAt(index, BlockSize); err != nil {
+		return 0, 0, err
+	}
+	if _, err := f.WriteAt(fences, BlockSize+indexBytes); err != nil {
 		return 0, 0, err
 	}
 	hdr := marshalHeader(header{
@@ -209,6 +232,7 @@ func writeSegment(path string, part *bucket.Partition, first, n, stride int) (in
 		objectBytes: uint32(stride),
 		blockSize:   BlockSize,
 		indexCRC:    crc32.Checksum(index, castagnoli),
+		fenceCRC:    crc32.Checksum(fences, castagnoli),
 	})
 	if _, err := f.WriteAt(hdr, 0); err != nil {
 		return 0, 0, err

@@ -61,11 +61,13 @@ func NewWorkloadObject(queryID uint64, obj catalog.Object, radius float64) Workl
 	return w
 }
 
+// Range returns the bounding range [MinID, MaxID]: the key of the
+// object's index probe.
+func (w WorkloadObject) Range() htm.Range { return htm.Range{Start: w.MinID, End: w.MaxID} }
+
 // Ranges returns the bounding range as a one-element slice, the form
 // BucketsForRanges consumes.
-func (w WorkloadObject) Ranges() []htm.Range {
-	return []htm.Range{{Start: w.MinID, End: w.MaxID}}
-}
+func (w WorkloadObject) Ranges() []htm.Range { return []htm.Range{w.Range()} }
 
 // Pair is one successful cross-match: a (local, remote) object pair within
 // the remote object's error radius.
