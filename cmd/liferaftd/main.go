@@ -408,7 +408,12 @@ func run(o options) error {
 		portal := federation.NewPortal()
 		portal.Register(o.archive, federation.InProc{Node: node})
 		for name, addr := range peers {
-			portal.Register(name, federation.Dial(addr))
+			cli := federation.Dial(addr)
+			cli.Instrument(reg, name)
+			// Closed on the way out: the reader exits, and the peer
+			// withdraws the matches still in flight on the connection.
+			defer cli.Close()
+			portal.Register(name, cli)
 		}
 		gw, err := server.NewGateway(server.GatewayConfig{
 			Exec:     gatewayExec(portal),

@@ -8,7 +8,9 @@
 // federation to batch queries independently").
 //
 // Two transports are provided: in-process (for tests, experiments, and
-// embedding) and TCP with gob encoding (cmd/liferaftd, cmd/skyquery).
+// embedding) and TCP with gob encoding (cmd/liferaftd, cmd/skyquery), which
+// multiplexes one connection per peer so that a remote archive, too, sees
+// the concurrent queries it is to batch.
 package federation
 
 import (
@@ -399,6 +401,9 @@ func (n *Node) MatchCtx(ctx context.Context, req MatchRequest) (MatchResponse, e
 		return MatchResponse{}, fmt.Errorf("federation: node %s: query %d cancelled", n.name, req.QueryID)
 	}
 	resp := MatchResponse{Elapsed: time.Since(start)}
+	if len(res.Pairs) > 0 { // an empty result stays nil, as gob delivers it
+		resp.Pairs = make([]MatchPair, 0, len(res.Pairs))
+	}
 	for _, p := range res.Pairs {
 		resp.Pairs = append(resp.Pairs, MatchPair{Local: fromCatalog(p.Local), Remote: fromCatalog(p.Remote)})
 	}
@@ -626,8 +631,12 @@ func (p *Portal) ExecuteCtx(ctx context.Context, q Query) (*ResultSet, error) {
 		for _, pr := range resp.Pairs {
 			byRemote[pr.Remote.ID] = append(byRemote[pr.Remote.ID], pr.Local)
 		}
+		// At least one tuple per pair survives; no pairs leaves both nil.
 		var nextRows []Row
 		var nextFrontier []Object
+		if n := len(resp.Pairs); n > 0 {
+			nextRows, nextFrontier = make([]Row, 0, n), make([]Object, 0, n)
+		}
 		for i, row := range rows {
 			for _, local := range byRemote[frontier[i].ID] {
 				nr := Row{Objects: make(map[string]Object, len(row.Objects)+1)}

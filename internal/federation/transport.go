@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"time"
 )
@@ -30,31 +31,54 @@ func (t InProc) MatchCtx(ctx context.Context, req MatchRequest) (MatchResponse, 
 	return t.Node.MatchCtx(ctx, req)
 }
 
-// Wire protocol: a version handshake line, then length-free gob streams of
-// request/response envelopes. One request per round trip; connections are
-// reused by the client transport.
+// Wire protocol (LIFERAFT/2). Each side sends its version line, then the
+// connection carries two independent gob streams of envelopes: requests one
+// way, responses the other. The client numbers its requests from a
+// per-connection counter and a response carries the ID of the request it
+// answers, so one connection holds many requests in flight and responses
+// return in completion order — which is what lets the archive behind the
+// hop batch the cross-matches of concurrent queries. A "cancel" request
+// names an earlier request the client has stopped waiting for; the server
+// withdraws that request's work from its engine. A cancel has no response
+// of its own, while the withdrawn request is still answered (with its
+// context error): the client drops that answer, as it drops every response
+// whose ID is no longer pending.
 
-// protoVersion guards against cross-version deployments.
-const protoVersion = "LIFERAFT/1"
+// protoVersion guards against cross-version deployments: a peer that
+// announces anything else is refused at the handshake.
+const protoVersion = "LIFERAFT/2"
 
 type rpcRequest struct {
-	Kind    string // "archive" | "extract" | "match"
+	ID      uint64 // echoed by the response; for "cancel", the request to withdraw
+	Kind    string // "archive" | "extract" | "match" | "cancel"
 	Extract *ExtractRequest
 	Match   *MatchRequest
 }
 
 type rpcResponse struct {
+	ID      uint64
 	Err     string
 	Archive string
 	Extract *ExtractResponse
 	Match   *MatchResponse
 }
 
+// maxInFlight bounds the extract and match requests one connection may have
+// running at once. At the bound the server stops reading the connection, so
+// a peer that floods requests is held by TCP backpressure instead of growing
+// goroutines. A portal offers one request per query in flight at the
+// archive, far below it.
+const maxInFlight = 256
+
 // Server serves a Node over TCP.
 type Server struct {
 	node *Node
 	ln   net.Listener
 	opts serverOpts
+	// ctx is the parent of every connection's context; Close cancels it,
+	// which withdraws every match still in the engine.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	mu     sync.Mutex
 	closed bool
@@ -81,8 +105,10 @@ func WithIOTimeout(d time.Duration) ServerOption {
 }
 
 // WithReadIdleTimeout bounds how long the server waits for the next (or a
-// stalled mid-transfer) request on a connection (default 5m). Clients that
-// reuse connections after longer think time transparently re-dial.
+// stalled mid-transfer) request on a connection (default 5m); requests
+// still running on a connection dropped for idleness are withdrawn. Clients
+// whose connection was dropped after longer think time transparently
+// re-dial.
 func WithReadIdleTimeout(d time.Duration) ServerOption {
 	return func(o *serverOpts) { o.readIdle = d }
 }
@@ -104,6 +130,7 @@ func Serve(node *Node, addr string, opts ...ServerOption) (*Server, error) {
 		return nil, fmt.Errorf("federation: listen %s: %w", addr, err)
 	}
 	s := &Server{node: node, ln: ln, opts: o, conns: make(map[net.Conn]struct{})}
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -112,8 +139,9 @@ func Serve(node *Node, addr string, opts ...ServerOption) (*Server, error) {
 // Addr returns the bound listen address.
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
-// Close stops the listener and all connections. The node itself is not
-// closed (the caller owns it).
+// Close stops the listener and all connections, withdraws the requests
+// still running on them from the node's engine, and returns once every
+// handler has exited. The node itself is not closed (the caller owns it).
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
@@ -121,6 +149,7 @@ func (s *Server) Close() error {
 		c.Close()
 	}
 	s.mu.Unlock()
+	s.cancel()
 	err := s.ln.Close()
 	s.wg.Wait()
 	return err
@@ -146,13 +175,40 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// serverConn is one accepted connection: the decode loop in handle and the
+// request goroutines it starts share the response encoder and the table of
+// running requests.
+type serverConn struct {
+	node      *Node
+	conn      net.Conn
+	ioTimeout time.Duration
+	cancel    context.CancelFunc // of the connection's context
+
+	wmu sync.Mutex // one response frame at a time
+	enc *gob.Encoder
+
+	mu      sync.Mutex
+	running map[uint64]context.CancelFunc // dispatched requests, by ID
+}
+
+// handle runs one connection: the handshake, then a decode loop that
+// answers cheap requests itself and gives every extract and match a
+// goroutine of its own, so the node's engine sees the peer's concurrent
+// queries together. It returns once those goroutines have exited.
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
+	// Everything started for this connection runs under ctx: a dropped
+	// connection, a failed write or Server.Close withdraws its matches from
+	// the engine's queues instead of leaving them to finish for nobody.
+	ctx, cancel := context.WithCancel(s.ctx)
+	var requests sync.WaitGroup
 	defer func() {
+		cancel()
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
 		conn.Close()
+		requests.Wait()
 	}()
 	// Handshake, under the I/O deadline: a silent dialer is dropped
 	// instead of pinning this goroutine.
@@ -164,86 +220,173 @@ func (s *Server) handle(conn net.Conn) {
 	if _, err := fmt.Fscanf(conn, "%s\n", &client); err != nil || client != protoVersion {
 		return
 	}
+	// From here reads and writes run concurrently, each under its own
+	// deadline.
+	conn.SetDeadline(time.Time{})
+	sc := &serverConn{
+		node: s.node, conn: conn, ioTimeout: s.opts.ioTimeout,
+		cancel: cancel, enc: gob.NewEncoder(conn),
+		running: make(map[uint64]context.CancelFunc),
+	}
+	slots := make(chan struct{}, maxInFlight)
 	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
 	for {
 		// Reading the next request may idle legitimately (a client
 		// holding the connection between queries) but not forever.
-		conn.SetDeadline(time.Now().Add(s.opts.readIdle))
+		conn.SetReadDeadline(time.Now().Add(s.opts.readIdle))
 		var req rpcRequest
 		if err := dec.Decode(&req); err != nil {
 			return
 		}
-		var resp rpcResponse
+		resp := rpcResponse{ID: req.ID}
 		switch req.Kind {
+		case "cancel":
+			sc.cancelRequest(req.ID)
+			continue
 		case "archive":
 			resp.Archive = s.node.Name()
-		case "extract":
-			if req.Extract == nil {
-				resp.Err = "federation: extract request missing payload"
+		case "extract", "match":
+			if req.Kind == "extract" && req.Extract == nil || req.Kind == "match" && req.Match == nil {
+				resp.Err = "federation: " + req.Kind + " request missing payload"
 				break
 			}
-			r, err := s.node.Extract(*req.Extract)
-			if err != nil {
-				resp.Err = err.Error()
-			} else {
-				resp.Extract = &r
-			}
-		case "match":
-			if req.Match == nil {
-				resp.Err = "federation: match request missing payload"
+			rctx, rcancel := context.WithCancel(ctx)
+			if !sc.admit(req.ID, rcancel) {
+				rcancel()
+				resp.Err = fmt.Sprintf("federation: request ID %d is already in flight", req.ID)
 				break
 			}
-			// Bound the engine-side work like the peer's patience: a match
-			// still running after the read-idle window would only find a
-			// torn connection to reply to, so withdraw it from the engine's
-			// queues instead of wedging this handler goroutine forever.
-			ctx, cancel := context.WithTimeout(context.Background(), s.opts.readIdle)
-			r, err := s.node.MatchCtx(ctx, *req.Match)
-			cancel()
-			if err != nil {
-				resp.Err = err.Error()
-			} else {
-				resp.Match = &r
+			select {
+			case slots <- struct{}{}:
+			case <-ctx.Done():
+				rcancel()
+				return
 			}
+			requests.Add(1)
+			go func() {
+				defer requests.Done()
+				defer func() { <-slots }()
+				sc.serve(rctx, req)
+			}()
+			continue
 		default:
 			resp.Err = fmt.Sprintf("federation: unknown request kind %q", req.Kind)
 		}
-		// The response write gets the tighter I/O deadline: the request
-		// has been serviced, and a peer that stopped reading must not
-		// wedge the handler.
-		conn.SetDeadline(time.Now().Add(s.opts.ioTimeout))
-		if err := enc.Encode(&resp); err != nil {
+		if !sc.reply(&resp) {
 			return
 		}
 	}
 }
 
+// admit records a dispatched request's cancel function under its ID; it
+// refuses an ID that is still running (a client never reuses one).
+func (sc *serverConn) admit(id uint64, cancel context.CancelFunc) bool {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if _, dup := sc.running[id]; dup {
+		return false
+	}
+	sc.running[id] = cancel
+	return true
+}
+
+// cancelRequest serves a "cancel" frame. An ID that is not running — the
+// request finished first, or never existed — is ignored.
+func (sc *serverConn) cancelRequest(id uint64) {
+	sc.mu.Lock()
+	cancel := sc.running[id]
+	sc.mu.Unlock()
+	if cancel != nil {
+		cancel()
+	}
+}
+
+// serve runs one admitted extract or match and answers it.
+func (sc *serverConn) serve(ctx context.Context, req rpcRequest) {
+	defer func() {
+		sc.mu.Lock()
+		cancel := sc.running[req.ID]
+		delete(sc.running, req.ID)
+		sc.mu.Unlock()
+		cancel()
+	}()
+	resp := rpcResponse{ID: req.ID}
+	switch req.Kind {
+	case "extract":
+		r, err := sc.node.Extract(*req.Extract)
+		if err != nil {
+			resp.Err = err.Error()
+		} else {
+			resp.Extract = &r
+		}
+	case "match":
+		r, err := sc.node.MatchCtx(ctx, *req.Match)
+		if err != nil {
+			resp.Err = err.Error()
+		} else {
+			resp.Match = &r
+		}
+	}
+	sc.reply(&resp)
+}
+
+// reply writes one response frame under the I/O deadline: the request has
+// been serviced, and a peer that stopped reading must not wedge the
+// writers. A failed write leaves the response stream torn, so it ends the
+// connection — the context for the requests still running, the socket for
+// the decode loop; reply reports whether the frame was written.
+func (sc *serverConn) reply(resp *rpcResponse) bool {
+	sc.wmu.Lock()
+	defer sc.wmu.Unlock()
+	sc.conn.SetWriteDeadline(time.Now().Add(sc.ioTimeout))
+	if err := sc.enc.Encode(resp); err != nil {
+		sc.cancel()
+		sc.conn.Close()
+		return false
+	}
+	return true
+}
+
 // Client is a TCP Transport to a remote archive node. It holds one
-// connection, re-dialing on demand, and serializes round trips. Every
-// round trip runs under a deadline so a stalled or silent server surfaces
-// as a prompt error instead of wedging the caller forever. It is safe for
-// concurrent use.
+// connection, dialed on first use and re-dialed after a failure, and
+// multiplexes it: any number of goroutines may have requests in flight at
+// once, each waits only for its own response, and the archive sees them
+// together (so its engine can batch them). Every request runs under a
+// deadline, so a stalled or silent server surfaces as a prompt error
+// instead of wedging the caller; a request that is cancelled or times out
+// is withdrawn at the server with a cancel frame and leaves the connection
+// to the requests sharing it. A connection failure fails exactly the
+// requests pending on that connection.
 type Client struct {
 	addr    string
 	timeout time.Duration
+	obs     *clientObs // nil: uninstrumented (see Instrument)
 
-	mu       sync.Mutex
-	conn     net.Conn
-	enc      *gob.Encoder
-	dec      *gob.Decoder
-	lastUsed time.Time
+	// wtok is the write token: its holder alone dials, handshakes and
+	// writes request frames. It is a one-slot channel, not a mutex, so that
+	// waiting for it ends with the waiter's context or deadline.
+	wtok chan struct{}
+
+	mu  sync.Mutex
+	cur *clientConn // nil before first use and after a failure or Close
+}
+
+// clientConn is one established connection and the requests pending on it.
+type clientConn struct {
+	conn net.Conn
+	enc  *gob.Encoder   // used by the write-token holder only
+	dead chan struct{}  // closed when the connection is retired
+	wg   sync.WaitGroup // the reader and the cancel senders
+
+	mu      sync.Mutex
+	nextID  uint64
+	pending map[uint64]chan rpcResponse // one-slot reply channels by request ID; nil once retired
+	err     error                       // why the connection was retired
 }
 
 // DefaultClientTimeout bounds a client round trip (including the dial and
 // handshake) unless DialTimeout overrides it.
 const DefaultClientTimeout = 30 * time.Second
-
-// clientIdleReuse is the age past which a held connection is proactively
-// re-dialed instead of reused: it stays safely under the server's default
-// read-idle timeout, so a request never races the server dropping the
-// connection.
-const clientIdleReuse = time.Minute
 
 // Dial returns a client for the node at addr. The connection is
 // established lazily on first use.
@@ -254,40 +397,191 @@ func DialTimeout(addr string, timeout time.Duration) *Client {
 	if timeout <= 0 {
 		timeout = DefaultClientTimeout
 	}
-	return &Client{addr: addr, timeout: timeout}
+	return &Client{addr: addr, timeout: timeout, wtok: make(chan struct{}, 1)}
 }
 
-func (c *Client) connect(deadline time.Time) error {
-	if c.conn != nil {
-		// A connection idle longer than the server tolerates is
-		// re-dialed rather than raced.
-		if time.Since(c.lastUsed) < clientIdleReuse {
-			return nil
-		}
-		c.reset()
-	}
-	conn, err := net.DialTimeout("tcp", c.addr, time.Until(deadline))
+// dial establishes the client's connection and starts its reader. The
+// caller holds the write token, so there is never a second dial beside it.
+func (c *Client) dial(ctx context.Context, deadline time.Time) (*clientConn, error) {
+	d := net.Dialer{Deadline: deadline}
+	conn, err := d.DialContext(ctx, "tcp", c.addr)
 	if err != nil {
-		return fmt.Errorf("federation: dial %s: %w", c.addr, err)
+		return nil, fmt.Errorf("federation: dial %s: %w", c.addr, err)
 	}
+	// The handshake runs under the request's deadline, and a cancelled
+	// caller expires it at once; the connection is not shared yet.
 	conn.SetDeadline(deadline)
+	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Now()) })
+	defer stop()
 	var server string
 	if _, err := fmt.Fscanf(conn, "%s\n", &server); err != nil {
 		conn.Close()
-		return fmt.Errorf("federation: handshake read: %w", err)
+		return nil, fmt.Errorf("federation: handshake read: %w", err)
 	}
 	if server != protoVersion {
 		conn.Close()
-		return fmt.Errorf("federation: protocol mismatch: server speaks %q", server)
+		return nil, fmt.Errorf("federation: protocol mismatch: server speaks %q", server)
 	}
 	if _, err := fmt.Fprintf(conn, "%s\n", protoVersion); err != nil {
 		conn.Close()
-		return fmt.Errorf("federation: handshake write: %w", err)
+		return nil, fmt.Errorf("federation: handshake write: %w", err)
 	}
-	c.conn = conn
-	c.enc = gob.NewEncoder(conn)
-	c.dec = gob.NewDecoder(conn)
+	if !stop() {
+		conn.Close()
+		return nil, fmt.Errorf("federation: handshake with %s: %w", c.addr, ctx.Err())
+	}
+	// The reader waits for responses without a deadline of its own: every
+	// request has its timer, and every frame written its write deadline.
+	conn.SetDeadline(time.Time{})
+	cc := &clientConn{
+		conn: conn, enc: gob.NewEncoder(conn), dead: make(chan struct{}),
+		pending: make(map[uint64]chan rpcResponse),
+	}
+	c.mu.Lock()
+	c.cur = cc
+	c.mu.Unlock()
+	cc.wg.Add(1)
+	go c.readLoop(cc, gob.NewDecoder(conn))
+	return cc, nil
+}
+
+// readLoop hands each response to the request waiting for its ID and drops
+// the ones nobody waits for any more (abandoned requests). Any decode error
+// — EOF from a server that closed or dropped the idle connection included —
+// retires the connection and fails every request pending on it.
+func (c *Client) readLoop(cc *clientConn, dec *gob.Decoder) {
+	defer cc.wg.Done()
+	for {
+		var resp rpcResponse
+		if err := dec.Decode(&resp); err != nil {
+			c.retire(cc, fmt.Errorf("federation: receive: %w", err))
+			return
+		}
+		cc.mu.Lock()
+		reply := cc.pending[resp.ID]
+		delete(cc.pending, resp.ID)
+		cc.mu.Unlock()
+		if reply != nil {
+			reply <- resp // one slot, one response per ID: never blocks
+		}
+	}
+}
+
+// retire takes cc out of service: the next request dials afresh, and every
+// request pending on cc fails with err (its reply channel closes). Only the
+// first retirement of a connection has any effect.
+func (c *Client) retire(cc *clientConn, err error) {
+	c.mu.Lock()
+	if c.cur == cc {
+		c.cur = nil
+	}
+	c.mu.Unlock()
+	cc.mu.Lock()
+	pending := cc.pending
+	if pending == nil {
+		cc.mu.Unlock()
+		return
+	}
+	cc.pending, cc.err = nil, err
+	cc.mu.Unlock()
+	close(cc.dead)
+	cc.conn.Close()
+	for _, reply := range pending {
+		close(reply)
+	}
+}
+
+// failure reports why the connection was retired.
+func (cc *clientConn) failure() error {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	return cc.err
+}
+
+// register gives req the connection's next ID and a reply channel.
+func (cc *clientConn) register(req *rpcRequest) (chan rpcResponse, error) {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if cc.pending == nil {
+		return nil, cc.err
+	}
+	cc.nextID++ // 2^64 IDs per connection: never wraps
+	req.ID = cc.nextID
+	reply := make(chan rpcResponse, 1)
+	cc.pending[req.ID] = reply
+	return reply, nil
+}
+
+// write encodes one frame under a write deadline of its own. The caller
+// holds the write token.
+func (cc *clientConn) write(deadline time.Time, req *rpcRequest) error {
+	cc.conn.SetWriteDeadline(deadline)
+	if err := cc.enc.Encode(req); err != nil {
+		return fmt.Errorf("federation: send: %w", err)
+	}
 	return nil
+}
+
+// send registers req on the client's connection, dialing if there is none,
+// and writes its frame. The caller holds the write token.
+func (c *Client) send(ctx context.Context, deadline time.Time, req *rpcRequest) (*clientConn, chan rpcResponse, error) {
+	for {
+		c.mu.Lock()
+		cc := c.cur
+		c.mu.Unlock()
+		reused := cc != nil
+		if !reused {
+			var err error
+			if cc, err = c.dial(ctx, deadline); err != nil {
+				return nil, nil, err
+			}
+		}
+		reply, err := cc.register(req)
+		if err == nil {
+			if err = cc.write(deadline, req); err == nil {
+				return cc, reply, nil
+			}
+			c.retire(cc, err)
+		}
+		if !reused {
+			return nil, nil, err
+		}
+		// A held connection failed before the request left — typically
+		// the server dropped it while it sat idle and the reader has not
+		// seen the EOF yet. The request was not executed: retry it on a
+		// fresh dial (cur is nil now, so the next pass is the last).
+	}
+}
+
+// abandon stops waiting for request id on cc and tells the server to
+// withdraw it. The cancel frame is written by a goroutine of its own, so
+// the abandoning caller returns at once and the requests sharing the
+// connection are not disturbed; the response, if it still comes, is dropped
+// by the reader.
+func (c *Client) abandon(cc *clientConn, id uint64) {
+	cc.mu.Lock()
+	_, waiting := cc.pending[id] // false: answered just now, or cc retired
+	delete(cc.pending, id)
+	if waiting {
+		cc.wg.Add(1)
+	}
+	cc.mu.Unlock()
+	if !waiting {
+		return
+	}
+	go func() {
+		defer cc.wg.Done()
+		select {
+		case c.wtok <- struct{}{}:
+		case <-cc.dead:
+			return
+		}
+		err := cc.write(time.Now().Add(c.timeout), &rpcRequest{ID: id, Kind: "cancel"})
+		<-c.wtok
+		if err != nil {
+			c.retire(cc, err)
+		}
+	}()
 }
 
 //lifevet:allow ctxflow -- compat shim: the ctx-less entry point's documented root; every deadline-carrying path calls roundTripCtx directly
@@ -295,85 +589,70 @@ func (c *Client) roundTrip(req rpcRequest) (rpcResponse, error) {
 	return c.roundTripCtx(context.Background(), req)
 }
 
-// roundTripCtx runs one request/response exchange under the earlier of the
-// client timeout and the context deadline. An explicit ctx cancellation
-// (Done fired without a deadline — an abandoned caller) aborts in-flight
-// I/O immediately by expiring the connection deadline, and the torn
-// connection is discarded rather than reused.
-//
-//lifevet:allow lockdiscipline -- c.mu intentionally serializes the whole exchange: the client models one in-flight RPC per connection, every network op is deadline-bounded, and no hot scheduling path contends on this lock
-func (c *Client) roundTripCtx(ctx context.Context, req rpcRequest) (rpcResponse, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// roundTripCtx sends one request and waits for its response, for the
+// context, or for the client timeout, whichever comes first. The dial,
+// handshake and frame write run under the earlier of the client timeout
+// and the context deadline. Giving up — cancellation or timeout — sends a
+// cancel frame and returns at once; the connection stays up.
+func (c *Client) roundTripCtx(ctx context.Context, req rpcRequest) (_ rpcResponse, err error) {
+	if c.obs != nil {
+		done := c.obs.begin(req.Kind)
+		defer func() { done(err) }()
+	}
 	if err := ctx.Err(); err != nil {
 		return rpcResponse{}, fmt.Errorf("federation: %w", err)
 	}
+	timer := time.NewTimer(c.timeout)
+	defer timer.Stop()
 	deadline := time.Now().Add(c.timeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
-	// watch expires conn's deadline the moment ctx is cancelled
-	// (net.Conn deadlines are safe to set concurrently). The returned
-	// stop ends the watch and reports whether conn is still clean: once
-	// it has returned true the expiry can no longer fire — not even under
-	// the next request on the shared connection — and when it returns
-	// false the expiry has fired or is about to, so conn must not be
-	// reused.
-	watch := func(conn net.Conn) (stop func() bool) {
-		return context.AfterFunc(ctx, func() { conn.SetDeadline(time.Now()) })
+	gaveUp := func(cause error) (rpcResponse, error) {
+		return rpcResponse{}, fmt.Errorf("federation: %s at %s: %w", req.Kind, c.addr, cause)
 	}
 
-	if err := c.connect(deadline); err != nil {
+	select {
+	case c.wtok <- struct{}{}:
+	case <-ctx.Done():
+		return gaveUp(ctx.Err())
+	case <-timer.C:
+		return gaveUp(os.ErrDeadlineExceeded)
+	}
+	cc, reply, err := c.send(ctx, deadline, &req)
+	<-c.wtok
+	if err != nil {
 		return rpcResponse{}, err
 	}
-	c.conn.SetDeadline(deadline)
-	c.lastUsed = time.Now()
-	stop := watch(c.conn)
-	var resp rpcResponse
-	if err := c.enc.Encode(&req); err != nil {
-		// A reused connection may have been dropped server-side while
-		// idle; one fresh dial retries the (not yet executed) request.
-		stop()
-		c.reset()
-		if err2 := c.connect(deadline); err2 != nil {
-			return rpcResponse{}, fmt.Errorf("federation: send: %w", err)
-		}
-		c.conn.SetDeadline(deadline)
-		stop = watch(c.conn)
-		if err2 := c.enc.Encode(&req); err2 != nil {
-			stop()
-			c.reset()
-			return rpcResponse{}, fmt.Errorf("federation: send: %w", err2)
-		}
-	}
-	err := c.dec.Decode(&resp)
-	if clean := stop(); err != nil || !clean {
-		// A failed or cancelled exchange leaves the stream mid-message or
-		// the deadline expired: never reuse the connection.
-		c.reset()
-	}
-	if err != nil {
-		return rpcResponse{}, fmt.Errorf("federation: receive: %w", err)
-	}
-	c.lastUsed = time.Now()
-	if resp.Err != "" {
-		return rpcResponse{}, errors.New(resp.Err)
-	}
-	return resp, nil
-}
 
-func (c *Client) reset() {
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn, c.enc, c.dec = nil, nil, nil
+	select {
+	case resp, ok := <-reply:
+		if !ok {
+			return rpcResponse{}, cc.failure()
+		}
+		if resp.Err != "" {
+			return rpcResponse{}, errors.New(resp.Err)
+		}
+		return resp, nil
+	case <-ctx.Done():
+		c.abandon(cc, req.ID)
+		return gaveUp(ctx.Err())
+	case <-timer.C:
+		c.abandon(cc, req.ID)
+		return gaveUp(os.ErrDeadlineExceeded)
 	}
 }
 
-// Close tears the connection down.
+// Close tears the connection down, failing the requests pending on it, and
+// returns once its reader has exited. A later request dials afresh.
 func (c *Client) Close() error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.reset()
+	cc := c.cur
+	c.mu.Unlock()
+	if cc != nil {
+		c.retire(cc, errors.New("federation: client closed"))
+		cc.wg.Wait()
+	}
 	return nil
 }
 
@@ -405,11 +684,11 @@ func (c *Client) Match(req MatchRequest) (MatchResponse, error) {
 	return c.MatchCtx(context.Background(), req)
 }
 
-// MatchCtx implements ContextTransport: the context deadline tightens the
-// round-trip deadline, so an abandoned federation query stops waiting on
-// the remote hop promptly. (The remote engine's own cancellation still
-// requires the remote node's serving-layer deadline; the wire protocol
-// carries no cancel message.)
+// MatchCtx implements ContextTransport: when ctx ends before the response
+// arrives, the call returns ctx's error at once and a cancel frame
+// withdraws the cross-match from the remote engine's queues, as an
+// in-process MatchCtx would. Calls from concurrent goroutines share the
+// connection and are in the remote engine together.
 func (c *Client) MatchCtx(ctx context.Context, req MatchRequest) (MatchResponse, error) {
 	resp, err := c.roundTripCtx(ctx, rpcRequest{Kind: "match", Match: &req})
 	if err != nil {
