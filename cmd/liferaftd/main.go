@@ -298,6 +298,10 @@ func buildCatalog(archive string, baseN int, baseSeed int64, genLevel int) (*cat
 	})
 }
 
+// shutdownGrace bounds how long SIGTERM waits for in-flight HTTP requests
+// on the gateway and the debug server together before the process exits.
+const shutdownGrace = 15 * time.Second
+
 // gatewayExec builds the /v1/query executor: parse SkyQL, compile to a
 // federation plan, and execute it against the portal under the caller's
 // tenant and deadline.
@@ -472,11 +476,17 @@ func run(o options) error {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("shutting down")
-	if httpSrv != nil {
-		httpSrv.Shutdown(context.Background())
-	}
-	if dbgSrv != nil {
-		dbgSrv.Shutdown(context.Background())
+	// One deadline for both servers: without it a single stalled client
+	// (the gateway's WriteTimeout is ten minutes) pins the exit.
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	for _, s := range []*http.Server{httpSrv, dbgSrv} {
+		if s == nil {
+			continue
+		}
+		if err := s.Shutdown(ctx); err != nil {
+			fmt.Fprintf(os.Stderr, "liferaftd: shutdown %s: %v\n", s.Addr, err)
+		}
 	}
 	return nil
 }

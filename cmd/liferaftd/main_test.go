@@ -1,8 +1,19 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
 	"testing"
 	"time"
+
+	"liferaft/internal/federation"
+	"liferaft/internal/server"
+	"liferaft/internal/simclock"
 )
 
 // defaults mirrors the flag defaults for the validation table test.
@@ -152,5 +163,80 @@ func TestBuildCatalogDerived(t *testing.T) {
 func TestBuildCatalogUnknown(t *testing.T) {
 	if _, err := buildCatalog("hubble", 100, 1, 3); err == nil {
 		t.Error("unknown archive should fail")
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/gateway_rows.golden from this build's responses")
+
+// TestGatewayRowsMatchRecordedBody posts queries through the real gateway
+// and gatewayExec over three virtual-clock archives and compares each
+// response's "rows" value, byte for byte, with the body the build before the
+// one-pass row encoder produced (recorded with -update at that commit): two
+// and three archives, a LIMIT, an extraction that finds nothing ([]) and a
+// hop that matches nothing (null).
+func TestGatewayRowsMatchRecordedBody(t *testing.T) {
+	clk := simclock.NewVirtual()
+	portal := federation.NewPortal()
+	for _, name := range []string{"sdss", "twomass", "usnob"} {
+		cat, err := buildCatalog(name, 30000, 7, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node, err := federation.NewNode(federation.NodeConfig{Catalog: cat, ObjectsPerBucket: 300, Alpha: 0.25, Shards: 2, Clock: clk})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer node.Close()
+		portal.Register(name, federation.InProc{Node: node})
+	}
+	gw, err := server.NewGateway(server.GatewayConfig{Exec: gatewayExec(portal)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{
+		`SELECT * FROM twomass t, sdss s WHERE XMATCH(t, s) < 4 AND REGION(CIRCLE, 150, 20, 6)`,
+		`SELECT * FROM twomass t, sdss s, usnob u WHERE XMATCH(t, s, u) < 4 AND REGION(CIRCLE, 40, -35, 8) LIMIT 25`,
+		`SELECT * FROM usnob u, twomass t WHERE XMATCH(u, t) < 3 AND REGION(CIRCLE, 300, 60, 5) LIMIT 1`,
+		`SELECT * FROM twomass t, sdss s WHERE XMATCH(t, s) < 4 AND REGION(CIRCLE, 10, 89.9, 0.001)`,
+		`SELECT * FROM twomass t, sdss s WHERE XMATCH(t, s) < 4 AND REGION(CIRCLE, 150, 20, 6) AND s.mag BETWEEN 90 AND 91`,
+	}
+	var got bytes.Buffer
+	for _, q := range queries {
+		body, _ := json.Marshal(map[string]string{"query": q})
+		rec := httptest.NewRecorder()
+		gw.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", q, rec.Code, rec.Body)
+		}
+		var resp struct {
+			Result struct {
+				Rows     json.RawMessage `json:"rows"`
+				RowCount int             `json:"row_count"`
+			} `json:"result"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "%d %s\n", resp.Result.RowCount, resp.Result.Rows)
+	}
+	const golden = "testdata/gateway_rows.golden"
+	if *updateGolden {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%d response lines, recorded %d", len(gotLines), len(wantLines))
+	}
+	for i := range gotLines {
+		if !bytes.Equal(gotLines[i], wantLines[i]) {
+			t.Errorf("query %d: rows differ from the recorded body\n got %.300s\nwant %.300s", i, gotLines[i], wantLines[i])
+		}
 	}
 }

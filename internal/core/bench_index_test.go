@@ -120,3 +120,59 @@ func TestStepServiceLoopZeroAlloc(t *testing.T) {
 		t.Errorf("steady-state step allocates %.2f/op, want 0", allocs)
 	}
 }
+
+// TestStepServiceLoopZeroAllocMaterializing is the same claim with
+// MaterializeResults on: the join runs in the scheduler's Joiner and every
+// pair is appended straight to its query's Result.Pairs, so once scratch is
+// warm a service allocates nothing but that slice's growth — which the test
+// takes out of the picture by handing each query its Pairs capacity back,
+// as a completed query hands its own to the caller.
+func TestStepServiceLoopZeroAllocMaterializing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	part, jobs := fixture(t)
+	cfg, _ := NewVirtual(part, 0.5, true)
+	cfg.CacheBuckets = part.NumBuckets() // steady state: every bucket read once
+	s, err := newScheduler(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Queries that never complete (a sentinel unit each), so their state
+	// and Pairs buffers persist across services like populateQueues' do.
+	now := s.cfg.Clock.Now()
+	for _, j := range jobs[:40] {
+		if s.admit(j, now) == nil {
+			s.queries[j.ID].remaining++
+		}
+	}
+	var refill []item
+	step := func() (matches int) {
+		now := s.cfg.Clock.Now()
+		bi, ok := s.pick(now)
+		if !ok {
+			t.Fatal("no pending work")
+		}
+		refill = append(refill[:0], s.queues[bi].items...)
+		s.serviceBucket(bi, now)
+		for _, it := range refill {
+			qs := s.queries[it.wo.QueryID]
+			matches += len(qs.result.Pairs)
+			qs.result.Pairs = qs.result.Pairs[:0]
+			qs.remaining++
+			s.pushItem(bi, it)
+		}
+		return matches
+	}
+	for i := 0; i < 4*part.NumBuckets(); i++ {
+		step()
+	}
+	matches := 0
+	allocs := testing.AllocsPerRun(400, func() { matches += step() })
+	if matches == 0 {
+		t.Fatal("the measured services produced no pairs; the fixture no longer materializes anything")
+	}
+	if allocs != 0 {
+		t.Errorf("steady-state materializing step allocates %.2f/op, want 0", allocs)
+	}
+}

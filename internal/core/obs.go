@@ -16,6 +16,7 @@ import (
 // entirely when Config.Metrics is nil, the default).
 type EngineMetrics struct {
 	pick      *metric.HistogramVec
+	fallbacks *metric.CounterVec
 	services  *metric.CounterVec
 	completed *metric.CounterVec
 	vqps      *metric.GaugeVec
@@ -45,6 +46,9 @@ func NewEngineMetrics(reg *metric.Registry) *EngineMetrics {
 		pick: reg.NewHistogramVec("liferaft_engine_pick_seconds",
 			"Wall-clock latency of one scheduler pick (bucket selection).",
 			shard, metric.ExpBuckets(5e-7, 4, 10), metric.VecOpts{}),
+		fallbacks: reg.NewCounterVec("liferaft_sched_pick_fallbacks_total",
+			"Indexed picks that exhausted the threshold walk's pop budget and fell back to the exhaustive scan; a rising rate means the scheduler index no longer orders this shard's queues.",
+			shard, metric.VecOpts{}),
 		services: reg.NewCounterVec("liferaft_engine_services_total",
 			"Bucket services by join strategy (scan reads the bucket, index probes it).",
 			[]string{"shard", "strategy"}, metric.VecOpts{}),
@@ -93,6 +97,7 @@ func (m *EngineMetrics) Shard(i int) *EngineObs {
 	s := strconv.Itoa(i)
 	return &EngineObs{
 		pick:       m.pick.With(s),
+		fallbacks:  m.fallbacks.With(s),
 		scanSvc:    m.services.With(s, "scan"),
 		indexSvc:   m.services.With(s, "index"),
 		completed:  m.completed.With(s),
@@ -124,6 +129,7 @@ func (m *EngineMetrics) Shard(i int) *EngineObs {
 // atomic updates safe from the shard's scheduling goroutine.
 type EngineObs struct {
 	pick       *metric.Histogram
+	fallbacks  *metric.Counter
 	scanSvc    *metric.Counter
 	indexSvc   *metric.Counter
 	completed  *metric.Counter

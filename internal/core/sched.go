@@ -136,7 +136,7 @@ type scheduler struct {
 	// loops consume it immediately.
 	wosBuf       []xmatch.WorkloadObject
 	rangesBuf    []htm.Range
-	byQueryBuf   map[uint64][]xmatch.Pair
+	join         xmatch.Joiner
 	seenBuf      map[uint64]int
 	completedBuf []Result
 	bisBuf       []int
@@ -191,16 +191,15 @@ func newScheduler(cfg Config) (*scheduler, error) {
 	}
 	tb, tm := cfg.Disk.Model().Calibrate(part.BucketBytes(0))
 	s := &scheduler{
-		cfg:        cfg,
-		cache:      c,
-		queues:     make(map[int]*bqueue),
-		queries:    make(map[uint64]*queryState),
-		preds:      make(map[uint64]xmatch.Predicate),
-		idx:        newSchedIndex(cfg, part.NumBuckets()),
-		byQueryBuf: make(map[uint64][]xmatch.Pair),
-		seenBuf:    make(map[uint64]int),
-		tbSec:      tb.Seconds(),
-		tmSec:      tm.Seconds(),
+		cfg:     cfg,
+		cache:   c,
+		queues:  make(map[int]*bqueue),
+		queries: make(map[uint64]*queryState),
+		preds:   make(map[uint64]xmatch.Predicate),
+		idx:     newSchedIndex(cfg, part.NumBuckets()),
+		seenBuf: make(map[uint64]int),
+		tbSec:   tb.Seconds(),
+		tmSec:   tm.Seconds(),
 	}
 	// Policy evictions flip φ(i) for the evicted bucket; the hook keeps
 	// that bucket's cached Ut in sync (admissions are the scheduler's
@@ -788,7 +787,7 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 		}
 		s.cfg.Disk.MatchObjects(count)
 		if s.cfg.MaterializeResults {
-			pairs = xmatch.MergeJoin(objs, wos, s.preds)
+			pairs = s.join.Merge(objs, wos, s.preds)
 		}
 		s.stats.ScanServices++
 		if s.obs != nil {
@@ -813,7 +812,7 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 		}
 		s.cfg.Disk.MatchObjects(count)
 		if s.cfg.MaterializeResults {
-			pairs = xmatch.IndexJoin(objs, wos, s.preds)
+			pairs = s.join.Index(objs, wos, s.preds)
 		}
 		s.stats.IndexServices++
 		if s.obs != nil {
@@ -835,10 +834,15 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 
 	// Distribute results and retire work units.
 	end := s.cfg.Clock.Now()
-	byQuery := s.byQueryBuf
-	clear(byQuery)
-	for _, p := range pairs {
-		byQuery[p.QueryID] = append(byQuery[p.QueryID], p)
+	// pairs is the joiner's buffer: each pair is copied to its query before
+	// the next service reuses it. Runs of one query's pairs share a lookup.
+	var pairQS *queryState
+	for i := range pairs {
+		if qid := pairs[i].QueryID; pairQS == nil || pairQS.result.QueryID != qid {
+			pairQS = s.queries[qid]
+		}
+		pairQS.result.Pairs = append(pairQS.result.Pairs, pairs[i])
+		pairQS.result.Matches++
 	}
 	seen := s.seenBuf
 	clear(seen)
@@ -852,10 +856,6 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 			panic(fmt.Sprintf("core: work unit for unknown query %d", qid))
 		}
 		qs.remaining -= n
-		if ps := byQuery[qid]; len(ps) > 0 {
-			qs.result.Pairs = append(qs.result.Pairs, ps...)
-			qs.result.Matches += len(ps)
-		}
 		if qs.trace != nil {
 			var read *trace.Span
 			if readKind != "" {

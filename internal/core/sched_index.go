@@ -482,6 +482,9 @@ func (s *scheduler) pickLifeRaftIndexed(now time.Time) (int, bool) {
 		}
 		if budget <= 0 {
 			s.pickFallbacks++
+			if s.obs != nil {
+				s.obs.fallbacks.Inc()
+			}
 			return s.pickLifeRaftScan(now)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 
 	"liferaft/internal/bucket"
 	"liferaft/internal/catalog"
+	"liferaft/internal/metric"
 	"liferaft/internal/simclock"
 	"liferaft/internal/xmatch"
 )
@@ -228,6 +229,7 @@ func syntheticPartition(tb testing.TB, n int) *bucket.Partition {
 // itself within budget, and the fallback must agree with the scan.
 func TestPickFallbackBudget(t *testing.T) {
 	s := syntheticScheduler(t, 10_000, PolicyLifeRaft, 0.5)
+	s.obs = NewEngineMetrics(metric.NewRegistry()).Shard(0)
 	base := simclock.Epoch
 	for bi := 0; bi < 10_000; bi++ {
 		n, at := 1, base // old and cold
@@ -245,6 +247,9 @@ func TestPickFallbackBudget(t *testing.T) {
 	}
 	if s.pickFallbacks == 0 {
 		t.Error("anti-correlated state should exhaust the walk budget")
+	}
+	if got := s.obs.fallbacks.Value(); got != float64(s.pickFallbacks) {
+		t.Errorf("liferaft_sched_pick_fallbacks_total = %v, scheduler counted %d", got, s.pickFallbacks)
 	}
 	want, _ := s.pickLifeRaftScan(now)
 	if got != want {

@@ -14,8 +14,10 @@
 package federation
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -450,7 +452,7 @@ type Row struct {
 
 // ResultSet is the portal's answer.
 type ResultSet struct {
-	Rows []Row
+	Rows Rows
 	// HopElapsed records per-archive processing time in plan order.
 	HopElapsed map[string]time.Duration
 	// Shipped records how many objects were sent to each archive.
@@ -559,17 +561,20 @@ func (p *Portal) ExecuteCtx(ctx context.Context, q Query) (*ResultSet, error) {
 		HopElapsed: make(map[string]time.Duration),
 		Shipped:    make(map[string]int),
 	}
-	// The frontier holds one entry per live tuple: the object the next
-	// archive must match against (the most recently joined object).
-	rows := make([]Row, len(ext.Objects))
-	frontier := make([]Object, len(ext.Objects))
-	for i, o := range ext.Objects {
-		rows[i] = Row{Objects: map[string]Object{driving: o}}
-		frontier[i] = o
+	// Live tuples are flat object chains: tuple t is chains[t*width :
+	// (t+1)*width], one object per archive joined so far in plan order. Its
+	// last object is the tuple's frontier — what the next archive must
+	// match against. One slice per hop; rows are built from the survivors
+	// at the end.
+	width := 1
+	chains := ext.Objects
+	if chains == nil {
+		chains = []Object{} // an empty extraction answers [], a hop without pairs null
 	}
+	var shipped []Object // reused across hops
 
 	for _, archive := range q.Archives[1:] {
-		if len(rows) == 0 {
+		if len(chains) == 0 {
 			break
 		}
 		if err := ctx.Err(); err != nil {
@@ -579,16 +584,15 @@ func (p *Portal) ExecuteCtx(ctx context.Context, q Query) (*ResultSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Ship the frontier, deduplicated by object ID.
-		uniq := make(map[uint64]Object, len(frontier))
-		for _, o := range frontier {
-			uniq[o.ID] = o
+		// Ship the frontier sorted by object ID, one object per ID. Taken
+		// last tuple first and sorted stably, the copy of an ID that
+		// survives is the last tuple's, should copies ever differ.
+		shipped = shipped[:0]
+		for t := len(chains) - 1; t >= 0; t -= width {
+			shipped = append(shipped, chains[t])
 		}
-		shipped := make([]Object, 0, len(uniq))
-		for _, o := range uniq {
-			shipped = append(shipped, o)
-		}
-		sort.Slice(shipped, func(i, j int) bool { return shipped[i].ID < shipped[j].ID })
+		slices.SortStableFunc(shipped, func(a, b Object) int { return cmp.Compare(a.ID, b.ID) })
+		shipped = slices.CompactFunc(shipped, func(a, b Object) bool { return a.ID == b.ID })
 		rs.Shipped[archive] = len(shipped)
 
 		mreq := MatchRequest{
@@ -626,30 +630,46 @@ func (p *Portal) ExecuteCtx(ctx context.Context, q Query) (*ResultSet, error) {
 		rs.HopElapsed[archive] = resp.Elapsed
 
 		// Join: each tuple whose frontier object matched extends by the
-		// local counterpart(s); tuples without matches are dropped.
-		byRemote := make(map[uint64][]Object)
-		for _, pr := range resp.Pairs {
-			byRemote[pr.Remote.ID] = append(byRemote[pr.Remote.ID], pr.Local)
+		// local counterpart(s), in pair order; tuples without matches are
+		// dropped. order lists the pairs grouped by shipped object.
+		pairs := resp.Pairs
+		order := make([]int32, len(pairs))
+		for i := range order {
+			order[i] = int32(i)
 		}
-		// At least one tuple per pair survives; no pairs leaves both nil.
-		var nextRows []Row
-		var nextFrontier []Object
-		if n := len(resp.Pairs); n > 0 {
-			nextRows, nextFrontier = make([]Row, 0, n), make([]Object, 0, n)
+		slices.SortFunc(order, func(a, b int32) int {
+			if c := cmp.Compare(pairs[a].Remote.ID, pairs[b].Remote.ID); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+		// At least one tuple per pair survives; no pairs leaves next nil.
+		var next []Object
+		if len(pairs) > 0 {
+			next = make([]Object, 0, len(pairs)*(width+1))
 		}
-		for i, row := range rows {
-			for _, local := range byRemote[frontier[i].ID] {
-				nr := Row{Objects: make(map[string]Object, len(row.Objects)+1)}
-				for k, v := range row.Objects {
-					nr.Objects[k] = v
-				}
-				nr.Objects[archive] = local
-				nextRows = append(nextRows, nr)
-				nextFrontier = append(nextFrontier, local)
+		for t := 0; t < len(chains); t += width {
+			chain := chains[t : t+width]
+			id := chain[width-1].ID
+			k, _ := slices.BinarySearchFunc(order, id, func(i int32, id uint64) int {
+				return cmp.Compare(pairs[i].Remote.ID, id)
+			})
+			for ; k < len(order) && pairs[order[k]].Remote.ID == id; k++ {
+				next = append(next, chain...)
+				next = append(next, pairs[order[k]].Local)
 			}
 		}
-		rows, frontier = nextRows, nextFrontier
+		chains, width = next, width+1
 	}
-	rs.Rows = rows
+	if chains != nil { // a hop without pairs leaves Rows nil
+		rs.Rows = make(Rows, len(chains)/width)
+	}
+	for i := range rs.Rows {
+		objs := make(map[string]Object, width)
+		for k, o := range chains[i*width : (i+1)*width] {
+			objs[q.Archives[k]] = o
+		}
+		rs.Rows[i].Objects = objs
+	}
 	return rs, nil
 }

@@ -1,0 +1,375 @@
+package federation
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+)
+
+// plainRow is Row without the Rows encoder in reach: what encoding/json
+// produced for a row set before Rows existed, kept as the reference.
+type plainRow struct {
+	Objects map[string]Object
+}
+
+func plain(rs Rows) []plainRow {
+	if rs == nil {
+		return nil
+	}
+	out := make([]plainRow, len(rs))
+	for i, r := range rs {
+		out[i] = plainRow(r)
+	}
+	return out
+}
+
+// encodeBoth encodes v the way the gateway does (json.Encoder, inside a
+// map), with HTML escaping as given.
+func encodeBoth(t *testing.T, rows any, escapeHTML bool) ([]byte, error) {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(escapeHTML)
+	err := enc.Encode(map[string]any{"rows": rows, "row_count": 3})
+	return buf.Bytes(), err
+}
+
+func TestRowsJSONEquivalence(t *testing.T) {
+	obj := func(x, y, z, mag float64) Object {
+		return Object{ID: 1<<64 - 1, HTMID: 1 << 31, X: x, Y: y, Z: z, Mag: mag}
+	}
+	sub := math.SmallestNonzeroFloat64
+	cases := map[string]Rows{
+		"nil set":   nil,
+		"empty set": {},
+		"nil map":   {{}, {Objects: map[string]Object{"a": {}}}, {}},
+		"empty map": {{Objects: map[string]Object{}}},
+		"floats": {
+			{Objects: map[string]Object{"sdss": obj(0, math.Copysign(0, -1), 1, -1)}},
+			{Objects: map[string]Object{"sdss": obj(1e-6, 9.999999e-7, 1e-7, -3.5e-9)}},
+			{Objects: map[string]Object{"sdss": obj(1e21, 9.999999e20, 1.5e300, -1e21)}},
+			{Objects: map[string]Object{"sdss": obj(sub, -sub, 2.2250738585072014e-308, math.MaxFloat64)}},
+			{Objects: map[string]Object{"sdss": obj(0.1, 1.0/3, 123456789.125, 100)}},
+			{Objects: map[string]Object{"sdss": obj(-0.5373900413513184, 0.8433779, 1e-5, 17.25)}},
+		},
+		"names": {{Objects: map[string]Object{
+			"":                    {ID: 1},
+			"plain":               {ID: 2},
+			`quo"te\back`:         {ID: 3},
+			"ctl\x00\x01\x1f\x7f": {ID: 4},
+			"\b\f\n\r\t":          {ID: 5},
+			"<sdss>&co":           {ID: 6},
+			"sep\u2028\u2029x":    {ID: 7},
+			"bad\xff\xc0utf8\xe2": {ID: 8},
+			"日本語 ünïcode 🙂":       {ID: 9},
+			"Z":                   {ID: 10},
+			"a":                   {ID: 11},
+			"B\x7fdel":            {ID: 12},
+		}}},
+	}
+	rng := rand.New(rand.NewSource(8))
+	var random Rows
+	for i := 0; i < 300; i++ {
+		m := make(map[string]Object)
+		for k := rng.Intn(4); k >= 0; k-- {
+			name := make([]byte, rng.Intn(6))
+			rng.Read(name)
+			var f [4]float64
+			for j := range f {
+				for {
+					f[j] = math.Float64frombits(rng.Uint64())
+					if !math.IsNaN(f[j]) && !math.IsInf(f[j], 0) {
+						break
+					}
+				}
+			}
+			m[string(name)] = Object{ID: rng.Uint64(), HTMID: rng.Uint64() >> uint(rng.Intn(64)), X: f[0], Y: f[1], Z: f[2], Mag: f[3]}
+		}
+		random = append(random, Row{Objects: m})
+	}
+	cases["random"] = random
+
+	for name, rows := range cases {
+		for _, escape := range []bool{true, false} {
+			got, err := encodeBoth(t, rows, escape)
+			if err != nil {
+				t.Fatalf("%s: Rows: %v", name, err)
+			}
+			want, err := encodeBoth(t, plain(rows), escape)
+			if err != nil {
+				t.Fatalf("%s: reference: %v", name, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s (escapeHTML=%v): Rows encodes differently from encoding/json\n got %s\nwant %s", name, escape, got, want)
+			}
+		}
+		// A LIMIT slices the set; the slice must still be a Rows.
+		if len(rows) > 1 {
+			got, _ := json.Marshal(rows[:1])
+			want, _ := json.Marshal(plain(rows)[:1])
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: sliced Rows encodes differently", name)
+			}
+		}
+	}
+
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for field := 0; field < 4; field++ {
+			o := Object{ID: 1}
+			*[]*float64{&o.X, &o.Y, &o.Z, &o.Mag}[field] = bad
+			rows := Rows{{Objects: map[string]Object{"ok": {}}}, {Objects: map[string]Object{"sdss": o}}}
+			_, err := json.Marshal(rows)
+			var unsupported *json.UnsupportedValueError
+			if !errors.As(err, &unsupported) {
+				t.Errorf("field %d = %v: Rows error %v, want an UnsupportedValueError", field, bad, err)
+			}
+			if _, refErr := json.Marshal(plain(rows)); refErr == nil {
+				t.Fatalf("reference encoder accepted %v", bad)
+			}
+		}
+	}
+}
+
+func benchRows(n int) Rows {
+	rng := rand.New(rand.NewSource(5))
+	rows := make(Rows, n)
+	for i := range rows {
+		m := make(map[string]Object, 2)
+		for _, name := range []string{"twomass", "sdss"} {
+			m[name] = Object{ID: rng.Uint64() >> 30, HTMID: 1<<31 + uint64(rng.Int63n(1<<30)),
+				X: rng.Float64()*2 - 1, Y: rng.Float64()*2 - 1, Z: rng.Float64()*2 - 1, Mag: 14 + rng.Float64()*10}
+		}
+		rows[i].Objects = m
+	}
+	return rows
+}
+
+func BenchmarkRowsJSON(b *testing.B) {
+	rows := benchRows(300)
+	for name, v := range map[string]any{"rows": rows, "reflect": plain(rows)} {
+		b.Run(name, func(b *testing.B) {
+			var buf bytes.Buffer
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := json.NewEncoder(&buf).Encode(v); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(int64(buf.Len()))
+		})
+	}
+}
+
+// scriptedSite is a Transport whose answers are a pure function of the
+// request, so the portal and the reference algorithm can both be run against
+// it: Extract returns its fixed objects; Match pairs every shipped object
+// with fan(ID) locals whose IDs fall in a small range (so the next frontier
+// repeats IDs), interleaved across shipped objects rather than grouped.
+type scriptedSite struct {
+	name    string
+	objects []Object
+	fan     func(id uint64) int
+	shipped [][]Object // one entry per Match call
+}
+
+func (s *scriptedSite) Archive() (string, error) { return s.name, nil }
+
+func (s *scriptedSite) Extract(ExtractRequest) (ExtractResponse, error) {
+	return ExtractResponse{Objects: s.objects}, nil
+}
+
+func (s *scriptedSite) Match(req MatchRequest) (MatchResponse, error) {
+	s.shipped = append(s.shipped, append([]Object(nil), req.Objects...))
+	var resp MatchResponse
+	for round := 0; ; round++ {
+		emitted := false
+		for i := len(req.Objects) - 1; i >= 0; i-- { // against shipped order
+			o := req.Objects[i]
+			if round < s.fan(o.ID) {
+				local := Object{ID: (o.ID*7 + uint64(round)) % 5, HTMID: o.ID, X: float64(round), Mag: o.Mag}
+				resp.Pairs = append(resp.Pairs, MatchPair{Local: local, Remote: o})
+				emitted = true
+			}
+		}
+		if !emitted {
+			return resp, nil
+		}
+	}
+}
+
+// referenceRows is the portal's join as it was before tuples became flat
+// chains — a map per tuple copied at every hop, the frontier deduplicated
+// through a map, pairs grouped through a map of slices — kept as the
+// definition of which rows come back and in which order.
+func referenceRows(t *testing.T, p *Portal, q Query) ([]Row, map[string]int) {
+	t.Helper()
+	site, err := p.site(q.Archives[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, _ := site.Extract(ExtractRequest{})
+	shippedCount := make(map[string]int)
+	rows := make([]Row, len(ext.Objects))
+	frontier := make([]Object, len(ext.Objects))
+	for i, o := range ext.Objects {
+		rows[i] = Row{Objects: map[string]Object{q.Archives[0]: o}}
+		frontier[i] = o
+	}
+	for _, archive := range q.Archives[1:] {
+		if len(rows) == 0 {
+			break
+		}
+		site, err := p.site(archive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		uniq := make(map[uint64]Object, len(frontier))
+		for _, o := range frontier {
+			uniq[o.ID] = o
+		}
+		shipped := make([]Object, 0, len(uniq))
+		for _, o := range uniq {
+			shipped = append(shipped, o)
+		}
+		sort.Slice(shipped, func(i, j int) bool { return shipped[i].ID < shipped[j].ID })
+		shippedCount[archive] = len(shipped)
+		resp, _ := site.Match(MatchRequest{Objects: shipped})
+		byRemote := make(map[uint64][]Object)
+		for _, pr := range resp.Pairs {
+			byRemote[pr.Remote.ID] = append(byRemote[pr.Remote.ID], pr.Local)
+		}
+		var nextRows []Row
+		var nextFrontier []Object
+		if n := len(resp.Pairs); n > 0 {
+			nextRows, nextFrontier = make([]Row, 0, n), make([]Object, 0, n)
+		}
+		for i, row := range rows {
+			for _, local := range byRemote[frontier[i].ID] {
+				nr := Row{Objects: make(map[string]Object, len(row.Objects)+1)}
+				for k, v := range row.Objects {
+					nr.Objects[k] = v
+				}
+				nr.Objects[archive] = local
+				nextRows = append(nextRows, nr)
+				nextFrontier = append(nextFrontier, local)
+			}
+		}
+		rows, frontier = nextRows, nextFrontier
+	}
+	return rows, shippedCount
+}
+
+func TestPortalRowsMatchMapAlgorithm(t *testing.T) {
+	// Driving objects: unsorted, and ID 4 twice with different payloads
+	// (the map kept the last; so must the sort).
+	var driving []Object
+	for _, id := range []uint64{9, 4, 17, 2, 4, 11, 30, 6} {
+		driving = append(driving, Object{ID: id, Mag: float64(len(driving))})
+	}
+	fans := map[string]func(uint64) int{
+		"some":  func(id uint64) int { return int(id % 3) }, // 0, 1 or 2 counterparts
+		"every": func(id uint64) int { return 2 },
+		"none":  func(uint64) int { return 0 },
+	}
+	plans := []struct {
+		name     string
+		driving  []Object
+		archives []string
+	}{
+		{"two archives", driving, []string{"drv", "some"}},
+		{"three archives", driving, []string{"drv", "some", "every"}},
+		{"three archives, fan-out first", driving, []string{"drv", "every", "some"}},
+		{"empty first hop", driving, []string{"drv", "none", "every"}},
+		{"empty last hop", driving, []string{"drv", "every", "none"}},
+		{"empty extraction", nil, []string{"drv", "every"}},
+		{"archive named twice", driving, []string{"drv", "every", "drv2", "every"}},
+	}
+	for _, plan := range plans {
+		build := func() (*Portal, map[string]*scriptedSite) {
+			p, sites := NewPortal(), make(map[string]*scriptedSite)
+			for _, name := range plan.archives {
+				s := &scriptedSite{name: name, objects: plan.driving, fan: fans[name]}
+				if s.fan == nil {
+					s.fan = fans["some"]
+				}
+				sites[name] = s
+				p.Register(name, s)
+			}
+			return p, sites
+		}
+		q := Query{ID: 1, MatchRadiusArcsec: 1, Archives: plan.archives}
+		refPortal, refSites := build()
+		want, wantShipped := referenceRows(t, refPortal, q)
+		portal, sites := build()
+		rs, err := portal.ExecuteCtx(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%s: %v", plan.name, err)
+		}
+		if !reflect.DeepEqual([]Row(rs.Rows), want) { // nil and empty are different answers
+			t.Errorf("%s: rows differ from the map-based algorithm\n got %v\nwant %v", plan.name, rs.Rows, want)
+		}
+		if !reflect.DeepEqual(rs.Shipped, wantShipped) {
+			t.Errorf("%s: shipped %v, want %v", plan.name, rs.Shipped, wantShipped)
+		}
+		for name, s := range sites {
+			if !reflect.DeepEqual(s.shipped, refSites[name].shipped) {
+				t.Errorf("%s: %s was shipped %v, want %v", plan.name, name, s.shipped, refSites[name].shipped)
+			}
+		}
+		// LIMIT is a prefix of the row set, encoded like the reference's.
+		for _, limit := range []int{1, 3} {
+			if len(want) <= limit {
+				continue
+			}
+			got, _ := json.Marshal(rs.Rows[:limit])
+			ref, _ := json.Marshal(want[:limit])
+			if !bytes.Equal(got, ref) {
+				t.Errorf("%s: LIMIT %d encodes %s, want %s", plan.name, limit, got, ref)
+			}
+		}
+	}
+}
+
+// TestExecuteEncodeAllocBudget bounds what one materializing two-archive
+// query allocates from portal to JSON on warm virtual-clock nodes. With
+// 275 objects shipped and 275 rows back it takes about 640 allocations;
+// with a cover slice per workload object, a map per tuple per hop and the
+// reflective map encoder it took 4 662.
+func TestExecuteEncodeAllocBudget(t *testing.T) {
+	f := newFixture(t)
+	q := testQuery()
+	q.RadiusDeg, q.Selectivity = 12, 1
+	var (
+		buf bytes.Buffer
+		rs  *ResultSet
+	)
+	run := func() {
+		var err error
+		if rs, err = f.portal.ExecuteCtx(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+		buf.Reset()
+		if err := json.NewEncoder(&buf).Encode(map[string]any{"rows": rs.Rows, "shipped": rs.Shipped}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the bucket caches and the engines' scratch
+	shipped, rows := rs.Shipped["sdss"], len(rs.Rows)
+	if shipped < 100 || rows < 100 {
+		t.Fatalf("fixture too small to mean anything: %d shipped, %d rows", shipped, rows)
+	}
+	got := testing.AllocsPerRun(20, run)
+	// Two per row are its Objects map; the rest is per query and per bucket
+	// service. One more allocation per shipped object or per row breaks it.
+	if budget := float64(2*rows + shipped/2 + 150); got > budget {
+		t.Errorf("%.0f allocs for %d shipped objects and %d rows, budget %.0f", got, shipped, rows, budget)
+	}
+	t.Logf("%.0f allocs, %d shipped, %d rows, %d response bytes", got, shipped, rows, buf.Len())
+}

@@ -408,6 +408,61 @@ func coverNode(id ID, tri geom.Triangle, c geom.Cap, level int, out *[]Range) {
 	}
 }
 
+// CapBounds returns the two ends of CoverCap(c, level) — the smallest Start
+// and the largest End of the cover — without building it: the same descent
+// with the same geometric tests, keeping a running minimum and maximum
+// instead of a slice. ok is false exactly when the cover is empty. It is
+// what a workload object needs (paper §3.1 ships "a range of HTM ID values"
+// with each object) and allocates nothing.
+func CapBounds(c geom.Cap, level int) (lo, hi ID, ok bool) {
+	if level < 0 || level > MaxLevel {
+		panic(fmt.Sprintf("htm: level %d out of range", level))
+	}
+	b := capBounds{c: c}
+	for i := 0; i < 8; i++ {
+		b.walk(FaceID(i), FaceTriangle(i), 2*uint(level))
+	}
+	return b.lo, b.hi, b.ok
+}
+
+type capBounds struct {
+	c      geom.Cap
+	lo, hi ID
+	ok     bool
+}
+
+// walk is coverNode for the bounds: shift is two bits per level still below
+// id, so id's descendants at the target level are [id<<shift, (id+1)<<shift).
+func (b *capBounds) walk(id ID, tri geom.Triangle, shift uint) {
+	start, end := id<<shift, (id+1)<<shift-1
+	if b.ok && start >= b.lo && end <= b.hi {
+		return // nothing under id can move either end
+	}
+	rel := tri.CapRelation(b.c)
+	if rel == geom.Disjoint {
+		return
+	}
+	if rel == geom.Inside || shift == 0 {
+		if !b.ok || start < b.lo {
+			b.lo = start
+		}
+		if !b.ok || end > b.hi {
+			b.hi = end
+		}
+		b.ok = true
+		return
+	}
+	// subTriangle's four children, with the edge midpoints taken once for
+	// the node instead of once per child.
+	w0 := tri.V1.Mid(tri.V2)
+	w1 := tri.V0.Mid(tri.V2)
+	w2 := tri.V0.Mid(tri.V1)
+	b.walk(id<<2, geom.Triangle{V0: tri.V0, V1: w2, V2: w1}, shift-2)
+	b.walk(id<<2|1, geom.Triangle{V0: tri.V1, V1: w0, V2: w2}, shift-2)
+	b.walk(id<<2|2, geom.Triangle{V0: tri.V2, V1: w1, V2: w0}, shift-2)
+	b.walk(id<<2|3, geom.Triangle{V0: w0, V1: w1, V2: w2}, shift-2)
+}
+
 // MergeRanges sorts ranges by Start and coalesces overlapping or adjacent
 // ranges. All ranges must be at the same level.
 func MergeRanges(rs []Range) []Range {

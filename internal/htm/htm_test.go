@@ -519,3 +519,77 @@ func TestLookupPathologicalPoint(t *testing.T) {
 		}
 	}
 }
+
+// TestCapBoundsMatchCoverCap holds the slice-free bounds walk to the cover
+// it replaces in xmatch.NewWorkloadObject: over random and adversarial
+// caps, CapBounds must return exactly the first Start and last End of
+// CoverCap, and report an empty cover the same way.
+func TestCapBoundsMatchCoverCap(t *testing.T) {
+	check := func(center geom.Vec3, radius float64, level int) {
+		t.Helper()
+		c := geom.NewCap(center, radius)
+		cover := CoverCap(c, level)
+		lo, hi, ok := CapBounds(c, level)
+		if ok != (len(cover) > 0) {
+			t.Fatalf("center %v radius %g level %d: ok=%v, cover has %d ranges", center, radius, level, ok, len(cover))
+		}
+		if ok && (lo != cover[0].Start || hi != cover[len(cover)-1].End) {
+			t.Fatalf("center %v radius %g level %d: bounds [%v, %v], cover ends [%v, %v]",
+				center, radius, level, lo, hi, cover[0].Start, cover[len(cover)-1].End)
+		}
+	}
+	rng := rand.New(rand.NewSource(41))
+	// Radii log-uniform from a tenth of an arcsecond up: mostly to an
+	// arcminute (cross-match error circles, around the 20-arcsecond
+	// level-14 trixel), one in ten to a degree (covers of thousands of
+	// ranges, which dominate the test's run time).
+	for i := 0; i < 20000; i++ {
+		center := geom.FromRaDec(rng.Float64()*360, math.Asin(rng.Float64()*2-1)*180/math.Pi)
+		span := 600.0
+		if i%10 == 0 {
+			span = 36000
+		}
+		check(center, geom.ArcsecToRad(0.1*math.Pow(span, rng.Float64())), PaperLevel)
+	}
+
+	// Where covers straddle the coarsest ID boundaries: the octahedron's
+	// vertices (poles included), its edge midpoints and face centres, and
+	// points a hair off each, at radii on both sides of the offset.
+	var special []geom.Vec3
+	special = append(special, octVerts[:]...)
+	for i := 0; i < 8; i++ {
+		tri := FaceTriangle(i)
+		special = append(special, tri.V0.Mid(tri.V1), tri.V1.Mid(tri.V2), tri.V2.Mid(tri.V0), tri.Center())
+		// Vertices and edge midpoints of the first subdivision.
+		for c := 0; c < 4; c++ {
+			sub := subTriangle(tri, c)
+			special = append(special, sub.V0.Mid(sub.V1), sub.V1.Mid(sub.V2), sub.V2.Mid(sub.V0))
+		}
+	}
+	radii := []float64{0, geom.ArcsecToRad(0.5), geom.ArcsecToRad(3), geom.ArcsecToRad(30), geom.Radians(0.05), geom.Radians(1)}
+	for _, p := range special {
+		for _, r := range radii {
+			check(p, r, PaperLevel)
+			for k := 0; k < 4; k++ {
+				off := geom.ArcsecToRad(0.1 * math.Pow(1000, rng.Float64()))
+				q := p.Add(geom.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}.Scale(off)).Normalize()
+				check(q, r, PaperLevel)
+			}
+		}
+	}
+	// Other levels, the whole sphere and beyond-hemisphere caps included.
+	for i := 0; i < 500; i++ {
+		center := geom.FromRaDec(rng.Float64()*360, math.Asin(rng.Float64()*2-1)*180/math.Pi)
+		check(center, rng.Float64()*math.Pi, rng.Intn(8))
+	}
+	check(geom.Vec3{Z: 1}, math.Pi, 5)
+}
+
+func TestCapBoundsPanicsOnBadLevel(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("level beyond MaxLevel should panic like CoverCap")
+		}
+	}()
+	CapBounds(geom.NewCap(geom.Vec3{Z: 1}, 0.1), MaxLevel+1)
+}

@@ -151,21 +151,42 @@ func (m *Map) PartitionerName() string { return m.name }
 // per-shard assignments equals the single-engine assignment exactly.
 func (m *Map) Fanout(objs []xmatch.WorkloadObject) [][]xmatch.WorkloadObject {
 	out := make([][]xmatch.WorkloadObject, m.shards)
-	mark := make([]bool, m.shards)
-	touched := make([]int, 0, m.shards)
-	for _, wo := range objs {
-		for _, bi := range m.part.BucketsForRanges(wo.Ranges()) {
-			s := m.owner[bi]
-			if !mark[s] {
-				mark[s] = true
-				touched = append(touched, s)
-				out[s] = append(out[s], wo)
+	// Two passes over the objects with the same scratch: the first counts
+	// each shard's share, so the second fills slices carved at their final
+	// size from one backing array. mark[s] holds the stamp of the last
+	// (pass, object) that reached shard s — the once-per-shard guard.
+	counts := make([]int, m.shards)
+	mark := make([]int, m.shards)
+	var bis []int
+	for pass := 0; pass < 2; pass++ {
+		if pass == 1 {
+			total := 0
+			for _, n := range counts {
+				total += n
+			}
+			backing := make([]xmatch.WorkloadObject, total)
+			for s, n := range counts {
+				if n > 0 { // untouched shards hold nil
+					out[s], backing = backing[:0:n], backing[n:]
+				}
 			}
 		}
-		for _, s := range touched {
-			mark[s] = false
+		for i, wo := range objs {
+			bis = m.part.AppendBucketsForRanges(bis[:0], wo.Ranges())
+			stamp := pass*len(objs) + i + 1
+			for _, bi := range bis {
+				s := m.owner[bi]
+				if mark[s] == stamp {
+					continue
+				}
+				mark[s] = stamp
+				if pass == 0 {
+					counts[s]++
+				} else {
+					out[s] = append(out[s], wo)
+				}
+			}
 		}
-		touched = touched[:0]
 	}
 	return out
 }

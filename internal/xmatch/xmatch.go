@@ -20,7 +20,9 @@
 package xmatch
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"liferaft/internal/catalog"
@@ -48,17 +50,12 @@ type WorkloadObject struct {
 // radius (radians), computing its bounding HTM ID range from the cover of
 // the error cap.
 func NewWorkloadObject(queryID uint64, obj catalog.Object, radius float64) WorkloadObject {
-	cover := htm.CoverCap(geom.NewCap(obj.Pos, radius), htm.PaperLevel)
-	w := WorkloadObject{QueryID: queryID, Obj: obj, Radius: radius}
-	if len(cover) > 0 {
-		w.MinID = cover[0].Start
-		w.MaxID = cover[len(cover)-1].End
-	} else {
+	lo, hi, ok := htm.CapBounds(geom.NewCap(obj.Pos, radius), htm.PaperLevel)
+	if !ok {
 		// A degenerate (zero-radius) cap still covers its own trixel.
-		id := obj.HTMID
-		w.MinID, w.MaxID = id, id
+		lo, hi = obj.HTMID, obj.HTMID
 	}
-	return w
+	return WorkloadObject{QueryID: queryID, Obj: obj, Radius: radius, MinID: lo, MaxID: hi}
 }
 
 // Range returns the bounding range [MinID, MaxID]: the key of the
@@ -66,7 +63,8 @@ func NewWorkloadObject(queryID uint64, obj catalog.Object, radius float64) Workl
 func (w WorkloadObject) Range() htm.Range { return htm.Range{Start: w.MinID, End: w.MaxID} }
 
 // Ranges returns the bounding range as a one-element slice, the form
-// BucketsForRanges consumes.
+// BucketsForRanges consumes. Inlined into a caller that does not keep it,
+// the slice stays on the stack.
 func (w WorkloadObject) Ranges() []htm.Range { return []htm.Range{w.Range()} }
 
 // Pair is one successful cross-match: a (local, remote) object pair within
@@ -110,32 +108,45 @@ func verify(out []Pair, local catalog.Object, w WorkloadObject, pred Predicate) 
 	return append(out, Pair{QueryID: w.QueryID, Local: local, Remote: w.Obj, SepRad: sep})
 }
 
-// MergeJoin cross-matches a bucket against a workload queue by a single
+// Joiner runs the two production joins in buffers it keeps between calls,
+// so an engine that joins on every bucket service allocates only while the
+// buffers are still growing. The zero value is ready to use; a Joiner is not
+// safe for concurrent use (each shard's scheduler owns one). The slice a
+// join returns aliases the Joiner and is valid until its next join.
+type Joiner struct {
+	queue  []WorkloadObject // the caller's queue, sorted by MinID
+	active []WorkloadObject // sweep set of Merge
+	pairs  []Pair
+}
+
+// Named comparators rather than closures: the service loop's allocation
+// analyzer (lifevet hotpath-alloc) reaches the joins and rejects func
+// literals.
+func byMinID(a, b WorkloadObject) int          { return cmp.Compare(a.MinID, b.MinID) }
+func cmpHTMID(o catalog.Object, id htm.ID) int { return cmp.Compare(o.HTMID, id) }
+
+// Merge cross-matches a bucket against a workload queue by a single
 // simultaneous sweep of both inputs in HTM ID order. bucket must be sorted
-// by HTMID (bucket stores materialize it that way); queue is sorted
-// internally by MinID (the paper sorts the workload queue before the
-// sweep). preds maps QueryID to that query's predicate; nil preds, or a
-// missing entry, accepts all pairs.
+// by HTMID (bucket stores materialize it that way); queue is copied and
+// sorted by MinID (the paper sorts the workload queue before the sweep).
+// preds maps QueryID to that query's predicate; nil preds, or a missing
+// entry, accepts all pairs.
 //
 // Complexity is O(n + m + candidates): the sweep maintains the set of
 // workload intervals overlapping the current bucket object's ID, which
 // stays tiny because error radii are arcseconds.
-//
-//lifevet:allow hotpath-alloc -- pair materialization runs only when Config.MaterializeResults is on; the zero-alloc probe pins the loop with materialization off
-func MergeJoin(bucket []catalog.Object, queue []WorkloadObject, preds map[uint64]Predicate) []Pair {
+func (j *Joiner) Merge(bucket []catalog.Object, queue []WorkloadObject, preds map[uint64]Predicate) []Pair {
+	out := j.pairs[:0]
 	if len(bucket) == 0 || len(queue) == 0 {
-		return nil
+		return out
 	}
-	q := make([]WorkloadObject, len(queue))
-	copy(q, queue)
-	sort.Slice(q, func(i, j int) bool { return q[i].MinID < q[j].MinID })
-
-	var out []Pair
+	q := append(j.queue[:0], queue...)
+	slices.SortFunc(q, byMinID)
 	// active holds workload objects whose interval may still overlap
 	// bucket objects at or beyond the sweep position, as a min-heap
 	// substitute: since radii are uniform-ish and intervals short, a
-	// slice with compaction is efficient and allocation-free.
-	var active []WorkloadObject
+	// slice with compaction is efficient.
+	active := j.active[:0]
 	next := 0
 	for _, local := range bucket {
 		id := local.HTMID
@@ -156,29 +167,39 @@ func MergeJoin(bucket []catalog.Object, queue []WorkloadObject, preds map[uint64
 		}
 		active = active[:w]
 	}
+	j.queue, j.active, j.pairs = q, active, out
 	return out
 }
 
-// IndexJoin cross-matches by probing: for each workload object, the
-// bucket's sorted objects are binary-searched over the object's bounding
-// ID range and candidates are verified. This models an indexed join
-// against the database's HTM index; the engine charges one sorted index
-// probe per workload object.
-//
-//lifevet:allow hotpath-alloc -- pair materialization runs only when Config.MaterializeResults is on; the zero-alloc probe pins the loop with materialization off
-func IndexJoin(bucket []catalog.Object, queue []WorkloadObject, preds map[uint64]Predicate) []Pair {
-	if len(bucket) == 0 || len(queue) == 0 {
-		return nil
-	}
-	var out []Pair
+// Index cross-matches by probing: for each workload object, the bucket's
+// sorted objects are binary-searched over the object's bounding ID range
+// and candidates are verified. This models an indexed join against the
+// database's HTM index; the engine charges one sorted index probe per
+// workload object.
+func (j *Joiner) Index(bucket []catalog.Object, queue []WorkloadObject, preds map[uint64]Predicate) []Pair {
+	out := j.pairs[:0]
 	for _, wo := range queue {
-		lo := sort.Search(len(bucket), func(i int) bool { return bucket[i].HTMID >= wo.MinID })
+		lo, _ := slices.BinarySearchFunc(bucket, wo.MinID, cmpHTMID)
 		pred := predFor(preds, wo.QueryID)
 		for i := lo; i < len(bucket) && bucket[i].HTMID <= wo.MaxID; i++ {
 			out = verify(out, bucket[i], wo, pred)
 		}
 	}
+	j.pairs = out
 	return out
+}
+
+// MergeJoin is Joiner.Merge for callers without a Joiner to reuse: the
+// pairs come back in a slice of their own (nil when there are none).
+func MergeJoin(bucket []catalog.Object, queue []WorkloadObject, preds map[uint64]Predicate) []Pair {
+	var j Joiner
+	return j.Merge(bucket, queue, preds)
+}
+
+// IndexJoin is Joiner.Index for callers without a Joiner to reuse.
+func IndexJoin(bucket []catalog.Object, queue []WorkloadObject, preds map[uint64]Predicate) []Pair {
+	var j Joiner
+	return j.Index(bucket, queue, preds)
 }
 
 // BruteForce is the O(n*m) reference join used to validate the other

@@ -238,3 +238,60 @@ func BenchmarkIndexJoin1kx30(b *testing.B) {
 		IndexJoin(locals, queue, nil)
 	}
 }
+
+func benchObject() (catalog.Object, float64) {
+	p := geom.FromRaDec(200, 30)
+	return catalog.Object{ID: 1, Pos: p, HTMID: htm.Lookup(p, htm.PaperLevel)}, geom.ArcsecToRad(3)
+}
+
+var sinkWO WorkloadObject
+
+func BenchmarkNewWorkloadObject(b *testing.B) {
+	obj, radius := benchObject()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkWO = NewWorkloadObject(1, obj, radius)
+	}
+}
+
+// TestNewWorkloadObjectZeroAlloc: the bounds come from a walk that builds
+// no cover, so pre-processing a shipped object allocates nothing.
+func TestNewWorkloadObjectZeroAlloc(t *testing.T) {
+	obj, radius := benchObject()
+	if n := testing.AllocsPerRun(200, func() { sinkWO = NewWorkloadObject(1, obj, radius) }); n != 0 {
+		t.Errorf("NewWorkloadObject allocates %.1f/op, want 0", n)
+	}
+}
+
+// TestJoinerSteadyStateZeroAlloc: once its buffers have grown to a
+// service's size, a Joiner joins without allocating — pairs included.
+func TestJoinerSteadyStateZeroAlloc(t *testing.T) {
+	locals, queue := makeField(1, 1000, 300, 20, 3)
+	preds := map[uint64]Predicate{1: MagnitudeWindow(0, 100)}
+	var j Joiner
+	for name, join := range map[string]func([]catalog.Object, []WorkloadObject, map[uint64]Predicate) []Pair{
+		"Merge": j.Merge, "Index": j.Index,
+	} {
+		if len(join(locals, queue, preds)) == 0 {
+			t.Fatalf("%s: no pairs; bad fixture", name)
+		}
+		if n := testing.AllocsPerRun(50, func() { join(locals, queue, preds) }); n != 0 {
+			t.Errorf("warm Joiner.%s allocates %.1f/op, want 0", name, n)
+		}
+	}
+}
+
+// TestJoinerReuseMatchesFreshJoins: a Joiner carried across services of
+// different shapes returns what the one-shot joins return, in their order.
+func TestJoinerReuseMatchesFreshJoins(t *testing.T) {
+	var j Joiner
+	for seed := int64(0); seed < 8; seed++ {
+		locals, queue := makeField(seed, 50+int(seed)*40, 5+int(seed)*9, int(seed), 3)
+		if got, want := j.Merge(locals, queue, nil), MergeJoin(locals, queue, nil); !reflect.DeepEqual(append([]Pair(nil), got...), want) {
+			t.Errorf("seed %d: reused Merge differs from MergeJoin", seed)
+		}
+		if got, want := j.Index(locals, queue, nil), IndexJoin(locals, queue, nil); !reflect.DeepEqual(append([]Pair(nil), got...), want) {
+			t.Errorf("seed %d: reused Index differs from IndexJoin", seed)
+		}
+	}
+}
