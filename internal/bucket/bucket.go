@@ -174,7 +174,8 @@ type Backend interface {
 	// returns, in HTM-curve order, a subset of the bucket that holds
 	// every object with an ID in any of the ranges, so the join
 	// evaluator can probe it in memory; the slice is the backend's and
-	// is valid until its next ProbeRanges.
+	// is valid until its next ProbeRanges. An empty range (Start > End)
+	// is a probe that finds nothing: counted, with nothing read for it.
 	ProbeRanges(i int, ranges []htm.Range) (objs []catalog.Object, bytesRead int64, err error)
 	// Fork opens an independent backend over the same data (fresh file
 	// descriptors); each shard of a sharded engine gets its own.

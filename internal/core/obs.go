@@ -25,6 +25,7 @@ type EngineMetrics struct {
 	readSec   *metric.HistogramVec
 	readBytes *metric.CounterVec
 	readErrs  *metric.CounterVec
+	model     *metric.CounterVec
 
 	// Per-tier cache families ({shard, tier}; tier is "ram" or "disk")
 	// plus the prefetcher's outcome counters. The ram series count the
@@ -73,6 +74,9 @@ func NewEngineMetrics(reg *metric.Registry) *EngineMetrics {
 		readErrs: reg.NewCounterVec("liferaft_store_read_errors_total",
 			"Store read failures by kind, including checksum mismatches; the store fail-stops after counting.",
 			[]string{"shard", "kind"}, metric.VecOpts{}),
+		model: reg.NewCounterVec("liferaft_disk_model_seconds_total",
+			"Modeled disk and match time on the engine clock: charged = what the cost model billed, slept = what the shard spent asleep paying it (timer overrun included), credited = measured join time accepted in place of sleep. charged = slept + credited to within one timer tick per shard when the engine paces at the model's rate.",
+			[]string{"shard", "kind"}, metric.VecOpts{}),
 		tierHits: reg.NewCounterVec("liferaft_cache_hits_total",
 			"Bucket cache hits by tier (ram = in-process bucket cache, disk = persistent disktier).",
 			[]string{"shard", "tier"}, metric.VecOpts{}),
@@ -111,6 +115,10 @@ func (m *EngineMetrics) Shard(i int) *EngineObs {
 		errScan:    m.readErrs.With(s, string(bucket.ReadScan)),
 		errProbe:   m.readErrs.With(s, string(bucket.ReadProbe)),
 
+		modelCharged:  m.model.With(s, "charged"),
+		modelSlept:    m.model.With(s, "slept"),
+		modelCredited: m.model.With(s, "credited"),
+
 		ramHits:    m.tierHits.With(s, "ram"),
 		ramMiss:    m.tierMiss.With(s, "ram"),
 		ramEvict:   m.tierEvict.With(s, "ram"),
@@ -142,6 +150,10 @@ type EngineObs struct {
 	probeBytes *metric.Counter
 	errScan    *metric.Counter
 	errProbe   *metric.Counter
+
+	modelCharged  *metric.Counter
+	modelSlept    *metric.Counter
+	modelCredited *metric.Counter
 
 	ramHits    *metric.Counter
 	ramMiss    *metric.Counter

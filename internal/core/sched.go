@@ -9,6 +9,7 @@ import (
 	"liferaft/internal/bucket"
 	"liferaft/internal/cache"
 	"liferaft/internal/cache/disktier"
+	"liferaft/internal/disk"
 	"liferaft/internal/htm"
 	"liferaft/internal/trace"
 	"liferaft/internal/xmatch"
@@ -165,6 +166,9 @@ type scheduler struct {
 	lastTierMisses int64
 	lastTierStats  disktier.Stats
 	ramBucketBytes float64
+	// lastLedger is the disk account as of the last step, so each step
+	// adds only its own share to the disk-model counters.
+	lastLedger disk.Ledger
 
 	// traced counts in-flight queries carrying a trace. While zero —
 	// tracing disabled or no traced query admitted — the service loop
@@ -713,6 +717,11 @@ func (s *scheduler) step(now time.Time) (completed []Result, ok bool) {
 		if s.tierB != nil {
 			s.pollTierMetrics()
 		}
+		led := s.cfg.Disk.Ledger()
+		s.obs.modelCharged.Add((led.Charged - s.lastLedger.Charged).Seconds())
+		s.obs.modelSlept.Add((led.Slept - s.lastLedger.Slept).Seconds())
+		s.obs.modelCredited.Add((led.Credited - s.lastLedger.Credited).Seconds())
+		s.lastLedger = led
 		return completed, true
 	}
 	idx, ok := s.pick(now)
@@ -765,7 +774,6 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 		}
 	}
 	strategy := xmatch.ChooseStrategy(count, bucketLen, s.cfg.HybridThreshold, inMem)
-	var pairs []xmatch.Pair
 	wos := s.wosBuf[:0]
 	for _, it := range items {
 		wos = append(wos, it.wo)
@@ -785,10 +793,6 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 			}
 			s.cachePut(idx, objs)
 		}
-		s.cfg.Disk.MatchObjects(count)
-		if s.cfg.MaterializeResults {
-			pairs = s.join.Merge(objs, wos, s.preds)
-		}
 		s.stats.ScanServices++
 		if s.obs != nil {
 			s.obs.scanSvc.Inc()
@@ -797,22 +801,21 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 		if traced {
 			readT0 = s.cfg.Clock.Now()
 		}
-		// One probe per queued object, over its bounding ID range. A real
-		// backend returns only the granules those ranges overlap, in a
-		// buffer it reuses on its next probe: objs is not kept past the
-		// join (pairs copy the objects they hold).
+		// One probe per queued object, keyed by the IDs its error circle
+		// reaches in this bucket (its bounding range, unless that runs on
+		// past the bucket). A real backend returns only the granules
+		// those ranges overlap, in a buffer it reuses on its next probe:
+		// objs is not kept past the join (pairs copy the objects they
+		// hold).
+		span := part.Bucket(idx).Span
 		ranges := s.rangesBuf[:0]
 		for _, it := range items {
-			ranges = append(ranges, it.wo.Range())
+			ranges = append(ranges, it.wo.RangeIn(span))
 		}
 		s.rangesBuf = ranges
 		objs, _ = s.cfg.Store.ProbeRanges(idx, ranges)
 		if traced {
 			readT1, readKind = s.cfg.Clock.Now(), "probe"
-		}
-		s.cfg.Disk.MatchObjects(count)
-		if s.cfg.MaterializeResults {
-			pairs = s.join.Index(objs, wos, s.preds)
 		}
 		s.stats.IndexServices++
 		if s.obs != nil {
@@ -832,18 +835,37 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 		}
 	}
 
-	// Distribute results and retire work units.
-	end := s.cfg.Clock.Now()
-	// pairs is the joiner's buffer: each pair is copied to its query before
-	// the next service reuses it. Runs of one query's pairs share a lookup.
-	var pairQS *queryState
-	for i := range pairs {
-		if qid := pairs[i].QueryID; pairQS == nil || pairQS.result.QueryID != qid {
-			pairQS = s.queries[qid]
+	// Join and distribute the results, then charge Tm per object. The
+	// charge models this very work, so the time it took on the engine's
+	// clock counts toward it: the service lasts Tm × count, not Tm × count
+	// on top of its own join. A virtual clock does not move while the
+	// engine computes, so there the whole charge is slept as ever.
+	var joined time.Duration
+	if s.cfg.MaterializeResults {
+		joinT0 := s.cfg.Clock.Now()
+		var pairs []xmatch.Pair
+		if strategy == xmatch.Scan {
+			pairs = s.join.Merge(objs, wos, s.preds)
+		} else {
+			pairs = s.join.Index(objs, wos, s.preds)
 		}
-		pairQS.result.Pairs = append(pairQS.result.Pairs, pairs[i])
-		pairQS.result.Matches++
+		// pairs is the joiner's buffer: each pair is copied to its query
+		// before the next service reuses it. Runs of one query's pairs
+		// share a lookup.
+		var pairQS *queryState
+		for i := range pairs {
+			if qid := pairs[i].QueryID; pairQS == nil || pairQS.result.QueryID != qid {
+				pairQS = s.queries[qid]
+			}
+			pairQS.result.Pairs = append(pairQS.result.Pairs, pairs[i])
+			pairQS.result.Matches++
+		}
+		joined = s.cfg.Clock.Now().Sub(joinT0)
 	}
+	s.cfg.Disk.MatchObjectsAfter(count, joined)
+
+	// Retire work units.
+	end := s.cfg.Clock.Now()
 	seen := s.seenBuf
 	clear(seen)
 	for _, it := range items {

@@ -12,6 +12,26 @@
 // arrival-order age (paper §3.3): VSCAN(R) scores a request by a convex
 // combination of seek distance and wait time exactly as LifeRaft's aged
 // workload throughput metric blends contention and age.
+//
+// # What a charge means on a clock
+//
+// A Disk charges each modeled cost to its clock by sleeping. On a virtual
+// clock a sleep of c advances time by exactly c. On a real clock a sleep
+// overruns — time.Sleep on Linux wakes on a timer tick of about a
+// millisecond, so a 0.13 ms charge slept on its own lasts ≈1.1 ms — and
+// a process that sleeps every charge separately pays far more wall time
+// than the model says. A Disk therefore keeps an account per arm: every
+// charge is a debt of c, a sleep is issued only for what is still owed
+// after credit, the sleep is timed on the Disk's own clock, and whatever
+// it overran is carried as credit against the next charges. A caller that
+// has already spent measured time doing the work a charge stands for (the
+// engine's join, against MatchObjectsAfter) hands that time in as credit
+// against that one charge. Credit comes only from time spent inside Sleep
+// or inside such measured work, never from idle time between charges, so
+// over any run of charges the arm is busy for their modeled sum to within
+// one timer tick: the model is paid once, neither skipped nor padded. The
+// account belongs to the Disk — one per shard, through Fork — and Ledger
+// reports it.
 package disk
 
 import (
@@ -152,14 +172,25 @@ func (s Stats) Add(o Stats) Stats {
 	return s
 }
 
+// Ledger is a Disk's account with its clock (see the package comment).
+// While no charge is in flight Slept + Credited − Charged = Credit, and
+// Credit is zero on a clock whose Sleep is exact.
+type Ledger struct {
+	Charged  time.Duration // modeled costs charged to the clock
+	Slept    time.Duration // time spent inside clock.Sleep paying them, by the clock's own reckoning
+	Credited time.Duration // caller-measured work accepted in place of sleeping
+	Credit   time.Duration // sleep overrun not yet set against a charge
+}
+
 // Disk charges model costs to a clock and accumulates statistics. It is
 // safe for concurrent use.
 type Disk struct {
 	model Model
 	clock simclock.Clock
 
-	mu    sync.Mutex
-	stats Stats
+	mu     sync.Mutex
+	stats  Stats
+	ledger Ledger
 }
 
 // New returns a Disk charging costs from model to clock.
@@ -175,13 +206,14 @@ func (d *Disk) Model() Model { return d.model }
 
 // Fork returns a new Disk with the same cost model charging to clk, with
 // fresh statistics. The sharded engine forks one disk per shard from the
-// configured template so each shard models an independent disk arm.
+// configured template so each shard models an independent disk arm, with
+// its own clock account.
 func (d *Disk) Fork(clk simclock.Clock) *Disk { return New(d.model, clk) }
 
 // ReadSequential charges the cost of sequentially reading n bytes.
 func (d *Disk) ReadSequential(n int64) time.Duration {
 	c := d.model.SequentialRead(n)
-	d.charge(c)
+	d.charge(c, 0)
 	d.mu.Lock()
 	d.stats.SeqReads++
 	d.stats.SeqBytes += n
@@ -192,7 +224,7 @@ func (d *Disk) ReadSequential(n int64) time.Duration {
 // ReadProbes charges the cost of n sorted index probes.
 func (d *Disk) ReadProbes(n int) time.Duration {
 	c := scale(int64(n), d.model.SortedProbe())
-	d.charge(c)
+	d.charge(c, 0)
 	d.mu.Lock()
 	d.stats.Probes += int64(n)
 	d.mu.Unlock()
@@ -226,31 +258,66 @@ func (d *Disk) AccountProbes(n int, elapsed time.Duration) {
 // repeated unsorted index traversals touch scattered pages.
 func (d *Disk) ReadRandom(n int) time.Duration {
 	c := scale(int64(n), d.model.RandomRead())
-	d.charge(c)
+	d.charge(c, 0)
 	d.mu.Lock()
 	d.stats.RandomReads += int64(n)
 	d.mu.Unlock()
 	return c
 }
 
-// MatchObjects charges the in-memory match cost for n objects.
-func (d *Disk) MatchObjects(n int) time.Duration {
+// MatchObjects charges the in-memory match cost for n objects (n × Tm).
+func (d *Disk) MatchObjects(n int) time.Duration { return d.MatchObjectsAfter(n, 0) }
+
+// MatchObjectsAfter charges the match cost for n objects to a caller that
+// has just spent `spent` of this disk's clock actually matching them: Tm
+// models that work, so the measured part of it is credited against this
+// charge (up to the whole charge, never beyond it) and only the rest is
+// slept. On a virtual clock computing takes no time, spent is zero and
+// this is MatchObjects.
+func (d *Disk) MatchObjectsAfter(n int, spent time.Duration) time.Duration {
 	c := d.model.Match(n)
-	d.charge(c)
+	d.charge(c, spent)
 	d.mu.Lock()
 	d.stats.Matches += int64(n)
 	d.mu.Unlock()
 	return c
 }
 
-func (d *Disk) charge(c time.Duration) {
+// charge books a modeled cost of c, of which the caller has already
+// worked off `worked`, and sleeps what the arm then still owes: c less
+// worked less the credit earlier sleeps left by overrunning. The sleep is
+// timed by the disk's clock and its overrun becomes the next charges'
+// credit. The lock is not held across the sleep; a concurrent charger
+// takes whatever credit is on the account at that moment and sleeps for
+// its own remainder.
+func (d *Disk) charge(c, worked time.Duration) {
 	if c <= 0 {
 		return
 	}
-	d.clock.Sleep(c)
+	worked = min(max(worked, 0), c)
 	d.mu.Lock()
 	d.stats.BusyTime += c
+	d.ledger.Charged += c
+	d.ledger.Credited += worked
+	owed := c - worked - d.ledger.Credit
+	d.ledger.Credit = max(-owed, 0)
 	d.mu.Unlock()
+	if owed <= 0 {
+		return
+	}
+	slept := simclock.Slept(d.clock, owed)
+	d.mu.Lock()
+	d.ledger.Slept += slept
+	d.ledger.Credit += max(slept-owed, 0)
+	d.mu.Unlock()
+}
+
+// Ledger returns a snapshot of the disk's clock account. ResetStats does
+// not touch it: credit is time already paid, not a statistic.
+func (d *Disk) Ledger() Ledger {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.ledger
 }
 
 // Stats returns a snapshot of the accumulated statistics.

@@ -415,10 +415,20 @@ func coverNode(id ID, tri geom.Triangle, c geom.Cap, level int, out *[]Range) {
 // what a workload object needs (paper §3.1 ships "a range of HTM ID values"
 // with each object) and allocates nothing.
 func CapBounds(c geom.Cap, level int) (lo, hi ID, ok bool) {
+	return CapBoundsIn(c, level, Range{Start: 0, End: ^ID(0)})
+}
+
+// CapBoundsIn is CapBounds over the part of the cover that lies in win:
+// the smallest and the largest ID of CoverCap(c, level) inside win, found
+// by the same descent with the subtrees outside win skipped. ok is false
+// when the cover has no ID in win. An index probe uses it to key a bucket
+// by what the cap reaches there, which for a cap straddling two coarse
+// trixels is far less than the run of IDs between the cover's two ends.
+func CapBoundsIn(c geom.Cap, level int, win Range) (lo, hi ID, ok bool) {
 	if level < 0 || level > MaxLevel {
 		panic(fmt.Sprintf("htm: level %d out of range", level))
 	}
-	b := capBounds{c: c}
+	b := capBounds{c: c, win: win}
 	for i := 0; i < 8; i++ {
 		b.walk(FaceID(i), FaceTriangle(i), 2*uint(level))
 	}
@@ -427,6 +437,7 @@ func CapBounds(c geom.Cap, level int) (lo, hi ID, ok bool) {
 
 type capBounds struct {
 	c      geom.Cap
+	win    Range
 	lo, hi ID
 	ok     bool
 }
@@ -435,6 +446,10 @@ type capBounds struct {
 // id, so id's descendants at the target level are [id<<shift, (id+1)<<shift).
 func (b *capBounds) walk(id ID, tri geom.Triangle, shift uint) {
 	start, end := id<<shift, (id+1)<<shift-1
+	if end < b.win.Start || start > b.win.End {
+		return
+	}
+	start, end = max(start, b.win.Start), min(end, b.win.End)
 	if b.ok && start >= b.lo && end <= b.hi {
 		return // nothing under id can move either end
 	}

@@ -585,6 +585,76 @@ func TestCapBoundsMatchCoverCap(t *testing.T) {
 	check(geom.Vec3{Z: 1}, math.Pi, 5)
 }
 
+// TestCapBoundsInMatchesClippedCover holds the windowed walk to the cover
+// clipped to the window: the first and last ID of CoverCap inside win, and
+// ok false exactly when no range of the cover reaches into win. The windows
+// are the shapes a bucket span takes against a cap's cover: around one end,
+// strictly between two ranges, across everything, a single ID.
+func TestCapBoundsInMatchesClippedCover(t *testing.T) {
+	var cover []Range // of the cap and level under test
+	check := func(c geom.Cap, level int, win Range) {
+		t.Helper()
+		var wantLo, wantHi ID
+		wantOK := false
+		for _, r := range cover {
+			if !r.Overlaps(win) {
+				continue
+			}
+			if !wantOK {
+				wantLo = max(r.Start, win.Start)
+			}
+			wantHi, wantOK = min(r.End, win.End), true
+		}
+		lo, hi, ok := CapBoundsIn(c, level, win)
+		if ok != wantOK || (ok && (lo != wantLo || hi != wantHi)) {
+			t.Fatalf("cap %v level %d win [%d, %d]: got [%d, %d] %v, clipped cover [%d, %d] %v",
+				c, level, win.Start, win.End, lo, hi, ok, wantLo, wantHi, wantOK)
+		}
+	}
+	rng := rand.New(rand.NewSource(43))
+	windows := func(c geom.Cap, level int) {
+		cover = CoverCap(c, level)
+		first, last := cover[0], cover[len(cover)-1]
+		all := FaceID(0).RangeAtLevel(level).Start
+		check(c, level, Range{Start: all, End: FaceID(7).RangeAtLevel(level).End})
+		check(c, level, Range{Start: first.Start, End: first.Start})
+		check(c, level, Range{Start: all, End: first.End})
+		check(c, level, Range{Start: last.Start, End: last.End + 1000})
+		check(c, level, Range{Start: last.End + 1, End: last.End + 1000})
+		for k := 0; k+1 < len(cover) && k < 8; k++ {
+			a, b := cover[k].End, cover[k+1].Start // b > a+1: the cover is merged
+			check(c, level, Range{Start: a + 1, End: b - 1})
+			check(c, level, Range{Start: a, End: b - 1})
+			check(c, level, Range{Start: a + 1 + ID(rng.Int63n(int64(b-a-1))), End: b + ID(rng.Int63n(50))})
+		}
+		for k := 0; k < 4; k++ {
+			s := first.Start + ID(rng.Int63n(int64(last.End-first.Start)+1))
+			check(c, level, Range{Start: s, End: s + ID(rng.Int63n(1<<uint(rng.Intn(30))))})
+		}
+	}
+	for i := 0; i < 3000; i++ {
+		center := geom.FromRaDec(rng.Float64()*360, math.Asin(rng.Float64()*2-1)*180/math.Pi)
+		windows(geom.NewCap(center, geom.ArcsecToRad(0.1*math.Pow(36000, rng.Float64()))), PaperLevel)
+	}
+	// Caps on the coarsest ID boundaries, whose covers' ends lie whole
+	// faces apart.
+	for i := 0; i < 8; i++ {
+		tri := FaceTriangle(i)
+		for _, p := range []geom.Vec3{tri.V0, tri.V0.Mid(tri.V1), tri.V1.Mid(tri.V2), tri.V2.Mid(tri.V0)} {
+			for _, r := range []float64{geom.ArcsecToRad(0.5), geom.ArcsecToRad(5), geom.Radians(0.05)} {
+				windows(geom.NewCap(p, r), PaperLevel)
+				off := geom.ArcsecToRad(3 * rng.Float64())
+				q := p.Add(geom.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}.Scale(off)).Normalize()
+				windows(geom.NewCap(q, r), PaperLevel)
+			}
+		}
+	}
+	for i := 0; i < 200; i++ {
+		center := geom.FromRaDec(rng.Float64()*360, math.Asin(rng.Float64()*2-1)*180/math.Pi)
+		windows(geom.NewCap(center, 0.01+rng.Float64()*math.Pi), rng.Intn(7))
+	}
+}
+
 func TestCapBoundsPanicsOnBadLevel(t *testing.T) {
 	defer func() {
 		if recover() == nil {

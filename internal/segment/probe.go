@@ -31,7 +31,7 @@ type probeScratch struct {
 // Equal IDs can straddle a granule boundary, so granule k covers
 // [first_k, first_k+1] inclusive on both ends (the last one is open
 // above): a range overlaps k when it starts at or below first_k+1 and
-// ends at or above first_k.
+// ends at or above first_k. An empty range (Start > End) overlaps none.
 func appendGranuleRuns(dst []granuleRun, fences []fence, ranges []htm.Range) []granuleRun {
 	n := len(fences)
 	if n == 0 {
@@ -39,6 +39,9 @@ func appendGranuleRuns(dst []granuleRun, fences []fence, ranges []htm.Range) []g
 	}
 	base := len(dst)
 	for _, r := range ranges {
+		if r.Start > r.End {
+			continue
+		}
 		// lo: the granule before the first one that starts at or above
 		// r.Start — that one may still end in IDs >= r.Start.
 		lo := sort.Search(n, func(k int) bool { return fences[k].first >= r.Start })

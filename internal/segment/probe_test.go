@@ -310,6 +310,84 @@ func TestProbeRangesProperty(t *testing.T) {
 	}
 }
 
+// An object whose bounding range runs on past a bucket is probed there by
+// xmatch.WorkloadObject.RangeIn — what its error circle reaches in that
+// bucket. Over catalog objects near bucket boundaries and points on the
+// octahedron's edges and vertices (whose bounding ranges sweep whole
+// faces): a bucket the circle does not reach gets an empty key, for which
+// nothing is read, and in every bucket the join over the probe equals the
+// brute-force join over the whole bucket.
+func TestProbeByBucketKeys(t *testing.T) {
+	part := probeFixture(t)
+	dir, _ := writeFixture(t, part, 3)
+	set, err := OpenSet(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := NewBackend(set, true)
+	defer file.Close()
+
+	var queue []xmatch.WorkloadObject
+	for _, o := range part.Catalog().Objects(0, int64(part.Catalog().Total())) {
+		wo := xmatch.NewWorkloadObject(1, o, geom.ArcsecToRad(300))
+		if len(part.BucketsForRanges(wo.Ranges())) > 1 {
+			queue = append(queue, wo)
+		}
+	}
+	if len(queue) < 10 {
+		t.Fatalf("only %d catalog objects straddle a bucket boundary", len(queue))
+	}
+	for f := 0; f < 8; f++ {
+		tri := htm.FaceTriangle(f)
+		for k, p := range []geom.Vec3{tri.V0, tri.V0.Mid(tri.V1), tri.V1.Mid(tri.V2), tri.V2.Mid(tri.V0)} {
+			o := catalog.Object{ID: uint64(1_000_000 + 4*f + k), Pos: p, HTMID: htm.Lookup(p, htm.PaperLevel)}
+			queue = append(queue, xmatch.NewWorkloadObject(1, o, geom.ArcsecToRad(5)))
+		}
+	}
+
+	unreached, swept := 0, 0
+	for _, wo := range queue {
+		cover := htm.CoverCap(geom.NewCap(wo.Obj.Pos, wo.Radius), htm.PaperLevel)
+		buckets := part.BucketsForRanges(wo.Ranges())
+		if len(buckets) > 4 {
+			swept++
+		}
+		for _, bi := range buckets {
+			what := fmt.Sprintf("object %d bucket %d", wo.Obj.ID, bi)
+			span := part.Bucket(bi).Span
+			key := wo.RangeIn(span)
+			whole := part.Materialize(bi)
+			got, read, err := file.ProbeRanges(bi, []htm.Range{key})
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			reached := false
+			for _, r := range cover {
+				reached = reached || r.Overlaps(span)
+			}
+			if !reached {
+				unreached++
+				if key.Start <= key.End || read != 0 || len(got) != 0 {
+					t.Fatalf("%s: the circle does not reach the bucket, yet key %s read %d bytes, %d objects", what, rawRanges([]htm.Range{key}), read, len(got))
+				}
+			} else if key.Start < span.Start || key.End > span.End {
+				t.Fatalf("%s: key %s outside the bucket's span %s", what, rawRanges([]htm.Range{key}), rawRanges([]htm.Range{span}))
+			}
+			checkProbe(t, what, whole, got, cover)
+			pairs := xmatch.IndexJoin(got, []xmatch.WorkloadObject{wo}, nil)
+			want := xmatch.BruteForce(whole, []xmatch.WorkloadObject{wo}, nil)
+			xmatch.SortPairs(pairs)
+			xmatch.SortPairs(want)
+			if !reflect.DeepEqual(pairs, want) {
+				t.Fatalf("%s: IndexJoin over the probe found %d pairs, brute force over the bucket %d", what, len(pairs), len(want))
+			}
+		}
+	}
+	if swept < 8 || unreached < 20 {
+		t.Errorf("%d objects swept more than four buckets, %d buckets were not reached; the fixture no longer exercises the sweep", swept, unreached)
+	}
+}
+
 // A flipped bit inside a granule a probe reads fails the probe; one in a
 // granule it skips does not, and the next scan of that bucket fails on
 // the whole-bucket checksum.

@@ -46,6 +46,9 @@ var Epoch = time.Date(2009, time.January, 4, 0, 0, 0, 0, time.UTC) // CIDR 2009
 type Virtual struct {
 	mu  sync.Mutex
 	now time.Time
+	// tick > 0 makes Sleep overrun to the next multiple of tick since
+	// Epoch (NewVirtualTick); 0 is the exact clock.
+	tick time.Duration
 }
 
 // NewVirtual returns a virtual clock starting at Epoch.
@@ -54,6 +57,13 @@ func NewVirtual() *Virtual { return &Virtual{now: Epoch} }
 // NewVirtualAt returns a virtual clock starting at t.
 func NewVirtualAt(t time.Time) *Virtual { return &Virtual{now: t} }
 
+// NewVirtualTick returns a virtual clock starting at Epoch whose Sleep
+// wakes late, on the next multiple of tick — the way time.Sleep does on a
+// kernel that wakes sleepers on a millisecond timer — without sleeping
+// for real. Advance stays exact: it is idle time passing, not a sleep.
+// Code that paces itself by sleeping is tested against this clock.
+func NewVirtualTick(tick time.Duration) *Virtual { return &Virtual{now: Epoch, tick: tick} }
+
 // Now implements Clock.
 func (v *Virtual) Now() time.Time {
 	v.mu.Lock()
@@ -61,8 +71,29 @@ func (v *Virtual) Now() time.Time {
 	return v.now
 }
 
-// Sleep implements Clock by advancing the virtual time by d.
-func (v *Virtual) Sleep(d time.Duration) { v.Advance(d) }
+// Sleep implements Clock by advancing the virtual time by d (and on to
+// the next tick, for a NewVirtualTick clock).
+func (v *Virtual) Sleep(d time.Duration) { v.sleep(d) }
+
+// sleep is Sleep returning how far this call moved the clock. Measured
+// under the lock, it excludes what concurrent sleepers on the same clock
+// added meanwhile.
+func (v *Virtual) sleep(d time.Duration) time.Duration {
+	if d <= 0 {
+		return 0
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	wake := v.now.Add(d)
+	if v.tick > 0 {
+		if r := wake.Sub(Epoch) % v.tick; r != 0 {
+			wake = wake.Add(v.tick - r)
+		}
+	}
+	d = wake.Sub(v.now)
+	v.now = wake
+	return d
+}
 
 // Advance moves the clock forward by d (no-op for d <= 0).
 func (v *Virtual) Advance(d time.Duration) {
@@ -93,7 +124,7 @@ func (v *Virtual) AdvanceTo(t time.Time) {
 // naturally parallel.
 func Fork(c Clock) Clock {
 	if v, ok := c.(*Virtual); ok {
-		return NewVirtualAt(v.Now())
+		return &Virtual{now: v.Now(), tick: v.tick}
 	}
 	return c
 }
@@ -105,6 +136,22 @@ func Join(c Clock, t time.Time) {
 	if v, ok := c.(*Virtual); ok {
 		v.AdvanceTo(t)
 	}
+}
+
+// Slept sleeps d on c and returns how long that took by c's own
+// reckoning — how a caller learns what a sleep overran. A *Virtual
+// measures its own advance, so goroutines sharing one do not take each
+// other's sleeps for overrun; any other clock is read before and after.
+func Slept(c Clock, d time.Duration) time.Duration {
+	if d <= 0 {
+		return 0
+	}
+	if v, ok := c.(*Virtual); ok {
+		return v.sleep(d)
+	}
+	t0 := c.Now()
+	c.Sleep(d)
+	return c.Now().Sub(t0)
 }
 
 // Event is a value scheduled at an instant.

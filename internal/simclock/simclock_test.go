@@ -140,3 +140,76 @@ func TestPopUntil(t *testing.T) {
 		t.Errorf("PeekTime = %v, %v", at, ok)
 	}
 }
+
+func TestVirtualTickClockSleepWakesOnTheNextTick(t *testing.T) {
+	v := NewVirtualTick(time.Millisecond)
+	for _, c := range []struct{ sleep, want time.Duration }{
+		{130 * time.Microsecond, time.Millisecond},      // overruns to the first tick
+		{time.Millisecond, 2 * time.Millisecond},        // on a boundary already: exact
+		{1001 * time.Microsecond, 4 * time.Millisecond}, // just past one
+		{0, 4 * time.Millisecond},
+	} {
+		v.Sleep(c.sleep)
+		if got := v.Now().Sub(Epoch); got != c.want {
+			t.Errorf("after Sleep(%v): %v, want %v", c.sleep, got, c.want)
+		}
+	}
+	v.Advance(300 * time.Microsecond) // idle time is exact
+	if got := v.Now().Sub(Epoch); got != 4300*time.Microsecond {
+		t.Errorf("after Advance: %v", got)
+	}
+	f, ok := Fork(v).(*Virtual)
+	if !ok || f == v {
+		t.Fatal("Fork of a tick clock must be a fresh Virtual")
+	}
+	f.Sleep(time.Microsecond)
+	if got := f.Now().Sub(Epoch); got != 5*time.Millisecond {
+		t.Errorf("forked tick clock woke at %v, want the 5 ms tick", got)
+	}
+	if got := v.Now().Sub(Epoch); got != 4300*time.Microsecond {
+		t.Errorf("fork advanced its parent to %v", got)
+	}
+}
+
+// lateClock is a non-Virtual clock that wakes a fixed time late.
+type lateClock struct {
+	Virtual
+	late time.Duration
+}
+
+func (c *lateClock) Sleep(d time.Duration) { c.Advance(d + c.late) }
+
+func TestSleptReportsTheClocksOwnElapsed(t *testing.T) {
+	if got := Slept(NewVirtual(), time.Second); got != time.Second {
+		t.Errorf("exact clock: slept %v", got)
+	}
+	if got := Slept(NewVirtualTick(time.Millisecond), 130*time.Microsecond); got != time.Millisecond {
+		t.Errorf("tick clock: slept %v, want 1ms", got)
+	}
+	c := &lateClock{Virtual: Virtual{now: Epoch}, late: 70 * time.Microsecond}
+	if got := Slept(c, time.Millisecond); got != 1070*time.Microsecond {
+		t.Errorf("late clock: slept %v, want 1.07ms", got)
+	}
+	if got := Slept(c, -time.Second); got != 0 || !c.Now().Equal(Epoch.Add(1070*time.Microsecond)) {
+		t.Errorf("negative sleep: slept %v, clock at +%v", got, c.Now().Sub(Epoch))
+	}
+	// Sleepers sharing one Virtual do not see each other's advances.
+	v := NewVirtual()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				if got := Slept(v, time.Microsecond); got != time.Microsecond {
+					t.Errorf("shared exact clock: slept %v", got)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := v.Now().Sub(Epoch); got != 4000*time.Microsecond {
+		t.Errorf("shared clock advanced %v", got)
+	}
+}

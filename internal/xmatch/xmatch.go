@@ -62,6 +62,26 @@ func NewWorkloadObject(queryID uint64, obj catalog.Object, radius float64) Workl
 // object's index probe.
 func (w WorkloadObject) Range() htm.Range { return htm.Range{Start: w.MinID, End: w.MaxID} }
 
+// RangeIn returns the key of the object's index probe into a bucket whose
+// IDs lie in span: the bounding range when that lies inside span, and
+// otherwise the ends of what the error cap's cover holds inside span. The
+// bounding range of an object whose error circle straddles two coarse
+// trixels runs over every ID between them, and with it over buckets the
+// circle comes nowhere near; probed by the bounding range, each of those
+// is read from end to end to find nothing. The key is empty (Start > End)
+// when the cap reaches no trixel of span. Every counterpart of the object
+// in such a bucket has its ID inside the key, so the join loses nothing.
+func (w WorkloadObject) RangeIn(span htm.Range) htm.Range {
+	if w.MinID >= span.Start && w.MaxID <= span.End {
+		return w.Range()
+	}
+	lo, hi, ok := htm.CapBoundsIn(geom.NewCap(w.Obj.Pos, w.Radius), htm.PaperLevel, span)
+	if !ok {
+		return htm.Range{Start: 1, End: 0}
+	}
+	return htm.Range{Start: lo, End: hi}
+}
+
 // Ranges returns the bounding range as a one-element slice, the form
 // BucketsForRanges consumes. Inlined into a caller that does not keep it,
 // the slice stays on the stack.
