@@ -127,7 +127,8 @@ func TestPublicAPISkewHelpers(t *testing.T) {
 }
 
 // TestPublicAPISharded exercises the sharded-engine surface: the Shards
-// knob, both partitioners, the shard map, and the PerShard breakdown.
+// knob — the only one; placement is not a choice — the shard map, and the
+// PerShard breakdown.
 func TestPublicAPISharded(t *testing.T) {
 	local, err := liferaft.NewCatalog(liferaft.CatalogConfig{
 		Name: "sdss", N: 12_800, Seed: 11, GenLevel: 4, CacheTrixels: true,
@@ -146,7 +147,7 @@ func TestPublicAPISharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := liferaft.NewShardMap(part, 4, liferaft.ShardByHTMHash{})
+	m, err := liferaft.NewShardMap(part, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,6 +157,11 @@ func TestPublicAPISharded(t *testing.T) {
 	}
 	if total != part.NumBuckets() {
 		t.Fatalf("shard map covers %d of %d buckets", total, part.NumBuckets())
+	}
+	for b := 0; b < part.NumBuckets(); b++ {
+		if m.Owner(b) != b%4 {
+			t.Fatalf("bucket %d belongs to shard %d, want %d", b, m.Owner(b), b%4)
+		}
 	}
 
 	tcfg := liferaft.DefaultTraceConfig(13)
@@ -175,11 +181,10 @@ func TestPublicAPISharded(t *testing.T) {
 		offs = append(offs, time.Duration(i)*time.Millisecond)
 	}
 	var single liferaft.RunStats
-	for _, shards := range []int{1, 4} {
+	matches := map[uint64]int{}
+	for _, shards := range []int{1, 2, 4} {
 		cfg, _ := liferaft.NewVirtualConfig(part, 0.25, true)
 		cfg.Shards = shards
-		var p liferaft.ShardPartitioner = liferaft.ShardByRange{}
-		cfg.ShardPartitioner = p
 		results, stats, err := liferaft.Run(cfg, jobs, offs)
 		if err != nil {
 			t.Fatal(err)
@@ -192,18 +197,26 @@ func TestPublicAPISharded(t *testing.T) {
 		}
 		if shards == 1 {
 			single = stats
+			for _, r := range results {
+				matches[r.QueryID] = r.Matches
+			}
 			continue
 		}
+		for _, r := range results {
+			if r.Matches != matches[r.QueryID] {
+				t.Errorf("shards=%d q%d: %d matches, single-disk %d", shards, r.QueryID, r.Matches, matches[r.QueryID])
+			}
+		}
 		var ss liferaft.ShardStats = stats.PerShard[0]
-		if ss.Buckets == 0 {
-			t.Error("shard 0 owns no buckets under a range split")
+		if ss.Buckets != part.NumBuckets()/shards { // 32 buckets dealt evenly
+			t.Errorf("shards=%d: shard 0 owns %d buckets", shards, ss.Buckets)
 		}
 		if stats.Disk.Matches != single.Disk.Matches {
 			t.Errorf("sharded run charged %d matches, single-disk %d",
 				stats.Disk.Matches, single.Disk.Matches)
 		}
 		if stats.Makespan >= single.Makespan {
-			t.Errorf("4 shards (%v) not faster than 1 (%v)", stats.Makespan, single.Makespan)
+			t.Errorf("%d shards (%v) not faster than 1 (%v)", shards, stats.Makespan, single.Makespan)
 		}
 	}
 }

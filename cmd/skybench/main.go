@@ -5,7 +5,7 @@
 //
 //	skybench [-scale ci|mid|paper] [-exp all|fig2|fig4|fig5|fig6|fig7|fig8|indexonly|cache|ablations]
 //	skybench -bench-json BENCH_4.json [-data-dir DIR]
-//	skybench -overload BENCH_5.json
+//	skybench -overload BENCH_19.json
 //	skybench -tiered BENCH_8.json [-data-dir DIR]
 //
 // Examples:
@@ -16,7 +16,7 @@
 //	    # scheduler perf snapshot for the trajectory, plus qps measured
 //	    # against actual disks via the segment store under -data-dir
 //	    # (built there on first use)
-//	skybench -overload BENCH_5.json
+//	skybench -overload BENCH_19.json
 //	    # serving-layer overload scenarios (flash crowd in adaptive and
 //	    # static rate modes, diurnal ramp, slow loris, 10k-tenant churn)
 //	    # with per-scenario SLO verdicts; exits nonzero on any failure

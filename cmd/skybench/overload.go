@@ -1,4 +1,4 @@
-// Overload scenario harness: skybench -overload BENCH_5.json drives the
+// Overload scenario harness: skybench -overload BENCH_19.json drives the
 // serving layer through four shapes of trouble — a flash crowd (in both
 // adaptive and static rate modes), a diurnal ramp, a slow-loris tenant,
 // and a 10,000-tenant churn — against a 4-shard virtual-clock engine, and
@@ -35,7 +35,7 @@ import (
 	"liferaft/internal/xmatch"
 )
 
-// overloadReport is the BENCH_5.json payload.
+// overloadReport is the BENCH_19.json payload.
 type overloadReport struct {
 	GeneratedBy string `json:"generated_by"`
 	// SoloP99Sec is the steady tenant's p99 (virtual seconds) running
@@ -227,12 +227,18 @@ func (f *overloadFixture) flashCrowd(mode server.RateMode, slo time.Duration, so
 		return sc, err
 	}
 	defer eng.Close()
-	// MaxInFlight 16 on a 4-shard engine: sized to exploit parallelism
-	// for well-behaved small queries, which means the dispatch cap alone
-	// no longer protects anyone once large scans pour in — exactly the
+	// MaxInFlight buys per-arm depth: in-flight bound x mean fan-out width
+	// / K. The fixture was written with 16 when a query sat on one of the
+	// 4 shards (~4 per arm). Buckets are dealt round-robin now and a query
+	// is on every arm its buckets reach — all K for a region query, 1.8
+	// for this fixture's ~2-bucket ones — so the bound that is no deeper
+	// for any query is MaxInFlight = K = 4: the server default, which is
+	// what liferaftd runs (internal/server/DESIGN-overload.md has the
+	// other bounds measured). Even so the dispatch cap alone
+	// does not protect anyone once large scans pour in — exactly the
 	// configuration gap the admission controller exists to cover.
 	s, err := server.New(eng, server.Config{
-		MaxInFlight:     16,
+		MaxInFlight:     4,
 		RateMode:        mode,
 		SLOP99:          slo,
 		ControlInterval: 100 * time.Millisecond,
@@ -316,8 +322,9 @@ func (f *overloadFixture) diurnalRamp(slo time.Duration, soloP99 float64) (overl
 		return sc, err
 	}
 	defer eng.Close()
+	// Same per-arm depth as the flash crowd: city queries fan out alike.
 	s, err := server.New(eng, server.Config{
-		MaxInFlight:     16,
+		MaxInFlight:     4,
 		SLOP99:          slo,
 		ControlInterval: 100 * time.Millisecond,
 		Registry:        reg,

@@ -1,7 +1,10 @@
 // Sharded execution: replay one uniform query trace through the LifeRaft
 // engine at 1, 2, 4, and 8 disk/worker shards and print the virtual-clock
 // scan-throughput scaling, the per-shard breakdown, and the invariance of
-// the query answers across shard counts.
+// the query answers across shard counts. Buckets are dealt to shards
+// round-robin along the HTM curve (bucket i to shard i mod K), so a
+// query's consecutive buckets spread over the arms: the per-shard "jobs"
+// column counts query parts and sums to more than the query count.
 //
 //	go run ./examples/sharded
 package main

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"liferaft/internal/metric"
 	"liferaft/internal/simclock"
 	"liferaft/internal/xmatch"
 )
@@ -148,13 +149,17 @@ func TestLiveCancelDropsWork(t *testing.T) {
 }
 
 // TestLiveSubmitCtx covers the context path: an expired context cancels
-// the query, a background context behaves exactly like Submit.
+// the query, a background context behaves exactly like Submit. Each is
+// one whole query in the exported counts, however many shards it had
+// parts on.
 func TestLiveSubmitCtx(t *testing.T) {
 	part, _ := fixture(t)
 	job, rest := bigJob(t, 60)
 	forEachK(t, func(t *testing.T, k int) {
 		cfg := NewOn(part, 0.5, false, simclock.Real{})
 		cfg.Shards = k
+		em := NewEngineMetrics(metric.NewRegistry())
+		cfg.Metrics = em
 		l, err := NewLive(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -180,6 +185,14 @@ func TestLiveSubmitCtx(t *testing.T) {
 		r, ok = <-ch
 		if !ok || r.Cancelled || r.QueryID != rest[0].ID {
 			t.Fatalf("background-ctx result = %+v ok=%v", r, ok)
+		}
+
+		completed, cancelled := em.queries.With("completed").Value(), em.queries.With("cancelled").Value()
+		if completed != 1 || cancelled != 1 {
+			t.Errorf("liferaft_engine_queries_total: completed %v cancelled %v, want 1 and 1", completed, cancelled)
+		}
+		if n, width := em.fanout.Count(), em.fanout.Sum(); n != 2 || width < 2 || width > float64(2*k) {
+			t.Errorf("liferaft_engine_fanout_shards: %d queries over %v shards, want 2 over 2..%d", n, width, 2*k)
 		}
 	})
 }

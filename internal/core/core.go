@@ -19,7 +19,6 @@ import (
 	"liferaft/internal/cache"
 	"liferaft/internal/catalog"
 	"liferaft/internal/disk"
-	"liferaft/internal/shard"
 	"liferaft/internal/simclock"
 	"liferaft/internal/trace"
 	"liferaft/internal/xmatch"
@@ -85,20 +84,19 @@ type Config struct {
 	PrefetchDepth int
 
 	// Shards is K, the number of independent disk/worker shards the
-	// engine runs as: the bucket space is partitioned across shards
-	// (ShardPartitioner), each shard gets its own forked clock, disk,
-	// store, bucket cache, and workload queues, and a worker services
-	// each shard's local aged-workload-throughput schedule concurrently.
-	// A query's completion is the completion of its last shard. 0 means
-	// 1: one shard owning every bucket, the paper's single-disk engine,
-	// on the same code path as any other K. Config.Disk and Config.Store
-	// serve as templates; each shard forks its own from them. Each
-	// shard's cache holds CacheBuckets buckets (scaling out adds memory
-	// along with arms).
+	// engine runs as: buckets are dealt to shards round-robin along the
+	// HTM curve (bucket i to shard i mod K, see internal/shard), each
+	// shard gets its own forked clock, disk, store, bucket cache, and
+	// workload queues, and a worker services each shard's local
+	// aged-workload-throughput schedule concurrently. A region query's
+	// buckets are consecutive on the curve, so it has work on every
+	// shard and its services run K abreast; its completion is the
+	// completion of its last shard. 0 means 1: one shard owning every
+	// bucket, the paper's single-disk engine, on the same code path as
+	// any other K. Config.Disk and Config.Store serve as templates; each
+	// shard forks its own from them. Each shard's cache holds
+	// CacheBuckets buckets (scaling out adds memory along with arms).
 	Shards int
-	// ShardPartitioner assigns buckets to shards; nil means
-	// shard.ByRange (contiguous, balanced bucket counts).
-	ShardPartitioner shard.Partitioner
 	// ownsBucket, when non-nil, restricts admission to the buckets a
 	// shard owns. Set only by forkConfigs on the per-shard configs;
 	// external callers cannot (and must not) set it.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -39,6 +40,7 @@ type Live struct {
 	// to that worker's inbox.
 	completed atomic.Int64
 	cancelled atomic.Int64
+	obs       frontObs // zero without Config.Metrics
 
 	closeOnce sync.Once
 	mu        sync.Mutex
@@ -100,16 +102,31 @@ func (p *part) deliver(r Result) {
 		m.stop()
 	}
 	res := m.parts[0].res
-	for i := 1; i < len(m.parts); i++ {
-		res.absorb(m.parts[i].res)
+	// Room for every part's pairs at once, or absorb's appends regrow the
+	// merged slice part by part.
+	rest := 0
+	for _, o := range m.parts[1:] {
+		rest += len(o.res.Pairs)
 	}
-	if res.Cancelled {
-		m.l.cancelled.Add(1)
-	} else {
-		m.l.completed.Add(1)
+	res.Pairs = slices.Grow(res.Pairs, rest)
+	for _, o := range m.parts[1:] {
+		res.absorb(o.res)
 	}
+	m.l.resolved(res.Cancelled)
 	m.out <- res
 	close(m.out)
+}
+
+// resolved counts one whole query leaving the engine.
+func (l *Live) resolved(cancelled bool) {
+	n, exported := &l.completed, l.obs.completed
+	if cancelled {
+		n, exported = &l.cancelled, l.obs.cancelled
+	}
+	n.Add(1)
+	if exported != nil {
+		exported.Inc()
+	}
 }
 
 // Clock returns the engine's time source (set by its Config).
@@ -125,7 +142,7 @@ func NewLive(cfg Config) (*Live, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := shard.NewMap(cfg.Store.Partition(), cfg.Shards, cfg.ShardPartitioner)
+	m, err := shard.NewMap(cfg.Store.Partition(), cfg.Shards)
 	if err != nil {
 		return nil, err
 	}
@@ -141,6 +158,9 @@ func NewLive(cfg Config) (*Live, error) {
 		}
 	}
 	l := &Live{clock: cfg.Clock, smap: m, cfgs: cfgs}
+	if cfg.Metrics != nil {
+		l.obs = cfg.Metrics.front()
+	}
 	for s, sc := range cfgs {
 		w := &shardWorker{
 			// Deep enough that a burst of submissions lands without the
@@ -150,7 +170,7 @@ func NewLive(cfg Config) (*Live, error) {
 			done:    make(chan struct{}),
 		}
 		l.workers = append(l.workers, w)
-		go w.loop(sc, scheds[s])
+		go w.loop(sc, scheds[s], cfg.Clock)
 	}
 	return l, nil
 }
@@ -170,13 +190,6 @@ func (l *Live) Submit(job Job) (<-chan Result, error) {
 // then, the query drains to its uncancelled result instead. A nil ctx, or
 // one that can never be cancelled, makes SubmitCtx identical to Submit.
 func (l *Live) SubmitCtx(ctx context.Context, job Job) (<-chan Result, error) {
-	// Keep the parent clock tracking the furthest shard clock: on a
-	// virtual clock, observers of Clock() — the Adaptive saturation
-	// estimator, empty-fan-out completion stamps — would otherwise see
-	// time frozen at the engine start until Close.
-	for _, sc := range l.cfgs {
-		simclock.Join(l.clock, sc.Clock.Now())
-	}
 	fan := l.smap.Fanout(job.Objects)
 	width := 0
 	for _, objs := range fan {
@@ -192,9 +205,12 @@ func (l *Live) SubmitCtx(ctx context.Context, job Job) (<-chan Result, error) {
 		l.mu.Unlock()
 		return nil, ErrClosed
 	}
+	if l.obs.fanout != nil {
+		l.obs.fanout.Observe(float64(width))
+	}
 	if width == 0 {
 		// No bucket overlaps anywhere: complete immediately.
-		l.completed.Add(1)
+		l.resolved(false)
 		l.mu.Unlock()
 		now := l.clock.Now()
 		m.out <- Result{QueryID: job.ID, Arrived: now, Completed: now}
@@ -268,10 +284,8 @@ func (l *Live) Close() error {
 		for _, w := range l.workers {
 			close(w.closing)
 		}
-		for s, w := range l.workers {
+		for _, w := range l.workers {
 			<-w.done
-			// On a virtual parent clock, adopt the latest shard clock.
-			simclock.Join(l.clock, l.cfgs[s].Clock.Now())
 		}
 		// Every worker drained before exiting, so every merge resolved.
 		stats := mergeShardStats(l.smap, func(s int) (RunStats, int) {
@@ -296,8 +310,9 @@ func (l *Live) Stats() (RunStats, bool) {
 	return l.stats, l.statsOK
 }
 
-// loop is one shard's scheduling loop: it owns s exclusively.
-func (w *shardWorker) loop(cfg Config, s *scheduler) {
+// loop is one shard's scheduling loop: it owns s exclusively. parent is
+// the clock cfg.Clock was forked from.
+func (w *shardWorker) loop(cfg Config, s *scheduler, parent simclock.Clock) {
 	defer close(w.done)
 	start := cfg.Clock.Now()
 	waiters := make(map[uint64]*part)
@@ -375,6 +390,11 @@ func (w *shardWorker) loop(cfg Config, s *scheduler) {
 		// step's slice aliases scheduler scratch (valid until the next
 		// step); deliver copies the Results out before then.
 		done, _ := s.step(cfg.Clock.Now())
+		// A virtual parent clock tracks the furthest shard clock, so
+		// observers of Clock() — the serving layer's admission stamps, the
+		// Adaptive saturation estimator — never read an instant before a
+		// completion they have already been handed.
+		simclock.Join(parent, cfg.Clock.Now())
 		deliver(done)
 		if !closing {
 			select {

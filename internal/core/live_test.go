@@ -141,6 +141,35 @@ func TestLiveCloseWaitsForDrain(t *testing.T) {
 	})
 }
 
+// TestLiveClockNeverBehindACompletion: a closed-loop client that is handed
+// a result and reads Clock() to stamp its next request must not read an
+// instant before that result's completion, or the next request is billed
+// for the last one's service. (The serving layer stamps admissions exactly
+// so; a virtual parent clock that moved only on Submit read one whole
+// response behind.)
+func TestLiveClockNeverBehindACompletion(t *testing.T) {
+	part, jobs := fixture(t)
+	forEachK(t, func(t *testing.T, k int) {
+		cfg, _ := NewVirtual(part, 0, false)
+		cfg.Shards = k
+		l, err := NewLive(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		for _, j := range jobs[:10] {
+			ch, err := l.Submit(j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := <-ch
+			if now := l.Clock().Now(); now.Before(r.Completed) {
+				t.Fatalf("query %d completed at %v, Clock() then read %v", r.QueryID, r.Completed, now)
+			}
+		}
+	})
+}
+
 // TestLiveEmptyJobCompletesImmediately covers the no-overlap admit path.
 func TestLiveEmptyJobCompletesImmediately(t *testing.T) {
 	part, _ := fixture(t)

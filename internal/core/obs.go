@@ -8,7 +8,8 @@ import (
 	"liferaft/internal/metric"
 )
 
-// EngineMetrics holds the engine-side metric families, labeled by shard.
+// EngineMetrics holds the engine-side metric families, labeled by shard
+// except for the two the front end keeps about whole queries.
 // Construct one per registry (NewEngineMetrics) and hand it to Config.
 // Metrics; the engine resolves per-shard handles once at scheduler
 // construction, so the hot scheduling path touches only atomics and the
@@ -26,6 +27,11 @@ type EngineMetrics struct {
 	readBytes *metric.CounterVec
 	readErrs  *metric.CounterVec
 	model     *metric.CounterVec
+
+	// Whole queries, counted where Live merges the shards' parts (the
+	// per-shard completed and vqps series count parts).
+	queries *metric.CounterVec
+	fanout  *metric.Histogram
 
 	// Per-tier cache families ({shard, tier}; tier is "ram" or "disk")
 	// plus the prefetcher's outcome counters. The ram series count the
@@ -54,11 +60,17 @@ func NewEngineMetrics(reg *metric.Registry) *EngineMetrics {
 			"Bucket services by join strategy (scan reads the bucket, index probes it).",
 			[]string{"shard", "strategy"}, metric.VecOpts{}),
 		completed: reg.NewCounterVec("liferaft_engine_completed_total",
-			"Queries completed by the engine (cancelled queries excluded).",
+			"Query parts completed by this shard (cancelled ones excluded). A query has one part on every shard it touches, so the sum over shards is about liferaft_engine_fanout_shards times liferaft_engine_queries_total.",
 			shard, metric.VecOpts{}),
 		vqps: reg.NewGaugeVec("liferaft_engine_vqps",
-			"Completed queries per second of engine clock time since start.",
+			"Query parts completed by this shard per second of its engine clock since start.",
 			shard, metric.VecOpts{}),
+		queries: reg.NewCounterVec("liferaft_engine_queries_total",
+			"Whole queries resolved by the engine, merged across shards, by outcome (completed or cancelled).",
+			[]string{"outcome"}, metric.VecOpts{}),
+		fanout: reg.NewHistogram("liferaft_engine_fanout_shards",
+			"Shards each submitted query had work on (0 = no bucket overlapped). Region queries cover consecutive buckets, which are dealt round-robin, so this sits at the shard count.",
+			[]float64{0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64}),
 		cacheHits: reg.NewCounterVec("liferaft_engine_cache_hits_total",
 			"Bucket services that found the bucket in the cache.",
 			shard, metric.VecOpts{}),
@@ -131,6 +143,23 @@ func (m *EngineMetrics) Shard(i int) *EngineObs {
 		prefHits:   m.prefetch.With(s, "hit"),
 		prefWasted: m.prefetch.With(s, "wasted"),
 	}
+}
+
+// front resolves the handles Live's front end reports whole queries on.
+func (m *EngineMetrics) front() frontObs {
+	return frontObs{
+		completed: m.queries.With("completed"),
+		cancelled: m.queries.With("cancelled"),
+		fanout:    m.fanout,
+	}
+}
+
+// frontObs is the front end's resolved metric handles: whole queries by
+// outcome, and the shards each one fanned out to. All nil when the engine
+// has no metrics.
+type frontObs struct {
+	completed, cancelled *metric.Counter
+	fanout               *metric.Histogram
 }
 
 // EngineObs is one shard's resolved metric handles. All methods are cheap

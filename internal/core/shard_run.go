@@ -16,8 +16,8 @@ import (
 // virtual clock this is the discrete-event simulation used by every
 // experiment; with a real clock it blocks for the actual durations.
 //
-// The bucket space is split across K = max(1, cfg.Shards) shards
-// (cfg.ShardPartitioner); each shard gets its own forked clock, disk,
+// The bucket space is dealt round-robin across K = max(1, cfg.Shards)
+// shards (shard.Map); each shard gets its own forked clock, disk,
 // bucket cache, and workload queues, and a worker goroutine per shard
 // (runEngine) services that shard's local aged-workload-throughput
 // schedule. The coordinator fans each job's workload objects out to the
@@ -45,7 +45,7 @@ func Run(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunStats, e
 		}
 	}
 	k := cfg.Shards
-	m, err := shard.NewMap(cfg.Store.Partition(), k, cfg.ShardPartitioner)
+	m, err := shard.NewMap(cfg.Store.Partition(), k)
 	if err != nil {
 		return nil, RunStats{}, err
 	}
@@ -165,7 +165,6 @@ func forkConfigs(cfg Config, m *shard.Map) ([]Config, error) {
 		s := s
 		sc := cfg
 		sc.Shards = 1
-		sc.ShardPartitioner = nil
 		sc.Clock = simclock.Fork(cfg.Clock)
 		sc.Disk = cfg.Disk.Fork(sc.Clock)
 		st, err := cfg.Store.Fork(sc.Disk)

@@ -10,7 +10,6 @@ import (
 	"liferaft/internal/bucket"
 	"liferaft/internal/catalog"
 	"liferaft/internal/geom"
-	"liferaft/internal/shard"
 	"liferaft/internal/workload"
 	"liferaft/internal/xmatch"
 )
@@ -131,10 +130,10 @@ func TestShardedOneShardMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestShardedConservation checks, for several K and both partitioners,
-// that the sharded engine completes every query exactly once with the
-// same total assignments and matches as the single-disk engine, and that
-// the merged statistics are consistent with their per-shard breakdown.
+// TestShardedConservation checks, for several K, that the sharded engine
+// completes every query exactly once with the same total assignments and
+// matches as the single-disk engine, and that the merged statistics are
+// consistent with their per-shard breakdown.
 func TestShardedConservation(t *testing.T) {
 	part, jobs := shardFixture(t)
 	offs := uniformOffsets(len(jobs), 200*time.Millisecond)
@@ -148,79 +147,75 @@ func TestShardedConservation(t *testing.T) {
 	}
 	lm := byQueryID(legacyRes)
 
-	parts := []shard.Partitioner{shard.ByRange{}, shard.ByHTMHash{}}
-	for _, p := range parts {
-		for _, k := range []int{2, 3, 4, 8, 64} {
-			cfg := shardCfg(part, k, true)
-			cfg.ShardPartitioner = p
-			res, stats, err := Run(cfg, jobs, offs)
-			if err != nil {
-				t.Fatal(err)
+	for _, k := range []int{2, 3, 4, 8, 64} {
+		cfg := shardCfg(part, k, true)
+		res, stats, err := Run(cfg, jobs, offs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != len(jobs) {
+			t.Fatalf("k=%d: %d results for %d jobs", k, len(res), len(jobs))
+		}
+		if stats.Completed != len(jobs) {
+			t.Fatalf("k=%d: stats.Completed %d", k, stats.Completed)
+		}
+		for _, r := range res {
+			l := lm[r.QueryID]
+			if r.Assignments != l.Assignments {
+				t.Fatalf("k=%d q%d: %d assignments, legacy %d",
+					k, r.QueryID, r.Assignments, l.Assignments)
 			}
-			if len(res) != len(jobs) {
-				t.Fatalf("%s k=%d: %d results for %d jobs", p.Name(), k, len(res), len(jobs))
+			if r.Matches != l.Matches {
+				t.Fatalf("k=%d q%d: %d matches, legacy %d",
+					k, r.QueryID, r.Matches, l.Matches)
 			}
-			if stats.Completed != len(jobs) {
-				t.Fatalf("%s k=%d: stats.Completed %d", p.Name(), k, stats.Completed)
+			if r.Completed.Before(r.Arrived) {
+				t.Fatalf("k=%d q%d completed before arrival", k, r.QueryID)
 			}
-			for _, r := range res {
-				l := lm[r.QueryID]
-				if r.Assignments != l.Assignments {
-					t.Fatalf("%s k=%d q%d: %d assignments, legacy %d",
-						p.Name(), k, r.QueryID, r.Assignments, l.Assignments)
-				}
-				if r.Matches != l.Matches {
-					t.Fatalf("%s k=%d q%d: %d matches, legacy %d",
-						p.Name(), k, r.QueryID, r.Matches, l.Matches)
-				}
-				if r.Completed.Before(r.Arrived) {
-					t.Fatalf("%s k=%d q%d completed before arrival", p.Name(), k, r.QueryID)
-				}
+		}
+		// Merged counters must equal the per-shard sums, and the
+		// breakdown must cover every bucket and query exactly.
+		if len(stats.PerShard) != k {
+			t.Fatalf("k=%d: PerShard has %d entries", k, len(stats.PerShard))
+		}
+		var served, scans, indexes, buckets int64
+		var makespan time.Duration
+		for s, ss := range stats.PerShard {
+			if ss.Shard != s {
+				t.Fatalf("k=%d: PerShard[%d].Shard = %d", k, s, ss.Shard)
 			}
-			// Merged counters must equal the per-shard sums, and the
-			// breakdown must cover every bucket and query exactly.
-			if len(stats.PerShard) != k {
-				t.Fatalf("%s k=%d: PerShard has %d entries", p.Name(), k, len(stats.PerShard))
+			served += ss.Stats.BucketsServed
+			scans += ss.Stats.ScanServices
+			indexes += ss.Stats.IndexServices
+			buckets += int64(ss.Buckets)
+			if ss.Stats.Makespan > makespan {
+				makespan = ss.Stats.Makespan
 			}
-			var served, scans, indexes, buckets int64
-			var makespan time.Duration
-			for s, ss := range stats.PerShard {
-				if ss.Shard != s {
-					t.Fatalf("%s k=%d: PerShard[%d].Shard = %d", p.Name(), k, s, ss.Shard)
-				}
-				served += ss.Stats.BucketsServed
-				scans += ss.Stats.ScanServices
-				indexes += ss.Stats.IndexServices
-				buckets += int64(ss.Buckets)
-				if ss.Stats.Makespan > makespan {
-					makespan = ss.Stats.Makespan
-				}
-			}
-			if served != stats.BucketsServed || scans != stats.ScanServices || indexes != stats.IndexServices {
-				t.Fatalf("%s k=%d: aggregate counters diverge from PerShard sums", p.Name(), k)
-			}
-			if buckets != int64(part.NumBuckets()) {
-				t.Fatalf("%s k=%d: shards own %d buckets, partition has %d",
-					p.Name(), k, buckets, part.NumBuckets())
-			}
-			if makespan != stats.Makespan {
-				t.Fatalf("%s k=%d: makespan %v is not the slowest shard's %v",
-					p.Name(), k, stats.Makespan, makespan)
-			}
-			// The same total work was done; only its distribution moved.
-			if stats.ScanServices+stats.IndexServices != stats.BucketsServed {
-				t.Fatalf("%s k=%d: services don't sum to buckets served", p.Name(), k)
-			}
-			if stats.Disk.Matches != legacyStats.Disk.Matches {
-				t.Fatalf("%s k=%d: %d matches charged, legacy %d",
-					p.Name(), k, stats.Disk.Matches, legacyStats.Disk.Matches)
-			}
+		}
+		if served != stats.BucketsServed || scans != stats.ScanServices || indexes != stats.IndexServices {
+			t.Fatalf("k=%d: aggregate counters diverge from PerShard sums", k)
+		}
+		if buckets != int64(part.NumBuckets()) {
+			t.Fatalf("k=%d: shards own %d buckets, partition has %d",
+				k, buckets, part.NumBuckets())
+		}
+		if makespan != stats.Makespan {
+			t.Fatalf("k=%d: makespan %v is not the slowest shard's %v",
+				k, stats.Makespan, makespan)
+		}
+		// The same total work was done; only its distribution moved.
+		if stats.ScanServices+stats.IndexServices != stats.BucketsServed {
+			t.Fatalf("k=%d: services don't sum to buckets served", k)
+		}
+		if stats.Disk.Matches != legacyStats.Disk.Matches {
+			t.Fatalf("k=%d: %d matches charged, legacy %d",
+				k, stats.Disk.Matches, legacyStats.Disk.Matches)
 		}
 	}
 }
 
 // TestShardedSingleShardQuery submits one query whose workload objects
-// all land on shard 0 (the lowest-ordinal objects under a range split):
+// all land on shard 0 (the lowest-ordinal objects, all in bucket 0):
 // it must complete correctly while every other shard stays idle.
 func TestShardedSingleShardQuery(t *testing.T) {
 	part, _ := shardFixture(t)
@@ -231,7 +226,6 @@ func TestShardedSingleShardQuery(t *testing.T) {
 	}
 	job := Job{ID: 1, Objects: wos}
 	cfg := shardCfg(part, 4, true)
-	cfg.ShardPartitioner = shard.ByRange{}
 	res, stats, err := Run(cfg, []Job{job}, []time.Duration{0})
 	if err != nil {
 		t.Fatal(err)
@@ -377,5 +371,65 @@ func TestLiveShardedClockAdvances(t *testing.T) {
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// spanQuery is a region query over n consecutive buckets starting at
+// first: per objects from the middle of each, searched at 5 arcsec.
+func spanQuery(part *bucket.Partition, id uint64, first, n, per int) Job {
+	job := Job{ID: id}
+	for b := first; b < first+n; b++ {
+		objs := part.Materialize(b)
+		for _, o := range objs[len(objs)/2-per/2:][:per] {
+			job.Objects = append(job.Objects, xmatch.NewWorkloadObject(id, o, geom.ArcsecToRad(5)))
+		}
+	}
+	return job
+}
+
+// TestOneQueryScalesWithShards: buckets are dealt to shards round-robin,
+// so one query over 16 consecutive buckets has an equal share of its work
+// on every shard and finishes in about 1/K the time — with the same
+// pairs. (With a contiguous range per shard it would sit on one arm and
+// take the K = 1 time at every K.)
+func TestOneQueryScalesWithShards(t *testing.T) {
+	part, _ := shardFixture(t)
+	job := spanQuery(part, 1, 0, 16, 40)
+	var locals []catalog.Object
+	for b := 0; b < part.NumBuckets(); b++ {
+		locals = append(locals, part.Materialize(b)...)
+	}
+	want := xmatch.BruteForce(locals, job.Objects, nil)
+	xmatch.SortPairs(want)
+	if len(want) < len(job.Objects) {
+		t.Fatalf("brute force found %d pairs for %d objects drawn from the catalog itself", len(want), len(job.Objects))
+	}
+
+	var solo time.Duration
+	for _, c := range []struct {
+		k     int
+		bound float64 // of the K = 1 makespan
+	}{{1, 1}, {2, 0.65}, {4, 0.4}} {
+		res, stats, err := Run(shardCfg(part, c.k, true), []Job{job}, []time.Duration{0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.k == 1 {
+			solo = stats.Makespan
+		}
+		got := float64(stats.Makespan) / float64(solo)
+		t.Logf("K=%d: makespan %v (%.2fx), %d services", c.k, stats.Makespan, got, stats.BucketsServed)
+		if got > c.bound {
+			t.Errorf("K=%d: makespan %v is %.2fx the K=1 makespan %v, want <= %.2fx", c.k, stats.Makespan, got, solo, c.bound)
+		}
+		xmatch.SortPairs(res[0].Pairs)
+		if !reflect.DeepEqual(res[0].Pairs, want) {
+			t.Errorf("K=%d: %d pairs, brute force %d", c.k, len(res[0].Pairs), len(want))
+		}
+		for _, ss := range stats.PerShard {
+			if ss.Jobs != 1 {
+				t.Errorf("K=%d: shard %d saw %d jobs, want the query on every shard", c.k, ss.Shard, ss.Jobs)
+			}
+		}
 	}
 }

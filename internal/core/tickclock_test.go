@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"liferaft/internal/bucket"
 	"liferaft/internal/catalog"
 	"liferaft/internal/metric"
 	"liferaft/internal/simclock"
@@ -108,6 +109,55 @@ func TestLiveTickClockChargesModelOnce(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestTickClockFourQueriesDriveBothArms: four queries at a time, each over
+// 16 consecutive buckets, all four regions in the same half of the curve,
+// on the clock that wakes late. Dealt round-robin, every query has half
+// its buckets on each of two shards, so both arms are charged the same
+// work and every query responds sooner than it does at K = 1. (With a
+// contiguous range per shard the whole load sits on shard 0: the other
+// arm is charged nothing and K = 2 responds exactly like K = 1.)
+func TestTickClockFourQueriesDriveBothArms(t *testing.T) {
+	const clients, laps = 4, 4
+	fix, _ := shardFixture(t)
+	part, err := bucket.NewPartition(fix.Catalog(), 100, 0) // 128 buckets
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jobs []Job
+	var offs []time.Duration
+	for lap := 0; lap < laps; lap++ {
+		for c := 0; c < clients; c++ {
+			jobs = append(jobs, spanQuery(part, uint64(len(jobs)+1), 16*c, 16, 20))
+			// Each lap arrives together, after the one before has drained.
+			offs = append(offs, time.Duration(lap)*10*time.Second)
+		}
+	}
+	run := func(k int) (map[uint64]Result, RunStats) {
+		cfg := NewOn(part, 0.25, true, simclock.NewVirtualTick(time.Millisecond))
+		cfg.Shards = k
+		cfg.CacheBuckets = 1 // every service pays its read: equal work per bucket
+		res, stats, err := Run(cfg, jobs, offs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return byQueryID(res), stats
+	}
+
+	solo, _ := run(1)
+	both, stats := run(2)
+	// Disk.BusyTime is what the arm's ledger was charged.
+	a, b := stats.PerShard[0].Stats.Disk.BusyTime, stats.PerShard[1].Stats.Disk.BusyTime
+	t.Logf("arms charged %v and %v; q1 responds in %v at K=2, %v at K=1", a, b, both[1].ResponseTime(), solo[1].ResponseTime())
+	if math.Abs(float64(a-b)) > 0.1*float64(max(a, b)) {
+		t.Errorf("arms charged %v and %v: more than 10%% apart", a, b)
+	}
+	for _, j := range jobs {
+		if r1, r2 := solo[j.ID].ResponseTime(), both[j.ID].ResponseTime(); r2 >= r1 {
+			t.Errorf("q%d: K=2 response %v, K=1 %v", j.ID, r2, r1)
+		}
+	}
 }
 
 // stepClock is an exact clock on which reading the time takes `step`, so

@@ -7,14 +7,19 @@
 // workload objects out to the shards owning the buckets they overlap and
 // tracks per-query completion across shards.
 //
+// Buckets are dealt to shards round-robin along the HTM curve (bucket i
+// belongs to shard i mod K), the declustering a striped multi-disk
+// deployment uses: a region query's buckets are a contiguous run of the
+// curve, so any n consecutive buckets land on min(n, K) shards in shares
+// within one bucket of each other, every query drives every arm, and its
+// bucket services run K abreast. (A contiguous range per shard would keep
+// a query on one arm and leave the others idle behind it.) This is the
+// only placement; there is no strategy to choose.
+//
 // The package provides the building blocks the engine composes:
 //
-//   - Partitioner assigns buckets to shards. ByRange (contiguous,
-//     balanced bucket counts) and ByHTMHash (HTM ID hash, decorrelates
-//     spatial hotspots from shard identity) are provided; the interface
-//     is pluggable.
-//   - Map is a computed assignment for one partition: bucket ownership
-//     lookups and workload-object fan-out.
+//   - Map is that assignment for one partition: bucket ownership lookups
+//     and workload-object fan-out.
 //   - Coordinator tracks in-flight queries that fanned out to several
 //     shards and reports the merged completion instant when the last
 //     shard finishes.
@@ -34,113 +39,39 @@ import (
 	"liferaft/internal/xmatch"
 )
 
-// Partitioner assigns every bucket of a partition to one of K shards.
-type Partitioner interface {
-	// Name identifies the strategy in stats and logs.
-	Name() string
-	// Assign returns one owner in [0, shards) per bucket index.
-	Assign(part *bucket.Partition, shards int) []int
-}
-
-// ByRange assigns contiguous runs of buckets to each shard, balancing
-// bucket counts within one bucket of each other. Contiguous ranges keep
-// each shard's working set spatially local (neighbouring buckets along
-// the HTM curve), the layout a striped multi-disk deployment would use.
-type ByRange struct{}
-
-// Name implements Partitioner.
-func (ByRange) Name() string { return "range" }
-
-// Assign implements Partitioner.
-func (ByRange) Assign(part *bucket.Partition, shards int) []int {
-	n := part.NumBuckets()
-	owner := make([]int, n)
-	for i := range owner {
-		owner[i] = i * shards / n
-	}
-	return owner
-}
-
-// ByHTMHash assigns each bucket by a hash of the level-14 HTM ID its span
-// starts at. Hashing decorrelates shard identity from sky position, so a
-// spatial hotspot (a heavily re-observed survey stripe) spreads across
-// shards instead of saturating one.
-type ByHTMHash struct{}
-
-// Name implements Partitioner.
-func (ByHTMHash) Name() string { return "htmhash" }
-
-// Assign implements Partitioner.
-func (ByHTMHash) Assign(part *bucket.Partition, shards int) []int {
-	owner := make([]int, part.NumBuckets())
-	for i := range owner {
-		owner[i] = int(mix64(uint64(part.Bucket(i).Span.Start)) % uint64(shards))
-	}
-	return owner
-}
-
-// mix64 is the splitmix64 finalizer, a cheap high-quality bit mixer.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
-}
-
-// Map is a computed bucket-to-shard assignment for one partition.
+// Map is the bucket-to-shard assignment for one partition: bucket i along
+// the HTM curve belongs to shard i mod K.
 type Map struct {
 	part   *bucket.Partition
 	shards int
-	owner  []int
-	counts []int
-	name   string
 }
 
-// NewMap computes the assignment of part's buckets across shards using p
-// (nil means ByRange). shards may exceed the bucket count; the excess
-// shards simply own no buckets.
-func NewMap(part *bucket.Partition, shards int, p Partitioner) (*Map, error) {
+// NewMap deals part's buckets round-robin across shards. shards may exceed
+// the bucket count; the excess shards simply own no buckets.
+func NewMap(part *bucket.Partition, shards int) (*Map, error) {
 	if part == nil {
 		return nil, fmt.Errorf("shard: nil partition")
 	}
 	if shards < 1 {
 		return nil, fmt.Errorf("shard: shards %d must be >= 1", shards)
 	}
-	if p == nil {
-		p = ByRange{}
-	}
-	owner := p.Assign(part, shards)
-	if len(owner) != part.NumBuckets() {
-		return nil, fmt.Errorf("shard: partitioner %q assigned %d buckets, partition has %d",
-			p.Name(), len(owner), part.NumBuckets())
-	}
-	m := &Map{part: part, shards: shards, owner: owner, counts: make([]int, shards), name: p.Name()}
-	for i, s := range owner {
-		if s < 0 || s >= shards {
-			return nil, fmt.Errorf("shard: partitioner %q assigned bucket %d to shard %d of %d",
-				p.Name(), i, s, shards)
-		}
-		m.counts[s]++
-	}
-	return m, nil
+	return &Map{part: part, shards: shards}, nil
 }
 
 // Shards returns the number of shards.
 func (m *Map) Shards() int { return m.shards }
 
 // NumBuckets returns the number of buckets in the underlying partition.
-func (m *Map) NumBuckets() int { return len(m.owner) }
+func (m *Map) NumBuckets() int { return m.part.NumBuckets() }
 
 // Owner returns the shard owning bucket b.
-func (m *Map) Owner(b int) int { return m.owner[b] }
+func (m *Map) Owner(b int) int { return b % m.shards }
 
 // Buckets returns how many buckets shard s owns.
-func (m *Map) Buckets(s int) int { return m.counts[s] }
-
-// PartitionerName returns the name of the strategy that built the map.
-func (m *Map) PartitionerName() string { return m.name }
+func (m *Map) Buckets(s int) int {
+	// Buckets s, s+K, s+2K, ... below NumBuckets.
+	return (m.NumBuckets() - s + m.shards - 1) / m.shards
+}
 
 // Fanout groups a query's workload objects by owning shard: object w goes
 // to every shard owning a bucket whose span overlaps w's bounding HTM
@@ -175,7 +106,7 @@ func (m *Map) Fanout(objs []xmatch.WorkloadObject) [][]xmatch.WorkloadObject {
 			bis = m.part.AppendBucketsForRanges(bis[:0], wo.Ranges())
 			stamp := pass*len(objs) + i + 1
 			for _, bi := range bis {
-				s := m.owner[bi]
+				s := m.Owner(bi)
 				if mark[s] == stamp {
 					continue
 				}

@@ -1,7 +1,7 @@
 package shard
 
 import (
-	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -29,74 +29,65 @@ func testPartition(t *testing.T, perBucket int) *bucket.Partition {
 
 func TestNewMapValidation(t *testing.T) {
 	part := testPartition(t, 200) // 32 buckets
-	if _, err := NewMap(nil, 2, nil); err == nil {
+	if _, err := NewMap(nil, 2); err == nil {
 		t.Error("nil partition should fail")
 	}
-	if _, err := NewMap(part, 0, nil); err == nil {
+	if _, err := NewMap(part, 0); err == nil {
 		t.Error("zero shards should fail")
 	}
-	if _, err := NewMap(part, -1, nil); err == nil {
+	if _, err := NewMap(part, -1); err == nil {
 		t.Error("negative shards should fail")
 	}
 }
 
-func TestByRangeBalance(t *testing.T) {
+// TestRoundRobinPlacement: bucket counts differ by at most one across
+// shards, and every run of n consecutive buckets — what a region query
+// touches — lands on min(n, K) shards in shares within one of each other.
+func TestRoundRobinPlacement(t *testing.T) {
 	part := testPartition(t, 200) // 32 buckets
+	nb := part.NumBuckets()
 	for _, k := range []int{1, 2, 3, 4, 7, 8, 31, 32} {
-		m, err := NewMap(part, k, ByRange{})
+		m, err := NewMap(part, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Shards() != k || m.NumBuckets() != part.NumBuckets() {
+		if m.Shards() != k || m.NumBuckets() != nb {
 			t.Fatalf("k=%d: wrong dimensions", k)
 		}
-		total, min, max := 0, part.NumBuckets(), 0
-		for s := 0; s < k; s++ {
-			n := m.Buckets(s)
-			total += n
-			if n < min {
-				min = n
-			}
-			if n > max {
-				max = n
+		owned := make([]int, k)
+		for b := 0; b < nb; b++ {
+			owned[m.Owner(b)]++
+		}
+		for s, n := range owned {
+			if m.Buckets(s) != n {
+				t.Errorf("k=%d: Buckets(%d) = %d, Owner assigns it %d", k, s, m.Buckets(s), n)
 			}
 		}
-		if total != part.NumBuckets() {
-			t.Fatalf("k=%d: %d buckets assigned, want %d", k, total, part.NumBuckets())
+		if lo, hi := slices.Min(owned), slices.Max(owned); hi-lo > 1 {
+			t.Errorf("k=%d: imbalanced: min %d max %d", k, lo, hi)
 		}
-		if max-min > 1 {
-			t.Errorf("k=%d: range split imbalanced: min %d max %d", k, min, max)
-		}
-		// Contiguity: owners must be non-decreasing.
-		for b := 1; b < part.NumBuckets(); b++ {
-			if m.Owner(b) < m.Owner(b-1) {
-				t.Fatalf("k=%d: range owners not contiguous at bucket %d", k, b)
+		for n := 1; n <= nb; n++ {
+			for start := 0; start+n <= nb; start++ {
+				run := make([]int, k)
+				touched := 0
+				for b := start; b < start+n; b++ {
+					if run[m.Owner(b)]++; run[m.Owner(b)] == 1 {
+						touched++
+					}
+				}
+				// Shards the run misses (n < k) count as zero shares.
+				if lo, hi := slices.Min(run), slices.Max(run); touched != min(n, k) || hi-lo > 1 {
+					t.Fatalf("k=%d: buckets [%d, %d) touch %d shards with shares %v, want %d shards within 1",
+						k, start, start+n, touched, run, min(n, k))
+				}
 			}
 		}
-	}
-}
-
-func TestByHTMHashCoversAllBuckets(t *testing.T) {
-	part := testPartition(t, 200)
-	m, err := NewMap(part, 4, ByHTMHash{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for s := 0; s < 4; s++ {
-		total += m.Buckets(s)
-	}
-	if total != part.NumBuckets() {
-		t.Fatalf("%d buckets assigned, want %d", total, part.NumBuckets())
-	}
-	if m.PartitionerName() != "htmhash" {
-		t.Errorf("name %q", m.PartitionerName())
 	}
 }
 
 func TestMoreShardsThanBuckets(t *testing.T) {
 	part := testPartition(t, 3200) // 2 buckets
-	m, err := NewMap(part, 8, nil)
+	m, err := NewMap(part, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +104,7 @@ func TestMoreShardsThanBuckets(t *testing.T) {
 
 func TestFanout(t *testing.T) {
 	part := testPartition(t, 200)
-	m, err := NewMap(part, 4, ByRange{})
+	m, err := NewMap(part, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +141,10 @@ func TestFanout(t *testing.T) {
 			}
 		}
 	}
-	// Low-ordinal objects are spatially local: they must all fan out to
-	// shard 0 under a range split (an all-on-one-shard query).
+	// The first object sits in bucket 0, which shard 0 owns.
 	first := m.Fanout(wos[:1])
 	if len(first[0]) != 1 {
-		t.Error("first object should land on shard 0 under a range split")
+		t.Error("first object should land on shard 0")
 	}
 	// Empty input fans out to nothing.
 	for s, part := range m.Fanout(nil) {
@@ -231,50 +221,5 @@ func TestCoordinatorConcurrent(t *testing.T) {
 	}
 	if c.Pending() != 0 {
 		t.Fatalf("pending %d, want 0", c.Pending())
-	}
-}
-
-// TestByHTMHashBalance: hashing must spread buckets across shards without
-// gross imbalance, across several shard counts and partition sizes. The
-// assignment is deterministic (splitmix64 of each bucket's span start), so
-// the tolerance only needs to absorb binomial spread, not flakiness: every
-// shard must own at least one bucket and no shard may exceed twice its
-// fair share plus the binomial standard deviation.
-func TestByHTMHashBalance(t *testing.T) {
-	for _, perBucket := range []int{50, 100, 200} {
-		part := testPartition(t, perBucket) // 128, 64, 32 buckets
-		n := part.NumBuckets()
-		for _, k := range []int{2, 4, 8} {
-			m, err := NewMap(part, k, ByHTMHash{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			mean := float64(n) / float64(k)
-			sd := math.Sqrt(mean * (1 - 1/float64(k)))
-			min, max, total := n, 0, 0
-			for s := 0; s < k; s++ {
-				c := m.Buckets(s)
-				total += c
-				if c < min {
-					min = c
-				}
-				if c > max {
-					max = c
-				}
-			}
-			if total != n {
-				t.Fatalf("buckets=%d shards=%d: counts sum to %d", n, k, total)
-			}
-			if min == 0 {
-				t.Errorf("buckets=%d shards=%d: a shard owns no buckets", n, k)
-			}
-			if float64(max) > 2*mean+sd {
-				t.Errorf("buckets=%d shards=%d: max %d exceeds 2*mean+sd (%.1f)", n, k, max, 2*mean+sd)
-			}
-			if float64(max-min) > mean+2*sd {
-				t.Errorf("buckets=%d shards=%d: spread max-min = %d-%d exceeds mean+2sd (%.1f)",
-					n, k, max, min, mean+2*sd)
-			}
-		}
 	}
 }

@@ -33,17 +33,20 @@
 //
 // The paper's engine drives a single disk arm; this module scales the
 // same aged-workload-throughput policy across K disks, and there is one
-// engine for every K. Config.Shards = K partitions the bucket space
-// across K shards (ShardByRange for contiguous balanced ranges,
-// ShardByHTMHash to spread spatial hotspots; the ShardPartitioner
-// interface is pluggable). Each shard owns its own modeled disk, bucket
-// cache, and workload queues, and a worker per shard services that
+// engine for every K. Config.Shards = K deals the buckets to K shards
+// round-robin along the HTM curve (bucket i to shard i mod K — the one
+// placement, see NewShardMap). Each shard owns its own modeled disk,
+// bucket cache, and workload queues, and a worker per shard services that
 // shard's local LifeRaft schedule. A coordinator fans each query's
 // workload objects out to the shards owning the buckets they overlap and
-// completes the query when its last shard finishes; RunStats merges
-// across shards with a PerShard breakdown (K entries). On a virtual clock
-// each shard charges costs to its own forked clock, so K shards finish in
-// ~1/K the virtual time instead of serializing on one modeled disk.
+// completes the query when its last shard finishes. A region query's
+// buckets are consecutive on the curve, so it has work on every shard:
+// its bucket services run K abreast (a single query spanning 16 buckets
+// finishes in about 1/K the time), and every arm is busy whenever any
+// query is in the engine. RunStats merges across shards with a PerShard
+// breakdown (K entries). On a virtual clock each shard charges costs to
+// its own forked clock, so K shards finish in ~1/K the virtual time
+// instead of serializing on one modeled disk.
 // Shards 0 or 1 (the default) is one shard owning every bucket: the
 // paper's single-disk engine and its results, on the same code path.
 //
@@ -123,7 +126,7 @@
 //	go test -race ./internal/core/... ./internal/shard/... ./internal/federation/... ./internal/server/...
 //	go test -race -run 'TestBackendParity' ./internal/core/   # file backend == simulated disk
 //	go test -bench=. -benchtime=1x -run='^$' ./...
-//	go run ./cmd/skybench -overload BENCH_5.json              # overload scenarios, SLO verdicts
+//	go run ./cmd/skybench -overload BENCH_19.json              # overload scenarios, SLO verdicts
 //	go run ./cmd/docdrift                                     # docs/OPERATIONS.md covers every flag + metric
 //
 // Keep all of them green locally before sending a change.
@@ -183,19 +186,13 @@ type (
 // ---- Sharded execution (scaling the paper's policy across K disks) ----
 
 type (
-	// ShardPartitioner assigns buckets to shards (Config.ShardPartitioner).
-	ShardPartitioner = shard.Partitioner
-	// ShardByRange assigns contiguous balanced bucket ranges (default).
-	ShardByRange = shard.ByRange
-	// ShardByHTMHash assigns buckets by HTM ID hash, spreading spatial
-	// hotspots across shards.
-	ShardByHTMHash = shard.ByHTMHash
-	// ShardMap is a computed bucket-to-shard assignment.
+	// ShardMap is the bucket-to-shard assignment: bucket i belongs to
+	// shard i mod K.
 	ShardMap = shard.Map
 )
 
-// NewShardMap computes the bucket-to-shard assignment a sharded engine
-// would use, for inspection and capacity planning.
+// NewShardMap returns the bucket-to-shard assignment a K-shard engine
+// uses, for inspection and capacity planning.
 var NewShardMap = shard.NewMap
 
 // Scheduling policies.
