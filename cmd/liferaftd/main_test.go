@@ -14,6 +14,7 @@ import (
 	"liferaft/internal/federation"
 	"liferaft/internal/server"
 	"liferaft/internal/simclock"
+	"liferaft/internal/skyql"
 )
 
 // defaults mirrors the flag defaults for the validation table test.
@@ -172,8 +173,10 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/gateway_rows.gol
 // and gatewayExec over three virtual-clock archives and compares each
 // response's "rows" value, byte for byte, with the body the build before the
 // one-pass row encoder produced (recorded with -update at that commit): two
-// and three archives, a LIMIT, an extraction that finds nothing ([]) and a
-// hop that matches nothing (null).
+// and three archives, a LIMIT below the row count and one above it, an
+// extraction that finds nothing ([]) and a hop that matches nothing (null).
+// Each body is also decoded the way a client does, into []federation.Row, and
+// read back through Row.Object against the portal's in-process rows.
 func TestGatewayRowsMatchRecordedBody(t *testing.T) {
 	clk := simclock.NewVirtual()
 	portal := federation.NewPortal()
@@ -200,8 +203,8 @@ func TestGatewayRowsMatchRecordedBody(t *testing.T) {
 		`SELECT * FROM twomass t, sdss s WHERE XMATCH(t, s) < 4 AND REGION(CIRCLE, 10, 89.9, 0.001)`,
 		`SELECT * FROM twomass t, sdss s WHERE XMATCH(t, s) < 4 AND REGION(CIRCLE, 150, 20, 6) AND s.mag BETWEEN 90 AND 91`,
 	}
-	var got bytes.Buffer
-	for _, q := range queries {
+	post := func(q string) (rowCount int, rows json.RawMessage) {
+		t.Helper()
 		body, _ := json.Marshal(map[string]string{"query": q})
 		rec := httptest.NewRecorder()
 		gw.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body)))
@@ -217,7 +220,43 @@ func TestGatewayRowsMatchRecordedBody(t *testing.T) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(&got, "%d %s\n", resp.Result.RowCount, resp.Result.Rows)
+		return resp.Result.RowCount, resp.Result.Rows
+	}
+	var got bytes.Buffer
+	for _, q := range queries {
+		rowCount, rows := post(q)
+		fmt.Fprintf(&got, "%d %s\n", rowCount, rows)
+
+		// What a reader decodes from the body answers, archive by archive,
+		// what the portal's own rows answer in process.
+		var decoded []federation.Row
+		if err := json.Unmarshal(rows, &decoded); err != nil {
+			t.Fatal(err)
+		}
+		parsed, err := skyql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fq, err := skyql.Compile(parsed, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := portal.Execute(fq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rs.Rows) != rowCount || len(decoded) > rowCount || (parsed.Limit == 0 && len(decoded) != rowCount) {
+			t.Fatalf("%s: %d rows in process, row_count %d, %d decoded", q, len(rs.Rows), rowCount, len(decoded))
+		}
+		for i, row := range decoded {
+			for _, archive := range append([]string{"nowhere"}, fq.Archives...) {
+				d, dok := row.Object(archive)
+				p, pok := rs.Rows[i].Object(archive)
+				if d != p || dok != pok {
+					t.Fatalf("%s: row %d %s: decoded (%v, %v), in process (%v, %v)", q, i, archive, d, dok, p, pok)
+				}
+			}
+		}
 	}
 	const golden = "testdata/gateway_rows.golden"
 	if *updateGolden {
@@ -238,5 +277,10 @@ func TestGatewayRowsMatchRecordedBody(t *testing.T) {
 		if !bytes.Equal(gotLines[i], wantLines[i]) {
 			t.Errorf("query %d: rows differ from the recorded body\n got %.300s\nwant %.300s", i, gotLines[i], wantLines[i])
 		}
+	}
+	// A LIMIT above the row count changes nothing: the first recorded body.
+	rowCount, rows := post(queries[0] + " LIMIT 100000")
+	if line := fmt.Sprintf("%d %s", rowCount, rows); line != string(wantLines[0]) {
+		t.Errorf("LIMIT above the row count: rows differ from the recorded body\n got %.300s\nwant %.300s", line, wantLines[0])
 	}
 }

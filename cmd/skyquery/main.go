@@ -119,7 +119,7 @@ func run(nodes, archives string, ra, dec, radius, match, sel, magLo, magHi float
 		}
 		parts := make([]string, 0, len(names))
 		for _, n := range names {
-			if o, ok := row.Objects[n]; ok {
+			if o, ok := row.Object(n); ok {
 				parts = append(parts, fmt.Sprintf("%s:%d(mag %.1f)", n, o.ID, o.Mag))
 			}
 		}

@@ -237,6 +237,18 @@ func (c *Catalog) TrixelOf(ord int64) uint64 {
 	return uint64(sort.Search(len(c.counts), func(i int) bool { return c.cum[i+1] > ord }))
 }
 
+// rngPool recycles the per-trixel generators: a rand.NewSource is 4.9 KB of
+// state, and a catalog synthesizes thousands of trixels.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// seeded returns a pooled generator reseeded to produce exactly the stream
+// of rand.New(rand.NewSource(seed)); the caller puts it back in rngPool.
+func seeded(seed int64) *rand.Rand {
+	rng := rngPool.Get().(*rand.Rand)
+	rng.Seed(seed)
+	return rng
+}
+
 // TrixelObjects materializes the objects of GenLevel trixel pos, sorted by
 // (level-14 HTM ID, object ID). The result is a pure function of the
 // catalog seed and pos.
@@ -266,7 +278,8 @@ func (c *Catalog) TrixelObjects(pos uint64) []Object {
 	}
 	base := htm.FromPos(pos, c.cfg.GenLevel)
 	tri := base.Triangle()
-	rng := rand.New(rand.NewSource(c.cfg.Seed ^ int64(pos*0x9E3779B97F4A7C15)))
+	rng := seeded(c.cfg.Seed ^ int64(pos*0x9E3779B97F4A7C15))
+	defer rngPool.Put(rng)
 	objs := make([]Object, n)
 	for i := 0; i < n; i++ {
 		p := samplePointInTriangle(rng, tri)
@@ -383,7 +396,8 @@ func (c *Catalog) deriveTrixel(pos uint64) []Object {
 	}
 	baseTrixel := htm.FromPos(pos, c.cfg.GenLevel)
 	tri := baseTrixel.Triangle()
-	rng := rand.New(rand.NewSource(d.cfg.Seed ^ int64(pos*0x94D049BB133111EB)))
+	rng := seeded(d.cfg.Seed ^ int64(pos*0x94D049BB133111EB))
+	defer rngPool.Put(rng)
 	out := make([]Object, 0, int(c.counts[pos]))
 	for i, o := range baseObjs {
 		if !derivedKeep(d.cfg.Seed, pos, i, d.cfg.Fraction) {

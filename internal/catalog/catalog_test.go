@@ -1,7 +1,14 @@
 package catalog
 
 import (
+	"encoding/binary"
+	"flag"
+	"fmt"
+	"hash/fnv"
 	"math"
+	"os"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -379,5 +386,93 @@ func TestQuickOrdinalRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/trixel_checksums.golden from this build's catalogs")
+
+// trixelChecksum folds every field of every object of a trixel, in order.
+func trixelChecksum(objs []Object) uint64 {
+	h := fnv.New64a()
+	var b [48]byte
+	for _, o := range objs {
+		binary.LittleEndian.PutUint64(b[0:], o.ID)
+		binary.LittleEndian.PutUint64(b[8:], uint64(o.HTMID))
+		binary.LittleEndian.PutUint64(b[16:], math.Float64bits(o.Pos.X))
+		binary.LittleEndian.PutUint64(b[24:], math.Float64bits(o.Pos.Y))
+		binary.LittleEndian.PutUint64(b[32:], math.Float64bits(o.Pos.Z))
+		binary.LittleEndian.PutUint64(b[40:], math.Float64bits(o.Mag))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestTrixelChecksumsMatchRecorded pins what a catalog seed means: the
+// objects of every trixel of a small sdss and of the twomass and rosat
+// derived from it hash to the values recorded (with -update) by the build
+// that still made a fresh rand.NewSource per trixel. Four goroutines
+// synthesize every trixel at once, with and without the memo, so under
+// -race this is also the test that a reseeded, pooled generator is never
+// shared between two callers.
+func TestTrixelChecksumsMatchRecorded(t *testing.T) {
+	const golden = "testdata/trixel_checksums.golden"
+	build := func(cache bool) []*Catalog {
+		base := mustNew(t, Config{Name: "sdss", N: 6000, Seed: 42, GenLevel: 2, CacheTrixels: cache})
+		cats := []*Catalog{base}
+		for _, d := range []DerivedConfig{
+			{Name: "twomass", Seed: 43, Fraction: 0.8, JitterRad: geom.ArcsecToRad(1.5), CacheTrixels: cache},
+			{Name: "rosat", Seed: 46, Fraction: 0.05, JitterRad: geom.ArcsecToRad(1.5), CacheTrixels: cache},
+		} {
+			c, err := NewDerived(base, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cats = append(cats, c)
+		}
+		return cats
+	}
+	trixels := htm.NumTrixels(2)
+	render := func(cats []*Catalog) string {
+		var sb strings.Builder
+		for _, c := range cats {
+			for pos := uint64(0); pos < trixels; pos++ {
+				fmt.Fprintf(&sb, "%s %d %d %016x\n", c.Name(), pos, c.TrixelCount(pos), trixelChecksum(c.TrixelObjects(pos)))
+			}
+		}
+		return sb.String()
+	}
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(render(build(false))), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cache := range []bool{false, true} {
+		cats := build(cache)
+		var wg sync.WaitGroup
+		got := make([]string, 4)
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[g] = render(cats)
+			}()
+		}
+		wg.Wait()
+		for g, s := range got {
+			if s != string(want) {
+				gl, wl := strings.Split(s, "\n"), strings.Split(string(want), "\n")
+				for i := range wl {
+					if i >= len(gl) || gl[i] != wl[i] {
+						t.Fatalf("memo=%v goroutine %d: line %d is %q, recorded %q", cache, g, i, gl[min(i, len(gl)-1)], wl[i])
+					}
+				}
+				t.Fatalf("memo=%v goroutine %d: %d lines, recorded %d", cache, g, len(gl), len(wl))
+			}
+		}
 	}
 }

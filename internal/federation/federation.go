@@ -310,11 +310,20 @@ func (n *Node) Extract(req ExtractRequest) (ExtractResponse, error) {
 		return ExtractResponse{}, fmt.Errorf("federation: non-positive radius")
 	}
 	cap := geom.NewCap(geom.FromRaDec(req.RA, req.Dec), geom.Radians(req.RadiusDeg))
+	// InCap's slice is this call's own: keep the sample in place, then
+	// convert it into one allocation of exactly its size.
+	in := n.cat.InCap(cap)
+	if req.Selectivity < 1 {
+		in = slices.DeleteFunc(in, func(o catalog.Object) bool {
+			return !subsample(req.Seed, req.QueryID, o.ID, req.Selectivity)
+		})
+	}
 	var out []Object
-	for _, o := range n.cat.InCap(cap) {
-		if subsample(req.Seed, req.QueryID, o.ID, req.Selectivity) {
-			out = append(out, fromCatalog(o))
-		}
+	if len(in) > 0 { // an empty extraction stays nil, as gob delivers it
+		out = make([]Object, len(in))
+	}
+	for i, o := range in {
+		out[i] = fromCatalog(o)
 	}
 	return ExtractResponse{Objects: out}, nil
 }
@@ -404,10 +413,10 @@ func (n *Node) MatchCtx(ctx context.Context, req MatchRequest) (MatchResponse, e
 	}
 	resp := MatchResponse{Elapsed: time.Since(start)}
 	if len(res.Pairs) > 0 { // an empty result stays nil, as gob delivers it
-		resp.Pairs = make([]MatchPair, 0, len(res.Pairs))
+		resp.Pairs = make([]MatchPair, len(res.Pairs))
 	}
-	for _, p := range res.Pairs {
-		resp.Pairs = append(resp.Pairs, MatchPair{Local: fromCatalog(p.Local), Remote: fromCatalog(p.Remote)})
+	for i, p := range res.Pairs {
+		resp.Pairs[i] = MatchPair{Local: fromCatalog(p.Local), Remote: fromCatalog(p.Remote)}
 	}
 	if remote {
 		resp.Spans = tr.Wire()
@@ -443,11 +452,6 @@ type Query struct {
 	// Tenant identifies the submitting client to each archive's
 	// admission control (empty = default tenant).
 	Tenant string
-}
-
-// Row is one result tuple: the object observed by each archive.
-type Row struct {
-	Objects map[string]Object
 }
 
 // ResultSet is the portal's answer.
@@ -557,21 +561,17 @@ func (p *Portal) ExecuteCtx(ctx context.Context, q Query) (*ResultSet, error) {
 			Start: stepStart, End: tr.Now(), N: int64(len(ext.Objects))})
 	}
 
-	rs := &ResultSet{
-		HopElapsed: make(map[string]time.Duration),
-		Shipped:    make(map[string]int),
-	}
+	rs := &ResultSet{HopElapsed: map[string]time.Duration{}, Shipped: map[string]int{}}
 	// Live tuples are flat object chains: tuple t is chains[t*width :
 	// (t+1)*width], one object per archive joined so far in plan order. Its
 	// last object is the tuple's frontier — what the next archive must
-	// match against. One slice per hop; rows are built from the survivors
-	// at the end.
+	// match against. One slice per hop; the rows are views of the last.
 	width := 1
 	chains := ext.Objects
 	if chains == nil {
 		chains = []Object{} // an empty extraction answers [], a hop without pairs null
 	}
-	var shipped []Object // reused across hops
+	var scratch []Object // backs a frontier that has to be copied to ship, reused across hops
 
 	for _, archive := range q.Archives[1:] {
 		if len(chains) == 0 {
@@ -584,15 +584,21 @@ func (p *Portal) ExecuteCtx(ctx context.Context, q Query) (*ResultSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Ship the frontier sorted by object ID, one object per ID. Taken
-		// last tuple first and sorted stably, the copy of an ID that
-		// survives is the last tuple's, should copies ever differ.
-		shipped = shipped[:0]
-		for t := len(chains) - 1; t >= 0; t -= width {
-			shipped = append(shipped, chains[t])
+		// Ship the frontier sorted by object ID, one object per ID. An
+		// extraction in ascending ID order, which is how a catalog lists a
+		// region, is that already and ships in place. Otherwise: taken last
+		// tuple first and sorted stably, the copy of an ID that survives is
+		// the last tuple's, should copies ever differ.
+		shipped := chains
+		if width > 1 || !ascendingIDs(chains) {
+			shipped = scratch[:0]
+			for t := len(chains) - 1; t >= 0; t -= width {
+				shipped = append(shipped, chains[t])
+			}
+			slices.SortStableFunc(shipped, func(a, b Object) int { return cmp.Compare(a.ID, b.ID) })
+			shipped = slices.CompactFunc(shipped, func(a, b Object) bool { return a.ID == b.ID })
+			scratch = shipped
 		}
-		slices.SortStableFunc(shipped, func(a, b Object) int { return cmp.Compare(a.ID, b.ID) })
-		shipped = slices.CompactFunc(shipped, func(a, b Object) bool { return a.ID == b.ID })
 		rs.Shipped[archive] = len(shipped)
 
 		mreq := MatchRequest{
@@ -665,11 +671,17 @@ func (p *Portal) ExecuteCtx(ctx context.Context, q Query) (*ResultSet, error) {
 		rs.Rows = make(Rows, len(chains)/width)
 	}
 	for i := range rs.Rows {
-		objs := make(map[string]Object, width)
-		for k, o := range chains[i*width : (i+1)*width] {
-			objs[q.Archives[k]] = o
-		}
-		rs.Rows[i].Objects = objs
+		rs.Rows[i] = Row{names: q.Archives, chain: chains[i*width : (i+1)*width : (i+1)*width]}
 	}
 	return rs, nil
+}
+
+// ascendingIDs reports whether every object's ID is below its successor's.
+func ascendingIDs(objs []Object) bool {
+	for i := 1; i < len(objs); i++ {
+		if objs[i-1].ID >= objs[i].ID {
+			return false
+		}
+	}
+	return true
 }

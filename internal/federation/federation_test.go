@@ -138,8 +138,8 @@ func TestTwoArchiveCrossMatch(t *testing.T) {
 	}
 	radius := geom.ArcsecToRad(5)
 	for _, row := range rs.Rows {
-		a, ok1 := row.Objects["twomass"]
-		b, ok2 := row.Objects["sdss"]
+		a, ok1 := row.Object("twomass")
+		b, ok2 := row.Object("sdss")
 		if !ok1 || !ok2 {
 			t.Fatal("row missing an archive")
 		}
@@ -168,8 +168,10 @@ func TestThreeArchivePlan(t *testing.T) {
 		t.Fatal("three-way cross-match found nothing")
 	}
 	for _, row := range rs.Rows {
-		if len(row.Objects) != 3 {
-			t.Fatalf("row has %d archives, want 3", len(row.Objects))
+		for _, archive := range q.Archives {
+			if _, ok := row.Object(archive); !ok {
+				t.Fatalf("row has no %s object, want all of %v", archive, q.Archives)
+			}
 		}
 	}
 	// The three-way result must be a subset of the two-way result count:
@@ -216,8 +218,8 @@ func TestPredicatePushdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, row := range rs.Rows {
-		if m := row.Objects["sdss"].Mag; m < 15 || m >= 18 {
-			t.Fatalf("predicate violated: mag %v", m)
+		if o, _ := row.Object("sdss"); o.Mag < 15 || o.Mag >= 18 {
+			t.Fatalf("predicate violated: mag %v", o.Mag)
 		}
 	}
 }
@@ -491,7 +493,9 @@ func TestShardedNodeEquivalence(t *testing.T) {
 	}
 
 	key := func(row Row) [2]uint64 {
-		return [2]uint64{row.Objects["twomass"].ID, row.Objects["sdss"].ID}
+		a, _ := row.Object("twomass")
+		b, _ := row.Object("sdss")
+		return [2]uint64{a.ID, b.ID}
 	}
 	collect := func(rs *ResultSet) map[[2]uint64]bool {
 		out := make(map[[2]uint64]bool, len(rs.Rows))

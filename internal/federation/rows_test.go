@@ -7,9 +7,14 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
+
+	"liferaft/internal/server"
 )
 
 // plainRow is Row without the Rows encoder in reach: what encoding/json
@@ -24,9 +29,42 @@ func plain(rs Rows) []plainRow {
 	}
 	out := make([]plainRow, len(rs))
 	for i, r := range rs {
-		out[i] = plainRow(r)
+		out[i] = plainRow{Objects: tuple(r)}
 	}
 	return out
+}
+
+// tuple is the map a row stands for: the one it was decoded into, or for a
+// row the portal built, each of its archives' objects read through Object.
+func tuple(r Row) map[string]Object {
+	if r.chain == nil {
+		return r.Objects
+	}
+	m := make(map[string]Object, len(r.chain))
+	for _, name := range r.names[:len(r.chain)] {
+		m[name], _ = r.Object(name)
+	}
+	return m
+}
+
+// portalRows runs a plan over scripted sites and returns the rows the portal
+// built: views over its chains, not maps.
+func portalRows(t *testing.T, archives []string, driving []Object, fan func(archive string, id uint64) int) Rows {
+	t.Helper()
+	p := NewPortal()
+	for _, name := range archives {
+		p.Register(name, &scriptedSite{name: name, objects: driving, fan: func(id uint64) int { return fan(name, id) }})
+	}
+	rs, err := p.ExecuteCtx(context.Background(), Query{ID: 1, MatchRadiusArcsec: 1, Archives: archives})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rs.Rows {
+		if r.Objects != nil {
+			t.Fatal("the portal built a map for a row")
+		}
+	}
+	return rs.Rows
 }
 
 // encodeBoth encodes v the way the gateway does (json.Encoder, inside a
@@ -95,6 +133,58 @@ func TestRowsJSONEquivalence(t *testing.T) {
 	}
 	cases["random"] = random
 
+	// Rows as the portal builds them. The archive names need every escape
+	// there is: JSON's, the HTML three, and a line separator.
+	var driving []Object
+	for _, id := range []uint64{3, 8, 9, 14, 20, 21, 33} {
+		driving = append(driving, Object{ID: id, HTMID: 1 << 31, X: 0.25, Y: -1e-7, Z: float64(id), Mag: 17.5})
+	}
+	twice := func(string, uint64) int { return 2 }
+	hostile := []string{"<twomass>", "sdss&co" + "\u2028" + `"`, "a"}
+	views := map[string]Rows{
+		"view: two archives":     portalRows(t, hostile[:2], driving, twice),
+		"view: three archives":   portalRows(t, hostile, driving, func(_ string, id uint64) int { return int(id % 3) }),
+		"view: empty extraction": portalRows(t, hostile[:2], nil, twice),
+		"view: hop without pairs": portalRows(t, hostile, driving, func(archive string, _ uint64) int {
+			if archive == hostile[1] {
+				return 0
+			}
+			return 2
+		}),
+		"view: archive named twice": portalRows(t, []string{"drv", "b", "a", "b"}, driving, twice),
+	}
+	if got, _ := json.Marshal(views["view: empty extraction"]); string(got) != "[]" {
+		t.Errorf("an empty extraction encodes %s, want []", got)
+	}
+	if got, _ := json.Marshal(views["view: hop without pairs"]); string(got) != "null" {
+		t.Errorf("a hop without pairs encodes %s, want null", got)
+	}
+	for name, rows := range views {
+		cases[name] = rows
+		// A reader of the response gets maps; the accessor must answer the
+		// same from either form.
+		body, err := rows.AppendJSON(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var decoded []Row
+		if err := json.Unmarshal(body, &decoded); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(decoded) != len(rows) || (decoded == nil) != (rows == nil) {
+			t.Fatalf("%s: %d rows decoded of %d", name, len(decoded), len(rows))
+		}
+		for i, r := range rows {
+			for _, archive := range append([]string{"absent"}, r.names...) {
+				got, gotOK := decoded[i].Object(archive)
+				want, wantOK := r.Object(archive)
+				if got != want || gotOK != wantOK {
+					t.Errorf("%s: row %d %q: decoded (%v, %v), in process (%v, %v)", name, i, archive, got, gotOK, want, wantOK)
+				}
+			}
+		}
+	}
+
 	for name, rows := range cases {
 		for _, escape := range []bool{true, false} {
 			got, err := encodeBoth(t, rows, escape)
@@ -109,12 +199,33 @@ func TestRowsJSONEquivalence(t *testing.T) {
 				t.Errorf("%s (escapeHTML=%v): Rows encodes differently from encoding/json\n got %s\nwant %s", name, escape, got, want)
 			}
 		}
-		// A LIMIT slices the set; the slice must still be a Rows.
-		if len(rows) > 1 {
-			got, _ := json.Marshal(rows[:1])
-			want, _ := json.Marshal(plain(rows)[:1])
+		// What the gateway appends in place is what json.Marshal returns.
+		got, err := rows.AppendJSON([]byte("prefix"))
+		want, _ := json.Marshal(plain(rows))
+		if err != nil || !bytes.Equal(got, append([]byte("prefix"), want...)) {
+			t.Errorf("%s: AppendJSON differs from json.Marshal (err %v)\n got %s\nwant %s", name, err, got, want)
+		}
+		// A LIMIT slices the set — below the row count to a prefix, at or
+		// above it to the set itself; the slice must still be a Rows.
+		for _, limit := range []int{1, len(rows) - 1, len(rows), len(rows) + 5} {
+			if limit < 0 {
+				continue
+			}
+			limited, ref := rows, plain(rows)
+			if len(rows) > limit {
+				limited, ref = rows[:limit], ref[:limit]
+			}
+			got, _ := json.Marshal(limited)
+			want, _ := json.Marshal(ref)
 			if !bytes.Equal(got, want) {
-				t.Errorf("%s: sliced Rows encodes differently", name)
+				t.Errorf("%s: LIMIT %d encodes differently", name, limit)
+			}
+		}
+		// One row on its own, and a plain slice of them.
+		if len(rows) > 0 {
+			got, _ := json.Marshal([]Row(rows))
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: []Row encodes differently from Rows", name)
 			}
 		}
 	}
@@ -124,13 +235,19 @@ func TestRowsJSONEquivalence(t *testing.T) {
 			o := Object{ID: 1}
 			*[]*float64{&o.X, &o.Y, &o.Z, &o.Mag}[field] = bad
 			rows := Rows{{Objects: map[string]Object{"ok": {}}}, {Objects: map[string]Object{"sdss": o}}}
-			_, err := json.Marshal(rows)
-			var unsupported *json.UnsupportedValueError
-			if !errors.As(err, &unsupported) {
-				t.Errorf("field %d = %v: Rows error %v, want an UnsupportedValueError", field, bad, err)
-			}
-			if _, refErr := json.Marshal(plain(rows)); refErr == nil {
-				t.Fatalf("reference encoder accepted %v", bad)
+			view := portalRows(t, []string{"drv", "sdss"}, []Object{o}, func(string, uint64) int { return 1 })
+			for _, rs := range []Rows{rows, view} {
+				_, err := json.Marshal(rs)
+				var unsupported *json.UnsupportedValueError
+				if !errors.As(err, &unsupported) {
+					t.Errorf("field %d = %v: Rows error %v, want an UnsupportedValueError", field, bad, err)
+				}
+				if _, err := rs.AppendJSON(nil); !errors.As(err, &unsupported) {
+					t.Errorf("field %d = %v: AppendJSON error %v, want an UnsupportedValueError", field, bad, err)
+				}
+				if _, refErr := json.Marshal(plain(rs)); refErr == nil {
+					t.Fatalf("reference encoder accepted %v", bad)
+				}
 			}
 		}
 	}
@@ -290,6 +407,8 @@ func TestPortalRowsMatchMapAlgorithm(t *testing.T) {
 		{"empty last hop", driving, []string{"drv", "every", "none"}},
 		{"empty extraction", nil, []string{"drv", "every"}},
 		{"archive named twice", driving, []string{"drv", "every", "drv2", "every"}},
+		// In ascending ID order, as a catalog extracts: shipped in place.
+		{"ascending extraction", []Object{{ID: 2, Mag: 1}, {ID: 4, Mag: 2}, {ID: 9, Mag: 3}, {ID: 11, Mag: 4}}, []string{"drv", "some", "every"}},
 	}
 	for _, plan := range plans {
 		build := func() (*Portal, map[string]*scriptedSite) {
@@ -312,8 +431,8 @@ func TestPortalRowsMatchMapAlgorithm(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", plan.name, err)
 		}
-		if !reflect.DeepEqual([]Row(rs.Rows), want) { // nil and empty are different answers
-			t.Errorf("%s: rows differ from the map-based algorithm\n got %v\nwant %v", plan.name, rs.Rows, want)
+		if !reflect.DeepEqual(plain(rs.Rows), plain(want)) { // nil and empty are different answers
+			t.Errorf("%s: rows differ from the map-based algorithm\n got %v\nwant %v", plan.name, plain(rs.Rows), want)
 		}
 		if !reflect.DeepEqual(rs.Shipped, wantShipped) {
 			t.Errorf("%s: shipped %v, want %v", plan.name, rs.Shipped, wantShipped)
@@ -339,9 +458,9 @@ func TestPortalRowsMatchMapAlgorithm(t *testing.T) {
 
 // TestExecuteEncodeAllocBudget bounds what one materializing two-archive
 // query allocates from portal to JSON on warm virtual-clock nodes. With
-// 275 objects shipped and 275 rows back it takes about 640 allocations;
-// with a cover slice per workload object, a map per tuple per hop and the
-// reflective map encoder it took 4 662.
+// 275 objects shipped and 275 rows back it takes about 70 allocations;
+// with a map per row it took 640, and with a cover slice per workload
+// object, a map per tuple per hop and the reflective map encoder 4 662.
 func TestExecuteEncodeAllocBudget(t *testing.T) {
 	f := newFixture(t)
 	q := testQuery()
@@ -366,10 +485,80 @@ func TestExecuteEncodeAllocBudget(t *testing.T) {
 		t.Fatalf("fixture too small to mean anything: %d shipped, %d rows", shipped, rows)
 	}
 	got := testing.AllocsPerRun(20, run)
-	// Two per row are its Objects map; the rest is per query and per bucket
-	// service. One more allocation per shipped object or per row breaks it.
-	if budget := float64(2*rows + shipped/2 + 150); got > budget {
+	// All of it is per query and per bucket service: a row is a view and
+	// costs nothing, so one allocation per row or per shipped object breaks it.
+	if budget := float64(shipped/2 + 150); got > budget {
 		t.Errorf("%.0f allocs for %d shipped objects and %d rows, budget %.0f", got, shipped, rows, budget)
 	}
 	t.Logf("%.0f allocs, %d shipped, %d rows, %d response bytes", got, shipped, rows, buf.Len())
+}
+
+// fixedSite answers every request with slices built beforehand, so that what
+// a query through it allocates is the portal's and the gateway's doing.
+type fixedSite struct {
+	objects []Object
+	pairs   []MatchPair
+}
+
+func (s fixedSite) Archive() (string, error) { return "fixed", nil }
+func (s fixedSite) Extract(ExtractRequest) (ExtractResponse, error) {
+	return ExtractResponse{Objects: s.objects}, nil
+}
+func (s fixedSite) Match(MatchRequest) (MatchResponse, error) {
+	return MatchResponse{Pairs: s.pairs}, nil
+}
+
+// TestGatewayQueryAllocBudget: what one POST /v1/query allocates from the
+// gateway's handler to the response recorder does not depend on how many
+// rows come back. A 100-row and a 400-row result must cost the same to
+// within ten allocations (the recorder's body grows by doubling); a map, a
+// slice or a boxed value per row would show as hundreds.
+func TestGatewayQueryAllocBudget(t *testing.T) {
+	measure := func(rows int) float64 {
+		site := fixedSite{objects: make([]Object, rows), pairs: make([]MatchPair, rows)}
+		for i := range site.objects {
+			o := Object{ID: uint64(i + 1), HTMID: 1<<31 + uint64(i), X: 0.5, Y: -0.25, Z: 1e-7, Mag: 17.5}
+			site.objects[i] = o
+			site.pairs[i] = MatchPair{Local: Object{ID: uint64(7 * i), HTMID: o.HTMID, X: o.X, Y: o.Y, Z: o.Z, Mag: 20}, Remote: o}
+		}
+		portal := NewPortal()
+		portal.Register("twomass", site)
+		portal.Register("sdss", site)
+		gw, err := server.NewGateway(server.GatewayConfig{
+			Exec: func(ctx context.Context, tenant, _ string) (any, error) {
+				rs, err := portal.ExecuteCtx(ctx, Query{ID: 1, MatchRadiusArcsec: 5, Archives: []string{"twomass", "sdss"}, Tenant: tenant})
+				if err != nil {
+					return nil, err
+				}
+				return map[string]any{
+					"rows":        rs.Rows,
+					"row_count":   len(rs.Rows),
+					"hop_elapsed": rs.HopElapsed,
+					"shipped":     rs.Shipped,
+				}, nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got int
+		run := func() {
+			rec := httptest.NewRecorder()
+			gw.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(`{"query":"q"}`)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("HTTP %d: %s", rec.Code, rec.Body)
+			}
+			got = bytes.Count(rec.Body.Bytes(), []byte(`{"Objects":`))
+		}
+		run() // sizes the pooled response buffer
+		if got != rows {
+			t.Fatalf("%d rows in the body, want %d", got, rows)
+		}
+		return testing.AllocsPerRun(20, run)
+	}
+	small, large := measure(100), measure(400)
+	if d := large - small; d > 10 || d < -10 {
+		t.Errorf("%.0f allocs for 100 rows, %.0f for 400: a result's rows must not cost allocations", small, large)
+	}
+	t.Logf("%.0f allocs for 100 rows, %.0f for 400", small, large)
 }

@@ -19,6 +19,7 @@ package htm
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 
@@ -428,23 +429,68 @@ func CapBoundsIn(c geom.Cap, level int, win Range) (lo, hi ID, ok bool) {
 	if level < 0 || level > MaxLevel {
 		panic(fmt.Sprintf("htm: level %d out of range", level))
 	}
-	b := capBounds{c: c, win: win}
+	b := capBounds{c: c, win: win, sinReach: math.Inf(1)}
+	if c.CosR >= 0.5 {
+		b.sinReach = math.Sqrt(1-c.CosR*c.CosR)*cosMargin + c.CosR*sinMargin
+	}
+	// A face's edges lie in the coordinate planes, on the side its centre is.
+	x, y, z := b.side(geom.Vec3{X: 1}), b.side(geom.Vec3{Y: 1}), b.side(geom.Vec3{Z: 1})
 	for i := 0; i < 8; i++ {
-		b.walk(FaceID(i), FaceTriangle(i), 2*uint(level))
+		tri := FaceTriangle(i)
+		g := tri.V0.Add(tri.V1).Add(tri.V2)
+		fx, fy, fz := x*int(g.X), y*int(g.Y), z*int(g.Z)
+		if fx < 0 || fy < 0 || fz < 0 {
+			continue
+		}
+		b.walk(FaceID(i), tri, 2*uint(level), fx > 0 && fy > 0 && fz > 0)
 	}
 	return b.lo, b.hi, b.ok
 }
 
+// capMargin is how far, in radians, a cap must stay from a trixel's edge for
+// the walk to decide by that edge's plane alone instead of CapRelation. It
+// has to dwarf every tolerance CapRelation grants: Epsilon on a vertex's dot
+// product (a zero-radius cap passes up to sqrt(2*Epsilon) = 1.4e-6 away) and
+// Epsilon over an edge's length on the plane tests (1e-6 at level 20).
+const capMargin = 1e-5
+
+var sinMargin, cosMargin = math.Sincos(capMargin)
+
 type capBounds struct {
-	c      geom.Cap
-	win    Range
-	lo, hi ID
-	ok     bool
+	c   geom.Cap
+	win Range
+	// sinReach is the sine of the cap's radius plus capMargin; +Inf for caps
+	// over 60 degrees, which leaves every decision to CapRelation.
+	sinReach float64
+	lo, hi   ID
+	ok       bool
+}
+
+// side places the whole cap against the plane through the origin with normal
+// n: +1 when every point of it lies capMargin or more to n's side, -1 when
+// to the other side, 0 when it comes nearer the plane than that.
+func (b *capBounds) side(n geom.Vec3) int {
+	d := n.Dot(b.c.Center)
+	switch {
+	case !(d*d >= n.Dot(n)*b.sinReach*b.sinReach):
+		return 0
+	case d > 0:
+		return 1
+	}
+	return -1
 }
 
 // walk is coverNode for the bounds: shift is two bits per level still below
 // id, so id's descendants at the target level are [id<<shift, (id+1)<<shift).
-func (b *capBounds) walk(id ID, tri geom.Triangle, shift uint) {
+// held says the cap is known to lie capMargin inside all three edges of tri,
+// which CapRelation would call Partial.
+//
+// Children are told apart by the planes of the middle child's edges before
+// CapRelation is paid for them: a child with the cap capMargin beyond one of
+// its edges has every point that far from the cap, so CapRelation finds it
+// Disjoint, and a child held by all three is Partial. For a cap much smaller
+// than the trixel that settles all four.
+func (b *capBounds) walk(id ID, tri geom.Triangle, shift uint, held bool) {
 	start, end := id<<shift, (id+1)<<shift-1
 	if end < b.win.Start || start > b.win.End {
 		return
@@ -453,7 +499,10 @@ func (b *capBounds) walk(id ID, tri geom.Triangle, shift uint) {
 	if b.ok && start >= b.lo && end <= b.hi {
 		return // nothing under id can move either end
 	}
-	rel := tri.CapRelation(b.c)
+	rel := geom.Partial
+	if !held {
+		rel = tri.CapRelation(b.c)
+	}
 	if rel == geom.Disjoint {
 		return
 	}
@@ -468,14 +517,24 @@ func (b *capBounds) walk(id ID, tri geom.Triangle, shift uint) {
 		return
 	}
 	// subTriangle's four children, with the edge midpoints taken once for
-	// the node instead of once per child.
+	// the node instead of once per child. A corner child shares two edges'
+	// planes with tri; its third edge is the middle child's.
 	w0 := tri.V1.Mid(tri.V2)
 	w1 := tri.V0.Mid(tri.V2)
 	w2 := tri.V0.Mid(tri.V1)
-	b.walk(id<<2, geom.Triangle{V0: tri.V0, V1: w2, V2: w1}, shift-2)
-	b.walk(id<<2|1, geom.Triangle{V0: tri.V1, V1: w0, V2: w2}, shift-2)
-	b.walk(id<<2|2, geom.Triangle{V0: tri.V2, V1: w1, V2: w0}, shift-2)
-	b.walk(id<<2|3, geom.Triangle{V0: w0, V1: w1, V2: w2}, shift-2)
+	s0, s1, s2 := b.side(w2.Cross(w1)), b.side(w0.Cross(w2)), b.side(w1.Cross(w0))
+	if s0 >= 0 {
+		b.walk(id<<2, geom.Triangle{V0: tri.V0, V1: w2, V2: w1}, shift-2, held && s0 > 0)
+	}
+	if s1 >= 0 {
+		b.walk(id<<2|1, geom.Triangle{V0: tri.V1, V1: w0, V2: w2}, shift-2, held && s1 > 0)
+	}
+	if s2 >= 0 {
+		b.walk(id<<2|2, geom.Triangle{V0: tri.V2, V1: w1, V2: w0}, shift-2, held && s2 > 0)
+	}
+	if s0 <= 0 && s1 <= 0 && s2 <= 0 {
+		b.walk(id<<2|3, geom.Triangle{V0: w0, V1: w1, V2: w2}, shift-2, s0 < 0 && s1 < 0 && s2 < 0)
+	}
 }
 
 // MergeRanges sorts ranges by Start and coalesces overlapping or adjacent

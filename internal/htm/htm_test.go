@@ -443,6 +443,18 @@ func BenchmarkCoverCapArcsec(b *testing.B) {
 	}
 }
 
+func BenchmarkCapBoundsArcsec(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	caps := make([]geom.Cap, 1024)
+	for i := range caps {
+		caps[i] = geom.NewCap(geom.FromRaDec(rng.Float64()*360, math.Asin(rng.Float64()*2-1)*180/math.Pi), geom.ArcsecToRad(5))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		CapBounds(caps[i%len(caps)], PaperLevel)
+	}
+}
+
 func TestLookupWithin(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for i := 0; i < 300; i++ {
@@ -662,4 +674,163 @@ func TestCapBoundsPanicsOnBadLevel(t *testing.T) {
 		}
 	}()
 	CapBounds(geom.NewCap(geom.Vec3{Z: 1}, 0.1), MaxLevel+1)
+}
+
+// refCapBounds is CapBoundsIn as it was before the walk learned to tell
+// children apart by their edges' planes: every child pays CapRelation. Kept
+// as the reference the plane tests must agree with, bit for bit.
+type refCapBounds struct {
+	c      geom.Cap
+	win    Range
+	lo, hi ID
+	ok     bool
+}
+
+func refCapBoundsIn(c geom.Cap, level int, win Range) (lo, hi ID, ok bool) {
+	b := refCapBounds{c: c, win: win}
+	for i := 0; i < 8; i++ {
+		b.walk(FaceID(i), FaceTriangle(i), 2*uint(level))
+	}
+	return b.lo, b.hi, b.ok
+}
+
+func (b *refCapBounds) walk(id ID, tri geom.Triangle, shift uint) {
+	start, end := id<<shift, (id+1)<<shift-1
+	if end < b.win.Start || start > b.win.End {
+		return
+	}
+	start, end = max(start, b.win.Start), min(end, b.win.End)
+	if b.ok && start >= b.lo && end <= b.hi {
+		return
+	}
+	rel := tri.CapRelation(b.c)
+	if rel == geom.Disjoint {
+		return
+	}
+	if rel == geom.Inside || shift == 0 {
+		if !b.ok || start < b.lo {
+			b.lo = start
+		}
+		if !b.ok || end > b.hi {
+			b.hi = end
+		}
+		b.ok = true
+		return
+	}
+	w0 := tri.V1.Mid(tri.V2)
+	w1 := tri.V0.Mid(tri.V2)
+	w2 := tri.V0.Mid(tri.V1)
+	b.walk(id<<2, geom.Triangle{V0: tri.V0, V1: w2, V2: w1}, shift-2)
+	b.walk(id<<2|1, geom.Triangle{V0: tri.V1, V1: w0, V2: w2}, shift-2)
+	b.walk(id<<2|2, geom.Triangle{V0: tri.V2, V1: w1, V2: w0}, shift-2)
+	b.walk(id<<2|3, geom.Triangle{V0: w0, V1: w1, V2: w2}, shift-2)
+}
+
+// TestCapBoundsMatchReferenceWalk holds the walk that skips children by
+// their edges' planes to the one that asks CapRelation about every child, on
+// over 10^5 seeded caps: cross-match error circles (5") and region-sized
+// caps (30 degrees) anywhere, caps on and a hair off the poles, the
+// octahedron's vertices and edges (whose covers straddle root trixels),
+// radii and offsets around capMargin and the 60-degree cut-over, other
+// levels, and windows clipped around, between and inside the cover's ends.
+func TestCapBoundsMatchReferenceWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	caps := 0
+	check := func(c geom.Cap, level int, win Range) {
+		t.Helper()
+		lo, hi, ok := CapBoundsIn(c, level, win)
+		wantLo, wantHi, wantOK := refCapBoundsIn(c, level, win)
+		if ok != wantOK || lo != wantLo || hi != wantHi {
+			t.Fatalf("cap %v (radius %g) level %d win [%d, %d]: got [%d, %d] %v, reference [%d, %d] %v",
+				c, c.Radius(), level, win.Start, win.End, lo, hi, ok, wantLo, wantHi, wantOK)
+		}
+	}
+	everything := Range{Start: 0, End: ^ID(0)}
+	// whole checks c unclipped and, one time in four, through windows placed
+	// against its bounds.
+	whole := func(c geom.Cap, level int) {
+		t.Helper()
+		caps++
+		check(c, level, everything)
+		if caps%4 != 0 {
+			return
+		}
+		lo, hi, ok := refCapBoundsIn(c, level, everything)
+		if !ok {
+			return
+		}
+		span := int64(hi-lo) + 1
+		check(c, level, Range{Start: lo, End: lo})
+		check(c, level, Range{Start: hi, End: hi + 1000})
+		check(c, level, Range{Start: hi + 1, End: hi + 1000})
+		check(c, level, Range{Start: lo + 1, End: hi - 1}) // empty when lo == hi
+		for k := 0; k < 3; k++ {
+			s := lo + ID(rng.Int63n(span))
+			check(c, level, Range{Start: s, End: s + ID(rng.Int63n(1<<uint(rng.Intn(31))))})
+		}
+	}
+	anywhere := func() geom.Vec3 {
+		return geom.FromRaDec(rng.Float64()*360, math.Asin(rng.Float64()*2-1)*180/math.Pi)
+	}
+	jitter := func(p geom.Vec3, off float64) geom.Vec3 {
+		return p.Add(geom.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}.Scale(off)).Normalize()
+	}
+	arc5, deg30 := geom.ArcsecToRad(5), geom.Radians(30)
+
+	for i := 0; i < 60000; i++ {
+		whole(geom.NewCap(anywhere(), arc5), PaperLevel)
+	}
+	// A 30-degree cap's walk to level 14 follows its rim for milliseconds,
+	// so most of them stop at level 8.
+	for i := 0; i < 1000; i++ {
+		level := 8
+		if i%40 == 0 {
+			level = PaperLevel
+		}
+		whole(geom.NewCap(anywhere(), deg30), level)
+	}
+	// Radii log-uniform from a hundredth of an arcsecond to a degree, which
+	// crosses capMargin (2") and every trixel size from level 14 to level 7.
+	for i := 0; i < 20000; i++ {
+		whole(geom.NewCap(anywhere(), geom.ArcsecToRad(0.01*math.Pow(3.6e5, rng.Float64()))), PaperLevel)
+	}
+	// On the octahedron's edges: a point anywhere along each of the twelve,
+	// the vertices (poles included) at its ends, and the same a hair off —
+	// offsets log-uniform from 0.01" to 100", on both sides of capMargin.
+	for i := 0; i < 8; i++ {
+		tri := FaceTriangle(i)
+		for _, e := range [][2]geom.Vec3{{tri.V0, tri.V1}, {tri.V1, tri.V2}, {tri.V2, tri.V0}} {
+			for k := 0; k < 250; k++ {
+				p := e[0]
+				if k%10 != 0 {
+					a := rng.Float64() * math.Pi / 2
+					p = e[0].Scale(math.Cos(a)).Add(e[1].Scale(math.Sin(a)))
+				}
+				for _, r := range []float64{0, arc5, geom.ArcsecToRad(2), deg30} {
+					level := PaperLevel
+					if r == deg30 && k != 0 {
+						if k%25 != 0 {
+							continue
+						}
+						level = 8
+					}
+					whole(geom.NewCap(p, r), level)
+					whole(geom.NewCap(jitter(p, geom.ArcsecToRad(0.01*math.Pow(1e4, rng.Float64()))), r), level)
+				}
+			}
+		}
+	}
+	// Around the cut-over to CapRelation alone, and beyond the hemisphere.
+	for i := 0; i < 300; i++ {
+		whole(geom.NewCap(anywhere(), geom.Radians(60+rng.NormFloat64()*1e-3)), 6)
+		whole(geom.NewCap(anywhere(), rng.Float64()*math.Pi), rng.Intn(8))
+	}
+	whole(geom.Cap{Center: geom.Vec3{Z: 1}, CosR: 0.5}, 6)
+	// Deeper than the paper's level, where an edge is a few capMargins long.
+	for i := 0; i < 3000; i++ {
+		whole(geom.NewCap(anywhere(), geom.ArcsecToRad(0.01*math.Pow(1e3, rng.Float64()))), 15+rng.Intn(MaxLevel-14))
+	}
+	if caps < 100000 {
+		t.Fatalf("only %d caps compared", caps)
+	}
 }

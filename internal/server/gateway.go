@@ -7,8 +7,11 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
+	"sync"
 	"time"
 
+	"liferaft/internal/jsonenc"
 	"liferaft/internal/metric"
 	"liferaft/internal/trace"
 )
@@ -118,6 +121,25 @@ type queryResponse struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
+// AppendJSON makes the envelope a jsonAppender: the fields above in their
+// order, as encoding/json writes them, with the result appended in place.
+func (q queryResponse) AppendJSON(buf []byte) ([]byte, error) {
+	buf = append(buf, `{"tenant":`...)
+	buf = jsonenc.AppendString(buf, q.Tenant, true)
+	buf = append(buf, `,"elapsed_ms":`...)
+	buf = jsonenc.AppendFloat(buf, q.ElapsedMS)
+	buf = append(buf, `,"result":`...)
+	buf, err := appendJSON(buf, q.Result)
+	if err != nil {
+		return nil, err
+	}
+	if q.TraceID != "" {
+		buf = append(buf, `,"trace_id":`...)
+		buf = jsonenc.AppendString(buf, q.TraceID, true)
+	}
+	return append(buf, '}'), nil
+}
+
 type errorResponse struct {
 	Error string `json:"error"`
 	// RetryAfterMillis is set on 429 responses (alongside the standard
@@ -127,10 +149,86 @@ type errorResponse struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
+// jsonAppender is a result value that writes its own JSON: AppendJSON appends
+// to buf exactly the bytes json.Marshal of the value returns. A row set of
+// tens of kilobytes offers it so that its bytes are written once, into the
+// response buffer, instead of being produced by a Marshaler and then scanned
+// again by the encoder that called it.
+type jsonAppender interface {
+	AppendJSON(buf []byte) ([]byte, error)
+}
+
+// respBufs recycles response buffers. One that grew past maxPooledResp
+// served an outsized result and is left to the collector instead of being
+// kept at that size for good.
+var respBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledResp = 1 << 20
+
+// writeJSON encodes v into a pooled buffer — byte for byte what
+// json.NewEncoder(w).Encode(v) writes, trailing newline included — and only
+// then sends the status line and the body, in one Write. A value the encoder
+// refuses (a NaN coordinate) is therefore a 500 with the reason, not a 200
+// with half a body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	bp := respBufs.Get().(*[]byte)
+	buf, err := appendJSON((*bp)[:0], v)
+	if err != nil {
+		fail := errorResponse{Error: "encode response: " + err.Error()}
+		if q, ok := v.(queryResponse); ok {
+			fail.TraceID = q.TraceID
+		}
+		status = http.StatusInternalServerError
+		buf, _ = appendJSON((*bp)[:0], fail) // two strings: cannot fail
+	}
+	buf = append(buf, '\n')
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(buf)
+	if cap(buf) <= maxPooledResp {
+		*bp = buf
+		respBufs.Put(bp)
+	}
+}
+
+// appendJSON appends v as json.Marshal encodes it. A jsonAppender (the query
+// response's envelope, a row set) writes itself, and the executor's
+// map[string]any is written here, keys sorted, so that an appender among its
+// values lands in buf directly; every other value is small and goes through
+// json.Marshal.
+func appendJSON(buf []byte, v any) ([]byte, error) {
+	switch v := v.(type) {
+	case jsonAppender:
+		return v.AppendJSON(buf)
+	case map[string]any:
+		if v == nil {
+			return append(buf, "null"...), nil
+		}
+		var few [8]string // keeps an executor's handful of keys off the heap
+		keys := few[:0]
+		for k := range v {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		buf = append(buf, '{')
+		for i, k := range keys {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			buf = jsonenc.AppendString(buf, k, true)
+			buf = append(buf, ':')
+			var err error
+			if buf, err = appendJSON(buf, v[k]); err != nil {
+				return nil, err
+			}
+		}
+		return append(buf, '}'), nil
+	}
+	b, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	return append(buf, b...), nil
 }
 
 func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {

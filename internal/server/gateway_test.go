@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"liferaft/internal/simclock"
+	"liferaft/internal/trace"
 )
 
 func testGateway(t *testing.T, exec func(ctx context.Context, tenant, query string) (any, error)) *httptest.Server {
@@ -228,5 +231,109 @@ func TestGatewayDeadline(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Errorf("status = %d, want 504", resp.StatusCode)
+	}
+}
+
+// stubRows stands in for a result value that writes its own JSON (the row
+// set): its bytes are what json.Marshal of its elements returns.
+type stubRows []map[string]float64
+
+func (s stubRows) AppendJSON(buf []byte) ([]byte, error) {
+	b, err := json.Marshal([]map[string]float64(s))
+	return append(buf, b...), err
+}
+
+func (s stubRows) MarshalJSON() ([]byte, error) { return json.Marshal([]map[string]float64(s)) }
+
+// TestGatewayUnencodableResultIs500: a result the encoder refuses used to be
+// a 200 status line followed by an empty body, because the status went out
+// before Encode ran and Encode's error was dropped. It must be a 500 that
+// says why and carries the request's trace ID.
+func TestGatewayUnencodableResultIs500(t *testing.T) {
+	results := map[string]any{
+		"NaN in a plain value": map[string]any{"row_count": 1, "mean": math.NaN()},
+		"NaN in an appender":   map[string]any{"rows": stubRows{{"X": 1}, {"X": math.Inf(1)}}},
+	}
+	for name, result := range results {
+		g, err := NewGateway(GatewayConfig{
+			Exec:   func(context.Context, string, string) (any, error) { return result, nil },
+			Tracer: trace.New(trace.Config{}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		g.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(`{"query":"q"}`)))
+		if rec.Code != http.StatusInternalServerError {
+			t.Fatalf("%s: status %d, body %q; want 500", name, rec.Code, rec.Body)
+		}
+		var out errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatalf("%s: body %q is not an error response: %v", name, rec.Body, err)
+		}
+		if !strings.Contains(out.Error, "unsupported value") || out.TraceID == "" {
+			t.Errorf("%s: error response %+v: want the encoder's reason and a trace_id", name, out)
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: Content-Type %q", name, ct)
+		}
+	}
+}
+
+// TestGatewayJSONEquivalence holds the gateway's own encoder to
+// json.NewEncoder(w).Encode, byte for byte: the envelope with and without a
+// trace ID, elapsed times in every float format, tenants and keys that need
+// JSON and HTML escaping, and results of every shape an executor returns — a
+// map whose values are appenders, scalars, maps and nil, and results that are
+// not a map at all.
+func TestGatewayJSONEquivalence(t *testing.T) {
+	hostile := "<t&nt>" + "\u2028" + `"q` + "\\" + "\x00\xff"
+	results := []any{
+		map[string]any{
+			"rows":        stubRows{{"X": 0.5, "Y": 1e-7}, {}},
+			"row_count":   2,
+			"hop_elapsed": map[string]time.Duration{"sdss": 1500 * time.Microsecond},
+			"shipped":     map[string]int{"sdss": 290, "<b>&": 1},
+		},
+		map[string]any{"rows": stubRows(nil), hostile: hostile, "nested": map[string]any{"z": nil, "a": []any{1, "<"}}},
+		map[string]any{},
+		map[string]any(nil),
+		nil,
+		"ok <&>",
+		stubRows{{"Mag": 17.25}},
+		[]int{1, 2, 3},
+		struct {
+			A string `json:"a"`
+		}{"x"},
+	}
+	for i, result := range results {
+		for _, q := range []queryResponse{
+			{Tenant: "default", ElapsedMS: 12.345678, Result: result},
+			{Tenant: hostile, ElapsedMS: 0, Result: result, TraceID: "00c0ffee"},
+			{Tenant: "", ElapsedMS: 1e-7, Result: result, TraceID: hostile},
+			{Tenant: "t", ElapsedMS: 3e21, Result: result},
+		} {
+			var want bytes.Buffer
+			if err := json.NewEncoder(&want).Encode(q); err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			writeJSON(rec, http.StatusOK, q)
+			if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+				t.Errorf("result %d: status %d, body differs from json.Encoder\n got %s\nwant %s", i, rec.Code, rec.Body, want.Bytes())
+			}
+		}
+	}
+	// The other bodies the gateway writes go through the same function.
+	for _, v := range []any{errorResponse{Error: "<overloaded>", RetryAfterMillis: 1500, TraceID: "ab"}, errorResponse{Error: "x"}, Stats{}} {
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		writeJSON(rec, http.StatusTooManyRequests, v)
+		if rec.Code != http.StatusTooManyRequests || !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+			t.Errorf("%T: status %d, body %s, want %s", v, rec.Code, rec.Body, want.Bytes())
+		}
 	}
 }
