@@ -1,10 +1,14 @@
 // Command skybench regenerates the paper's tables and figures (and this
-// reproduction's ablations) from the experiment harness.
+// reproduction's ablations) from the experiment harness, and runs three
+// gates. Wall-clock throughput, latency, bytes and allocations are not
+// measured here: they come from bench/ (BENCHMARK.json), and the
+// scheduler hot path's ns/op and allocs/op from
+// go test -bench 'Pick|Step' -benchmem ./internal/core.
 //
 // Usage:
 //
 //	skybench [-scale ci|mid|paper] [-exp all|fig2|fig4|fig5|fig6|fig7|fig8|indexonly|cache|ablations]
-//	skybench -bench-json BENCH_4.json [-data-dir DIR]
+//	skybench -bench-json BENCH_21.json
 //	skybench -overload BENCH_19.json
 //	skybench -tiered BENCH_8.json [-data-dir DIR]
 //
@@ -12,10 +16,10 @@
 //
 //	skybench                      # every experiment at CI scale
 //	skybench -scale mid -exp fig7 # the headline comparison at 2,000 buckets
-//	skybench -bench-json BENCH_4.json -data-dir /tmp/lfseg
-//	    # scheduler perf snapshot for the trajectory, plus qps measured
-//	    # against actual disks via the segment store under -data-dir
-//	    # (built there on first use)
+//	skybench -bench-json BENCH_21.json
+//	    # the virtual-clock vqps checksum of the CI-scale replay, and the
+//	    # tracing-overhead gate; exits nonzero when tracing every query
+//	    # moves virtual throughput by more than 5%
 //	skybench -overload BENCH_19.json
 //	    # serving-layer overload scenarios (flash crowd in adaptive and
 //	    # static rate modes, diurnal ramp, slow loris, 10k-tenant churn)
@@ -31,372 +35,159 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
-	"liferaft/internal/bucket"
-	"liferaft/internal/catalog"
 	"liferaft/internal/core"
 	"liferaft/internal/exper"
-	"liferaft/internal/geom"
-	"liferaft/internal/segment"
 	"liferaft/internal/trace"
-	"liferaft/internal/workload"
 )
 
 func main() {
 	scaleName := flag.String("scale", "ci", "experiment scale: ci, mid, or paper")
 	expName := flag.String("exp", "all", "experiment: all, fig2, fig4, fig5, fig6, fig7, fig8, indexonly, cache, ablations")
 	shards := flag.Int("shards", 1, "disk/worker shards per engine (1 = one shard of the same engine)")
-	benchJSON := flag.String("bench-json", "", "measure the scheduler hot path (vqps, picks/sec, allocs/op), print an old-vs-new comparison, write the snapshot to this file, and exit")
-	dataDir := flag.String("data-dir", "", "with -bench-json: also replay a trace against the real-I/O segment store under this directory (built there on first use)")
+	benchJSON := flag.String("bench-json", "", "replay the CI-scale trace on the virtual clock (the vqps checksum), gate tracing overhead under 5%, write the snapshot to this file, and exit")
+	dataDir := flag.String("data-dir", "", "with -tiered: keep the scenario's segment store and tier directories under this directory (the store is built there on first use)")
 	overloadJSON := flag.String("overload", "", "run the serving-layer overload scenarios, write per-scenario SLO verdicts to this file, and exit (nonzero on any failed verdict)")
 	tieredJSON := flag.String("tiered", "", "run the tiered bucket-cache scenario (untiered baseline vs cold/warm disk tier, with and without schedule-driven prefetch) against a real segment store under -data-dir (a temp dir if unset), write the snapshot to this file, and exit (nonzero on any failed perf gate)")
 	flag.Parse()
 
-	if *overloadJSON != "" {
-		if err := runOverload(*overloadJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "skybench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *tieredJSON != "" {
-		if err := runTiered(*tieredJSON, *dataDir); err != nil {
-			fmt.Fprintf(os.Stderr, "skybench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON, *dataDir); err != nil {
-			fmt.Fprintf(os.Stderr, "skybench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *dataDir != "" {
-		fmt.Fprintln(os.Stderr, "skybench: -data-dir requires -bench-json")
+	if err := checkDataDir(*dataDir, *benchJSON, *tieredJSON); err != nil {
+		fmt.Fprintf(os.Stderr, "skybench: %v\n", err)
 		os.Exit(1)
 	}
-	if err := run(*scaleName, *expName, *shards); err != nil {
+	var err error
+	switch {
+	case *overloadJSON != "":
+		err = runOverload(*overloadJSON)
+	case *tieredJSON != "":
+		err = runTiered(*tieredJSON, *dataDir)
+	case *benchJSON != "":
+		err = runBenchJSON(*benchJSON)
+	default:
+		err = run(*scaleName, *expName, *shards)
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "skybench: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-// benchSnapshot is the BENCH_<pr>.json payload: one end-to-end virtual
-// throughput figure plus the scheduler hot-path probes at three scales.
-// Future PRs append their own snapshots, forming a perf trajectory.
+// checkDataDir rejects a -data-dir no mode will read: only -tiered keeps
+// a store on disk. -bench-json once replayed one, so that combination
+// says where the replay went rather than running without it.
+func checkDataDir(dataDir, benchJSON, tieredJSON string) error {
+	switch {
+	case dataDir == "" || tieredJSON != "":
+		return nil
+	case benchJSON != "":
+		return fmt.Errorf("-bench-json no longer replays a -data-dir store (bench/ measures real I/O); -data-dir is only meaningful with -tiered")
+	default:
+		return fmt.Errorf("-data-dir is only meaningful with -tiered")
+	}
+}
+
+// snapshotHeader opens every BENCH_<pr>.json skybench writes.
+type snapshotHeader struct {
+	GeneratedBy string `json:"generated_by"`
+}
+
+// writeSnapshot writes v to path as indented JSON with a trailing
+// newline.
+func writeSnapshot(path string, v any) error {
+	out, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(out, '\n'), 0o644)
+}
+
+// benchSnapshot is the -bench-json payload: the two virtual-clock
+// figures this mode gates on.
 type benchSnapshot struct {
-	GeneratedBy     string  `json:"generated_by"`
-	VQPS            float64 `json:"vqps"`
-	PicksPerSec     float64 `json:"picks_per_sec_10k"`
-	PickSpeedup     float64 `json:"pick_speedup_10k"`
-	StepAllocsPerOp float64 `json:"step_allocs_per_op_10k"`
+	snapshotHeader
+	// VQPS is the CI-scale saturated replay's virtual throughput — a
+	// checksum of the schedule, not a speed: it moves only when the
+	// engine orders services differently (internal/exper's
+	// TestCISaturatedVQPSMatchesRecorded pins the same figure).
+	VQPS float64 `json:"vqps"`
 	// TracingOverheadPct is the virtual-throughput cost of tracing every
 	// query on the CI replay (untraced vs traced); tracing spends no
 	// virtual time, so anything beyond rounding noise means the
 	// instrumentation perturbed the schedule. Budgeted under 5%.
-	TracingOverheadPct float64           `json:"tracing_overhead_pct"`
-	Probes             []core.PerfReport `json:"probes"`
-	// RealIO reports the -data-dir replay: the first figures in this
-	// repo measured against actual disks instead of the analytic model.
-	RealIO *realIOSnapshot `json:"real_io,omitempty"`
+	TracingOverheadPct float64 `json:"tracing_overhead_pct"`
 }
 
-// realIOSnapshot is the file-backed replay's measured result.
-type realIOSnapshot struct {
-	DataDir       string  `json:"data_dir"`
-	Queries       int     `json:"queries"`
-	Buckets       int     `json:"buckets"`
-	StoreMB       float64 `json:"store_mb"`
-	WriteMBps     float64 `json:"write_mbps,omitempty"` // 0 when the store already existed
-	QPS           float64 `json:"qps"`
-	ElapsedSec    float64 `json:"elapsed_sec"`
-	ReadMB        float64 `json:"read_mb"`
-	SeqReads      int64   `json:"seq_reads"`
-	IndexProbes   int64   `json:"index_probes"`
-	ScanServices  int64   `json:"scan_services"`
-	IndexServices int64   `json:"index_services"`
-}
-
-// runBenchJSON measures the scheduler hot path at B ∈ {1k, 10k, 100k}
-// active buckets, replays the CI-scale trace for an end-to-end vqps
-// figure, optionally replays a trace against the real segment store
-// under dataDir, prints a benchstat-style old-vs-new table, and writes
-// the snapshot to path.
-func runBenchJSON(path, dataDir string) error {
-	snap := benchSnapshot{GeneratedBy: "skybench -bench-json"}
-	// Resolve the real-I/O store up front: a mismatched or unreadable
-	// -data-dir must fail before minutes of virtual benchmarking, not
-	// after.
-	var fixture *realFixture
-	if dataDir != "" {
-		var err error
-		fixture, err = prepareRealIO(dataDir)
-		if err != nil {
-			return err
-		}
-		defer fixture.close()
-	}
-	fmt.Println("scheduler pick: exhaustive scan (old) vs incremental index (new)")
-	fmt.Printf("%-14s %14s %14s %9s %9s\n", "benchmark", "old ns/op", "new ns/op", "delta", "speedup")
-	for _, b := range []int{1_000, 10_000, 100_000} {
-		rep, err := core.PerfProbe(b)
-		if err != nil {
-			return err
-		}
-		snap.Probes = append(snap.Probes, rep)
-		fmt.Printf("%-14s %14.0f %14.0f %8.1f%% %8.1fx\n",
-			fmt.Sprintf("Pick/B=%d", b), rep.PickNsScan, rep.PickNsIndexed,
-			100*(rep.PickNsIndexed-rep.PickNsScan)/rep.PickNsScan, rep.PickSpeedup)
-		if b == 10_000 {
-			snap.PicksPerSec = rep.PicksPerSec
-			snap.PickSpeedup = rep.PickSpeedup
-			snap.StepAllocsPerOp = rep.StepAllocsPerOp
-		}
-	}
-	for _, p := range snap.Probes {
-		fmt.Printf("Step/B=%-7d %14s %14.0f %9s %9s  (%.2f allocs/op)\n",
-			p.Buckets, "-", p.StepNsPerOp, "-", "-", p.StepAllocsPerOp)
-	}
-
-	// End-to-end: the CI-scale saturated LifeRaft replay.
-	scale, err := exper.ScaleByName("ci")
+// runBenchJSON replays the CI-scale saturated trace untraced — its
+// virtual throughput is the vqps checksum — and again with every query
+// carrying a span recorder, writes both figures to path, and fails when
+// tracing cost more than 5% of vqps. Tracing spends no virtual time, so
+// any delta means the instrumentation perturbed the schedule itself.
+// Wall-clock span-recording cost is covered by the allocation benchmarks
+// in internal/trace; a wall-clock gate here would flake on shared CI
+// hardware, where run-to-run jitter exceeds the signal.
+func runBenchJSON(path string) error {
+	env, err := exper.NewEnv(exper.CI())
 	if err != nil {
 		return err
 	}
-	env, err := exper.NewEnv(scale)
+	base, err := replayVQPS(env, false)
 	if err != nil {
 		return err
 	}
-	cfg, _ := core.NewVirtual(env.Part, 0.5, false)
-	_, stats, err := core.Run(cfg, env.Jobs, env.SaturatedOffsets())
+	if base <= 0 {
+		return fmt.Errorf("untraced replay completed no queries")
+	}
+	traced, err := replayVQPS(env, true)
 	if err != nil {
 		return err
 	}
-	snap.VQPS = stats.Throughput()
-	fmt.Printf("end-to-end: %.2f virtual queries/sec over %d queries (%s scale)\n",
-		snap.VQPS, stats.Completed, scale.Name)
+	snap := benchSnapshot{
+		snapshotHeader: snapshotHeader{
+			GeneratedBy: "skybench -bench-json (virtual clock only; the real-I/O replay and the pick/step probes moved to bench/ and go test -bench 'Pick|Step' ./internal/core)",
+		},
+		VQPS:               base,
+		TracingOverheadPct: 100 * (base - traced) / base,
+	}
+	fmt.Printf("vqps %v: virtual queries/sec over %d queries (ci scale)\n", snap.VQPS, len(env.Jobs))
+	fmt.Printf("tracing overhead: %+.2f%% vqps with every query traced (budget 5%%)\n", snap.TracingOverheadPct)
 
-	overhead, err := measureTracingOverhead(env)
-	if err != nil {
-		return err
-	}
-	snap.TracingOverheadPct = overhead
-	fmt.Printf("tracing overhead: %+.2f%% vqps with every query traced (budget 5%%)\n", overhead)
-
-	if fixture != nil {
-		real, err := fixture.replay()
-		if err != nil {
-			return err
-		}
-		snap.RealIO = real
-		fmt.Printf("real I/O (%s): %.2f queries/sec over %d queries in %.2fs — %.1f MB read in %d bucket scans + %d index probes\n",
-			dataDir, real.QPS, real.Queries, real.ElapsedSec, real.ReadMB, real.SeqReads, real.IndexProbes)
-	}
-
-	out, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
+	if err := writeSnapshot(path, snap); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s\n", path)
-	if overhead > 5 {
-		return fmt.Errorf("tracing overhead %.2f%% exceeds the 5%% budget", overhead)
+	if snap.TracingOverheadPct > 5 {
+		return fmt.Errorf("tracing overhead %.2f%% exceeds the 5%% budget", snap.TracingOverheadPct)
 	}
 	return nil
 }
 
-// measureTracingOverhead replays the standard CI trace untraced and
-// then with every query carrying a span recorder (Finish included), and
-// compares virtual throughput. Tracing spends no virtual time, so any
-// vqps delta means the instrumentation perturbed the schedule itself —
-// the gate keeps it under 5%. Wall-clock span-recording cost is covered
-// by the allocation benchmarks in internal/trace; a wall-clock gate
-// here would flake on shared CI hardware, where run-to-run jitter
-// exceeds the signal.
-func measureTracingOverhead(env *exper.Env) (float64, error) {
-	replay := func(traced bool) (float64, error) {
-		jobs := env.Jobs
-		var rec *trace.Recorder
-		var trs []*trace.Trace
-		if traced {
-			rec = trace.New(trace.Config{SlowThreshold: time.Hour})
-			jobs = make([]core.Job, len(env.Jobs))
-			trs = make([]*trace.Trace, len(env.Jobs))
-			for i, j := range env.Jobs {
-				jobs[i] = j
-				trs[i] = rec.Start("bench", j.ID)
-				jobs[i].Trace = trs[i]
-			}
+// replayVQPS runs env's jobs saturated through one virtual-clock LifeRaft
+// shard at α = 0.5 and returns the virtual throughput; traced gives
+// every job a span recorder (Finish included).
+func replayVQPS(env *exper.Env, traced bool) (float64, error) {
+	jobs := env.Jobs
+	var rec *trace.Recorder
+	var trs []*trace.Trace
+	if traced {
+		rec = trace.New(trace.Config{SlowThreshold: time.Hour})
+		jobs = make([]core.Job, len(env.Jobs))
+		trs = make([]*trace.Trace, len(env.Jobs))
+		for i, j := range env.Jobs {
+			jobs[i] = j
+			trs[i] = rec.Start("bench", j.ID)
+			jobs[i].Trace = trs[i]
 		}
-		cfg, _ := core.NewVirtual(env.Part, 0.5, false)
-		_, stats, err := core.Run(cfg, jobs, env.SaturatedOffsets())
-		if err != nil {
-			return 0, err
-		}
-		for _, tr := range trs {
-			rec.Finish(tr)
-		}
-		return stats.Throughput(), nil
 	}
-	base, err := replay(false)
+	cfg, _ := core.NewVirtual(env.Part, 0.5, false)
+	_, stats, err := core.Run(cfg, jobs, env.SaturatedOffsets())
 	if err != nil {
 		return 0, err
 	}
-	traced, err := replay(true)
-	if err != nil {
-		return 0, err
+	for _, tr := range trs {
+		rec.Finish(tr)
 	}
-	if base <= 0 {
-		return 0, fmt.Errorf("untraced replay completed no queries")
-	}
-	return 100 * (base - traced) / base, nil
-}
-
-// realFixture is the resolved -data-dir replay environment: the opened
-// (and validated) segment store plus the matching synthetic catalog.
-type realFixture struct {
-	dataDir   string
-	set       *segment.Set
-	part      *bucket.Partition
-	local     *catalog.Catalog
-	seed      int64
-	writeMBps float64 // 0 when the store already existed
-}
-
-// close releases the segment set. Set.Close is idempotent, so this is
-// safe whether or not replay already handed the set to an engine whose
-// store was closed.
-func (f *realFixture) close() { f.set.Close() }
-
-// prepareRealIO resolves the segment store under dataDir. An existing
-// store's recorded geometry wins: skybench re-synthesizes the base
-// survey the manifest describes, so any store skygen -write-segments
-// built (at any flags) replays as-is. A missing store is built at a
-// deliberately small default geometry — 200 buckets of 150 objects at
-// a 512-byte stride (~15 MB) — so a CI runner finishes in seconds
-// while every byte the scheduler charges for is genuinely moved.
-func prepareRealIO(dataDir string) (*realFixture, error) {
-	f := &realFixture{dataDir: dataDir}
-	if _, err := os.Stat(filepath.Join(dataDir, segment.ManifestName)); err == nil {
-		set, err := segment.OpenSet(dataDir)
-		if err != nil {
-			return nil, err
-		}
-		geo := set.Geometry()
-		if geo.Derived {
-			set.Close()
-			return nil, fmt.Errorf("%s was built from derived archive %q; the replay can only re-synthesize base surveys", dataDir, geo.Catalog)
-		}
-		f.local, err = catalog.New(catalog.Config{
-			Name: geo.Catalog, N: int(geo.TotalObjects), Seed: geo.Seed,
-			GenLevel: geo.GenLevel, CacheTrixels: geo.TotalObjects <= 10_000_000,
-		})
-		if err != nil {
-			set.Close()
-			return nil, fmt.Errorf("re-synthesizing the catalog %s records: %w", dataDir, err)
-		}
-		f.part, err = bucket.NewPartition(f.local, geo.PerBucket, geo.ObjectBytes)
-		if err != nil {
-			set.Close()
-			return nil, err
-		}
-		if err := set.Validate(f.part); err != nil {
-			set.Close()
-			return nil, err
-		}
-		f.set, f.seed = set, geo.Seed
-		return f, nil
-	} else if !os.IsNotExist(err) {
-		return nil, err
-	}
-
-	const (
-		objects     = 30_000
-		seed        = 42
-		genLevel    = 4
-		perBucket   = 150
-		objectBytes = 512
-	)
-	local, err := catalog.New(catalog.Config{
-		Name: "sdss", N: objects, Seed: seed, GenLevel: genLevel, CacheTrixels: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	part, err := bucket.NewPartition(local, perBucket, objectBytes)
-	if err != nil {
-		return nil, err
-	}
-	buildStart := time.Now()
-	set, wst, err := segment.Ensure(dataDir, part, segment.WriteOptions{})
-	if err != nil {
-		return nil, err
-	}
-	f.local, f.part, f.set, f.seed = local, part, set, seed
-	f.writeMBps = float64(wst.Bytes) / 1e6 / time.Since(buildStart).Seconds()
-	fmt.Printf("built segment store: %d segments, %.1f MB at %.1f MB/s\n",
-		wst.Segments, float64(wst.Bytes)/1e6, f.writeMBps)
-	return f, nil
-}
-
-// replay runs a saturated trace through the file-backed engine:
-// buckets served by pread from the fixture's segment store, costs
-// measured on the real clock.
-func (f *realFixture) replay() (*realIOSnapshot, error) {
-	const queries = 120
-	remote, err := catalog.NewDerived(f.local, catalog.DerivedConfig{
-		Name: "twomass", Seed: f.seed + 1, Fraction: 0.8,
-		JitterRad: geom.ArcsecToRad(1.5), CacheTrixels: f.local.Total() <= 10_000_000,
-	})
-	if err != nil {
-		return nil, err
-	}
-	real := &realIOSnapshot{
-		DataDir: f.dataDir, Queries: queries, Buckets: f.part.NumBuckets(),
-		StoreMB:   float64(int64(f.local.Total())*f.part.ObjectBytes()) / 1e6,
-		WriteMBps: f.writeMBps,
-	}
-
-	tcfg := workload.DefaultTraceConfig(f.seed)
-	tcfg.NumQueries = queries
-	tcfg.MinSelectivity, tcfg.MaxSelectivity = 0.05, 0.6
-	trace, err := workload.Generate(tcfg)
-	if err != nil {
-		return nil, err
-	}
-	jobs := make([]core.Job, 0, len(trace.Queries))
-	for _, q := range trace.Queries {
-		jobs = append(jobs, core.Job{
-			ID:      q.ID,
-			Objects: workload.Materialize(q, remote, tcfg.Seed),
-			Pred:    q.Predicate(),
-		})
-	}
-
-	cfg, err := core.NewFileBackedFrom(f.part, 0.5, false, f.set)
-	if err != nil {
-		return nil, err // NewFileBackedFrom closed the set
-	}
-	defer cfg.Store.Close()
-	offsets := make([]time.Duration, len(jobs)) // batch: saturated from t=0
-	_, stats, err := core.Run(cfg, jobs, offsets)
-	if err != nil {
-		return nil, err
-	}
-	real.QPS = stats.Throughput()
-	real.ElapsedSec = stats.Makespan.Seconds()
-	real.ReadMB = float64(stats.Disk.SeqBytes) / 1e6
-	real.SeqReads = stats.Disk.SeqReads
-	real.IndexProbes = stats.Disk.Probes
-	real.ScanServices = stats.ScanServices
-	real.IndexServices = stats.IndexServices
-	return real, nil
+	return stats.Throughput(), nil
 }
 
 func run(scaleName, expName string, shards int) error {

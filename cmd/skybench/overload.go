@@ -16,9 +16,7 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -37,7 +35,7 @@ import (
 
 // overloadReport is the BENCH_19.json payload.
 type overloadReport struct {
-	GeneratedBy string `json:"generated_by"`
+	snapshotHeader
 	// SoloP99Sec is the steady tenant's p99 (virtual seconds) running
 	// alone through the serving layer; every scenario bound is relative
 	// to it. SLOP99Sec = 2x solo is both the AIMD controller's target and
@@ -576,10 +574,10 @@ func runOverload(path string) error {
 	// tenant's solo p99, the same bound the serving load test enforces.
 	slo := time.Duration(2 * soloP99 * float64(time.Second))
 	rep := overloadReport{
-		GeneratedBy: "skybench -overload",
-		SoloP99Sec:  soloP99,
-		SLOP99Sec:   slo.Seconds(),
-		Pass:        true,
+		snapshotHeader: snapshotHeader{GeneratedBy: "skybench -overload"},
+		SoloP99Sec:     soloP99,
+		SLOP99Sec:      slo.Seconds(),
+		Pass:           true,
 	}
 	fmt.Printf("solo steady p99 %.3fs (virtual); SLO set to %.3fs\n", soloP99, slo.Seconds())
 
@@ -610,11 +608,7 @@ func runOverload(path string) error {
 		rep.Scenarios = append(rep.Scenarios, sc)
 	}
 
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
+	if err := writeSnapshot(path, rep); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s (overall: pass=%v)\n", path, rep.Pass)

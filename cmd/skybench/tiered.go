@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,7 +10,6 @@ import (
 	"liferaft/internal/cache/disktier"
 	"liferaft/internal/catalog"
 	"liferaft/internal/core"
-	"liferaft/internal/exper"
 	"liferaft/internal/geom"
 	"liferaft/internal/segment"
 	"liferaft/internal/xmatch"
@@ -53,11 +51,10 @@ const (
 )
 
 // tieredSnapshot is the BENCH_8.json payload: the cold/warm/prefetch
-// tiered-cache scenario against the real-I/O segment store, plus the
-// zero-alloc and vqps-delta regression gates the CI bench smoke fails
-// on.
+// tiered-cache scenario against the real-I/O segment store, with the two
+// figures the CI bench smoke gates on (qps_speedup, hit_rate_lift).
 type tieredSnapshot struct {
-	GeneratedBy     string  `json:"generated_by"`
+	snapshotHeader
 	DataDir         string  `json:"data_dir"`
 	Buckets         int     `json:"buckets"`
 	Groups          int     `json:"groups"`
@@ -79,16 +76,6 @@ type tieredSnapshot struct {
 	ColdDemandStats   disktier.Stats `json:"cold_demand_tier_stats"`
 	ColdPrefetchStats disktier.Stats `json:"cold_prefetch_tier_stats"`
 	WarmStats         disktier.Stats `json:"warm_tier_stats"`
-	// StepAllocsPerOp re-measures the traced service-loop allocation
-	// budget at 10k buckets; the gate is exactly zero.
-	StepAllocsPerOp float64 `json:"step_allocs_per_op_10k"`
-	// VQPS replays the CI-scale virtual trace with the current engine;
-	// VQPSRef is the figure recorded in BENCH_4.json (virtual time, so
-	// machine-independent) and VQPSDeltaPct their relative drift — the
-	// gate that the tiering code left the simulated schedule untouched.
-	VQPS         float64 `json:"vqps"`
-	VQPSRef      float64 `json:"vqps_ref_bench4,omitempty"`
-	VQPSDeltaPct float64 `json:"vqps_delta_pct"`
 }
 
 // runTiered measures the tiered-cache scenario and writes BENCH_8.json
@@ -96,11 +83,13 @@ type tieredSnapshot struct {
 // scan trace; (B) cold disk tier, demand promotion only, hit rate on
 // the batch trace; (C) cold disk tier with the Eq.-2-driven prefetcher,
 // hit rate on the same trace; (D) the tier directory C warmed, reopened
-// (warm restart), qps on the scan trace. Gates: D >= 2x A, C >= B +
-// 0.05, zero allocs/op on the service loop, and virtual throughput
-// within 1% of the BENCH_4 figure.
+// (warm restart), qps on the scan trace. Gates: D >= 2x A and C >= B +
+// 0.05. (That the service loop allocates nothing and that tiering left
+// the virtual schedule alone are tier-1 tests: internal/core's
+// TestStepServiceLoopZeroAlloc and internal/exper's
+// TestCISaturatedVQPSMatchesRecorded.)
 func runTiered(path, dataDir string) error {
-	snap := tieredSnapshot{GeneratedBy: "skybench -tiered"}
+	snap := tieredSnapshot{snapshotHeader: snapshotHeader{GeneratedBy: "skybench -tiered"}}
 	cleanup := func() {}
 	if dataDir == "" {
 		tmp, err := os.MkdirTemp("", "skybench-tiered-")
@@ -333,44 +322,7 @@ func runTiered(path, dataDir string) error {
 	fmt.Printf("warm tier + prefetch: %.1f qps (%.2fx baseline, warm hit rate %.3f)\n",
 		snap.QPSWarm, snap.QPSSpeedup, hitRate(snap.WarmStats))
 
-	// Regression gates: the traced service loop still allocates nothing,
-	// and the virtual schedule is untouched by the tiering code.
-	rep, err := core.PerfProbe(10_000)
-	if err != nil {
-		return err
-	}
-	snap.StepAllocsPerOp = rep.StepAllocsPerOp
-	scale, err := exper.ScaleByName("ci")
-	if err != nil {
-		return err
-	}
-	env, err := exper.NewEnv(scale)
-	if err != nil {
-		return err
-	}
-	vcfg, _ := core.NewVirtual(env.Part, 0.5, false)
-	_, vstats, err := core.Run(vcfg, env.Jobs, env.SaturatedOffsets())
-	if err != nil {
-		return err
-	}
-	snap.VQPS = vstats.Throughput()
-	if raw, err := os.ReadFile("BENCH_4.json"); err == nil {
-		var ref struct {
-			VQPS float64 `json:"vqps"`
-		}
-		if json.Unmarshal(raw, &ref) == nil && ref.VQPS > 0 {
-			snap.VQPSRef = ref.VQPS
-			snap.VQPSDeltaPct = 100 * (snap.VQPS - ref.VQPS) / ref.VQPS
-		}
-	}
-	fmt.Printf("service loop: %.2f allocs/op; vqps %.2f (BENCH_4 ref %.2f, delta %+.2f%%)\n",
-		snap.StepAllocsPerOp, snap.VQPS, snap.VQPSRef, snap.VQPSDeltaPct)
-
-	out, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
+	if err := writeSnapshot(path, snap); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s\n", path)
@@ -383,15 +335,6 @@ func runTiered(path, dataDir string) error {
 	if snap.HitRateLift < 0.05 {
 		failed = append(failed, fmt.Sprintf("prefetch hit-rate lift %.3f below the 0.05 bar (%.3f vs %.3f demand-only)",
 			snap.HitRateLift, snap.HitRatePrefetch, snap.HitRateTierOnly))
-	}
-	// The committed trajectory's noise floor is 1/512 (one stray alloc
-	// across the whole AllocsPerRun batch); anything at or above 0.01
-	// means the loop itself allocates again.
-	if snap.StepAllocsPerOp >= 0.01 {
-		failed = append(failed, fmt.Sprintf("service loop allocates %.4f allocs/op, want ~0", snap.StepAllocsPerOp))
-	}
-	if snap.VQPSRef > 0 && (snap.VQPSDeltaPct > 1 || snap.VQPSDeltaPct < -1) {
-		failed = append(failed, fmt.Sprintf("vqps drifted %+.2f%% from the BENCH_4 figure (budget 1%%)", snap.VQPSDeltaPct))
 	}
 	if len(failed) > 0 {
 		for _, f := range failed {

@@ -96,9 +96,8 @@ func main() {
 		"sim", sum(simRes), simStats.Disk.SeqReads, float64(simStats.Disk.SeqBytes)/1e6, simStats.Disk.BusyTime.Round(time.Millisecond))
 	fmt.Printf("%-8s %12d %12d %12.1f  (measured: %v of real wall time)\n",
 		"file", sum(fileRes), fileStats.Disk.SeqReads, float64(fileStats.Disk.SeqBytes)/1e6, fileStats.Makespan.Round(time.Millisecond))
-	if sum(simRes) == sum(fileRes) {
-		fmt.Println("\nidentical matches from both backends; only the file backend touched the disk")
-	} else {
-		fmt.Println("\nBACKENDS DIVERGED — this is a bug")
+	if sum(simRes) != sum(fileRes) {
+		log.Fatal("BACKENDS DIVERGED — this is a bug")
 	}
+	fmt.Println("\nidentical matches from both backends; only the file backend touched the disk")
 }

@@ -12,8 +12,8 @@ import (
 // active buckets: BenchmarkPick compares the indexed threshold-algorithm
 // pick against the exhaustive-scan baseline (both in-tree), and
 // BenchmarkStep measures the full service loop with -benchmem asserting
-// the zero-alloc steady state. cmd/skybench -bench-json replays the same
-// probes into BENCH_3.json for the cross-PR perf trajectory.
+// the zero-alloc steady state. These are the only pick/step probes in the
+// tree: CI's bench smoke logs them, and nothing re-measures them elsewhere.
 
 var benchBs = []int{1_000, 10_000, 100_000}
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,8 +12,8 @@ import (
 	"liferaft/internal/catalog"
 	"liferaft/internal/disk"
 	"liferaft/internal/geom"
-	"liferaft/internal/metrics"
 	"liferaft/internal/simclock"
+	"liferaft/internal/stats"
 	"liferaft/internal/workload"
 )
 
@@ -117,6 +118,21 @@ func TestRunEmptyAndMismatched(t *testing.T) {
 	}
 	if _, _, err := Run(cfg, make([]Job, 1), []time.Duration{-time.Second}); err == nil {
 		t.Error("negative offset should fail")
+	}
+}
+
+// TestRunRejectsDuplicateQueryID: two jobs under one ID would merge into
+// one result; the fan-in refuses the trace, at every shard count.
+func TestRunRejectsDuplicateQueryID(t *testing.T) {
+	part, jobs := fixture(t)
+	for _, k := range []int{1, 2} {
+		cfg, _ := NewVirtual(part, 0.5, false)
+		cfg.Shards = k
+		dup := []Job{jobs[0], jobs[1], jobs[0]}
+		_, _, err := Run(cfg, dup, make([]time.Duration, len(dup)))
+		if err == nil || !strings.Contains(err.Error(), "already in flight") {
+			t.Errorf("K=%d: duplicate query ID: got %v, want an \"already in flight\" error", k, err)
+		}
 	}
 }
 
@@ -327,7 +343,7 @@ func TestResponseTimeShape(t *testing.T) {
 		for i, r := range res {
 			xs[i] = r.ResponseTime().Seconds()
 		}
-		return metrics.Summarize(xs).Mean
+		return stats.Summarize(xs).Mean
 	}
 	cfg0, _ := NewVirtual(part, 0, false)
 	res0, _ := mustRun(t, cfg0, jobs, offs)
@@ -413,7 +429,7 @@ func TestQoSDepreciationHelpsShortQueries(t *testing.T) {
 				xs = append(xs, r.ResponseTime().Seconds())
 			}
 		}
-		return metrics.Summarize(xs).Mean
+		return stats.Summarize(xs).Mean
 	}
 	plain, qos := shortMean(0), shortMean(4)
 	if qos >= plain {
@@ -528,14 +544,14 @@ func TestLiveEngine(t *testing.T) {
 
 func TestTunerSelection(t *testing.T) {
 	// Curves shaped like the paper's Figure 4.
-	low := metrics.Curve{
+	low := stats.Curve{
 		{Alpha: 0, Throughput: 0.105, RespTime: 220},
 		{Alpha: 0.25, Throughput: 0.102, RespTime: 180},
 		{Alpha: 0.5, Throughput: 0.100, RespTime: 150},
 		{Alpha: 0.75, Throughput: 0.099, RespTime: 120},
 		{Alpha: 1, Throughput: 0.098, RespTime: 100},
 	}
-	high := metrics.Curve{
+	high := stats.Curve{
 		{Alpha: 0, Throughput: 0.40, RespTime: 420},
 		{Alpha: 0.25, Throughput: 0.33, RespTime: 330},
 		{Alpha: 0.5, Throughput: 0.26, RespTime: 320},

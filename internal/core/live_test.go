@@ -10,8 +10,8 @@ import (
 
 	"liferaft/internal/bucket"
 	"liferaft/internal/geom"
-	"liferaft/internal/metrics"
 	"liferaft/internal/simclock"
+	"liferaft/internal/stats"
 	"liferaft/internal/workload"
 	"liferaft/internal/xmatch"
 )
@@ -280,11 +280,11 @@ func TestAdaptiveRetunes(t *testing.T) {
 	}
 	tn, _ := NewTuner(0.2)
 	// Curves shaped like the paper's: slow arrivals -> α=1, fast -> α=0.25.
-	tn.AddCurve(0.1, metrics.Curve{
+	tn.AddCurve(0.1, stats.Curve{
 		{Alpha: 0.25, Throughput: 0.10, RespTime: 50},
 		{Alpha: 1.0, Throughput: 0.10, RespTime: 20},
 	})
-	tn.AddCurve(10, metrics.Curve{
+	tn.AddCurve(10, stats.Curve{
 		{Alpha: 0.25, Throughput: 3.0, RespTime: 300},
 		{Alpha: 1.0, Throughput: 1.5, RespTime: 280},
 	})

@@ -20,9 +20,9 @@ import (
 // shards (shard.Map); each shard gets its own forked clock, disk,
 // bucket cache, and workload queues, and a worker goroutine per shard
 // (runEngine) services that shard's local aged-workload-throughput
-// schedule. The coordinator fans each job's workload objects out to the
-// shards owning the buckets they overlap, tracks per-query completion
-// across shards (a query completes when its last shard does), and merges
+// schedule. Run fans each job's workload objects out to the shards owning
+// the buckets they overlap, tracks per-query completion across shards (a
+// query completes when its last shard does), and merges
 // per-shard RunStats into one aggregate with a PerShard breakdown. One
 // shard owning every bucket is the paper's single-disk engine.
 //
@@ -57,8 +57,14 @@ func Run(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunStats, e
 	defer closeForked(shardCfgs)
 
 	// Fan the jobs out: each shard replays the sub-trace of jobs that
-	// have work on it, at the original arrival offsets.
-	coord := shard.NewCoordinator()
+	// have work on it, at the original arrival offsets. partial holds one
+	// entry per in-flight query: how many shards have yet to report and
+	// the result merged from those that have.
+	type fanIn struct {
+		remaining int
+		merged    *Result
+	}
+	partial := make(map[uint64]*fanIn)
 	subJobs := make([][]Job, k)
 	subOffs := make([][]time.Duration, k)
 	var results []Result
@@ -79,9 +85,10 @@ func Run(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunStats, e
 			results = append(results, Result{QueryID: j.ID, Arrived: at, Completed: at})
 			continue
 		}
-		if err := coord.Register(j.ID, width); err != nil {
-			return nil, RunStats{}, err
+		if _, dup := partial[j.ID]; dup {
+			return nil, RunStats{}, fmt.Errorf("shard: query %d already in flight", j.ID)
 		}
+		partial[j.ID] = &fanIn{remaining: width}
 	}
 
 	// One worker per shard.
@@ -107,28 +114,29 @@ func Run(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunStats, e
 		}
 	}
 
-	// Merge per-query results: completion is the latest shard's, counts
-	// sum, pairs concatenate in shard order (deterministic).
-	partial := make(map[uint64]*Result)
+	// Merge per-query results: completion is the latest shard's (absorb
+	// keeps the maximum), counts sum, pairs concatenate in shard order
+	// (deterministic). A query is done when its last shard has reported.
 	for s := 0; s < k; s++ {
 		for _, r := range outs[s].res {
-			mr := partial[r.QueryID]
-			if mr == nil {
-				r := r
-				partial[r.QueryID] = &r
-				mr = &r
-			} else {
-				mr.absorb(r)
+			fi := partial[r.QueryID]
+			if fi == nil {
+				return nil, RunStats{}, fmt.Errorf("core: shard %d completed query %d, which was never fanned out to it", s, r.QueryID)
 			}
-			if done, latest := coord.Complete(r.QueryID, r.Completed); done {
-				mr.Completed = latest
-				results = append(results, *mr)
+			if fi.merged == nil {
+				r := r
+				fi.merged = &r
+			} else {
+				fi.merged.absorb(r)
+			}
+			if fi.remaining--; fi.remaining == 0 {
+				results = append(results, *fi.merged)
 				delete(partial, r.QueryID)
 			}
 		}
 	}
-	if n := coord.Pending(); n != 0 || len(partial) != 0 {
-		return nil, RunStats{}, fmt.Errorf("core: %d queries never completed across shards", n+len(partial))
+	if len(partial) != 0 {
+		return nil, RunStats{}, fmt.Errorf("core: %d queries never completed across shards", len(partial))
 	}
 	// Results are returned in completion order across shards (ties
 	// broken by arrival, then query ID, for determinism).

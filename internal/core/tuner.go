@@ -7,7 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"liferaft/internal/metrics"
+	"liferaft/internal/stats"
 )
 
 // This file implements the workload-adaptive parameter selection of paper
@@ -26,13 +26,13 @@ var DefaultAlphas = []float64{0, 0.25, 0.5, 0.75, 1.0}
 
 // BuildCurve measures one trade-off curve by running the workload at each
 // α.
-func BuildCurve(alphas []float64, run CurveRunner) (metrics.Curve, error) {
+func BuildCurve(alphas []float64, run CurveRunner) (stats.Curve, error) {
 	if len(alphas) == 0 {
 		alphas = DefaultAlphas
 	}
-	curve := make(metrics.Curve, 0, len(alphas))
+	curve := make(stats.Curve, 0, len(alphas))
 	for _, a := range alphas {
-		results, stats, err := run(a)
+		results, rs, err := run(a)
 		if err != nil {
 			return nil, fmt.Errorf("core: curve point α=%v: %w", a, err)
 		}
@@ -40,10 +40,10 @@ func BuildCurve(alphas []float64, run CurveRunner) (metrics.Curve, error) {
 		for i, r := range results {
 			resp[i] = r.ResponseTime().Seconds()
 		}
-		curve = append(curve, metrics.TradeoffPoint{
+		curve = append(curve, stats.TradeoffPoint{
 			Alpha:      a,
-			Throughput: stats.Throughput(),
-			RespTime:   metrics.Summarize(resp).Mean,
+			Throughput: rs.Throughput(),
+			RespTime:   stats.Summarize(resp).Mean,
 		})
 	}
 	return curve, nil
@@ -63,7 +63,7 @@ type Tuner struct {
 
 type tunerEntry struct {
 	saturation float64
-	curve      metrics.Curve
+	curve      stats.Curve
 }
 
 // NewTuner returns a tuner with the given throughput tolerance.
@@ -75,7 +75,7 @@ func NewTuner(tolerance float64) (*Tuner, error) {
 }
 
 // AddCurve registers the measured curve for a saturation (queries/sec).
-func (t *Tuner) AddCurve(saturation float64, curve metrics.Curve) error {
+func (t *Tuner) AddCurve(saturation float64, curve stats.Curve) error {
 	if saturation <= 0 {
 		return fmt.Errorf("core: non-positive saturation %v", saturation)
 	}

@@ -7,16 +7,16 @@ import (
 
 	"liferaft/internal/core"
 	"liferaft/internal/disk"
-	"liferaft/internal/metrics"
+	"liferaft/internal/stats"
 )
 
 // respSummary summarizes response times in seconds.
-func respSummary(results []core.Result) metrics.Summary {
+func respSummary(results []core.Result) stats.Summary {
 	xs := make([]float64, len(results))
 	for i, r := range results {
 		xs[i] = r.ResponseTime().Seconds()
 	}
-	return metrics.Summarize(xs)
+	return stats.Summarize(xs)
 }
 
 // Fig2 regenerates Figure 2: the speed-up of a non-indexed sequential scan
@@ -123,7 +123,7 @@ func Fig5(env *Env) Table {
 			gaps = append(gaps, float64(e.qs[i]-e.qs[i-1]))
 		}
 		sort.Float64s(gaps)
-		med := metrics.Percentile(gaps, 0.5)
+		med := stats.Percentile(gaps, 0.5)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", rank+1), fmt.Sprintf("%d", e.bucket),
 			fmt.Sprintf("%d", len(e.qs)),
@@ -159,7 +159,7 @@ func Fig6(env *Env) Table {
 			nonEmpty++
 		}
 	}
-	cum := metrics.CumulativeShare(counts)
+	cum := stats.CumulativeShare(counts)
 	t := Table{
 		Title:  "Figure 6: cumulative workload by bucket",
 		Header: []string{"top buckets", "fraction of buckets", "share of workload"},
@@ -175,7 +175,7 @@ func Fig6(env *Env) Table {
 		}
 		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", k), pct(frac), pct(cum[k-1])})
 	}
-	rank50 := metrics.RankForShare(counts, 0.5)
+	rank50 := stats.RankForShare(counts, 0.5)
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("50%% of the workload sits in the top %d buckets = %s of all buckets (paper: 2%%)",
 			rank50, pct(float64(rank50)/float64(n))),
@@ -187,7 +187,7 @@ func Fig6(env *Env) Table {
 type AlgoResult struct {
 	Name       string
 	Throughput float64
-	Resp       metrics.Summary
+	Resp       stats.Summary
 	Stats      core.RunStats
 }
 
@@ -336,13 +336,13 @@ func Fig4(env *Env, grid []GridPoint) (Table, error) {
 			return Table{}, err
 		}
 	}
-	sats := map[float64]metrics.Curve{}
+	sats := map[float64]stats.Curve{}
 	var ordered []float64
 	for _, p := range grid {
 		if _, ok := sats[p.Saturation]; !ok {
 			ordered = append(ordered, p.Saturation)
 		}
-		sats[p.Saturation] = append(sats[p.Saturation], metrics.TradeoffPoint{
+		sats[p.Saturation] = append(sats[p.Saturation], stats.TradeoffPoint{
 			Alpha: p.Alpha, Throughput: p.Throughput, RespTime: p.RespMean,
 		})
 	}

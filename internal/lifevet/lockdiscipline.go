@@ -235,7 +235,12 @@ func runLockDiscipline(m *Module, r *Reporter) {
 	io := buildIOSummary(ix)
 	for _, d := range ix.decls {
 		w := &lockWalker{d: d, io: io, r: r, du: buildDefUse(d.pkg, d.decl.Body)}
-		w.walkStmts(d.decl.Body.List, map[string]token.Pos{})
+		hw := heldWalker{scan: w.scan, onBlockingSelect: func(s *ast.SelectStmt, held map[string]token.Pos) {
+			if len(held) > 0 {
+				w.report(s.Pos(), "blocking select", held)
+			}
+		}}
+		hw.walkStmts(d.decl.Body.List, map[string]token.Pos{})
 	}
 }
 
@@ -281,10 +286,8 @@ func (w *lockWalker) freshChanSend(send *ast.SendStmt) bool {
 	return sends <= capN && !passed
 }
 
-// lockWalker walks one function's statements in execution order,
-// tracking which mutexes are held. Sequential statements share one
-// held-set (a Lock in statement 3 is held in statement 4); branch
-// bodies get copies.
+// lockWalker is lockdiscipline's view of one function: what counts as
+// blocking at a node a heldWalker reaches with mutexes held.
 type lockWalker struct {
 	d  *funcDecl
 	io *ioSummary
@@ -292,96 +295,9 @@ type lockWalker struct {
 	du *defUse
 }
 
-func (w *lockWalker) walkStmts(stmts []ast.Stmt, held map[string]token.Pos) {
-	for _, s := range stmts {
-		w.walkStmt(s, held)
-	}
-}
-
-func (w *lockWalker) walkStmt(s ast.Stmt, held map[string]token.Pos) {
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		w.walkStmts(s.List, held)
-	case *ast.LabeledStmt:
-		w.walkStmt(s.Stmt, held)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		w.scan(s.Cond, held, false)
-		w.walkStmts(s.Body.List, copyHeld(held))
-		if s.Else != nil {
-			w.walkStmt(s.Else, copyHeld(held))
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		w.scan(s.Cond, held, false)
-		body := copyHeld(held)
-		w.walkStmts(s.Body.List, body)
-		if s.Post != nil {
-			w.walkStmt(s.Post, body)
-		}
-	case *ast.RangeStmt:
-		w.scan(s.X, held, false)
-		w.walkStmts(s.Body.List, copyHeld(held))
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		w.scan(s.Tag, held, false)
-		for _, c := range s.Body.List {
-			if cl, ok := c.(*ast.CaseClause); ok {
-				w.walkStmts(cl.Body, copyHeld(held))
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			if cl, ok := c.(*ast.CaseClause); ok {
-				w.walkStmts(cl.Body, copyHeld(held))
-			}
-		}
-	case *ast.SelectStmt:
-		hasDefault := selectHasDefault(s)
-		if !hasDefault && len(held) > 0 {
-			w.report(s.Pos(), "blocking select", held)
-		}
-		for _, c := range s.Body.List {
-			cc, ok := c.(*ast.CommClause)
-			if !ok {
-				continue
-			}
-			if cc.Comm != nil {
-				w.scan(cc.Comm, held, hasDefault)
-			}
-			w.walkStmts(cc.Body, copyHeld(held))
-		}
-	case *ast.DeferStmt:
-		// defer mu.Unlock() is the canonical held-to-end pattern: the
-		// lock stays held, so nothing changes here. The deferred call
-		// itself runs after the body; its arguments are scanned for
-		// blocking evaluation.
-		for _, a := range s.Call.Args {
-			w.scan(a, held, false)
-		}
-	case *ast.GoStmt:
-		// The goroutine runs elsewhere; only argument evaluation
-		// happens under the lock.
-		for _, a := range s.Call.Args {
-			w.scan(a, held, false)
-		}
-	default:
-		w.scan(s, held, false)
-	}
-}
-
 // scan inspects an expression or simple statement: mutex calls update
 // held, blocking operations are reported when held is non-empty.
 func (w *lockWalker) scan(n ast.Node, held map[string]token.Pos, nonBlocking bool) {
-	if n == nil {
-		return
-	}
 	info := w.d.pkg.Info
 	ast.Inspect(n, func(m ast.Node) bool {
 		switch m := m.(type) {
@@ -431,12 +347,4 @@ func (w *lockWalker) report(pos token.Pos, op string, held map[string]token.Pos)
 	}
 	sort.Strings(paths)
 	w.r.Reportf(pos, "%s while holding %s (locked in %s); blocking under a mutex turns every contending goroutine's lock wait into an I/O wait", op, paths[0], funcDisplay(w.d.fn))
-}
-
-func copyHeld(h map[string]token.Pos) map[string]token.Pos {
-	out := make(map[string]token.Pos, len(h))
-	for k, v := range h {
-		out[k] = v
-	}
-	return out
 }

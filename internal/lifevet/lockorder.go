@@ -60,7 +60,8 @@ func runLockOrder(m *Module, r *Reporter) {
 
 	for fn, d := range ix.decls {
 		w := &orderWalker{d: d, sum: sum, fnName: funcDisplay(fn), add: addEdge}
-		w.walkStmts(d.decl.Body.List, map[string]token.Pos{})
+		hw := heldWalker{scan: w.scan}
+		hw.walkStmts(d.decl.Body.List, map[string]token.Pos{})
 	}
 
 	// Order graph over classes; report every edge inside a cycle.
@@ -134,10 +135,8 @@ func cyclePath(succ map[string][]string, from, to string) []string {
 	return []string{to, from, to}
 }
 
-// orderWalker tracks held lock classes through one function body in
-// execution order, mirroring lockdiscipline's traversal: sequential
-// statements share a held-set, branch bodies get copies, defer Unlock
-// keeps the lock held to function end.
+// orderWalker is lockorder's view of one function: which order edges a
+// node contributes when a heldWalker reaches it with lock classes held.
 type orderWalker struct {
 	d      *funcDecl
 	sum    *lockSummary
@@ -145,90 +144,10 @@ type orderWalker struct {
 	add    func(lockEdge)
 }
 
-func (w *orderWalker) walkStmts(stmts []ast.Stmt, held map[string]token.Pos) {
-	for _, s := range stmts {
-		w.walkStmt(s, held)
-	}
-}
-
-func (w *orderWalker) walkStmt(s ast.Stmt, held map[string]token.Pos) {
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		w.walkStmts(s.List, held)
-	case *ast.LabeledStmt:
-		w.walkStmt(s.Stmt, held)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		w.scan(s.Cond, held)
-		w.walkStmts(s.Body.List, copyHeld(held))
-		if s.Else != nil {
-			w.walkStmt(s.Else, copyHeld(held))
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		w.scan(s.Cond, held)
-		body := copyHeld(held)
-		w.walkStmts(s.Body.List, body)
-		if s.Post != nil {
-			w.walkStmt(s.Post, body)
-		}
-	case *ast.RangeStmt:
-		w.scan(s.X, held)
-		w.walkStmts(s.Body.List, copyHeld(held))
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		w.scan(s.Tag, held)
-		for _, c := range s.Body.List {
-			if cl, ok := c.(*ast.CaseClause); ok {
-				w.walkStmts(cl.Body, copyHeld(held))
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			if cl, ok := c.(*ast.CaseClause); ok {
-				w.walkStmts(cl.Body, copyHeld(held))
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			cc, ok := c.(*ast.CommClause)
-			if !ok {
-				continue
-			}
-			if cc.Comm != nil {
-				w.scan(cc.Comm, held)
-			}
-			w.walkStmts(cc.Body, copyHeld(held))
-		}
-	case *ast.DeferStmt:
-		// defer mu.Unlock() keeps the lock held to the end; the deferred
-		// call's own acquisitions run after the body, outside any
-		// still-held locks we can reason about, so only arguments scan.
-		for _, a := range s.Call.Args {
-			w.scan(a, held)
-		}
-	case *ast.GoStmt:
-		for _, a := range s.Call.Args {
-			w.scan(a, held)
-		}
-	default:
-		w.scan(s, held)
-	}
-}
-
 // scan inspects an expression or simple statement: mutex calls update
 // the held-set and record edges; other calls contribute their summary's
 // acquire set as edges.
-func (w *orderWalker) scan(n ast.Node, held map[string]token.Pos) {
-	if n == nil {
-		return
-	}
+func (w *orderWalker) scan(n ast.Node, held map[string]token.Pos, _ bool) {
 	info := w.d.pkg.Info
 	ast.Inspect(n, func(m ast.Node) bool {
 		if _, ok := m.(*ast.FuncLit); ok {

@@ -30,8 +30,8 @@ import (
 
 	"liferaft/internal/core"
 	"liferaft/internal/metric"
-	"liferaft/internal/metrics"
 	"liferaft/internal/simclock"
+	"liferaft/internal/stats"
 	"liferaft/internal/trace"
 )
 
@@ -231,7 +231,7 @@ type tenant struct {
 	depth  int
 	bucket *tokenBucket // nil when unlimited (static mode only)
 	flow   *flow
-	resp   *metrics.Reservoir
+	resp   *stats.Reservoir
 	// maxRate is the AIMD regrowth ceiling (the configured rate, or
 	// aimdUnlimited); winCompleted counts completions since the last
 	// control tick — the tenant's delivered rate, which is what the
@@ -348,7 +348,7 @@ func (s *Server) register(tc TenantConfig) (*tenant, error) {
 	for _, r := range tc.Name {
 		seed = seed*131 + int64(r)
 	}
-	resv, err := metrics.NewReservoir(s.cfg.ReservoirSize, seed)
+	resv, err := stats.NewReservoir(s.cfg.ReservoirSize, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -607,9 +607,9 @@ type TenantStats struct {
 	// RespTime summarizes client-observed response times (seconds) of
 	// completed queries: admission instant to engine completion. Mean,
 	// min, max, and count are exact; dispersion and percentiles are
-	// reservoir-sampled (see metrics.Reservoir and the Summary's
+	// reservoir-sampled (see stats.Reservoir and the Summary's
 	// sampled/sample_size fields).
-	RespTime metrics.Summary `json:"resp_time"`
+	RespTime stats.Summary `json:"resp_time"`
 	// RateQPS is the tenant's current admission rate in queries/sec
 	// (0 = unlimited). The AIMD controller moves it in adaptive mode.
 	RateQPS float64 `json:"rate_qps,omitempty"`
@@ -660,11 +660,11 @@ func (s *Server) Stats() Stats {
 
 // TenantSummary returns one tenant's response-time summary (zero Summary
 // for unknown tenants).
-func (s *Server) TenantSummary(name string) metrics.Summary {
+func (s *Server) TenantSummary(name string) stats.Summary {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if t := s.tenants[name]; t != nil {
 		return t.resp.Summary()
 	}
-	return metrics.Summary{}
+	return stats.Summary{}
 }

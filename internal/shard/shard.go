@@ -3,9 +3,8 @@
 // by data contention so a *single* disk arm services the hottest
 // partition; this package scales the same aged-workload-throughput policy
 // to many disks by giving each shard its own disk, bucket cache, and
-// workload queues, while a coordinator fans each submitted query's
-// workload objects out to the shards owning the buckets they overlap and
-// tracks per-query completion across shards.
+// workload queues, while the engine fans each submitted query's workload
+// objects out to the shards owning the buckets they overlap.
 //
 // Buckets are dealt to shards round-robin along the HTM curve (bucket i
 // belongs to shard i mod K), the declustering a striped multi-disk
@@ -16,24 +15,19 @@
 // a query on one arm and leave the others idle behind it.) This is the
 // only placement; there is no strategy to choose.
 //
-// The package provides the building blocks the engine composes:
-//
-//   - Map is that assignment for one partition: bucket ownership lookups
-//     and workload-object fan-out.
-//   - Coordinator tracks in-flight queries that fanned out to several
-//     shards and reports the merged completion instant when the last
-//     shard finishes.
+// The package provides one building block: Map is that assignment for one
+// partition — bucket ownership lookups and workload-object fan-out.
 //
 // The per-shard engines themselves live in internal/core (see
-// core.Config.Shards); shards on a virtual clock each charge costs to
-// their own forked clock (simclock.Fork) so concurrent shards do not
-// serialize on one modeled disk.
+// core.Config.Shards), as does the per-query fan-in across shards (a
+// query completes when the last shard holding part of it does); shards on
+// a virtual clock each charge costs to their own forked clock
+// (simclock.Fork) so concurrent shards do not serialize on one modeled
+// disk.
 package shard
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"liferaft/internal/bucket"
 	"liferaft/internal/xmatch"
@@ -120,69 +114,4 @@ func (m *Map) Fanout(objs []xmatch.WorkloadObject) [][]xmatch.WorkloadObject {
 		}
 	}
 	return out
-}
-
-// Coordinator tracks queries in flight across several shards: a query
-// registers with its fan-out width, each shard reports its local
-// completion, and the coordinator reports the query done — with the
-// latest (merged) completion instant — when the last shard finishes. It
-// is safe for concurrent use by shard workers.
-type Coordinator struct {
-	mu      sync.Mutex
-	pending map[uint64]*fanState
-}
-
-type fanState struct {
-	remaining int
-	latest    time.Time
-}
-
-// NewCoordinator returns an empty coordinator.
-func NewCoordinator() *Coordinator {
-	return &Coordinator{pending: make(map[uint64]*fanState)}
-}
-
-// Register records that query q fanned out to n shards. Registering an
-// in-flight query twice or a non-positive fan-out is a programming error.
-func (c *Coordinator) Register(q uint64, n int) error {
-	if n < 1 {
-		return fmt.Errorf("shard: query %d registered with fan-out %d", q, n)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, dup := c.pending[q]; dup {
-		return fmt.Errorf("shard: query %d already in flight", q)
-	}
-	c.pending[q] = &fanState{remaining: n}
-	return nil
-}
-
-// Complete records that one shard finished its part of query q at
-// instant at. When the last shard reports, done is true and latest is the
-// merged completion instant (the maximum across shards). Completing an
-// unregistered query panics: it means a shard serviced work the
-// coordinator never fanned out.
-func (c *Coordinator) Complete(q uint64, at time.Time) (done bool, latest time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := c.pending[q]
-	if st == nil {
-		panic(fmt.Sprintf("shard: completion for unregistered query %d", q))
-	}
-	if at.After(st.latest) {
-		st.latest = at
-	}
-	st.remaining--
-	if st.remaining > 0 {
-		return false, time.Time{}
-	}
-	delete(c.pending, q)
-	return true, st.latest
-}
-
-// Pending returns the number of queries still in flight.
-func (c *Coordinator) Pending() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.pending)
 }

@@ -2,9 +2,7 @@ package shard
 
 import (
 	"slices"
-	"sync"
 	"testing"
-	"time"
 
 	"liferaft/internal/bucket"
 	"liferaft/internal/catalog"
@@ -151,75 +149,5 @@ func TestFanout(t *testing.T) {
 		if len(part) != 0 {
 			t.Errorf("empty fan-out has work on shard %d", s)
 		}
-	}
-}
-
-func TestCoordinator(t *testing.T) {
-	c := NewCoordinator()
-	if err := c.Register(1, 0); err == nil {
-		t.Error("fan-out 0 should fail")
-	}
-	if err := c.Register(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Register(1, 1); err == nil {
-		t.Error("duplicate registration should fail")
-	}
-	t0 := time.Unix(100, 0)
-	t1 := time.Unix(200, 0)
-	if done, _ := c.Complete(1, t1); done {
-		t.Fatal("done after 1 of 2 shards")
-	}
-	if c.Pending() != 1 {
-		t.Fatalf("pending %d, want 1", c.Pending())
-	}
-	done, latest := c.Complete(1, t0)
-	if !done {
-		t.Fatal("not done after both shards")
-	}
-	if !latest.Equal(t1) {
-		t.Fatalf("latest %v, want the later completion %v", latest, t1)
-	}
-	if c.Pending() != 0 {
-		t.Fatalf("pending %d, want 0", c.Pending())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("completing an unregistered query should panic")
-		}
-	}()
-	c.Complete(99, t0)
-}
-
-func TestCoordinatorConcurrent(t *testing.T) {
-	c := NewCoordinator()
-	const queries, shards = 64, 8
-	for q := uint64(0); q < queries; q++ {
-		if err := c.Register(q, shards); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	doneCount := 0
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for q := uint64(0); q < queries; q++ {
-				if done, _ := c.Complete(q, time.Unix(int64(s), 0)); done {
-					mu.Lock()
-					doneCount++
-					mu.Unlock()
-				}
-			}
-		}(s)
-	}
-	wg.Wait()
-	if doneCount != queries {
-		t.Fatalf("%d queries reported done, want %d", doneCount, queries)
-	}
-	if c.Pending() != 0 {
-		t.Fatalf("pending %d, want 0", c.Pending())
 	}
 }

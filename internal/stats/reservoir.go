@@ -1,4 +1,4 @@
-package metrics
+package stats
 
 import (
 	"fmt"
@@ -40,7 +40,7 @@ type Reservoir struct {
 // makes replacement decisions deterministic for reproducible tests.
 func NewReservoir(cap int, seed int64) (*Reservoir, error) {
 	if cap < 1 {
-		return nil, fmt.Errorf("metrics: reservoir capacity %d must be >= 1", cap)
+		return nil, fmt.Errorf("stats: reservoir capacity %d must be >= 1", cap)
 	}
 	return &Reservoir{cap: cap, rng: rand.New(rand.NewSource(seed))}, nil
 }

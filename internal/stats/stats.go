@@ -1,8 +1,8 @@
-// Package metrics provides the statistics LifeRaft's evaluation reports:
+// Package stats provides the statistics LifeRaft's evaluation reports:
 // query throughput, response-time summaries with coefficient of variance
 // (Figure 7b), percentiles, cumulative workload shares (Figure 6), and
 // normalized throughput/response-time trade-off curves (Figure 4).
-package metrics
+package stats
 
 import (
 	"fmt"
@@ -208,7 +208,7 @@ func (c Curve) Normalized() Curve {
 // toward the larger α (stronger starvation resistance).
 func (c Curve) PickAlpha(tolerance float64) (TradeoffPoint, error) {
 	if len(c) == 0 {
-		return TradeoffPoint{}, fmt.Errorf("metrics: empty trade-off curve")
+		return TradeoffPoint{}, fmt.Errorf("stats: empty trade-off curve")
 	}
 	var maxT float64
 	for _, p := range c {
@@ -228,7 +228,7 @@ func (c Curve) PickAlpha(tolerance float64) (TradeoffPoint, error) {
 		}
 	}
 	if !found {
-		return TradeoffPoint{}, fmt.Errorf("metrics: no point within tolerance %.2f", tolerance)
+		return TradeoffPoint{}, fmt.Errorf("stats: no point within tolerance %.2f", tolerance)
 	}
 	return best, nil
 }

@@ -9,7 +9,7 @@ import (
 	"liferaft/internal/bucket"
 	"liferaft/internal/catalog"
 	"liferaft/internal/geom"
-	"liferaft/internal/metrics"
+	"liferaft/internal/stats"
 )
 
 func TestDefaultConfigValid(t *testing.T) {
@@ -205,7 +205,7 @@ func TestBurstyArrivals(t *testing.T) {
 	for i := 1; i < len(offs); i++ {
 		gaps[i-1] = (offs[i] - offs[i-1]).Seconds()
 	}
-	s := metrics.Summarize(gaps)
+	s := stats.Summarize(gaps)
 	if s.CoV < 1.2 {
 		t.Errorf("bursty CoV = %v, want > 1.2 (Poisson is ~1)", s.CoV)
 	}
@@ -301,7 +301,7 @@ func TestTraceCalibration(t *testing.T) {
 	}
 
 	// Figure 6 statistic: share of workload in the top 2% of buckets.
-	rank := metrics.RankForShare(objCount, 0.5)
+	rank := stats.RankForShare(objCount, 0.5)
 	fracBuckets := float64(rank) / float64(part.NumBuckets())
 	if fracBuckets > 0.10 {
 		t.Errorf("50%% of workload needs top %.1f%% of buckets, want <=10%% (paper: 2%%)", 100*fracBuckets)

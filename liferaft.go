@@ -37,7 +37,7 @@
 // round-robin along the HTM curve (bucket i to shard i mod K — the one
 // placement, see NewShardMap). Each shard owns its own modeled disk,
 // bucket cache, and workload queues, and a worker per shard services that
-// shard's local LifeRaft schedule. A coordinator fans each query's
+// shard's local LifeRaft schedule. The engine fans each query's
 // workload objects out to the shards owning the buckets they overlap and
 // completes the query when its last shard finishes. A region query's
 // buckets are consecutive on the curve, so it has work on every shard:
@@ -125,11 +125,16 @@
 //	go test -shuffle=on ./...
 //	go test -race ./internal/core/... ./internal/shard/... ./internal/federation/... ./internal/server/...
 //	go test -race -run 'TestBackendParity' ./internal/core/   # file backend == simulated disk
-//	go test -bench=. -benchtime=1x -run='^$' ./...
+//	go test -bench=. -benchtime=1x -benchmem -run='^$' ./...   # incl. BenchmarkPick/BenchmarkStep: the scheduler hot path's ns/op and allocs/op
+//	(cd bench && go vet . && go test .)                        # BENCHMARK.json's module: wall-clock qps, latency, bytes, allocations
+//	go run ./cmd/skybench -bench-json BENCH_21.json            # virtual-clock vqps checksum + tracing-overhead gate
 //	go run ./cmd/skybench -overload BENCH_19.json              # overload scenarios, SLO verdicts
+//	go run ./cmd/skybench -tiered BENCH_8.json                 # tiered cache: qps speedup + hit-rate lift
 //	go run ./cmd/docdrift                                     # docs/OPERATIONS.md covers every flag + metric
 //
-// Keep all of them green locally before sending a change.
+// Keep all of them green locally before sending a change. Each kind of
+// number has one source: a wall-clock figure is bench/'s or a go test
+// benchmark's, never skybench's.
 //
 // The subsystem implementations live under internal/; this package is the
 // supported API surface and re-exports them by alias, so the documented
@@ -146,12 +151,12 @@ import (
 	"liferaft/internal/geom"
 	"liferaft/internal/htm"
 	"liferaft/internal/metric"
-	"liferaft/internal/metrics"
 	"liferaft/internal/segment"
 	"liferaft/internal/server"
 	"liferaft/internal/shard"
 	"liferaft/internal/simclock"
 	"liferaft/internal/skyql"
+	"liferaft/internal/stats"
 	"liferaft/internal/workload"
 	"liferaft/internal/xmatch"
 )
@@ -501,11 +506,11 @@ type (
 	// HTMID is a level-addressed trixel identifier.
 	HTMID = htm.ID
 	// Summary is a response-time summary with CoV and percentiles.
-	Summary = metrics.Summary
+	Summary = stats.Summary
 	// Curve is a throughput/response trade-off curve over α.
-	Curve = metrics.Curve
+	Curve = stats.Curve
 	// TradeoffPoint is one curve point.
-	TradeoffPoint = metrics.TradeoffPoint
+	TradeoffPoint = stats.TradeoffPoint
 )
 
 var (
@@ -525,8 +530,8 @@ var (
 	// CoverCap computes the HTM range cover of a region.
 	CoverCap = htm.CoverCap
 	// Summarize computes response-time statistics.
-	Summarize = metrics.Summarize
+	Summarize = stats.Summarize
 	// CumulativeShare and RankForShare compute workload-skew statistics.
-	CumulativeShare = metrics.CumulativeShare
-	RankForShare    = metrics.RankForShare
+	CumulativeShare = stats.CumulativeShare
+	RankForShare    = stats.RankForShare
 )
