@@ -91,7 +91,10 @@ type Config struct {
 	// aged-workload-throughput schedule concurrently. A region query's
 	// buckets are consecutive on the curve, so it has work on every
 	// shard and its services run K abreast; its completion is the
-	// completion of its last shard. 0 means 1: one shard owning every
+	// completion of its last shard. A shard picks, reads and caches only
+	// its own buckets, but in a Live engine the match work of one large
+	// scan service is cut into parts that idle sibling workers also run,
+	// on their own arms (see Live). 0 means 1: one shard owning every
 	// bucket, the paper's single-disk engine, on the same code path as
 	// any other K. Config.Disk and Config.Store serve as templates; each
 	// shard forks its own from them. Each shard's cache holds
@@ -181,7 +184,10 @@ func (c Config) withDefaults() (Config, error) {
 type Job struct {
 	ID      uint64
 	Objects []xmatch.WorkloadObject
-	Pred    xmatch.Predicate
+	// Pred filters the query's pairs. Every shard worker that joins work
+	// of the query calls it, possibly at once: it must be safe for
+	// concurrent use (a pure function of its arguments is).
+	Pred xmatch.Predicate
 	// Trace, when non-nil, collects per-stage spans for this query as the
 	// scheduler services it (admission fan-out, bucket services with
 	// strategy and Ut score, store reads, cache outcomes). nil — the
@@ -268,7 +274,11 @@ type ShardStats struct {
 	// Jobs is how many queries fanned work out to this shard.
 	Jobs int
 	// Stats is the shard's own engine statistics, measured on its own
-	// clock and disk.
+	// clock and disk. Services, cache and read counts are of the buckets
+	// the shard owns; Disk.Matches and Disk.BusyTime are of the arm, which
+	// in a Live engine also runs parts of sibling shards' split services
+	// (and hands out parts of its own), so they sum to the engine's match
+	// work across shards but need not equal this shard's assignments.
 	Stats RunStats
 }
 

@@ -18,8 +18,14 @@ import (
 // the shard map, the fan-out, the merge, and the lifecycle (the one closed
 // check); each worker owns one forked clock, disk, store, and bucket cache
 // and runs the scheduling loop exclusively over its own workload queues,
-// servicing one bucket at a time exactly as the paper's architecture
+// picking and reading one bucket at a time as the paper's architecture
 // prescribes ("buckets are read from disk by scheduler one at a time", §3).
+// What a pick executes need not stay on one arm: a scan service whose queue
+// fills two parts of servicePartUnits is cut into parts, and a sibling
+// worker with nothing of its own to do joins some of them, charging their
+// match time to its own disk, until its own inbox has work again. The
+// owner waits for every part, so a service still ends once, with the pairs
+// it would have had alone.
 // Submit fans the query's workload objects out to the shards owning the
 // buckets they overlap and never blocks on in-progress bucket services; the
 // worker that finishes the query's last shard merges the partial results
@@ -56,6 +62,12 @@ type shardWorker struct {
 	closing chan struct{}
 	done    chan struct{}
 	stats   RunStats
+
+	// offers wakes this worker from an idle wait when a sibling has split
+	// a service (one channel for the whole engine; nil at K = 1), and
+	// siblings are the records it then looks for parts in.
+	offers   <-chan struct{}
+	siblings []*forkJoin
 }
 
 type submission struct {
@@ -161,18 +173,42 @@ func NewLive(cfg Config) (*Live, error) {
 	if cfg.Metrics != nil {
 		l.obs = cfg.Metrics.front()
 	}
-	for s, sc := range cfgs {
+	l.workers = newWorkers(scheds)
+	for s, w := range l.workers {
+		go w.loop(cfgs[s], scheds[s], cfg.Clock)
+	}
+	return l, nil
+}
+
+// newWorkers returns one worker per scheduler, not yet running, and makes
+// siblings of them: every scheduler can wake the others' workers, and every
+// worker knows the others' fork-join records.
+func newWorkers(scheds []*scheduler) []*shardWorker {
+	var offers chan struct{}
+	if len(scheds) > 1 {
+		// One wake-up for each worker that could be idle while another
+		// splits a service.
+		offers = make(chan struct{}, len(scheds)-1)
+	}
+	workers := make([]*shardWorker, len(scheds))
+	for s, sched := range scheds {
 		w := &shardWorker{
 			// Deep enough that a burst of submissions lands without the
 			// front end waiting out the shard's current bucket service.
 			inbox:   make(chan submission, 1024),
 			closing: make(chan struct{}),
 			done:    make(chan struct{}),
+			offers:  offers,
 		}
-		l.workers = append(l.workers, w)
-		go w.loop(sc, scheds[s], cfg.Clock)
+		sched.offers = offers
+		for o, other := range scheds {
+			if o != s {
+				w.siblings = append(w.siblings, &other.fj)
+			}
+		}
+		workers[s] = w
 	}
-	return l, nil
+	return workers
 }
 
 // Submit enqueues a query. The returned channel delivers exactly one
@@ -310,6 +346,31 @@ func (l *Live) Stats() (RunStats, bool) {
 	return l.stats, l.statsOK
 }
 
+// help runs parts of sibling shards' split services on this worker's own
+// arm — s's clock and disk — for as long as any are unclaimed and its own
+// inbox stays empty, and reports whether it ran one. Called only with no
+// work pending on s, so its own shard waits one part at most.
+func (w *shardWorker) help(s *scheduler) (helped bool) {
+	for _, fj := range w.siblings {
+		for len(w.inbox) == 0 {
+			i, ok := fj.claim()
+			if !ok {
+				break
+			}
+			simclock.Join(s.cfg.Clock, fj.start)
+			fj.run(i, s.cfg.Clock, s.cfg.Disk)
+			helped = true
+			if s.obs != nil {
+				s.obs.partsHelp.Inc()
+			}
+		}
+	}
+	if helped {
+		s.observeLedger()
+	}
+	return helped
+}
+
 // loop is one shard's scheduling loop: it owns s exclusively. parent is
 // the clock cfg.Clock was forked from.
 func (w *shardWorker) loop(cfg Config, s *scheduler, parent simclock.Clock) {
@@ -379,9 +440,14 @@ func (w *shardWorker) loop(cfg Config, s *scheduler, parent simclock.Clock) {
 				}
 				break
 			}
+			if w.help(s) {
+				continue
+			}
 			select {
 			case sub := <-w.inbox:
 				admit(sub)
+			case <-w.offers:
+				// A sibling split a service: look again.
 			case <-w.closing:
 				closing = true
 			}

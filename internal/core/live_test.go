@@ -20,6 +20,16 @@ import (
 // one engine, so one shard, two, and four must behave alike.
 var liveShardCounts = []int{1, 2, 4}
 
+// settleGoroutines waits, up to five seconds, for the process to be back at
+// `want` goroutines or fewer, and returns the count it ended on.
+func settleGoroutines(want int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	return runtime.NumGoroutine()
+}
+
 // forEachK runs body as a subtest per shard count.
 func forEachK(t *testing.T, body func(t *testing.T, k int)) {
 	t.Helper()
@@ -399,13 +409,6 @@ func spreadJobs(t *testing.T, n int) (*bucket.Partition, []Job) {
 func TestLiveRelayGoroutines(t *testing.T) {
 	const m = 16
 	part, jobs := spreadJobs(t, m)
-	settle := func(want int) int {
-		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() > want && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		return runtime.NumGoroutine()
-	}
 	modes := []struct {
 		name       string
 		cancelHalf bool // cancel every other query mid-flight
@@ -465,7 +468,7 @@ func TestLiveRelayGoroutines(t *testing.T) {
 				if stats, _ := l.Stats(); stats.Completed+stats.Cancelled != m {
 					t.Errorf("completed %d + cancelled %d, want %d queries", stats.Completed, stats.Cancelled, m)
 				}
-				if after := settle(before); after > before {
+				if after := settleGoroutines(before); after > before {
 					t.Errorf("%d goroutines after Close, %d before NewLive", after, before)
 				}
 			})

@@ -19,6 +19,7 @@ type EngineMetrics struct {
 	pick      *metric.HistogramVec
 	fallbacks *metric.CounterVec
 	services  *metric.CounterVec
+	parts     *metric.CounterVec
 	completed *metric.CounterVec
 	vqps      *metric.GaugeVec
 	cacheHits *metric.CounterVec
@@ -59,6 +60,9 @@ func NewEngineMetrics(reg *metric.Registry) *EngineMetrics {
 		services: reg.NewCounterVec("liferaft_engine_services_total",
 			"Bucket services by join strategy (scan reads the bucket, index probes it).",
 			[]string{"shard", "strategy"}, metric.VecOpts{}),
+		parts: reg.NewCounterVec("liferaft_engine_service_parts_total",
+			"Parts of bucket services run by this shard's arm: own = of a service this shard picked (every service has at least one), helped = of a sibling shard's split scan service, taken while this worker was idle. The match time of a part is charged to the arm that ran it.",
+			[]string{"shard", "role"}, metric.VecOpts{}),
 		completed: reg.NewCounterVec("liferaft_engine_completed_total",
 			"Query parts completed by this shard (cancelled ones excluded). A query has one part on every shard it touches, so the sum over shards is about liferaft_engine_fanout_shards times liferaft_engine_queries_total.",
 			shard, metric.VecOpts{}),
@@ -116,6 +120,8 @@ func (m *EngineMetrics) Shard(i int) *EngineObs {
 		fallbacks:  m.fallbacks.With(s),
 		scanSvc:    m.services.With(s, "scan"),
 		indexSvc:   m.services.With(s, "index"),
+		partsOwn:   m.parts.With(s, "own"),
+		partsHelp:  m.parts.With(s, "helped"),
 		completed:  m.completed.With(s),
 		vqps:       m.vqps.With(s),
 		cacheHits:  m.cacheHits.With(s),
@@ -169,6 +175,8 @@ type EngineObs struct {
 	fallbacks  *metric.Counter
 	scanSvc    *metric.Counter
 	indexSvc   *metric.Counter
+	partsOwn   *metric.Counter
+	partsHelp  *metric.Counter
 	completed  *metric.Counter
 	vqps       *metric.Gauge
 	cacheHits  *metric.Counter

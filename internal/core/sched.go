@@ -11,6 +11,7 @@ import (
 	"liferaft/internal/cache/disktier"
 	"liferaft/internal/disk"
 	"liferaft/internal/htm"
+	"liferaft/internal/simclock"
 	"liferaft/internal/trace"
 	"liferaft/internal/xmatch"
 )
@@ -102,7 +103,8 @@ type queryState struct {
 }
 
 // scheduler is the workload manager plus join evaluator of Figure 3. It is
-// not safe for concurrent use; Run and Live serialize access.
+// not safe for concurrent use; Run and Live serialize access. The one part
+// of it other goroutines reach is fj, under the rules forkJoin states.
 type scheduler struct {
 	cfg   Config
 	cache cache.Cache[int, bucketObjects]
@@ -137,12 +139,19 @@ type scheduler struct {
 	// loops consume it immediately.
 	wosBuf       []xmatch.WorkloadObject
 	rangesBuf    []htm.Range
-	join         xmatch.Joiner
 	seenBuf      map[uint64]int
 	completedBuf []Result
 	bisBuf       []int
 	scoredBuf    []scored
 	qPool        []*bqueue
+
+	// fj is the join-and-charge step of the service in progress (parts.go),
+	// with the pair buffers every service reuses. offers, set by Live on the
+	// schedulers of a K > 1 engine and nil otherwise, is where this
+	// scheduler wakes idle sibling workers to a service it has split; with
+	// no one to wake, every service is one part.
+	fj     forkJoin
+	offers chan<- struct{}
 
 	// tbSec and tmSec are the empirical constants of Eq. 1 derived from
 	// the disk model at construction.
@@ -205,6 +214,7 @@ func newScheduler(cfg Config) (*scheduler, error) {
 		tbSec:   tb.Seconds(),
 		tmSec:   tm.Seconds(),
 	}
+	s.fj.preds, s.fj.materialize = s.preds, cfg.MaterializeResults
 	// Policy evictions flip φ(i) for the evicted bucket; the hook keeps
 	// that bucket's cached Ut in sync (admissions are the scheduler's
 	// own cachePut calls).
@@ -717,11 +727,7 @@ func (s *scheduler) step(now time.Time) (completed []Result, ok bool) {
 		if s.tierB != nil {
 			s.pollTierMetrics()
 		}
-		led := s.cfg.Disk.Ledger()
-		s.obs.modelCharged.Add((led.Charged - s.lastLedger.Charged).Seconds())
-		s.obs.modelSlept.Add((led.Slept - s.lastLedger.Slept).Seconds())
-		s.obs.modelCredited.Add((led.Credited - s.lastLedger.Credited).Seconds())
-		s.lastLedger = led
+		s.observeLedger()
 		return completed, true
 	}
 	idx, ok := s.pick(now)
@@ -732,6 +738,33 @@ func (s *scheduler) step(now time.Time) (completed []Result, ok bool) {
 		s.prefetchUpcoming(idx)
 	}
 	return s.serviceBucket(idx, now), true
+}
+
+// observeLedger adds what this arm's disk account has moved by since the
+// last call — its own services' charges and the parts it ran for sibling
+// shards — to the disk-model counters.
+func (s *scheduler) observeLedger() {
+	if s.obs == nil {
+		return
+	}
+	led := s.cfg.Disk.Ledger()
+	s.obs.modelCharged.Add((led.Charged - s.lastLedger.Charged).Seconds())
+	s.obs.modelSlept.Add((led.Slept - s.lastLedger.Slept).Seconds())
+	s.obs.modelCredited.Add((led.Credited - s.lastLedger.Credited).Seconds())
+	s.lastLedger = led
+}
+
+// offer wakes up to k idle sibling workers to the service fj has just
+// published. A token nobody takes before the service ends is harmless: the
+// worker it later wakes looks, finds nothing to claim, and sleeps again.
+func (s *scheduler) offer(k int) {
+	for ; k > 0; k-- {
+		select {
+		case s.offers <- struct{}{}:
+		default:
+			return // a wake-up is already waiting for every sibling
+		}
+	}
 }
 
 // serviceBucket runs the join evaluator for one picked bucket. Split from
@@ -835,24 +868,40 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 		}
 	}
 
-	// Join and distribute the results, then charge Tm per object. The
-	// charge models this very work, so the time it took on the engine's
-	// clock counts toward it: the service lasts Tm × count, not Tm × count
-	// on top of its own join. A virtual clock does not move while the
-	// engine computes, so there the whole charge is slept as ever.
-	var joined time.Duration
-	if s.cfg.MaterializeResults {
-		joinT0 := s.cfg.Clock.Now()
-		var pairs []xmatch.Pair
-		if strategy == xmatch.Scan {
-			pairs = s.join.Merge(objs, wos, s.preds)
-		} else {
-			pairs = s.join.Index(objs, wos, s.preds)
+	// Join, charge Tm per object, and distribute the results. A Scan
+	// service whose queue fills two parts or more is cut into runs of the
+	// queue in MinID order, the order the merge sweeps it in, and idle
+	// sibling workers run some of them on their own arms; the owner waits
+	// for every part, so what follows — fan-out, retire, completion — sees
+	// the same pairs in the same order whoever ran which part.
+	fj := &s.fj
+	n := 1
+	if strategy == xmatch.Scan {
+		xmatch.SortQueue(wos)
+		if s.offers != nil && count >= 2*servicePartUnits {
+			n = (count + servicePartUnits - 1) / servicePartUnits
 		}
-		// pairs is the joiner's buffer: each pair is copied to its query
-		// before the next service reuses it. Runs of one query's pairs
-		// share a lookup.
-		var pairQS *queryState
+	}
+	fj.objs, fj.wos, fj.strategy, fj.start = objs, wos, strategy, s.cfg.Clock.Now()
+	fj.begin(n)
+	s.offer(n - 1)
+	for i, mine := 0, true; mine; i, mine = fj.claim() {
+		fj.run(i, s.cfg.Clock, s.cfg.Disk)
+		if s.obs != nil {
+			s.obs.partsOwn.Inc()
+		}
+	}
+	// The service ends with its last part. On a virtual clock that part may
+	// have run on a sibling's clock, ahead of this one: catch up, so no
+	// query completes before work done for it.
+	end := fj.finish(n)
+	simclock.Join(s.cfg.Clock, end)
+	// A part's pairs are its Joiner's buffer: each pair is copied to its
+	// query before the next service reuses it. Runs of one query's pairs
+	// share a lookup.
+	var pairQS *queryState
+	for p := range fj.parts[:n] {
+		pairs := fj.parts[p].pairs
 		for i := range pairs {
 			if qid := pairs[i].QueryID; pairQS == nil || pairQS.result.QueryID != qid {
 				pairQS = s.queries[qid]
@@ -860,12 +909,9 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 			pairQS.result.Pairs = append(pairQS.result.Pairs, pairs[i])
 			pairQS.result.Matches++
 		}
-		joined = s.cfg.Clock.Now().Sub(joinT0)
 	}
-	s.cfg.Disk.MatchObjectsAfter(count, joined)
 
 	// Retire work units.
-	end := s.cfg.Clock.Now()
 	seen := s.seenBuf
 	clear(seen)
 	for _, it := range items {

@@ -22,7 +22,7 @@ var (
 	shardJobs []Job
 )
 
-func shardFixture(t *testing.T) (*bucket.Partition, []Job) {
+func shardFixture(t testing.TB) (*bucket.Partition, []Job) {
 	t.Helper()
 	shardOnce.Do(func() {
 		local, err := catalog.New(catalog.Config{

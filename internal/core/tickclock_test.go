@@ -173,9 +173,8 @@ func (c stepClock) Now() time.Time {
 }
 
 // TestServiceCreditsJoinTimeAgainstItsCharge: Tm models the join, so the
-// time a materializing service spent joining and handing out pairs comes
-// off that service's match charge; a cost-only engine joins nothing and
-// is credited nothing.
+// time a materializing service spent joining comes off that service's
+// match charge; a cost-only engine joins nothing and is credited nothing.
 func TestServiceCreditsJoinTimeAgainstItsCharge(t *testing.T) {
 	const step = 10 * time.Microsecond // well under one object's Tm
 	part, jobs := fixture(t)
@@ -197,7 +196,8 @@ func TestServiceCreditsJoinTimeAgainstItsCharge(t *testing.T) {
 		l := s.cfg.Disk.Ledger()
 		want := time.Duration(0)
 		if materialize {
-			// One reading before the join and one after the pairs are handed out.
+			// One reading before the join and one after it (each service
+			// here is one part).
 			want = time.Duration(s.stats.BucketsServed) * step
 			if matches == 0 {
 				t.Fatal("the services produced no pairs")

@@ -145,6 +145,23 @@ type Joiner struct {
 func byMinID(a, b WorkloadObject) int          { return cmp.Compare(a.MinID, b.MinID) }
 func cmpHTMID(o catalog.Object, id htm.ID) int { return cmp.Compare(o.HTMID, id) }
 
+// pastHTMID orders a bucket object against "just after id": a binary search
+// with it finds the first object whose HTMID exceeds id, with no id+1 to
+// overflow.
+func pastHTMID(o catalog.Object, id htm.ID) int {
+	if o.HTMID <= id {
+		return -1
+	}
+	return 1
+}
+
+// SortQueue sorts a workload queue by MinID, the order Merge sweeps it in.
+// A run of consecutive elements of a sorted queue reaches one stretch of
+// the bucket and is itself a queue Merge takes as it is, so a caller that
+// cuts one service's queue into parts sorts it once, here, and joins each
+// run against its own window.
+func SortQueue(queue []WorkloadObject) { slices.SortFunc(queue, byMinID) }
+
 // Merge cross-matches a bucket against a workload queue by a single
 // simultaneous sweep of both inputs in HTM ID order. bucket must be sorted
 // by HTMID (bucket stores materialize it that way); queue is copied and
@@ -152,23 +169,34 @@ func cmpHTMID(o catalog.Object, id htm.ID) int { return cmp.Compare(o.HTMID, id)
 // preds maps QueryID to that query's predicate; nil preds, or a missing
 // entry, accepts all pairs.
 //
-// Complexity is O(n + m + candidates): the sweep maintains the set of
-// workload intervals overlapping the current bucket object's ID, which
-// stays tiny because error radii are arcseconds.
+// Only the bucket objects the queue can reach are swept: those with IDs in
+// [least MinID, greatest MaxID], found by binary search, so a queue that
+// covers a tenth of the bucket's ID span costs a tenth of the sweep. Objects
+// outside that window admit nothing and pair with nothing.
+//
+// Complexity is O(log n + w + m + candidates) for a window of w objects:
+// the sweep maintains the set of workload intervals overlapping the current
+// bucket object's ID, which stays tiny because error radii are arcseconds.
 func (j *Joiner) Merge(bucket []catalog.Object, queue []WorkloadObject, preds map[uint64]Predicate) []Pair {
 	out := j.pairs[:0]
 	if len(bucket) == 0 || len(queue) == 0 {
 		return out
 	}
 	q := append(j.queue[:0], queue...)
-	slices.SortFunc(q, byMinID)
+	SortQueue(q)
+	reach := q[0].MaxID
+	for _, wo := range q[1:] {
+		reach = max(reach, wo.MaxID)
+	}
+	first, _ := slices.BinarySearchFunc(bucket, q[0].MinID, cmpHTMID)
+	past, _ := slices.BinarySearchFunc(bucket, reach, pastHTMID)
 	// active holds workload objects whose interval may still overlap
 	// bucket objects at or beyond the sweep position, as a min-heap
 	// substitute: since radii are uniform-ish and intervals short, a
 	// slice with compaction is efficient.
 	active := j.active[:0]
 	next := 0
-	for _, local := range bucket {
+	for _, local := range bucket[first:max(first, past)] {
 		id := local.HTMID
 		// Admit queue intervals starting at or before id.
 		for next < len(q) && q[next].MinID <= id {

@@ -279,6 +279,89 @@ func TestJoinerSteadyStateZeroAlloc(t *testing.T) {
 			t.Errorf("warm Joiner.%s allocates %.1f/op, want 0", name, n)
 		}
 	}
+	// A part of a service: a run of the sorted queue, after the whole.
+	SortQueue(queue)
+	for _, part := range [][]WorkloadObject{queue[:40], queue[len(queue)-40:]} {
+		if n := testing.AllocsPerRun(50, func() { j.Merge(locals, part, preds) }); n != 0 {
+			t.Errorf("warm Joiner.Merge over a %d-object run of the queue allocates %.1f/op, want 0", len(part), n)
+		}
+	}
+}
+
+// mergeWholeBucket is Merge as it was before it narrowed the sweep to the
+// queue's window: every bucket object is visited. The reference for the
+// order of Merge's pairs.
+func mergeWholeBucket(bucket []catalog.Object, queue []WorkloadObject) []Pair {
+	q := append([]WorkloadObject(nil), queue...)
+	SortQueue(q)
+	var out []Pair
+	var active []WorkloadObject
+	next := 0
+	for _, local := range bucket {
+		for next < len(q) && q[next].MinID <= local.HTMID {
+			active = append(active, q[next])
+			next++
+		}
+		w := 0
+		for _, wo := range active {
+			if wo.MaxID < local.HTMID {
+				continue
+			}
+			active[w] = wo
+			w++
+			out = verify(out, local, wo, nil)
+		}
+		active = active[:w]
+	}
+	return out
+}
+
+// TestMergeSweepsOnlyTheQueueWindow: narrowing the sweep to the bucket
+// objects between the queue's least MinID and greatest MaxID changes no
+// pair and no pair's position — for the whole queue, for narrow runs of
+// it at either end of the bucket and in the middle (the parts a split
+// service joins), and for queues whose ranges begin before the bucket's
+// first object, run on past its last, or miss it altogether.
+func TestMergeSweepsOnlyTheQueueWindow(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		locals, queue := makeField(seed, 400, 120, 10, 3)
+		SortQueue(queue)
+		n := len(queue)
+		wide := queue[n/2]
+		wide.MinID, wide.MaxID = 0, locals[len(locals)-1].HTMID+1000 // reaches past both ends
+		before := queue[0]
+		before.MinID, before.MaxID = 0, locals[0].HTMID-1 // ends before the first object
+		after := queue[n-1]
+		after.MinID, after.MaxID = locals[len(locals)-1].HTMID+1, locals[len(locals)-1].HTMID+9
+		cases := map[string][]WorkloadObject{
+			"whole":        queue,
+			"low end":      queue[:6],
+			"high end":     queue[n-16:],
+			"middle":       queue[n/2 : n/2+8],
+			"one":          queue[n/3 : n/3+1],
+			"past the end": append([]WorkloadObject{wide}, queue[n-6:]...),
+			"from before":  append([]WorkloadObject{wide}, queue[:3]...),
+			"all before":   {before},
+			"all after":    {after},
+		}
+		for name, q := range cases {
+			got, want := MergeJoin(locals, q, nil), mergeWholeBucket(locals, q)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("seed %d, %s: %d pairs, the whole-bucket sweep finds %d (or in another order)", seed, name, len(got), len(want))
+			}
+			// The last two carry ranges their objects do not lie in, which
+			// brute force, testing distance alone, knows nothing of.
+			if name == "all before" || name == "all after" {
+				if len(got) != 0 {
+					t.Errorf("seed %d, %s: %d pairs from a range no bucket object is in", seed, name, len(got))
+				}
+				continue
+			}
+			if bf := BruteForce(locals, q, nil); !pairsEqual(append([]Pair(nil), got...), bf) {
+				t.Errorf("seed %d, %s: %d pairs, brute force %d", seed, name, len(got), len(bf))
+			}
+		}
+	}
 }
 
 // TestJoinerReuseMatchesFreshJoins: a Joiner carried across services of
