@@ -348,6 +348,7 @@ func run(o options) error {
 		return err
 	}
 	reg := metric.NewRegistry()
+	metric.RegisterProcess(reg)
 	serving := o.servingConfig(tenants, reg)
 	fmt.Printf("synthesizing archive %q (%d base objects, seed %d)...\n", o.archive, o.baseN, o.baseSeed)
 	cat, err := buildCatalog(o.archive, o.baseN, o.baseSeed, o.genLevel)

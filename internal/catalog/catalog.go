@@ -480,8 +480,20 @@ func (c *Catalog) Objects(lo, hi int64) []Object {
 // remote archive computes the object list it ships to the next site in a
 // cross-match plan.
 func (c *Catalog) InCap(cp geom.Cap) []Object {
-	cover := htm.CoverCap(cp, c.cfg.GenLevel)
-	var out []Object
+	return c.AppendInCap(nil, cp)
+}
+
+// coverPool recycles the trixel covers AppendInCap walks: a 15-degree cap
+// is covered by hundreds of ranges, none of which outlives the call.
+var coverPool = sync.Pool{New: func() any { return new([]htm.Range) }}
+
+// AppendInCap is InCap appending to a caller-provided buffer (normally
+// dst[:0] of a reused slice), for a caller that goes on to filter or
+// convert the objects and so has no use for a slice of its own per call.
+func (c *Catalog) AppendInCap(dst []Object, cp geom.Cap) []Object {
+	scratch := coverPool.Get().(*[]htm.Range)
+	cover := htm.CoverCapInto(*scratch, cp, c.cfg.GenLevel)
+	out := dst
 	for _, r := range cover {
 		for pos := r.Start.Pos(); pos <= r.End.Pos(); pos++ {
 			if c.counts[pos] == 0 {
@@ -494,6 +506,8 @@ func (c *Catalog) InCap(cp geom.Cap) []Object {
 			}
 		}
 	}
+	*scratch = cover
+	coverPool.Put(scratch)
 	return out
 }
 

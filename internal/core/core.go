@@ -111,8 +111,8 @@ type Config struct {
 	// once at construction; nil costs nothing on the hot path). Every
 	// shard gets the same EngineMetrics with the shard's own index.
 	Metrics *EngineMetrics
-	// shardIndex is the shard label the engine reports metrics under.
-	// Set by forkConfigs.
+	// shardIndex is the shard's index in the engine: the label it reports
+	// metrics under and its slot in a query's fan-in. Set by forkConfigs.
 	shardIndex int
 
 	// AgeDepreciationGamma enables the §6 QoS extension: the age of a
@@ -182,7 +182,10 @@ func (c Config) withDefaults() (Config, error) {
 // workload objects plus an optional predicate. (The Query Pre-Processor of
 // Figure 3 produces the Objects list; see workload.Materialize.)
 type Job struct {
-	ID      uint64
+	ID uint64
+	// Objects is shared, read-only, by every shard the query touches — the
+	// engine's front end hands each of them this slice, not a copy of its
+	// share of it: the caller must not modify it before the result arrives.
 	Objects []xmatch.WorkloadObject
 	// Pred filters the query's pairs. Every shard worker that joins work
 	// of the query calls it, possibly at once: it must be safe for
@@ -193,6 +196,15 @@ type Job struct {
 	// strategy and Ut score, store reads, cache outcomes). nil — the
 	// default — records nothing and costs nothing on the service loop.
 	Trace *trace.Trace
+
+	// share and region are the front end's (fanIn.job), set on the copy of
+	// the job it hands one shard: how many of Objects have work on that
+	// shard, and the stretch of the query's pair array that shard's pairs
+	// go to. A scheduler handed a job without them — one driven directly,
+	// with no front end before it — takes all of Objects for its share and
+	// grows the pairs from nil.
+	share  int
+	region []xmatch.Pair
 }
 
 // Result reports one completed query.
@@ -207,7 +219,13 @@ type Result struct {
 	// query expanded to.
 	Assignments int
 	// Pairs holds the materialized matches when the engine is
-	// configured with MaterializeResults.
+	// configured with MaterializeResults: shard by shard in shard order,
+	// in service order within a shard, nil when there are none (and for a
+	// cancelled query, the pairs found before the cancel). It is the one
+	// array the front end allocated for the query at submission, sized from
+	// the object count, which every shard appended its pairs into — the
+	// result owns it, and its capacity may exceed its length by the room
+	// the shards did not use.
 	Pairs []xmatch.Pair
 	// Cancelled marks a query withdrawn before completion (Live.Cancel,
 	// or a SubmitCtx context expiring): its remaining workload objects
@@ -220,12 +238,12 @@ type Result struct {
 func (r Result) ResponseTime() time.Duration { return r.Completed.Sub(r.Arrived) }
 
 // absorb merges another shard's partial result for the same query into r:
-// work counters sum, pairs concatenate, the arrival is the earliest and
-// the completion the latest across shards.
+// work counters sum, the arrival is the earliest and the completion the
+// latest across shards. Pairs are not its business: fanIn.result places
+// them.
 func (r *Result) absorb(o Result) {
 	r.Assignments += o.Assignments
 	r.Matches += o.Matches
-	r.Pairs = append(r.Pairs, o.Pairs...)
 	if o.Arrived.Before(r.Arrived) {
 		r.Arrived = o.Arrived
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -26,20 +25,26 @@ import (
 // match time to its own disk, until its own inbox has work again. The
 // owner waits for every part, so a service still ends once, with the pairs
 // it would have had alone.
-// Submit fans the query's workload objects out to the shards owning the
-// buckets they overlap and never blocks on in-progress bucket services; the
-// worker that finishes the query's last shard merges the partial results
-// and resolves the caller's channel. SetAlpha and Cancel broadcast to every
-// shard. One shard is the paper's single-disk engine.
+// Submit counts the query's workload objects by the shards owning the
+// buckets they overlap and never blocks on in-progress bucket services. It
+// copies none of them: every touched shard is handed the caller's
+// Job.Objects, read-only, and queues what falls in its own buckets; a
+// materializing query's pairs go into one array Submit allocates from those
+// counts, each shard appending to its own region of it (fanIn). The worker
+// that finishes the query's last shard sums the counters, closes the gaps
+// between the regions and resolves the caller's channel. SetAlpha and
+// Cancel broadcast to every shard. One shard is the paper's single-disk
+// engine.
 //
 // Live is the deployment form a federation node uses (see the federation
 // package); experiments use Run instead, which replays a trace against a
 // virtual clock.
 type Live struct {
-	clock   simclock.Clock
-	smap    *shard.Map
-	cfgs    []Config // forked per-shard configs; Close releases their stores
-	workers []*shardWorker
+	clock       simclock.Clock
+	smap        *shard.Map
+	materialize bool     // Config.MaterializeResults: queries get a pair array
+	cfgs        []Config // forked per-shard configs; Close releases their stores
+	workers     []*shardWorker
 
 	// Merged query counts, bumped by the worker resolving a query. Atomics,
 	// not mu: a worker must never wait on a lock Submit holds while sending
@@ -72,8 +77,8 @@ type shardWorker struct {
 
 type submission struct {
 	job Job
-	// part is where the worker delivers its share of the query's result.
-	part *part
+	// m is where the worker delivers its shard's result for the query.
+	m *merge
 	// setAlpha, when non-nil, is a control message instead of a query:
 	// the scheduling loop updates its age bias (the §4 adaptive knob).
 	setAlpha *float64
@@ -86,44 +91,28 @@ type submission struct {
 
 // merge is one in-flight query's fan-in. Each shard the query fanned out
 // to delivers into its own part; the worker delivering the last one merges
-// them in shard order — counters summed, pairs concatenated, completion the
-// latest — and resolves the caller's channel. No goroutine relays a result.
+// them (fanIn.result) and resolves the caller's channel. No goroutine relays
+// a result.
 type merge struct {
-	l     *Live
-	out   chan Result
-	parts []part
-	left  atomic.Int32
+	fanIn
+	l    *Live
+	out  chan Result
+	left atomic.Int32
 	// stop releases the context.AfterFunc registration that cancels the
 	// query when its context expires; nil for uncancellable contexts.
 	stop func() bool
 }
 
-// part is one shard's slot in a merge.
-type part struct {
-	m   *merge
-	res Result
-}
-
-func (p *part) deliver(r Result) {
-	m := p.m
-	p.res = r
+// deliver files shard s's result for the query.
+func (m *merge) deliver(s int, r Result) {
+	m.parts[s].res = r
 	if m.left.Add(-1) > 0 {
 		return
 	}
 	if m.stop != nil {
 		m.stop()
 	}
-	res := m.parts[0].res
-	// Room for every part's pairs at once, or absorb's appends regrow the
-	// merged slice part by part.
-	rest := 0
-	for _, o := range m.parts[1:] {
-		rest += len(o.res.Pairs)
-	}
-	res.Pairs = slices.Grow(res.Pairs, rest)
-	for _, o := range m.parts[1:] {
-		res.absorb(o.res)
-	}
+	res := m.result()
 	m.l.resolved(res.Cancelled)
 	m.out <- res
 	close(m.out)
@@ -169,7 +158,7 @@ func NewLive(cfg Config) (*Live, error) {
 			return nil, err
 		}
 	}
-	l := &Live{clock: cfg.Clock, smap: m, cfgs: cfgs}
+	l := &Live{clock: cfg.Clock, smap: m, materialize: cfg.MaterializeResults, cfgs: cfgs}
 	if cfg.Metrics != nil {
 		l.obs = cfg.Metrics.front()
 	}
@@ -226,14 +215,9 @@ func (l *Live) Submit(job Job) (<-chan Result, error) {
 // then, the query drains to its uncancelled result instead. A nil ctx, or
 // one that can never be cancelled, makes SubmitCtx identical to Submit.
 func (l *Live) SubmitCtx(ctx context.Context, job Job) (<-chan Result, error) {
-	fan := l.smap.Fanout(job.Objects)
-	width := 0
-	for _, objs := range fan {
-		if len(objs) > 0 {
-			width++
-		}
-	}
-	m := &merge{l: l, out: make(chan Result, 1), parts: make([]part, width)}
+	m := &merge{l: l, out: make(chan Result, 1)}
+	var width int
+	m.fanIn, width = newFanIn(l.smap.Fanout(job.Objects), l.materialize)
 	m.left.Store(int32(width))
 
 	l.mu.Lock()
@@ -260,16 +244,12 @@ func (l *Live) SubmitCtx(ctx context.Context, job Job) (<-chan Result, error) {
 		id := job.ID
 		m.stop = context.AfterFunc(ctx, func() { l.Cancel(id) })
 	}
-	i := 0
-	for s, objs := range fan {
-		if len(objs) == 0 {
+	for s := range m.parts {
+		if m.parts[s].share == 0 {
 			continue
 		}
-		p := &m.parts[i]
-		p.m = m
-		i++
 		//lifevet:allow lockdiscipline -- the sends deliberately happen inside l.mu: the closed check and the fan-out must be one atomic step against Close, and every worker drains its inbox until closing, so each send bounds in one shard step
-		l.workers[s].inbox <- submission{job: Job{ID: job.ID, Objects: objs, Pred: job.Pred, Trace: job.Trace}, part: p}
+		l.workers[s].inbox <- submission{job: m.job(job, s), m: m}
 	}
 	l.mu.Unlock()
 	return m.out, nil
@@ -376,7 +356,7 @@ func (w *shardWorker) help(s *scheduler) (helped bool) {
 func (w *shardWorker) loop(cfg Config, s *scheduler, parent simclock.Clock) {
 	defer close(w.done)
 	start := cfg.Clock.Now()
-	waiters := make(map[uint64]*part)
+	waiters := make(map[uint64]*merge)
 	completed := 0
 
 	deliver := func(rs []Result) {
@@ -387,8 +367,8 @@ func (w *shardWorker) loop(cfg Config, s *scheduler, parent simclock.Clock) {
 					s.obs.completed.Inc()
 				}
 			}
-			if p := waiters[r.QueryID]; p != nil {
-				p.deliver(r)
+			if m := waiters[r.QueryID]; m != nil {
+				m.deliver(cfg.shardIndex, r)
 				delete(waiters, r.QueryID)
 			}
 		}
@@ -409,7 +389,7 @@ func (w *shardWorker) loop(cfg Config, s *scheduler, parent simclock.Clock) {
 			}
 			return
 		}
-		waiters[sub.job.ID] = sub.part
+		waiters[sub.job.ID] = sub.m
 		if r := s.admit(sub.job, cfg.Clock.Now()); r != nil {
 			deliver([]Result{*r})
 		}

@@ -345,21 +345,28 @@ func (s *scheduler) cachePut(k int, v bucketObjects) {
 
 // admit pre-processes a job: every workload object is assigned to the
 // queue of each bucket its bounding HTM range overlaps (the Query
-// Pre-Processor of Figure 3). Queries with no overlapping work complete
-// immediately.
+// Pre-Processor of Figure 3) and this shard owns — job.Objects is the
+// whole query's list, shared with the other shards and only read. Queries
+// with no overlapping work complete immediately.
 func (s *scheduler) admit(job Job, arrived time.Time) (done *Result) {
 	if _, dup := s.queries[job.ID]; dup {
 		panic(fmt.Sprintf("core: duplicate query ID %d", job.ID))
 	}
+	// job.Objects is the whole query's; share is how many of them have
+	// work here, which is what this shard's view of the query is sized by.
+	share := job.share
+	if share == 0 {
+		share = len(job.Objects)
+	}
 	qs := &queryState{
 		job:     job,
 		arrived: arrived,
-		result:  Result{QueryID: job.ID, Arrived: arrived},
-		buckets: make([]int, 0, len(job.Objects)),
+		result:  Result{QueryID: job.ID, Arrived: arrived, Pairs: job.region},
+		buckets: make([]int, 0, share),
 		trace:   job.Trace,
 	}
 	part := s.cfg.Store.Partition()
-	weight := s.ageWeight(len(job.Objects))
+	weight := s.ageWeight(share)
 	for _, wo := range job.Objects {
 		s.bisBuf = part.AppendBucketsForRanges(s.bisBuf[:0], wo.Ranges())
 		for _, bi := range s.bisBuf {
@@ -897,8 +904,9 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 	end := fj.finish(n)
 	simclock.Join(s.cfg.Clock, end)
 	// A part's pairs are its Joiner's buffer: each pair is copied to its
-	// query before the next service reuses it. Runs of one query's pairs
-	// share a lookup.
+	// query — into this shard's region of the query's pair array, where the
+	// front end carved one — before the next service reuses it. Runs of one
+	// query's pairs share a lookup.
 	var pairQS *queryState
 	for p := range fj.parts[:n] {
 		pairs := fj.parts[p].pairs

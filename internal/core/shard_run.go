@@ -20,9 +20,10 @@ import (
 // shards (shard.Map); each shard gets its own forked clock, disk,
 // bucket cache, and workload queues, and a worker goroutine per shard
 // (runEngine) services that shard's local aged-workload-throughput
-// schedule. Run fans each job's workload objects out to the shards owning
-// the buckets they overlap, tracks per-query completion across shards (a
-// query completes when its last shard does), and merges
+// schedule. Run hands each job to the shards owning the buckets its
+// workload objects overlap (the job's own object list, shared, with each
+// shard's share count; see fanIn), tracks per-query completion across shards
+// (a query completes when its last shard does), and merges
 // per-shard RunStats into one aggregate with a PerShard breakdown. One
 // shard owning every bucket is the paper's single-disk engine.
 //
@@ -58,27 +59,18 @@ func Run(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunStats, e
 
 	// Fan the jobs out: each shard replays the sub-trace of jobs that
 	// have work on it, at the original arrival offsets. partial holds one
-	// entry per in-flight query: how many shards have yet to report and
-	// the result merged from those that have.
-	type fanIn struct {
+	// entry per in-flight query: its fan-in and how many shards have yet
+	// to report.
+	type pending struct {
+		fanIn
 		remaining int
-		merged    *Result
 	}
-	partial := make(map[uint64]*fanIn)
+	partial := make(map[uint64]*pending)
 	subJobs := make([][]Job, k)
 	subOffs := make([][]time.Duration, k)
 	var results []Result
 	for i, j := range jobs {
-		fan := m.Fanout(j.Objects)
-		width := 0
-		for s := 0; s < k; s++ {
-			if len(fan[s]) == 0 {
-				continue
-			}
-			subJobs[s] = append(subJobs[s], Job{ID: j.ID, Objects: fan[s], Pred: j.Pred, Trace: j.Trace})
-			subOffs[s] = append(subOffs[s], offsets[i])
-			width++
-		}
+		f, width := newFanIn(m.Fanout(j.Objects), cfg.MaterializeResults)
 		if width == 0 {
 			// No bucket overlaps anywhere: complete on arrival.
 			at := start.Add(offsets[i])
@@ -88,7 +80,14 @@ func Run(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunStats, e
 		if _, dup := partial[j.ID]; dup {
 			return nil, RunStats{}, fmt.Errorf("shard: query %d already in flight", j.ID)
 		}
-		partial[j.ID] = &fanIn{remaining: width}
+		partial[j.ID] = &pending{fanIn: f, remaining: width}
+		for s := range f.parts {
+			if f.parts[s].share == 0 {
+				continue
+			}
+			subJobs[s] = append(subJobs[s], f.job(j, s))
+			subOffs[s] = append(subOffs[s], offsets[i])
+		}
 	}
 
 	// One worker per shard.
@@ -114,23 +113,18 @@ func Run(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunStats, e
 		}
 	}
 
-	// Merge per-query results: completion is the latest shard's (absorb
-	// keeps the maximum), counts sum, pairs concatenate in shard order
-	// (deterministic). A query is done when its last shard has reported.
+	// Merge per-query results (fanIn.result: completion the latest
+	// shard's, counts summed, pairs in shard order). A query is done when
+	// its last shard has reported.
 	for s := 0; s < k; s++ {
 		for _, r := range outs[s].res {
 			fi := partial[r.QueryID]
-			if fi == nil {
+			if fi == nil || fi.parts[s].share == 0 {
 				return nil, RunStats{}, fmt.Errorf("core: shard %d completed query %d, which was never fanned out to it", s, r.QueryID)
 			}
-			if fi.merged == nil {
-				r := r
-				fi.merged = &r
-			} else {
-				fi.merged.absorb(r)
-			}
+			fi.parts[s].res = r
 			if fi.remaining--; fi.remaining == 0 {
-				results = append(results, *fi.merged)
+				results = append(results, fi.result())
 				delete(partial, r.QueryID)
 			}
 		}

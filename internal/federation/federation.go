@@ -301,6 +301,11 @@ func (n *Node) ServingStats() (server.Stats, bool) {
 // Name returns the archive name.
 func (n *Node) Name() string { return n.name }
 
+// extractScratch recycles the catalog objects an extraction collects before
+// it knows how many survive the sample: they are converted to wire objects
+// and never leave Extract.
+var extractScratch = sync.Pool{New: func() any { return new([]catalog.Object) }}
+
 // Extract implements the driving-archive region scan.
 func (n *Node) Extract(req ExtractRequest) (ExtractResponse, error) {
 	if req.Selectivity <= 0 || req.Selectivity > 1 {
@@ -310,9 +315,12 @@ func (n *Node) Extract(req ExtractRequest) (ExtractResponse, error) {
 		return ExtractResponse{}, fmt.Errorf("federation: non-positive radius")
 	}
 	cap := geom.NewCap(geom.FromRaDec(req.RA, req.Dec), geom.Radians(req.RadiusDeg))
-	// InCap's slice is this call's own: keep the sample in place, then
-	// convert it into one allocation of exactly its size.
-	in := n.cat.InCap(cap)
+	// Collect and sample in pooled scratch, this call's own until it is
+	// put back; the one allocation is the wire slice, at exactly its size.
+	scratch := extractScratch.Get().(*[]catalog.Object)
+	defer extractScratch.Put(scratch)
+	in := n.cat.AppendInCap((*scratch)[:0], cap)
+	*scratch = in[:0]
 	if req.Selectivity < 1 {
 		in = slices.DeleteFunc(in, func(o catalog.Object) bool {
 			return !subsample(req.Seed, req.QueryID, o.ID, req.Selectivity)

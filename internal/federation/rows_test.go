@@ -10,8 +10,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"liferaft/internal/server"
@@ -458,8 +460,9 @@ func TestPortalRowsMatchMapAlgorithm(t *testing.T) {
 
 // TestExecuteEncodeAllocBudget bounds what one materializing two-archive
 // query allocates from portal to JSON on warm virtual-clock nodes. With
-// 275 objects shipped and 275 rows back it takes about 70 allocations;
-// with a map per row it took 640, and with a cover slice per workload
+// 275 objects shipped and 275 rows back it takes about 40 allocations and
+// 265 KB; with pairs and objects re-copied between layers it took 66 and
+// 360 KB, with a map per row 640, and with a cover slice per workload
 // object, a map per tuple per hop and the reflective map encoder 4 662.
 func TestExecuteEncodeAllocBudget(t *testing.T) {
 	f := newFixture(t)
@@ -484,13 +487,92 @@ func TestExecuteEncodeAllocBudget(t *testing.T) {
 	if shipped < 100 || rows < 100 {
 		t.Fatalf("fixture too small to mean anything: %d shipped, %d rows", shipped, rows)
 	}
-	got := testing.AllocsPerRun(20, run)
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := testing.AllocsPerRun(runs, run)
+	runtime.ReadMemStats(&after)
+	allocated := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
 	// All of it is per query and per bucket service: a row is a view and
 	// costs nothing, so one allocation per row or per shipped object breaks it.
 	if budget := float64(shipped/2 + 150); got > budget {
 		t.Errorf("%.0f allocs for %d shipped objects and %d rows, budget %.0f", got, shipped, rows, budget)
 	}
-	t.Logf("%.0f allocs, %d shipped, %d rows, %d response bytes", got, shipped, rows, buf.Len())
+	// And the bytes: a shipped object is copied into the extraction's wire
+	// slice (48 B), a workload object (80), its share of the query's one
+	// pair array (126), a MatchPair (96) and the portal's chain (96); the
+	// encoder here takes about 300 per row. Each further copy of the pairs
+	// or the objects between layers — a pair slice doubled up from nil, a
+	// merge, a per-shard object slice, an extraction collected in a slice of
+	// its own — adds 50 to 330 B per object and breaks it.
+	if budget := float64(shipped * 1100); allocated > budget && !raceEnabled { // under the race detector sync.Pool drops what it is given
+		t.Errorf("%.0f B allocated for %d shipped objects and %d rows, budget %.0f", allocated, shipped, rows, budget)
+	}
+	t.Logf("%.0f allocs, %.0f B, %d shipped, %d rows, %d response bytes", got, allocated, shipped, rows, buf.Len())
+}
+
+// TestExtractAllocBudget: a warm Node.Extract collects and samples in pooled
+// scratch and allocates only the wire slice it returns, so a 12-degree
+// region costs the same number of allocations as a 1-degree one, sampled or
+// not; and the scratch is one extraction's at a time — concurrent
+// extractions of different regions return what they return alone.
+func TestExtractAllocBudget(t *testing.T) {
+	f := newFixture(t)
+	reqs := []ExtractRequest{
+		{QueryID: 1, RA: 150, Dec: 20, RadiusDeg: 1, Selectivity: 1, Seed: 7},
+		{QueryID: 2, RA: 150, Dec: 20, RadiusDeg: 12, Selectivity: 1, Seed: 7},
+		{QueryID: 3, RA: 150, Dec: 20, RadiusDeg: 1, Selectivity: 0.5, Seed: 7},
+		{QueryID: 4, RA: 150, Dec: 20, RadiusDeg: 12, Selectivity: 0.5, Seed: 7},
+		{QueryID: 5, RA: 30, Dec: -40, RadiusDeg: 8, Selectivity: 0.7, Seed: 7},
+	}
+	alone := make([]ExtractResponse, len(reqs))
+	for i, req := range reqs {
+		var err error
+		if alone[i], err = f.twomass.Extract(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if small, big := len(alone[0].Objects), len(alone[1].Objects); small == 0 || big < 50*small {
+		t.Fatalf("fixture: %d objects within 1 degree, %d within 12", small, big)
+	}
+
+	var wg sync.WaitGroup
+	for i, req := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				got, err := f.twomass.Extract(req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got, alone[i]) {
+					t.Errorf("q%d, round %d: %d objects beside other extractions, %d alone", req.QueryID, round, len(got.Objects), len(alone[i].Objects))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	if raceEnabled {
+		return // race instrumentation allocates, and sync.Pool drops what it is given
+	}
+	var allocs [4]float64
+	for i, req := range reqs[:4] {
+		allocs[i] = testing.AllocsPerRun(50, func() {
+			if _, err := f.twomass.Extract(req); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	t.Logf("allocations per extraction: 1 degree %.0f, 12 degrees %.0f, sampled %.0f and %.0f", allocs[0], allocs[1], allocs[2], allocs[3])
+	for i, n := range allocs {
+		if n != allocs[0] {
+			t.Errorf("q%d costs %.0f allocations, q1 %.0f: the count must not follow the region", reqs[i].QueryID, n, allocs[0])
+		}
+	}
 }
 
 // fixedSite answers every request with slices built beforehand, so that what

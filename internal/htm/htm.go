@@ -382,10 +382,18 @@ func (r Range) String() string {
 // The cover is conservative (it may include trixels that only graze the
 // cap) but sound (it never omits a trixel intersecting the cap).
 func CoverCap(c geom.Cap, level int) []Range {
+	return CoverCapInto(nil, c, level)
+}
+
+// CoverCapInto is CoverCap built in buf's storage: the cover overwrites
+// whatever buf held (its length is ignored) and is returned, grown if buf
+// was too small. A caller that covers caps over and over keeps one buffer
+// instead of growing a slice from nil each time.
+func CoverCapInto(buf []Range, c geom.Cap, level int) []Range {
 	if level < 0 || level > MaxLevel {
 		panic(fmt.Sprintf("htm: level %d out of range", level))
 	}
-	var out []Range
+	out := buf[:0]
 	for i := 0; i < 8; i++ {
 		coverNode(FaceID(i), FaceTriangle(i), c, level, &out)
 	}

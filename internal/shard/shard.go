@@ -3,8 +3,8 @@
 // by data contention so a *single* disk arm services the hottest
 // partition; this package scales the same aged-workload-throughput policy
 // to many disks by giving each shard its own disk, bucket cache, and
-// workload queues, while the engine fans each submitted query's workload
-// objects out to the shards owning the buckets they overlap.
+// workload queues, while the engine hands each submitted query to the
+// shards owning the buckets its workload objects overlap.
 //
 // Buckets are dealt to shards round-robin along the HTM curve (bucket i
 // belongs to shard i mod K), the declustering a striped multi-disk
@@ -16,7 +16,10 @@
 // only placement; there is no strategy to choose.
 //
 // The package provides one building block: Map is that assignment for one
-// partition — bucket ownership lookups and workload-object fan-out.
+// partition — bucket ownership lookups and, for a query, how many of its
+// workload objects each shard has work for. It moves no objects: the engine
+// hands every touched shard the query's own list, and a shard queues what
+// falls in the buckets it owns.
 //
 // The per-shard engines themselves live in internal/core (see
 // core.Config.Shards), as does the per-query fan-in across shards (a
@@ -34,7 +37,10 @@ import (
 )
 
 // Map is the bucket-to-shard assignment for one partition: bucket i along
-// the HTM curve belongs to shard i mod K.
+// the HTM curve belongs to shard i mod K. It is immutable once built and
+// safe for concurrent use; it answers who owns a bucket (Owner) and what
+// share of a query's objects each shard has (Fanout), and holds no
+// per-query state.
 type Map struct {
 	part   *bucket.Partition
 	shards int
@@ -67,51 +73,32 @@ func (m *Map) Buckets(s int) int {
 	return (m.NumBuckets() - s + m.shards - 1) / m.shards
 }
 
-// Fanout groups a query's workload objects by owning shard: object w goes
-// to every shard owning a bucket whose span overlaps w's bounding HTM
-// range, once per shard. The result always has exactly Shards() entries;
-// shards the query does not touch hold nil. This is the coordinator-side
-// half of admission — each shard's engine re-derives the per-bucket
-// assignment locally, restricted to the buckets it owns, so the union of
-// per-shard assignments equals the single-engine assignment exactly.
-func (m *Map) Fanout(objs []xmatch.WorkloadObject) [][]xmatch.WorkloadObject {
-	out := make([][]xmatch.WorkloadObject, m.shards)
-	// Two passes over the objects with the same scratch: the first counts
-	// each shard's share, so the second fills slices carved at their final
-	// size from one backing array. mark[s] holds the stamp of the last
-	// (pass, object) that reached shard s — the once-per-shard guard.
-	counts := make([]int, m.shards)
-	mark := make([]int, m.shards)
+// Fanout counts a query's workload objects by owning shard: object w counts
+// toward every shard owning a bucket whose span overlaps w's bounding HTM
+// range, once per shard (an object straddling two shards' buckets counts on
+// both). The result always has exactly Shards() entries; shards the query
+// does not touch count zero. This is the coordinator-side half of admission,
+// and it copies nothing: every touched shard is handed the same objs and
+// its engine re-derives the per-bucket assignment locally, restricted to the
+// buckets it owns, so the union of per-shard assignments equals the
+// single-engine assignment exactly. A shard's count is what it sizes the
+// query's state by — how many of objs it will queue at least once.
+func (m *Map) Fanout(objs []xmatch.WorkloadObject) []int {
+	// One allocation for the counts and the once-per-shard guard: mark[s]
+	// holds the stamp of the last object that reached shard s.
+	scratch := make([]int, 2*m.shards)
+	counts, mark := scratch[:m.shards:m.shards], scratch[m.shards:]
 	var bis []int
-	for pass := 0; pass < 2; pass++ {
-		if pass == 1 {
-			total := 0
-			for _, n := range counts {
-				total += n
+	for i, wo := range objs {
+		bis = m.part.AppendBucketsForRanges(bis[:0], wo.Ranges())
+		for _, bi := range bis {
+			s := m.Owner(bi)
+			if mark[s] == i+1 {
+				continue
 			}
-			backing := make([]xmatch.WorkloadObject, total)
-			for s, n := range counts {
-				if n > 0 { // untouched shards hold nil
-					out[s], backing = backing[:0:n], backing[n:]
-				}
-			}
-		}
-		for i, wo := range objs {
-			bis = m.part.AppendBucketsForRanges(bis[:0], wo.Ranges())
-			stamp := pass*len(objs) + i + 1
-			for _, bi := range bis {
-				s := m.Owner(bi)
-				if mark[s] == stamp {
-					continue
-				}
-				mark[s] = stamp
-				if pass == 0 {
-					counts[s]++
-				} else {
-					out[s] = append(out[s], wo)
-				}
-			}
+			mark[s] = i + 1
+			counts[s]++
 		}
 	}
-	return out
+	return counts
 }

@@ -100,6 +100,10 @@ func TestMoreShardsThanBuckets(t *testing.T) {
 	}
 }
 
+// TestFanout: a shard's share count is the number of objects with a bucket
+// on it — what the per-shard slices Fanout used to build were long — so an
+// object straddling two shards' buckets counts on both, and a shard the
+// query does not reach counts zero.
 func TestFanout(t *testing.T) {
 	part := testPartition(t, 200)
 	m, err := NewMap(part, 4)
@@ -107,47 +111,55 @@ func TestFanout(t *testing.T) {
 		t.Fatal(err)
 	}
 	cat := part.Catalog()
-	objs := cat.Objects(0, 64)
 	var wos []xmatch.WorkloadObject
-	for _, o := range objs {
+	for _, o := range cat.Objects(0, 64) {
 		wos = append(wos, xmatch.NewWorkloadObject(1, o, geom.ArcsecToRad(5)))
 	}
-	fan := m.Fanout(wos)
-	if len(fan) != 4 {
-		t.Fatalf("fan-out has %d entries, want 4", len(fan))
+	// The last object of bucket 0 with a radius wide enough to reach into
+	// bucket 1: shards 0 and 1 both.
+	straddler := xmatch.NewWorkloadObject(1, cat.Objects(199, 200)[0], geom.Radians(2))
+	if bis := part.BucketsForRanges(straddler.Ranges()); len(bis) < 2 {
+		t.Fatalf("fixture: the wide object reaches buckets %v, want two or more", bis)
 	}
-	// Every object must land on exactly the shards owning its buckets,
-	// once per shard.
+	wos = append(wos, straddler)
+
+	// Reference: the shards owning each object's buckets, once per shard.
+	want := make([]int, 4)
+	straddled := 0
 	for _, wo := range wos {
-		want := map[int]bool{}
+		on := map[int]bool{}
 		for _, bi := range part.BucketsForRanges(wo.Ranges()) {
-			want[m.Owner(bi)] = true
+			on[m.Owner(bi)] = true
 		}
-		for s := 0; s < 4; s++ {
-			got := 0
-			for _, fo := range fan[s] {
-				if fo.Obj.ID == wo.Obj.ID {
-					got++
-				}
-			}
-			wantN := 0
-			if want[s] {
-				wantN = 1
-			}
-			if got != wantN {
-				t.Fatalf("object %d appears %d times on shard %d, want %d", wo.Obj.ID, got, s, wantN)
-			}
+		for s := range on {
+			want[s]++
+		}
+		if len(on) > 1 {
+			straddled++
 		}
 	}
-	// The first object sits in bucket 0, which shard 0 owns.
-	first := m.Fanout(wos[:1])
-	if len(first[0]) != 1 {
-		t.Error("first object should land on shard 0")
+	if straddled == 0 {
+		t.Fatal("fixture: no object has buckets on two shards")
 	}
-	// Empty input fans out to nothing.
-	for s, part := range m.Fanout(nil) {
-		if len(part) != 0 {
-			t.Errorf("empty fan-out has work on shard %d", s)
-		}
+	got := m.Fanout(wos)
+	if !slices.Equal(got, want) {
+		t.Fatalf("share counts %v, want %v", got, want)
+	}
+	total := 0
+	for _, n := range got {
+		total += n
+	}
+	if total <= len(wos) {
+		t.Errorf("counts sum to %d over %d objects: a straddling object must count on every shard it reaches", total, len(wos))
+	}
+
+	// The first object sits in bucket 0, which shard 0 owns: the other
+	// three shards are untouched.
+	if first := m.Fanout(wos[:1]); !slices.Equal(first, []int{1, 0, 0, 0}) {
+		t.Errorf("first object counts %v, want [1 0 0 0]", first)
+	}
+	// Empty input fans out to nothing, on every shard.
+	if none := m.Fanout(nil); !slices.Equal(none, []int{0, 0, 0, 0}) {
+		t.Errorf("empty fan-out counts %v", none)
 	}
 }
