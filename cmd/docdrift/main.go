@@ -13,10 +13,11 @@
 //     /debug/pprof/cmdline and friends).
 //
 // It also keeps docs/ANALYZERS.md in lockstep with the static-analysis
-// suite: every analyzer lifevet registers (plus the stale-directive and
-// stale-baseline meta-checks) must have a `## `name“ section there, so
-// adding an analyzer without documenting its invariant and suppression
-// story breaks the build.
+// suite, in both directions: every analyzer lifevet registers (plus the
+// stale-directive and stale-baseline meta-checks) must have a `## `name“
+// section there, and every such section must name one of them, so adding
+// an analyzer without documenting it, or cutting one and leaving its
+// section behind, breaks the build.
 //
 // Any undocumented flag or metric fails the run with a list of the
 // offenders and where they were registered, so adding a flag or a
@@ -34,6 +35,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 
@@ -61,6 +63,10 @@ var metricRe = regexp.MustCompile(`"(liferaft_[a-z0-9_]+)"`)
 // ...) or mux.HandleFunc("/path", ...) — and captures the path.
 var endpointRe = regexp.MustCompile(`\.Handle(?:Func)?\(\s*"(/[^"
 ]+)"`)
+
+// sectionRe matches an analyzer section heading in the analyzer manual,
+// "## `name` — ...", and captures the name.
+var sectionRe = regexp.MustCompile("(?m)^## `([^`]+)`")
 
 // site records where an identifier was found, for the failure message.
 type site struct{ file, name string }
@@ -152,13 +158,20 @@ func run() error {
 			missing = append(missing, fmt.Sprintf("analyzer %s (registered in internal/lifevet) has no \"## `%s`\" section in %s", name, name, analyzersPath))
 		}
 	}
+	// And the reverse: a section for a check lifevet no longer registers
+	// documents an invariant nothing enforces.
+	for _, m := range sectionRe.FindAllStringSubmatch(string(analyzersDoc), -1) {
+		if !slices.Contains(checks, m[1]) {
+			missing = append(missing, fmt.Sprintf("section \"## `%s`\" in %s names no registered analyzer or meta-check", m[1], analyzersPath))
+		}
+	}
 
 	if len(missing) > 0 {
 		sort.Strings(missing)
 		for _, line := range missing {
 			fmt.Fprintln(os.Stderr, "docdrift:", line)
 		}
-		return fmt.Errorf("%d undocumented name(s) — add them to %s", len(missing), manualPath)
+		return fmt.Errorf("%d undocumented or stale name(s) — fix %s or %s", len(missing), manualPath, analyzersPath)
 	}
 	fmt.Printf("docdrift: %s covers all %d flags, %d metric families, %d endpoints; %s covers all %d analyzers\n",
 		manualPath, len(flags), len(metrics), len(endpoints), analyzersPath, len(checks))

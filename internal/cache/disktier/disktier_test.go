@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func openTier(t *testing.T, dir string, capacity int64) *Tier {
@@ -496,5 +498,55 @@ func TestConcurrentFillGetPromote(t *testing.T) {
 	st := tier.Stats()
 	if st.Bytes > 4096+128 {
 		t.Fatalf("tier runs %d bytes, capacity 4096 (+1 MRU entry slack)", st.Bytes)
+	}
+}
+
+// settleGoroutines waits, up to five seconds, for the process to be back at
+// `want` goroutines or fewer, and returns the count it ended on.
+func settleGoroutines(want int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	return runtime.NumGoroutine()
+}
+
+// TestTierCloseLeavesNoGoroutines: Close with demand and prefetch
+// promotions in flight (a full budget of each, their reads blocked) returns
+// once the reads finish, and the promotion goroutines are gone with it —
+// the process settles back to its goroutine count from before Open.
+func TestTierCloseLeavesNoGoroutines(t *testing.T) {
+	dir := t.TempDir()
+	before := runtime.NumGoroutine()
+	tier := openTier(t, dir, 1<<20)
+	release := make(chan struct{})
+	reading := make(chan struct{}, 4)
+	for key := uint32(1); key <= 4; key++ {
+		read := func() ([]byte, error) {
+			reading <- struct{}{}
+			<-release
+			return payload(key, 64), nil
+		}
+		if !tier.Promote(key, key%2 == 0, read) {
+			t.Fatalf("Promote(%d) refused", key)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		<-reading
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- tier.Close() }()
+	close(release)
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return: a promotion it waits for never finished")
+	}
+	if n := settleGoroutines(before); n > before {
+		buf := make([]byte, 1<<20)
+		t.Errorf("%d goroutines after Close, %d before Open:\n%s", n, before, buf[:runtime.Stack(buf, true)])
 	}
 }

@@ -227,8 +227,6 @@ func (c *Catalog) CumBefore(pos uint64) int64 { return c.cum[pos] }
 
 // TrixelOf returns the GenLevel trixel position containing global object
 // ordinal ord in [0, Total()).
-//
-//lifevet:allow hotpath-alloc -- the sort.Search closure does not escape (stack-allocated), and lookups run on the store-miss materialization path, not the warm loop
 func (c *Catalog) TrixelOf(ord int64) uint64 {
 	if ord < 0 || ord >= int64(c.cfg.N) {
 		panic(fmt.Sprintf("catalog: ordinal %d out of range", ord))
@@ -252,8 +250,6 @@ func seeded(seed int64) *rand.Rand {
 // TrixelObjects materializes the objects of GenLevel trixel pos, sorted by
 // (level-14 HTM ID, object ID). The result is a pure function of the
 // catalog seed and pos.
-//
-//lifevet:allow hotpath-alloc -- cold-path synthesis: objects materialize (and memoize) only on a store miss; the steady-state loop serves from the RAM cache
 func (c *Catalog) TrixelObjects(pos uint64) []Object {
 	n := int(c.counts[pos])
 	if n == 0 {
@@ -386,8 +382,6 @@ func derivedKeep(seed int64, pos uint64, i int, p float64) bool {
 }
 
 // deriveTrixel materializes a derived trixel from its base.
-//
-//lifevet:allow hotpath-alloc -- cold-path synthesis, reached only through TrixelObjects on a memo miss
 func (c *Catalog) deriveTrixel(pos uint64) []Object {
 	d := c.derive
 	baseObjs := d.base.TrixelObjects(pos)
@@ -447,8 +441,6 @@ func samplePointInTriangle(rng *rand.Rand, tri geom.Triangle) geom.Vec3 {
 // Objects materializes the global ordinal range [lo, hi), in curve order.
 // It spans trixel boundaries as needed. Callers that read entire buckets
 // use this: a bucket is exactly such a range.
-//
-//lifevet:allow hotpath-alloc -- bucket materialization is the store-miss path (charged as disk time by the cost model); warm steady-state reads come from the RAM cache
 func (c *Catalog) Objects(lo, hi int64) []Object {
 	if lo < 0 || hi > int64(c.cfg.N) || lo > hi {
 		panic(fmt.Sprintf("catalog: range [%d,%d) out of [0,%d]", lo, hi, c.cfg.N))

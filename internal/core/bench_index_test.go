@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"liferaft/internal/metric"
 	"liferaft/internal/xmatch"
 )
 
@@ -103,22 +104,66 @@ func BenchmarkStep(b *testing.B) {
 	}
 }
 
+// forEachMetrics runs body as subtests metrics=off (em nil) and metrics=on
+// (em registered on a fresh registry), for body to set as Config.Metrics.
+func forEachMetrics(t *testing.T, body func(t *testing.T, em *EngineMetrics)) {
+	t.Run("metrics=off", func(t *testing.T) { body(t, nil) })
+	t.Run("metrics=on", func(t *testing.T) { body(t, NewEngineMetrics(metric.NewRegistry())) })
+}
+
+// stepPicked runs one pass of the service loop through step, its entry
+// point — with Config.Metrics set, the pick-latency and disk-ledger
+// observations live there — and returns the bucket it serviced with that
+// bucket's work as it was queued, copied into buf. The bucket is the one a
+// pick just before chooses: a pick changes no queue.
+func stepPicked(tb testing.TB, s *scheduler, buf []item) (int, []item) {
+	now := s.cfg.Clock.Now()
+	bi, ok := s.pick(now)
+	if !ok {
+		tb.Fatal("no pending work")
+	}
+	buf = append(buf[:0], s.queues[bi].items...)
+	if _, ok := s.step(now); !ok || s.queues[bi] != nil {
+		tb.Fatalf("step did not service bucket %d, the one pick chose", bi)
+	}
+	return bi, buf
+}
+
 // TestStepServiceLoopZeroAlloc asserts the -benchmem claim directly: a
 // steady-state service iteration (pick, join-evaluate, retire, refill)
-// allocates nothing once scratch and pools are warm.
+// allocates nothing once scratch and pools are warm, with and without the
+// engine's metric handles.
 func TestStepServiceLoopZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	s := syntheticScheduler(t, 10_000, PolicyLifeRaft, 0.5)
-	populateQueues(s, 10_000)
-	for i := 0; i < 256; i++ {
-		stepSteadyState(t, s)
-	}
-	allocs := testing.AllocsPerRun(400, func() { stepSteadyState(t, s) })
-	if allocs != 0 {
-		t.Errorf("steady-state step allocates %.2f/op, want 0", allocs)
-	}
+	forEachMetrics(t, func(t *testing.T, em *EngineMetrics) {
+		cfg, _ := NewVirtual(syntheticPartition(t, 10_000), 0.5, false)
+		cfg.Metrics = em
+		s, err := newScheduler(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		populateQueues(s, 10_000)
+		var buf []item
+		step := func() {
+			now := s.cfg.Clock.Now()
+			var bi int
+			bi, buf = stepPicked(t, s, buf)
+			for _, it := range buf {
+				it.arrived = now // young again, so the pick moves on
+				s.pushItem(bi, it)
+				s.queries[1].remaining++
+			}
+		}
+		for i := 0; i < 256; i++ {
+			step()
+		}
+		allocs := testing.AllocsPerRun(400, step)
+		if allocs != 0 {
+			t.Errorf("steady-state step allocates %.2f/op, want 0", allocs)
+		}
+	})
 }
 
 // TestStepServiceLoopZeroAllocMaterializing is the same claim with
@@ -132,47 +177,45 @@ func TestStepServiceLoopZeroAllocMaterializing(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	part, jobs := fixture(t)
-	cfg, _ := NewVirtual(part, 0.5, true)
-	cfg.CacheBuckets = part.NumBuckets() // steady state: every bucket read once
-	s, err := newScheduler(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Queries that never complete (a sentinel unit each), so their state
-	// and Pairs buffers persist across services like populateQueues' do.
-	now := s.cfg.Clock.Now()
-	for _, j := range jobs[:40] {
-		if s.admit(j, now) == nil {
-			s.queries[j.ID].remaining++
+	forEachMetrics(t, func(t *testing.T, em *EngineMetrics) {
+		cfg, _ := NewVirtual(part, 0.5, true)
+		cfg.CacheBuckets = part.NumBuckets() // steady state: every bucket read once
+		cfg.Metrics = em
+		s, err := newScheduler(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	var refill []item
-	step := func() (matches int) {
+		// Queries that never complete (a sentinel unit each), so their state
+		// and Pairs buffers persist across services like populateQueues' do.
 		now := s.cfg.Clock.Now()
-		bi, ok := s.pick(now)
-		if !ok {
-			t.Fatal("no pending work")
+		for _, j := range jobs[:40] {
+			if s.admit(j, now) == nil {
+				s.queries[j.ID].remaining++
+			}
 		}
-		refill = append(refill[:0], s.queues[bi].items...)
-		s.serviceBucket(bi, now)
-		for _, it := range refill {
-			qs := s.queries[it.wo.QueryID]
-			matches += len(qs.result.Pairs)
-			qs.result.Pairs = qs.result.Pairs[:0]
-			qs.remaining++
-			s.pushItem(bi, it)
+		var refill []item
+		step := func() (matches int) {
+			var bi int
+			bi, refill = stepPicked(t, s, refill)
+			for _, it := range refill {
+				qs := s.queries[it.wo.QueryID]
+				matches += len(qs.result.Pairs)
+				qs.result.Pairs = qs.result.Pairs[:0]
+				qs.remaining++
+				s.pushItem(bi, it)
+			}
+			return matches
 		}
-		return matches
-	}
-	for i := 0; i < 4*part.NumBuckets(); i++ {
-		step()
-	}
-	matches := 0
-	allocs := testing.AllocsPerRun(400, func() { matches += step() })
-	if matches == 0 {
-		t.Fatal("the measured services produced no pairs; the fixture no longer materializes anything")
-	}
-	if allocs != 0 {
-		t.Errorf("steady-state materializing step allocates %.2f/op, want 0", allocs)
-	}
+		for i := 0; i < 4*part.NumBuckets(); i++ {
+			step()
+		}
+		matches := 0
+		allocs := testing.AllocsPerRun(400, func() { matches += step() })
+		if matches == 0 {
+			t.Fatal("the measured services produced no pairs; the fixture no longer materializes anything")
+		}
+		if allocs != 0 {
+			t.Errorf("steady-state materializing step allocates %.2f/op, want 0", allocs)
+		}
+	})
 }

@@ -706,10 +706,8 @@ func (s *scheduler) pickLeastSharedScan() (int, bool) {
 // immediately (run.go appends the values, live.go delivers them).
 func (s *scheduler) step(now time.Time) (completed []Result, ok bool) {
 	if s.obs != nil {
-		//lifevet:allow wallclock -- the pick-latency histogram measures real compute cost of the pick, not schedule time; it never feeds back into scheduling decisions
 		t0 := time.Now()
 		idx, ok := s.pick(now)
-		//lifevet:allow wallclock -- see t0 above: wall-time observation of pick cost only
 		d := time.Since(t0).Seconds()
 		if !ok {
 			s.obs.pick.Observe(d)
@@ -935,7 +933,6 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 		if qs.trace != nil {
 			var read *trace.Span
 			if readKind != "" {
-				//lifevet:allow hotpath-alloc -- store-read spans exist only for sampled (traced) queries; the untraced steady state never takes this branch
 				read = &trace.Span{
 					Stage: trace.StageStoreRead, Start: readT0, End: readT1,
 					Attr: readKind, Key: int64(idx),

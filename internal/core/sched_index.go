@@ -402,7 +402,6 @@ func (s *scheduler) pickLifeRaftIndexed(now time.Time) (int, bool) {
 	maxUt := ix.ut.head().ut
 	maxAge := s.age(ix.age.head(), now)
 
-	//lifevet:allow hotpath-alloc -- the closure is called only below and does not escape: the compiler keeps it on the stack (pinned by the zero-alloc probe)
 	score := func(q *bqueue) float64 {
 		sc := 0.0
 		if maxUt > 0 {
@@ -419,7 +418,6 @@ func (s *scheduler) pickLifeRaftIndexed(now time.Time) (int, bool) {
 	ix.walkUt.reset(ix.ut)
 	ix.walkAge.reset(ix.age)
 	best, bestScore := -1, -1.0
-	//lifevet:allow hotpath-alloc -- non-escaping closure, stack-allocated (pinned by the zero-alloc probe)
 	consider := func(q *bqueue) {
 		if q.seen == epoch {
 			return

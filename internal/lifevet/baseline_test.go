@@ -46,14 +46,14 @@ func TestBaselineNewFindingFails(t *testing.T) {
 	// catches regressions even when the file already pins other classes.
 	res := Result{Diagnostics: []Diagnostic{
 		diag("durovf", "/mod/a.go", "overflow", 10),
-		diag("goroleak", "/mod/a.go", "endless loop", 30),
+		diag("errdrop", "/mod/a.go", "dropped error", 30),
 	}}
 	b := &Baseline{Findings: []BaselineEntry{
 		{Check: "durovf", File: "a.go", Message: "overflow"},
 	}}
 	ApplyBaseline(&res, b, "/mod")
-	if len(res.Diagnostics) != 1 || res.Diagnostics[0].Check != "goroleak" {
-		t.Fatalf("survivors = %v, want the injected goroleak finding", res.Diagnostics)
+	if len(res.Diagnostics) != 1 || res.Diagnostics[0].Check != "errdrop" {
+		t.Fatalf("survivors = %v, want the injected errdrop finding", res.Diagnostics)
 	}
 }
 

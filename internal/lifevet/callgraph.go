@@ -8,9 +8,9 @@ import (
 
 // funcIndex maps every function and method declared in the module to
 // its body, and resolves static call sites — the shared machinery under
-// the hotpath-alloc reachability gate and lockdiscipline's transitive
-// I/O summaries. Interface-method calls have no static callee and
-// resolve to nil; both analyzers document that boundary.
+// the transitive summaries of lockdiscipline, lockorder and ctxflow.
+// Interface-method calls have no static callee and resolve to nil; the
+// analyzers document that boundary.
 type funcIndex struct {
 	mod   *Module
 	decls map[*types.Func]*funcDecl

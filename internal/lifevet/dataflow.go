@@ -9,7 +9,7 @@ import (
 )
 
 // dataflow.go is the SSA-lite def-use core under the v2 analyzers
-// (lockorder, goroleak, ctxflow, durovf, errdrop) and the
+// (lockorder, ctxflow, durovf, errdrop) and the
 // flow-sensitive refinements to the v1 set. It deliberately stops short
 // of full SSA: the module's analyzers need exactly three facts —
 //

@@ -1,38 +1,29 @@
 package core
 
 import (
-	"fmt"
+	"context"
 	"time"
 )
 
-type sched struct{ n int }
-
-// step is the service-loop root wiring the helpers into the hot path.
-func (s *sched) step() {
-	s.both()
-	s.helper()
-	s.stale()
-}
-
 // both silences two checks with one line-scoped directive.
-func (s *sched) both() {
-	//lifevet:allow wallclock, hotpath-alloc -- fixture: one directive, two checks
-	_ = fmt.Sprint(time.Now())
+func both(ms int64) (context.Context, time.Duration) {
+	//lifevet:allow ctxflow, durovf -- fixture: one directive, two checks
+	return context.Background(), time.Duration(ms) * time.Millisecond
 }
 
-//lifevet:allow hotpath-alloc -- fixture: doc-comment directive covers the whole body
-func (s *sched) helper() {
-	buf := make([]byte, 8)
-	_ = fmt.Sprintf("%d", len(buf))
+//lifevet:allow durovf -- fixture: doc-comment directive covers the whole body
+func helper(ms int64, sec float64) time.Duration {
+	d := time.Duration(ms) * time.Millisecond
+	return d + time.Duration(sec*1e9)
 }
 
 // stale hosts directives that match nothing, plus malformed ones.
-func (s *sched) stale() {
-	s.n++
-	//lifevet:allow wallclock -- fixture: nothing nearby reads the clock // want stale-directive "suppressed no wallclock"
-	s.n++
+func stale(n int) int {
+	n++
+	//lifevet:allow durovf -- fixture: nothing nearby converts a duration // want stale-directive "suppressed no durovf"
+	n++
 	//lifevet:allow warpclock -- fixture: no such analyzer // want stale-directive "unknown check"
-	s.n++
+	n++
 	//lifevet:allow -- fixture: empty check list // want stale-directive "names no checks"
-	s.n++
+	return n + 1
 }

@@ -225,8 +225,6 @@ func (h *Histogram) Observe(v float64) {
 // exemplar (replacing any earlier one — the freshest trace is the one an
 // operator wants). An empty traceID degrades to a plain Observe. Unlike
 // Observe this allocates; call it only on already-traced requests.
-//
-//lifevet:allow hotpath-alloc -- exemplars are recorded only for sampled (traced) requests, which are off the zero-alloc steady state by definition
 func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 	i := sort.SearchFloat64s(h.buckets, v)
 	h.s.counts[i].Add(1)

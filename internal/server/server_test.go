@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -275,6 +276,72 @@ func TestServerCloseDrains(t *testing.T) {
 	}
 	if _, err := s.Submit(context.Background(), "late", core.Job{ID: 99}); err != ErrClosed {
 		t.Errorf("Submit after Close = %v, want ErrClosed", err)
+	}
+}
+
+// settleGoroutines waits, up to five seconds, for the process to be back at
+// `want` goroutines or fewer, and returns the count it ended on.
+func settleGoroutines(want int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	return runtime.NumGoroutine()
+}
+
+// TestServerCloseLeavesNoGoroutines: Close with queries in flight, queued,
+// and cancelled both inside the engine and while queued returns once the
+// engine finishes them, every query gets its one result, and dispatch and
+// every await are gone — the process settles back to its goroutine count
+// from before New.
+func TestServerCloseLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	clk := simclock.NewVirtual()
+	eng := newStubEngine(clk)
+	s, err := New(eng, Config{MaxInFlight: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	inEngine, cancelInEngine := context.WithCancel(ctx)
+	queued, cancelQueued := context.WithCancel(ctx)
+	var chans []<-chan core.Result
+	submit := func(ctx context.Context, id uint64) {
+		ch, err := s.Submit(ctx, "bob", core.Job{ID: id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans = append(chans, ch)
+	}
+	submit(ctx, 1)
+	submit(inEngine, 2)
+	eng.waitInflight(t, 2)
+	for i, c := range []context.Context{ctx, queued, ctx} {
+		submit(c, uint64(3+i))
+	}
+	cancelInEngine()
+	cancelQueued()
+
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	eng.drain()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return: a goroutine it waits for never exited")
+	}
+	for i, ch := range chans {
+		if _, ok := <-ch; !ok {
+			t.Errorf("query %d closed without a result", i+1)
+		}
+	}
+	cancel() // the stub engine's per-job context watchers exit with it
+	if n := settleGoroutines(before); n > before {
+		buf := make([]byte, 1<<20)
+		t.Errorf("%d goroutines after Close, %d before New:\n%s", n, before, buf[:runtime.Stack(buf, true)])
 	}
 }
 

@@ -28,8 +28,6 @@ type ID uint64
 
 // String renders the canonical 16-hex-digit form used in exemplars,
 // /debug/traces URLs, and /v1/query responses.
-//
-//lifevet:allow hotpath-alloc -- rendering is only reached for sampled (traced) queries; the untraced steady state never formats an ID
 func (id ID) String() string { return fmt.Sprintf("%016x", uint64(id)) }
 
 // ParseID parses the canonical hex form (with or without leading zeros).
@@ -175,8 +173,6 @@ func (t *Trace) Add(s Span) {
 }
 
 // add appends under the caller-held lock, counting overflow.
-//
-//lifevet:allow hotpath-alloc -- the span buffer is lazily grown once per trace; only sampled queries carry a non-nil Trace, so the untraced loop never reaches this
 func (t *Trace) add(s Span) {
 	if len(t.spans) < MaxSpans {
 		if t.spans == nil {

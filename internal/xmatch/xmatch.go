@@ -139,9 +139,6 @@ type Joiner struct {
 	pairs  []Pair
 }
 
-// Named comparators rather than closures: the service loop's allocation
-// analyzer (lifevet hotpath-alloc) reaches the joins and rejects func
-// literals.
 func byMinID(a, b WorkloadObject) int          { return cmp.Compare(a.MinID, b.MinID) }
 func cmpHTMID(o catalog.Object, id htm.ID) int { return cmp.Compare(o.HTMID, id) }
 
