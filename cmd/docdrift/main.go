@@ -1,6 +1,6 @@
 // Command docdrift is the CI gate that keeps docs/OPERATIONS.md — the
 // operator's manual — in lockstep with the code it documents. It
-// cross-checks two inventories against the manual:
+// cross-checks three inventories against the manual:
 //
 //   - every command-line flag registered in cmd/*/main.go must appear
 //     as `-name` in the manual;
@@ -11,6 +11,13 @@
 //     source must appear verbatim, or be covered by a documented
 //     ancestor path (documenting /debug/pprof covers
 //     /debug/pprof/cmdline and friends).
+//
+// Flags and metrics are also checked the other way: a flag row
+// (| `-name` | ...) under a "### <binary> —" heading must name a flag
+// cmd/<binary>/main.go registers — per binary, so a row one binary lost
+// cannot pass on another binary's flag of the same name — and a metric
+// row (| `liferaft_...` | ...) must name a registered family. Deleting a
+// flag or a metric without its row breaks the build.
 //
 // It also keeps docs/ANALYZERS.md in lockstep with the static-analysis
 // suite, in both directions: every analyzer lifevet registers (plus the
@@ -68,8 +75,29 @@ var endpointRe = regexp.MustCompile(`\.Handle(?:Func)?\(\s*"(/[^"
 // "## `name` — ...", and captures the name.
 var sectionRe = regexp.MustCompile("(?m)^## `([^`]+)`")
 
+// binaryHeadingRe matches a binary's flag section in the manual,
+// "### liferaftd — ...", and captures the binary's name.
+var binaryHeadingRe = regexp.MustCompile(`^### (\S+) —`)
+
+// flagRowRe and metricRowRe match a table row whose first cell names a
+// flag or a metric family, and capture the name.
+var (
+	flagRowRe   = regexp.MustCompile("^\\|\\s*`-([A-Za-z0-9][\\w.-]*)`\\s*\\|")
+	metricRowRe = regexp.MustCompile("^\\|\\s*`(liferaft_[a-z0-9_]+)`\\s*\\|")
+)
+
 // site records where an identifier was found, for the failure message.
 type site struct{ file, name string }
+
+// inventory is what the source tree registers.
+type inventory struct {
+	// flags holds every flag name once; byBinary[b] the names
+	// cmd/b/main.go registers.
+	flags     []site
+	byBinary  map[string][]string
+	metrics   []site
+	endpoints []site
+}
 
 func main() {
 	if err := run(); err != nil {
@@ -83,52 +111,89 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("reading the manual: %w (run from the repository root)", err)
 	}
-	doc := string(manual)
+	analyzersDoc, err := os.ReadFile(analyzersPath)
+	if err != nil {
+		return fmt.Errorf("reading the analyzer manual: %w (run from the repository root)", err)
+	}
+	inv, err := collectInventory(".")
+	if err != nil {
+		return err
+	}
+	missing, checks := audit(inv, string(manual), string(analyzersDoc))
+	if len(missing) > 0 {
+		for _, line := range missing {
+			fmt.Fprintln(os.Stderr, "docdrift:", line)
+		}
+		return fmt.Errorf("%d undocumented or stale name(s) — fix %s or %s", len(missing), manualPath, analyzersPath)
+	}
+	fmt.Printf("docdrift: %s covers all %d flags, %d metric families, %d endpoints, and names no other flag or metric; %s covers all %d analyzers\n",
+		manualPath, len(inv.flags), len(inv.metrics), len(inv.endpoints), analyzersPath, checks)
+	return nil
+}
 
-	flags, err := collect("cmd", func(path string) bool {
+// collectInventory reads the flags, metric families and endpoints the
+// source tree under root registers.
+func collectInventory(root string) (inventory, error) {
+	inv := inventory{byBinary: map[string][]string{}}
+	cmd := filepath.Join(root, "cmd")
+	seen := map[string]bool{}
+	err := eachFile([]string{cmd}, func(path string) bool {
 		// Skip this tool's own source: its regex literals would match.
 		return filepath.Base(path) == "main.go" &&
 			filepath.Base(filepath.Dir(path)) != "docdrift"
-	}, flagRe)
+	}, func(path, src string) {
+		bin := filepath.Base(filepath.Dir(path))
+		for _, m := range flagRe.FindAllStringSubmatch(src, -1) {
+			inv.byBinary[bin] = append(inv.byBinary[bin], m[1])
+			if !seen[m[1]] {
+				seen[m[1]] = true
+				inv.flags = append(inv.flags, site{file: path, name: m[1]})
+			}
+		}
+	})
 	if err != nil {
-		return err
+		return inv, err
 	}
-	metrics, err := collectAll([]string{"cmd", "internal"}, func(path string) bool {
+	tree := []string{cmd, filepath.Join(root, "internal")}
+	if inv.metrics, err = collect(tree, func(path string) bool {
 		return !strings.HasSuffix(path, "_test.go")
-	}, metricRe)
-	if err != nil {
-		return err
+	}, metricRe); err != nil {
+		return inv, err
 	}
-	endpoints, err := collectAll([]string{"cmd", "internal"}, func(path string) bool {
+	if inv.endpoints, err = collect(tree, func(path string) bool {
 		// Skip this tool's own source: the doc comment's example route
 		// would match.
 		return !strings.HasSuffix(path, "_test.go") &&
 			filepath.Base(filepath.Dir(path)) != "docdrift"
-	}, endpointRe)
-	if err != nil {
-		return err
+	}, endpointRe); err != nil {
+		return inv, err
 	}
-	if len(flags) == 0 || len(metrics) == 0 || len(endpoints) == 0 {
-		return fmt.Errorf("inventory came up empty (flags=%d, metrics=%d, endpoints=%d): the extraction regexes no longer match the source tree",
-			len(flags), len(metrics), len(endpoints))
+	if len(inv.flags) == 0 || len(inv.metrics) == 0 || len(inv.endpoints) == 0 {
+		return inv, fmt.Errorf("inventory came up empty (flags=%d, metrics=%d, endpoints=%d): the extraction regexes no longer match the source tree",
+			len(inv.flags), len(inv.metrics), len(inv.endpoints))
 	}
+	return inv, nil
+}
 
-	var missing []string
-	for _, f := range flags {
+// audit checks the manual and the analyzer manual against inv and the
+// registered analyzers. It returns every problem, sorted, and the number
+// of analyzer checks it looked for.
+func audit(inv inventory, doc, analyzersDoc string) (missing []string, checks int) {
+	for _, f := range inv.flags {
 		// Flags are documented backticked with their dash: `-rate-mode`.
 		if !strings.Contains(doc, "`-"+f.name+"`") {
 			missing = append(missing, fmt.Sprintf("flag -%s (registered in %s) is not documented as `-%s`", f.name, f.file, f.name))
 		}
 	}
-	for _, m := range metrics {
+	for _, m := range inv.metrics {
 		if !strings.Contains(doc, m.name) {
 			missing = append(missing, fmt.Sprintf("metric %s (registered in %s) is not documented", m.name, m.file))
 		}
 	}
-	for _, e := range endpoints {
+	for _, e := range inv.endpoints {
 		name := strings.TrimSuffix(e.name, "/")
 		covered := strings.Contains(doc, name)
-		for _, a := range endpoints {
+		for _, a := range inv.endpoints {
 			if covered {
 				break
 			}
@@ -142,50 +207,97 @@ func run() error {
 		}
 	}
 
+	missing = append(missing, staleRows(inv, doc)...)
+
 	// Analyzer coverage: the registry in internal/lifevet is the ground
 	// truth (imported directly, no regex), and every entry — plus the
 	// stale-directive meta-check — needs its own section heading.
-	analyzersDoc, err := os.ReadFile(analyzersPath)
-	if err != nil {
-		return fmt.Errorf("reading the analyzer manual: %w (run from the repository root)", err)
-	}
-	checks := []string{lifevet.StaleDirectiveCheck, lifevet.StaleBaselineCheck}
+	names := []string{lifevet.StaleDirectiveCheck, lifevet.StaleBaselineCheck}
 	for _, a := range lifevet.Analyzers() {
-		checks = append(checks, a.Name)
+		names = append(names, a.Name)
 	}
-	for _, name := range checks {
-		if !strings.Contains(string(analyzersDoc), "## `"+name+"`") {
+	for _, name := range names {
+		if !strings.Contains(analyzersDoc, "## `"+name+"`") {
 			missing = append(missing, fmt.Sprintf("analyzer %s (registered in internal/lifevet) has no \"## `%s`\" section in %s", name, name, analyzersPath))
 		}
 	}
 	// And the reverse: a section for a check lifevet no longer registers
 	// documents an invariant nothing enforces.
-	for _, m := range sectionRe.FindAllStringSubmatch(string(analyzersDoc), -1) {
-		if !slices.Contains(checks, m[1]) {
+	for _, m := range sectionRe.FindAllStringSubmatch(analyzersDoc, -1) {
+		if !slices.Contains(names, m[1]) {
 			missing = append(missing, fmt.Sprintf("section \"## `%s`\" in %s names no registered analyzer or meta-check", m[1], analyzersPath))
 		}
 	}
+	sort.Strings(missing)
+	return missing, len(names)
+}
 
-	if len(missing) > 0 {
-		sort.Strings(missing)
-		for _, line := range missing {
-			fmt.Fprintln(os.Stderr, "docdrift:", line)
-		}
-		return fmt.Errorf("%d undocumented or stale name(s) — fix %s or %s", len(missing), manualPath, analyzersPath)
+// staleRows walks the manual's tables (fenced code blocks skipped) and
+// reports every flag row that does not name a flag of the binary whose
+// "### <binary> —" section it sits in, and every metric row that names
+// no registered family.
+func staleRows(inv inventory, doc string) []string {
+	metrics := map[string]bool{}
+	for _, m := range inv.metrics {
+		metrics[m.name] = true
 	}
-	fmt.Printf("docdrift: %s covers all %d flags, %d metric families, %d endpoints; %s covers all %d analyzers\n",
-		manualPath, len(flags), len(metrics), len(endpoints), analyzersPath, len(checks))
-	return nil
+	var stale []string
+	binary, fenced := "", false
+	for i, line := range strings.Split(doc, "\n") {
+		if strings.HasPrefix(line, "```") {
+			fenced = !fenced
+		}
+		if fenced {
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			binary = ""
+			if m := binaryHeadingRe.FindStringSubmatch(line); m != nil {
+				binary = m[1]
+			}
+			continue
+		}
+		at := fmt.Sprintf("%s:%d", manualPath, i+1)
+		if m := flagRowRe.FindStringSubmatch(line); m != nil {
+			switch {
+			case binary == "":
+				stale = append(stale, fmt.Sprintf("%s: flag row -%s sits under no \"### <binary> —\" heading", at, m[1]))
+			case !slices.Contains(inv.byBinary[binary], m[1]):
+				stale = append(stale, fmt.Sprintf("%s: flag row -%s names no flag cmd/%s/main.go registers", at, m[1], binary))
+			}
+		}
+		if m := metricRowRe.FindStringSubmatch(line); m != nil && !metrics[m[1]] {
+			stale = append(stale, fmt.Sprintf("%s: metric row %s names no family registered in non-test code", at, m[1]))
+		}
+	}
+	return stale
 }
 
-// collect walks one root for files accepted by keep and returns every
+// collect walks roots for files accepted by keep and returns every
 // first-group match of re, deduplicated by name.
-func collect(root string, keep func(string) bool, re *regexp.Regexp) ([]site, error) {
-	return collectAll([]string{root}, keep, re)
+func collect(roots []string, keep func(string) bool, re *regexp.Regexp) ([]site, error) {
+	seen := map[string]string{}
+	err := eachFile(roots, keep, func(path, src string) {
+		for _, m := range re.FindAllStringSubmatch(src, -1) {
+			if _, dup := seen[m[1]]; !dup {
+				seen[m[1]] = path
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]site, 0, len(seen))
+	for name, file := range seen {
+		out = append(out, site{file: file, name: name})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out, nil
 }
 
-func collectAll(roots []string, keep func(string) bool, re *regexp.Regexp) ([]site, error) {
-	seen := map[string]string{}
+// eachFile calls fn with the path and contents of every .go file under
+// roots that keep accepts.
+func eachFile(roots []string, keep func(string) bool, fn func(path, src string)) error {
 	for _, root := range roots {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
@@ -198,21 +310,12 @@ func collectAll(roots []string, keep func(string) bool, re *regexp.Regexp) ([]si
 			if err != nil {
 				return err
 			}
-			for _, m := range re.FindAllStringSubmatch(string(src), -1) {
-				if _, dup := seen[m[1]]; !dup {
-					seen[m[1]] = path
-				}
-			}
+			fn(path, string(src))
 			return nil
 		})
 		if err != nil {
-			return nil, fmt.Errorf("walking %s: %w", root, err)
+			return fmt.Errorf("walking %s: %w", root, err)
 		}
 	}
-	out := make([]site, 0, len(seen))
-	for name, file := range seen {
-		out = append(out, site{file: file, name: name})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out, nil
+	return nil
 }

@@ -88,12 +88,7 @@ type options struct {
 	peers       string
 	dataDir     string
 	objectBytes int64
-
-	cacheDir         string
-	cacheDiskMB      int64
-	prefetch         int
-	prefetchInflight int
-	traceSample      float64
+	traceSample float64
 }
 
 func main() {
@@ -118,10 +113,6 @@ func main() {
 	flag.StringVar(&o.peers, "peers", "", "peer archives for gateway cross-matches as name=addr pairs")
 	flag.StringVar(&o.dataDir, "data-dir", "", "serve buckets from the segment store under this directory (real I/O; built on first start, implies -virtual-clock=false)")
 	flag.Int64Var(&o.objectBytes, "object-bytes", 0, "on-disk bytes per object for -data-dir (0 = the paper's 4096)")
-	flag.StringVar(&o.cacheDir, "cache-dir", "", "layer the persistent disk cache tier under this directory (requires -data-dir; restarts warm)")
-	flag.Int64Var(&o.cacheDiskMB, "cache-disk-mb", 0, "disk cache tier capacity in MiB (required with -cache-dir)")
-	flag.IntVar(&o.prefetch, "prefetch", 0, "prefetch the top-K buckets of the scheduler's own orderings into the disk tier after each pick (0 = disabled; requires -cache-dir)")
-	flag.IntVar(&o.prefetchInflight, "prefetch-inflight", 0, "concurrent background tier promotions (0 = tier default)")
 	flag.Float64Var(&o.traceSample, "trace-sample", 1, "fraction of traces published (trace_id echo, recent ring, exemplars) in (0,1]; slow queries are always captured")
 	flag.Parse()
 
@@ -166,27 +157,6 @@ func (o options) validate() error {
 	}
 	if o.objectBytes != 0 && o.dataDir == "" {
 		return fmt.Errorf("-object-bytes only makes sense with -data-dir")
-	}
-	if o.cacheDir != "" && o.dataDir == "" {
-		return fmt.Errorf("-cache-dir only makes sense with -data-dir (the tier caches segment reads)")
-	}
-	if o.cacheDir != "" && o.cacheDiskMB <= 0 {
-		return fmt.Errorf("-cache-dir requires a positive -cache-disk-mb capacity")
-	}
-	if o.cacheDiskMB != 0 && o.cacheDir == "" {
-		return fmt.Errorf("-cache-disk-mb only makes sense with -cache-dir")
-	}
-	if o.prefetch < 0 {
-		return fmt.Errorf("-prefetch %d must be non-negative", o.prefetch)
-	}
-	if o.prefetch > 0 && o.cacheDir == "" {
-		return fmt.Errorf("-prefetch requires -cache-dir (the disk tier is the prefetch target)")
-	}
-	if o.prefetchInflight < 0 {
-		return fmt.Errorf("-prefetch-inflight %d must be non-negative", o.prefetchInflight)
-	}
-	if o.prefetchInflight != 0 && o.cacheDir == "" {
-		return fmt.Errorf("-prefetch-inflight only makes sense with -cache-dir")
 	}
 	if o.traceSample <= 0 || o.traceSample > 1 {
 		return fmt.Errorf("-trace-sample %v out of (0,1]", o.traceSample)
@@ -392,8 +362,6 @@ func run(o options) error {
 		Catalog: cat, ObjectsPerBucket: o.perBucket,
 		Alpha: o.alpha, CacheBuckets: o.cache, Shards: o.shards, Clock: clk,
 		Serving: serving, DataDir: o.dataDir, ObjectBytes: o.objectBytes,
-		CacheDir: o.cacheDir, DiskTierBytes: o.cacheDiskMB << 20,
-		PrefetchDepth: o.prefetch, PrefetchInflight: o.prefetchInflight,
 		Metrics: core.NewEngineMetrics(reg), Tracer: rec,
 	})
 	if err != nil {

@@ -59,29 +59,6 @@ func TestValidateFlags(t *testing.T) {
 		{"rate-mode static", func(o *options) { o.rateMode = "static" }, true},
 		{"rate-mode bogus", func(o *options) { o.rateMode = "turbo" }, false},
 		{"slo-p99 zero", func(o *options) { o.sloP99 = 0 }, false},
-		{"tiered", func(o *options) {
-			o.dataDir = "/tmp/lfseg"
-			o.cacheDir = "/tmp/lfcache"
-			o.cacheDiskMB = 256
-		}, true},
-		{"tiered with prefetch", func(o *options) {
-			o.dataDir = "/tmp/lfseg"
-			o.cacheDir = "/tmp/lfcache"
-			o.cacheDiskMB = 256
-			o.prefetch = 8
-			o.prefetchInflight = 4
-		}, true},
-		{"cache-dir without data-dir", func(o *options) { o.cacheDir = "/tmp/lfcache"; o.cacheDiskMB = 256 }, false},
-		{"cache-dir without capacity", func(o *options) { o.dataDir = "/tmp/lfseg"; o.cacheDir = "/tmp/lfcache" }, false},
-		{"cache-disk-mb without cache-dir", func(o *options) { o.dataDir = "/tmp/lfseg"; o.cacheDiskMB = 256 }, false},
-		{"prefetch without cache-dir", func(o *options) { o.dataDir = "/tmp/lfseg"; o.prefetch = 8 }, false},
-		{"prefetch negative", func(o *options) {
-			o.dataDir = "/tmp/lfseg"
-			o.cacheDir = "/tmp/lfcache"
-			o.cacheDiskMB = 256
-			o.prefetch = -1
-		}, false},
-		{"prefetch-inflight without cache-dir", func(o *options) { o.prefetchInflight = 2 }, false},
 		{"trace-sample zero", func(o *options) { o.traceSample = 0 }, false},
 		{"trace-sample high", func(o *options) { o.traceSample = 1.5 }, false},
 		{"trace-sample fractional", func(o *options) { o.traceSample = 0.01 }, true},

@@ -1,5 +1,5 @@
 // Command skybench regenerates the paper's tables and figures (and this
-// reproduction's ablations) from the experiment harness, and runs three
+// reproduction's ablations) from the experiment harness, and runs two
 // gates. Wall-clock throughput, latency, bytes and allocations are not
 // measured here: they come from bench/ (BENCHMARK.json), and the
 // scheduler hot path's ns/op and allocs/op from
@@ -10,7 +10,6 @@
 //	skybench [-scale ci|mid|paper] [-exp all|fig2|fig4|fig5|fig6|fig7|fig8|indexonly|cache|ablations]
 //	skybench -bench-json BENCH_21.json
 //	skybench -overload BENCH_19.json
-//	skybench -tiered BENCH_8.json [-data-dir DIR]
 //
 // Examples:
 //
@@ -24,10 +23,6 @@
 //	    # serving-layer overload scenarios (flash crowd in adaptive and
 //	    # static rate modes, diurnal ramp, slow loris, 10k-tenant churn)
 //	    # with per-scenario SLO verdicts; exits nonzero on any failure
-//	skybench -tiered BENCH_8.json -data-dir /tmp/lftier
-//	    # tiered bucket cache scenario: untiered baseline vs cold/warm
-//	    # disk tier with and without the schedule-driven prefetcher,
-//	    # against a real segment store; exits nonzero on a failed gate
 package main
 
 import (
@@ -47,21 +42,13 @@ func main() {
 	expName := flag.String("exp", "all", "experiment: all, fig2, fig4, fig5, fig6, fig7, fig8, indexonly, cache, ablations")
 	shards := flag.Int("shards", 1, "disk/worker shards per engine (1 = one shard of the same engine)")
 	benchJSON := flag.String("bench-json", "", "replay the CI-scale trace on the virtual clock (the vqps checksum), gate tracing overhead under 5%, write the snapshot to this file, and exit")
-	dataDir := flag.String("data-dir", "", "with -tiered: keep the scenario's segment store and tier directories under this directory (the store is built there on first use)")
 	overloadJSON := flag.String("overload", "", "run the serving-layer overload scenarios, write per-scenario SLO verdicts to this file, and exit (nonzero on any failed verdict)")
-	tieredJSON := flag.String("tiered", "", "run the tiered bucket-cache scenario (untiered baseline vs cold/warm disk tier, with and without schedule-driven prefetch) against a real segment store under -data-dir (a temp dir if unset), write the snapshot to this file, and exit (nonzero on any failed perf gate)")
 	flag.Parse()
 
-	if err := checkDataDir(*dataDir, *benchJSON, *tieredJSON); err != nil {
-		fmt.Fprintf(os.Stderr, "skybench: %v\n", err)
-		os.Exit(1)
-	}
 	var err error
 	switch {
 	case *overloadJSON != "":
 		err = runOverload(*overloadJSON)
-	case *tieredJSON != "":
-		err = runTiered(*tieredJSON, *dataDir)
 	case *benchJSON != "":
 		err = runBenchJSON(*benchJSON)
 	default:
@@ -70,20 +57,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "skybench: %v\n", err)
 		os.Exit(1)
-	}
-}
-
-// checkDataDir rejects a -data-dir no mode will read: only -tiered keeps
-// a store on disk. -bench-json once replayed one, so that combination
-// says where the replay went rather than running without it.
-func checkDataDir(dataDir, benchJSON, tieredJSON string) error {
-	switch {
-	case dataDir == "" || tieredJSON != "":
-		return nil
-	case benchJSON != "":
-		return fmt.Errorf("-bench-json no longer replays a -data-dir store (bench/ measures real I/O); -data-dir is only meaningful with -tiered")
-	default:
-		return fmt.Errorf("-data-dir is only meaningful with -tiered")
 	}
 }
 

@@ -53,7 +53,7 @@ func main() {
 
 // writeSegments synthesizes the base survey and materializes its
 // partition into a segment directory — the build path a file-backed
-// liferaftd or skybench -data-dir run reads from. The same flags
+// liferaftd run reads from. The same flags
 // (objects, seed, genlevel, bucket, object-bytes) must be used by the
 // engine that opens the store; the manifest records them and open-time
 // validation rejects a mismatch.

@@ -184,26 +184,6 @@ type Backend interface {
 	Close() error
 }
 
-// Prefetcher is implemented by backends that can promote a bucket's
-// storage region into a faster tier ahead of its service (the tiered
-// segment backend). PrefetchBucket is asynchronous and best-effort: it
-// returns true when a promotion was scheduled, false when the bucket is
-// already resident, a promotion is pending, or the promotion budget is
-// exhausted. Callers never depend on the promotion landing.
-type Prefetcher interface {
-	PrefetchBucket(i int) bool
-}
-
-// Prefetcher returns the store's backend as a Prefetcher when it is
-// one, else nil — the scheduler's prefetch hook resolves its target
-// through this.
-func (s *Store) Prefetcher() Prefetcher {
-	if p, ok := s.backend.(Prefetcher); ok {
-		return p
-	}
-	return nil
-}
-
 // ReadKind tells a Store observer which access pattern a read used.
 type ReadKind string
 

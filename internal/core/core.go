@@ -71,18 +71,6 @@ type Config struct {
 	// Costs are charged identically either way (DESIGN.md §3).
 	MaterializeResults bool
 
-	// PrefetchDepth, when positive, enables the schedule-driven
-	// prefetcher: after every pick the scheduler peeks the top
-	// PrefetchDepth entries of its Ut and age orderings — the buckets
-	// Eq. 2 will choose next — and asks the store's tiered backend to
-	// promote their groups toward the fast tier ahead of their service.
-	// Requires a Store whose backend implements bucket.Prefetcher
-	// (build the config with NewFileBackedTiered); only the LifeRaft
-	// policy maintains the orderings the peek reads, so other policies
-	// ignore the knob. 0 (the default) disables the hook entirely and
-	// leaves the service loop byte-for-byte on its untiered path.
-	PrefetchDepth int
-
 	// Shards is K, the number of independent disk/worker shards the
 	// engine runs as: buckets are dealt to shards round-robin along the
 	// HTM curve (bucket i to shard i mod K, see internal/shard), each
@@ -168,12 +156,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Shards == 0 {
 		c.Shards = 1
-	}
-	if c.PrefetchDepth < 0 {
-		return c, fmt.Errorf("core: negative PrefetchDepth")
-	}
-	if c.PrefetchDepth > 0 && c.Store.Prefetcher() == nil {
-		return c, fmt.Errorf("core: PrefetchDepth %d but the store's backend cannot prefetch; build the config with NewFileBackedTiered", c.PrefetchDepth)
 	}
 	return c, nil
 }

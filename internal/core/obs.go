@@ -22,8 +22,6 @@ type EngineMetrics struct {
 	parts     *metric.CounterVec
 	completed *metric.CounterVec
 	vqps      *metric.GaugeVec
-	cacheHits *metric.CounterVec
-	cacheMiss *metric.CounterVec
 	readSec   *metric.HistogramVec
 	readBytes *metric.CounterVec
 	readErrs  *metric.CounterVec
@@ -34,15 +32,13 @@ type EngineMetrics struct {
 	queries *metric.CounterVec
 	fanout  *metric.Histogram
 
-	// Per-tier cache families ({shard, tier}; tier is "ram" or "disk")
-	// plus the prefetcher's outcome counters. The ram series count the
-	// engine's bucket cache, the disk series the shared disktier; both
-	// stay at zero on simulated backends.
-	tierHits  *metric.CounterVec
-	tierMiss  *metric.CounterVec
-	tierEvict *metric.CounterVec
-	tierBytes *metric.GaugeVec
-	prefetch  *metric.CounterVec
+	// The bucket cache families ({shard, tier}). The engine has one cache,
+	// the in-memory bucket cache whose residency is Eq. 1's φ, so tier is
+	// always "ram"; the label stays because scrapes select on it.
+	cacheHits  *metric.CounterVec
+	cacheMiss  *metric.CounterVec
+	cacheEvict *metric.CounterVec
+	cacheBytes *metric.GaugeVec
 }
 
 // NewEngineMetrics registers the engine metric families on reg. Call at
@@ -75,12 +71,6 @@ func NewEngineMetrics(reg *metric.Registry) *EngineMetrics {
 		fanout: reg.NewHistogram("liferaft_engine_fanout_shards",
 			"Shards each submitted query had work on (0 = no bucket overlapped). Region queries cover consecutive buckets, which are dealt round-robin, so this sits at the shard count.",
 			[]float64{0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64}),
-		cacheHits: reg.NewCounterVec("liferaft_engine_cache_hits_total",
-			"Bucket services that found the bucket in the cache.",
-			shard, metric.VecOpts{}),
-		cacheMiss: reg.NewCounterVec("liferaft_engine_cache_misses_total",
-			"Bucket services that missed the cache.",
-			shard, metric.VecOpts{}),
 		readSec: reg.NewHistogramVec("liferaft_store_read_seconds",
 			"Store read latency by kind (scan = full bucket, probe = index lookups); modeled cost on the sim backend, measured on segment files.",
 			[]string{"shard", "kind"}, metric.ExpBuckets(1e-5, 4, 10), metric.VecOpts{}),
@@ -93,21 +83,18 @@ func NewEngineMetrics(reg *metric.Registry) *EngineMetrics {
 		model: reg.NewCounterVec("liferaft_disk_model_seconds_total",
 			"Modeled disk and match time on the engine clock: charged = what the cost model billed, slept = what the shard spent asleep paying it (timer overrun included), credited = measured join time accepted in place of sleep. charged = slept + credited to within one timer tick per shard when the engine paces at the model's rate.",
 			[]string{"shard", "kind"}, metric.VecOpts{}),
-		tierHits: reg.NewCounterVec("liferaft_cache_hits_total",
-			"Bucket cache hits by tier (ram = in-process bucket cache, disk = persistent disktier).",
+		cacheHits: reg.NewCounterVec("liferaft_cache_hits_total",
+			"Bucket services that found the bucket in the in-memory bucket cache (tier is always ram).",
 			[]string{"shard", "tier"}, metric.VecOpts{}),
-		tierMiss: reg.NewCounterVec("liferaft_cache_misses_total",
-			"Bucket cache misses by tier.",
+		cacheMiss: reg.NewCounterVec("liferaft_cache_misses_total",
+			"Bucket services that missed the in-memory bucket cache.",
 			[]string{"shard", "tier"}, metric.VecOpts{}),
-		tierEvict: reg.NewCounterVec("liferaft_cache_evictions_total",
-			"Cache evictions by tier. Disk-tier evictions are tier-global and reported under shard 0.",
+		cacheEvict: reg.NewCounterVec("liferaft_cache_evictions_total",
+			"Buckets evicted from the in-memory bucket cache.",
 			[]string{"shard", "tier"}, metric.VecOpts{}),
-		tierBytes: reg.NewGaugeVec("liferaft_cache_bytes",
-			"Bytes resident per cache tier (ram approximates buckets x bucket size; disk is exact). Disk-tier bytes are tier-global, reported under shard 0.",
+		cacheBytes: reg.NewGaugeVec("liferaft_cache_bytes",
+			"Bytes resident in the in-memory bucket cache (cached buckets x bucket size).",
 			[]string{"shard", "tier"}, metric.VecOpts{}),
-		prefetch: reg.NewCounterVec("liferaft_prefetch_total",
-			"Schedule-driven disk-tier prefetch outcomes: issued (promotion scheduled), hit (prefetched group served a read), wasted (evicted untouched). Tier-global, reported under shard 0.",
-			[]string{"shard", "outcome"}, metric.VecOpts{}),
 	}
 }
 
@@ -124,8 +111,6 @@ func (m *EngineMetrics) Shard(i int) *EngineObs {
 		partsHelp:  m.parts.With(s, "helped"),
 		completed:  m.completed.With(s),
 		vqps:       m.vqps.With(s),
-		cacheHits:  m.cacheHits.With(s),
-		cacheMiss:  m.cacheMiss.With(s),
 		readScan:   m.readSec.With(s, string(bucket.ReadScan)),
 		readProbe:  m.readSec.With(s, string(bucket.ReadProbe)),
 		scanBytes:  m.readBytes.With(s, string(bucket.ReadScan)),
@@ -137,17 +122,10 @@ func (m *EngineMetrics) Shard(i int) *EngineObs {
 		modelSlept:    m.model.With(s, "slept"),
 		modelCredited: m.model.With(s, "credited"),
 
-		ramHits:    m.tierHits.With(s, "ram"),
-		ramMiss:    m.tierMiss.With(s, "ram"),
-		ramEvict:   m.tierEvict.With(s, "ram"),
-		ramBytes:   m.tierBytes.With(s, "ram"),
-		diskHits:   m.tierHits.With(s, "disk"),
-		diskMiss:   m.tierMiss.With(s, "disk"),
-		diskEvict:  m.tierEvict.With(s, "disk"),
-		diskBytes:  m.tierBytes.With(s, "disk"),
-		prefIssued: m.prefetch.With(s, "issued"),
-		prefHits:   m.prefetch.With(s, "hit"),
-		prefWasted: m.prefetch.With(s, "wasted"),
+		cacheHits:  m.cacheHits.With(s, "ram"),
+		cacheMiss:  m.cacheMiss.With(s, "ram"),
+		cacheEvict: m.cacheEvict.With(s, "ram"),
+		cacheBytes: m.cacheBytes.With(s, "ram"),
 	}
 }
 
@@ -179,8 +157,6 @@ type EngineObs struct {
 	partsHelp  *metric.Counter
 	completed  *metric.Counter
 	vqps       *metric.Gauge
-	cacheHits  *metric.Counter
-	cacheMiss  *metric.Counter
 	readScan   *metric.Histogram
 	readProbe  *metric.Histogram
 	scanBytes  *metric.Counter
@@ -192,17 +168,10 @@ type EngineObs struct {
 	modelSlept    *metric.Counter
 	modelCredited *metric.Counter
 
-	ramHits    *metric.Counter
-	ramMiss    *metric.Counter
-	ramEvict   *metric.Counter
-	ramBytes   *metric.Gauge
-	diskHits   *metric.Counter
-	diskMiss   *metric.Counter
-	diskEvict  *metric.Counter
-	diskBytes  *metric.Gauge
-	prefIssued *metric.Counter
-	prefHits   *metric.Counter
-	prefWasted *metric.Counter
+	cacheHits  *metric.Counter
+	cacheMiss  *metric.Counter
+	cacheEvict *metric.Counter
+	cacheBytes *metric.Gauge
 }
 
 // ObserveRead implements bucket.Observer.

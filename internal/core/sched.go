@@ -6,9 +6,7 @@ import (
 	"sort"
 	"time"
 
-	"liferaft/internal/bucket"
 	"liferaft/internal/cache"
-	"liferaft/internal/cache/disktier"
 	"liferaft/internal/disk"
 	"liferaft/internal/htm"
 	"liferaft/internal/simclock"
@@ -163,17 +161,8 @@ type scheduler struct {
 	// bit-identical to the uninstrumented engine.
 	obs *EngineObs
 
-	// pre is the store backend's prefetch hook, non-nil only when
-	// Config.PrefetchDepth > 0 resolved a tiered backend; the disabled
-	// path costs one nil check per step.
-	pre bucket.Prefetcher
-	// tierB, non-nil only when metrics are on and the store backend is
-	// tiered, feeds the per-tier cache families. ramBucketBytes sizes
-	// the ram-tier bytes gauge (cached buckets x nominal bucket size).
-	tierB          tierBackend
-	lastTierHits   int64
-	lastTierMisses int64
-	lastTierStats  disktier.Stats
+	// ramBucketBytes sizes the cache bytes gauge (cached buckets x
+	// nominal bucket size).
 	ramBucketBytes float64
 	// lastLedger is the disk account as of the last step, so each step
 	// adds only its own share to the disk-model counters.
@@ -221,20 +210,14 @@ func newScheduler(cfg Config) (*scheduler, error) {
 	s.cache.OnEvict(func(k int, _ bucketObjects) {
 		s.noteCacheChange(k)
 		if s.obs != nil {
-			s.obs.ramEvict.Inc()
+			s.obs.cacheEvict.Inc()
 		}
 	})
-	if cfg.PrefetchDepth > 0 {
-		s.pre = cfg.Store.Prefetcher() // non-nil: withDefaults validated it
-	}
 	if cfg.Metrics != nil {
 		s.obs = cfg.Metrics.Shard(cfg.shardIndex)
 		// The store observer sees every read this engine issues; each
 		// shard owns its forked store, so the handles never cross shards.
 		cfg.Store.SetObserver(s.obs)
-		if tb, ok := cfg.Store.Backend().(tierBackend); ok {
-			s.tierB = tb
-		}
 		s.ramBucketBytes = float64(part.BucketBytes(0))
 	}
 	return s, nil
@@ -713,11 +696,6 @@ func (s *scheduler) step(now time.Time) (completed []Result, ok bool) {
 			s.obs.pick.Observe(d)
 			return nil, false
 		}
-		if s.pre != nil {
-			// Promote the buckets the orderings say come next while the
-			// foreground service below is busy reading this one.
-			s.prefetchUpcoming(idx)
-		}
 		// When the service touches a traced query, attach its trace ID to
 		// the pick-latency observation as an exemplar — a slow pick on a
 		// dashboard then links to a full schedule forensics capture.
@@ -728,19 +706,13 @@ func (s *scheduler) step(now time.Time) (completed []Result, ok bool) {
 		} else {
 			s.obs.pick.Observe(d)
 		}
-		s.obs.ramBytes.Set(float64(s.cache.Len()) * s.ramBucketBytes)
-		if s.tierB != nil {
-			s.pollTierMetrics()
-		}
+		s.obs.cacheBytes.Set(float64(s.cache.Len()) * s.ramBucketBytes)
 		s.observeLedger()
 		return completed, true
 	}
 	idx, ok := s.pick(now)
 	if !ok {
 		return nil, false
-	}
-	if s.pre != nil {
-		s.prefetchUpcoming(idx)
 	}
 	return s.serviceBucket(idx, now), true
 }
@@ -805,10 +777,8 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 	if s.obs != nil {
 		if inMem {
 			s.obs.cacheHits.Inc()
-			s.obs.ramHits.Inc()
 		} else {
 			s.obs.cacheMiss.Inc()
-			s.obs.ramMiss.Inc()
 		}
 	}
 	strategy := xmatch.ChooseStrategy(count, bucketLen, s.cfg.HybridThreshold, inMem)

@@ -152,22 +152,6 @@ type NodeConfig struct {
 	// partition (0 = the paper's 4 KiB). A file-backed node's segment
 	// store must have been written with the same value.
 	ObjectBytes int64
-	// CacheDir, when non-empty on a file-backed node (DataDir set),
-	// layers the persistent disk cache tier under that directory between
-	// the engine and the segment files: bucket-group regions are cached
-	// as checksummed files served via mmap, and the tier restarts warm.
-	// Ignored without DataDir.
-	CacheDir string
-	// DiskTierBytes bounds the disk tier's cached data (0 with CacheDir
-	// set is an error — an unbounded tier would eat the volume).
-	DiskTierBytes int64
-	// PrefetchDepth, when > 0, has the engine prefetch the top-K buckets
-	// of its own Ut/age orderings into the disk tier after every pick
-	// (see core.Config.PrefetchDepth). Requires CacheDir.
-	PrefetchDepth int
-	// PrefetchInflight bounds concurrent background promotions (0 = the
-	// tier default).
-	PrefetchInflight int
 	// Metrics, when non-nil, instruments the node's engine on that
 	// registry (pick latency, cache hit/miss, store reads, per-shard);
 	// pair it with Serving.Registry to cover the request path end to
@@ -214,33 +198,10 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		clk = simclock.Real{}
 	}
 	var ecfg core.Config
-	switch {
-	case cfg.DataDir != "" && cfg.CacheDir != "":
-		if cfg.DiskTierBytes <= 0 {
-			return nil, fmt.Errorf("federation: CacheDir requires a positive DiskTierBytes bound")
-		}
-		ecfg, err = core.NewFileBackedTiered(part, cfg.Alpha, true, cfg.DataDir, core.TierOptions{
-			Dir:              cfg.CacheDir,
-			CapacityBytes:    cfg.DiskTierBytes,
-			PrefetchDepth:    cfg.PrefetchDepth,
-			PrefetchInflight: cfg.PrefetchInflight,
-		})
-		if err != nil {
-			return nil, err
-		}
-	case cfg.DataDir != "":
-		if cfg.PrefetchDepth > 0 {
-			return nil, fmt.Errorf("federation: PrefetchDepth requires CacheDir (the disk tier is the prefetch target)")
-		}
-		ecfg, err = core.NewFileBacked(part, cfg.Alpha, true, cfg.DataDir)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		if cfg.CacheDir != "" || cfg.PrefetchDepth > 0 {
-			return nil, fmt.Errorf("federation: CacheDir/PrefetchDepth require a file-backed node (DataDir)")
-		}
+	if cfg.DataDir == "" {
 		ecfg = core.NewOn(part, cfg.Alpha, true, clk)
+	} else if ecfg, err = core.NewFileBacked(part, cfg.Alpha, true, cfg.DataDir); err != nil {
+		return nil, err
 	}
 	if cfg.CacheBuckets > 0 {
 		ecfg.CacheBuckets = cfg.CacheBuckets

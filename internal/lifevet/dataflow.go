@@ -17,7 +17,7 @@ import (
 //     provably holds (assigned exactly once, address never taken), so a
 //     value threaded through a local still matches a syntactic pattern;
 //   - global lock identity: a stable name for "the mutex field mu of
-//     type Tier" that two different functions agree on, so acquisition
+//     type Server" that two different functions agree on, so acquisition
 //     edges observed in different corners of the module compose into
 //     one order graph;
 //   - transitive per-function summaries over the static call graph

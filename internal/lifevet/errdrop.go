@@ -40,9 +40,9 @@ var AnalyzerErrdrop = &Analyzer{
 	Run:  runErrdrop,
 }
 
-// errdropScopes are the fail-stop packages: durable segments, the disk
-// cache tier, and the federation transport.
-var errdropScopes = []string{"internal/segment", "internal/cache/disktier", "internal/federation"}
+// errdropScopes are the fail-stop packages: durable segments and the
+// federation transport.
+var errdropScopes = []string{"internal/segment", "internal/federation"}
 
 // neverFailRecv are receiver types whose error results are vestigial
 // (interface-satisfaction errors that are documented to always be nil).

@@ -27,7 +27,7 @@ var AnalyzerFDLeak = &Analyzer{
 }
 
 // fdScopes are the packages that own real descriptors.
-var fdScopes = []string{"internal/segment", "internal/cache/disktier"}
+var fdScopes = []string{"internal/segment"}
 
 // osOpenFuncs are the descriptor-returning os entry points.
 var osOpenFuncs = map[string]bool{

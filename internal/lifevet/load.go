@@ -59,9 +59,9 @@ type Module struct {
 	byPath map[string]*Package
 }
 
-// PackageBySuffix returns the loaded packages whose import path matches
-// base: equal to it, ending in "/"+base, or containing "/"+base+"/" (so
-// "internal/cache" covers internal/cache/disktier). Scope predicates
+// PackagesInScope returns the loaded packages whose import path matches
+// one of bases: equal to it, ending in "/"+base, or containing
+// "/"+base+"/" (so a base covers its subpackages). Scope predicates
 // match by suffix rather than full path so analyzer tests can run the
 // same analyzers over fixture modules.
 func (m *Module) PackagesInScope(bases ...string) []*Package {

@@ -11,7 +11,7 @@ import (
 // network or disk I/O, sleeps — performed while holding a sync.Mutex or
 // sync.RWMutex acquired in the same function. A lock that serializes
 // hot-path readers must bound its hold time by memory operations; one
-// fsync under the tier mutex and every concurrent Get stalls behind the
+// fsync under a cache mutex and every concurrent Get stalls behind the
 // disk. Sites that are deliberately synchronous (crash-safety writes
 // that must be ordered with the map update) carry a
 // //lifevet:allow lockdiscipline directive recording the decision.

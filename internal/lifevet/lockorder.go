@@ -15,8 +15,8 @@ import (
 // another class is held (directly, or through any statically resolved
 // call via the transitive may-acquire summary), and assembles the edges
 // into one module-wide order graph. A cycle in that graph — scheduler
-// lock taken under the disk-tier lock on one path, disk-tier lock taken
-// under the scheduler lock on another — is a potential deadlock the
+// lock taken under the cache lock on one path, cache lock taken under
+// the scheduler lock on another — is a potential deadlock the
 // moment both paths run concurrently, and is reported on every edge
 // that participates.
 //

@@ -53,7 +53,7 @@ func (b *FileBackend) ProbeRanges(i int, ranges []htm.Range) ([]catalog.Object, 
 		read, err := b.set.ReadPages(i, len(ranges))
 		return nil, read, err
 	}
-	return b.set.probeRanges(&b.scratch, i, ranges, nil)
+	return b.set.probeRanges(&b.scratch, i, ranges)
 }
 
 // Probe is ProbeRanges for a caller that does not know its keys: it

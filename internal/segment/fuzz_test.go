@@ -169,7 +169,6 @@ func FuzzSegmentIndex(f *testing.F) {
 				t.Fatalf("bucket %d: scan succeeded but probe pread failed: %v", i, err)
 			}
 		}
-		_, _ = s.ReadGroupRegion(0)
 	})
 }
 
@@ -226,7 +225,7 @@ func FuzzSegmentFence(f *testing.F) {
 		var sc probeScratch
 		for i, e := range sf.entries {
 			for _, ranges := range [][]htm.Range{everyID, {{Start: 3, End: 3}, {Start: 1 << 40, End: 1 << 41}}} {
-				objs, read, err := s.probeRanges(&sc, i, ranges, nil)
+				objs, read, err := s.probeRanges(&sc, i, ranges)
 				if err != nil {
 					continue
 				}

@@ -74,19 +74,14 @@ func appendGranuleRuns(dst []granuleRun, fences []fence, ranges []htm.Range) []g
 // probeRanges returns, in HTM-curve order, the objects of every granule
 // of bucket i that may hold an ID in any of ranges — a superset of the
 // bucket's objects in those ranges — and the number of data bytes it
-// read. Granules come from region when the caller already holds the
-// bucket's data region in memory (a tier hit), from preads of the
-// segment file otherwise; either way every granule returned was
-// verified against its fence CRC, and a mismatch is an error, never a
-// shorter result. The objects live in sc and are valid until sc's next
-// probe.
-func (s *Set) probeRanges(sc *probeScratch, i int, ranges []htm.Range, region []byte) ([]catalog.Object, int64, error) {
+// read. Each run of granules is one pread of the segment file; every
+// granule returned was verified against its fence CRC, and a mismatch is
+// an error, never a shorter result. The objects live in sc and are valid
+// until sc's next probe.
+func (s *Set) probeRanges(sc *probeScratch, i int, ranges []htm.Range) ([]catalog.Object, int64, error) {
 	sf, e, err := s.entry(i)
 	if err != nil {
 		return nil, 0, err
-	}
-	if region != nil && uint64(len(region)) != e.length {
-		return nil, 0, fmt.Errorf("segment: bucket %d region is %d bytes, index says %d", i, len(region), e.length)
 	}
 	fences := sf.fences[e.fenceOff : e.fenceOff+e.fences]
 	sc.runs = appendGranuleRuns(sc.runs[:0], fences, ranges)
@@ -97,15 +92,10 @@ func (s *Set) probeRanges(sc *probeScratch, i int, ranges []htm.Range, region []
 	for _, run := range sc.runs {
 		lo := int64(run.lo) * gb
 		hi := min(int64(run.hi+1)*gb, int64(e.length))
-		buf := region
-		if buf != nil {
-			buf = buf[lo:hi]
-		} else {
-			sc.raw = slices.Grow(sc.raw[:0], int(hi-lo))[:hi-lo]
-			buf = sc.raw
-			if _, err := sf.f.ReadAt(buf, int64(e.offset)+lo); err != nil {
-				return nil, 0, fmt.Errorf("segment: bucket %d probe pread: %w", i, err)
-			}
+		sc.raw = slices.Grow(sc.raw[:0], int(hi-lo))[:hi-lo]
+		buf := sc.raw
+		if _, err := sf.f.ReadAt(buf, int64(e.offset)+lo); err != nil {
+			return nil, 0, fmt.Errorf("segment: bucket %d probe pread: %w", i, err)
 		}
 		read += hi - lo
 		for g := run.lo; g <= run.hi; g++ {

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"liferaft/internal/bucket"
-	"liferaft/internal/cache/disktier"
 	"liferaft/internal/catalog"
 	"liferaft/internal/geom"
 	"liferaft/internal/htm"
@@ -123,7 +122,7 @@ func TestFenceGranuleEdges(t *testing.T) {
 						continue
 					}
 					ranges := []htm.Range{{Start: lo, End: hi}}
-					got, read, err := set.probeRanges(&sc, 2, ranges, nil)
+					got, read, err := set.probeRanges(&sc, 2, ranges)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -138,7 +137,7 @@ func TestFenceGranuleEdges(t *testing.T) {
 					}
 				}
 			}
-			if got, read, err := set.probeRanges(&sc, 0, everyID, nil); err != nil || len(got) != 0 || read != 0 {
+			if got, read, err := set.probeRanges(&sc, 0, everyID); err != nil || len(got) != 0 || read != 0 {
 				t.Fatalf("probe of an empty bucket = %d objects, %d bytes, %v", len(got), read, err)
 			}
 			// The scan path over the same hand-built image agrees.
@@ -234,79 +233,46 @@ func queueRanges(queue []xmatch.WorkloadObject) []htm.Range {
 
 // Property: over random buckets and random range sets, ProbeRanges
 // returns a superset of the objects in range and IndexJoin over it
-// equals the brute-force join over the whole bucket — for the file
-// backend and for the tiered backend on both sides of the tier.
+// equals the brute-force join over the whole bucket.
 func TestProbeRangesProperty(t *testing.T) {
 	part := probeFixture(t)
 	dir, _ := writeFixture(t, part, 3)
-	open := func() *Set {
-		set, err := OpenSet(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return set
-	}
-	file := NewBackend(open(), true)
-	defer file.Close()
-	tier, err := disktier.Open(disktier.Config{Dir: t.TempDir(), CapacityBytes: 1 << 22})
+	set, err := OpenSet(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiered := NewTieredBackend(open(), tier, true)
-	defer tiered.Close()
+	file := NewBackend(set, true)
+	defer file.Close()
 
 	rng := rand.New(rand.NewPCG(14, 2))
 	var shrunk int
-	round := func(pass string) {
-		for n := 0; n < 150; n++ {
-			bi := rng.IntN(part.NumBuckets())
-			whole := part.Materialize(bi)
-			queue := randomQueue(rng, part, bi)
-			ranges := queueRanges(queue)
-			want := xmatch.BruteForce(whole, queue, nil)
-			xmatch.SortPairs(want)
-			for _, be := range []struct {
-				name string
-				b    bucket.Backend
-			}{{"file", file}, {"tiered", tiered}} {
-				what := fmt.Sprintf("%s/%s bucket %d", pass, be.name, bi)
-				got, read, err := be.b.ProbeRanges(bi, ranges)
-				if err != nil {
-					t.Fatalf("%s: %v", what, err)
-				}
-				checkProbe(t, what, whole, got, ranges)
-				if read != int64(len(got))*part.ObjectBytes() {
-					t.Fatalf("%s: read %d bytes for %d objects", what, read, len(got))
-				}
-				if len(got) < len(whole) {
-					shrunk++
-				}
-				pairs := xmatch.IndexJoin(got, queue, nil)
-				xmatch.SortPairs(pairs)
-				if !reflect.DeepEqual(pairs, want) {
-					t.Fatalf("%s: IndexJoin over the probe found %d pairs, brute force over the bucket %d", what, len(pairs), len(want))
-				}
-			}
+	for n := 0; n < 300; n++ {
+		bi := rng.IntN(part.NumBuckets())
+		whole := part.Materialize(bi)
+		queue := randomQueue(rng, part, bi)
+		ranges := queueRanges(queue)
+		want := xmatch.BruteForce(whole, queue, nil)
+		xmatch.SortPairs(want)
+		what := fmt.Sprintf("probe %d, bucket %d", n, bi)
+		got, read, err := file.ProbeRanges(bi, ranges)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		checkProbe(t, what, whole, got, ranges)
+		if read != int64(len(got))*part.ObjectBytes() {
+			t.Fatalf("%s: read %d bytes for %d objects", what, read, len(got))
+		}
+		if len(got) < len(whole) {
+			shrunk++
+		}
+		pairs := xmatch.IndexJoin(got, queue, nil)
+		xmatch.SortPairs(pairs)
+		if !reflect.DeepEqual(pairs, want) {
+			t.Fatalf("%s: IndexJoin over the probe found %d pairs, brute force over the bucket %d", what, len(pairs), len(want))
 		}
 	}
-	round("cold")
-	if hits, misses := tiered.ForegroundCounts(); hits+misses != 150 || misses == 0 {
-		t.Fatalf("cold round: %d tier hits, %d misses; want some misses", hits, misses)
-	}
-	// Warm every group, then go again: every tiered probe now decodes out
-	// of the mapping.
-	for g := 0; g < tiered.Set().Groups(); g++ {
-		first, _ := tiered.Set().GroupBuckets(g)
-		tiered.PrefetchBucket(first)
-		tier.WaitIdle()
-	}
-	_, coldMisses := tiered.ForegroundCounts()
-	round("warm")
-	if hits, misses := tiered.ForegroundCounts(); misses != coldMisses || hits < 150 {
-		t.Fatalf("warm round: %d tier hits, %d new misses; want all hits", hits, misses-coldMisses)
-	}
-	if shrunk < 400 {
-		t.Errorf("only %d of 600 probes returned less than the whole bucket", shrunk)
+	if shrunk < 200 {
+		t.Errorf("only %d of 300 probes returned less than the whole bucket", shrunk)
 	}
 }
 
@@ -441,43 +407,35 @@ func TestProbeChecksumPerGranule(t *testing.T) {
 	}
 }
 
-// A steady-state probe on a warmed backend allocates nothing: runs, raw
-// bytes and decoded objects all live in the backend's scratch.
+// A steady-state probe allocates nothing: runs, raw bytes and decoded
+// objects all live in the backend's scratch.
 func TestProbeRangesZeroAlloc(t *testing.T) {
 	part := probeFixture(t)
-	tb, _ := openTieredFixture(t, part, 3, true, 1<<22)
-	for g := 0; g < tb.Set().Groups(); g++ {
-		first, _ := tb.Set().GroupBuckets(g)
-		tb.PrefetchBucket(first)
-		tb.Tier().WaitIdle()
+	dir, _ := writeFixture(t, part, 3)
+	set, err := OpenSet(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	file := NewBackend(tb.Set(), true)
+	file := NewBackend(set, true)
+	defer file.Close()
 	rng := rand.New(rand.NewPCG(3, 9))
 	var ranges [][]htm.Range
 	for bi := 0; bi < part.NumBuckets(); bi++ {
 		ranges = append(ranges, queueRanges(randomQueue(rng, part, bi)))
 	}
-	for _, be := range []struct {
-		name string
-		b    bucket.Backend
-	}{{"file", file}, {"tiered hit", tb}} {
-		probeAll := func() {
-			for bi, rs := range ranges {
-				if _, _, err := be.b.ProbeRanges(bi, rs); err != nil {
-					t.Fatal(err)
-				}
+	probeAll := func() {
+		for bi, rs := range ranges {
+			if _, _, err := file.ProbeRanges(bi, rs); err != nil {
+				t.Fatal(err)
 			}
 		}
-		probeAll() // grow the scratch
-		if _, _, err := be.b.ProbeRanges(0, everyID); err != nil {
-			t.Fatal(err)
-		}
-		if allocs := testing.AllocsPerRun(50, probeAll); allocs != 0 {
-			t.Errorf("%s: a steady-state round of probes allocates %.2f times, want 0", be.name, allocs)
-		}
 	}
-	if hits, misses := tb.ForegroundCounts(); misses != 0 || hits == 0 {
-		t.Fatalf("tiered probes: %d hits, %d misses; want all hits", hits, misses)
+	probeAll() // grow the scratch
+	if _, _, err := file.ProbeRanges(0, everyID); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(50, probeAll); allocs != 0 {
+		t.Errorf("a steady-state round of probes allocates %.2f times, want 0", allocs)
 	}
 }
 

@@ -34,9 +34,6 @@ type segFile struct {
 	hdr     header
 	entries []indexEntry
 	fences  []fence
-	// dataStart/dataEnd bound the bucket data region (both zero when
-	// every bucket is empty), fixed at open.
-	dataStart, dataEnd int64
 }
 
 // OpenSet opens the segment directory at dir: it reads the manifest,
@@ -204,7 +201,6 @@ func loadSegFile(f *os.File) (*segFile, error) {
 			return nil, fmt.Errorf("segment: bucket %d fences are not in HTM ID order", i)
 		}
 	}
-	sf.dataStart, sf.dataEnd = sf.dataBounds()
 	return sf, nil
 }
 
@@ -318,7 +314,7 @@ func (s *Set) ReadBucketRaw(i int) ([]byte, int64, error) {
 }
 
 // rawPool recycles the raw record buffers ReadBucket decodes out of: the
-// decoded objects outlive the read (they go to the RAM tier), the raw
+// decoded objects outlive the read (they go to the bucket cache), the raw
 // bytes never do.
 var rawPool = sync.Pool{New: func() any { return new([]byte) }}
 
@@ -366,92 +362,6 @@ func (s *Set) ReadPages(i, n int) (int64, error) {
 		return 0, fmt.Errorf("segment: bucket %d probe pread: %w", i, err)
 	}
 	return want, nil
-}
-
-// Groups returns the number of bucket groups — one per segment file;
-// the group is the disk tier's caching granule.
-func (s *Set) Groups() int { return len(s.segs) }
-
-// GroupOf returns the group serving global bucket i, or -1 when i is
-// out of range.
-func (s *Set) GroupOf(i int) int {
-	if i < 0 || i >= len(s.bucketSeg) {
-		return -1
-	}
-	return s.bucketSeg[i]
-}
-
-// GroupBuckets returns the global bucket range [first, first+n) that
-// group g covers.
-func (s *Set) GroupBuckets(g int) (first, n int) {
-	sf := s.segs[g]
-	return int(sf.hdr.firstBucket), int(sf.hdr.numBuckets)
-}
-
-// dataBounds returns the file-offset bounds [start, end) of sf's bucket
-// data region (zero-width when every bucket is empty).
-func (sf *segFile) dataBounds() (start, end int64) {
-	for _, e := range sf.entries {
-		if e.length == 0 {
-			continue
-		}
-		if start == 0 && end == 0 || int64(e.offset) < start {
-			start = int64(e.offset)
-		}
-		if eo := int64(e.offset + e.length); eo > end {
-			end = eo
-		}
-	}
-	return start, end
-}
-
-// GroupRegionBytes returns the size of group g's bucket data region —
-// what one disk-tier entry for it costs.
-func (s *Set) GroupRegionBytes(g int) int64 {
-	if g < 0 || g >= len(s.segs) {
-		return 0
-	}
-	return s.segs[g].dataEnd - s.segs[g].dataStart
-}
-
-// ReadGroupRegion preads group g's whole bucket data region and
-// verifies every bucket's checksum within it — the fill path of the
-// disk cache tier. The returned slice is indexed by GroupExtent's
-// region-relative offsets.
-func (s *Set) ReadGroupRegion(g int) ([]byte, error) {
-	if g < 0 || g >= len(s.segs) {
-		return nil, fmt.Errorf("segment: group %d out of [0,%d)", g, len(s.segs))
-	}
-	sf := s.segs[g]
-	start, end := sf.dataStart, sf.dataEnd
-	buf := make([]byte, end-start)
-	if len(buf) == 0 {
-		return buf, nil
-	}
-	if _, err := sf.f.ReadAt(buf, start); err != nil {
-		return nil, fmt.Errorf("segment: group %d region pread: %w", g, err)
-	}
-	for i, e := range sf.entries {
-		if e.length == 0 {
-			continue
-		}
-		rel := int64(e.offset) - start
-		if sum := crc32.Checksum(buf[rel:rel+int64(e.length)], castagnoli); sum != e.crc {
-			return nil, fmt.Errorf("segment: bucket %d data checksum mismatch reading group %d (corrupt store)", int(sf.hdr.firstBucket)+i, g)
-		}
-	}
-	return buf, nil
-}
-
-// GroupExtent locates bucket i inside its group's region: the group
-// index and the region-relative byte range ReadGroupRegion serves it
-// at.
-func (s *Set) GroupExtent(i int) (g int, lo, hi int64, err error) {
-	sf, e, err := s.entry(i)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return s.bucketSeg[i], int64(e.offset) - sf.dataStart, int64(e.offset+e.length) - sf.dataStart, nil
 }
 
 // Reopen opens an independent Set over the same directory (fresh file

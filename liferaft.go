@@ -129,8 +129,7 @@
 //	(cd bench && go vet . && go test .)                        # BENCHMARK.json's module: wall-clock qps, latency, bytes, allocations
 //	go run ./cmd/skybench -bench-json BENCH_21.json            # virtual-clock vqps checksum + tracing-overhead gate
 //	go run ./cmd/skybench -overload BENCH_19.json              # overload scenarios, SLO verdicts
-//	go run ./cmd/skybench -tiered BENCH_8.json                 # tiered cache: qps speedup + hit-rate lift
-//	go run ./cmd/docdrift                                     # docs/OPERATIONS.md covers every flag + metric
+//	go run ./cmd/docdrift                                     # docs/OPERATIONS.md covers every flag + metric, and names no other
 //
 // Keep all of them green locally before sending a change. Each kind of
 // number has one source: a wall-clock figure is bench/'s or a go test
