@@ -1,166 +1,42 @@
 // Command skybench regenerates the paper's tables and figures (and this
-// reproduction's ablations) from the experiment harness, and runs two
-// gates. Wall-clock throughput, latency, bytes and allocations are not
-// measured here: they come from bench/ (BENCHMARK.json), and the
-// scheduler hot path's ns/op and allocs/op from
-// go test -bench 'Pick|Step' -benchmem ./internal/core.
+// reproduction's ablations) from the experiment harness. Wall-clock
+// throughput, latency, bytes and allocations are not measured here: they
+// come from bench/ (BENCHMARK.json), and the scheduler hot path's ns/op
+// and allocs/op from go test -bench 'Pick|Step' -benchmem ./internal/core.
 //
 // Usage:
 //
 //	skybench [-scale ci|mid|paper] [-exp all|fig2|fig4|fig5|fig6|fig7|fig8|indexonly|cache|ablations]
-//	skybench -bench-json BENCH_21.json
-//	skybench -overload BENCH_19.json
 //
 // Examples:
 //
 //	skybench                      # every experiment at CI scale
 //	skybench -scale mid -exp fig7 # the headline comparison at 2,000 buckets
-//	skybench -bench-json BENCH_21.json
-//	    # the virtual-clock vqps checksum of the CI-scale replay, and the
-//	    # tracing-overhead gate; exits nonzero when tracing every query
-//	    # moves virtual throughput by more than 5%
-//	skybench -overload BENCH_19.json
-//	    # serving-layer overload scenarios (flash crowd in adaptive and
-//	    # static rate modes, diurnal ramp, slow loris, 10k-tenant churn)
-//	    # with per-scenario SLO verdicts; exits nonzero on any failure
+//
+// The vqps checksum of the CI-scale replay is internal/exper's
+// TestCISaturatedVQPSMatchesRecorded, and the serving layer's overload
+// behaviour is internal/server's TestLoadSteadyTenantBoundedP99.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"time"
 
-	"liferaft/internal/core"
 	"liferaft/internal/exper"
-	"liferaft/internal/trace"
 )
 
 func main() {
 	scaleName := flag.String("scale", "ci", "experiment scale: ci, mid, or paper")
 	expName := flag.String("exp", "all", "experiment: all, fig2, fig4, fig5, fig6, fig7, fig8, indexonly, cache, ablations")
 	shards := flag.Int("shards", 1, "disk/worker shards per engine (1 = one shard of the same engine)")
-	benchJSON := flag.String("bench-json", "", "replay the CI-scale trace on the virtual clock (the vqps checksum), gate tracing overhead under 5%, write the snapshot to this file, and exit")
-	overloadJSON := flag.String("overload", "", "run the serving-layer overload scenarios, write per-scenario SLO verdicts to this file, and exit (nonzero on any failed verdict)")
 	flag.Parse()
 
-	var err error
-	switch {
-	case *overloadJSON != "":
-		err = runOverload(*overloadJSON)
-	case *benchJSON != "":
-		err = runBenchJSON(*benchJSON)
-	default:
-		err = run(*scaleName, *expName, *shards)
-	}
-	if err != nil {
+	if err := run(*scaleName, *expName, *shards); err != nil {
 		fmt.Fprintf(os.Stderr, "skybench: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// snapshotHeader opens every BENCH_<pr>.json skybench writes.
-type snapshotHeader struct {
-	GeneratedBy string `json:"generated_by"`
-}
-
-// writeSnapshot writes v to path as indented JSON with a trailing
-// newline.
-func writeSnapshot(path string, v any) error {
-	out, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// benchSnapshot is the -bench-json payload: the two virtual-clock
-// figures this mode gates on.
-type benchSnapshot struct {
-	snapshotHeader
-	// VQPS is the CI-scale saturated replay's virtual throughput — a
-	// checksum of the schedule, not a speed: it moves only when the
-	// engine orders services differently (internal/exper's
-	// TestCISaturatedVQPSMatchesRecorded pins the same figure).
-	VQPS float64 `json:"vqps"`
-	// TracingOverheadPct is the virtual-throughput cost of tracing every
-	// query on the CI replay (untraced vs traced); tracing spends no
-	// virtual time, so anything beyond rounding noise means the
-	// instrumentation perturbed the schedule. Budgeted under 5%.
-	TracingOverheadPct float64 `json:"tracing_overhead_pct"`
-}
-
-// runBenchJSON replays the CI-scale saturated trace untraced — its
-// virtual throughput is the vqps checksum — and again with every query
-// carrying a span recorder, writes both figures to path, and fails when
-// tracing cost more than 5% of vqps. Tracing spends no virtual time, so
-// any delta means the instrumentation perturbed the schedule itself.
-// Wall-clock span-recording cost is covered by the allocation benchmarks
-// in internal/trace; a wall-clock gate here would flake on shared CI
-// hardware, where run-to-run jitter exceeds the signal.
-func runBenchJSON(path string) error {
-	env, err := exper.NewEnv(exper.CI())
-	if err != nil {
-		return err
-	}
-	base, err := replayVQPS(env, false)
-	if err != nil {
-		return err
-	}
-	if base <= 0 {
-		return fmt.Errorf("untraced replay completed no queries")
-	}
-	traced, err := replayVQPS(env, true)
-	if err != nil {
-		return err
-	}
-	snap := benchSnapshot{
-		snapshotHeader: snapshotHeader{
-			GeneratedBy: "skybench -bench-json (virtual clock only; the real-I/O replay and the pick/step probes moved to bench/ and go test -bench 'Pick|Step' ./internal/core)",
-		},
-		VQPS:               base,
-		TracingOverheadPct: 100 * (base - traced) / base,
-	}
-	fmt.Printf("vqps %v: virtual queries/sec over %d queries (ci scale)\n", snap.VQPS, len(env.Jobs))
-	fmt.Printf("tracing overhead: %+.2f%% vqps with every query traced (budget 5%%)\n", snap.TracingOverheadPct)
-
-	if err := writeSnapshot(path, snap); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	if snap.TracingOverheadPct > 5 {
-		return fmt.Errorf("tracing overhead %.2f%% exceeds the 5%% budget", snap.TracingOverheadPct)
-	}
-	return nil
-}
-
-// replayVQPS runs env's jobs saturated through one virtual-clock LifeRaft
-// shard at α = 0.5 and returns the virtual throughput; traced gives
-// every job a span recorder (Finish included).
-func replayVQPS(env *exper.Env, traced bool) (float64, error) {
-	jobs := env.Jobs
-	var rec *trace.Recorder
-	var trs []*trace.Trace
-	if traced {
-		rec = trace.New(trace.Config{SlowThreshold: time.Hour})
-		jobs = make([]core.Job, len(env.Jobs))
-		trs = make([]*trace.Trace, len(env.Jobs))
-		for i, j := range env.Jobs {
-			jobs[i] = j
-			trs[i] = rec.Start("bench", j.ID)
-			jobs[i].Trace = trs[i]
-		}
-	}
-	cfg, _ := core.NewVirtual(env.Part, 0.5, false)
-	_, stats, err := core.Run(cfg, jobs, env.SaturatedOffsets())
-	if err != nil {
-		return 0, err
-	}
-	for _, tr := range trs {
-		rec.Finish(tr)
-	}
-	return stats.Throughput(), nil
 }
 
 func run(scaleName, expName string, shards int) error {

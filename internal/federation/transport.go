@@ -70,6 +70,12 @@ type rpcResponse struct {
 // archive, far below it.
 const maxInFlight = 256
 
+// readIdle bounds how long the server waits for the next (or a stalled
+// mid-transfer) request on a connection; requests still running on a
+// connection dropped for idleness are withdrawn. Clients whose connection
+// was dropped after longer think time transparently re-dial.
+const readIdle = 5 * time.Minute
+
 // Server serves a Node over TCP.
 type Server struct {
 	node *Node
@@ -91,9 +97,6 @@ type serverOpts struct {
 	// ioTimeout bounds the handshake and each response write: a peer
 	// that stops reading cannot wedge a handler goroutine forever.
 	ioTimeout time.Duration
-	// readIdle bounds how long a connection may sit between requests
-	// (and how long a half-written request may stall mid-decode).
-	readIdle time.Duration
 }
 
 // ServerOption tunes Serve.
@@ -104,25 +107,16 @@ func WithIOTimeout(d time.Duration) ServerOption {
 	return func(o *serverOpts) { o.ioTimeout = d }
 }
 
-// WithReadIdleTimeout bounds how long the server waits for the next (or a
-// stalled mid-transfer) request on a connection (default 5m); requests
-// still running on a connection dropped for idleness are withdrawn. Clients
-// whose connection was dropped after longer think time transparently
-// re-dial.
-func WithReadIdleTimeout(d time.Duration) ServerOption {
-	return func(o *serverOpts) { o.readIdle = d }
-}
-
 // Serve starts serving node on addr (e.g. "127.0.0.1:7701"). It returns
 // once the listener is bound; connections are handled in the background.
 // Handshake, request-read, and response-write deadlines guard every
 // connection so a stalled or silent peer cannot wedge the RPC loop.
 func Serve(node *Node, addr string, opts ...ServerOption) (*Server, error) {
-	o := serverOpts{ioTimeout: 30 * time.Second, readIdle: 5 * time.Minute}
+	o := serverOpts{ioTimeout: 30 * time.Second}
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.ioTimeout <= 0 || o.readIdle <= 0 {
+	if o.ioTimeout <= 0 {
 		return nil, fmt.Errorf("federation: non-positive server timeout")
 	}
 	ln, err := net.Listen("tcp", addr)
@@ -233,7 +227,7 @@ func (s *Server) handle(conn net.Conn) {
 	for {
 		// Reading the next request may idle legitimately (a client
 		// holding the connection between queries) but not forever.
-		conn.SetReadDeadline(time.Now().Add(s.opts.readIdle))
+		conn.SetReadDeadline(time.Now().Add(readIdle))
 		var req rpcRequest
 		if err := dec.Decode(&req); err != nil {
 			return

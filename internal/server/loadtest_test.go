@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,21 +13,28 @@ import (
 	"liferaft/internal/catalog"
 	"liferaft/internal/core"
 	"liferaft/internal/geom"
+	"liferaft/internal/metric"
 	"liferaft/internal/workload"
 	"liferaft/internal/xmatch"
 )
 
 // The acceptance geometry: a 32-bucket partition served by a 4-shard
-// virtual-clock engine, one steady tenant next to one saturating-bursty
-// tenant.
+// virtual-clock engine, one steady tenant next to one antagonist.
 var (
-	ltOnce   sync.Once
-	ltPart   *bucket.Partition
-	ltSteady []core.Job
-	ltBursty []core.Job
+	ltOnce sync.Once
+	ltJobs loadJobs
 )
 
-func loadFixture(t *testing.T) (*bucket.Partition, []core.Job, []core.Job) {
+// loadJobs is the load test's partition and per-tenant job templates
+// (cloned under fresh IDs at submission by withID).
+type loadJobs struct {
+	part   *bucket.Partition
+	steady []core.Job // small selectivities: the closed-loop victim
+	bursty []core.Job // large and numerous: the flood a shared archive sees
+	loris  []core.Job // near-total scans: the slow loris
+}
+
+func loadFixture(t *testing.T) *loadJobs {
 	t.Helper()
 	ltOnce.Do(func() {
 		local, err := catalog.New(catalog.Config{
@@ -41,7 +50,7 @@ func loadFixture(t *testing.T) (*bucket.Partition, []core.Job, []core.Job) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ltPart, err = bucket.NewPartition(local, 400, 0) // 32 buckets
+		ltJobs.part, err = bucket.NewPartition(local, 400, 0) // 32 buckets
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,18 +69,16 @@ func loadFixture(t *testing.T) (*bucket.Partition, []core.Job, []core.Job) {
 			}
 			return jobs
 		}
-		// The steady tenant issues small queries; the bursty tenant's are
-		// larger and numerous — the flood a shared archive actually sees.
-		ltSteady = mkJobs(31, 40, 0.1, 0.3)
-		ltBursty = mkJobs(37, 300, 0.5, 1.0)
+		ltJobs.steady = mkJobs(31, 40, 0.1, 0.3)
+		ltJobs.bursty = mkJobs(37, 300, 0.5, 1.0)
+		ltJobs.loris = mkJobs(43, 40, 0.9, 1.0)
 	})
-	return ltPart, ltSteady, ltBursty
+	return &ltJobs
 }
 
 func newLoadEngine(t *testing.T) *core.Live {
 	t.Helper()
-	part, _, _ := loadFixture(t)
-	cfg, _ := core.NewVirtual(part, 0.5, false)
+	cfg, _ := core.NewVirtual(loadFixture(t).part, 0.5, false)
 	cfg.Shards = 4
 	l, err := core.NewLive(cfg)
 	if err != nil {
@@ -97,10 +104,14 @@ func withID(j core.Job) core.Job {
 
 // runSteadyClosedLoop drives the steady tenant: one query outstanding at a
 // time (a human astronomer at roughly 10% of what the engine could give
-// them solo), submitted through the serving layer.
-func runSteadyClosedLoop(t *testing.T, s *Server, jobs []core.Job) {
+// them solo), submitted through the serving layer. before, when non-nil,
+// runs ahead of every steady submission.
+func runSteadyClosedLoop(t *testing.T, s *Server, jobs []core.Job, before func()) {
 	t.Helper()
 	for _, j := range jobs {
+		if before != nil {
+			before()
+		}
 		ch, err := s.Submit(context.Background(), "steady", withID(j))
 		if err != nil {
 			t.Fatalf("steady submit: %v", err)
@@ -111,89 +122,262 @@ func runSteadyClosedLoop(t *testing.T, s *Server, jobs []core.Job) {
 	}
 }
 
-// TestLoadSteadyTenantBoundedP99 is the acceptance load test: with two
-// tenants — one saturating and bursty, one steady — against a 4-shard
-// virtual-clock engine, the steady tenant's p99 response time behind
-// admission control stays within 2x of its solo-run p99, while submitting
-// the same flood directly into the engine (no serving layer) degrades it
-// by an order of magnitude.
-func TestLoadSteadyTenantBoundedP99(t *testing.T) {
-	_, steady, bursty := loadFixture(t)
+// antagonistCounts is what an antagonist's stop function reports: how many
+// of its submissions the serving layer admitted and rejected.
+type antagonistCounts struct{ admitted, rejected int64 }
 
-	serveCfg := Config{
-		MaxInFlight: 4,
-		Quantum:     32,
-		Tenants: []TenantConfig{
-			{Name: "steady", Rate: -1},                         // unlimited; it self-paces
-			{Name: "bursty", Rate: 2, Burst: 4, QueueDepth: 8}, // its fair share
-		},
-	}
-
-	// Solo run: the steady tenant alone, through the serving layer.
-	solo := newLoadEngine(t)
-	sSolo, err := New(solo, serveCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runSteadyClosedLoop(t, sSolo, steady)
-	soloP99 := sSolo.TenantSummary("steady").P99
-	sSolo.Close()
-	solo.Close()
-	if soloP99 <= 0 {
-		t.Fatal("solo p99 is zero; fixture jobs too small")
-	}
-
-	// Competitive run with admission control: the bursty tenant floods
-	// continuously (open loop, rejects dropped) while the steady tenant
-	// runs its closed loop.
-	eng := newLoadEngine(t)
-	s, err := New(eng, serveCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+// openLoop floods tenant with jobs from a goroutine (open loop, rejects
+// dropped) until stop is called. It returns once the serving layer has
+// pushed back the first time.
+func openLoop(s *Server, tenant string, jobs []core.Job) (stop func() antagonistCounts) {
 	done := make(chan struct{})
-	floodDone := make(chan struct{})
-	var admitted, rejected int64
+	exited := make(chan struct{})
+	saturated := make(chan struct{})
+	var c antagonistCounts
 	go func() {
-		defer close(floodDone)
+		defer close(exited)
 		for i := 0; ; i++ {
 			select {
 			case <-done:
 				return
 			default:
 			}
-			_, err := s.Submit(context.Background(), "bursty", withID(bursty[i%len(bursty)]))
-			if err != nil {
-				rejected++
+			if _, err := s.Submit(context.Background(), tenant, withID(jobs[i%len(jobs)])); err != nil {
+				if c.rejected++; c.rejected == 1 {
+					close(saturated)
+				}
 				time.Sleep(time.Millisecond) // real-time pause; virtual tokens accrue as the engine works
 			} else {
-				admitted++
+				c.admitted++
 			}
 		}
 	}()
-	runSteadyClosedLoop(t, s, steady)
-	close(done)
-	<-floodDone
-	fairP99 := s.TenantSummary("steady").P99
-	burstyStats := s.TenantSummary("bursty")
-	s.Close()
-	eng.Close()
-	if admitted == 0 || rejected == 0 {
-		t.Fatalf("flood admitted=%d rejected=%d: not a saturating bursty tenant", admitted, rejected)
+	<-saturated
+	return func() antagonistCounts {
+		close(done)
+		<-exited
+		return c
+	}
+}
+
+// topUp returns a hook that submits tenant's jobs until the serving layer
+// pushes back (queue full, or rate-limited once the controller cuts).
+// Run before every steady submission, it keeps the tenant saturating
+// deterministically: the steady state of an open-loop arrival process
+// that always outpaces the engine.
+func topUp(s *Server, tenant string, jobs []core.Job) (before func(), stop func() antagonistCounts) {
+	var c antagonistCounts
+	before = func() {
+		for {
+			if _, err := s.Submit(context.Background(), tenant, withID(jobs[int(c.admitted)%len(jobs)])); err != nil {
+				c.rejected++
+				return
+			}
+			c.admitted++
+		}
+	}
+	return before, func() antagonistCounts { return c }
+}
+
+// holdOutstanding keeps depth of tenant's jobs in flight at all times from
+// a goroutine — the tenant that is never fast and never absent — until
+// stop is called, which also waits for the held queries to finish. It
+// returns once the first depth are admitted.
+func holdOutstanding(s *Server, tenant string, jobs []core.Job, depth int) (stop func() antagonistCounts) {
+	sem := make(chan struct{}, depth)
+	done := make(chan struct{})
+	exited := make(chan struct{})
+	ready := make(chan struct{})
+	var held sync.WaitGroup
+	var c antagonistCounts
+	go func() {
+		defer close(exited)
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			case sem <- struct{}{}:
+			}
+			ch, err := s.Submit(context.Background(), tenant, withID(jobs[i%len(jobs)]))
+			if err != nil {
+				<-sem
+				c.rejected++
+				time.Sleep(time.Millisecond)
+				continue
+			}
+			c.admitted++
+			if c.admitted == int64(depth) {
+				close(ready)
+			}
+			held.Add(1)
+			go func() {
+				defer held.Done()
+				<-ch
+				<-sem
+			}()
+		}
+	}()
+	<-ready
+	return func() antagonistCounts {
+		close(done)
+		<-exited
+		held.Wait()
+		return c
+	}
+}
+
+// rateCuts scrapes reg for liferaft_aimd_rate_cuts_total{tenant=...}.
+func rateCuts(t *testing.T, reg *metric.Registry, tenant string) float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	prefix := `liferaft_aimd_rate_cuts_total{tenant="` + tenant + `"} `
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, prefix); ok {
+			n, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	return 0
+}
+
+// TestLoadSteadyTenantBoundedP99 is the acceptance load test: a steady
+// closed-loop tenant shares a 4-shard virtual-clock engine with one
+// antagonist per row, behind the serving layer.
+//
+//   - bursty: a rate-configured tenant floods open loop. The steady
+//     tenant's p99 stays within 2x of its solo-run p99, while the same
+//     flood submitted directly into the engine (no serving layer)
+//     degrades it by an order of magnitude.
+//   - flood: an unconfigured tenant (the one nobody provisioned for)
+//     stays saturating under adaptive mode with the SLO at 2x solo; the
+//     AIMD controller must cut it.
+//   - loris: a tenant holds 5 near-total scans outstanding, enough to
+//     fill every engine slot with one queued behind; every steady query
+//     still completes.
+//
+// The steady p99/solo ratio is logged for every row but asserted only
+// for bursty: under flood and loris it crosses 2x on some runs, because
+// each shard's worker runs on its own forked virtual clock and the
+// goroutines' interleaving decides how far they drift.
+func TestLoadSteadyTenantBoundedP99(t *testing.T) {
+	fx := loadFixture(t)
+	steadyCfg := TenantConfig{Name: "steady", Rate: -1} // unlimited; it self-paces
+
+	// Solo run: the steady tenant alone, through the serving layer.
+	solo := newLoadEngine(t)
+	sSolo, err := New(solo, Config{MaxInFlight: 4, Tenants: []TenantConfig{steadyCfg}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runSteadyClosedLoop(t, sSolo, fx.steady, nil)
+	soloP99 := sSolo.TenantSummary("steady").P99
+	sSolo.Close()
+	solo.Close()
+	if soloP99 <= 0 {
+		t.Fatal("solo p99 is zero; fixture jobs too small")
+	}
+	slo := time.Duration(2 * soloP99 * float64(time.Second))
+	rawP99 := rawEngineP99(t, fx)
+	t.Logf("steady p99: solo=%.3fs raw=%.3fs (raw/solo=%.2fx)", soloP99, rawP99, rawP99/soloP99)
+	if rawP99 < 4*soloP99 {
+		t.Errorf("steady p99 without serving layer = %.3fs, expected heavy degradation vs solo %.3fs", rawP99, soloP99)
 	}
 
-	// No serving layer: the flood goes straight into the engine's
-	// workload queues. The bursty tenant arrives faster than the engine
-	// services, so the backlog — and with it the steady tenant's
-	// response time — grows without bound; the test keeps the engine
-	// backlogged at every steady submission (pre-load plus top-ups, the
-	// steady state of a saturating open-loop arrival process) and checks
-	// the steady tenant pays for it.
+	rows := []struct {
+		name string
+		cfg  Config
+		// start sets the antagonist going; before, when non-nil, runs
+		// ahead of every steady submission. Each antagonist is
+		// saturating by the time start returns.
+		start func(s *Server) (before func(), stop func() antagonistCounts)
+		// maxRatio, when set, bounds the steady p99 over its solo p99.
+		maxRatio float64
+		// mustCut: the AIMD controller must cut the antagonist.
+		mustCut bool
+	}{
+		{
+			name: "bursty",
+			cfg: Config{Tenants: []TenantConfig{
+				steadyCfg,
+				{Name: "bursty", Rate: 2, Burst: 4, QueueDepth: 8}, // its fair share
+			}},
+			start: func(s *Server) (func(), func() antagonistCounts) {
+				return nil, openLoop(s, "bursty", fx.bursty)
+			},
+			maxRatio: 2,
+		},
+		{
+			name: "flood",
+			cfg: Config{
+				SLOP99:          slo,
+				ControlInterval: 100 * time.Millisecond,
+				Tenants:         []TenantConfig{steadyCfg},
+			},
+			start: func(s *Server) (func(), func() antagonistCounts) {
+				return topUp(s, "flood", fx.bursty)
+			},
+			mustCut: true,
+		},
+		{
+			name: "loris",
+			cfg:  Config{SLOP99: slo, Tenants: []TenantConfig{steadyCfg}},
+			start: func(s *Server) (func(), func() antagonistCounts) {
+				return nil, holdOutstanding(s, "loris", fx.loris, 5)
+			},
+		},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			eng := newLoadEngine(t)
+			defer eng.Close()
+			reg := metric.NewRegistry()
+			cfg := row.cfg
+			cfg.MaxInFlight, cfg.Quantum, cfg.Registry = 4, 32, reg
+			s, err := New(eng, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			before, stop := row.start(s)
+			runSteadyClosedLoop(t, s, fx.steady, before)
+			c := stop()
+			fairP99 := s.TenantSummary("steady").P99
+			cuts := rateCuts(t, reg, row.name)
+			t.Logf("steady p99 %.3fs = %.2fx solo; %s admitted=%d rejected=%d, cut %gx",
+				fairP99, fairP99/soloP99, row.name, c.admitted, c.rejected, cuts)
+			if fairP99 >= rawP99 {
+				t.Errorf("admission control did not help: steady p99 %.3fs >= %.3fs without it", fairP99, rawP99)
+			}
+			if row.maxRatio > 0 && fairP99 > row.maxRatio*soloP99 {
+				t.Errorf("steady p99 with admission = %.3fs, more than %gx solo %.3fs", fairP99, row.maxRatio, soloP99)
+			}
+			if row.mustCut && cuts < 1 {
+				t.Errorf("the AIMD controller never cut the unconfigured %s tenant", row.name)
+			}
+		})
+	}
+}
+
+// rawEngineP99 is the steady tenant's p99 with no serving layer: the
+// bursty flood goes straight into the engine's workload queues. The flood
+// arrives faster than the engine services, so the backlog — and with it
+// the steady tenant's response time — grows without bound; the engine is
+// kept backlogged at every steady submission (pre-load plus top-ups, the
+// steady state of a saturating open-loop arrival process).
+func rawEngineP99(t *testing.T, fx *loadJobs) float64 {
+	t.Helper()
 	raw := newLoadEngine(t)
+	defer raw.Close()
 	next := 0
 	flood := func(n int) {
 		for i := 0; i < n; i++ {
-			if _, err := raw.Submit(withID(bursty[next%len(bursty)])); err != nil {
+			if _, err := raw.Submit(withID(fx.bursty[next%len(fx.bursty)])); err != nil {
 				t.Fatal(err)
 			}
 			next++
@@ -201,7 +385,7 @@ func TestLoadSteadyTenantBoundedP99(t *testing.T) {
 	}
 	flood(500)
 	var rawTimes []float64
-	for _, j := range steady {
+	for _, j := range fx.steady {
 		ch, err := raw.Submit(withID(j))
 		if err != nil {
 			t.Fatal(err)
@@ -213,21 +397,7 @@ func TestLoadSteadyTenantBoundedP99(t *testing.T) {
 		rawTimes = append(rawTimes, r.ResponseTime().Seconds())
 		flood(30)
 	}
-	raw.Close()
-	rawP99 := percentileOf(rawTimes, 0.99)
-
-	t.Logf("steady p99: solo=%.3fs fair=%.3fs raw=%.3fs (fair/solo=%.2fx raw/solo=%.2fx); bursty completed=%d",
-		soloP99, fairP99, rawP99, fairP99/soloP99, rawP99/soloP99, burstyStats.Count)
-
-	if fairP99 > 2*soloP99 {
-		t.Errorf("steady p99 with admission = %.3fs, more than 2x solo %.3fs", fairP99, soloP99)
-	}
-	if rawP99 < 4*soloP99 {
-		t.Errorf("steady p99 without serving layer = %.3fs, expected heavy degradation vs solo %.3fs", rawP99, soloP99)
-	}
-	if fairP99 >= rawP99 {
-		t.Errorf("admission control did not help: fair %.3fs >= raw %.3fs", fairP99, rawP99)
-	}
+	return percentileOf(rawTimes, 0.99)
 }
 
 func percentileOf(xs []float64, p float64) float64 {

@@ -83,9 +83,6 @@ type Config struct {
 	// MaxTenants bounds how many tenants may auto-register (default
 	// 1024); beyond it, unknown tenants are rejected.
 	MaxTenants int
-	// ReservoirSize bounds the per-tenant response-time sample
-	// (default 1024); summaries stay unbiased at fixed memory.
-	ReservoirSize int
 	// Tenants pre-registers tenants with explicit limits; all other
 	// tenants auto-register with the defaults above on first use.
 	Tenants []TenantConfig
@@ -153,9 +150,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.MaxTenants == 0 {
 		c.MaxTenants = 1024
 	}
-	if c.ReservoirSize < 1 {
-		c.ReservoirSize = 1024
-	}
 	if c.RateMode == "" {
 		c.RateMode = RateAdaptive
 	}
@@ -180,6 +174,10 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	return c, nil
 }
+
+// reservoirSize bounds each tenant's response-time sample; summaries stay
+// unbiased at fixed memory.
+const reservoirSize = 1024
 
 // ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("server: closed")
@@ -348,7 +346,7 @@ func (s *Server) register(tc TenantConfig) (*tenant, error) {
 	for _, r := range tc.Name {
 		seed = seed*131 + int64(r)
 	}
-	resv, err := stats.NewReservoir(s.cfg.ReservoirSize, seed)
+	resv, err := stats.NewReservoir(reservoirSize, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -63,7 +63,7 @@ func spanCoverage(d trace.Data) float64 {
 // that capture via an OpenMetrics exemplar, and slow traces survive in
 // the forensics ring.
 func TestTracedRequestCoverageAndExemplar(t *testing.T) {
-	_, steady, _ := loadFixture(t)
+	steady := loadFixture(t).steady
 	eng := newLoadEngine(t)
 	defer eng.Close()
 

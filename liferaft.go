@@ -127,8 +127,6 @@
 //	go test -race -run 'TestBackendParity' ./internal/core/   # file backend == simulated disk
 //	go test -bench=. -benchtime=1x -benchmem -run='^$' ./...   # incl. BenchmarkPick/BenchmarkStep: the scheduler hot path's ns/op and allocs/op
 //	(cd bench && go vet . && go test .)                        # BENCHMARK.json's module: wall-clock qps, latency, bytes, allocations
-//	go run ./cmd/skybench -bench-json BENCH_21.json            # virtual-clock vqps checksum + tracing-overhead gate
-//	go run ./cmd/skybench -overload BENCH_19.json              # overload scenarios, SLO verdicts
 //	go run ./cmd/docdrift                                     # docs/OPERATIONS.md covers every flag + metric, and names no other
 //
 // Keep all of them green locally before sending a change. Each kind of
