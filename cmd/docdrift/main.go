@@ -21,7 +21,7 @@
 //
 // It also keeps docs/ANALYZERS.md in lockstep with the static-analysis
 // suite, in both directions: every analyzer lifevet registers (plus the
-// stale-directive and stale-baseline meta-checks) must have a `## `name“
+// stale-directive meta-check) must have a `## `name“
 // section there, and every such section must name one of them, so adding
 // an analyzer without documenting it, or cutting one and leaving its
 // section behind, breaks the build.
@@ -180,7 +180,7 @@ func collectInventory(root string) (inventory, error) {
 // of analyzer checks it looked for.
 func audit(inv inventory, doc, analyzersDoc string) (missing []string, checks int) {
 	for _, f := range inv.flags {
-		// Flags are documented backticked with their dash: `-rate-mode`.
+		// Flags are documented backticked with their dash: `-slo-p99`.
 		if !strings.Contains(doc, "`-"+f.name+"`") {
 			missing = append(missing, fmt.Sprintf("flag -%s (registered in %s) is not documented as `-%s`", f.name, f.file, f.name))
 		}
@@ -212,7 +212,7 @@ func audit(inv inventory, doc, analyzersDoc string) (missing []string, checks in
 	// Analyzer coverage: the registry in internal/lifevet is the ground
 	// truth (imported directly, no regex), and every entry — plus the
 	// stale-directive meta-check — needs its own section heading.
-	names := []string{lifevet.StaleDirectiveCheck, lifevet.StaleBaselineCheck}
+	names := []string{lifevet.StaleDirectiveCheck}
 	for _, a := range lifevet.Analyzers() {
 		names = append(names, a.Name)
 	}

@@ -16,10 +16,9 @@
 // control + fair queueing layer in front of the engine; -http additionally
 // opens the gateway (POST /v1/query, GET /v1/stats, GET /metrics,
 // GET /healthz), which executes SkyQL against this node and any -peers.
-// By default admission rates are self-tuning (-rate-mode=adaptive): an
-// AIMD controller cuts backlogged tenants' rates when the engine's p99
-// breaches -slo-p99 and regrows them on headroom. -rate-mode=static keeps
-// the configured rates fixed. Every daemon exposes its full metric set in
+// Admission rates are self-tuning: an AIMD controller cuts backlogged
+// tenants' rates when the engine's p99 breaches -slo-p99 and regrows them
+// on headroom, up to -rate. Every daemon exposes its full metric set in
 // Prometheus text format on /metrics (see docs/OPERATIONS.md):
 //
 //	liferaftd -archive sdss -addr 127.0.0.1:7701 \
@@ -82,7 +81,6 @@ type options struct {
 	debugAddr   string
 	tenants     string
 	rate        float64
-	rateMode    string
 	sloP99      time.Duration
 	queueDepth  int
 	peers       string
@@ -106,8 +104,7 @@ func main() {
 	flag.StringVar(&o.httpAddr, "http", "", "HTTP gateway listen address (empty = disabled)")
 	flag.StringVar(&o.debugAddr, "debug-addr", "", "debug listen address serving /debug/traces and /debug/pprof (empty = disabled)")
 	flag.StringVar(&o.tenants, "tenants", "", "pre-registered tenants as name:weight pairs, e.g. vip:4,batch:1")
-	flag.Float64Var(&o.rate, "rate", 0, "per-tenant admission rate in queries/sec (0 = unlimited; in adaptive mode, the AIMD regrowth ceiling)")
-	flag.StringVar(&o.rateMode, "rate-mode", "adaptive", "admission rate control: adaptive (AIMD self-tuning, the default) or static (rates stay as configured)")
+	flag.Float64Var(&o.rate, "rate", 0, "per-tenant admission rate in queries/sec and the AIMD regrowth ceiling (0 = unlimited until the controller cuts)")
 	flag.DurationVar(&o.sloP99, "slo-p99", 2*time.Second, "target p99 response time driving the adaptive rate controller")
 	flag.IntVar(&o.queueDepth, "queue-depth", 0, "per-tenant pending-queue bound (0 = serving-layer default)")
 	flag.StringVar(&o.peers, "peers", "", "peer archives for gateway cross-matches as name=addr pairs")
@@ -142,9 +139,6 @@ func (o options) validate() error {
 	}
 	if o.rate < 0 {
 		return fmt.Errorf("-rate %v must be non-negative", o.rate)
-	}
-	if o.rateMode != string(server.RateAdaptive) && o.rateMode != string(server.RateStatic) {
-		return fmt.Errorf("-rate-mode %q must be adaptive or static", o.rateMode)
 	}
 	if o.sloP99 <= 0 {
 		return fmt.Errorf("-slo-p99 %v must be positive", o.sloP99)
@@ -229,7 +223,6 @@ func (o options) servingConfig(tenants []server.TenantConfig, reg *metric.Regist
 		DefaultRate: o.rate,
 		QueueDepth:  o.queueDepth,
 		Tenants:     tenants,
-		RateMode:    server.RateMode(o.rateMode),
 		SLOP99:      o.sloP99,
 		Registry:    reg,
 	}

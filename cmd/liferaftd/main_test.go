@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -22,7 +23,7 @@ func defaultOptions() options {
 	return options{
 		archive: "sdss", addr: "127.0.0.1:7701", baseN: 200_000, baseSeed: 42,
 		genLevel: 5, perBucket: 500, alpha: 0.25, cache: 20, shards: 1, virtual: true,
-		rateMode: "adaptive", sloP99: 2 * time.Second, traceSample: 1,
+		sloP99: 2 * time.Second, traceSample: 1,
 	}
 }
 
@@ -56,8 +57,6 @@ func TestValidateFlags(t *testing.T) {
 		{"data-dir with stride", func(o *options) { o.dataDir = "/tmp/lfseg"; o.objectBytes = 256 }, true},
 		{"object-bytes negative", func(o *options) { o.dataDir = "/tmp/lfseg"; o.objectBytes = -1 }, false},
 		{"object-bytes without data-dir", func(o *options) { o.objectBytes = 256 }, false},
-		{"rate-mode static", func(o *options) { o.rateMode = "static" }, true},
-		{"rate-mode bogus", func(o *options) { o.rateMode = "turbo" }, false},
 		{"slo-p99 zero", func(o *options) { o.sloP99 = 0 }, false},
 		{"trace-sample zero", func(o *options) { o.traceSample = 0 }, false},
 		{"trace-sample high", func(o *options) { o.traceSample = 1.5 }, false},
@@ -218,7 +217,7 @@ func TestGatewayRowsMatchRecordedBody(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := portal.Execute(fq)
+		rs, err := portal.ExecuteCtx(context.Background(), fq)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,25 +1,18 @@
 // Command lifevet runs the project-invariant static-analysis suite
-// (internal/lifevet) over the module: virtual-clock discipline,
-// zero-alloc service loop, nil-guarded observability, bounded metric
-// cardinality, fd hygiene, and lock discipline. It exits non-zero when
-// any diagnostic survives suppression, so CI can gate on it.
+// (internal/lifevet) over the module: nil-guarded observability, fd
+// hygiene, lock discipline and order, context flow, duration overflow,
+// and dropped errors. It exits non-zero when any diagnostic survives
+// suppression, so CI can gate on it. The only suppression is a
+// positional //lifevet:allow directive at the site, and a directive that
+// suppresses nothing is itself a finding.
 //
 // Usage:
 //
-//	lifevet [-json findings.json] [-baseline lifevet-baseline.json] [-vet] [-gofmt] [packages...]
+//	lifevet [-json findings.json] [-vet] [-gofmt] [packages...]
 //
 // With no package patterns it analyzes ./... . The -vet and -gofmt
 // flags fold the stock toolchain hygiene checks into the same gate, so
 // one CI step owns "static analysis is clean".
-//
-// The findings baseline is the ratchet: -baseline names a JSON file of
-// accepted (check, file, message) classes that pass without inline
-// directives; when the flag is not given, lifevet-baseline.json next to
-// the module root is used automatically if present. New findings fail
-// the run, and baseline entries that no longer match anything fail as
-// stale-baseline — the accepted set can only shrink. -update-baseline
-// rewrites the baseline file from the current findings (use it when
-// deliberately accepting a class, then justify the diff in review).
 package main
 
 import (
@@ -36,8 +29,6 @@ import (
 
 func main() {
 	jsonPath := flag.String("json", "", "write diagnostics as a JSON array to this file (empty array when clean)")
-	baselinePath := flag.String("baseline", "", "findings baseline file (default: lifevet-baseline.json if present)")
-	updateBaseline := flag.Bool("update-baseline", false, "rewrite the baseline file from the current findings and exit")
 	withVet := flag.Bool("vet", false, "also run `go vet` on the analyzed packages and fail on any report")
 	withGofmt := flag.Bool("gofmt", false, "also assert `gofmt -l .` reports no files")
 	listChecks := flag.Bool("checks", false, "list registered analyzers and exit")
@@ -48,7 +39,6 @@ func main() {
 			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
 		}
 		fmt.Printf("%-16s %s\n", lifevet.StaleDirectiveCheck, "meta: //lifevet:allow directives that suppress nothing fail the run")
-		fmt.Printf("%-16s %s\n", lifevet.StaleBaselineCheck, "meta: baseline entries that match no finding fail the run")
 		return
 	}
 
@@ -65,39 +55,6 @@ func main() {
 		os.Exit(2)
 	}
 	res := lifevet.Run(mod, lifevet.Analyzers())
-
-	const defaultBaseline = "lifevet-baseline.json"
-	if *updateBaseline {
-		path := *baselinePath
-		if path == "" {
-			path = defaultBaseline
-		}
-		b := lifevet.BaselineFrom(res, ".")
-		if err := lifevet.WriteBaseline(path, b); err != nil {
-			fmt.Fprintf(os.Stderr, "lifevet: writing baseline %s: %v\n", path, err)
-			os.Exit(2)
-		}
-		fmt.Printf("lifevet: wrote %d accepted finding class(es) to %s\n", len(b.Findings), path)
-		return
-	}
-	switch {
-	case *baselinePath != "":
-		// An explicitly named baseline must exist: a typo'd path silently
-		// running without the ratchet would defeat it.
-		b, err := lifevet.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lifevet: %v\n", err)
-			os.Exit(2)
-		}
-		lifevet.ApplyBaseline(&res, b, ".")
-	default:
-		if b, err := lifevet.LoadBaseline(defaultBaseline); err == nil {
-			lifevet.ApplyBaseline(&res, b, ".")
-		} else if !os.IsNotExist(err) {
-			fmt.Fprintf(os.Stderr, "lifevet: %v\n", err)
-			os.Exit(2)
-		}
-	}
 
 	for _, d := range res.Diagnostics {
 		fmt.Println(d)
@@ -117,7 +74,7 @@ func main() {
 		}
 	}
 	if len(res.Diagnostics) > 0 {
-		fmt.Fprintf(os.Stderr, "lifevet: %d finding(s), %d suppressed by directives, %d baselined\n", len(res.Diagnostics), res.Suppressed, res.Baselined)
+		fmt.Fprintf(os.Stderr, "lifevet: %d finding(s), %d suppressed by directives\n", len(res.Diagnostics), res.Suppressed)
 		failed = true
 	}
 

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sync"
@@ -65,7 +66,7 @@ func main() {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rs, err := portal.Execute(liferaft.FedQuery{
+			rs, err := portal.ExecuteCtx(context.Background(), liferaft.FedQuery{
 				ID: uint64(i + 1), RA: 140 + float64(5*i), Dec: 15, RadiusDeg: 5,
 				MatchRadiusArcsec: 5, Selectivity: 0.4,
 				Archives: []string{"twomass", "sdss", "usnob"},

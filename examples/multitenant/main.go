@@ -164,7 +164,7 @@ func main() {
 	eng = newEngine()
 	preload := func(n int) {
 		for i := 0; i < n; i++ {
-			if _, err := eng.Submit(freshJob(floodJobs[i%len(floodJobs)])); err != nil {
+			if _, err := eng.SubmitCtx(context.Background(), freshJob(floodJobs[i%len(floodJobs)])); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -172,7 +172,7 @@ func main() {
 	preload(500)
 	var rawWorst time.Duration
 	for _, j := range steadyJobs {
-		ch, err := eng.Submit(freshJob(j))
+		ch, err := eng.SubmitCtx(context.Background(), freshJob(j))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -182,6 +182,7 @@ func (c *LRU[K, V]) Put(k K, v V) {
 		c.free = c.free[:len(c.free)-1]
 	default:
 		c.slots = append(c.slots, lruSlot[K, V]{})
+		//lifevet:allow durovf -- slot index bounded by the configured LRU capacity, far below 2^31
 		i = int32(len(c.slots) - 1)
 	}
 	c.slots[i].k, c.slots[i].v = k, v

@@ -502,54 +502,3 @@ func (c *Catalog) AppendInCap(dst []Object, cp geom.Cap) []Object {
 	coverPool.Put(scratch)
 	return out
 }
-
-// EstimateInCap returns the approximate number of objects in the cap
-// without materializing them: full trixels contribute their exact counts,
-// boundary trixels contribute in proportion to an area estimate. Paper-
-// scale cost-mode experiments use this to build workload queues cheaply.
-func (c *Catalog) EstimateInCap(cp geom.Cap) int64 {
-	cover := htm.CoverCap(cp, c.cfg.GenLevel)
-	var est float64
-	for _, r := range cover {
-		for pos := r.Start.Pos(); pos <= r.End.Pos(); pos++ {
-			cnt := float64(c.counts[pos])
-			if cnt == 0 {
-				continue
-			}
-			id := htm.FromPos(pos, c.cfg.GenLevel)
-			switch id.Triangle().CapRelation(cp) {
-			case geom.Inside:
-				est += cnt
-			case geom.Partial:
-				est += cnt * capTriangleFraction(cp, id)
-			}
-		}
-	}
-	return int64(math.Round(est))
-}
-
-// capTriangleFraction estimates the fraction of a trixel's area inside the
-// cap by deterministic low-discrepancy sampling.
-func capTriangleFraction(cp geom.Cap, id htm.ID) float64 {
-	tri := id.Triangle()
-	const grid = 4 // 10 sample points from a barycentric lattice
-	in, n := 0, 0
-	for i := 0; i <= grid; i++ {
-		for j := 0; j+i <= grid; j++ {
-			u := (float64(i) + 0.5) / (grid + 1)
-			v := (float64(j) + 0.5) / (grid + 1)
-			if u+v >= 1 {
-				continue
-			}
-			p := tri.V0.Scale(1 - u - v).Add(tri.V1.Scale(u)).Add(tri.V2.Scale(v)).Normalize()
-			n++
-			if cp.Contains(p) {
-				in++
-			}
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(in) / float64(n)
-}

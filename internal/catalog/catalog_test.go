@@ -228,22 +228,6 @@ func TestInCap(t *testing.T) {
 	}
 }
 
-func TestEstimateInCap(t *testing.T) {
-	c := mustNew(t, Config{Name: "t", N: 200000, Seed: 10, GenLevel: 5})
-	for _, radius := range []float64{2, 5, 12} {
-		cp := geom.NewCap(geom.FromRaDec(111, -20), geom.Radians(radius))
-		est := c.EstimateInCap(cp)
-		exact := int64(len(c.InCap(cp)))
-		if exact == 0 {
-			t.Fatalf("radius %v: no exact objects", radius)
-		}
-		ratio := float64(est) / float64(exact)
-		if ratio < 0.7 || ratio > 1.4 {
-			t.Errorf("radius %v: estimate %d vs exact %d (ratio %.2f)", radius, est, exact, ratio)
-		}
-	}
-}
-
 func TestDensityProfiles(t *testing.T) {
 	pole := geom.Vec3{Z: 1}
 	band := Band(pole, 10, 20)

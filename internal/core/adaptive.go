@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 )
@@ -39,12 +40,12 @@ func NewAdaptive(live *Live, tuner *Tuner, est *SaturationEstimator, threshold f
 	return a, nil
 }
 
-// Submit forwards to the live engine after updating the saturation
+// SubmitCtx forwards to the live engine after updating the saturation
 // estimate and, if warranted, the engine's α.
-func (a *Adaptive) Submit(job Job) (<-chan Result, error) {
+func (a *Adaptive) SubmitCtx(ctx context.Context, job Job) (<-chan Result, error) {
 	a.est.Observe(a.live.Clock().Now())
 	a.maybeRetune()
-	return a.live.Submit(job)
+	return a.live.SubmitCtx(ctx, job)
 }
 
 // maybeRetune consults the tuner when the saturation estimate has moved by

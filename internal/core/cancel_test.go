@@ -114,7 +114,7 @@ func TestLiveCancelDropsWork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ch, err := l.Submit(job)
+		ch, err := l.SubmitCtx(context.Background(), job)
 		if err != nil {
 			t.Fatal(err)
 		}

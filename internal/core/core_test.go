@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"sync"
@@ -502,7 +503,7 @@ func TestLiveEngine(t *testing.T) {
 	sub := jobs[:30]
 	chans := make([]<-chan Result, len(sub))
 	for i, j := range sub {
-		ch, err := l.Submit(j)
+		ch, err := l.SubmitCtx(context.Background(), j)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -534,7 +535,7 @@ func TestLiveEngine(t *testing.T) {
 	if !ok || stats.Completed != len(sub) {
 		t.Errorf("live stats = %+v ok=%v", stats, ok)
 	}
-	if _, err := l.Submit(sub[0]); err != ErrClosed {
+	if _, err := l.SubmitCtx(context.Background(), sub[0]); err != ErrClosed {
 		t.Errorf("Submit after Close = %v, want ErrClosed", err)
 	}
 	if err := l.Close(); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"runtime"
@@ -108,7 +109,7 @@ func perShardReference(t *testing.T, cfg Config, jobs []Job, offs []time.Duratio
 
 func submitWait(t *testing.T, l *Live, job Job) Result {
 	t.Helper()
-	ch, err := l.Submit(job)
+	ch, err := l.SubmitCtx(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +402,7 @@ func TestNoMatchAndCancelledPairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	ch, err := l.Submit(job)
+	ch, err := l.SubmitCtx(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +499,7 @@ func BenchmarkSubmitMaterializing(b *testing.B) {
 			}
 			defer l.Close()
 			run := func(job Job) {
-				ch, err := l.Submit(job)
+				ch, err := l.SubmitCtx(context.Background(), job)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -25,11 +25,11 @@ import (
 // match time to its own disk, until its own inbox has work again. The
 // owner waits for every part, so a service still ends once, with the pairs
 // it would have had alone.
-// Submit counts the query's workload objects by the shards owning the
+// SubmitCtx counts the query's workload objects by the shards owning the
 // buckets they overlap and never blocks on in-progress bucket services. It
 // copies none of them: every touched shard is handed the caller's
 // Job.Objects, read-only, and queues what falls in its own buckets; a
-// materializing query's pairs go into one array Submit allocates from those
+// materializing query's pairs go into one array SubmitCtx allocates from those
 // counts, each shard appending to its own region of it (fanIn). The worker
 // that finishes the query's last shard sums the counters, closes the gaps
 // between the regions and resolves the caller's channel. SetAlpha and
@@ -47,7 +47,7 @@ type Live struct {
 	workers     []*shardWorker
 
 	// Merged query counts, bumped by the worker resolving a query. Atomics,
-	// not mu: a worker must never wait on a lock Submit holds while sending
+	// not mu: a worker must never wait on a lock SubmitCtx holds while sending
 	// to that worker's inbox.
 	completed atomic.Int64
 	cancelled atomic.Int64
@@ -133,7 +133,7 @@ func (l *Live) resolved(cancelled bool) {
 // Clock returns the engine's time source (set by its Config).
 func (l *Live) Clock() simclock.Clock { return l.clock }
 
-// ErrClosed is returned by Submit after Close.
+// ErrClosed is returned by SubmitCtx after Close.
 var ErrClosed = errors.New("core: live engine closed")
 
 // NewLive starts a live engine: one scheduling goroutine per shard. The
@@ -200,20 +200,14 @@ func newWorkers(scheds []*scheduler) []*shardWorker {
 	return workers
 }
 
-// Submit enqueues a query. The returned channel delivers exactly one
-// Result when the query completes, then closes.
-func (l *Live) Submit(job Job) (<-chan Result, error) {
-	// No context to thread through: nil is SubmitCtx's "never cancelled".
-	return l.SubmitCtx(nil, job)
-}
-
-// SubmitCtx is Submit with cancellation: when ctx expires before the query
-// completes, the query is cancelled — its remaining workload objects are
-// dropped from the queues so an abandoned query stops consuming workload
-// slots — and the channel delivers a Result with Cancelled set (carrying
-// the partial work done before the cancel). If the engine is closing by
-// then, the query drains to its uncancelled result instead. A nil ctx, or
-// one that can never be cancelled, makes SubmitCtx identical to Submit.
+// SubmitCtx enqueues a query. The returned channel delivers exactly one
+// Result when the query completes, then closes. When ctx expires before
+// the query completes, the query is cancelled — its remaining workload
+// objects are dropped from the queues so an abandoned query stops
+// consuming workload slots — and the channel delivers a Result with
+// Cancelled set (carrying the partial work done before the cancel). If
+// the engine is closing by then, the query drains to its uncancelled
+// result instead.
 func (l *Live) SubmitCtx(ctx context.Context, job Job) (<-chan Result, error) {
 	m := &merge{l: l, out: make(chan Result, 1)}
 	var width int
@@ -237,7 +231,7 @@ func (l *Live) SubmitCtx(ctx context.Context, job Job) (<-chan Result, error) {
 		close(m.out)
 		return m.out, nil
 	}
-	if ctx != nil && ctx.Done() != nil {
+	if ctx.Done() != nil {
 		// Registered before the fan-out so the resolving worker sees stop;
 		// the cancel itself needs l.mu, so it still lands behind the
 		// submissions below in every inbox.

@@ -64,7 +64,7 @@ func TestLiveConcurrentSubmitters(t *testing.T) {
 			wg.Add(1)
 			go func(i int, job Job) {
 				defer wg.Done()
-				ch, err := l.Submit(job)
+				ch, err := l.SubmitCtx(context.Background(), job)
 				if err != nil {
 					errs[i] = err
 					return
@@ -107,7 +107,7 @@ func TestLiveConcurrentSubmitters(t *testing.T) {
 		if len(stats.PerShard) != k {
 			t.Errorf("PerShard has %d entries, want %d", len(stats.PerShard), k)
 		}
-		if _, err := l.Submit(jobs[0]); err != ErrClosed {
+		if _, err := l.SubmitCtx(context.Background(), jobs[0]); err != ErrClosed {
 			t.Errorf("submit after close: %v, want ErrClosed", err)
 		}
 		if err := l.Close(); err != nil {
@@ -129,7 +129,7 @@ func TestLiveCloseWaitsForDrain(t *testing.T) {
 		}
 		var chans []<-chan Result
 		for _, j := range jobs[:20] {
-			ch, err := l.Submit(j)
+			ch, err := l.SubmitCtx(context.Background(), j)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,7 +168,7 @@ func TestLiveClockNeverBehindACompletion(t *testing.T) {
 		}
 		defer l.Close()
 		for _, j := range jobs[:10] {
-			ch, err := l.Submit(j)
+			ch, err := l.SubmitCtx(context.Background(), j)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,7 +191,7 @@ func TestLiveEmptyJobCompletesImmediately(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer l.Close()
-		ch, err := l.Submit(Job{ID: 424242})
+		ch, err := l.SubmitCtx(context.Background(), Job{ID: 424242})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +310,7 @@ func TestAdaptiveRetunes(t *testing.T) {
 	clk := cfg.Clock.(*simclock.Virtual)
 	var chans []<-chan Result
 	for i := 0; i < 10; i++ {
-		ch, err := ad.Submit(jobs[i])
+		ch, err := ad.SubmitCtx(context.Background(), jobs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,7 +318,7 @@ func TestAdaptiveRetunes(t *testing.T) {
 		clk.Advance(10 * time.Second) // 0.1 q/s
 	}
 	for i := 10; i < 40; i++ {
-		ch, err := ad.Submit(jobs[i])
+		ch, err := ad.SubmitCtx(context.Background(), jobs[i])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -354,7 +354,7 @@ func TestOneHotBucketScalesWithShards(t *testing.T) {
 		}
 		defer l.Close()
 		submit := func(j Job) Result {
-			ch, err := l.Submit(j)
+			ch, err := l.SubmitCtx(context.Background(), j)
 			if err != nil {
 				t.Fatal(err)
 			}

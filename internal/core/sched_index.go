@@ -80,6 +80,7 @@ func (h *qheap) down(i int) {
 // push inserts q; q must not already be in this heap.
 func (h *qheap) push(q *bqueue) {
 	h.s = append(h.s, q)
+	//lifevet:allow durovf -- heap position bounded by the bucket-queue count, far below 2^31
 	q.pos[h.slot] = int32(len(h.s) - 1)
 	h.up(len(h.s) - 1)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"sort"
 	"sync"
@@ -360,7 +361,7 @@ func TestLiveShardedClockAdvances(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, job := range jobs[:6] {
-		ch, err := l.Submit(job)
+		ch, err := l.SubmitCtx(context.Background(), job)
 		if err != nil {
 			t.Fatal(err)
 		}

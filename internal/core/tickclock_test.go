@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"strconv"
@@ -49,7 +50,7 @@ func TestLiveTickClockChargesModelOnce(t *testing.T) {
 		}
 		assignments := 0
 		for _, j := range jobs {
-			ch, err := l.Submit(j)
+			ch, err := l.SubmitCtx(context.Background(), j)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -216,6 +216,7 @@ func runVSCAN(r float64, seed int64) (totalSeek, maxWait int) {
 		if i%3 != 0 {
 			cyl = 100 + (i%2)*700 // clustered hot regions
 		}
+		//lifevet:allow durovf -- paper-figure sweep over fixed small inputs; bounds are the experiment definition
 		v.Add(disk.Request{Cylinder: cyl, Arrived: now.Add(time.Duration(i) * time.Second), ID: id})
 		id++
 	}

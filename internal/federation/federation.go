@@ -250,15 +250,6 @@ func (n *Node) Close() error {
 // one (the HTTP gateway backs /v1/stats with it).
 func (n *Node) Serving() *server.Server { return n.serving }
 
-// ServingStats snapshots the node's serving layer; ok is false for nodes
-// built without one.
-func (n *Node) ServingStats() (server.Stats, bool) {
-	if n.serving == nil {
-		return server.Stats{}, false
-	}
-	return n.serving.Stats(), true
-}
-
 // Name returns the archive name.
 func (n *Node) Name() string { return n.name }
 
@@ -297,20 +288,14 @@ func (n *Node) Extract(req ExtractRequest) (ExtractResponse, error) {
 	return ExtractResponse{Objects: out}, nil
 }
 
-// Match implements the cross-match step: the shipped objects become a
+// MatchCtx implements the cross-match step: the shipped objects become a
 // LifeRaft job; the node's engine batches it with other in-flight queries.
-//
-//lifevet:allow ctxflow -- compat shim for the ctx-less Transport API: the fresh root is the documented semantic ("no deadline"); deadline-carrying callers use MatchCtx
-func (n *Node) Match(req MatchRequest) (MatchResponse, error) {
-	return n.MatchCtx(context.Background(), req)
-}
-
-// MatchCtx is Match with deadline and cancellation threading: when ctx
-// expires before the cross-match completes, the query is withdrawn all the
-// way into the engine's workload queues (abandoned work stops consuming
-// schedule slots) and ctx.Err() is returned. On a node with a serving
-// layer, the request passes admission control first: rejected queries
-// surface *server.OverloadError without ever reaching the engine.
+// When ctx expires before the cross-match completes, the query is
+// withdrawn all the way into the engine's workload queues (abandoned work
+// stops consuming schedule slots) and ctx.Err() is returned. On a node
+// with a serving layer, the request passes admission control first:
+// rejected queries surface *server.OverloadError without ever reaching
+// the engine.
 func (n *Node) MatchCtx(ctx context.Context, req MatchRequest) (MatchResponse, error) {
 	if req.MatchRadiusArcsec <= 0 {
 		return MatchResponse{}, fmt.Errorf("federation: non-positive match radius")
@@ -479,21 +464,14 @@ type ContextTransport interface {
 	MatchCtx(ctx context.Context, req MatchRequest) (MatchResponse, error)
 }
 
-// Execute runs the serial left-deep plan: extract at the driving archive,
-// then cross-match the surviving tuple frontier at each subsequent
-// archive, shipping intermediate results site to site (paper §3:
-// "intermediate join results are shipped from database to database until
-// all archives are cross-matched").
-//
-//lifevet:allow ctxflow -- compat shim for the ctx-less portal API: the fresh root is the documented semantic ("no deadline"); deadline-carrying callers use ExecuteCtx
-func (p *Portal) Execute(q Query) (*ResultSet, error) {
-	return p.ExecuteCtx(context.Background(), q)
-}
-
-// ExecuteCtx is Execute with the caller's context threaded through every
-// hop: when ctx expires, the in-flight hop's query is cancelled at its
-// archive (dropping its remaining workload objects from that node's
-// queues) and the plan aborts.
+// ExecuteCtx runs the serial left-deep plan: extract at the driving
+// archive, then cross-match the surviving tuple frontier at each
+// subsequent archive, shipping intermediate results site to site (paper
+// §3: "intermediate join results are shipped from database to database
+// until all archives are cross-matched"). The caller's context is
+// threaded through every hop: when ctx expires, the in-flight hop's query
+// is cancelled at its archive (dropping its remaining workload objects
+// from that node's queues) and the plan aborts.
 func (p *Portal) ExecuteCtx(ctx context.Context, q Query) (*ResultSet, error) {
 	if len(q.Archives) < 2 {
 		return nil, fmt.Errorf("federation: cross-match needs >= 2 archives, got %d", len(q.Archives))

@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"strings"
@@ -99,7 +100,7 @@ func TestExtractValidation(t *testing.T) {
 	if _, err := f.sdss.Extract(ExtractRequest{Selectivity: 0.5, RadiusDeg: 0}); err == nil {
 		t.Error("zero radius should fail")
 	}
-	if _, err := f.sdss.Match(MatchRequest{}); err == nil {
+	if _, err := f.sdss.MatchCtx(context.Background(), MatchRequest{}); err == nil {
 		t.Error("zero match radius should fail")
 	}
 }
@@ -129,7 +130,7 @@ func TestExtractSubsamples(t *testing.T) {
 
 func TestTwoArchiveCrossMatch(t *testing.T) {
 	f := newFixture(t)
-	rs, err := f.portal.Execute(testQuery())
+	rs, err := f.portal.ExecuteCtx(context.Background(), testQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestThreeArchivePlan(t *testing.T) {
 	f := newFixture(t)
 	q := testQuery()
 	q.Archives = []string{"twomass", "sdss", "usnob"}
-	rs, err := f.portal.Execute(q)
+	rs, err := f.portal.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestThreeArchivePlan(t *testing.T) {
 	// The three-way result must be a subset of the two-way result count:
 	// every surviving tuple also matched at sdss.
 	q2 := testQuery()
-	rs2, err := f.portal.Execute(q2)
+	rs2, err := f.portal.ExecuteCtx(context.Background(), q2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,17 +191,17 @@ func TestPortalValidation(t *testing.T) {
 	f := newFixture(t)
 	q := testQuery()
 	q.Archives = []string{"sdss"}
-	if _, err := f.portal.Execute(q); err == nil {
+	if _, err := f.portal.ExecuteCtx(context.Background(), q); err == nil {
 		t.Error("single-archive plan should fail")
 	}
 	q = testQuery()
 	q.Archives = []string{"nope", "sdss"}
-	if _, err := f.portal.Execute(q); err == nil || !strings.Contains(err.Error(), "unknown archive") {
+	if _, err := f.portal.ExecuteCtx(context.Background(), q); err == nil || !strings.Contains(err.Error(), "unknown archive") {
 		t.Errorf("unknown archive error = %v", err)
 	}
 	q = testQuery()
 	q.MatchRadiusArcsec = 0
-	if _, err := f.portal.Execute(q); err == nil {
+	if _, err := f.portal.ExecuteCtx(context.Background(), q); err == nil {
 		t.Error("zero radius plan should fail")
 	}
 	got := f.portal.Archives()
@@ -213,7 +214,7 @@ func TestPredicatePushdown(t *testing.T) {
 	f := newFixture(t)
 	q := testQuery()
 	q.MagLo, q.MagHi = 15, 18
-	rs, err := f.portal.Execute(q)
+	rs, err := f.portal.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestConcurrentPortalQueries(t *testing.T) {
 			q := testQuery()
 			q.ID = uint64(100 + i)
 			q.RA = 150 + float64(i)*2
-			rs, err := f.portal.Execute(q)
+			rs, err := f.portal.ExecuteCtx(context.Background(), q)
 			if err != nil {
 				errs[i] = err
 				return
@@ -294,7 +295,7 @@ func TestTCPTransportEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mDirect, err := f.sdss.Match(mreq)
+	mDirect, err := f.sdss.MatchCtx(context.Background(), mreq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,11 +329,11 @@ func TestTCPPortalEndToEnd(t *testing.T) {
 	p := NewPortal()
 	p.Register("twomass", Dial(srvA.Addr().String()))
 	p.Register("sdss", Dial(srvB.Addr().String()))
-	rs, err := p.Execute(testQuery())
+	rs, err := p.ExecuteCtx(context.Background(), testQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := f.portal.Execute(testQuery())
+	direct, err := f.portal.ExecuteCtx(context.Background(), testQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +445,7 @@ func TestPortalEmptyExtraction(t *testing.T) {
 	q := testQuery()
 	q.RA, q.Dec, q.RadiusDeg = 0, 89.9, 0.01
 	q.Selectivity = 0.0001
-	rs, err := f.portal.Execute(q)
+	rs, err := f.portal.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +467,7 @@ func TestObjectWireRoundTrip(t *testing.T) {
 // engine must return exactly the same match rows.
 func TestShardedNodeEquivalence(t *testing.T) {
 	f := newFixture(t)
-	single, err := f.portal.Execute(testQuery())
+	single, err := f.portal.ExecuteCtx(context.Background(), testQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +488,7 @@ func TestShardedNodeEquivalence(t *testing.T) {
 	portal := NewPortal()
 	portal.Register("sdss", InProc{sdss})
 	portal.Register("twomass", InProc{twomass})
-	sharded, err := portal.Execute(testQuery())
+	sharded, err := portal.ExecuteCtx(context.Background(), testQuery())
 	if err != nil {
 		t.Fatal(err)
 	}

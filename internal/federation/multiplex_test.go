@@ -22,7 +22,9 @@ func realClockNode(t *testing.T) *Node {
 	newFixture(t) // builds fedCats
 	n, err := NewNode(NodeConfig{
 		Catalog: fedCats[0], ObjectsPerBucket: 400, Alpha: 0.25,
-		Serving: &server.Config{RateMode: server.RateStatic, MaxInFlight: 8},
+		// An SLO far above any match here: the controller never cuts, so
+		// admission stays out of what these tests observe.
+		Serving: &server.Config{MaxInFlight: 8, SLOP99: time.Hour},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +57,7 @@ func eventually(t *testing.T, what string, cond func() bool) {
 }
 
 func inFlight(n *Node) int {
-	st, _ := n.ServingStats()
+	st := n.Serving().Stats()
 	return st.InFlight
 }
 
@@ -178,7 +180,7 @@ func busyNode(t *testing.T) (node *Node, srv *Server, cli *Client, req MatchRequ
 }
 
 func tenantStats(n *Node, tenant string) server.TenantStats {
-	st, _ := n.ServingStats()
+	st := n.Serving().Stats()
 	for _, ts := range st.Tenants {
 		if ts.Tenant == tenant {
 			return ts

@@ -124,7 +124,7 @@ func TestServerDropsSilentClient(t *testing.T) {
 
 // TestNodeServingLayer: a node built with NodeConfig.Serving applies
 // per-tenant admission control to Match traffic and exposes the
-// per-tenant breakdown through ServingStats.
+// per-tenant breakdown through Serving().Stats().
 func TestNodeServingLayer(t *testing.T) {
 	f := newFixture(t)
 	clk := simclock.NewVirtual()
@@ -150,26 +150,23 @@ func TestNodeServingLayer(t *testing.T) {
 		t.Fatal("empty extraction")
 	}
 	req := MatchRequest{QueryID: 1, MatchRadiusArcsec: 5, Objects: ext.Objects, Tenant: "limited"}
-	if _, err := node.Match(req); err != nil {
+	if _, err := node.MatchCtx(context.Background(), req); err != nil {
 		t.Fatalf("first match: %v", err)
 	}
-	_, err = node.Match(req)
+	_, err = node.MatchCtx(context.Background(), req)
 	var over *server.OverloadError
 	if !errors.As(err, &over) || over.Reason != server.OverloadRate {
 		t.Fatalf("second match err = %v, want rate OverloadError", err)
 	}
 
-	st, ok := node.ServingStats()
-	if !ok {
-		t.Fatal("serving stats unavailable on a serving node")
-	}
+	st := node.Serving().Stats()
 	if len(st.Tenants) == 0 || st.Tenants[0].Tenant != "limited" ||
 		st.Tenants[0].Completed != 1 || st.Tenants[0].RejectedRate != 1 {
 		t.Errorf("serving stats = %+v", st.Tenants)
 	}
 	// A node without a serving layer reports none.
-	if _, ok := f.sdss.ServingStats(); ok {
-		t.Error("plain node claims serving stats")
+	if f.sdss.Serving() != nil {
+		t.Error("plain node claims a serving layer")
 	}
 }
 

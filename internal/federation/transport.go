@@ -24,7 +24,11 @@ func (t InProc) Archive() (string, error) { return t.Node.Name(), nil }
 func (t InProc) Extract(req ExtractRequest) (ExtractResponse, error) { return t.Node.Extract(req) }
 
 // Match implements Transport.
-func (t InProc) Match(req MatchRequest) (MatchResponse, error) { return t.Node.Match(req) }
+//
+//lifevet:allow ctxflow -- the ctx-less Transport API's documented root: no deadline to discard; deadline-carrying callers use MatchCtx
+func (t InProc) Match(req MatchRequest) (MatchResponse, error) {
+	return t.Node.MatchCtx(context.Background(), req)
+}
 
 // MatchCtx implements ContextTransport.
 func (t InProc) MatchCtx(ctx context.Context, req MatchRequest) (MatchResponse, error) {

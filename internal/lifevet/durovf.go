@@ -45,8 +45,8 @@ import (
 //     tokenBucket.wait shape.
 //
 // Sites that are provably bounded by construction (trace generators,
-// paper-figure math over fixed inputs) are pinned in the findings
-// baseline rather than suppressed inline — see lifevet-baseline.json.
+// paper-figure math over fixed inputs, heap and slot indices) carry a
+// //lifevet:allow durovf directive saying what bounds them.
 var AnalyzerDurovf = &Analyzer{
 	Name: "durovf",
 	Doc:  "duration/integer arithmetic must not silently overflow or truncate",

@@ -83,9 +83,6 @@ type Result struct {
 	Diagnostics []Diagnostic
 	// Suppressed counts diagnostics silenced by allow directives.
 	Suppressed int
-	// Baselined counts diagnostics absorbed by the findings baseline
-	// (ApplyBaseline).
-	Baselined int
 }
 
 // directivePrefix introduces an allow directive comment. The rest of

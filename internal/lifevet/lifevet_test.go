@@ -237,8 +237,8 @@ func TestSelfCheck(t *testing.T) {
 	}
 	for _, d := range res.Diagnostics {
 		// The load set drags in module-internal dependencies of the other
-		// cmd binaries; those are covered by the module-wide run and its
-		// baseline. The self-check only vouches for the tool's own trees.
+		// cmd binaries; those are covered by the module-wide run. The
+		// self-check only vouches for the tool's own trees.
 		rel, rerr := filepath.Rel(moduleDir, d.File)
 		if rerr != nil {
 			rel = d.File
@@ -252,8 +252,9 @@ func TestSelfCheck(t *testing.T) {
 }
 
 // TestModuleBaselineTight runs the full module exactly as CI does and
-// asserts the committed baseline absorbs everything with no stale
-// entries: the ratchet is tight in both directions.
+// holds it to a zero-finding baseline with directives alone: every
+// finding must be answered by a positional //lifevet:allow directive,
+// and every directive must still suppress something.
 func TestModuleBaselineTight(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the real module")
@@ -263,15 +264,10 @@ func TestModuleBaselineTight(t *testing.T) {
 		t.Fatalf("load: %v", err)
 	}
 	res := Run(m, Analyzers())
-	b, err := LoadBaseline("../../lifevet-baseline.json")
-	if err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
-	ApplyBaseline(&res, b, "../..")
 	for _, d := range res.Diagnostics {
-		t.Errorf("module finding survived the baseline: %s", d)
+		t.Errorf("module finding: %s", d)
 	}
-	if res.Baselined == 0 {
-		t.Error("baseline absorbed nothing — the committed file should pin at least one finding class")
+	if res.Suppressed == 0 {
+		t.Error("no directive suppressed anything — the module's allow directives were not seen")
 	}
 }

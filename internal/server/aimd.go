@@ -11,7 +11,7 @@ import (
 // under contention; see DESIGN-overload.md for the stability argument.
 const (
 	// aimdUnlimited is the rate a tenant without a configured limit
-	// starts at in adaptive mode: admission-equivalent to no bucket, but
+	// starts at: admission-equivalent to no bucket, but
 	// cuttable the moment the SLO breaches.
 	aimdUnlimited = 1e9
 	// aimdBeta is the multiplicative decrease factor per breach tick.
@@ -40,9 +40,6 @@ const (
 // goroutine, so it works identically on the real clock and on a virtual
 // clock, where timers never fire. Caller holds s.mu.
 func (s *Server) maybeControlTick(now time.Time) {
-	if s.cfg.RateMode != RateAdaptive {
-		return
-	}
 	if s.ctlLast.IsZero() {
 		s.ctlLast = now
 		return
@@ -71,9 +68,6 @@ func (s *Server) controlTick(now time.Time, el time.Duration) {
 	headroom := p99 < slo*aimdHeadroomFrac && queued <= s.cfg.MaxInFlight
 	intervalSec := el.Seconds()
 	for _, t := range s.tenants {
-		if t.bucket == nil {
-			continue
-		}
 		observed := float64(t.winCompleted) / intervalSec
 		t.winCompleted = 0
 		switch {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -30,7 +31,7 @@ func tenantRate(s *Server, name string) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := s.tenants[name]
-	if t == nil || t.bucket == nil {
+	if t == nil {
 		return -1
 	}
 	return t.bucket.rate
@@ -131,31 +132,40 @@ func TestAIMDCutAndRegrow(t *testing.T) {
 	}
 }
 
-// TestStaticModeKeepsOldBehavior: -rate-mode=static must be the
-// pre-adaptive serving layer exactly — no bucket for unlimited tenants,
-// no controller ticks.
-func TestStaticModeKeepsOldBehavior(t *testing.T) {
-	clk := simclock.NewVirtual()
-	eng := newStubEngine(clk)
-	eng.auto = true
-	s, err := New(eng, Config{RateMode: RateStatic})
+// TestUnconfiguredTenantUnlimitedUntilCut: a tenant without a configured
+// rate holds a bucket at aimdUnlimited, and until the controller cuts it
+// that bucket admits like no bucket at all. On a frozen virtual clock no
+// token ever accrues and no control tick fires, so a burst far past
+// DefaultBurst at one instant must be admitted up to QueueDepth and then
+// turned away by the queue, never by the rate.
+func TestUnconfiguredTenantUnlimitedUntilCut(t *testing.T) {
+	const burst, depth = 4, 16
+	eng := newStubEngine(simclock.NewVirtual())
+	s, err := New(eng, Config{DefaultBurst: burst, QueueDepth: depth, MaxInFlight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := s.Submit(context.Background(), "x", core.Job{ID: 1}); err != nil {
-		t.Fatal(err)
+	// The stub holds every job; cancelling at exit lets Close drain them.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for i := uint64(1); i <= depth+4; i++ {
+		_, err := s.Submit(ctx, "x", core.Job{ID: i})
+		var oe *OverloadError
+		switch {
+		case err == nil:
+		case i <= depth:
+			t.Fatalf("query %d of a %d-deep queue rejected: %v", i, depth, err)
+		case !errors.As(err, &oe) || oe.Reason != OverloadQueue:
+			t.Fatalf("query %d: %v, want only queue-full rejections", i, err)
+		}
 	}
-	clk.Advance(time.Second)
-	if _, err := s.Submit(context.Background(), "x", core.Job{ID: 2}); err != nil {
-		t.Fatal(err)
+	st := s.Stats().Tenants[0]
+	if st.RejectedRate != 0 || st.Admitted < depth {
+		t.Errorf("admitted %d, rate-rejected %d; want >= %d admitted (burst %d) and no rate rejection",
+			st.Admitted, st.RejectedRate, depth, burst)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.tenants["x"].bucket != nil {
-		t.Error("static mode gave an unlimited tenant a token bucket")
-	}
-	if !s.ctlLast.IsZero() {
-		t.Error("static mode ran controller ticks")
+	if r := tenantRate(s, "x"); r != aimdUnlimited {
+		t.Errorf("rate %v, want aimdUnlimited: nothing should have cut it", r)
 	}
 }

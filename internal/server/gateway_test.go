@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -182,6 +183,30 @@ func TestGatewayHealthAndStats(t *testing.T) {
 	// route through it. Shape, not contents, is what this test pins.
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("stats = %d", resp.StatusCode)
+	}
+}
+
+// TestGatewayStatsKeys pins /v1/stats to what a serving daemon can
+// answer: the serving layer's own snapshot. Engine run statistics are
+// final only after the engine closes, when no gateway is left to ask.
+func TestGatewayStatsKeys(t *testing.T) {
+	ts := testGateway(t, func(ctx context.Context, tenant, query string) (any, error) { return "ok", nil })
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var top map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&top); err != nil {
+		t.Fatalf("stats not a JSON object: %v", err)
+	}
+	keys := make([]string, 0, len(top))
+	for k := range top {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	if want := []string{"in_flight", "queued", "tenants"}; !slices.Equal(keys, want) {
+		t.Errorf("/v1/stats keys = %v, want %v", keys, want)
 	}
 }
 

@@ -255,7 +255,7 @@ func rateCuts(t *testing.T, reg *metric.Registry, tenant string) float64 {
 //     flood submitted directly into the engine (no serving layer)
 //     degrades it by an order of magnitude.
 //   - flood: an unconfigured tenant (the one nobody provisioned for)
-//     stays saturating under adaptive mode with the SLO at 2x solo; the
+//     stays saturating under the controller with the SLO at 2x solo; the
 //     AIMD controller must cut it.
 //   - loris: a tenant holds 5 near-total scans outstanding, enough to
 //     fill every engine slot with one queued behind; every steady query
@@ -377,7 +377,7 @@ func rawEngineP99(t *testing.T, fx *loadJobs) float64 {
 	next := 0
 	flood := func(n int) {
 		for i := 0; i < n; i++ {
-			if _, err := raw.Submit(withID(fx.bursty[next%len(fx.bursty)])); err != nil {
+			if _, err := raw.SubmitCtx(context.Background(), withID(fx.bursty[next%len(fx.bursty)])); err != nil {
 				t.Fatal(err)
 			}
 			next++
@@ -386,7 +386,7 @@ func rawEngineP99(t *testing.T, fx *loadJobs) float64 {
 	flood(500)
 	var rawTimes []float64
 	for _, j := range fx.steady {
-		ch, err := raw.Submit(withID(j))
+		ch, err := raw.SubmitCtx(context.Background(), withID(j))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -60,7 +60,7 @@ func newServingMetrics(reg *metric.Registry) *servingMetrics {
 			"Client-observed response time on the serving clock, admission to engine completion.",
 			tenant, nil, capped),
 		tenantRate: reg.NewGaugeVec("liferaft_tenant_rate_qps",
-			"Current per-tenant admission rate at scrape time; the AIMD controller moves it in adaptive mode.",
+			"Current per-tenant admission rate at scrape time; the AIMD controller moves it.",
 			tenant, capped),
 		rateCuts: reg.NewCounterVec("liferaft_aimd_rate_cuts_total",
 			"AIMD multiplicative rate decreases per tenant (SLO breach with that tenant backlogged).",

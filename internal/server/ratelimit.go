@@ -33,8 +33,8 @@ func (b *tokenBucket) refill(now time.Time) {
 	b.last = now
 }
 
-// unlimited reports whether the bucket is at the adaptive-mode
-// "effectively unlimited" sentinel rate. Admission must skip take() then:
+// unlimited reports whether the bucket is at the "effectively unlimited"
+// sentinel rate (aimdUnlimited). Admission must skip take() then:
 // on a stalled virtual clock (cache-hot engine, zero modeled cost) no
 // tokens ever accrue, and an unlimited tenant would drain its burst and
 // be rejected by a limiter that is supposed to not exist yet.

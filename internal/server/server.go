@@ -41,7 +41,6 @@ type Engine interface {
 	SubmitCtx(ctx context.Context, job core.Job) (<-chan core.Result, error)
 	Cancel(id uint64) error
 	Clock() simclock.Clock
-	Stats() (core.RunStats, bool)
 }
 
 // TenantConfig declares one tenant's admission parameters.
@@ -87,17 +86,16 @@ type Config struct {
 	// tenants auto-register with the defaults above on first use.
 	Tenants []TenantConfig
 
-	// RateMode selects admission-rate control. RateAdaptive (the
-	// default) gives every tenant a token bucket — starting at its
-	// configured Rate, or effectively unlimited — and moves the rates
-	// with an AIMD controller driven by the SLO below. RateStatic is the
-	// pre-adaptive behavior: rates stay exactly as configured and
-	// tenants without a positive rate are never limited.
+	// RateMode names the admission-rate control, of which there is one:
+	// every tenant holds a token bucket — starting at its configured
+	// Rate, or effectively unlimited — whose rate an AIMD controller
+	// driven by the SLO below moves. It accepts "" or RateAdaptive;
+	// anything else is rejected by New.
 	RateMode RateMode
 	// SLOP99 is the target p99 client-observed response time on the
-	// serving clock (default 2s). In adaptive mode, a control window
-	// whose p99 exceeds it cuts backlogged tenants' rates
-	// multiplicatively; sustained headroom regrows them additively.
+	// serving clock (default 2s). A control window whose p99 exceeds it
+	// cuts backlogged tenants' rates multiplicatively; sustained
+	// headroom regrows them additively.
 	SLOP99 time.Duration
 	// ControlInterval is the AIMD evaluation period on the serving clock
 	// (default 250ms).
@@ -109,18 +107,12 @@ type Config struct {
 	Registry *metric.Registry
 }
 
-// RateMode selects how per-tenant admission rates are managed.
+// RateMode names how per-tenant admission rates are managed.
 type RateMode string
 
-// Rate-control modes.
-const (
-	// RateAdaptive self-tunes per-tenant rates with the AIMD controller
-	// (DESIGN-overload.md). The default.
-	RateAdaptive RateMode = "adaptive"
-	// RateStatic keeps configured rates fixed; unconfigured tenants are
-	// unlimited. The pre-adaptive behavior.
-	RateStatic RateMode = "static"
-)
+// RateAdaptive self-tunes per-tenant rates with the AIMD controller
+// (DESIGN-overload.md); it is the only mode.
+const RateAdaptive RateMode = "adaptive"
 
 func (c Config) withDefaults() (Config, error) {
 	if c.DefaultBurst < 1 {
@@ -150,10 +142,7 @@ func (c Config) withDefaults() (Config, error) {
 	if c.MaxTenants == 0 {
 		c.MaxTenants = 1024
 	}
-	if c.RateMode == "" {
-		c.RateMode = RateAdaptive
-	}
-	if c.RateMode != RateAdaptive && c.RateMode != RateStatic {
+	if c.RateMode != "" && c.RateMode != RateAdaptive {
 		return c, fmt.Errorf("server: unknown RateMode %q", c.RateMode)
 	}
 	if c.SLOP99 <= 0 {
@@ -227,7 +216,7 @@ type tenant struct {
 	name   string
 	weight int
 	depth  int
-	bucket *tokenBucket // nil when unlimited (static mode only)
+	bucket *tokenBucket
 	flow   *flow
 	resp   *stats.Reservoir
 	// maxRate is the AIMD regrowth ceiling (the configured rate, or
@@ -316,9 +305,7 @@ func (s *Server) gather() {
 	s.obs.tenants.Set(float64(len(s.tenants)))
 	for _, t := range s.tenants {
 		s.obs.queueDepth.With(t.name).Set(float64(t.flow.size()))
-		if t.bucket != nil {
-			s.obs.tenantRate.With(t.name).Set(t.bucket.rate)
-		}
+		s.obs.tenantRate.With(t.name).Set(t.bucket.rate)
 	}
 }
 
@@ -350,21 +337,14 @@ func (s *Server) register(tc TenantConfig) (*tenant, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &tenant{name: tc.Name, weight: weight, depth: depth, resp: resv}
-	switch {
-	case s.cfg.RateMode == RateAdaptive:
-		// Every tenant gets a cuttable bucket. Without a configured
-		// rate it starts effectively unlimited — admission-identical to
-		// no bucket until the controller's first cut.
-		t.maxRate = rate
-		if t.maxRate <= 0 {
-			t.maxRate = aimdUnlimited
-		}
-		t.bucket = newTokenBucket(t.maxRate, burst)
-	case rate > 0:
-		t.maxRate = rate
-		t.bucket = newTokenBucket(rate, burst)
+	t := &tenant{name: tc.Name, weight: weight, depth: depth, resp: resv, maxRate: rate}
+	// Every tenant gets a cuttable bucket. Without a configured rate it
+	// starts effectively unlimited — admission-identical to no bucket
+	// until the controller's first cut.
+	if t.maxRate <= 0 {
+		t.maxRate = aimdUnlimited
 	}
+	t.bucket = newTokenBucket(t.maxRate, burst)
 	t.flow = s.fq.flowFor(tc.Name, weight)
 	s.tenants[tc.Name] = t
 	return t, nil
@@ -390,10 +370,6 @@ func (s *Server) tenantLocked(name string) (*tenant, error) {
 // before completion the query is cancelled all the way into the engine's
 // workload queues and the Result carries Cancelled.
 func (s *Server) Submit(ctx context.Context, tenantName string, job core.Job) (<-chan core.Result, error) {
-	if ctx == nil {
-		//lifevet:allow ctxflow -- nil-ctx compat fallback: there is no caller deadline to discard, and the root documents "run to completion"
-		ctx = context.Background()
-	}
 	tr := trace.FromContext(ctx)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -424,7 +400,7 @@ func (s *Server) Submit(ctx context.Context, tenantName string, job core.Job) (<
 	if t.flow.size() >= t.depth {
 		t.rejectedQueue++
 		retry := 500 * time.Millisecond // advisory: roughly one service
-		if t.bucket != nil && !t.bucket.unlimited() {
+		if !t.bucket.unlimited() {
 			retry = t.bucket.wait(1, now)
 		}
 		if s.obs != nil {
@@ -437,7 +413,7 @@ func (s *Server) Submit(ctx context.Context, tenantName string, job core.Job) (<
 		}
 		return nil, oe
 	}
-	if t.bucket != nil && !t.bucket.unlimited() && !t.bucket.take(1, now) {
+	if !t.bucket.unlimited() && !t.bucket.take(1, now) {
 		t.rejectedRate++
 		retry := t.bucket.wait(1, now)
 		if s.obs != nil {
@@ -559,9 +535,7 @@ func (s *Server) await(p *pending, ch <-chan core.Result) {
 				s.obs.response.With(p.tenant.name).Observe(d.Seconds())
 			}
 		}
-		if s.cfg.RateMode == RateAdaptive {
-			s.ctlWindow = append(s.ctlWindow, d.Seconds())
-		}
+		s.ctlWindow = append(s.ctlWindow, d.Seconds())
 	}
 	s.maybeControlTick(s.clk.Now())
 	s.cond.Broadcast()
@@ -609,7 +583,8 @@ type TenantStats struct {
 	// sampled/sample_size fields).
 	RespTime stats.Summary `json:"resp_time"`
 	// RateQPS is the tenant's current admission rate in queries/sec
-	// (0 = unlimited). The AIMD controller moves it in adaptive mode.
+	// (1e9 = effectively unlimited, until the first cut). The AIMD
+	// controller moves it.
 	RateQPS float64 `json:"rate_qps,omitempty"`
 }
 
@@ -619,10 +594,6 @@ type Stats struct {
 	Tenants  []TenantStats `json:"tenants"`
 	Queued   int           `json:"queued"`
 	InFlight int           `json:"in_flight"`
-	// Engine carries the engine's merged RunStats when available (the
-	// core engine finalizes statistics at Close).
-	Engine   core.RunStats `json:"engine"`
-	EngineOK bool          `json:"engine_ok"`
 }
 
 // Stats snapshots the serving layer; safe to call concurrently with
@@ -644,15 +615,12 @@ func (s *Server) Stats() Stats {
 			Queued:        t.flow.size(),
 			InFlight:      t.inFlight,
 			RespTime:      t.resp.Summary(),
-		}
-		if t.bucket != nil {
-			ts.RateQPS = t.bucket.rate
+			RateQPS:       t.bucket.rate,
 		}
 		out.Tenants = append(out.Tenants, ts)
 	}
 	s.mu.Unlock()
 	sort.Slice(out.Tenants, func(i, j int) bool { return out.Tenants[i].Tenant < out.Tenants[j].Tenant })
-	out.Engine, out.EngineOK = s.eng.Stats()
 	return out
 }
 

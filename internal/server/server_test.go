@@ -75,9 +75,8 @@ func (e *stubEngine) complete(id uint64) {
 	}
 }
 
-func (e *stubEngine) Clock() simclock.Clock        { return e.clk }
-func (e *stubEngine) Stats() (core.RunStats, bool) { return core.RunStats{}, false }
-func (e *stubEngine) inflightCount() int           { e.mu.Lock(); defer e.mu.Unlock(); return len(e.inflight) }
+func (e *stubEngine) Clock() simclock.Clock { return e.clk }
+func (e *stubEngine) inflightCount() int    { e.mu.Lock(); defer e.mu.Unlock(); return len(e.inflight) }
 func (e *stubEngine) waitInflight(t *testing.T, n int) {
 	waitFor(t, func() bool { return e.inflightCount() == n })
 }
@@ -107,6 +106,9 @@ func TestServerValidation(t *testing.T) {
 	}
 	if _, err := New(newStubEngine(clk), Config{Tenants: []TenantConfig{{Name: ""}}}); err == nil {
 		t.Error("empty tenant name should fail")
+	}
+	if _, err := New(newStubEngine(clk), Config{RateMode: "static"}); err == nil {
+		t.Error("RateMode other than adaptive should fail")
 	}
 }
 

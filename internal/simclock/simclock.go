@@ -54,9 +54,6 @@ type Virtual struct {
 // NewVirtual returns a virtual clock starting at Epoch.
 func NewVirtual() *Virtual { return &Virtual{now: Epoch} }
 
-// NewVirtualAt returns a virtual clock starting at t.
-func NewVirtualAt(t time.Time) *Virtual { return &Virtual{now: t} }
-
 // NewVirtualTick returns a virtual clock starting at Epoch whose Sleep
 // wakes late, on the next multiple of tick — the way time.Sleep does on a
 // kernel that wakes sleepers on a millisecond timer — without sleeping

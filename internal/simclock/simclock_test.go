@@ -42,14 +42,6 @@ func TestVirtualAdvance(t *testing.T) {
 	}
 }
 
-func TestNewVirtualAt(t *testing.T) {
-	start := time.Date(2026, 6, 12, 0, 0, 0, 0, time.UTC)
-	v := NewVirtualAt(start)
-	if !v.Now().Equal(start) {
-		t.Errorf("start = %v", v.Now())
-	}
-}
-
 func TestVirtualConcurrency(t *testing.T) {
 	v := NewVirtual()
 	var wg sync.WaitGroup

@@ -84,15 +84,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// SummarizeDurations converts durations to seconds and summarizes.
-func SummarizeDurations(ds []time.Duration) Summary {
-	xs := make([]float64, len(ds))
-	for i, d := range ds {
-		xs[i] = d.Seconds()
-	}
-	return Summarize(xs)
-}
-
 // Percentile returns the p-quantile (p in [0,1]) of an ascending-sorted
 // sample by linear interpolation. Empty samples yield 0.
 func Percentile(sorted []float64, p float64) float64 {

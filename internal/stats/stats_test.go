@@ -44,13 +44,6 @@ func TestSummarizeZeroMean(t *testing.T) {
 	}
 }
 
-func TestSummarizeDurations(t *testing.T) {
-	s := SummarizeDurations([]time.Duration{time.Second, 3 * time.Second})
-	if !almostEq(s.Mean, 2, 1e-12) {
-		t.Errorf("mean = %v", s.Mean)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	sorted := []float64{1, 2, 3, 4, 5}
 	cases := []struct{ p, want float64 }{

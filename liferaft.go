@@ -77,14 +77,14 @@
 //	})
 //	ch, err := srv.Submit(ctx, "vip", job)
 //
-// By default admission rates are self-tuning: an AIMD controller cuts
-// backlogged tenants' rates when the windowed p99 breaches the configured
-// SLO (ServerConfig.SLOP99) and regrows them on headroom; RateStatic
-// keeps configured rates fixed. internal/server/DESIGN-overload.md has
-// the control-loop design and stability argument.
+// Admission rates are self-tuning: an AIMD controller cuts backlogged
+// tenants' rates when the windowed p99 breaches the configured SLO
+// (ServerConfig.SLOP99) and regrows them on headroom, never above a
+// tenant's configured rate. internal/server/DESIGN-overload.md has the
+// control-loop design and stability argument.
 //
 // Federation nodes take the same layer via FedNodeConfig.Serving, and
-// cmd/liferaftd exposes it as -rate, -rate-mode, -slo-p99, -queue-depth,
+// cmd/liferaftd exposes it as -rate, -slo-p99, -queue-depth,
 // and -tenants, plus an HTTP+JSON gateway (-http) accepting SkyQL on
 // /v1/query with per-tenant stats on /v1/stats and a Prometheus-text
 // metric scrape on /metrics. See examples/multitenant for the fairness
@@ -217,7 +217,7 @@ var (
 	RunNoShare = core.RunNoShare
 	// RunIndexOnly is SkyQuery's pre-LifeRaft index-exclusive approach.
 	RunIndexOnly = core.RunIndexOnly
-	// NewLive starts a concurrent engine accepting Submit calls.
+	// NewLive starts a concurrent engine accepting SubmitCtx calls.
 	NewLive = core.NewLive
 	// NewVirtualConfig builds the standard virtual-clock stack with
 	// paper defaults (20-bucket LRU cache, 3% hybrid threshold).
@@ -261,9 +261,6 @@ type (
 	Gateway = server.Gateway
 	// GatewayConfig configures a Gateway.
 	GatewayConfig = server.GatewayConfig
-	// RateMode selects how admission rates are governed; see
-	// ServerConfig.RateMode and internal/server/DESIGN-overload.md.
-	RateMode = server.RateMode
 	// MetricRegistry collects metric families and serves them in
 	// Prometheus text format (internal/metric); wire one through
 	// ServerConfig.Registry and GatewayConfig.Registry to expose
@@ -276,15 +273,6 @@ const (
 	OverloadRate    = server.OverloadRate
 	OverloadQueue   = server.OverloadQueue
 	OverloadTenants = server.OverloadTenants
-)
-
-// Admission rate-control modes for ServerConfig.RateMode.
-const (
-	// RateAdaptive self-tunes per-tenant rates with an AIMD controller
-	// against ServerConfig.SLOP99 (the default).
-	RateAdaptive = server.RateAdaptive
-	// RateStatic keeps configured rates fixed, the pre-adaptive behavior.
-	RateStatic = server.RateStatic
 )
 
 var (
