@@ -17,6 +17,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -86,15 +87,13 @@ type MatchRequest struct {
 	TraceID uint64
 }
 
-// MatchPair is one (local, shipped) match.
-type MatchPair struct {
-	Local  Object
-	Remote Object
-}
-
 // MatchResponse returns the matches found at the archive.
 type MatchResponse struct {
-	Pairs []MatchPair
+	// Pairs is the archive engine's answer as it found it: one (local,
+	// shipped) match per element, Remote being the shipped object. An
+	// in-process node hands over the query's own pair array, which the
+	// caller then owns; nothing is copied on the way out.
+	Pairs []xmatch.Pair
 	// Elapsed is the node-side processing time (virtual or real,
 	// depending on the node's clock).
 	Elapsed time.Duration
@@ -260,11 +259,14 @@ var extractScratch = sync.Pool{New: func() any { return new([]catalog.Object) }}
 
 // Extract implements the driving-archive region scan.
 func (n *Node) Extract(req ExtractRequest) (ExtractResponse, error) {
-	if req.Selectivity <= 0 || req.Selectivity > 1 {
+	if !(req.Selectivity > 0 && req.Selectivity <= 1) {
 		return ExtractResponse{}, fmt.Errorf("federation: selectivity %v out of (0,1]", req.Selectivity)
 	}
-	if req.RadiusDeg <= 0 {
-		return ExtractResponse{}, fmt.Errorf("federation: non-positive radius")
+	if !positiveFinite(req.RadiusDeg) {
+		return ExtractResponse{}, fmt.Errorf("federation: radius %v is not a positive finite number of degrees", req.RadiusDeg)
+	}
+	if math.IsNaN(req.RA) || math.IsInf(req.RA, 0) || math.IsNaN(req.Dec) || math.IsInf(req.Dec, 0) {
+		return ExtractResponse{}, fmt.Errorf("federation: region centre (%v, %v) is not finite", req.RA, req.Dec)
 	}
 	cap := geom.NewCap(geom.FromRaDec(req.RA, req.Dec), geom.Radians(req.RadiusDeg))
 	// Collect and sample in pooled scratch, this call's own until it is
@@ -297,8 +299,8 @@ func (n *Node) Extract(req ExtractRequest) (ExtractResponse, error) {
 // rejected queries surface *server.OverloadError without ever reaching
 // the engine.
 func (n *Node) MatchCtx(ctx context.Context, req MatchRequest) (MatchResponse, error) {
-	if req.MatchRadiusArcsec <= 0 {
-		return MatchResponse{}, fmt.Errorf("federation: non-positive match radius")
+	if !positiveFinite(req.MatchRadiusArcsec) {
+		return MatchResponse{}, fmt.Errorf("federation: match radius %v is not a positive finite number of arcseconds", req.MatchRadiusArcsec)
 	}
 	// Fail fast on a dead context: on a virtual clock the engine could
 	// otherwise complete the whole job before a cancel reaches it.
@@ -331,7 +333,13 @@ func (n *Node) MatchCtx(ctx context.Context, req MatchRequest) (MatchResponse, e
 
 	wos := make([]xmatch.WorkloadObject, len(req.Objects))
 	for i, o := range req.Objects {
-		wos[i] = xmatch.NewWorkloadObject(jobID, o.toCatalog(), radius)
+		// A peer's object is checked before its error circle is covered: a
+		// position that is no point of the sphere has no cover to find.
+		obj := o.toCatalog()
+		if !obj.Pos.IsUnit() {
+			return MatchResponse{}, fmt.Errorf("federation: node %s: shipped object %d: position %v is not a finite unit vector", n.name, o.ID, obj.Pos)
+		}
+		wos[i] = xmatch.NewWorkloadObject(jobID, obj, radius)
 	}
 	var pred xmatch.Predicate
 	if req.MagLo != 0 || req.MagHi != 0 {
@@ -365,18 +373,16 @@ func (n *Node) MatchCtx(ctx context.Context, req MatchRequest) (MatchResponse, e
 		}
 		return MatchResponse{}, fmt.Errorf("federation: node %s: query %d cancelled", n.name, req.QueryID)
 	}
-	resp := MatchResponse{Elapsed: time.Since(start)}
-	if len(res.Pairs) > 0 { // an empty result stays nil, as gob delivers it
-		resp.Pairs = make([]MatchPair, len(res.Pairs))
-	}
-	for i, p := range res.Pairs {
-		resp.Pairs[i] = MatchPair{Local: fromCatalog(p.Local), Remote: fromCatalog(p.Remote)}
-	}
+	resp := MatchResponse{Pairs: res.Pairs, Elapsed: time.Since(start)}
 	if remote {
 		resp.Spans = tr.Wire()
 	}
 	return resp, nil
 }
+
+// positiveFinite reports whether x is a usable radius: above zero, below
+// infinity, and not NaN.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 func subsample(seed int64, qid, oid uint64, p float64) bool {
 	x := uint64(seed) ^ qid*0x9E3779B97F4A7C15 ^ oid*0xBF58476D1CE4E5B9
@@ -476,8 +482,8 @@ func (p *Portal) ExecuteCtx(ctx context.Context, q Query) (*ResultSet, error) {
 	if len(q.Archives) < 2 {
 		return nil, fmt.Errorf("federation: cross-match needs >= 2 archives, got %d", len(q.Archives))
 	}
-	if q.MatchRadiusArcsec <= 0 {
-		return nil, fmt.Errorf("federation: non-positive match radius")
+	if !positiveFinite(q.MatchRadiusArcsec) {
+		return nil, fmt.Errorf("federation: match radius %v is not a positive finite number of arcseconds", q.MatchRadiusArcsec)
 	}
 	// The caller's trace (if any) rides in ctx: the extraction and every
 	// hop get a portal-side span, and each hop's node-side spans are
@@ -512,7 +518,8 @@ func (p *Portal) ExecuteCtx(ctx context.Context, q Query) (*ResultSet, error) {
 	// Live tuples are flat object chains: tuple t is chains[t*width :
 	// (t+1)*width], one object per archive joined so far in plan order. Its
 	// last object is the tuple's frontier — what the next archive must
-	// match against. One slice per hop; the rows are views of the last.
+	// match against. An intermediate hop builds the next hop's chains; the
+	// last builds none, and each row is a view of a tuple and a pair.
 	width := 1
 	chains := ext.Objects
 	if chains == nil {
@@ -520,8 +527,11 @@ func (p *Portal) ExecuteCtx(ctx context.Context, q Query) (*ResultSet, error) {
 	}
 	var scratch []Object // backs a frontier that has to be copied to ship, reused across hops
 
-	for _, archive := range q.Archives[1:] {
+	for hop, archive := range q.Archives[1:] {
 		if len(chains) == 0 {
+			if chains != nil {
+				rs.Rows = Rows{}
+			}
 			break
 		}
 		if err := ctx.Err(); err != nil {
@@ -584,7 +594,9 @@ func (p *Portal) ExecuteCtx(ctx context.Context, q Query) (*ResultSet, error) {
 
 		// Join: each tuple whose frontier object matched extends by the
 		// local counterpart(s), in pair order; tuples without matches are
-		// dropped. order lists the pairs grouped by shipped object.
+		// dropped. order lists the pairs grouped by shipped object. At
+		// least one tuple per pair survives; no pairs leaves next, or at
+		// the last hop the rows, nil.
 		pairs := resp.Pairs
 		order := make([]int32, len(pairs))
 		for i := range order {
@@ -596,29 +608,35 @@ func (p *Portal) ExecuteCtx(ctx context.Context, q Query) (*ResultSet, error) {
 			}
 			return cmp.Compare(a, b)
 		})
-		// At least one tuple per pair survives; no pairs leaves next nil.
-		var next []Object
-		if len(pairs) > 0 {
+		last := hop == len(q.Archives)-2
+		var (
+			next []Object
+			set  *rowSet
+		)
+		switch {
+		case len(pairs) == 0:
+		case last:
+			set = newRowSet(q.Archives, chains, width, pairs)
+			rs.Rows = make(Rows, 0, len(pairs))
+		default:
 			next = make([]Object, 0, len(pairs)*(width+1))
 		}
-		for t := 0; t < len(chains); t += width {
-			chain := chains[t : t+width]
+		for t := 0; t < len(chains)/width; t++ {
+			chain := chains[t*width : (t+1)*width]
 			id := chain[width-1].ID
 			k, _ := slices.BinarySearchFunc(order, id, func(i int32, id uint64) int {
 				return cmp.Compare(pairs[i].Remote.ID, id)
 			})
 			for ; k < len(order) && pairs[order[k]].Remote.ID == id; k++ {
+				if last {
+					rs.Rows = append(rs.Rows, Row{set: set, t: int32(t), k: order[k]})
+					continue
+				}
 				next = append(next, chain...)
-				next = append(next, pairs[order[k]].Local)
+				next = append(next, fromCatalog(pairs[order[k]].Local))
 			}
 		}
 		chains, width = next, width+1
-	}
-	if chains != nil { // a hop without pairs leaves Rows nil
-		rs.Rows = make(Rows, len(chains)/width)
-	}
-	for i := range rs.Rows {
-		rs.Rows[i] = Row{names: q.Archives, chain: chains[i*width : (i+1)*width : (i+1)*width]}
 	}
 	return rs, nil
 }

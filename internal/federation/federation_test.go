@@ -1,9 +1,17 @@
 package federation
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/gob"
+	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net"
+	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -299,8 +307,16 @@ func TestTCPTransportEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mOver.Pairs) != len(mDirect.Pairs) {
+	if len(mOver.Pairs) != len(mDirect.Pairs) || len(mDirect.Pairs) == 0 {
 		t.Fatalf("TCP match %d pairs, direct %d", len(mOver.Pairs), len(mDirect.Pairs))
+	}
+	// The pairs cross the wire whole, positions and separations included.
+	// QueryID is each call's node-local job ID, so it is not compared.
+	for i, p := range mOver.Pairs {
+		d := mDirect.Pairs[i]
+		if p.Local != d.Local || p.Remote != d.Remote || p.SepRad != d.SepRad {
+			t.Fatalf("pair %d over TCP %v, direct %v", i, p, d)
+		}
 	}
 
 	// Server-side errors propagate as client errors.
@@ -313,32 +329,192 @@ func TestTCPTransportEquivalence(t *testing.T) {
 	}
 }
 
+// TestTCPPortalEndToEnd: a plan whose every archive is reached over TCP
+// answers the same JSON, byte for byte, as the same plan in-process — where
+// the rows view the engine's own pair arrays rather than gob-decoded ones. The
+// three-archive plan ships sdss's half of the pairs on to usnob as the
+// intermediate frontier.
 func TestTCPPortalEndToEnd(t *testing.T) {
 	f := newFixture(t)
-	srvA, err := Serve(f.twomass, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srvA.Close()
-	srvB, err := Serve(f.sdss, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srvB.Close()
-
 	p := NewPortal()
-	p.Register("twomass", Dial(srvA.Addr().String()))
-	p.Register("sdss", Dial(srvB.Addr().String()))
-	rs, err := p.ExecuteCtx(context.Background(), testQuery())
+	for name, n := range map[string]*Node{"twomass": f.twomass, "sdss": f.sdss, "usnob": f.usnob} {
+		srv, err := Serve(n, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		cli := Dial(srv.Addr().String())
+		defer cli.Close()
+		p.Register(name, cli)
+	}
+	three := testQuery()
+	three.Archives = []string{"twomass", "sdss", "usnob"}
+	for _, q := range []Query{testQuery(), three} {
+		rs, err := p.ExecuteCtx(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := f.portal.ExecuteCtx(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(direct.Rows) == 0 {
+			t.Fatalf("%v: no rows in-process", q.Archives)
+		}
+		got, err := rs.Rows.AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := direct.Rows.AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%v: TCP federation answers %d rows, in-process %d, and the bytes differ", q.Archives, len(rs.Rows), len(direct.Rows))
+		}
+		if !reflect.DeepEqual(rs.Shipped, direct.Shipped) {
+			t.Errorf("%v: TCP federation shipped %v, in-process %v", q.Archives, rs.Shipped, direct.Shipped)
+		}
+	}
+}
+
+// TestNodeRefusesMalformedRequests: what a peer ships is checked before it
+// is worked on. A NaN or infinite radius or selectivity, and a shipped object
+// whose position is no point of the sphere, are refused with an error naming
+// the field or the object — in-process and over TCP alike — and promptly: an
+// object at the origin used to send its error circle's cover down every
+// trixel to level 14, pinning a server goroutine on a CPU, and a NaN match
+// radius used to pair each shipped object with every object of the buckets
+// it touched.
+func TestNodeRefusesMalformedRequests(t *testing.T) {
+	f := newFixture(t)
+	srv, err := Serve(f.sdss, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := f.portal.ExecuteCtx(context.Background(), testQuery())
+	defer srv.Close()
+	cli := DialTimeout(srv.Addr().String(), 10*time.Second)
+	defer cli.Close()
+
+	ok := ExtractRequest{QueryID: 1, RA: 150, Dec: 20, RadiusDeg: 1, Selectivity: 1, Seed: 1}
+	good, err := f.twomass.Extract(ok)
+	if err != nil || len(good.Objects) == 0 {
+		t.Fatalf("fixture: %d objects, %v", len(good.Objects), err)
+	}
+	extract := func(edit func(*ExtractRequest)) *ExtractRequest {
+		req := ok
+		edit(&req)
+		return &req
+	}
+	match := func(radius float64, bad ...Object) *MatchRequest {
+		return &MatchRequest{QueryID: 1, MatchRadiusArcsec: radius, Objects: append([]Object{good.Objects[0]}, bad...)}
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name    string
+		extract *ExtractRequest
+		match   *MatchRequest
+		want    string
+	}{
+		{"extract radius NaN", extract(func(r *ExtractRequest) { r.RadiusDeg = nan }), nil, "radius NaN"},
+		{"extract radius +Inf", extract(func(r *ExtractRequest) { r.RadiusDeg = inf }), nil, "radius +Inf"},
+		{"selectivity NaN", extract(func(r *ExtractRequest) { r.Selectivity = nan }), nil, "selectivity NaN"},
+		{"region centre NaN", extract(func(r *ExtractRequest) { r.Dec = nan }), nil, "region centre"},
+		{"match radius NaN", nil, match(nan), "match radius NaN"},
+		{"match radius +Inf", nil, match(inf), "match radius +Inf"},
+		{"object at the origin", nil, match(5, Object{ID: 77}), "shipped object 77"},
+		{"object NaN", nil, match(5, Object{ID: 78, X: nan, Y: 0.6, Z: 0.8}), "shipped object 78"},
+		{"object infinite", nil, match(5, Object{ID: 79, X: inf}), "shipped object 79"},
+		{"object off the sphere", nil, match(5, Object{ID: 80, X: 0.6, Y: 0.8, Z: 0.1}), "shipped object 80"},
+	}
+	type site interface {
+		Extract(ExtractRequest) (ExtractResponse, error)
+		MatchCtx(context.Context, MatchRequest) (MatchResponse, error)
+	}
+	for _, tr := range []struct {
+		name string
+		site site
+	}{{"in-process", InProc{f.sdss}}, {"TCP", cli}} {
+		for _, c := range cases {
+			done := make(chan error, 1)
+			go func() {
+				var err error
+				if c.extract != nil {
+					_, err = tr.site.Extract(*c.extract)
+				} else {
+					_, err = tr.site.MatchCtx(context.Background(), *c.match)
+				}
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Errorf("%s, %s: err = %v, want one naming %q", tr.name, c.name, err, c.want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s, %s: no answer within 10 s", tr.name, c.name)
+			}
+		}
+		// The node still serves well-formed requests.
+		if _, err := tr.site.MatchCtx(context.Background(), *match(5)); err != nil {
+			t.Errorf("%s: a well-formed match after the malformed ones: %v", tr.name, err)
+		}
+	}
+}
+
+// TestProtocolMismatchRefusedBothWays: a LIFERAFT/2 peer, whose pairs
+// carried flat positions this build's gob decoding would silently drop, is
+// refused at the handshake whichever end it is: a client dialing it fails with
+// the server's version in the error, and it is hung up on when it dials.
+func TestProtocolMismatchRefusedBothWays(t *testing.T) {
+	const old = "LIFERAFT/2"
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs.Rows) != len(direct.Rows) {
-		t.Errorf("TCP federation %d rows, in-proc %d", len(rs.Rows), len(direct.Rows))
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				fmt.Fprintf(conn, "%s\n", old)
+				io.Copy(io.Discard, conn)
+			}()
+		}
+	}()
+	cli := DialTimeout(ln.Addr().String(), 5*time.Second)
+	defer cli.Close()
+	if _, err := cli.Archive(); err == nil || !strings.Contains(err.Error(), `protocol mismatch: server speaks "`+old+`"`) {
+		t.Errorf("dialing a %s server: err = %v, want a protocol mismatch naming it", old, err)
+	}
+
+	f := newFixture(t)
+	srv, err := Serve(f.sdss, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	r := bufio.NewReader(conn)
+	if banner, err := r.ReadString('\n'); err != nil || banner != protoVersion+"\n" {
+		t.Fatalf("server banner %q, %v", banner, err)
+	}
+	fmt.Fprintf(conn, "%s\n", old)
+	gob.NewEncoder(conn).Encode(&rpcRequest{ID: 1, Kind: "archive"})
+	switch _, err := r.ReadByte(); {
+	case err == nil:
+		t.Errorf("the server answered a %s client", old)
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		t.Errorf("the server kept a %s client's connection open", old)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"liferaft/internal/metric"
 	"liferaft/internal/server"
+	"liferaft/internal/xmatch"
 )
 
 // realClockNode builds an sdss node that sleeps its modeled I/O for real —
@@ -61,7 +62,7 @@ func inFlight(n *Node) int {
 	return st.InFlight
 }
 
-func pairSet(pairs []MatchPair) map[[2]uint64]bool {
+func pairSet(pairs []xmatch.Pair) map[[2]uint64]bool {
 	out := make(map[[2]uint64]bool, len(pairs))
 	for _, p := range pairs {
 		out[[2]uint64{p.Local.ID, p.Remote.ID}] = true

@@ -16,7 +16,11 @@ import (
 	"sync"
 	"testing"
 
+	"liferaft/internal/catalog"
+	"liferaft/internal/geom"
+	"liferaft/internal/htm"
 	"liferaft/internal/server"
+	"liferaft/internal/xmatch"
 )
 
 // plainRow is Row without the Rows encoder in reach: what encoding/json
@@ -39,18 +43,26 @@ func plain(rs Rows) []plainRow {
 // tuple is the map a row stands for: the one it was decoded into, or for a
 // row the portal built, each of its archives' objects read through Object.
 func tuple(r Row) map[string]Object {
-	if r.chain == nil {
+	if r.set == nil {
 		return r.Objects
 	}
-	m := make(map[string]Object, len(r.chain))
-	for _, name := range r.names[:len(r.chain)] {
+	m := make(map[string]Object, r.members())
+	for _, name := range names(r) {
 		m[name], _ = r.Object(name)
 	}
 	return m
 }
 
+// names lists the archives of the plan that built r; none for a decoded row.
+func names(r Row) []string {
+	if r.set == nil {
+		return nil
+	}
+	return r.set.names
+}
+
 // portalRows runs a plan over scripted sites and returns the rows the portal
-// built: views over its chains, not maps.
+// built: views over its chains and pairs, not maps.
 func portalRows(t *testing.T, archives []string, driving []Object, fan func(archive string, id uint64) int) Rows {
 	t.Helper()
 	p := NewPortal()
@@ -177,7 +189,7 @@ func TestRowsJSONEquivalence(t *testing.T) {
 			t.Fatalf("%s: %d rows decoded of %d", name, len(decoded), len(rows))
 		}
 		for i, r := range rows {
-			for _, archive := range append([]string{"absent"}, r.names...) {
+			for _, archive := range append([]string{"absent"}, names(r)...) {
 				got, gotOK := decoded[i].Object(archive)
 				want, wantOK := r.Object(archive)
 				if got != want || gotOK != wantOK {
@@ -312,8 +324,8 @@ func (s *scriptedSite) Match(req MatchRequest) (MatchResponse, error) {
 		for i := len(req.Objects) - 1; i >= 0; i-- { // against shipped order
 			o := req.Objects[i]
 			if round < s.fan(o.ID) {
-				local := Object{ID: (o.ID*7 + uint64(round)) % 5, HTMID: o.ID, X: float64(round), Mag: o.Mag}
-				resp.Pairs = append(resp.Pairs, MatchPair{Local: local, Remote: o})
+				local := catalog.Object{ID: (o.ID*7 + uint64(round)) % 5, HTMID: htm.ID(o.ID), Pos: geom.Vec3{X: float64(round)}, Mag: o.Mag}
+				resp.Pairs = append(resp.Pairs, xmatch.Pair{Local: local, Remote: o.toCatalog()})
 				emitted = true
 			}
 		}
@@ -362,7 +374,7 @@ func referenceRows(t *testing.T, p *Portal, q Query) ([]Row, map[string]int) {
 		resp, _ := site.Match(MatchRequest{Objects: shipped})
 		byRemote := make(map[uint64][]Object)
 		for _, pr := range resp.Pairs {
-			byRemote[pr.Remote.ID] = append(byRemote[pr.Remote.ID], pr.Local)
+			byRemote[pr.Remote.ID] = append(byRemote[pr.Remote.ID], fromCatalog(pr.Local))
 		}
 		var nextRows []Row
 		var nextFrontier []Object
@@ -461,9 +473,11 @@ func TestPortalRowsMatchMapAlgorithm(t *testing.T) {
 // TestExecuteEncodeAllocBudget bounds what one materializing two-archive
 // query allocates from portal to JSON on warm virtual-clock nodes. With
 // 275 objects shipped and 275 rows back it takes about 40 allocations and
-// 265 KB; with pairs and objects re-copied between layers it took 66 and
-// 360 KB, with a map per row 640, and with a cover slice per workload
-// object, a map per tuple per hop and the reflective map encoder 4 662.
+// 195 KB; with each pair converted to a wire pair and into a last-hop chain
+// it took 265 KB, with pairs and objects re-copied between layers 66
+// allocations and 360 KB, with a map per row 640, and with a cover slice per
+// workload object, a map per tuple per hop and the reflective map encoder
+// 4 662.
 func TestExecuteEncodeAllocBudget(t *testing.T) {
 	f := newFixture(t)
 	q := testQuery()
@@ -499,13 +513,15 @@ func TestExecuteEncodeAllocBudget(t *testing.T) {
 		t.Errorf("%.0f allocs for %d shipped objects and %d rows, budget %.0f", got, shipped, rows, budget)
 	}
 	// And the bytes: a shipped object is copied into the extraction's wire
-	// slice (48 B), a workload object (80), its share of the query's one
-	// pair array (126), a MatchPair (96) and the portal's chain (96); the
-	// encoder here takes about 300 per row. Each further copy of the pairs
-	// or the objects between layers — a pair slice doubled up from nil, a
-	// merge, a per-shard object slice, an extraction collected in a slice of
-	// its own — adds 50 to 330 B per object and breaks it.
-	if budget := float64(shipped * 1100); allocated > budget && !raceEnabled { // under the race detector sync.Pool drops what it is given
+	// slice (48 B), a workload object (80) and its share of the query's one
+	// pair array (126), which the node hands the portal as it is; its row is
+	// a 24-byte view of that array and of the extraction, and the encoder
+	// here takes about 300 per row. Each further copy of the pairs or the
+	// objects between layers — a wire pair per pair (96), a last-hop chain
+	// (96), a pair slice doubled up from nil, a merge, a per-shard object
+	// slice, an extraction collected in a slice of its own — adds 50 to 330
+	// B per object and breaks it.
+	if budget := float64(shipped * 850); allocated > budget && !raceEnabled { // under the race detector sync.Pool drops what it is given
 		t.Errorf("%.0f B allocated for %d shipped objects and %d rows, budget %.0f", allocated, shipped, rows, budget)
 	}
 	t.Logf("%.0f allocs, %.0f B, %d shipped, %d rows, %d response bytes", got, allocated, shipped, rows, buf.Len())
@@ -575,11 +591,61 @@ func TestExtractAllocBudget(t *testing.T) {
 	}
 }
 
+// TestNodeMatchAllocBudget: a warm in-process Node.MatchCtx allocates per
+// shipped object its workload object (80 B) and up to 64 B of the engine's
+// queue entries and bucket lists, the query's one pair array, which it
+// returns as it is (with the shard regions' slack, under 1.3 pairs' room per
+// pair), and a few KB per query besides. At 275 objects and 275 pairs that is
+// about 76 KB against a budget of 84. A wire pair per pair (96 B), or any
+// other copy of the pairs on the way out, breaks it.
+func TestNodeMatchAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	f := newFixture(t)
+	req := MatchRequest{QueryID: 1, MatchRadiusArcsec: 5, Objects: shipped(t, f, 150, 12)}
+	var resp MatchResponse
+	run := func() {
+		var err error
+		if resp, err = f.sdss.MatchCtx(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the bucket caches and the engine's scratch
+	objects, pairs := len(req.Objects), len(resp.Pairs)
+	if objects < 100 || pairs < objects/2 {
+		t.Fatalf("fixture too small to mean anything: %d shipped, %d pairs", objects, pairs)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	allocated := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	pairSize := float64(reflect.TypeOf(xmatch.Pair{}).Size())
+	budget := (80+64)*float64(objects) + 1.3*pairSize*float64(pairs) + 4096
+	if allocated > budget {
+		t.Errorf("%.0f B allocated for %d shipped objects and %d pairs, budget %.0f", allocated, objects, pairs, budget)
+	}
+	t.Logf("%.0f B for %d shipped objects and %d pairs of %.0f B (budget %.0f)", allocated, objects, pairs, pairSize, budget)
+}
+
+// TestRowSize: a row the portal builds is a view — its row set and two
+// indexes beside the map a decoded row fills — so a result's rows cost 24 B
+// each, not a copy of their objects.
+func TestRowSize(t *testing.T) {
+	if size := reflect.TypeOf(Row{}).Size(); size > 24 {
+		t.Errorf("a Row is %d bytes, want at most 24", size)
+	}
+}
+
 // fixedSite answers every request with slices built beforehand, so that what
 // a query through it allocates is the portal's and the gateway's doing.
 type fixedSite struct {
 	objects []Object
-	pairs   []MatchPair
+	pairs   []xmatch.Pair
 }
 
 func (s fixedSite) Archive() (string, error) { return "fixed", nil }
@@ -597,11 +663,13 @@ func (s fixedSite) Match(MatchRequest) (MatchResponse, error) {
 // slice or a boxed value per row would show as hundreds.
 func TestGatewayQueryAllocBudget(t *testing.T) {
 	measure := func(rows int) float64 {
-		site := fixedSite{objects: make([]Object, rows), pairs: make([]MatchPair, rows)}
+		site := fixedSite{objects: make([]Object, rows), pairs: make([]xmatch.Pair, rows)}
 		for i := range site.objects {
 			o := Object{ID: uint64(i + 1), HTMID: 1<<31 + uint64(i), X: 0.5, Y: -0.25, Z: 1e-7, Mag: 17.5}
 			site.objects[i] = o
-			site.pairs[i] = MatchPair{Local: Object{ID: uint64(7 * i), HTMID: o.HTMID, X: o.X, Y: o.Y, Z: o.Z, Mag: 20}, Remote: o}
+			local := o.toCatalog()
+			local.ID, local.Mag = uint64(7*i), 20
+			site.pairs[i] = xmatch.Pair{Local: local, Remote: o.toCatalog()}
 		}
 		portal := NewPortal()
 		portal.Register("twomass", site)

@@ -62,7 +62,7 @@ func TestClientCancelAbortsInFlight(t *testing.T) {
 			// Complete the handshake, then go silent mid-exchange.
 			go func() {
 				defer conn.Close()
-				fmt.Fprintf(conn, "LIFERAFT/2\n")
+				fmt.Fprintf(conn, "%s\n", protoVersion)
 				buf := make([]byte, 64)
 				conn.Read(buf)
 				<-make(chan struct{}) // never respond

@@ -35,7 +35,7 @@ func (t InProc) MatchCtx(ctx context.Context, req MatchRequest) (MatchResponse, 
 	return t.Node.MatchCtx(ctx, req)
 }
 
-// Wire protocol (LIFERAFT/2). Each side sends its version line, then the
+// Wire protocol (LIFERAFT/3). Each side sends its version line, then the
 // connection carries two independent gob streams of envelopes: requests one
 // way, responses the other. The client numbers its requests from a
 // per-connection counter and a response carries the ID of the request it
@@ -47,10 +47,15 @@ func (t InProc) MatchCtx(ctx context.Context, req MatchRequest) (MatchResponse, 
 // of its own, while the withdrawn request is still answered (with its
 // context error): the client drops that answer, as it drops every response
 // whose ID is no longer pending.
+//
+// Version 3 ships a match's pairs as the engine's xmatch.Pair, each object a
+// catalog.Object with its position nested in Pos. A version 2 peer's flat
+// pair objects would decode without their positions, and gob would not
+// complain, so the two versions refuse each other at the handshake.
 
 // protoVersion guards against cross-version deployments: a peer that
 // announces anything else is refused at the handshake.
-const protoVersion = "LIFERAFT/2"
+const protoVersion = "LIFERAFT/3"
 
 type rpcRequest struct {
 	ID      uint64 // echoed by the response; for "cancel", the request to withdraw

@@ -60,6 +60,11 @@ func (v Vec3) Normalize() Vec3 {
 	return v.Scale(1 / n)
 }
 
+// IsUnit reports whether v is a finite vector of unit length, to within the
+// rounding of a normalized one: a point of the sphere. NaN and infinite
+// components fail it, and so does the zero vector.
+func (v Vec3) IsUnit() bool { return math.Abs(v.Dot(v)-1) <= 1e-9 }
+
 // Mid returns the unit vector at the midpoint of the great-circle arc
 // between unit vectors v and w. It is the edge-bisection operation of the
 // HTM quad-tree decomposition.

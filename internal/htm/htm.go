@@ -360,11 +360,22 @@ func CoverCapInto(buf []Range, c geom.Cap, level int) []Range {
 		panic(fmt.Sprintf("htm: level %d out of range", level))
 	}
 	out := buf[:0]
+	if degenerate(c) {
+		return out
+	}
 	for i := 0; i < 8; i++ {
 		coverNode(FaceID(i), FaceTriangle(i), c, level, &out)
 	}
 	return MergeRanges(out)
 }
+
+// degenerate reports a cap that covers no point of the sphere a descent
+// could find: its centre is not a finite unit vector (geom.NewCap turns a
+// zero position into the zero vector and a NaN one into NaNs), or its radius
+// is NaN. Every geometric test against such a cap is undecided, so a descent
+// would visit every trixel down to the target level; its cover is empty
+// instead.
+func degenerate(c geom.Cap) bool { return !c.Center.IsUnit() || math.IsNaN(c.CosR) }
 
 func coverNode(id ID, tri geom.Triangle, c geom.Cap, level int, out *[]Range) {
 	switch tri.CapRelation(c) {
@@ -402,6 +413,9 @@ func CapBounds(c geom.Cap, level int) (lo, hi ID, ok bool) {
 func CapBoundsIn(c geom.Cap, level int, win Range) (lo, hi ID, ok bool) {
 	if level < 0 || level > MaxLevel {
 		panic(fmt.Sprintf("htm: level %d out of range", level))
+	}
+	if degenerate(c) {
+		return 0, 0, false
 	}
 	b := capBounds{c: c, win: win, sinReach: math.Inf(1)}
 	if c.CosR >= 0.5 {

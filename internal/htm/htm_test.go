@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"liferaft/internal/geom"
 )
@@ -655,6 +656,40 @@ func TestCapBoundsPanicsOnBadLevel(t *testing.T) {
 		}
 	}()
 	CapBounds(geom.NewCap(geom.Vec3{Z: 1}, 0.1), MaxLevel+1)
+}
+
+// TestCapBoundsOfDegenerateCapIsEmpty: a cap whose centre is no point of the
+// sphere — the origin, NaN or infinite coordinates — or whose radius is NaN
+// has an empty cover, found at once. Every geometric test against one is
+// undecided, so a descent used to visit every trixel down to the target
+// level: at level 14, longer than any caller waits.
+func TestCapBoundsOfDegenerateCapIsEmpty(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	caps := map[string]geom.Cap{
+		"origin":      geom.NewCap(geom.Vec3{}, 1e-5),
+		"NaN centre":  geom.NewCap(geom.Vec3{X: nan, Y: 0.6, Z: 0.8}, 1e-5),
+		"inf centre":  geom.NewCap(geom.Vec3{X: inf}, 1e-5),
+		"off-sphere":  {Center: geom.Vec3{X: 2}, CosR: math.Cos(1e-5)},
+		"NaN radius":  geom.NewCap(geom.Vec3{Z: 1}, nan),
+		"zero centre": {CosR: 1},
+	}
+	for name, c := range caps {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if lo, hi, ok := CapBounds(c, PaperLevel); ok {
+				t.Errorf("%s: CapBounds = [%d, %d], want an empty cover", name, lo, hi)
+			}
+			if cover := CoverCap(c, PaperLevel); len(cover) != 0 {
+				t.Errorf("%s: CoverCap = %v, want empty", name, cover)
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: no cover within 10 s", name)
+		}
+	}
 }
 
 // refCapBounds is CapBoundsIn as it was before the walk learned to tell
