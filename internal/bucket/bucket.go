@@ -177,6 +177,11 @@ type Backend interface {
 	// is valid until its next ProbeRanges. An empty range (Start > End)
 	// is a probe that finds nothing: counted, with nothing read for it.
 	ProbeRanges(i int, ranges []htm.Range) (objs []catalog.Object, bytesRead int64, err error)
+	// Recycle hands back an array this backend's ReadBucket returned and
+	// that nothing references any more: the caller gives up every view
+	// of it, and the backend may decode a later ReadBucket into it. A
+	// backend is free to drop it instead.
+	Recycle(objs []catalog.Object)
 	// Fork opens an independent backend over the same data (fresh file
 	// descriptors); each shard of a sharded engine gets its own.
 	Fork() (Backend, error)
@@ -320,6 +325,17 @@ func (s *Store) ReadBucket(i int) ([]catalog.Object, time.Duration) {
 		return nil, cost
 	}
 	return s.part.Materialize(i), cost
+}
+
+// Recycle returns to the backend an array s.ReadBucket returned, once
+// nothing reads it any more: no cache entry, join or result holds a view
+// of it, and none will. The next ReadBucket may overwrite it. A simulated
+// store's arrays come from the catalog, so without a backend Recycle does
+// nothing.
+func (s *Store) Recycle(objs []catalog.Object) {
+	if s.backend != nil {
+		s.backend.Recycle(objs)
+	}
 }
 
 // ProbeRanges charges the cost of len(ranges) index probes into bucket i

@@ -5,7 +5,12 @@ import (
 	"testing"
 	"time"
 
+	"liferaft/internal/bucket"
+	"liferaft/internal/disk"
+	"liferaft/internal/geom"
 	"liferaft/internal/metric"
+	"liferaft/internal/segment"
+	"liferaft/internal/simclock"
 	"liferaft/internal/xmatch"
 )
 
@@ -216,6 +221,78 @@ func TestStepServiceLoopZeroAllocMaterializing(t *testing.T) {
 		}
 		if allocs != 0 {
 			t.Errorf("steady-state materializing step allocates %.2f/op, want 0", allocs)
+		}
+	})
+}
+
+// TestStepServiceLoopZeroAllocEvicting is the materializing claim over a
+// real segment store whose buckets do not all fit: the cache holds a quarter
+// of them and, at α = 1 with every refill young again, the oldest queue is
+// serviced next, so the services cycle through every bucket and each is a
+// cold scan that evicts one — and decodes into the array it evicted, so a
+// steady-state step still allocates nothing.
+func TestStepServiceLoopZeroAllocEvicting(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	part, dir, _, _ := parityFixture(t)
+	// Eight units of every bucket — a scan at the default threshold — that
+	// are queued on that bucket alone.
+	job := Job{ID: 1}
+	for b := 0; b < part.NumBuckets(); b++ {
+		n := 0
+		for _, o := range part.Materialize(b) {
+			wo := xmatch.NewWorkloadObject(1, o, geom.ArcsecToRad(5))
+			if n < 8 && len(part.BucketsForRanges(wo.Ranges())) == 1 {
+				job.Objects = append(job.Objects, wo)
+				n++
+			}
+		}
+	}
+	forEachMetrics(t, func(t *testing.T, em *EngineMetrics) {
+		set, err := segment.OpenSet(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer set.Close()
+		clk := simclock.Real{}
+		d := disk.New(parityModel(), clk)
+		s, err := newScheduler(Config{
+			Store: bucket.NewStore(part, d, true).WithBackend(segment.NewBackend(set, true)),
+			Disk:  d, Clock: clk, Policy: PolicyLifeRaft, Alpha: 1, CacheBuckets: part.NumBuckets() / 4,
+			MaterializeResults: true, Metrics: em,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.admit(job, clk.Now()) != nil {
+			t.Fatal("the job completed at admission")
+		}
+		qs := s.queries[job.ID]
+		qs.remaining++ // a sentinel unit: the query outlives every service
+		var refill []item
+		step := func() {
+			var bi int
+			bi, refill = stepPicked(t, s, refill)
+			qs.result.Pairs = qs.result.Pairs[:0]
+			now := clk.Now()
+			for _, it := range refill {
+				it.arrived = now
+				qs.remaining++
+				s.pushItem(bi, it)
+			}
+		}
+		for i := 0; i < 2*part.NumBuckets(); i++ {
+			step()
+		}
+		const runs = 400
+		misses, evictions := s.cache.Stats().Misses, s.cache.Stats().Evictions
+		allocs := testing.AllocsPerRun(runs, step)
+		if st := s.cache.Stats(); st.Misses-misses < runs || st.Evictions-evictions < runs {
+			t.Fatalf("%d misses and %d evictions in %d steps: the services are not cold scans", st.Misses-misses, st.Evictions-evictions, runs)
+		}
+		if allocs != 0 {
+			t.Errorf("steady-state evicting step allocates %.2f/op, want 0", allocs)
 		}
 	})
 }

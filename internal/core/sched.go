@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -141,7 +142,10 @@ type scheduler struct {
 	completedBuf []Result
 	bisBuf       []int
 	scoredBuf    []scored
-	qPool        []*bqueue
+	qPool        queuePool
+	// qsPool holds the state of queries that completed here, for admit to
+	// reuse with its buckets list.
+	qsPool []*queryState
 
 	// fj is the join-and-charge step of the service in progress (parts.go),
 	// with the pair buffers every service reuses. offers, set by Live on the
@@ -206,8 +210,12 @@ func newScheduler(cfg Config) (*scheduler, error) {
 	s.fj.preds, s.fj.materialize = s.preds, cfg.MaterializeResults
 	// Policy evictions flip φ(i) for the evicted bucket; the hook keeps
 	// that bucket's cached Ut in sync (admissions are the scheduler's
-	// own cachePut calls).
-	s.cache.OnEvict(func(k int, _ bucketObjects) {
+	// own cachePut calls). The evicted array goes back to the store: the
+	// cache held its one view, and the store overwrites it no earlier than
+	// this shard's next ReadBucket, which follows the current service's
+	// fj.finish, so no part, helper or join can still be reading it.
+	s.cache.OnEvict(func(k int, objs bucketObjects) {
+		s.cfg.Store.Recycle(objs)
 		s.noteCacheChange(k)
 		if s.obs != nil {
 			s.obs.cacheEvict.Inc()
@@ -230,13 +238,56 @@ func newScheduler(cfg Config) (*scheduler, error) {
 // one to prove their decision sequences bit-identical.
 func (s *scheduler) dropIndex() { s.idx = nil }
 
+// queuePool holds released queues as a max-heap on item capacity. A new
+// queue takes the largest items array on hand: the queue released last is
+// as often as not a cold bucket's few items, while a hot bucket's queue
+// grows to hundreds, and growing it again from a small array is most of
+// what pushes allocate.
+type queuePool []*bqueue
+
+func (p *queuePool) push(q *bqueue) {
+	h := append(*p, q)
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if cap(h[up].items) >= cap(h[i].items) {
+			break
+		}
+		h[up], h[i] = h[i], h[up]
+		i = up
+	}
+	*p = h
+}
+
+// pop removes and returns the queue with the most item capacity; the pool
+// must not be empty.
+func (p *queuePool) pop() *bqueue {
+	h := *p
+	top, n := h[0], len(h)-1
+	h[0], h[n] = h[n], nil
+	h = h[:n]
+	for i := 0; ; {
+		big := i
+		for c := 2*i + 1; c <= 2*i+2 && c < n; c++ {
+			if cap(h[c].items) > cap(h[big].items) {
+				big = c
+			}
+		}
+		if big == i {
+			break
+		}
+		h[i], h[big] = h[big], h[i]
+		i = big
+	}
+	*p = h
+	return top
+}
+
 // newQueue takes a recycled bqueue from the pool (or allocates one) and
 // resets it for bucket bi.
 func (s *scheduler) newQueue(bi int) *bqueue {
 	var q *bqueue
-	if n := len(s.qPool); n > 0 {
-		q = s.qPool[n-1]
-		s.qPool = s.qPool[:n-1]
+	if len(s.qPool) > 0 {
+		q = s.qPool.pop()
 	} else {
 		q = &bqueue{}
 	}
@@ -254,7 +305,7 @@ func (s *scheduler) newQueue(bi int) *bqueue {
 func (s *scheduler) releaseQueue(q *bqueue) {
 	q.items = q.items[:0]
 	q.ageFrontier = q.ageFrontier[:0]
-	s.qPool = append(s.qPool, q)
+	s.qPool.push(q)
 }
 
 // pushItem enqueues one work unit on bucket bi, creating the queue if
@@ -341,11 +392,12 @@ func (s *scheduler) admit(job Job, arrived time.Time) (done *Result) {
 	if share == 0 {
 		share = len(job.Objects)
 	}
-	qs := &queryState{
+	qs := s.newQueryState()
+	*qs = queryState{
 		job:     job,
 		arrived: arrived,
 		result:  Result{QueryID: job.ID, Arrived: arrived, Pairs: job.region},
-		buckets: make([]int, 0, share),
+		buckets: slices.Grow(qs.buckets[:0], share),
 		trace:   job.Trace,
 	}
 	part := s.cfg.Store.Partition()
@@ -379,6 +431,25 @@ func (s *scheduler) admit(job Job, arrived time.Time) (done *Result) {
 	}
 	s.maybeSpill()
 	return nil
+}
+
+// newQueryState takes a completed query's state from the pool (or
+// allocates one); admit overwrites every field but the buckets array.
+func (s *scheduler) newQueryState() *queryState {
+	n := len(s.qsPool)
+	if n == 0 {
+		return &queryState{}
+	}
+	qs := s.qsPool[n-1]
+	s.qsPool = s.qsPool[:n-1]
+	return qs
+}
+
+// releaseQueryState returns the state of a query that completed — its
+// Result already copied out — to the pool, keeping only its buckets array.
+func (s *scheduler) releaseQueryState(qs *queryState) {
+	*qs = queryState{buckets: qs.buckets[:0]}
+	s.qsPool = append(s.qsPool, qs)
 }
 
 // ageWeight implements the QoS age-depreciation extension (§6).
@@ -925,6 +996,7 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 			completed = append(completed, qs.result)
 			delete(s.queries, qid)
 			delete(s.preds, qid)
+			s.releaseQueryState(qs)
 		}
 	}
 	s.completedBuf = completed

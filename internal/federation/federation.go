@@ -302,6 +302,9 @@ func (n *Node) MatchCtx(ctx context.Context, req MatchRequest) (MatchResponse, e
 	if !positiveFinite(req.MatchRadiusArcsec) {
 		return MatchResponse{}, fmt.Errorf("federation: match radius %v is not a positive finite number of arcseconds", req.MatchRadiusArcsec)
 	}
+	if err := checkMagWindow(req.MagLo, req.MagHi); err != nil {
+		return MatchResponse{}, err
+	}
 	// Fail fast on a dead context: on a virtual clock the engine could
 	// otherwise complete the whole job before a cancel reaches it.
 	if err := ctx.Err(); err != nil {
@@ -331,12 +334,19 @@ func (n *Node) MatchCtx(ctx context.Context, req MatchRequest) (MatchResponse, e
 	jobID := n.nextID
 	n.mu.Unlock()
 
-	wos := make([]xmatch.WorkloadObject, len(req.Objects))
+	// The workload objects are pooled: the engine reads them until every
+	// shard has admitted the job, and the serving layer relays a result
+	// only after the engine delivers it, so once the channel has delivered
+	// nothing reads them any more.
+	wp := workloadPool.Get().(*[]xmatch.WorkloadObject)
+	wos := slices.Grow((*wp)[:0], len(req.Objects))[:len(req.Objects)]
+	*wp = wos
 	for i, o := range req.Objects {
 		// A peer's object is checked before its error circle is covered: a
 		// position that is no point of the sphere has no cover to find.
 		obj := o.toCatalog()
 		if !obj.Pos.IsUnit() {
+			workloadPool.Put(wp)
 			return MatchResponse{}, fmt.Errorf("federation: node %s: shipped object %d: position %v is not a finite unit vector", n.name, o.ID, obj.Pos)
 		}
 		wos[i] = xmatch.NewWorkloadObject(jobID, obj, radius)
@@ -361,12 +371,16 @@ func (n *Node) MatchCtx(ctx context.Context, req MatchRequest) (MatchResponse, e
 		ch, err = n.engine.SubmitCtx(ctx, job)
 	}
 	if err != nil {
+		workloadPool.Put(wp) // a refused job was queued nowhere
 		return MatchResponse{}, fmt.Errorf("federation: node %s: %w", n.name, err)
 	}
 	res, ok := <-ch
 	if !ok {
+		// A closing engine may not have let go of the objects: leave them
+		// to the collector.
 		return MatchResponse{}, fmt.Errorf("federation: node %s dropped query", n.name)
 	}
+	workloadPool.Put(wp)
 	if res.Cancelled {
 		if err := ctx.Err(); err != nil {
 			return MatchResponse{}, fmt.Errorf("federation: node %s: query %d: %w", n.name, req.QueryID, err)
@@ -380,9 +394,25 @@ func (n *Node) MatchCtx(ctx context.Context, req MatchRequest) (MatchResponse, e
 	return resp, nil
 }
 
+// workloadPool recycles the workload objects MatchCtx builds for the engine.
+var workloadPool = sync.Pool{New: func() any { return new([]xmatch.WorkloadObject) }}
+
 // positiveFinite reports whether x is a usable radius: above zero, below
 // infinity, and not NaN.
 func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+// checkMagWindow refuses a magnitude bound that is not a finite number: a
+// NaN bound fails every comparison, so the window would silently match
+// nothing.
+func checkMagWindow(lo, hi float64) error {
+	if math.IsNaN(lo) || math.IsInf(lo, 0) {
+		return fmt.Errorf("federation: magnitude bound MagLo %v is not a finite number", lo)
+	}
+	if math.IsNaN(hi) || math.IsInf(hi, 0) {
+		return fmt.Errorf("federation: magnitude bound MagHi %v is not a finite number", hi)
+	}
+	return nil
+}
 
 func subsample(seed int64, qid, oid uint64, p float64) bool {
 	x := uint64(seed) ^ qid*0x9E3779B97F4A7C15 ^ oid*0xBF58476D1CE4E5B9
@@ -484,6 +514,9 @@ func (p *Portal) ExecuteCtx(ctx context.Context, q Query) (*ResultSet, error) {
 	}
 	if !positiveFinite(q.MatchRadiusArcsec) {
 		return nil, fmt.Errorf("federation: match radius %v is not a positive finite number of arcseconds", q.MatchRadiusArcsec)
+	}
+	if err := checkMagWindow(q.MagLo, q.MagHi); err != nil {
+		return nil, err
 	}
 	// The caller's trace (if any) rides in ctx: the extraction and every
 	// hop get a portal-side span, and each hop's node-side spans are

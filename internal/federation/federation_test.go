@@ -212,6 +212,16 @@ func TestPortalValidation(t *testing.T) {
 	if _, err := f.portal.ExecuteCtx(context.Background(), q); err == nil {
 		t.Error("zero radius plan should fail")
 	}
+	q = testQuery()
+	q.MagLo = math.NaN()
+	if _, err := f.portal.ExecuteCtx(context.Background(), q); err == nil || !strings.Contains(err.Error(), "MagLo NaN") {
+		t.Errorf("NaN magnitude bound: err = %v, want one naming MagLo", err)
+	}
+	q = testQuery()
+	q.MagHi = math.Inf(1)
+	if _, err := f.portal.ExecuteCtx(context.Background(), q); err == nil || !strings.Contains(err.Error(), "MagHi +Inf") {
+		t.Errorf("infinite magnitude bound: err = %v, want one naming MagHi", err)
+	}
 	got := f.portal.Archives()
 	if len(got) != 3 || got[0] != "sdss" {
 		t.Errorf("Archives = %v", got)
@@ -379,13 +389,14 @@ func TestTCPPortalEndToEnd(t *testing.T) {
 }
 
 // TestNodeRefusesMalformedRequests: what a peer ships is checked before it
-// is worked on. A NaN or infinite radius or selectivity, and a shipped object
-// whose position is no point of the sphere, are refused with an error naming
-// the field or the object — in-process and over TCP alike — and promptly: an
-// object at the origin used to send its error circle's cover down every
-// trixel to level 14, pinning a server goroutine on a CPU, and a NaN match
-// radius used to pair each shipped object with every object of the buckets
-// it touched.
+// is worked on. A NaN or infinite radius, selectivity or magnitude bound, and
+// a shipped object whose position is no point of the sphere, are refused with
+// an error naming the field or the object — in-process and over TCP alike —
+// and promptly: an object at the origin used to send its error circle's cover
+// down every trixel to level 14, pinning a server goroutine on a CPU, a NaN
+// match radius used to pair each shipped object with every object of the
+// buckets it touched, and a NaN magnitude bound used to answer no pairs at
+// all.
 func TestNodeRefusesMalformedRequests(t *testing.T) {
 	f := newFixture(t)
 	srv, err := Serve(f.sdss, "127.0.0.1:0")
@@ -409,6 +420,11 @@ func TestNodeRefusesMalformedRequests(t *testing.T) {
 	match := func(radius float64, bad ...Object) *MatchRequest {
 		return &MatchRequest{QueryID: 1, MatchRadiusArcsec: radius, Objects: append([]Object{good.Objects[0]}, bad...)}
 	}
+	mags := func(lo, hi float64) *MatchRequest {
+		req := match(5)
+		req.MagLo, req.MagHi = lo, hi
+		return req
+	}
 	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
 		name    string
@@ -426,6 +442,10 @@ func TestNodeRefusesMalformedRequests(t *testing.T) {
 		{"object NaN", nil, match(5, Object{ID: 78, X: nan, Y: 0.6, Z: 0.8}), "shipped object 78"},
 		{"object infinite", nil, match(5, Object{ID: 79, X: inf}), "shipped object 79"},
 		{"object off the sphere", nil, match(5, Object{ID: 80, X: 0.6, Y: 0.8, Z: 0.1}), "shipped object 80"},
+		{"MagLo NaN", nil, mags(nan, 18), "MagLo NaN"},
+		{"MagHi NaN", nil, mags(15, nan), "MagHi NaN"},
+		{"MagLo -Inf", nil, mags(-inf, 18), "MagLo -Inf"},
+		{"MagHi +Inf", nil, mags(15, inf), "MagHi +Inf"},
 	}
 	type site interface {
 		Extract(ExtractRequest) (ExtractResponse, error)

@@ -16,11 +16,15 @@ import (
 // the point — but skip decoding.
 //
 // A FileBackend serves one scheduling goroutine: probes decode into
-// scratch the backend owns. Shards each Fork their own.
+// scratch the backend owns, and a scan decodes into the array last
+// handed back through Recycle. Shards each Fork their own.
 type FileBackend struct {
 	set         *Set
 	materialize bool
 	scratch     probeScratch
+	// spare is the largest array Recycle was handed since the last scan
+	// took one: the next materializing ReadBucket decodes into it.
+	spare []catalog.Object
 }
 
 // NewBackend wraps an opened Set. materialize must match the Store the
@@ -34,13 +38,27 @@ func NewBackend(set *Set, materialize bool) *FileBackend {
 func (b *FileBackend) Set() *Set { return b.set }
 
 // ReadBucket implements bucket.Backend: a checksum-verified pread of
-// the bucket's full data region.
+// the bucket's full data region, decoded into the spare array if there
+// is one.
 func (b *FileBackend) ReadBucket(i int) ([]catalog.Object, int64, error) {
 	if !b.materialize {
 		_, n, err := b.set.ReadBucketRaw(i)
 		return nil, n, err
 	}
-	return b.set.ReadBucket(i)
+	objs, n, err := b.set.readBucketInto(i, b.spare)
+	if err == nil {
+		b.spare = nil // the caller's now
+	}
+	return objs, n, err
+}
+
+// Recycle implements bucket.Backend. The backend keeps one spare array,
+// the largest it is handed, so a warm cache's evictions feed its next
+// scans instead of the garbage collector.
+func (b *FileBackend) Recycle(objs []catalog.Object) {
+	if cap(objs) > cap(b.spare) {
+		b.spare = objs[:0]
+	}
 }
 
 // ProbeRanges implements bucket.Backend. A materializing probe reads,

@@ -321,6 +321,12 @@ var rawPool = sync.Pool{New: func() any { return new([]byte) }}
 // ReadBucket is ReadBucketRaw plus decoding: the bucket's objects in
 // HTM-curve order, bit-identical to what the catalog materializes.
 func (s *Set) ReadBucket(i int) ([]catalog.Object, int64, error) {
+	return s.readBucketInto(i, nil)
+}
+
+// readBucketInto is ReadBucket decoding into dst's array when it has the
+// room, overwriting whatever dst held.
+func (s *Set) readBucketInto(i int, dst []catalog.Object) ([]catalog.Object, int64, error) {
 	bp := rawPool.Get().(*[]byte)
 	defer rawPool.Put(bp)
 	buf, err := s.readBucket(i, *bp)
@@ -328,7 +334,7 @@ func (s *Set) ReadBucket(i int) ([]catalog.Object, int64, error) {
 		return nil, 0, err
 	}
 	*bp = buf
-	return appendRecords(nil, buf, int(s.man.ObjectBytes)), int64(len(buf)), nil
+	return appendRecords(dst[:0], buf, int(s.man.ObjectBytes)), int64(len(buf)), nil
 }
 
 // appendRecords decodes the whole fixed-stride records in raw onto dst.
