@@ -8,8 +8,8 @@
 // counts give uniform I/O cost per bucket, the property the workload
 // throughput metric (Eq. 1) relies on: every out-of-core bucket costs the
 // same Tb. Each bucket also carries the contiguous level-14 HTM ID span it
-// covers, so an incoming cross-match object's bounding ranges map to
-// bucket indices by binary search.
+// covers, so an incoming cross-match object maps to the buckets its error
+// circle reaches by a binary search over the spans.
 package bucket
 
 import (
@@ -19,6 +19,7 @@ import (
 
 	"liferaft/internal/catalog"
 	"liferaft/internal/disk"
+	"liferaft/internal/geom"
 	"liferaft/internal/htm"
 )
 
@@ -121,8 +122,8 @@ func (p *Partition) BucketsForRanges(rs []htm.Range) []int {
 // AppendBucketsForRanges is BucketsForRanges into a caller-provided
 // buffer: the overlapping bucket indices are appended to dst (normally
 // dst[:0] of a reused slice) and the sorted, duplicate-free result
-// returned. The scheduler's admission path uses this to avoid one slice
-// allocation per workload object.
+// returned. AppendBucketsReached filters its candidates in place, so the
+// admission path allocates no slice per workload object.
 func (p *Partition) AppendBucketsForRanges(dst []int, rs []htm.Range) []int {
 	out := dst
 	base := len(out)
@@ -148,6 +149,38 @@ func (p *Partition) AppendBucketsForRanges(dst []int, rs []htm.Range) []int {
 		}
 	}
 	return out[:base+w]
+}
+
+// AppendBucketsReached appends to dst the buckets a workload object's
+// error circle reaches — those whose span holds a trixel of
+// htm.CoverCap(c, htm.PaperLevel) — where r is the cover's bounding range
+// [MinID, MaxID], and returns the sorted, duplicate-free result. It is the
+// one assignment rule of the Query Pre-Processor (paper §3.1): every site
+// that queues, counts or groups workload by bucket calls it, so a shard's
+// share and the work its engine queues agree exactly.
+//
+// The buckets r overlaps are the candidates. One whose span holds all of r
+// is reached (r's ends are trixels of the cover); any other is kept only if
+// the cover has a trixel in its span, found by htm.CapBoundsIn's descent
+// over that span alone. A circle straddling a coarse trixel edge has a
+// bounding range that runs over every bucket between its two ends; it is
+// queued only where it lands. An object whose r lies in one bucket's span,
+// nearly every one, takes no descent.
+func (p *Partition) AppendBucketsReached(dst []int, r htm.Range, c geom.Cap) []int {
+	base := len(dst)
+	out := p.AppendBucketsForRanges(dst, []htm.Range{r})
+	w := base
+	for _, bi := range out[base:] {
+		span := p.buckets[bi].Span
+		if r.Start < span.Start || r.End > span.End {
+			if _, _, ok := htm.CapBoundsIn(c, htm.PaperLevel, span); !ok {
+				continue
+			}
+		}
+		out[w] = bi
+		w++
+	}
+	return out[:w]
 }
 
 // Materialize generates the objects of bucket i, sorted by HTM ID. The

@@ -1,6 +1,9 @@
 package bucket
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -169,6 +172,83 @@ func TestBucketsForRangesFindsObjectBuckets(t *testing.T) {
 			t.Fatalf("cap around object of bucket %d mapped to %v", i, got)
 		}
 	}
+}
+
+// TestBucketsReachedMatchesCover: the buckets a workload object is assigned
+// to are exactly the buckets whose span overlaps the cover of its error
+// cap — none of the buckets its bounding range merely crosses — for caps
+// anywhere, on trixel edges and vertices, on the octahedron's edges, at a
+// pole, and of zero radius, which keeps its own trixel. The result is
+// appended after what dst already held.
+func TestBucketsReachedMatchesCover(t *testing.T) {
+	p, err := NewPartition(testCatalog(t, 20000), 100, 0) // 200 buckets
+	if err != nil {
+		t.Fatal(err)
+	}
+	radii := []float64{0, geom.ArcsecToRad(1), geom.ArcsecToRad(30), geom.Radians(0.2), geom.Radians(1)}
+	type probe struct {
+		what   string
+		center geom.Vec3
+	}
+	var probes []probe
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 150; i++ {
+		v := geom.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}
+		probes = append(probes, probe{"random", v.Normalize()})
+	}
+	for i := 0; i < 40; i++ {
+		level := 2 + rng.Intn(7)
+		tri := htm.FromPos(uint64(rng.Int63n(int64(htm.NumTrixels(level)))), level).Triangle()
+		for _, v := range []geom.Vec3{tri.V0, tri.V1, tri.V2, tri.V0.Mid(tri.V1), tri.V1.Mid(tri.V2), tri.V2.Mid(tri.V0)} {
+			probes = append(probes, probe{fmt.Sprintf("level-%d trixel edge or vertex", level), v})
+		}
+	}
+	for f := 0; f < 8; f++ {
+		tri := htm.FaceTriangle(f)
+		for _, w := range []float64{0.1, 0.5, 0.9} {
+			probes = append(probes, probe{"octahedron edge", tri.V0.Scale(1 - w).Add(tri.V1.Scale(w)).Normalize()})
+		}
+	}
+	probes = append(probes, probe{"north pole", geom.Vec3{Z: 1}}, probe{"south pole", geom.Vec3{Z: -1}})
+
+	prefix := []int{-1, -2}
+	multi, phantom := 0, 0
+	for _, pr := range probes {
+		for _, r := range radii {
+			c := geom.NewCap(pr.center, r)
+			lo, hi, ok := htm.CapBounds(c, htm.PaperLevel)
+			if !ok {
+				t.Fatalf("%s %v radius %g: empty cover", pr.what, pr.center, r)
+			}
+			bounds := htm.Range{Start: lo, End: hi}
+			want := p.BucketsForRanges(htm.CoverCap(c, htm.PaperLevel))
+			out := p.AppendBucketsReached(slices.Clone(prefix), bounds, c)
+			if !slices.Equal(out[:len(prefix)], prefix) {
+				t.Fatalf("%s: dst's elements were overwritten: %v", pr.what, out[:len(prefix)])
+			}
+			if got := out[len(prefix):]; !slices.Equal(got, want) {
+				t.Fatalf("%s %v radius %g: buckets %v, the cover overlaps %v", pr.what, pr.center, r, got, want)
+			}
+			if len(want) > 1 {
+				multi++
+			}
+			if len(p.BucketsForRanges([]htm.Range{bounds})) > len(want) {
+				phantom++
+			}
+			if r == 0 {
+				own := htm.Lookup(pr.center, htm.PaperLevel)
+				for bi := 0; bi < p.NumBuckets(); bi++ {
+					if p.Bucket(bi).Span.Contains(own) && !slices.Contains(want, bi) {
+						t.Fatalf("%s: a zero-radius cap lost bucket %d, which holds its own trixel", pr.what, bi)
+					}
+				}
+			}
+		}
+	}
+	if multi < 50 || phantom < 50 {
+		t.Fatalf("fixture: %d caps reach two or more buckets and %d have a bounding range crossing a bucket they miss; want 50 of each", multi, phantom)
+	}
+	t.Logf("%d caps: %d reach two or more buckets, %d have a bounding range crossing a bucket they miss", len(probes)*len(radii), multi, phantom)
 }
 
 func TestBucketBytes(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"liferaft/internal/bucket"
 	"liferaft/internal/catalog"
 	"liferaft/internal/geom"
+	"liferaft/internal/htm"
 	"liferaft/internal/shard"
 	"liferaft/internal/simclock"
 	"liferaft/internal/xmatch"
@@ -76,7 +78,7 @@ func perShardReference(t *testing.T, cfg Config, jobs []Job, offs []time.Duratio
 		for i, j := range jobs {
 			var own []xmatch.WorkloadObject
 			for _, wo := range j.Objects {
-				for _, bi := range part.BucketsForRanges(wo.Ranges()) {
+				for _, bi := range part.AppendBucketsReached(nil, wo.Range(), wo.Cap()) {
 					if m.Owner(bi) == s {
 						own = append(own, wo)
 						break
@@ -520,4 +522,110 @@ func BenchmarkSubmitMaterializing(b *testing.B) {
 			}
 		})
 	}
+}
+
+// straddlerJob is a query made of objects whose error circles cross bucket
+// boundaries: one at the first object of every bucket after the first,
+// searched wide enough to reach the bucket before it, and one at each vertex
+// and edge midpoint of the octahedron, whose bounding ranges run over
+// buckets the circles never reach.
+func straddlerJob(part *bucket.Partition, id uint64) Job {
+	job := Job{ID: id}
+	for bi := 1; bi < part.NumBuckets(); bi++ {
+		job.Objects = append(job.Objects, xmatch.NewWorkloadObject(id, part.Materialize(bi)[0], geom.Radians(2)))
+	}
+	for f := 0; f < 8; f++ {
+		tri := htm.FaceTriangle(f)
+		for k, p := range []geom.Vec3{tri.V0, tri.V0.Mid(tri.V1), tri.V1.Mid(tri.V2), tri.V2.Mid(tri.V0)} {
+			o := catalog.Object{ID: uint64(1<<40 + 4*f + k), Pos: p, HTMID: htm.Lookup(p, htm.PaperLevel)}
+			job.Objects = append(job.Objects, xmatch.NewWorkloadObject(id, o, geom.Radians(1)))
+		}
+	}
+	return job
+}
+
+// TestLiveStraddlersShareEqualsAdmission: for a query of straddling objects,
+// a shard's share (shard.Map.Fanout, which sizes the query's state and pair
+// region there) is exactly the number of objects its scheduler queues at
+// least once, and both are the number of objects whose cover reaches one of
+// the shard's buckets — a share of zero where work is queued would lose that
+// shard's pairs. The Live engine's answer is the brute-force answer at every
+// K, with one assignment per bucket an object's cover reaches.
+func TestLiveStraddlersShareEqualsAdmission(t *testing.T) {
+	part, _ := shardFixture(t)
+	job := straddlerJob(part, 1)
+	want := xmatch.BruteForce(allObjects(part), job.Objects, nil)
+	reached := make([][]int, len(job.Objects)) // the buckets each object's cover overlaps
+	assignments, phantoms := 0, 0
+	for i, wo := range job.Objects {
+		reached[i] = part.BucketsForRanges(htm.CoverCap(wo.Cap(), htm.PaperLevel))
+		assignments += len(reached[i])
+		if len(part.BucketsForRanges(wo.Ranges())) > len(reached[i]) {
+			phantoms++
+		}
+	}
+	if phantoms < 10 || len(want) == 0 {
+		t.Fatalf("fixture: %d objects have a bounding range crossing a bucket they miss, %d pairs; want 10 and some", phantoms, len(want))
+	}
+	forEachK(t, func(t *testing.T, k int) {
+		cfg, err := shardCfg(part, k, true).withDefaults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := shard.NewMap(part, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs, err := forkConfigs(cfg, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer closeForked(cfgs)
+		shares := m.Fanout(job.Objects)
+		straddling := 0
+		for _, bis := range reached {
+			if slices.ContainsFunc(bis, func(b int) bool { return m.Owner(b) != m.Owner(bis[0]) }) {
+				straddling++
+			}
+		}
+		if k > 1 && straddling < 10 {
+			t.Fatalf("fixture: %d objects reach two shards' buckets; want 10", straddling)
+		}
+		t.Logf("%d objects: %d with a bounding range crossing a bucket they miss, %d reaching two shards, %d pairs", len(job.Objects), phantoms, straddling, len(want))
+		for s, sc := range cfgs {
+			onShard := 0
+			for _, bis := range reached {
+				if slices.ContainsFunc(bis, func(b int) bool { return m.Owner(b) == s }) {
+					onShard++
+				}
+			}
+			sched, err := newScheduler(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sched.admit(Job{ID: job.ID, Objects: job.Objects, share: shares[s]}, sc.Clock.Now())
+			queued := make(map[uint64]bool)
+			for _, q := range sched.queues {
+				for _, it := range q.items {
+					queued[it.wo.Obj.ID] = true
+				}
+			}
+			if shares[s] != len(queued) || len(queued) != onShard {
+				t.Errorf("shard %d: share %d, %d objects queued, %d reach its buckets", s, shares[s], len(queued), onShard)
+			}
+		}
+
+		l, err := NewLive(shardCfg(part, k, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		res := submitWait(t, l, job)
+		if res.Assignments != assignments {
+			t.Errorf("%d assignments, the covers reach %d buckets", res.Assignments, assignments)
+		}
+		if !samePairSet(res.Pairs, want) {
+			t.Errorf("%d pairs, brute force %d", len(res.Pairs), len(want))
+		}
+	})
 }

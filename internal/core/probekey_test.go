@@ -27,11 +27,10 @@ func (m *probeMeter) ProbeRanges(i int, ranges []htm.Range) ([]catalog.Object, i
 }
 
 // An object on an edge of the octahedron has a bounding ID range that runs
-// over whole faces, so it is queued on every bucket between the two ends
-// of its cover. The engine probes each of those by what the error circle
-// reaches there (xmatch.WorkloadObject.RangeIn): the buckets the circle
-// does not reach are serviced without a byte read, the others are not read
-// from end to end, and the pairs equal the brute-force join over the
+// over whole faces. It is queued only on the buckets its error circle
+// reaches — one assignment per bucket span the cover overlaps, not one per
+// bucket between the two ends of its cover — so no bucket the circle misses
+// is probed at all, and the pairs equal the brute-force join over the
 // whole catalog.
 func TestSweepingObjectReadsOnlyWhatItsCircleReaches(t *testing.T) {
 	part, dir, _, _ := parityFixture(t)
@@ -61,6 +60,11 @@ func TestSweepingObjectReadsOnlyWhatItsCircleReaches(t *testing.T) {
 	p := tri.V0.Mid(tri.V1)
 	radius := geom.Radians(1)
 	wo := xmatch.NewWorkloadObject(7, catalog.Object{ID: 1 << 40, Pos: p, HTMID: htm.Lookup(p, htm.PaperLevel)}, radius)
+	cover := htm.CoverCap(geom.NewCap(p, radius), htm.PaperLevel)
+	reached := part.BucketsForRanges(cover)
+	if swept := part.BucketsForRanges(wo.Ranges()); len(swept) < 4*len(reached) {
+		t.Fatalf("fixture: the bounding range spans %d buckets, the cover %d; want a sweeping object", len(swept), len(reached))
+	}
 	if done := s.admit(Job{ID: 7, Objects: []xmatch.WorkloadObject{wo}}, clk.Now()); done != nil {
 		t.Fatal("the object overlaps no bucket")
 	}
@@ -69,11 +73,19 @@ func TestSweepingObjectReadsOnlyWhatItsCircleReaches(t *testing.T) {
 		done, _ := s.step(clk.Now())
 		res = append(res, done...)
 	}
-	if len(res) != 1 || res[0].Assignments < 20 {
-		t.Fatalf("%d results, %d assignments; want one query swept over at least 20 buckets", len(res), res[0].Assignments)
+	if len(res) != 1 || res[0].Assignments != len(reached) {
+		t.Fatalf("%d results, %d assignments; want one query with one per bucket the cover reaches (%d)", len(res), res[0].Assignments, len(reached))
 	}
 	if s.stats.IndexServices != int64(res[0].Assignments) {
 		t.Fatalf("%d of %d services were index probes; the fixture must probe", s.stats.IndexServices, res[0].Assignments)
+	}
+	for bi := range meter.bytes {
+		if !htm.RangesOverlap(cover, []htm.Range{part.Bucket(bi).Span}) {
+			t.Errorf("bucket %d was probed, yet the circle does not reach it", bi)
+		}
+	}
+	if len(meter.bytes) != len(reached) {
+		t.Errorf("%d buckets probed, the circle reaches %d", len(meter.bytes), len(reached))
 	}
 
 	all := part.Catalog().Objects(0, int64(part.Catalog().Total()))
@@ -83,21 +95,5 @@ func TestSweepingObjectReadsOnlyWhatItsCircleReaches(t *testing.T) {
 	xmatch.SortPairs(got)
 	if len(want) == 0 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("engine found %d pairs, brute force over the catalog %d (want some)", len(got), len(want))
-	}
-
-	cover := htm.CoverCap(geom.NewCap(p, radius), htm.PaperLevel)
-	reached := 0
-	for bi, n := range meter.bytes {
-		span := part.Bucket(bi).Span
-		if htm.RangesOverlap(cover, []htm.Range{span}) {
-			reached++
-			continue
-		}
-		if n != 0 {
-			t.Errorf("bucket %d: the circle does not reach it, yet its probe read %d bytes", bi, n)
-		}
-	}
-	if len(meter.bytes) != res[0].Assignments || reached == 0 || reached > len(meter.bytes)/4 {
-		t.Fatalf("%d buckets probed for %d assignments, the circle reaches %d of them", len(meter.bytes), res[0].Assignments, reached)
 	}
 }

@@ -85,7 +85,7 @@ func RunNoShare(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunS
 		// Group the query's own objects by bucket.
 		byBucket := make(map[int][]xmatch.WorkloadObject)
 		for _, wo := range job.Objects {
-			for _, bi := range part.BucketsForRanges(wo.Ranges()) {
+			for _, bi := range part.AppendBucketsReached(nil, wo.Range(), wo.Cap()) {
 				byBucket[bi] = append(byBucket[bi], wo)
 				res.Assignments++
 			}
@@ -160,7 +160,7 @@ func RunIndexOnly(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, Ru
 			}
 			byBucket := make(map[int][]xmatch.WorkloadObject)
 			for _, wo := range job.Objects {
-				for _, bi := range part.BucketsForRanges(wo.Ranges()) {
+				for _, bi := range part.AppendBucketsReached(nil, wo.Range(), wo.Cap()) {
 					byBucket[bi] = append(byBucket[bi], wo)
 				}
 			}

@@ -378,7 +378,7 @@ func (s *scheduler) cachePut(k int, v bucketObjects) {
 }
 
 // admit pre-processes a job: every workload object is assigned to the
-// queue of each bucket its bounding HTM range overlaps (the Query
+// queue of each bucket its error circle reaches (the Query
 // Pre-Processor of Figure 3) and this shard owns — job.Objects is the
 // whole query's list, shared with the other shards and only read. Queries
 // with no overlapping work complete immediately.
@@ -403,7 +403,7 @@ func (s *scheduler) admit(job Job, arrived time.Time) (done *Result) {
 	part := s.cfg.Store.Partition()
 	weight := s.ageWeight(share)
 	for _, wo := range job.Objects {
-		s.bisBuf = part.AppendBucketsForRanges(s.bisBuf[:0], wo.Ranges())
+		s.bisBuf = part.AppendBucketsReached(s.bisBuf[:0], wo.Range(), wo.Cap())
 		for _, bi := range s.bisBuf {
 			if s.cfg.ownsBucket != nil && !s.cfg.ownsBucket(bi) {
 				continue // another shard's bucket

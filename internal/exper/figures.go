@@ -69,7 +69,7 @@ func (e *Env) jobBuckets() [][]int {
 	for i, j := range e.Jobs {
 		seen := map[int]bool{}
 		for _, wo := range j.Objects {
-			for _, bi := range e.Part.BucketsForRanges(wo.Ranges()) {
+			for _, bi := range e.Part.AppendBucketsReached(nil, wo.Range(), wo.Cap()) {
 				seen[bi] = true
 			}
 		}
@@ -148,7 +148,7 @@ func Fig6(env *Env) Table {
 	counts := make([]float64, env.Part.NumBuckets())
 	for _, j := range env.Jobs {
 		for _, wo := range j.Objects {
-			for _, bi := range env.Part.BucketsForRanges(wo.Ranges()) {
+			for _, bi := range env.Part.AppendBucketsReached(nil, wo.Range(), wo.Cap()) {
 				counts[bi]++
 			}
 		}

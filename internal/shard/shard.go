@@ -74,8 +74,9 @@ func (m *Map) Buckets(s int) int {
 }
 
 // Fanout counts a query's workload objects by owning shard: object w counts
-// toward every shard owning a bucket whose span overlaps w's bounding HTM
-// range, once per shard (an object straddling two shards' buckets counts on
+// toward every shard owning a bucket w's error circle reaches
+// (bucket.Partition.AppendBucketsReached, the rule the engine admits by),
+// once per shard (an object straddling two shards' buckets counts on
 // both). The result always has exactly Shards() entries; shards the query
 // does not touch count zero. This is the coordinator-side half of admission,
 // and it copies nothing: every touched shard is handed the same objs and
@@ -90,7 +91,7 @@ func (m *Map) Fanout(objs []xmatch.WorkloadObject) []int {
 	counts, mark := scratch[:m.shards:m.shards], scratch[m.shards:]
 	var bis []int
 	for i, wo := range objs {
-		bis = m.part.AppendBucketsForRanges(bis[:0], wo.Ranges())
+		bis = m.part.AppendBucketsReached(bis[:0], wo.Range(), wo.Cap())
 		for _, bi := range bis {
 			s := m.Owner(bi)
 			if mark[s] == i+1 {

@@ -118,17 +118,18 @@ func TestFanout(t *testing.T) {
 	// The last object of bucket 0 with a radius wide enough to reach into
 	// bucket 1: shards 0 and 1 both.
 	straddler := xmatch.NewWorkloadObject(1, cat.Objects(199, 200)[0], geom.Radians(2))
-	if bis := part.BucketsForRanges(straddler.Ranges()); len(bis) < 2 {
+	if bis := part.AppendBucketsReached(nil, straddler.Range(), straddler.Cap()); len(bis) < 2 {
 		t.Fatalf("fixture: the wide object reaches buckets %v, want two or more", bis)
 	}
 	wos = append(wos, straddler)
 
-	// Reference: the shards owning each object's buckets, once per shard.
+	// Reference: the shards owning the buckets each object's circle
+	// reaches, once per shard.
 	want := make([]int, 4)
 	straddled := 0
 	for _, wo := range wos {
 		on := map[int]bool{}
-		for _, bi := range part.BucketsForRanges(wo.Ranges()) {
+		for _, bi := range part.AppendBucketsReached(nil, wo.Range(), wo.Cap()) {
 			on[m.Owner(bi)] = true
 		}
 		for s := range on {
