@@ -122,7 +122,7 @@ func main() {
 // validate rejects misconfigurations at startup with a clear error instead
 // of misbehaving hours into a run.
 func (o options) validate() error {
-	if o.alpha < 0 || o.alpha > 1 {
+	if !(o.alpha >= 0 && o.alpha <= 1) { // NaN too
 		return fmt.Errorf("-alpha %v out of [0,1]", o.alpha)
 	}
 	if o.perBucket <= 0 {

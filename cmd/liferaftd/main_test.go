@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -36,6 +37,7 @@ func TestValidateFlags(t *testing.T) {
 		{"defaults", func(o *options) {}, true},
 		{"alpha low", func(o *options) { o.alpha = -0.01 }, false},
 		{"alpha high", func(o *options) { o.alpha = 1.01 }, false},
+		{"alpha NaN", func(o *options) { o.alpha = math.NaN() }, false},
 		{"alpha boundary 0", func(o *options) { o.alpha = 0 }, true},
 		{"alpha boundary 1", func(o *options) { o.alpha = 1 }, true},
 		{"bucket zero", func(o *options) { o.perBucket = 0 }, false},

@@ -133,7 +133,7 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Policy != PolicyLifeRaft && c.Policy != PolicyRoundRobin && c.Policy != PolicyLeastShared {
 		return c, fmt.Errorf("core: unknown policy %q", c.Policy)
 	}
-	if c.Alpha < 0 || c.Alpha > 1 {
+	if !(c.Alpha >= 0 && c.Alpha <= 1) { // NaN too
 		return c, fmt.Errorf("core: Alpha %v out of [0,1]", c.Alpha)
 	}
 	if c.CacheBuckets < 1 {

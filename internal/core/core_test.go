@@ -94,6 +94,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c Config) Config { c.Policy = "bogus"; return c },
 		func(c Config) Config { c.Alpha = -0.1; return c },
 		func(c Config) Config { c.Alpha = 1.1; return c },
+		func(c Config) Config { c.Alpha = math.NaN(); return c },
 		func(c Config) Config { c.HybridThreshold = 1.5; return c },
 		func(c Config) Config { c.HybridThreshold = -0.5; return c },
 		func(c Config) Config { c.AgeDepreciationGamma = -1; return c },

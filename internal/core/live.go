@@ -3,8 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"liferaft/internal/shard"
 	"liferaft/internal/simclock"
@@ -19,12 +22,12 @@ import (
 // and runs the scheduling loop exclusively over its own workload queues,
 // picking and reading one bucket at a time as the paper's architecture
 // prescribes ("buckets are read from disk by scheduler one at a time", §3).
-// What a pick executes need not stay on one arm: a scan service whose queue
-// fills two parts of servicePartUnits is cut into parts, and a sibling
-// worker with nothing of its own to do joins some of them, charging their
-// match time to its own disk, until its own inbox has work again. The
-// owner waits for every part, so a service still ends once, with the pairs
-// it would have had alone.
+// On a real clock what a pick executes need not stay on one arm: a scan
+// service whose queue fills two parts of servicePartUnits is cut into
+// parts, and a sibling worker with nothing of its own to do joins some of
+// them, charging their match time to its own disk, until its own inbox has
+// work again. The owner waits for every part, so a service still ends once,
+// with the pairs it would have had alone.
 // SubmitCtx counts the query's workload objects by the shards owning the
 // buckets they overlap and never blocks on in-progress bucket services. It
 // copies none of them: every touched shard is handed the caller's
@@ -37,8 +40,10 @@ import (
 // engine.
 //
 // Live is the deployment form a federation node uses (see the federation
-// package); experiments use Run instead, which replays a trace against a
-// virtual clock.
+// package), and the one engine driver: Run replays a trace through it,
+// pushing each shard's share onto that shard's arrival queue instead of
+// its inbox. On a virtual clock no service is split, so a replay is
+// deterministic at every K.
 type Live struct {
 	clock       simclock.Clock
 	smap        *shard.Map
@@ -60,17 +65,23 @@ type Live struct {
 	statsOK   bool
 }
 
-// shardWorker is one shard's scheduling goroutine: its inbox, its shutdown
-// handshake, and the statistics it leaves behind (valid once done closes).
+// shardWorker is one shard's scheduling goroutine: its inbox, its arrival
+// queue, its shutdown handshake, and the statistics it leaves behind (valid
+// once done closes).
 type shardWorker struct {
-	inbox   chan submission
-	closing chan struct{}
-	done    chan struct{}
-	stats   RunStats
+	inbox chan submission
+	// arrivals is a trace replay's share of work for this shard (Run), each
+	// submission due at its arrival instant and admitted at it; filled
+	// before the worker starts and empty on a serving engine.
+	arrivals simclock.EventQueue[submission]
+	closing  chan struct{}
+	done     chan struct{}
+	stats    RunStats
 
 	// offers wakes this worker from an idle wait when a sibling has split
-	// a service (one channel for the whole engine; nil at K = 1), and
-	// siblings are the records it then looks for parts in.
+	// a service (one channel for the whole engine; nil at K = 1 and on a
+	// virtual clock), and siblings are the records it then looks for parts
+	// in.
 	offers   <-chan struct{}
 	siblings []*forkJoin
 }
@@ -139,42 +150,63 @@ var ErrClosed = errors.New("core: live engine closed")
 // NewLive starts a live engine: one scheduling goroutine per shard. The
 // returned engine must be Closed to release them.
 func NewLive(cfg Config) (*Live, error) {
-	cfg, err := cfg.withDefaults()
+	l, scheds, err := newLive(cfg)
 	if err != nil {
 		return nil, err
+	}
+	l.start(scheds)
+	return l, nil
+}
+
+// newLive builds an engine whose workers are not yet running; start runs
+// them on scheds. Until then the caller owns the forked stores
+// (closeForked(l.cfgs)).
+//
+// On a virtual clock no service is split: a sibling's part claim races the
+// owner in wall time, which no replay reproduces, so the workers get no
+// siblings and every shard keeps a schedule of its own.
+func newLive(cfg Config) (*Live, []*scheduler, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, nil, err
 	}
 	m, err := shard.NewMap(cfg.Store.Partition(), cfg.Shards)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cfgs, err := forkConfigs(cfg, m)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	scheds := make([]*scheduler, len(cfgs))
 	for s, sc := range cfgs {
 		if scheds[s], err = newScheduler(sc); err != nil {
 			closeForked(cfgs)
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	l := &Live{clock: cfg.Clock, smap: m, materialize: cfg.MaterializeResults, cfgs: cfgs}
 	if cfg.Metrics != nil {
 		l.obs = cfg.Metrics.front()
 	}
-	l.workers = newWorkers(scheds)
-	for s, w := range l.workers {
-		go w.loop(cfgs[s], scheds[s], cfg.Clock)
-	}
-	return l, nil
+	_, virtual := cfg.Clock.(*simclock.Virtual)
+	l.workers = newWorkers(scheds, !virtual)
+	return l, scheds, nil
 }
 
-// newWorkers returns one worker per scheduler, not yet running, and makes
-// siblings of them: every scheduler can wake the others' workers, and every
-// worker knows the others' fork-join records.
-func newWorkers(scheds []*scheduler) []*shardWorker {
+// start runs one scheduling goroutine per worker.
+func (l *Live) start(scheds []*scheduler) {
+	for s, w := range l.workers {
+		go w.loop(l.cfgs[s], scheds[s], l.clock)
+	}
+}
+
+// newWorkers returns one worker per scheduler, not yet running. With split
+// it makes siblings of them: every scheduler can wake the others' workers,
+// and every worker knows the others' fork-join records.
+func newWorkers(scheds []*scheduler, split bool) []*shardWorker {
 	var offers chan struct{}
-	if len(scheds) > 1 {
+	if split && len(scheds) > 1 {
 		// One wake-up for each worker that could be idle while another
 		// splits a service.
 		offers = make(chan struct{}, len(scheds)-1)
@@ -191,13 +223,23 @@ func newWorkers(scheds []*scheduler) []*shardWorker {
 		}
 		sched.offers = offers
 		for o, other := range scheds {
-			if o != s {
+			if offers != nil && o != s {
 				w.siblings = append(w.siblings, &other.fj)
 			}
 		}
 		workers[s] = w
 	}
 	return workers
+}
+
+// newMerge lays job out over the engine's shards (newFanIn) and reports how
+// many it touches.
+func (l *Live) newMerge(job Job) (*merge, int) {
+	m := &merge{l: l, out: make(chan Result, 1)}
+	var width int
+	m.fanIn, width = newFanIn(l.smap.Fanout(job.Objects), l.materialize)
+	m.left.Store(int32(width))
+	return m, width
 }
 
 // SubmitCtx enqueues a query. The returned channel delivers exactly one
@@ -209,10 +251,7 @@ func newWorkers(scheds []*scheduler) []*shardWorker {
 // the engine is closing by then, the query drains to its uncancelled
 // result instead.
 func (l *Live) SubmitCtx(ctx context.Context, job Job) (<-chan Result, error) {
-	m := &merge{l: l, out: make(chan Result, 1)}
-	var width int
-	m.fanIn, width = newFanIn(l.smap.Fanout(job.Objects), l.materialize)
-	m.left.Store(int32(width))
+	m, width := l.newMerge(job)
 
 	l.mu.Lock()
 	if l.closed {
@@ -260,10 +299,13 @@ func (l *Live) Cancel(id uint64) error {
 }
 
 // SetAlpha changes the engine's age bias for all subsequent scheduling
-// decisions (clamped to [0, 1]). This is the knob the paper's §4 adaptive
-// tuning turns as workload saturation changes; see Adaptive for the
-// closed loop.
+// decisions (clamped to [0, 1]; NaN is refused, since it would make every
+// Eq. 2 score NaN). This is the knob the paper's §4 adaptive tuning turns
+// as workload saturation changes; see Adaptive for the closed loop.
 func (l *Live) SetAlpha(alpha float64) error {
+	if math.IsNaN(alpha) {
+		return fmt.Errorf("core: alpha %v is not a number", alpha)
+	}
 	alpha = min(max(alpha, 0), 1)
 	return l.broadcast(submission{setAlpha: &alpha})
 }
@@ -372,19 +414,19 @@ func (w *shardWorker) loop(cfg Config, s *scheduler, parent simclock.Clock) {
 			}
 		}
 	}
-	admit := func(sub submission) {
+	admit := func(sub submission, at time.Time) {
 		if sub.setAlpha != nil {
 			s.cfg.Alpha = *sub.setAlpha
 			return
 		}
 		if sub.cancel != nil {
-			if r := s.cancel(*sub.cancel, cfg.Clock.Now()); r != nil {
+			if r := s.cancel(*sub.cancel, at); r != nil {
 				deliver([]Result{*r})
 			}
 			return
 		}
 		waiters[sub.job.ID] = sub.m
-		if r := s.admit(sub.job, cfg.Clock.Now()); r != nil {
+		if r := s.admit(sub.job, at); r != nil {
 			deliver([]Result{*r})
 		}
 	}
@@ -392,7 +434,7 @@ func (w *shardWorker) loop(cfg Config, s *scheduler, parent simclock.Clock) {
 		for {
 			select {
 			case sub := <-w.inbox:
-				admit(sub)
+				admit(sub, cfg.Clock.Now())
 			default:
 				return
 			}
@@ -401,14 +443,25 @@ func (w *shardWorker) loop(cfg Config, s *scheduler, parent simclock.Clock) {
 
 	closing := false
 	for {
+		// step reads the clock here, before any admission below charges
+		// spill writes to it.
+		now := cfg.Clock.Now()
+		for _, ev := range w.arrivals.PopUntil(now) {
+			admit(ev.Value, ev.At)
+		}
 		drainInbox()
 		if !s.pendingWork() {
+			if at, ok := w.arrivals.PeekTime(); ok {
+				// Idle until the replay's next arrival.
+				cfg.Clock.Sleep(at.Sub(now))
+				continue
+			}
 			if closing {
 				// Definitive drain check: nothing pending and the
 				// inbox is empty after the closing signal.
 				select {
 				case sub := <-w.inbox:
-					admit(sub)
+					admit(sub, cfg.Clock.Now())
 					continue
 				default:
 				}
@@ -419,7 +472,7 @@ func (w *shardWorker) loop(cfg Config, s *scheduler, parent simclock.Clock) {
 			}
 			select {
 			case sub := <-w.inbox:
-				admit(sub)
+				admit(sub, cfg.Clock.Now())
 			case <-w.offers:
 				// A sibling split a service: look again.
 			case <-w.closing:
@@ -429,7 +482,7 @@ func (w *shardWorker) loop(cfg Config, s *scheduler, parent simclock.Clock) {
 		}
 		// step's slice aliases scheduler scratch (valid until the next
 		// step); deliver copies the Results out before then.
-		done, _ := s.step(cfg.Clock.Now())
+		done, _ := s.step(now)
 		// A virtual parent clock tracks the furthest shard clock, so
 		// observers of Clock() — the serving layer's admission stamps, the
 		// Adaptive saturation estimator — never read an instant before a

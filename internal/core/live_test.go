@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -370,6 +371,9 @@ func TestSetAlphaClampsAndRejectsClosed(t *testing.T) {
 		}
 		if err := l.SetAlpha(-1); err != nil {
 			t.Fatal(err)
+		}
+		if err := l.SetAlpha(math.NaN()); err == nil { // NaN makes every Eq. 2 score NaN
+			t.Error("SetAlpha(NaN) accepted")
 		}
 		l.Close()
 		if err := l.SetAlpha(0.5); err != ErrClosed {

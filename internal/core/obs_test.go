@@ -1,17 +1,105 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"liferaft/internal/bucket"
+	"liferaft/internal/catalog"
 	"liferaft/internal/disk"
 	"liferaft/internal/metric"
 	"liferaft/internal/simclock"
+	"liferaft/internal/xmatch"
 )
+
+// TestLiveWithoutMetrics: a nil Config.Metrics is how instrumentation is
+// turned off, so every observability handle in the engine is nil and each
+// use of one must sit behind its nil check; an unguarded one panics a shard
+// worker and with it the test binary. A Live engine without metrics is
+// driven through every path that carries such a check: a real clock at
+// K = 1 and 2 — where a 300-unit service is split and the idle arm runs
+// parts of it — and a virtual one, scan and index services, cache
+// evictions, spilled queues, a cancel, and Close. Every query that was not
+// cancelled answers the brute-force pairs.
+func TestLiveWithoutMetrics(t *testing.T) {
+	part, _ := shardFixture(t)
+	var locals []catalog.Object
+	for b := 0; b < part.NumBuckets(); b++ {
+		locals = append(locals, part.Materialize(b)...)
+	}
+	clocks := []struct {
+		name string
+		clk  func() simclock.Clock
+	}{
+		{"real", func() simclock.Clock { return simclock.Real{} }},
+		{"virtual", func() simclock.Clock { return simclock.NewVirtual() }},
+	}
+	for _, c := range clocks {
+		for _, k := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/K=%d", c.name, k), func(t *testing.T) {
+				cfg := NewOn(part, 0.25, true, c.clk())
+				cfg.Shards, cfg.CacheBuckets, cfg.WorkloadMemoryCap = k, 1, 200
+				l, err := NewLive(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer l.Close()
+				run := func(jobs ...Job) {
+					t.Helper()
+					chans := make([]<-chan Result, len(jobs))
+					for i, j := range jobs {
+						if chans[i], err = l.SubmitCtx(context.Background(), j); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := l.Cancel(jobs[len(jobs)-1].ID); err != nil {
+						t.Fatal(err)
+					}
+					for i, ch := range chans {
+						r := <-ch
+						if r.Cancelled {
+							continue
+						}
+						want := xmatch.BruteForce(locals, jobs[i].Objects, nil)
+						xmatch.SortPairs(want)
+						xmatch.SortPairs(r.Pairs)
+						if len(r.Pairs) != len(want) || !reflect.DeepEqual(r.Pairs, want) {
+							t.Errorf("q%d: %d pairs, brute force %d", jobs[i].ID, len(r.Pairs), len(want))
+						}
+					}
+				}
+				run(warmJob(part, 1), spanQuery(part, 2, 0, 8, 25), spanQuery(part, 3, 8, 8, 2),
+					hotJob(part, 4, 300), spanQuery(part, 5, 16, 8, 25))
+				if c.name == "real" && k == 2 {
+					// hotBucket is shard 1's: a match shard 0 charges from
+					// here on is a part it ran for shard 1. Whether the
+					// idle arm wins a claim is a race on the wall clock,
+					// so give it a few services.
+					before := l.cfgs[0].Disk.Stats().Matches
+					for id := uint64(10); l.cfgs[0].Disk.Stats().Matches == before; id++ {
+						if id == 30 {
+							t.Fatal("20 split services, and the idle arm ran no part of any")
+						}
+						run(hotJob(part, id, 300), hotJob(part, id+100, 20))
+					}
+				}
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+				st, _ := l.Stats()
+				if st.ScanServices == 0 || st.IndexServices == 0 || st.Cache.Evictions == 0 || st.SpilledObjects == 0 {
+					t.Errorf("%d scan and %d index services, %d evictions, %d objects spilled: want all four above 0",
+						st.ScanServices, st.IndexServices, st.Cache.Evictions, st.SpilledObjects)
+				}
+			})
+		}
+	}
+}
 
 // TestCacheFamiliesScrape pins the scrape contract the benchmark's
 // cache.ram_hit_rate reads: every bucket service of a shard counts once in

@@ -55,7 +55,7 @@ func arms(t testing.TB, part *bucket.Partition, clks ...simclock.Clock) ([]*sche
 		}
 		scheds[i] = s
 	}
-	return scheds, newWorkers(scheds)
+	return scheds, newWorkers(scheds, true)
 }
 
 // serve admits job and steps s until nothing is pending, returning the

@@ -6,53 +6,8 @@ import (
 	"time"
 
 	"liferaft/internal/htm"
-	"liferaft/internal/simclock"
 	"liferaft/internal/xmatch"
 )
-
-// runEngine is the one-disk replay loop: the per-shard worker body of Run,
-// and the reference TestShardedOneShardMatchesLegacy compares Run against.
-func runEngine(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunStats, error) {
-	if len(jobs) != len(offsets) {
-		return nil, RunStats{}, fmt.Errorf("core: %d jobs but %d offsets", len(jobs), len(offsets))
-	}
-	s, err := newScheduler(cfg)
-	if err != nil {
-		return nil, RunStats{}, err
-	}
-	start := cfg.Clock.Now()
-	var events simclock.EventQueue[Job]
-	for i, j := range jobs {
-		if offsets[i] < 0 {
-			return nil, RunStats{}, fmt.Errorf("core: negative offset for job %d", i)
-		}
-		events.Push(start.Add(offsets[i]), j)
-	}
-
-	var results []Result
-	for {
-		now := cfg.Clock.Now()
-		for _, ev := range events.PopUntil(now) {
-			if r := s.admit(ev.Value, ev.At); r != nil {
-				results = append(results, *r)
-			}
-		}
-		if !s.pendingWork() {
-			at, ok := events.PeekTime()
-			if !ok {
-				break // drained
-			}
-			// Idle until the next arrival.
-			cfg.Clock.Sleep(at.Sub(now))
-			continue
-		}
-		// step's slice aliases scheduler scratch (valid until the next
-		// step); the append copies the Results out before then.
-		done, _ := s.step(now)
-		results = append(results, done...)
-	}
-	return results, s.finalize(cfg.Clock.Now().Sub(start), len(results)), nil
-}
 
 // RunNoShare is the paper's NoShare baseline: each query is evaluated
 // independently and strictly in arrival order, sharing no I/O with other

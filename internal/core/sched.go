@@ -102,7 +102,7 @@ type queryState struct {
 }
 
 // scheduler is the workload manager plus join evaluator of Figure 3. It is
-// not safe for concurrent use; Run and Live serialize access. The one part
+// not safe for concurrent use; its shard worker (live.go) owns it. The one part
 // of it other goroutines reach is fj, under the rules forkJoin states.
 type scheduler struct {
 	cfg   Config
@@ -134,8 +134,8 @@ type scheduler struct {
 
 	// Scratch reused across service-loop iterations so a steady-state
 	// step performs no allocations. The slice step returns aliases
-	// completedBuf and is valid only until the next step; both engine
-	// loops consume it immediately.
+	// completedBuf and is valid only until the next step; the worker loop
+	// consumes it immediately.
 	wosBuf       []xmatch.WorkloadObject
 	rangesBuf    []htm.Range
 	seenBuf      map[uint64]int
@@ -756,8 +756,8 @@ func (s *scheduler) pickLeastSharedScan() (int, bool) {
 // completed by this batch. ok is false when no work was pending.
 //
 // The returned slice aliases scheduler scratch and is valid only until
-// the next step (or serviceBucket) call; both engine loops consume it
-// immediately (run.go appends the values, live.go delivers them).
+// the next step (or serviceBucket) call; the shard worker's loop consumes
+// it immediately (live.go delivers the values).
 func (s *scheduler) step(now time.Time) (completed []Result, ok bool) {
 	if s.obs != nil {
 		t0 := time.Now()

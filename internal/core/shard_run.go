@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"liferaft/internal/shard"
@@ -16,27 +15,23 @@ import (
 // virtual clock this is the discrete-event simulation used by every
 // experiment; with a real clock it blocks for the actual durations.
 //
-// The bucket space is dealt round-robin across K = max(1, cfg.Shards)
-// shards (shard.Map); each shard gets its own forked clock, disk,
-// bucket cache, and workload queues, and a worker goroutine per shard
-// (runEngine) services that shard's local aged-workload-throughput
-// schedule. Run hands each job to the shards owning the buckets its
-// workload objects overlap (the job's own object list, shared, with each
-// shard's share count; see fanIn), tracks per-query completion across shards
-// (a query completes when its last shard does), and merges
-// per-shard RunStats into one aggregate with a PerShard breakdown. One
-// shard owning every bucket is the paper's single-disk engine.
+// The replay runs through the serving engine itself (Live): each job is
+// fanned out as SubmitCtx fans it out, but instead of the shards' inboxes
+// its shares go onto their arrival queues, due at start + offsets[i], and
+// only then do the K = max(1, cfg.Shards) shard workers start. Each worker
+// admits its arrivals when its own clock reaches them and idles its clock
+// to the next one when it has nothing pending; Run then closes the engine
+// and collects every query's merged result. One shard owning every bucket
+// is the paper's single-disk engine.
 //
 // On a virtual parent clock each shard charges costs to its own forked
 // clock, so K shards replaying the same work finish in ~1/K the virtual
-// time instead of serializing on one modeled disk; the parent clock is
-// advanced to the latest shard finish before returning. On the real clock
-// the shard workers genuinely run in parallel.
+// time instead of serializing on one modeled disk, and no service is split
+// across shards (see newLive), so the replay is deterministic at every K;
+// the parent clock ends at the latest shard finish, since every worker
+// moves it up to its own clock after each step. On the real clock the
+// shard workers genuinely run in parallel.
 func Run(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunStats, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, RunStats{}, err
-	}
 	if len(jobs) != len(offsets) {
 		return nil, RunStats{}, fmt.Errorf("core: %d jobs but %d offsets", len(jobs), len(offsets))
 	}
@@ -45,92 +40,38 @@ func Run(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunStats, e
 			return nil, RunStats{}, fmt.Errorf("core: negative offset for job %d", i)
 		}
 	}
-	k := cfg.Shards
-	m, err := shard.NewMap(cfg.Store.Partition(), k)
+	l, scheds, err := newLive(cfg)
 	if err != nil {
 		return nil, RunStats{}, err
 	}
-	start := cfg.Clock.Now()
-	shardCfgs, err := forkConfigs(cfg, m)
-	if err != nil {
-		return nil, RunStats{}, err
-	}
-	defer closeForked(shardCfgs)
-
-	// Fan the jobs out: each shard replays the sub-trace of jobs that
-	// have work on it, at the original arrival offsets. partial holds one
-	// entry per in-flight query: its fan-in and how many shards have yet
-	// to report.
-	type pending struct {
-		fanIn
-		remaining int
-	}
-	partial := make(map[uint64]*pending)
-	subJobs := make([][]Job, k)
-	subOffs := make([][]time.Duration, k)
+	start := l.clock.Now()
 	var results []Result
+	var merges []*merge
+	inFlight := make(map[uint64]bool, len(jobs))
 	for i, j := range jobs {
-		f, width := newFanIn(m.Fanout(j.Objects), cfg.MaterializeResults)
+		at := start.Add(offsets[i])
+		m, width := l.newMerge(j)
 		if width == 0 {
 			// No bucket overlaps anywhere: complete on arrival.
-			at := start.Add(offsets[i])
 			results = append(results, Result{QueryID: j.ID, Arrived: at, Completed: at})
 			continue
 		}
-		if _, dup := partial[j.ID]; dup {
+		if inFlight[j.ID] {
+			closeForked(l.cfgs)
 			return nil, RunStats{}, fmt.Errorf("shard: query %d already in flight", j.ID)
 		}
-		partial[j.ID] = &pending{fanIn: f, remaining: width}
-		for s := range f.parts {
-			if f.parts[s].share == 0 {
-				continue
-			}
-			subJobs[s] = append(subJobs[s], f.job(j, s))
-			subOffs[s] = append(subOffs[s], offsets[i])
-		}
-	}
-
-	// One worker per shard.
-	type shardOut struct {
-		res   []Result
-		stats RunStats
-		err   error
-	}
-	outs := make([]shardOut, k)
-	var wg sync.WaitGroup
-	for s := 0; s < k; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			res, stats, err := runEngine(shardCfgs[s], subJobs[s], subOffs[s])
-			outs[s] = shardOut{res: res, stats: stats, err: err}
-		}(s)
-	}
-	wg.Wait()
-	for s := 0; s < k; s++ {
-		if outs[s].err != nil {
-			return nil, RunStats{}, fmt.Errorf("core: shard %d: %w", s, outs[s].err)
-		}
-	}
-
-	// Merge per-query results (fanIn.result: completion the latest
-	// shard's, counts summed, pairs in shard order). A query is done when
-	// its last shard has reported.
-	for s := 0; s < k; s++ {
-		for _, r := range outs[s].res {
-			fi := partial[r.QueryID]
-			if fi == nil || fi.parts[s].share == 0 {
-				return nil, RunStats{}, fmt.Errorf("core: shard %d completed query %d, which was never fanned out to it", s, r.QueryID)
-			}
-			fi.parts[s].res = r
-			if fi.remaining--; fi.remaining == 0 {
-				results = append(results, fi.result())
-				delete(partial, r.QueryID)
+		inFlight[j.ID] = true
+		merges = append(merges, m)
+		for s := range m.parts {
+			if m.parts[s].share > 0 {
+				l.workers[s].arrivals.Push(at, submission{job: m.job(j, s), m: m})
 			}
 		}
 	}
-	if len(partial) != 0 {
-		return nil, RunStats{}, fmt.Errorf("core: %d queries never completed across shards", len(partial))
+	l.start(scheds)
+	l.Close()
+	for _, m := range merges {
+		results = append(results, <-m.out)
 	}
 	// Results are returned in completion order across shards (ties
 	// broken by arrival, then query ID, for determinism).
@@ -144,12 +85,8 @@ func Run(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunStats, e
 		}
 		return ra.QueryID < rb.QueryID
 	})
-
-	stats := mergeShardStats(m, func(s int) (RunStats, int) { return outs[s].stats, len(subJobs[s]) })
+	stats, _ := l.Stats()
 	stats.Completed = len(results)
-	// The parent clock adopts the latest shard clock: the sharded
-	// makespan is the slowest shard's, not the sum.
-	simclock.Join(cfg.Clock, start.Add(stats.Makespan))
 	return results, stats, nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sort"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"liferaft/internal/bucket"
 	"liferaft/internal/catalog"
 	"liferaft/internal/geom"
+	"liferaft/internal/simclock"
 	"liferaft/internal/workload"
 	"liferaft/internal/xmatch"
 )
@@ -57,6 +59,51 @@ func shardFixture(t testing.TB) (*bucket.Partition, []Job) {
 		}
 	})
 	return shardPart, shardJobs
+}
+
+// runEngine is the bare one-disk replay loop — one scheduler, its arrivals
+// on an event queue, no shard workers — and the reference
+// TestShardedOneShardMatchesLegacy and perShardReference hold Run to.
+func runEngine(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunStats, error) {
+	if len(jobs) != len(offsets) {
+		return nil, RunStats{}, fmt.Errorf("core: %d jobs but %d offsets", len(jobs), len(offsets))
+	}
+	s, err := newScheduler(cfg)
+	if err != nil {
+		return nil, RunStats{}, err
+	}
+	start := cfg.Clock.Now()
+	var events simclock.EventQueue[Job]
+	for i, j := range jobs {
+		if offsets[i] < 0 {
+			return nil, RunStats{}, fmt.Errorf("core: negative offset for job %d", i)
+		}
+		events.Push(start.Add(offsets[i]), j)
+	}
+
+	var results []Result
+	for {
+		now := cfg.Clock.Now()
+		for _, ev := range events.PopUntil(now) {
+			if r := s.admit(ev.Value, ev.At); r != nil {
+				results = append(results, *r)
+			}
+		}
+		if !s.pendingWork() {
+			at, ok := events.PeekTime()
+			if !ok {
+				break // drained
+			}
+			// Idle until the next arrival.
+			cfg.Clock.Sleep(at.Sub(now))
+			continue
+		}
+		// step's slice aliases scheduler scratch (valid until the next
+		// step); the append copies the Results out before then.
+		done, _ := s.step(now)
+		results = append(results, done...)
+	}
+	return results, s.finalize(cfg.Clock.Now().Sub(start), len(results)), nil
 }
 
 func shardCfg(part *bucket.Partition, shards int, materialize bool) Config {
@@ -203,6 +250,9 @@ func TestShardedConservation(t *testing.T) {
 		if makespan != stats.Makespan {
 			t.Fatalf("k=%d: makespan %v is not the slowest shard's %v",
 				k, stats.Makespan, makespan)
+		}
+		if end := cfg.Clock.Now().Sub(simclock.Epoch); end != stats.Makespan {
+			t.Fatalf("k=%d: the run's clock ends %v after its start, makespan %v", k, end, stats.Makespan)
 		}
 		// The same total work was done; only its distribution moved.
 		if stats.ScanServices+stats.IndexServices != stats.BucketsServed {

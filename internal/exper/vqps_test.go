@@ -23,14 +23,22 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/vqps.golden from
 // The trace is replayed a second time with every job carrying a span
 // recorder: tracing spends no virtual time, so the traced replay must
 // print the same figure, or the instrumentation perturbed the schedule.
+// The same trace over four shards pins the K > 1 schedule — four
+// independent per-shard schedules and their merge — to vqps4, both ways.
 func TestCISaturatedVQPSMatchesRecorded(t *testing.T) {
 	const golden = "testdata/vqps.golden"
+	const vqps4 = "26.828994031982706"
 	env, err := NewEnv(CI())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := replayVQPS(t, env, false)
-	if traced := replayVQPS(t, env, true); traced != got {
+	for _, traced := range []bool{false, true} {
+		if got := replayVQPS(t, env, 4, traced); got != vqps4 {
+			t.Errorf("K=4 (traced %v): vqps = %s, recorded %s: the sharded virtual-clock schedule changed", traced, got, vqps4)
+		}
+	}
+	got := replayVQPS(t, env, 1, false)
+	if traced := replayVQPS(t, env, 1, true); traced != got {
 		t.Errorf("vqps = %s with every query traced, %s untraced: tracing moved the virtual schedule", traced, got)
 	}
 	if *updateGolden {
@@ -49,10 +57,11 @@ func TestCISaturatedVQPSMatchesRecorded(t *testing.T) {
 	}
 }
 
-// replayVQPS runs env's jobs saturated through one virtual-clock LifeRaft
-// shard at α = 0.5 and returns the virtual throughput as printed; traced
-// gives every job a span recorder (Finish included).
-func replayVQPS(t *testing.T, env *Env, traced bool) string {
+// replayVQPS runs env's jobs saturated through a virtual-clock LifeRaft
+// engine of the given shard count at α = 0.5 and returns the virtual
+// throughput as printed; traced gives every job a span recorder (Finish
+// included).
+func replayVQPS(t *testing.T, env *Env, shards int, traced bool) string {
 	t.Helper()
 	jobs := env.Jobs
 	var rec *trace.Recorder
@@ -68,6 +77,7 @@ func replayVQPS(t *testing.T, env *Env, traced bool) string {
 		}
 	}
 	cfg, _ := core.NewVirtual(env.Part, 0.5, false)
+	cfg.Shards = shards
 	_, stats, err := core.Run(cfg, jobs, env.SaturatedOffsets())
 	if err != nil {
 		t.Fatal(err)

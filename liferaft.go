@@ -46,9 +46,13 @@
 // query is in the engine. RunStats merges across shards with a PerShard
 // breakdown (K entries). On a virtual clock each shard charges costs to
 // its own forked clock, so K shards finish in ~1/K the virtual time
-// instead of serializing on one modeled disk.
+// instead of serializing on one modeled disk, and a virtual clock never
+// splits a service across shards, so a replay is deterministic at every K.
 // Shards 0 or 1 (the default) is one shard owning every bucket: the
 // paper's single-disk engine and its results, on the same code path.
+// There is one driver, too: Run replays its trace through the same shard
+// workers a Live engine serves with, each admitting its arrivals when its
+// own clock reaches them.
 //
 //	cfg, clk := liferaft.NewVirtualConfig(part, 0.25, false)
 //	cfg.Shards = 4
