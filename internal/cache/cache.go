@@ -72,9 +72,8 @@ type Cache[K comparable, V any] interface {
 	// policy-internal promotion). Explicit Remove does not fire it. The
 	// hook runs after the mutation completes, so it observes a
 	// consistent cache (Contains(k) is already false for the evicted
-	// key). The scheduler uses this to keep its incremental Ut index in
-	// sync with φ(i); see internal/core/DESIGN-sched-index.md. A nil fn
-	// clears the hook.
+	// key). The scheduler uses this to hand an evicted bucket's array back
+	// to its store and to count evictions. A nil fn clears the hook.
 	OnEvict(fn func(K, V))
 }
 

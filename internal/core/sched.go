@@ -40,14 +40,8 @@ type bqueue struct {
 	// bounded by the number of distinct QoS weights, making the
 	// scheduler's age computation O(frontier) instead of O(items).
 	ageFrontier []agePoint
-
-	// Incremental-index state (sched_index.go): the cached Ut(i) — kept
-	// exact by refreshing on every event that can change it — plus this
-	// queue's position in each maintained heap and the last pick epoch
-	// that scored it.
-	ut   float64
-	pos  [numHeaps]int32
-	seen uint64
+	// slot is this queue's position in scheduler.active.
+	slot int
 }
 
 type agePoint struct {
@@ -55,8 +49,8 @@ type agePoint struct {
 	weight  float64
 }
 
-// scored is one pick candidate in the exhaustive-scan path; the backing
-// slice is scheduler scratch so fallback picks stay allocation-free.
+// scored is one LifeRaft pick candidate; the backing slice is scheduler
+// scratch so picks stay allocation-free.
 type scored struct {
 	idx     int
 	ut, age float64
@@ -112,11 +106,9 @@ type scheduler struct {
 	queries map[uint64]*queryState
 	preds   map[uint64]xmatch.Predicate
 
-	// idx is the incremental scheduler index (sched_index.go). nil runs
-	// the reference implementation — the seed's exhaustive scans — which
-	// the golden-equivalence test and the old-vs-new benchmarks compare
-	// against; dropIndex switches a fresh scheduler into that mode.
-	idx *schedIndex
+	// active holds exactly the queues in the map, densely and in no
+	// particular order, each at its own bqueue.slot: the picks scan it.
+	active []*bqueue
 	// pendingItems counts queued workload objects across all queues
 	// (including spilled ones), making pendingWork O(1).
 	pendingItems int
@@ -128,9 +120,6 @@ type scheduler struct {
 	// cancelVisited counts the bucket queues examined by cancel — a test
 	// hook proving cancels touch only the cancelled query's queues.
 	cancelVisited int
-	// pickFallbacks counts indexed picks that exceeded the threshold
-	// walk's pop budget and fell back to the exhaustive scan.
-	pickFallbacks int
 
 	// Scratch reused across service-loop iterations so a steady-state
 	// step performs no allocations. The slice step returns aliases
@@ -202,21 +191,17 @@ func newScheduler(cfg Config) (*scheduler, error) {
 		queues:  make(map[int]*bqueue),
 		queries: make(map[uint64]*queryState),
 		preds:   make(map[uint64]xmatch.Predicate),
-		idx:     newSchedIndex(cfg, part.NumBuckets()),
 		seenBuf: make(map[uint64]int),
 		tbSec:   tb.Seconds(),
 		tmSec:   tm.Seconds(),
 	}
 	s.fj.preds, s.fj.materialize = s.preds, cfg.MaterializeResults
-	// Policy evictions flip φ(i) for the evicted bucket; the hook keeps
-	// that bucket's cached Ut in sync (admissions are the scheduler's
-	// own cachePut calls). The evicted array goes back to the store: the
-	// cache held its one view, and the store overwrites it no earlier than
-	// this shard's next ReadBucket, which follows the current service's
-	// fj.finish, so no part, helper or join can still be reading it.
-	s.cache.OnEvict(func(k int, objs bucketObjects) {
+	// An evicted array goes back to the store: the cache held its one
+	// view, and the store overwrites it no earlier than this shard's next
+	// ReadBucket, which follows the current service's fj.finish, so no
+	// part, helper or join can still be reading it.
+	s.cache.OnEvict(func(_ int, objs bucketObjects) {
 		s.cfg.Store.Recycle(objs)
-		s.noteCacheChange(k)
 		if s.obs != nil {
 			s.obs.cacheEvict.Inc()
 		}
@@ -230,13 +215,6 @@ func newScheduler(cfg Config) (*scheduler, error) {
 	}
 	return s, nil
 }
-
-// dropIndex switches a freshly built scheduler to the reference
-// implementation: exhaustive scans for every pick, spill-victim and
-// pending-work decision. Must be called before the first admit. The
-// golden-equivalence test drives a dropped scheduler next to an indexed
-// one to prove their decision sequences bit-identical.
-func (s *scheduler) dropIndex() { s.idx = nil }
 
 // queuePool holds released queues as a max-heap on item capacity. A new
 // queue takes the largest items array on hand: the queue released last is
@@ -293,10 +271,6 @@ func (s *scheduler) newQueue(bi int) *bqueue {
 	}
 	q.idx = bi
 	q.spilled = false
-	q.ut = 0
-	for i := range q.pos {
-		q.pos[i] = -1
-	}
 	return q
 }
 
@@ -308,73 +282,33 @@ func (s *scheduler) releaseQueue(q *bqueue) {
 	s.qPool.push(q)
 }
 
-// pushItem enqueues one work unit on bucket bi, creating the queue if
-// needed, and keeps every maintained index ordering in sync.
+// pushItem enqueues one work unit on bucket bi, creating the queue (and
+// listing it in active) if needed.
 func (s *scheduler) pushItem(bi int, it item) {
 	q := s.queues[bi]
-	isNew := q == nil
-	if isNew {
+	if q == nil {
 		q = s.newQueue(bi)
 		s.queues[bi] = q
+		q.slot = len(s.active)
+		s.active = append(s.active, q)
 	}
 	q.push(it)
 	s.pendingItems++
 	if !q.spilled {
 		s.memObjects++
 	}
-	if s.idx == nil {
-		return
-	}
-	if isNew {
-		if s.idx.needsUt() {
-			q.ut = s.workloadThroughput(q)
-		}
-		s.idx.insert(q)
-		return
-	}
-	if s.idx.needsUt() {
-		s.refreshUt(q)
-	}
-	s.idx.lenChanged(q)
-	// The age ordering keys on the frontier head, which an append-only
-	// push never displaces — no age fix needed.
 }
 
-// detachQueue removes a queue from the map and every index ordering; the
-// caller settles pendingItems/memObjects and recycles the queue.
+// detachQueue removes a queue from the map and from active, moving the
+// last active queue into its slot; the caller settles pendingItems/
+// memObjects and recycles the queue.
 func (s *scheduler) detachQueue(q *bqueue) {
 	delete(s.queues, q.idx)
-	if s.idx != nil {
-		s.idx.remove(q)
-	}
-}
-
-// refreshUt recomputes the cached Ut(i) and re-heaps the orderings keyed
-// on it. The cached value is always the output of workloadThroughput, so
-// indexed picks see bit-identical floats to a fresh exhaustive scan.
-func (s *scheduler) refreshUt(q *bqueue) {
-	q.ut = s.workloadThroughput(q)
-	s.idx.utChanged(q)
-}
-
-// noteCacheChange records a bucket-cache membership change for bucket k:
-// φ(k) flipped, so the bucket's queue (if any) gets a fresh Ut. Wired to
-// the cache's eviction hook; cachePut calls it for admissions.
-func (s *scheduler) noteCacheChange(k int) {
-	if s.idx == nil || !s.idx.needsUt() {
-		return
-	}
-	if q := s.queues[k]; q != nil {
-		s.refreshUt(q)
-	}
-}
-
-// cachePut inserts into the bucket cache and keeps the Ut index in sync:
-// evictions arrive via the OnEvict hook, the admission via the explicit
-// noteCacheChange. All scheduler cache inserts must go through here.
-func (s *scheduler) cachePut(k int, v bucketObjects) {
-	s.cache.Put(k, v)
-	s.noteCacheChange(k)
+	n := len(s.active) - 1
+	last := s.active[n]
+	s.active[q.slot], last.slot = last, q.slot
+	s.active[n] = nil
+	s.active = s.active[:n]
 }
 
 // admit pre-processes a job: every workload object is assigned to the
@@ -474,34 +408,19 @@ func (s *scheduler) maybeSpill() {
 			return // everything already spilled
 		}
 		victim.spilled = true
-		if s.idx != nil && s.idx.spill != nil {
-			s.idx.spill.remove(victim)
-		}
 		s.memObjects -= len(victim.items)
 		s.stats.SpilledObjects += int64(len(victim.items))
 		s.cfg.Disk.ReadSequential(int64(len(victim.items)) * spillObjectBytes) // write cost ≈ read cost
 	}
 }
 
-// spillVictim selects the non-spilled queue with the lowest Ut(i) — the
-// head of the spill ordering, or an exhaustive scan in reference mode.
-// Ties break toward the lower bucket index in both paths.
+// spillVictim selects the non-spilled queue with the lowest Ut(i), ties
+// toward the lower bucket index; nil when every queue is spilled.
 func (s *scheduler) spillVictim() *bqueue {
-	if s.idx != nil && s.idx.spill != nil {
-		if s.idx.spill.len() == 0 {
-			return nil
-		}
-		return s.idx.spill.head()
-	}
-	return s.spillVictimScan()
-}
-
-// spillVictimScan is the reference O(B) victim selection.
-func (s *scheduler) spillVictimScan() *bqueue {
 	var victim *bqueue
 	worst := math.Inf(1)
-	for _, q := range s.queues {
-		if q.spilled || len(q.items) == 0 {
+	for _, q := range s.active {
+		if q.spilled {
 			continue
 		}
 		ut := s.workloadThroughput(q)
@@ -563,13 +482,6 @@ func (s *scheduler) cancel(qid uint64, now time.Time) *Result {
 			continue
 		}
 		rebuildFrontier(q)
-		if s.idx != nil {
-			if s.idx.needsUt() {
-				s.refreshUt(q)
-			}
-			s.idx.lenChanged(q)
-			s.idx.ageKeyChanged(q)
-		}
 	}
 	if qs.remaining != 0 {
 		panic(fmt.Sprintf("core: query %d cancelled with %d unaccounted objects", qid, qs.remaining))
@@ -622,31 +534,21 @@ func (s *scheduler) age(q *bqueue, now time.Time) float64 {
 }
 
 // pick selects the next bucket to service per the configured policy.
-// ok is false when no queue has work. The indexed paths and their scan
-// references make identical decisions (golden_test.go); the scans remain
-// both as the fallback where the index cannot order queues (QoS age
-// weights, see DESIGN-sched-index.md §4) and as the benchmark baseline.
+// ok is false when no queue has work. Every policy scans the active
+// queues once: a pick costs O(active queues on the shard), and
+// DESIGN-sched.md §1 says why no index stands in for the scan.
 func (s *scheduler) pick(now time.Time) (int, bool) {
 	switch s.cfg.Policy {
 	case PolicyRoundRobin:
-		if s.idx != nil {
-			return s.pickRoundRobinIndexed()
-		}
-		return s.pickRoundRobinScan()
+		return s.pickRoundRobin()
 	case PolicyLeastShared:
-		if s.idx != nil {
-			return s.pickLeastSharedIndexed()
-		}
-		return s.pickLeastSharedScan()
+		return s.pickLeastShared()
 	default:
-		if s.idx != nil && s.idx.exactAge {
-			return s.pickLifeRaftIndexed(now)
-		}
-		return s.pickLifeRaftScan(now)
+		return s.pickLifeRaft(now)
 	}
 }
 
-// pickLifeRaftScan evaluates the aged workload throughput metric (Eq. 2)
+// pickLifeRaft evaluates the aged workload throughput metric (Eq. 2)
 // over all non-empty queues:
 //
 //	Ua(i) = Ût(i)·(1-α) + Â(i)·α
@@ -654,15 +556,11 @@ func (s *scheduler) pick(now time.Time) (int, bool) {
 // where Ût and Â are Ut and A normalized to [0,1] over the current
 // non-empty queues (DESIGN.md §3 explains the normalization), and returns
 // the argmax. Ties break toward the lower bucket index, making schedules
-// deterministic. This is the seed's exhaustive O(B) pick, kept as the
-// reference for pickLifeRaftIndexed and as the QoS fallback.
-func (s *scheduler) pickLifeRaftScan(now time.Time) (int, bool) {
+// deterministic.
+func (s *scheduler) pickLifeRaft(now time.Time) (int, bool) {
 	maxUt, maxAge := 0.0, 0.0
 	cands := s.scoredBuf[:0]
-	for _, q := range s.queues {
-		if len(q.items) == 0 {
-			continue
-		}
+	for _, q := range s.active {
 		ut := s.workloadThroughput(q)
 		age := s.age(q, now)
 		cands = append(cands, scored{q.idx, ut, age})
@@ -694,56 +592,38 @@ func (s *scheduler) pickLifeRaftScan(now time.Time) (int, bool) {
 	return best, true
 }
 
-// pickRoundRobinIndexed services non-empty buckets cyclically in HTM ID
-// order using the ordered non-empty set: one circular successor query
-// instead of scanning every bucket index.
-func (s *scheduler) pickRoundRobinIndexed() (int, bool) {
-	n := s.cfg.Store.Partition().NumBuckets()
-	i := s.idx.nonEmpty.nextFrom(s.rrNext % n)
-	if i < 0 {
-		i = s.idx.nonEmpty.nextFrom(0) // wrap: any non-empty bucket is below rrNext
+// pickRoundRobin services non-empty buckets cyclically in HTM ID order
+// (§5: the RR baseline): the lowest active bucket index at or after
+// rrNext, or, wrapping around, the lowest of all.
+func (s *scheduler) pickRoundRobin() (int, bool) {
+	next, lowest := -1, -1
+	for _, q := range s.active {
+		i := q.idx
+		if lowest < 0 || i < lowest {
+			lowest = i
+		}
+		if i >= s.rrNext && (next < 0 || i < next) {
+			next = i
+		}
 	}
-	if i < 0 {
+	if next < 0 {
+		next = lowest
+	}
+	if next < 0 {
 		return 0, false
 	}
-	s.rrNext = i + 1
-	return i, true
+	s.rrNext = next + 1
+	return next, true
 }
 
-// pickRoundRobinScan is the seed's O(NumBuckets) round-robin pick
-// (§5: the RR baseline), kept as the reference implementation.
-func (s *scheduler) pickRoundRobinScan() (int, bool) {
-	n := s.cfg.Store.Partition().NumBuckets()
-	for off := 0; off < n; off++ {
-		idx := (s.rrNext + off) % n
-		if q, ok := s.queues[idx]; ok && len(q.items) > 0 {
-			s.rrNext = idx + 1
-			return idx, true
-		}
-	}
-	return 0, false
-}
-
-// pickLeastSharedIndexed selects the non-empty queue with the fewest
-// pending objects — the head of the length ordering.
-func (s *scheduler) pickLeastSharedIndexed() (int, bool) {
-	if s.idx.lens.len() == 0 {
-		return -1, false
-	}
-	return s.idx.lens.head().idx, true
-}
-
-// pickLeastSharedScan selects the non-empty queue with the fewest pending
+// pickLeastShared selects the non-empty queue with the fewest pending
 // objects (ties toward the lower index): jobs that benefit least from
 // future co-scheduling run first, after Agrawal et al.'s least-sharable
-// policy for shared file scans (paper §6). Reference implementation.
-func (s *scheduler) pickLeastSharedScan() (int, bool) {
+// policy for shared file scans (paper §6).
+func (s *scheduler) pickLeastShared() (int, bool) {
 	best, bestLen := -1, 0
-	for _, q := range s.queues {
+	for _, q := range s.active {
 		n := len(q.items)
-		if n == 0 {
-			continue
-		}
 		if best < 0 || n < bestLen || (n == bestLen && q.idx < best) {
 			best, bestLen = q.idx, n
 		}
@@ -870,7 +750,7 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 			if traced {
 				readT1, readKind = s.cfg.Clock.Now(), "scan"
 			}
-			s.cachePut(idx, objs)
+			s.cache.Put(idx, objs)
 		}
 		s.stats.ScanServices++
 		if s.obs != nil {

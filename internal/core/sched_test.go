@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -167,7 +168,7 @@ func TestCachedBucketPreferredAtAlphaZero(t *testing.T) {
 	}
 	mk(1, 50)  // cached below
 	mk(2, 400) // longer but out of core
-	s.cachePut(1, nil)
+	s.cache.Put(1, nil)
 	// Eq. 1: a cached bucket's Ut = 1/Tm dwarfs any out-of-core queue
 	// (Tb dominates), so the scheduler "favors buckets in memory" (§3.2).
 	idx, ok := s.pick(simclock.Epoch.Add(time.Second))
@@ -184,20 +185,15 @@ func TestLeastSharedPicksSmallest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for idx, n := range map[int]int{2: 30, 5: 3, 9: 300} {
+	for idx, n := range map[int]int{2: 30, 5: 3, 9: 300, 7: 3} {
 		for i := 0; i < n; i++ {
 			s.pushItem(idx, item{ageWeight: 1})
 		}
 	}
+	// Buckets 5 and 7 tie on length; the lower index wins.
 	idx, ok := s.pick(simclock.Epoch)
 	if !ok || idx != 5 {
 		t.Errorf("LSF pick = %d, want 5", idx)
-	}
-	if _, ok := s.pickLeastSharedIndexed(); !ok {
-		t.Error("ok should be true with queues")
-	}
-	if _, ok := s.pickLeastSharedScan(); !ok {
-		t.Error("scan reference should agree there is work")
 	}
 	empty, err := newScheduler(cfg)
 	if err != nil {
@@ -266,5 +262,39 @@ func TestRoundRobinCyclesInOrder(t *testing.T) {
 	}
 	if s.pendingWork() {
 		t.Error("all queues serviced but pendingWork still true")
+	}
+}
+
+// TestRoundRobinSparse: round-robin on a huge, nearly empty bucket space
+// must cycle through exactly the non-empty buckets in index order, and wrap
+// to the lowest one once rrNext is past them all. The pick scans the five
+// active queues, not the 100 000 bucket indices.
+func TestRoundRobinSparse(t *testing.T) {
+	s := syntheticScheduler(t, 100_000, PolicyRoundRobin, 0)
+	occupied := []int{17, 4093, 4096, 55_001, 99_999}
+	for _, bi := range []int{55_001, 17, 99_999, 4096, 4093} { // not in index order
+		s.pushItem(bi, item{wo: xmatch.WorkloadObject{QueryID: 1}, ageWeight: 1})
+		s.pushItem(bi, item{wo: xmatch.WorkloadObject{QueryID: 1}, ageWeight: 1})
+	}
+	s.queries[1] = &queryState{remaining: 2 * len(occupied), result: Result{QueryID: 1}}
+	var got []int
+	for s.pendingWork() {
+		bi, ok := s.pick(simclock.Epoch)
+		if !ok {
+			t.Fatal("pending work but no pick")
+		}
+		got = append(got, bi)
+		s.serviceBucket(bi, simclock.Epoch)
+	}
+	if !slices.Equal(got, occupied) {
+		t.Fatalf("sparse RR visited %v, want %v", got, occupied)
+	}
+	// Wrap-around: refill two buckets with rrNext past both.
+	for _, bi := range []int{200, 100} {
+		s.pushItem(bi, item{wo: xmatch.WorkloadObject{QueryID: 2}, ageWeight: 1})
+	}
+	s.queries[2] = &queryState{remaining: 2, result: Result{QueryID: 2}}
+	if bi, _ := s.pick(simclock.Epoch); bi != 100 {
+		t.Fatalf("wrap-around pick = %d, want 100", bi)
 	}
 }
