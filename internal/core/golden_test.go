@@ -98,7 +98,7 @@ type goldenCase struct {
 // goldenSchedule is one case's recorded replay: the number of bucket
 // services and a digest each of the pick sequence, the completions (step,
 // query, completion instant, matches, assignments, cancelled) and the final
-// state (RunStats, end clock, memObjects, pendingItems).
+// state (every field of RunStats, end clock, memObjects, pendingItems).
 type goldenSchedule struct {
 	services                  int
 	picks, completions, final string
@@ -107,14 +107,14 @@ type goldenSchedule struct {
 // goldenSchedules holds each case's recorded replay. A change that means
 // to alter the virtual schedule re-records them from the failure message.
 var goldenSchedules = map[string]goldenSchedule{
-	"liferaft-hot":             {services: 276, picks: "6e25a5ed8665b9a94558085c", completions: "9a231acc428ab02c8513d21d", final: "5eb37a62999d37158ba395b6"},
-	"liferaft-uniform-cancels": {services: 225, picks: "16a8b0b08478a5410603eb04", completions: "a2dd056c96515004fc525ed6", final: "f7259b37c8d7f6c0cd932d49"},
-	"liferaft-greedy-uniform":  {services: 261, picks: "41dc4e306da1aabf85d06267", completions: "e5a54f8c4a7052e6eaa9495d", final: "6d2e7a2d0c1ea579e5ed713c"},
-	"liferaft-fifo-hot":        {services: 268, picks: "1db72dd3059eaa20928c744f", completions: "e4b97831bf415bfdf9b46608", final: "4e558e152361b7070941e74c"},
-	"liferaft-qos":             {services: 245, picks: "ed3a380ad1be273a7a115c06", completions: "0f81f30028570ae7e9299f34", final: "7e5fa4fc42b944dfca5dfc25"},
-	"liferaft-spill-2q":        {services: 82, picks: "53db390fb96ae121f00e85f1", completions: "892feec64768a50a86fa888a", final: "8dd1ddf2563b67c02cb99ad6"},
-	"rr-uniform-clock-cancels": {services: 223, picks: "0e0ab0f9e965fd989fb5871f", completions: "73d76ba46aac9a032226f09a", final: "3fa080987b73e0007f9bb3f4"},
-	"lsf-hot-cancels":          {services: 237, picks: "f19cd0777ef52655f5a19b4a", completions: "bca76466825b2fe18e863c49", final: "a91a41ec59f2cf8a679b35cf"},
+	"liferaft-hot":             {services: 276, picks: "6e25a5ed8665b9a94558085c", completions: "9a231acc428ab02c8513d21d", final: "e998c0d1e3468e6d4d94cd51"},
+	"liferaft-uniform-cancels": {services: 225, picks: "16a8b0b08478a5410603eb04", completions: "a2dd056c96515004fc525ed6", final: "526e263a1dfb3e470a09fce7"},
+	"liferaft-greedy-uniform":  {services: 261, picks: "41dc4e306da1aabf85d06267", completions: "e5a54f8c4a7052e6eaa9495d", final: "b9961c173239a7193b048ec4"},
+	"liferaft-fifo-hot":        {services: 268, picks: "1db72dd3059eaa20928c744f", completions: "e4b97831bf415bfdf9b46608", final: "3293a88c2aa937c99b24e22b"},
+	"liferaft-qos":             {services: 245, picks: "ed3a380ad1be273a7a115c06", completions: "0f81f30028570ae7e9299f34", final: "1ce54c446806c71e71294604"},
+	"liferaft-spill-2q":        {services: 82, picks: "53db390fb96ae121f00e85f1", completions: "892feec64768a50a86fa888a", final: "479427e77bc24b445f971fb9"},
+	"rr-uniform-clock-cancels": {services: 223, picks: "0e0ab0f9e965fd989fb5871f", completions: "73d76ba46aac9a032226f09a", final: "2c070e231755f9c05c47561b"},
+	"lsf-hot-cancels":          {services: 237, picks: "f19cd0777ef52655f5a19b4a", completions: "bca76466825b2fe18e863c49", final: "e0c898e25d7c93da985cf90c"},
 }
 
 func TestGoldenEquivalence(t *testing.T) {
@@ -243,7 +243,10 @@ func replayGolden(t *testing.T, part *bucket.Partition, gc goldenCase, jobs []Jo
 	}
 	end := cfg.Clock.Now()
 	final := sha256.New()
-	fmt.Fprintf(final, "%+v\n%d %d %d\n", s.finalize(end.Sub(start), completed),
+	// RunStats' String method prints a summary; the converted type has
+	// none, so %#v prints every field, nested disk and cache stats included.
+	type plainStats RunStats
+	fmt.Fprintf(final, "%#v\n%d %d %d\n", plainStats(s.finalize(end.Sub(start), completed)),
 		end.UnixNano(), s.memObjects, s.pendingItems)
 	sum := func(h hash.Hash) string { return fmt.Sprintf("%x", h.Sum(nil)[:12]) }
 	return goldenSchedule{services: steps, picks: sum(picks), completions: sum(comps), final: sum(final)}
