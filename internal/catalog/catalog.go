@@ -124,7 +124,7 @@ type Catalog struct {
 	cum    []int64 // cum[i] = sum of counts[0:i]; len = trixels+1
 
 	mu   sync.Mutex
-	memo map[uint64][]Object
+	memo map[uint64]*memoTrixel
 
 	// derive is non-nil for catalogs built by NewDerived.
 	derive *derivation
@@ -160,7 +160,7 @@ func New(cfg Config) (*Catalog, error) {
 	}
 	c := &Catalog{cfg: cfg, counts: make([]int32, n), cum: make([]int64, n+1)}
 	if cfg.CacheTrixels {
-		c.memo = make(map[uint64][]Object)
+		c.memo = make(map[uint64]*memoTrixel)
 	}
 	if total > 0 && cfg.N > 0 {
 		apportion(weights, total, cfg.N, c.counts)
@@ -247,31 +247,41 @@ func seeded(seed int64) *rand.Rand {
 	return rng
 }
 
+// memoTrixel is one memoized trixel. Goroutines that ask for it at once
+// (two buckets sharing the trixel, materialized side by side) wait on the
+// one synthesis instead of each paying for it.
+type memoTrixel struct {
+	once sync.Once
+	objs []Object
+}
+
 // TrixelObjects materializes the objects of GenLevel trixel pos, sorted by
 // (level-14 HTM ID, object ID). The result is a pure function of the
 // catalog seed and pos.
 func (c *Catalog) TrixelObjects(pos uint64) []Object {
-	n := int(c.counts[pos])
-	if n == 0 {
+	if c.counts[pos] == 0 {
 		return nil
 	}
-	if c.memo != nil {
-		c.mu.Lock()
-		if objs, ok := c.memo[pos]; ok {
-			c.mu.Unlock()
-			return objs
-		}
-		c.mu.Unlock()
+	if c.memo == nil {
+		return c.synthesize(pos)
 	}
+	c.mu.Lock()
+	m := c.memo[pos]
+	if m == nil {
+		m = new(memoTrixel)
+		c.memo[pos] = m
+	}
+	c.mu.Unlock()
+	m.once.Do(func() { m.objs = c.synthesize(pos) })
+	return m.objs
+}
+
+// synthesize generates the objects of trixel pos, which holds at least one.
+func (c *Catalog) synthesize(pos uint64) []Object {
 	if c.derive != nil {
-		objs := c.deriveTrixel(pos)
-		if c.memo != nil {
-			c.mu.Lock()
-			c.memo[pos] = objs
-			c.mu.Unlock()
-		}
-		return objs
+		return c.deriveTrixel(pos)
 	}
+	n := int(c.counts[pos])
 	base := htm.FromPos(pos, c.cfg.GenLevel)
 	tri := base.Triangle()
 	rng := seeded(c.cfg.Seed ^ int64(pos*0x9E3779B97F4A7C15))
@@ -285,17 +295,12 @@ func (c *Catalog) TrixelObjects(pos uint64) []Object {
 		}
 	}
 	for i := range objs {
-		objs[i].HTMID = htm.LookupWithin(base, objs[i].Pos, htm.PaperLevel)
+		objs[i].HTMID = htm.LookupIn(base, tri, objs[i].Pos, htm.PaperLevel)
 	}
 	sort.Slice(objs, func(a, b int) bool { return objs[a].HTMID < objs[b].HTMID })
 	start := uint64(c.cum[pos])
 	for i := range objs {
 		objs[i].ID = start + uint64(i)
-	}
-	if c.memo != nil {
-		c.mu.Lock()
-		c.memo[pos] = objs
-		c.mu.Unlock()
 	}
 	return objs
 }
@@ -343,7 +348,7 @@ func NewDerived(base *Catalog, cfg DerivedConfig) (*Catalog, error) {
 		derive: &derivation{base: base, cfg: cfg},
 	}
 	if cfg.CacheTrixels {
-		c.memo = make(map[uint64][]Object)
+		c.memo = make(map[uint64]*memoTrixel)
 	}
 	total := 0
 	for pos := uint64(0); pos < n; pos++ {
@@ -417,7 +422,7 @@ func (c *Catalog) deriveTrixel(pos uint64) []Object {
 		})
 	}
 	for i := range out {
-		out[i].HTMID = htm.LookupWithin(baseTrixel, out[i].Pos, htm.PaperLevel)
+		out[i].HTMID = htm.LookupIn(baseTrixel, tri, out[i].Pos, htm.PaperLevel)
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].HTMID < out[b].HTMID })
 	start := uint64(c.cum[pos])

@@ -460,3 +460,37 @@ func TestTrixelChecksumsMatchRecorded(t *testing.T) {
 		}
 	}
 }
+
+// TestMemoSynthesizesATrixelOnce: goroutines that ask for one memoized
+// trixel at once (two buckets straddling it, materialized side by side)
+// share a single synthesis, so every caller holds the same array. Base and
+// derived catalogs both.
+func TestMemoSynthesizesATrixelOnce(t *testing.T) {
+	for round := 0; round < 10; round++ {
+		base := mustNew(t, Config{Name: "sdss", N: 40000, Seed: 42, GenLevel: 2, CacheTrixels: true})
+		derived, err := NewDerived(base, DerivedConfig{Name: "twomass", Seed: 43, Fraction: 0.8, JitterRad: geom.ArcsecToRad(1.5), CacheTrixels: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []*Catalog{derived, base} {
+			got := make([][]Object, 8)
+			var ready, wg sync.WaitGroup
+			ready.Add(1)
+			for g := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					ready.Wait()
+					got[g] = c.TrixelObjects(uint64(round))
+				}()
+			}
+			ready.Done()
+			wg.Wait()
+			for g := range got {
+				if len(got[g]) == 0 || &got[g][0] != &got[0][0] {
+					t.Fatalf("round %d, %s: caller %d got a trixel of its own", round, c.Name(), g)
+				}
+			}
+		}
+	}
+}

@@ -118,31 +118,39 @@ func (id ID) FaceIndex() int {
 }
 
 // Triangle returns the spherical triangle covered by id, computed by
-// descending the quad-tree from the face triangle.
+// descending the quad-tree from the face triangle. A corner child needs only
+// the midpoints of its two edges at the corner, so only the middle child pays
+// for all three.
 func (id ID) Triangle() geom.Triangle {
 	level := id.Level()
 	tri := FaceTriangle(id.FaceIndex())
 	for l := level - 1; l >= 0; l-- {
-		child := int(id>>(2*uint(l))) & 3
-		tri = subTriangle(tri, child)
+		t := tri
+		switch int(id>>(2*uint(l))) & 3 {
+		case 0:
+			tri = geom.Triangle{V0: t.V0, V1: t.V0.Mid(t.V1), V2: t.V0.Mid(t.V2)}
+		case 1:
+			tri = geom.Triangle{V0: t.V1, V1: t.V1.Mid(t.V2), V2: t.V0.Mid(t.V1)}
+		case 2:
+			tri = geom.Triangle{V0: t.V2, V1: t.V0.Mid(t.V2), V2: t.V1.Mid(t.V2)}
+		default:
+			tri = children(t)[3]
+		}
 	}
 	return tri
 }
 
-// subTriangle returns child i of tri under HTM's midpoint subdivision.
-func subTriangle(tri geom.Triangle, i int) geom.Triangle {
+// children returns tri's four children under HTM's midpoint subdivision, in
+// child order, with each edge midpoint taken once.
+func children(tri geom.Triangle) [4]geom.Triangle {
 	w0 := tri.V1.Mid(tri.V2)
 	w1 := tri.V0.Mid(tri.V2)
 	w2 := tri.V0.Mid(tri.V1)
-	switch i {
-	case 0:
-		return geom.Triangle{V0: tri.V0, V1: w2, V2: w1}
-	case 1:
-		return geom.Triangle{V0: tri.V1, V1: w0, V2: w2}
-	case 2:
-		return geom.Triangle{V0: tri.V2, V1: w1, V2: w0}
-	default:
-		return geom.Triangle{V0: w0, V1: w1, V2: w2}
+	return [4]geom.Triangle{
+		{V0: tri.V0, V1: w2, V2: w1},
+		{V0: tri.V1, V1: w0, V2: w2},
+		{V0: tri.V2, V1: w1, V2: w0},
+		{V0: w0, V1: w1, V2: w2},
 	}
 }
 
@@ -240,69 +248,50 @@ func Lookup(v geom.Vec3, level int) ID {
 		face = best
 		tri = FaceTriangle(face)
 	}
-	id := ID(8 + face)
-	for l := 0; l < level; l++ {
-		placed := false
-		for c := 0; c < 4; c++ {
-			sub := subTriangle(tri, c)
-			if sub.Contains(v) {
-				id = id<<2 | ID(c)
-				tri = sub
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			// Epsilon gaps can exclude a boundary point from all four
-			// children; snap to the child whose centroid is nearest.
-			best, bestDot := 0, -2.0
-			for c := 0; c < 4; c++ {
-				d := subTriangle(tri, c).Center().Dot(v)
-				if d > bestDot {
-					best, bestDot = c, d
-				}
-			}
-			id = id<<2 | ID(best)
-			tri = subTriangle(tri, best)
-		}
-	}
-	return id
+	return descend(ID(8+face), tri, v, level)
 }
 
 // LookupWithin returns the trixel of the given level containing v,
-// descending from base instead of from the octahedron faces. It is the
-// fast path for catalog generation, where the containing coarse trixel is
-// already known. If v lies outside base (within epsilon), the descent
-// still terminates by snapping to the nearest child at each level.
+// descending from base instead of from the octahedron faces. If v lies
+// outside base (within epsilon), the descent still terminates by snapping to
+// the nearest child at each level.
 func LookupWithin(base ID, v geom.Vec3, level int) ID {
+	return LookupIn(base, base.Triangle(), v, level)
+}
+
+// LookupIn is LookupWithin for a caller that already holds base's triangle:
+// tri must be base.Triangle(). It is the fast path for catalog generation,
+// which samples a coarse trixel's objects inside that triangle and then keys
+// each one at level 14 without re-deriving it from the octahedron face.
+func LookupIn(base ID, tri geom.Triangle, v geom.Vec3, level int) ID {
 	if level < base.Level() {
-		panic("htm: LookupWithin target above base level")
+		panic("htm: lookup target above base level")
 	}
-	v = v.Normalize()
-	id := base
-	tri := base.Triangle()
-	for l := base.Level(); l < level; l++ {
-		placed := false
-		for c := 0; c < 4; c++ {
-			sub := subTriangle(tri, c)
-			if sub.Contains(v) {
-				id = id<<2 | ID(c)
-				tri = sub
-				placed = true
-				break
-			}
+	return descend(base, tri, v.Normalize(), level)
+}
+
+// descend walks from id, whose triangle is tri, down to the given level,
+// taking at each level the lowest-numbered child that contains v. Epsilon
+// gaps can exclude a boundary point (or one outside id) from all four
+// children; it then snaps to the child whose centroid is nearest.
+func descend(id ID, tri geom.Triangle, v geom.Vec3, level int) ID {
+	for l := id.Level(); l < level; l++ {
+		sub := children(tri)
+		c := 0
+		for c < 4 && !sub[c].Contains(v) {
+			c++
 		}
-		if !placed {
-			best, bestDot := 0, -2.0
-			for c := 0; c < 4; c++ {
-				d := subTriangle(tri, c).Center().Dot(v)
-				if d > bestDot {
-					best, bestDot = c, d
+		if c == 4 {
+			c = 0
+			bestDot := -2.0
+			for i := range sub {
+				if d := sub[i].Center().Dot(v); d > bestDot {
+					c, bestDot = i, d
 				}
 			}
-			id = id<<2 | ID(best)
-			tri = subTriangle(tri, best)
 		}
+		id = id<<2 | ID(c)
+		tri = sub[c]
 	}
 	return id
 }
@@ -389,8 +378,8 @@ func coverNode(id ID, tri geom.Triangle, c geom.Cap, level int, out *[]Range) {
 		*out = append(*out, Range{Start: id, End: id})
 		return
 	}
-	for i := 0; i < 4; i++ {
-		coverNode(id.Child(i), subTriangle(tri, i), c, level, out)
+	for i, sub := range children(tri) {
+		coverNode(id<<2|ID(i), sub, c, level, out)
 	}
 }
 
@@ -504,9 +493,9 @@ func (b *capBounds) walk(id ID, tri geom.Triangle, shift uint, held bool) {
 		b.ok = true
 		return
 	}
-	// subTriangle's four children, with the edge midpoints taken once for
-	// the node instead of once per child. A corner child shares two edges'
-	// planes with tri; its third edge is the middle child's.
+	// children's four, with the edge midpoints taken once for the node. A
+	// corner child shares two edges' planes with tri; its third edge is the
+	// middle child's.
 	w0 := tri.V1.Mid(tri.V2)
 	w1 := tri.V0.Mid(tri.V2)
 	w2 := tri.V0.Mid(tri.V1)

@@ -555,8 +555,7 @@ func TestCapBoundsMatchCoverCap(t *testing.T) {
 		tri := FaceTriangle(i)
 		special = append(special, tri.V0.Mid(tri.V1), tri.V1.Mid(tri.V2), tri.V2.Mid(tri.V0), tri.Center())
 		// Vertices and edge midpoints of the first subdivision.
-		for c := 0; c < 4; c++ {
-			sub := subTriangle(tri, c)
+		for _, sub := range children(tri) {
 			special = append(special, sub.V0.Mid(sub.V1), sub.V1.Mid(sub.V2), sub.V2.Mid(sub.V0))
 		}
 	}
@@ -848,5 +847,194 @@ func TestCapBoundsMatchReferenceWalk(t *testing.T) {
 	}
 	if caps < 100000 {
 		t.Fatalf("only %d caps compared", caps)
+	}
+}
+
+// refSubTriangle, refLookup and refLookupWithin are the descent as it was
+// before each level's midpoints were taken once: every child tried pays for
+// all three of its parent's edge midpoints, and LookupWithin re-derives
+// base's triangle from the octahedron face. Kept as the reference the
+// hoisted descent must agree with, bit for bit.
+func refSubTriangle(tri geom.Triangle, i int) geom.Triangle {
+	w0 := tri.V1.Mid(tri.V2)
+	w1 := tri.V0.Mid(tri.V2)
+	w2 := tri.V0.Mid(tri.V1)
+	switch i {
+	case 0:
+		return geom.Triangle{V0: tri.V0, V1: w2, V2: w1}
+	case 1:
+		return geom.Triangle{V0: tri.V1, V1: w0, V2: w2}
+	case 2:
+		return geom.Triangle{V0: tri.V2, V1: w1, V2: w0}
+	default:
+		return geom.Triangle{V0: w0, V1: w1, V2: w2}
+	}
+}
+
+func refTriangle(id ID) geom.Triangle {
+	tri := FaceTriangle(id.FaceIndex())
+	for l := id.Level() - 1; l >= 0; l-- {
+		tri = refSubTriangle(tri, int(id>>(2*uint(l)))&3)
+	}
+	return tri
+}
+
+func refDescend(id ID, tri geom.Triangle, v geom.Vec3, from, level int) ID {
+	for l := from; l < level; l++ {
+		placed := false
+		for c := 0; c < 4; c++ {
+			sub := refSubTriangle(tri, c)
+			if sub.Contains(v) {
+				id = id<<2 | ID(c)
+				tri = sub
+				placed = true
+				break
+			}
+		}
+		if !placed {
+			best, bestDot := 0, -2.0
+			for c := 0; c < 4; c++ {
+				d := refSubTriangle(tri, c).Center().Dot(v)
+				if d > bestDot {
+					best, bestDot = c, d
+				}
+			}
+			id = id<<2 | ID(best)
+			tri = refSubTriangle(tri, best)
+		}
+	}
+	return id
+}
+
+func refLookup(v geom.Vec3, level int) ID {
+	v = v.Normalize()
+	face := -1
+	for i := 0; i < 8; i++ {
+		if FaceTriangle(i).Contains(v) {
+			face = i
+			break
+		}
+	}
+	if face < 0 {
+		best, bestDot := 0, -2.0
+		for i := 0; i < 8; i++ {
+			if d := FaceTriangle(i).Center().Dot(v); d > bestDot {
+				best, bestDot = i, d
+			}
+		}
+		face = best
+	}
+	return refDescend(FaceID(face), FaceTriangle(face), v, 0, level)
+}
+
+func refLookupWithin(base ID, v geom.Vec3, level int) ID {
+	return refDescend(base, refTriangle(base), v.Normalize(), base.Level(), level)
+}
+
+// TestDescentMatchesPerChildReference holds LookupIn, LookupWithin, Lookup
+// and ID.Triangle to the per-child descent they replace, on random points,
+// on the vertices, edge midpoints and edges of trixels at levels 5 to 14
+// (where the lowest-numbered-child rule decides), and on points a hair
+// outside base, which no child contains and the descent snaps to the nearest
+// one. Where base is the trixel Lookup finds at its level, the descent from
+// base is Lookup's.
+func TestDescentMatchesPerChildReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	checks, snapped := 0, 0
+	check := func(base ID, v geom.Vec3, level int) {
+		t.Helper()
+		checks++
+		tri := base.Triangle()
+		if want := refTriangle(base); tri != want {
+			t.Fatalf("%s.Triangle() = %v, reference %v", base, tri, want)
+		}
+		want := refLookupWithin(base, v, level)
+		if got := LookupIn(base, tri, v, level); got != want {
+			t.Fatalf("LookupIn(%s, %v, %d) = %s, reference %s", base, v, level, got, want)
+		}
+		if got := LookupWithin(base, v, level); got != want {
+			t.Fatalf("LookupWithin(%s, %v, %d) = %s, reference %s", base, v, level, got, want)
+		}
+		full := Lookup(v, level)
+		if wantFull := refLookup(v, level); full != wantFull {
+			t.Fatalf("Lookup(%v, %d) = %s, reference %s", v, level, full, wantFull)
+		}
+		if Lookup(v, base.Level()) == base && full != want {
+			t.Fatalf("descent from %s = %s, Lookup from the faces = %s", base, want, full)
+		}
+		if !tri.Contains(v.Normalize()) {
+			snapped++
+		}
+	}
+	randomPoint := func() geom.Vec3 {
+		return geom.FromRaDec(rng.Float64()*360, math.Asin(rng.Float64()*2-1)*180/math.Pi)
+	}
+	for i := 0; i < 4000; i++ {
+		v := randomPoint()
+		baseLevel := rng.Intn(9)
+		check(Lookup(v, baseLevel), v, PaperLevel)
+		if i%8 == 0 {
+			check(Lookup(v, baseLevel), v, baseLevel+rng.Intn(MaxLevel-baseLevel+1))
+		}
+	}
+	for level := 5; level <= PaperLevel; level++ {
+		for i := 0; i < 40; i++ {
+			id := Lookup(randomPoint(), level)
+			tri := id.Triangle()
+			pts := []geom.Vec3{
+				tri.V0, tri.V1, tri.V2,
+				tri.V0.Mid(tri.V1), tri.V1.Mid(tri.V2), tri.V2.Mid(tri.V0),
+			}
+			for _, e := range [][2]geom.Vec3{{tri.V0, tri.V1}, {tri.V1, tri.V2}, {tri.V2, tri.V0}} {
+				f := rng.Float64()
+				pts = append(pts, e[0].Scale(1-f).Add(e[1].Scale(f)).Normalize())
+			}
+			for _, p := range pts {
+				for _, baseLevel := range []int{0, rng.Intn(level + 1), level} {
+					check(id.AncestorAtLevel(baseLevel), p, PaperLevel)
+				}
+			}
+		}
+	}
+	for i := 0; i < 400; i++ {
+		baseLevel := 5 + rng.Intn(6)
+		base := Lookup(randomPoint(), baseLevel)
+		tri := base.Triangle()
+		edges := [3][2]geom.Vec3{{tri.V0, tri.V1}, {tri.V1, tri.V2}, {tri.V2, tri.V0}}
+		e := edges[rng.Intn(3)]
+		f := rng.Float64()
+		onEdge := e[0].Scale(1 - f).Add(e[1].Scale(f)).Normalize()
+		// The edge plane's normal points into base: step against it.
+		out := e[0].Cross(e[1]).Normalize()
+		for _, step := range []float64{1e-13, 1e-11, 1e-9, 1e-7} {
+			check(base, onEdge.Sub(out.Scale(step)).Normalize(), PaperLevel)
+		}
+	}
+	if snapped == 0 {
+		t.Fatalf("%d checks, none outside base: the snap path went untested", checks)
+	}
+	t.Logf("%d checks, %d of them outside base", checks, snapped)
+}
+
+// BenchmarkLookupIn is the per-object cost of keying a catalog object: the
+// level-5 to level-14 descent from a coarse trixel whose triangle the
+// caller holds, over 4 096 random points.
+func BenchmarkLookupIn(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	type point struct {
+		base ID
+		tri  geom.Triangle
+		v    geom.Vec3
+	}
+	pts := make([]point, 4096)
+	for i := range pts {
+		v := geom.FromRaDec(rng.Float64()*360, math.Asin(rng.Float64()*2-1)*180/math.Pi)
+		base := Lookup(v, 5)
+		pts[i] = point{base, base.Triangle(), v}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := &pts[i%len(pts)]
+		LookupIn(p.base, p.tri, p.v, PaperLevel)
 	}
 }

@@ -7,9 +7,13 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"liferaft/internal/bucket"
+	"liferaft/internal/catalog"
 )
 
 // DefaultBucketsPerSegment groups 64 buckets per segment file: large
@@ -58,6 +62,10 @@ type manifest struct {
 // synced, and renamed; the manifest is written the same way, last, so a
 // crash mid-build leaves either a directory without a manifest (rebuilt
 // on the next Write) or a complete store — never a readable torn one.
+//
+// Buckets are materialized ahead of the writer on GOMAXPROCS goroutines;
+// encoding, checksums and every file operation stay on the calling
+// goroutine in bucket order, so the files do not depend on the width.
 func Write(dir string, part *bucket.Partition, opts WriteOptions) (WriteStats, error) {
 	group := opts.BucketsPerSegment
 	if group <= 0 {
@@ -86,13 +94,15 @@ func Write(dir string, part *bucket.Partition, opts WriteOptions) (WriteStats, e
 		Derived:           part.Catalog().Derived(),
 		BucketsPerSegment: group,
 	}
+	mat := startMaterializer(part)
+	defer mat.stop()
 	for first, seg := 0, 0; first < part.NumBuckets(); first, seg = first+group, seg+1 {
 		n := group
 		if first+n > part.NumBuckets() {
 			n = part.NumBuckets() - first
 		}
 		name := segmentName(seg)
-		written, objs, err := writeSegment(filepath.Join(dir, name), part, first, n, int(stride))
+		written, objs, err := writeSegment(filepath.Join(dir, name), part, mat, first, n, int(stride))
 		if err != nil {
 			return WriteStats{}, fmt.Errorf("segment: writing %s: %w", name, err)
 		}
@@ -119,6 +129,70 @@ func Write(dir string, part *bucket.Partition, opts WriteOptions) (WriteStats, e
 	return st, nil
 }
 
+// aheadPerWorker is how many buckets each materializing goroutine may run
+// ahead of the writer: enough that a worker finishing early starts the next
+// bucket instead of waiting, few enough that the buckets held stay a small
+// multiple of the width.
+const aheadPerWorker = 2
+
+// materializer runs Partition.Materialize on GOMAXPROCS goroutines, each
+// claiming the next bucket in curve order, at most aheadPerWorker buckets a
+// goroutine past the one the writer is on, and hands the buckets to the
+// writer in that order.
+type materializer struct {
+	done  []chan []catalog.Object // done[i] receives bucket i, once
+	slots chan struct{}           // one per bucket claimed and not yet taken
+	quit  chan struct{}
+	wg    sync.WaitGroup
+}
+
+func startMaterializer(part *bucket.Partition) *materializer {
+	workers := runtime.GOMAXPROCS(0)
+	m := &materializer{
+		done:  make([]chan []catalog.Object, part.NumBuckets()),
+		slots: make(chan struct{}, workers*aheadPerWorker),
+		quit:  make(chan struct{}),
+	}
+	for i := range m.done {
+		m.done[i] = make(chan []catalog.Object, 1)
+	}
+	var next atomic.Int64
+	m.wg.Add(workers)
+	for range workers {
+		go func() {
+			defer m.wg.Done()
+			for {
+				select {
+				case m.slots <- struct{}{}:
+				case <-m.quit:
+					return
+				}
+				i := int(next.Add(1) - 1)
+				if i >= len(m.done) {
+					return
+				}
+				m.done[i] <- part.Materialize(i)
+			}
+		}()
+	}
+	return m
+}
+
+// bucket waits for bucket i, which must be the bucket after the one the
+// previous call returned (the first call asks for bucket 0).
+func (m *materializer) bucket(i int) []catalog.Object {
+	objs := <-m.done[i]
+	<-m.slots
+	return objs
+}
+
+// stop tells the workers to claim nothing more and waits for them to exit;
+// a bucket already claimed is finished first.
+func (m *materializer) stop() {
+	close(m.quit)
+	m.wg.Wait()
+}
+
 // syncDir fsyncs a directory, making renames into it durable.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
@@ -138,7 +212,7 @@ func syncDir(dir string) error {
 // object counts, and with them the granule counts, are known from the
 // partition), the bucket data streamed behind them granule by granule,
 // and all three are back-filled once every checksum is known.
-func writeSegment(path string, part *bucket.Partition, first, n, stride int) (int64, int64, error) {
+func writeSegment(path string, part *bucket.Partition, mat *materializer, first, n, stride int) (int64, int64, error) {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -180,7 +254,7 @@ func writeSegment(path string, part *bucket.Partition, first, n, stride int) (in
 	var objects int64
 	for i := range entries {
 		e := &entries[i]
-		objs := part.Materialize(first + i)
+		objs := mat.bucket(first + i)
 		if int64(len(objs))*int64(stride) != int64(e.length) {
 			return 0, 0, fmt.Errorf("bucket %d materialized %d objects, partition says %d", first+i, len(objs), part.Bucket(first+i).Count())
 		}
