@@ -90,9 +90,6 @@ func run(scaleName, expName string, shards int) error {
 		{"indexonly", func() error { return show(exper.IndexOnlyExp(env)) }},
 		{"cache", func() error { return show(exper.CacheHitRates(env)) }},
 		{"ablations", func() error {
-			if err := show(exper.AblationCachePolicy(env)); err != nil {
-				return err
-			}
 			if err := show(exper.AblationCacheSize(env)); err != nil {
 				return err
 			}

@@ -3,7 +3,6 @@
 // buckets. The paper uses a simple least-recently-used policy with a
 // capacity of 20 buckets and manages it independently of the database
 // server (SQL Server's buffer pool is flushed after every bucket read).
-// CLOCK and 2Q policies are provided for the cache-policy ablation.
 //
 // The scheduler consults the cache *without* touching recency (Contains)
 // when computing φ(i) in the workload throughput metric — whether a bucket
@@ -48,46 +47,17 @@ func (s Stats) String() string {
 		s.Hits, s.Misses, s.Evictions, 100*s.HitRate())
 }
 
-// Cache is a fixed-capacity key-value cache. Implementations are not safe
-// for concurrent use; the engine serializes access on its scheduling
-// goroutine.
-type Cache[K comparable, V any] interface {
-	// Get returns the cached value and promotes it per the policy.
-	Get(k K) (V, bool)
-	// Put inserts or refreshes a value, evicting per the policy.
-	Put(k K, v V)
-	// Contains reports membership without affecting recency. This is
-	// the φ(i) probe of Eq. 1.
-	Contains(k K) bool
-	// Remove drops a key if present, reporting whether it was.
-	Remove(k K) bool
-	// Len returns the number of cached entries.
-	Len() int
-	// Cap returns the capacity.
-	Cap() int
-	// Stats returns a snapshot of the counters.
-	Stats() Stats
-	// OnEvict registers fn to be called whenever an entry leaves the
-	// cache through POLICY eviction (capacity pressure during Put or a
-	// policy-internal promotion). Explicit Remove does not fire it. The
-	// hook runs after the mutation completes, so it observes a
-	// consistent cache (Contains(k) is already false for the evicted
-	// key). The scheduler uses this to hand an evicted bucket's array back
-	// to its store and to count evictions. A nil fn clears the hook.
-	OnEvict(fn func(K, V))
-}
-
-// LRU is a least-recently-used cache, the paper's policy. Entries live in
-// a slab of slots linked into an intrusive recency list, so steady-state
-// operation at capacity performs no allocations — the scheduler's
-// zero-alloc service loop depends on this.
+// LRU is a fixed-capacity least-recently-used cache, the paper's policy.
+// Entries live in a slab of slots linked into an intrusive recency list, so
+// steady-state operation at capacity performs no allocations — the
+// scheduler's zero-alloc service loop depends on this. It is not safe for
+// concurrent use; each shard's worker owns its cache.
 type LRU[K comparable, V any] struct {
 	cap     int
 	slots   []lruSlot[K, V]
 	index   map[K]int32
 	head    int32 // most recent, -1 when empty
 	tail    int32 // least recent, -1 when empty
-	free    []int32
 	onEvict func(K, V)
 	stats   Stats
 }
@@ -140,7 +110,7 @@ func (c *LRU[K, V]) pushFront(i int32) {
 	}
 }
 
-// Get implements Cache.
+// Get returns the cached value and makes it the most recent entry.
 func (c *LRU[K, V]) Get(k K) (V, bool) {
 	if i, ok := c.index[k]; ok {
 		c.stats.Hits++
@@ -153,7 +123,8 @@ func (c *LRU[K, V]) Get(k K) (V, bool) {
 	return zero, false
 }
 
-// Put implements Cache.
+// Put inserts or refreshes a value as the most recent entry, evicting the
+// least recent one when the cache is full.
 func (c *LRU[K, V]) Put(k K, v V) {
 	c.stats.Puts++
 	if i, ok := c.index[k]; ok {
@@ -168,18 +139,14 @@ func (c *LRU[K, V]) Put(k K, v V) {
 		ek      K
 		ev      V
 	)
-	switch {
-	case len(c.index) >= c.cap:
+	if len(c.index) >= c.cap {
 		// Reuse the least-recent slot in place of its evicted entry.
 		i = c.tail
 		ek, ev, evicted = c.slots[i].k, c.slots[i].v, true
 		c.unlink(i)
 		delete(c.index, ek)
 		c.stats.Evictions++
-	case len(c.free) > 0:
-		i = c.free[len(c.free)-1]
-		c.free = c.free[:len(c.free)-1]
-	default:
+	} else {
 		c.slots = append(c.slots, lruSlot[K, V]{})
 		//lifevet:allow durovf -- slot index bounded by the configured LRU capacity, far below 2^31
 		i = int32(len(c.slots) - 1)
@@ -192,33 +159,24 @@ func (c *LRU[K, V]) Put(k K, v V) {
 	}
 }
 
-// Contains implements Cache.
+// Contains reports membership without affecting recency. This is the φ(i)
+// probe of Eq. 1.
 func (c *LRU[K, V]) Contains(k K) bool { _, ok := c.index[k]; return ok }
 
-// Remove implements Cache.
-func (c *LRU[K, V]) Remove(k K) bool {
-	i, ok := c.index[k]
-	if !ok {
-		return false
-	}
-	c.unlink(i)
-	delete(c.index, k)
-	var zero lruSlot[K, V]
-	c.slots[i] = zero
-	c.free = append(c.free, i)
-	return true
-}
-
-// Len implements Cache.
+// Len returns the number of cached entries.
 func (c *LRU[K, V]) Len() int { return len(c.index) }
 
-// Cap implements Cache.
+// Cap returns the capacity.
 func (c *LRU[K, V]) Cap() int { return c.cap }
 
-// Stats implements Cache.
+// Stats returns a snapshot of the counters.
 func (c *LRU[K, V]) Stats() Stats { return c.stats }
 
-// OnEvict implements Cache.
+// OnEvict registers fn to be called whenever Put evicts an entry to make
+// room. The hook runs after the mutation completes, so it observes a
+// consistent cache (Contains(k) is already false for the evicted key). The
+// scheduler uses it to hand an evicted bucket's array back to its store and
+// to count the eviction. A nil fn clears the hook.
 func (c *LRU[K, V]) OnEvict(fn func(K, V)) { c.onEvict = fn }
 
 // Keys returns the cached keys from most to least recently used; useful
@@ -229,217 +187,4 @@ func (c *LRU[K, V]) Keys() []K {
 		out = append(out, c.slots[i].k)
 	}
 	return out
-}
-
-// Clock is a CLOCK (second-chance) cache: an LRU approximation with O(1)
-// lookups and a rotating eviction hand. Included for the cache-policy
-// ablation bench.
-type Clock[K comparable, V any] struct {
-	cap     int
-	slots   []clockSlot[K, V]
-	index   map[K]int
-	hand    int
-	onEvict func(K, V)
-	stats   Stats
-}
-
-type clockSlot[K comparable, V any] struct {
-	k    K
-	v    V
-	ref  bool
-	used bool
-}
-
-// NewClock returns a CLOCK cache with the given capacity (minimum 1).
-func NewClock[K comparable, V any](capacity int) *Clock[K, V] {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Clock[K, V]{cap: capacity, slots: make([]clockSlot[K, V], capacity), index: make(map[K]int)}
-}
-
-// Get implements Cache.
-func (c *Clock[K, V]) Get(k K) (V, bool) {
-	if i, ok := c.index[k]; ok {
-		c.stats.Hits++
-		c.slots[i].ref = true
-		return c.slots[i].v, true
-	}
-	c.stats.Misses++
-	var zero V
-	return zero, false
-}
-
-// Put implements Cache.
-func (c *Clock[K, V]) Put(k K, v V) {
-	c.stats.Puts++
-	if i, ok := c.index[k]; ok {
-		c.slots[i].v = v
-		c.slots[i].ref = true
-		return
-	}
-	for {
-		s := &c.slots[c.hand]
-		if !s.used {
-			*s = clockSlot[K, V]{k: k, v: v, ref: false, used: true}
-			c.index[k] = c.hand
-			c.hand = (c.hand + 1) % c.cap
-			return
-		}
-		if s.ref {
-			s.ref = false
-			c.hand = (c.hand + 1) % c.cap
-			continue
-		}
-		ek, ev := s.k, s.v
-		delete(c.index, s.k)
-		c.stats.Evictions++
-		*s = clockSlot[K, V]{k: k, v: v, ref: false, used: true}
-		c.index[k] = c.hand
-		c.hand = (c.hand + 1) % c.cap
-		if c.onEvict != nil {
-			c.onEvict(ek, ev)
-		}
-		return
-	}
-}
-
-// Contains implements Cache.
-func (c *Clock[K, V]) Contains(k K) bool { _, ok := c.index[k]; return ok }
-
-// Remove implements Cache.
-func (c *Clock[K, V]) Remove(k K) bool {
-	i, ok := c.index[k]
-	if !ok {
-		return false
-	}
-	delete(c.index, k)
-	c.slots[i] = clockSlot[K, V]{}
-	return true
-}
-
-// Len implements Cache.
-func (c *Clock[K, V]) Len() int { return len(c.index) }
-
-// Cap implements Cache.
-func (c *Clock[K, V]) Cap() int { return c.cap }
-
-// Stats implements Cache.
-func (c *Clock[K, V]) Stats() Stats { return c.stats }
-
-// OnEvict implements Cache.
-func (c *Clock[K, V]) OnEvict(fn func(K, V)) { c.onEvict = fn }
-
-// TwoQueue is a simplified 2Q cache: a FIFO probation queue admits new
-// keys; a second hit promotes to a protected LRU segment. It resists the
-// scan pollution that sequential bucket batches inflict on plain LRU.
-type TwoQueue[K comparable, V any] struct {
-	probation *LRU[K, V]
-	protected *LRU[K, V]
-	stats     Stats
-}
-
-// NewTwoQueue returns a 2Q cache with the given total capacity (minimum
-// 2): a quarter (at least 1) probationary, the rest protected.
-func NewTwoQueue[K comparable, V any](capacity int) *TwoQueue[K, V] {
-	if capacity < 2 {
-		capacity = 2
-	}
-	probCap := capacity / 4
-	if probCap < 1 {
-		probCap = 1
-	}
-	return &TwoQueue[K, V]{
-		probation: NewLRU[K, V](probCap),
-		protected: NewLRU[K, V](capacity - probCap),
-	}
-}
-
-// Get implements Cache.
-func (c *TwoQueue[K, V]) Get(k K) (V, bool) {
-	if v, ok := c.protected.Get(k); ok {
-		c.stats.Hits++
-		return v, true
-	}
-	if v, ok := c.probation.Get(k); ok {
-		// Second touch: promote.
-		c.probation.Remove(k)
-		c.promote(k, v)
-		c.stats.Hits++
-		return v, true
-	}
-	c.stats.Misses++
-	var zero V
-	return zero, false
-}
-
-func (c *TwoQueue[K, V]) promote(k K, v V) {
-	before := c.protected.Stats().Evictions
-	c.protected.Put(k, v)
-	c.stats.Evictions += c.protected.Stats().Evictions - before
-}
-
-// Put implements Cache.
-func (c *TwoQueue[K, V]) Put(k K, v V) {
-	c.stats.Puts++
-	if c.protected.Contains(k) {
-		c.protected.Put(k, v)
-		return
-	}
-	before := c.probation.Stats().Evictions
-	c.probation.Put(k, v)
-	c.stats.Evictions += c.probation.Stats().Evictions - before
-}
-
-// Contains implements Cache.
-func (c *TwoQueue[K, V]) Contains(k K) bool {
-	return c.protected.Contains(k) || c.probation.Contains(k)
-}
-
-// Remove implements Cache.
-func (c *TwoQueue[K, V]) Remove(k K) bool {
-	return c.protected.Remove(k) || c.probation.Remove(k)
-}
-
-// Len implements Cache.
-func (c *TwoQueue[K, V]) Len() int { return c.protected.Len() + c.probation.Len() }
-
-// Cap implements Cache.
-func (c *TwoQueue[K, V]) Cap() int { return c.protected.Cap() + c.probation.Cap() }
-
-// Stats implements Cache.
-func (c *TwoQueue[K, V]) Stats() Stats { return c.stats }
-
-// OnEvict implements Cache. A key promoted from probation to protected
-// never leaves the cache as a whole, so the hook is wired to the two
-// inner segments: it fires only when capacity pressure in either segment
-// pushes an entry out of the cache entirely.
-func (c *TwoQueue[K, V]) OnEvict(fn func(K, V)) {
-	c.probation.OnEvict(fn)
-	c.protected.OnEvict(fn)
-}
-
-// PolicyName identifies a cache policy for configuration.
-type PolicyName string
-
-// Supported cache policies.
-const (
-	PolicyLRU      PolicyName = "lru"
-	PolicyClock    PolicyName = "clock"
-	PolicyTwoQueue PolicyName = "2q"
-)
-
-// New builds a cache of the named policy. It returns an error for unknown
-// names so configuration mistakes surface early.
-func New[K comparable, V any](policy PolicyName, capacity int) (Cache[K, V], error) {
-	switch policy {
-	case PolicyLRU, "":
-		return NewLRU[K, V](capacity), nil
-	case PolicyClock:
-		return NewClock[K, V](capacity), nil
-	case PolicyTwoQueue:
-		return NewTwoQueue[K, V](capacity), nil
-	default:
-		return nil, fmt.Errorf("cache: unknown policy %q", policy)
-	}
 }

@@ -5,132 +5,94 @@ import (
 	"testing"
 )
 
-// policies builds one cache of each policy at the given capacity.
-func policies(t *testing.T, capacity int) map[PolicyName]Cache[int, string] {
-	t.Helper()
-	out := map[PolicyName]Cache[int, string]{}
-	for _, p := range []PolicyName{PolicyLRU, PolicyClock, PolicyTwoQueue} {
-		c, err := New[int, string](p, capacity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[p] = c
-	}
-	return out
-}
-
 // TestPutOverwriteAccounting: refreshing a resident key must not evict,
-// must not grow Len, must not fire OnEvict, and must replace the value —
-// under every policy, including a key resident in 2Q's probation
-// segment.
+// must not grow Len, must not fire OnEvict, and must replace the value.
 func TestPutOverwriteAccounting(t *testing.T) {
-	for p, c := range policies(t, 4) {
-		t.Run(string(p), func(t *testing.T) {
-			var evicted []int
-			c.OnEvict(func(k int, _ string) { evicted = append(evicted, k) })
-			// Put+Get each key: under 2Q a bare Put only reaches the
-			// 1-slot probation FIFO (so a second Put would churn it, not
-			// overwrite); the Get promotes to protected, making both keys
-			// stably resident under every policy.
-			c.Put(1, "a")
-			c.Get(1)
-			c.Put(2, "b")
-			c.Get(2)
-			before := c.Stats()
-			c.Put(1, "a2") // overwrite, cache not even full
-			c.Put(2, "b2")
-			st := c.Stats()
-			if st.Evictions != before.Evictions {
-				t.Fatalf("overwrite evicted: %d -> %d", before.Evictions, st.Evictions)
-			}
-			if len(evicted) != 0 {
-				t.Fatalf("OnEvict fired on overwrite: %v", evicted)
-			}
-			if c.Len() != 2 {
-				t.Fatalf("len = %d after overwriting 2 resident keys, want 2", c.Len())
-			}
-			if v, ok := c.Get(1); !ok || v != "a2" {
-				t.Fatalf("Get(1) = %q,%v want a2", v, ok)
-			}
-			if v, ok := c.Get(2); !ok || v != "b2" {
-				t.Fatalf("Get(2) = %q,%v want b2", v, ok)
-			}
-		})
-	}
-
-	// 2Q: overwriting a key promoted to protected must stay in protected,
-	// not duplicate into probation (Len would exceed reality and a later
-	// probation eviction would ghost-fire for a live key).
-	c := NewTwoQueue[int, string](8)
-	c.Put(1, "a")
-	c.Get(1) // promote to protected
-	c.Put(1, "a2")
-	if c.Len() != 1 {
-		t.Fatalf("2q len = %d after overwrite of promoted key, want 1", c.Len())
-	}
-	if v, ok := c.Get(1); !ok || v != "a2" {
-		t.Fatalf("2q Get = %q,%v want a2", v, ok)
-	}
+	t.Run("lru", func(t *testing.T) {
+		c := NewLRU[int, string](4)
+		var evicted []int
+		c.OnEvict(func(k int, _ string) { evicted = append(evicted, k) })
+		c.Put(1, "a")
+		c.Get(1)
+		c.Put(2, "b")
+		c.Get(2)
+		before := c.Stats()
+		c.Put(1, "a2") // overwrite, cache not even full
+		c.Put(2, "b2")
+		st := c.Stats()
+		if st.Evictions != before.Evictions {
+			t.Fatalf("overwrite evicted: %d -> %d", before.Evictions, st.Evictions)
+		}
+		if len(evicted) != 0 {
+			t.Fatalf("OnEvict fired on overwrite: %v", evicted)
+		}
+		if c.Len() != 2 {
+			t.Fatalf("len = %d after overwriting 2 resident keys, want 2", c.Len())
+		}
+		if v, ok := c.Get(1); !ok || v != "a2" {
+			t.Fatalf("Get(1) = %q,%v want a2", v, ok)
+		}
+		if v, ok := c.Get(2); !ok || v != "b2" {
+			t.Fatalf("Get(2) = %q,%v want b2", v, ok)
+		}
+	})
 }
 
 // TestOnEvictReentrancy: an OnEvict hook that calls back into the cache
-// (the scheduler's index-maintenance hook reads φ(i) state, and a
-// pin-style hook may re-Put) must observe the post-eviction state and
-// must not corrupt the cache or livelock.
+// (a hook may read cache state, and a pin-style hook may re-Put) must
+// observe the post-eviction state and must not corrupt the cache or
+// livelock. The scheduler's hook, set in newScheduler, hands the evicted
+// array back to the store and counts the eviction.
 func TestOnEvictReentrancy(t *testing.T) {
-	for p, c := range policies(t, 2) {
-		t.Run(string(p), func(t *testing.T) {
-			c := c
-			var fired []int
-			c.OnEvict(func(k int, v string) {
-				fired = append(fired, k)
-				// The contract: the hook observes a consistent cache with
-				// the evicted key already gone.
-				if c.Contains(k) {
-					t.Fatalf("hook sees evicted key %d still resident", k)
-				}
-				// Reentrant reads must be safe.
-				c.Get(k)
-				c.Contains(k + 100)
-			})
-			for i := 0; i < 10; i++ {
-				c.Put(i, fmt.Sprint(i))
+	t.Run("lru", func(t *testing.T) {
+		c := NewLRU[int, string](2)
+		var fired []int
+		c.OnEvict(func(k int, v string) {
+			fired = append(fired, k)
+			// The contract: the hook observes a consistent cache with
+			// the evicted key already gone.
+			if c.Contains(k) {
+				t.Fatalf("hook sees evicted key %d still resident", k)
 			}
-			if c.Len() > c.Cap() {
-				t.Fatalf("len %d exceeds cap %d", c.Len(), c.Cap())
-			}
-			if len(fired) == 0 {
-				t.Fatal("no evictions fired across 10 puts into a 2-cap cache")
-			}
+			// Reentrant reads must be safe.
+			c.Get(k)
+			c.Contains(k + 100)
 		})
-	}
+		for i := 0; i < 10; i++ {
+			c.Put(i, fmt.Sprint(i))
+		}
+		if c.Len() > c.Cap() {
+			t.Fatalf("len %d exceeds cap %d", c.Len(), c.Cap())
+		}
+		if len(fired) == 0 {
+			t.Fatal("no evictions fired across 10 puts into a 2-cap cache")
+		}
+	})
 
 	// Reentrant Put from the hook (re-inserting the evicted victim — the
-	// pin pattern): each policy must terminate and end consistent.
-	for p, c := range policies(t, 2) {
-		t.Run(string(p)+"/reput", func(t *testing.T) {
-			c := c
-			c.Put(0, "pinned")
-			depth := 0
-			c.OnEvict(func(k int, v string) {
-				if k == 0 && depth == 0 {
-					depth++
-					c.Put(0, "pinned")
-				}
-			})
-			for i := 1; i <= 6; i++ {
-				c.Put(i, fmt.Sprint(i))
-			}
-			if c.Len() > c.Cap() {
-				t.Fatalf("len %d exceeds cap %d after reentrant puts", c.Len(), c.Cap())
-			}
-			// The cache still works.
-			c.Put(99, "x")
-			if v, ok := c.Get(99); !ok || v != "x" {
-				t.Fatalf("cache broken after reentrant hook: %q %v", v, ok)
+	// pin pattern): the cache must terminate and end consistent.
+	t.Run("lru/reput", func(t *testing.T) {
+		c := NewLRU[int, string](2)
+		c.Put(0, "pinned")
+		depth := 0
+		c.OnEvict(func(k int, v string) {
+			if k == 0 && depth == 0 {
+				depth++
+				c.Put(0, "pinned")
 			}
 		})
-	}
+		for i := 1; i <= 6; i++ {
+			c.Put(i, fmt.Sprint(i))
+		}
+		if c.Len() > c.Cap() {
+			t.Fatalf("len %d exceeds cap %d after reentrant puts", c.Len(), c.Cap())
+		}
+		// The cache still works.
+		c.Put(99, "x")
+		if v, ok := c.Get(99); !ok || v != "x" {
+			t.Fatalf("cache broken after reentrant hook: %q %v", v, ok)
+		}
+	})
 }
 
 // TestTinyCapacities: zero and one-entry capacities must clamp, bound
@@ -138,35 +100,31 @@ func TestOnEvictReentrancy(t *testing.T) {
 // misconfigured ablation run feeds in.
 func TestTinyCapacities(t *testing.T) {
 	for _, capacity := range []int{0, 1} {
-		for p, c := range policies(t, capacity) {
-			t.Run(fmt.Sprintf("%s/cap%d", p, capacity), func(t *testing.T) {
-				for i := 0; i < 8; i++ {
-					c.Put(i, fmt.Sprint(i))
-					if c.Len() > c.Cap() {
-						t.Fatalf("len %d exceeds cap %d", c.Len(), c.Cap())
-					}
+		t.Run(fmt.Sprintf("lru/cap%d", capacity), func(t *testing.T) {
+			c := NewLRU[int, string](capacity)
+			for i := 0; i < 8; i++ {
+				c.Put(i, fmt.Sprint(i))
+				if c.Len() > c.Cap() {
+					t.Fatalf("len %d exceeds cap %d", c.Len(), c.Cap())
 				}
-				// The most recent insert is resident under every policy at
-				// cap >= 1... except none guarantee it at cap 1 after hook
-				// games; just demand a resident, retrievable entry.
-				if c.Len() == 0 {
-					t.Fatal("cache empty after 8 puts")
-				}
-				st := c.Stats()
-				if st.Evictions == 0 {
-					t.Fatalf("no evictions counted: %+v", st)
-				}
-				// Get of a missing key on a tiny cache must not panic and
-				// must count a miss.
-				before := c.Stats().Misses
-				if _, ok := c.Get(-1); ok {
-					t.Fatal("hit for never-inserted key")
-				}
-				if c.Stats().Misses != before+1 {
-					t.Fatal("miss not counted")
-				}
-			})
-		}
+			}
+			if !c.Contains(7) {
+				t.Fatal("most recent put not resident")
+			}
+			st := c.Stats()
+			if st.Evictions == 0 {
+				t.Fatalf("no evictions counted: %+v", st)
+			}
+			// Get of a missing key on a tiny cache must not panic and
+			// must count a miss.
+			before := c.Stats().Misses
+			if _, ok := c.Get(-1); ok {
+				t.Fatal("hit for never-inserted key")
+			}
+			if c.Stats().Misses != before+1 {
+				t.Fatal("miss not counted")
+			}
+		})
 	}
 }
 
@@ -177,58 +135,13 @@ func TestEmptyHitRate(t *testing.T) {
 	if hr := (Stats{}).HitRate(); hr != 0 {
 		t.Fatalf("zero-value HitRate = %v, want 0", hr)
 	}
-	for p, c := range policies(t, 4) {
-		if hr := c.Stats().HitRate(); hr != 0 || hr != hr {
-			t.Fatalf("%s: fresh HitRate = %v, want 0", p, hr)
-		}
-		// Miss-only traffic: rate stays 0, still not NaN.
-		c.Get(1)
-		if hr := c.Stats().HitRate(); hr != 0 {
-			t.Fatalf("%s: miss-only HitRate = %v, want 0", p, hr)
-		}
+	c := NewLRU[int, string](4)
+	if hr := c.Stats().HitRate(); hr != 0 || hr != hr {
+		t.Fatalf("fresh HitRate = %v, want 0", hr)
 	}
-}
-
-// TestRemoveThenReuse: an explicit Remove must free the slot for reuse
-// without firing OnEvict or counting an eviction, under every policy.
-func TestRemoveThenReuse(t *testing.T) {
-	for p, c := range policies(t, 3) {
-		t.Run(string(p), func(t *testing.T) {
-			var fired []int
-			c.OnEvict(func(k int, _ string) { fired = append(fired, k) })
-			// Promote 1 and 2 (for 2Q: into protected), leave 3 fresh (for
-			// 2Q: in probation) — Remove must then hit both segments.
-			c.Put(1, "a")
-			c.Get(1)
-			c.Put(2, "b")
-			c.Get(2)
-			c.Put(3, "c")
-			if !c.Remove(1) {
-				t.Fatal("Remove(1) = false for resident key")
-			}
-			if c.Remove(1) {
-				t.Fatal("Remove(1) = true twice")
-			}
-			if !c.Remove(3) {
-				t.Fatal("Remove(3) = false for freshly put key")
-			}
-			if c.Contains(1) || c.Contains(3) {
-				t.Fatal("removed key still resident")
-			}
-			if len(fired) != 0 || c.Stats().Evictions != 0 {
-				t.Fatalf("explicit Remove counted as eviction: hook %v stats %+v", fired, c.Stats())
-			}
-			// The freed slots are reusable and the cache refills to
-			// capacity without phantom evictions from the holes.
-			c.Put(4, "d")
-			c.Get(4)
-			c.Put(5, "e")
-			if c.Len() != 3 {
-				t.Fatalf("len = %d, want 3 (cap)", c.Len())
-			}
-			if c.Stats().Evictions != 0 {
-				t.Fatalf("refilling freed slots evicted: %+v", c.Stats())
-			}
-		})
+	// Miss-only traffic: rate stays 0, still not NaN.
+	c.Get(1)
+	if hr := c.Stats().HitRate(); hr != 0 {
+		t.Fatalf("miss-only HitRate = %v, want 0", hr)
 	}
 }

@@ -57,17 +57,6 @@ func TestLRUContainsDoesNotPromote(t *testing.T) {
 	}
 }
 
-func TestLRURemove(t *testing.T) {
-	c := NewLRU[int, int](3)
-	c.Put(1, 1)
-	if !c.Remove(1) || c.Remove(1) {
-		t.Error("Remove semantics")
-	}
-	if c.Len() != 0 {
-		t.Error("Len after Remove")
-	}
-}
-
 func TestLRUKeysOrder(t *testing.T) {
 	c := NewLRU[int, int](3)
 	c.Put(1, 1)
@@ -109,113 +98,6 @@ func TestLRUMissCounts(t *testing.T) {
 	}
 	if st.String() == "" {
 		t.Error("String empty")
-	}
-}
-
-func TestClockBasics(t *testing.T) {
-	c := NewClock[int, string](2)
-	c.Put(1, "a")
-	c.Put(2, "b")
-	if v, ok := c.Get(1); !ok || v != "a" {
-		t.Error("Get(1)")
-	}
-	c.Put(3, "c") // 1 is referenced → second chance; 2 evicted
-	if !c.Contains(1) {
-		t.Error("referenced key 1 should survive one sweep")
-	}
-	if c.Contains(2) {
-		t.Error("unreferenced key 2 should be evicted")
-	}
-	if c.Len() != 2 || c.Cap() != 2 {
-		t.Error("size accounting")
-	}
-	if c.Stats().Evictions != 1 {
-		t.Errorf("stats = %+v", c.Stats())
-	}
-}
-
-func TestClockUpdateAndRemove(t *testing.T) {
-	c := NewClock[int, int](2)
-	c.Put(1, 10)
-	c.Put(1, 11)
-	if v, _ := c.Get(1); v != 11 {
-		t.Error("update lost")
-	}
-	if !c.Remove(1) || c.Remove(1) {
-		t.Error("Remove semantics")
-	}
-	if c.Len() != 0 {
-		t.Error("Len after Remove")
-	}
-	// Reuse the freed slot.
-	c.Put(2, 20)
-	if !c.Contains(2) {
-		t.Error("slot reuse failed")
-	}
-	if c2 := NewClock[int, int](0); c2.Cap() != 1 {
-		t.Error("capacity clamp")
-	}
-}
-
-func TestTwoQueuePromotion(t *testing.T) {
-	c := NewTwoQueue[int, int](8) // probation 2, protected 6
-	if c.Cap() != 8 {
-		t.Errorf("Cap = %d", c.Cap())
-	}
-	c.Put(1, 1)
-	c.Put(2, 2)
-	c.Put(3, 3) // 1 falls out of probation (cap 2) without a second touch
-	if c.Contains(1) {
-		t.Error("once-touched key should age out of probation")
-	}
-	c.Get(2) // promote to protected
-	// Scan many one-shot keys through probation.
-	for k := 10; k < 30; k++ {
-		c.Put(k, k)
-	}
-	if !c.Contains(2) {
-		t.Error("promoted key should survive a scan")
-	}
-	if c.Stats().Hits == 0 || c.Stats().Misses != 0 {
-		c.Get(999)
-		if c.Stats().Misses != 1 {
-			t.Error("miss accounting")
-		}
-	}
-}
-
-func TestTwoQueueRemoveAndLen(t *testing.T) {
-	c := NewTwoQueue[int, int](4)
-	c.Put(1, 1)
-	c.Get(1) // promoted
-	c.Put(2, 2)
-	if c.Len() != 2 {
-		t.Errorf("Len = %d", c.Len())
-	}
-	if !c.Remove(1) || !c.Remove(2) || c.Remove(3) {
-		t.Error("Remove semantics")
-	}
-	if c2 := NewTwoQueue[int, int](0); c2.Cap() < 2 {
-		t.Error("capacity clamp")
-	}
-	// Put on an already-protected key must update in place.
-	c.Put(5, 5)
-	c.Get(5)
-	c.Put(5, 55)
-	if v, _ := c.Get(5); v != 55 {
-		t.Error("protected update lost")
-	}
-}
-
-func TestNewByPolicyName(t *testing.T) {
-	for _, p := range []PolicyName{PolicyLRU, PolicyClock, PolicyTwoQueue, ""} {
-		c, err := New[int, int](p, 4)
-		if err != nil || c == nil {
-			t.Errorf("New(%q): %v", p, err)
-		}
-	}
-	if _, err := New[int, int]("bogus", 4); err == nil {
-		t.Error("unknown policy should error")
 	}
 }
 
@@ -263,24 +145,18 @@ func TestQuickLRUHoldsMostRecent(t *testing.T) {
 	}
 }
 
-// Property: no policy ever exceeds its capacity.
+// Property: the cache never exceeds its capacity.
 func TestQuickCapacityInvariant(t *testing.T) {
 	f := func(seed int64, capRaw uint8) bool {
 		capacity := int(capRaw%16) + 1
 		rng := rand.New(rand.NewSource(seed))
-		caches := []Cache[int, int]{
-			NewLRU[int, int](capacity),
-			NewClock[int, int](capacity),
-			NewTwoQueue[int, int](capacity),
-		}
+		c := NewLRU[int, int](capacity)
 		for i := 0; i < 300; i++ {
 			k := rng.Intn(40)
-			for _, c := range caches {
-				c.Put(k, k)
-				c.Get(rng.Intn(40))
-				if c.Len() > c.Cap() {
-					return false
-				}
+			c.Put(k, k)
+			c.Get(rng.Intn(40))
+			if c.Len() > c.Cap() {
+				return false
 			}
 		}
 		return true
@@ -290,64 +166,27 @@ func TestQuickCapacityInvariant(t *testing.T) {
 	}
 }
 
-// TestOnEvictFiresOnPolicyEviction: every policy must report entries
-// pushed out by capacity pressure — the scheduler's incremental Ut index
-// relies on seeing every membership change.
+// TestOnEvictFiresOnPolicyEviction: the cache must report every entry
+// pushed out by capacity pressure — newScheduler's OnEvict hook hands each
+// evicted bucket's array back to the store and counts the eviction.
 func TestOnEvictFiresOnPolicyEviction(t *testing.T) {
-	for _, policy := range []PolicyName{PolicyLRU, PolicyClock, PolicyTwoQueue} {
-		c, err := New[int, int](policy, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var evicted []int
-		c.OnEvict(func(k, _ int) {
-			evicted = append(evicted, k)
-			if c.Contains(k) {
-				t.Errorf("%s: hook fired while %d still in cache", policy, k)
-			}
-		})
-		for k := 0; k < 10; k++ {
-			c.Put(k, k)
-		}
-		if len(evicted)+c.Len() != 10 {
-			t.Errorf("%s: %d evictions + %d resident != 10 puts",
-				policy, len(evicted), c.Len())
-		}
-		if int64(len(evicted)) != c.Stats().Evictions {
-			t.Errorf("%s: hook fired %d times, stats count %d evictions",
-				policy, len(evicted), c.Stats().Evictions)
-		}
-	}
-}
-
-// TestOnEvictNotFiredByRemove: explicit removal is not a policy eviction.
-func TestOnEvictNotFiredByRemove(t *testing.T) {
-	for _, policy := range []PolicyName{PolicyLRU, PolicyClock, PolicyTwoQueue} {
-		c, _ := New[int, int](policy, 4)
-		fired := 0
-		c.OnEvict(func(int, int) { fired++ })
-		c.Put(1, 1)
-		c.Remove(1)
-		if fired != 0 {
-			t.Errorf("%s: Remove fired the eviction hook", policy)
-		}
-	}
-}
-
-// TestTwoQueuePromotionDoesNotFireHook: moving a key between the
-// probation and protected segments keeps it in the cache as a whole, so
-// the hook must stay silent unless the promotion displaces another key.
-func TestTwoQueuePromotionDoesNotFireHook(t *testing.T) {
-	c := NewTwoQueue[int, int](8) // probation 2, protected 6
+	c := NewLRU[int, int](2)
 	var evicted []int
-	c.OnEvict(func(k, _ int) { evicted = append(evicted, k) })
-	c.Put(1, 1)
-	c.Get(1) // promote into an empty protected segment
-	if len(evicted) != 0 {
-		t.Errorf("promotion evicted %v from a near-empty cache", evicted)
+	c.OnEvict(func(k, _ int) {
+		evicted = append(evicted, k)
+		if c.Contains(k) {
+			t.Errorf("hook fired while %d still in cache", k)
+		}
+	})
+	for k := 0; k < 10; k++ {
+		c.Put(k, k)
 	}
-	if !c.Contains(1) {
-		t.Error("promoted key lost")
+	if len(evicted)+c.Len() != 10 {
+		t.Errorf("%d evictions + %d resident != 10 puts", len(evicted), c.Len())
+	}
+	if int64(len(evicted)) != c.Stats().Evictions {
+		t.Errorf("hook fired %d times, stats count %d evictions",
+			len(evicted), c.Stats().Evictions)
 	}
 }
 

@@ -61,8 +61,6 @@ type Config struct {
 	// CacheBuckets is the bucket cache capacity (the paper fixes 20).
 	// Minimum 1.
 	CacheBuckets int
-	// CachePolicy selects the replacement policy; default LRU (paper).
-	CachePolicy cache.PolicyName
 	// HybridThreshold is the queue-to-bucket ratio below which an
 	// out-of-core bucket is joined via the index (paper §3.4; default
 	// 0.03 per Figure 2).
@@ -311,7 +309,6 @@ func newConfig(part *bucket.Partition, alpha float64, materialize bool, clk simc
 		Policy:             PolicyLifeRaft,
 		Alpha:              alpha,
 		CacheBuckets:       20,
-		CachePolicy:        cache.PolicyLRU,
 		HybridThreshold:    xmatch.DefaultThreshold,
 		MaterializeResults: materialize,
 	}

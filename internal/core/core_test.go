@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"liferaft/internal/bucket"
-	"liferaft/internal/cache"
 	"liferaft/internal/catalog"
 	"liferaft/internal/disk"
 	"liferaft/internal/geom"
@@ -99,7 +98,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c Config) Config { c.HybridThreshold = -0.5; return c },
 		func(c Config) Config { c.AgeDepreciationGamma = -1; return c },
 		func(c Config) Config { c.WorkloadMemoryCap = -1; return c },
-		func(c Config) Config { c.CachePolicy = "bogus"; return c },
 	}
 	for i, mut := range bad {
 		if _, _, err := Run(mut(good), nil, nil); err == nil {
@@ -467,18 +465,6 @@ func TestWorkloadOverflowSpills(t *testing.T) {
 	}
 	if !samePairs(pairKeySet(resRef), pairKeySet(resCap)) {
 		t.Error("overflow changed query answers")
-	}
-}
-
-func TestCachePolicies(t *testing.T) {
-	part, jobs := fixture(t)
-	for _, p := range []cache.PolicyName{cache.PolicyLRU, cache.PolicyClock, cache.PolicyTwoQueue} {
-		cfg, _ := NewVirtual(part, 0, false)
-		cfg.CachePolicy = p
-		res, _ := mustRun(t, cfg, jobs[:30], uniformOffsets(30, time.Second))
-		if len(res) != 30 {
-			t.Errorf("policy %s completed %d", p, len(res))
-		}
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"liferaft/internal/bucket"
-	"liferaft/internal/cache"
 	"liferaft/internal/catalog"
 	"liferaft/internal/geom"
 	"liferaft/internal/simclock"
@@ -24,7 +23,9 @@ import (
 // the end clock and the internal work counters. The digests were recorded
 // while an incremental index and the exhaustive scans still ran side by
 // side and agreed bit for bit, so they pin the decisions every ablation
-// figure was produced with.
+// figure was produced with. The spill and round-robin cases then ran under
+// 2Q and CLOCK; they were re-recorded on the LRU before those policies
+// were deleted, with the same picks and completions.
 
 var (
 	goldenOnce    sync.Once
@@ -84,15 +85,14 @@ func goldenFixture(t *testing.T) (*bucket.Partition, []Job, []Job) {
 }
 
 type goldenCase struct {
-	name        string
-	policy      PolicyKind
-	alpha       float64
-	gamma       float64
-	memCap      int
-	cachePolicy cache.PolicyName
-	uniform     bool
-	arrivalMS   int  // uniform inter-arrival in milliseconds
-	cancels     bool // withdraw every 5th query mid-trace
+	name      string
+	policy    PolicyKind
+	alpha     float64
+	gamma     float64
+	memCap    int
+	uniform   bool
+	arrivalMS int  // uniform inter-arrival in milliseconds
+	cancels   bool // withdraw every 5th query mid-trace
 }
 
 // goldenSchedule is one case's recorded replay: the number of bucket
@@ -112,8 +112,8 @@ var goldenSchedules = map[string]goldenSchedule{
 	"liferaft-greedy-uniform":  {services: 261, picks: "41dc4e306da1aabf85d06267", completions: "e5a54f8c4a7052e6eaa9495d", final: "b9961c173239a7193b048ec4"},
 	"liferaft-fifo-hot":        {services: 268, picks: "1db72dd3059eaa20928c744f", completions: "e4b97831bf415bfdf9b46608", final: "3293a88c2aa937c99b24e22b"},
 	"liferaft-qos":             {services: 245, picks: "ed3a380ad1be273a7a115c06", completions: "0f81f30028570ae7e9299f34", final: "1ce54c446806c71e71294604"},
-	"liferaft-spill-2q":        {services: 82, picks: "53db390fb96ae121f00e85f1", completions: "892feec64768a50a86fa888a", final: "479427e77bc24b445f971fb9"},
-	"rr-uniform-clock-cancels": {services: 223, picks: "0e0ab0f9e965fd989fb5871f", completions: "73d76ba46aac9a032226f09a", final: "2c070e231755f9c05c47561b"},
+	"liferaft-spill":           {services: 82, picks: "53db390fb96ae121f00e85f1", completions: "892feec64768a50a86fa888a", final: "6a576b8178cf0ab21e6c26a8"},
+	"rr-uniform-cancels":       {services: 223, picks: "0e0ab0f9e965fd989fb5871f", completions: "73d76ba46aac9a032226f09a", final: "2c070e231755f9c05c47561b"},
 	"lsf-hot-cancels":          {services: 237, picks: "f19cd0777ef52655f5a19b4a", completions: "bca76466825b2fe18e863c49", final: "e0c898e25d7c93da985cf90c"},
 }
 
@@ -128,10 +128,10 @@ func TestGoldenEquivalence(t *testing.T) {
 		{name: "liferaft-fifo-hot", policy: PolicyLifeRaft, alpha: 1, arrivalMS: 100},
 		{name: "liferaft-qos", policy: PolicyLifeRaft, alpha: 0.5, gamma: 2,
 			arrivalMS: 100, cancels: true},
-		{name: "liferaft-spill-2q", policy: PolicyLifeRaft, alpha: 0.5,
-			memCap: 200, cachePolicy: cache.PolicyTwoQueue, arrivalMS: 5, cancels: true},
-		{name: "rr-uniform-clock-cancels", policy: PolicyRoundRobin,
-			cachePolicy: cache.PolicyClock, uniform: true, arrivalMS: 100, cancels: true},
+		{name: "liferaft-spill", policy: PolicyLifeRaft, alpha: 0.5,
+			memCap: 200, arrivalMS: 5, cancels: true},
+		{name: "rr-uniform-cancels", policy: PolicyRoundRobin,
+			uniform: true, arrivalMS: 100, cancels: true},
 		{name: "lsf-hot-cancels", policy: PolicyLeastShared, arrivalMS: 100, cancels: true},
 	}
 	for _, gc := range cases {
@@ -159,9 +159,6 @@ func replayGolden(t *testing.T, part *bucket.Partition, gc goldenCase, jobs []Jo
 	cfg.Policy = gc.policy
 	cfg.AgeDepreciationGamma = gc.gamma
 	cfg.WorkloadMemoryCap = gc.memCap
-	if gc.cachePolicy != "" {
-		cfg.CachePolicy = gc.cachePolicy
-	}
 	s, err := newScheduler(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"liferaft/internal/bucket"
-	"liferaft/internal/cache"
 	"liferaft/internal/catalog"
 	"liferaft/internal/disk"
 	"liferaft/internal/metric"
@@ -21,8 +20,8 @@ import (
 // TestRecycledBucketsMatchBruteForce: a bucket array the cache evicts is
 // the one the shard's next cold scan decodes into, so a view of it that
 // outlived the eviction would answer with another bucket's objects. Under
-// heavy eviction churn — one or two cached buckets a shard, every cache
-// policy, K = 1, 2 and 4 — hot queries whose services are split and run in
+// heavy eviction churn — an LRU of one or two buckets a shard, K = 1, 2
+// and 4 — hot queries whose services are split and run in
 // part by idle siblings, scan-sized queries over eight buckets, and cancels
 // must still answer exactly the brute-force pairs (a cancelled query a
 // subset of them), round after round, the later rounds starting on what the
@@ -85,35 +84,33 @@ func TestRecycledBucketsMatchBruteForce(t *testing.T) {
 	for _, be := range backends {
 		t.Run(be.name, func(t *testing.T) {
 			forEachK(t, func(t *testing.T, k int) {
-				for _, policy := range []cache.PolicyName{cache.PolicyLRU, cache.PolicyClock, cache.PolicyTwoQueue} {
-					for _, cached := range []int{1, 2} {
-						t.Run(fmt.Sprintf("%s/cache=%d", policy, cached), func(t *testing.T) {
-							cfg := be.cfg()
-							defer cfg.Store.Close()
-							cfg.Shards, cfg.CachePolicy, cfg.CacheBuckets = k, policy, cached
-							em := NewEngineMetrics(metric.NewRegistry())
-							cfg.Metrics = em
-							churn(t, cfg, jobs, want, cancelled)
-							var services, own, helped, evicted float64
-							for s := 0; s < k; s++ {
-								sh := strconv.Itoa(s)
-								services += em.services.With(sh, "scan").Value() + em.services.With(sh, "index").Value()
-								own += em.parts.With(sh, "own").Value()
-								helped += em.parts.With(sh, "helped").Value()
-								evicted += em.cacheEvict.With(sh, "ram").Value()
-							}
-							t.Logf("%.0f services in %.0f parts, %.0f run by a sibling; %.0f evictions", services, own+helped, helped, evicted)
-							if evicted == 0 {
-								t.Error("no bucket was evicted: nothing was recycled")
-							}
-							switch {
-							case be.split && k > 1 && own+helped <= services:
-								t.Errorf("%.0f parts for %.0f services: no service was split", own+helped, services)
-							case !be.split && (helped != 0 || own != services):
-								t.Errorf("%.0f parts for %.0f services, %.0f run by a sibling: a service was split on a virtual clock", own+helped, services, helped)
-							}
-						})
-					}
+				for _, cached := range []int{1, 2} {
+					t.Run(fmt.Sprintf("lru/cache=%d", cached), func(t *testing.T) {
+						cfg := be.cfg()
+						defer cfg.Store.Close()
+						cfg.Shards, cfg.CacheBuckets = k, cached
+						em := NewEngineMetrics(metric.NewRegistry())
+						cfg.Metrics = em
+						churn(t, cfg, jobs, want, cancelled)
+						var services, own, helped, evicted float64
+						for s := 0; s < k; s++ {
+							sh := strconv.Itoa(s)
+							services += em.services.With(sh, "scan").Value() + em.services.With(sh, "index").Value()
+							own += em.parts.With(sh, "own").Value()
+							helped += em.parts.With(sh, "helped").Value()
+							evicted += em.cacheEvict.With(sh, "ram").Value()
+						}
+						t.Logf("%.0f services in %.0f parts, %.0f run by a sibling; %.0f evictions", services, own+helped, helped, evicted)
+						if evicted == 0 {
+							t.Error("no bucket was evicted: nothing was recycled")
+						}
+						switch {
+						case be.split && k > 1 && own+helped <= services:
+							t.Errorf("%.0f parts for %.0f services: no service was split", own+helped, services)
+						case !be.split && (helped != 0 || own != services):
+							t.Errorf("%.0f parts for %.0f services, %.0f run by a sibling: a service was split on a virtual clock", own+helped, services, helped)
+						}
+					})
 				}
 			})
 		})

@@ -100,7 +100,7 @@ type queryState struct {
 // of it other goroutines reach is fj, under the rules forkJoin states.
 type scheduler struct {
 	cfg   Config
-	cache cache.Cache[int, bucketObjects]
+	cache *cache.LRU[int, bucketObjects]
 
 	queues  map[int]*bqueue
 	queries map[uint64]*queryState
@@ -176,10 +176,6 @@ func newScheduler(cfg Config) (*scheduler, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := cache.New[int, bucketObjects](cfg.CachePolicy, cfg.CacheBuckets)
-	if err != nil {
-		return nil, err
-	}
 	part := cfg.Store.Partition()
 	if part.NumBuckets() == 0 {
 		return nil, fmt.Errorf("core: partition has no buckets")
@@ -187,7 +183,7 @@ func newScheduler(cfg Config) (*scheduler, error) {
 	tb, tm := cfg.Disk.Model().Calibrate(part.BucketBytes(0))
 	s := &scheduler{
 		cfg:     cfg,
-		cache:   c,
+		cache:   cache.NewLRU[int, bucketObjects](cfg.CacheBuckets),
 		queues:  make(map[int]*bqueue),
 		queries: make(map[uint64]*queryState),
 		preds:   make(map[uint64]xmatch.Predicate),

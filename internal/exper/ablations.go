@@ -5,37 +5,16 @@ import (
 	"sort"
 	"time"
 
-	"liferaft/internal/cache"
 	"liferaft/internal/core"
 	"liferaft/internal/disk"
 	"liferaft/internal/simclock"
 )
 
 // This file contains the ablation studies DESIGN.md calls out: design
-// choices the paper fixes (LRU cache of 20 buckets, 3% hybrid threshold,
-// most-contentious-first) swept to show why those choices hold, plus the
-// §6 extensions (QoS age depreciation, workload overflow) and the VSCAN(R)
-// analogy of §3.3.
-
-// AblationCachePolicy sweeps the bucket cache replacement policy at α=0.
-func AblationCachePolicy(env *Env) (Table, error) {
-	offs := env.SaturatedOffsets()
-	t := Table{
-		Title:  "Ablation: cache replacement policy (α=0)",
-		Header: []string{"policy", "throughput (q/s)", "hit rate"},
-	}
-	for _, p := range []cache.PolicyName{cache.PolicyLRU, cache.PolicyClock, cache.PolicyTwoQueue} {
-		cfg := env.Config(0)
-		cfg.CachePolicy = p
-		_, stats, err := core.Run(cfg, env.Jobs, offs)
-		if err != nil {
-			return Table{}, err
-		}
-		t.Rows = append(t.Rows, []string{string(p), f3(stats.Throughput()), pct(stats.Cache.HitRate())})
-	}
-	t.Notes = append(t.Notes, "the paper fixes LRU; policies differ little because the scheduler itself creates the locality")
-	return t, nil
-}
+// choices the paper fixes (the LRU cache's 20 buckets, the 3% hybrid
+// threshold, most-contentious-first) swept to show why those choices hold,
+// plus the §6 extensions (QoS age depreciation, workload overflow) and the
+// VSCAN(R) analogy of §3.3.
 
 // AblationCacheSize sweeps the bucket cache capacity at α=0 (the paper
 // fixes 20 buckets).

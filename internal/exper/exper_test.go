@@ -293,9 +293,6 @@ func TestCacheHitRatesShape(t *testing.T) {
 
 func TestAblations(t *testing.T) {
 	env := ciEnv(t)
-	if tab, err := AblationCachePolicy(env); err != nil || len(tab.Rows) != 3 {
-		t.Errorf("cache policy ablation: %v", err)
-	}
 	if tab, err := AblationCacheSize(env); err != nil || len(tab.Rows) != 4 {
 		t.Errorf("cache size ablation: %v", err)
 	}

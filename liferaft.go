@@ -144,7 +144,6 @@ package liferaft
 
 import (
 	"liferaft/internal/bucket"
-	"liferaft/internal/cache"
 	"liferaft/internal/catalog"
 	"liferaft/internal/core"
 	"liferaft/internal/disk"
@@ -375,16 +374,6 @@ var (
 	SkyQueryDisk = disk.SkyQuery
 	// NewDisk wires a model to a clock.
 	NewDisk = disk.New
-)
-
-// CachePolicy names a bucket-cache replacement policy.
-type CachePolicy = cache.PolicyName
-
-// Cache replacement policies.
-const (
-	CacheLRU      = cache.PolicyLRU
-	CacheClock    = cache.PolicyClock
-	CacheTwoQueue = cache.PolicyTwoQueue
 )
 
 // ---- Cross-match join ----
