@@ -3,7 +3,15 @@ package liferaft_test
 import (
 	"context"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"math"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -305,5 +313,73 @@ func TestPublicServingAPI(t *testing.T) {
 	var over *liferaft.OverloadError
 	if !errors.As(err, &over) || over.Reason != liferaft.OverloadTenants {
 		t.Errorf("err = %v, want OverloadTenants", err)
+	}
+}
+
+// TestEveryExportIsUsed keeps the public surface to what is used: every
+// name liferaft.go exports must be named, qualified by the package name,
+// by a file under examples/ or cmd/, by README.md, or by a test in this
+// directory. A name nothing names is API nobody has exercised; delete it
+// rather than re-export it.
+func TestEveryExportIsUsed(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "liferaft.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exported []string
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			exported = append(exported, d.Name.Name)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					exported = append(exported, spec.Name.Name)
+				case *ast.ValueSpec:
+					for _, n := range spec.Names {
+						exported = append(exported, n.Name)
+					}
+				}
+			}
+		}
+	}
+
+	var users strings.Builder
+	read := func(path string) {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		users.Write(b)
+	}
+	for _, dir := range []string{"examples", "cmd"} {
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				read(path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	read("README.md")
+	tests, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range tests {
+		read(path)
+	}
+
+	text := users.String()
+	for _, name := range exported {
+		if !ast.IsExported(name) {
+			continue
+		}
+		if !regexp.MustCompile(`\bliferaft\.` + name + `\b`).MatchString(text) {
+			t.Errorf("liferaft.go exports %s, but no example, command, README snippet or root test names it: delete it", name)
+		}
 	}
 }

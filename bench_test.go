@@ -1,6 +1,5 @@
 // Benchmark harness: one testing.B benchmark per table/figure of the
-// paper's evaluation, at CI scale (DESIGN.md §2 maps each to its
-// experiment). Run with:
+// paper's evaluation, at CI scale. Run with:
 //
 //	go test -bench=. -benchmem
 //

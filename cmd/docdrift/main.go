@@ -26,6 +26,11 @@
 // an analyzer without documenting it, or cutting one and leaving its
 // section behind, breaks the build.
 //
+// And it keeps Go comments pointing at documents that exist: a comment
+// that names a `*.md` path must name a file, looked up relative to the
+// commenting file's directory first and then the module root, so a doc
+// that is renamed or never written cannot be cited.
+//
 // Any undocumented flag or metric fails the run with a list of the
 // offenders and where they were registered, so adding a flag or a
 // metric without documenting it breaks the build rather than silently
@@ -38,6 +43,8 @@ package main
 
 import (
 	"fmt"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -86,6 +93,10 @@ var (
 	metricRowRe = regexp.MustCompile("^\\|\\s*`(liferaft_[a-z0-9_]+)`\\s*\\|")
 )
 
+// mdRefRe matches a Markdown file path in a comment: README.md,
+// docs/OPERATIONS.md, internal/core/DESIGN-sched.md.
+var mdRefRe = regexp.MustCompile(`[\w./-]*[\w-]\.md\b`)
+
 // site records where an identifier was found, for the failure message.
 type site struct{ file, name string }
 
@@ -120,15 +131,65 @@ func run() error {
 		return err
 	}
 	missing, checks := audit(inv, string(manual), string(analyzersDoc))
+	dangling, err := danglingDocRefs(".")
+	if err != nil {
+		return err
+	}
+	missing = append(missing, dangling...)
 	if len(missing) > 0 {
 		for _, line := range missing {
 			fmt.Fprintln(os.Stderr, "docdrift:", line)
 		}
-		return fmt.Errorf("%d undocumented or stale name(s) — fix %s or %s", len(missing), manualPath, analyzersPath)
+		return fmt.Errorf("%d undocumented, stale or dangling name(s) — fix %s, %s or the comments named", len(missing), manualPath, analyzersPath)
 	}
-	fmt.Printf("docdrift: %s covers all %d flags, %d metric families, %d endpoints, and names no other flag or metric; %s covers all %d analyzers\n",
+	fmt.Printf("docdrift: %s covers all %d flags, %d metric families, %d endpoints, and names no other flag or metric; %s covers all %d analyzers; every .md file a Go comment names exists\n",
 		manualPath, len(inv.flags), len(inv.metrics), len(inv.endpoints), analyzersPath, checks)
 	return nil
+}
+
+// danglingDocRefs returns, for every Go file of the module rooted at root,
+// each `*.md` path a comment names that matches no file, looked up
+// relative to the commenting file's directory and then to root.
+// testdata, hidden directories and nested modules are not walked.
+func danglingDocRefs(root string) ([]string, error) {
+	exists := func(path string) bool {
+		_, err := os.Stat(path)
+		return err == nil
+	}
+	fset := token.NewFileSet()
+	var dangling []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") ||
+				exists(filepath.Join(path, "go.mod"))) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, group := range f.Comments {
+			for _, c := range group.List {
+				for _, at := range mdRefRe.FindAllStringIndex(c.Text, -1) {
+					ref := c.Text[at[0]:at[1]]
+					if !exists(filepath.Join(filepath.Dir(path), ref)) && !exists(filepath.Join(root, ref)) {
+						dangling = append(dangling, fmt.Sprintf("%s: comment names %s, which matches no file",
+							fset.Position(c.Pos()+token.Pos(at[0])), ref))
+					}
+				}
+			}
+		}
+		return nil
+	})
+	return dangling, err
 }
 
 // collectInventory reads the flags, metric families and endpoints the

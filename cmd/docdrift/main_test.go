@@ -74,3 +74,40 @@ func TestStaleRowsFail(t *testing.T) {
 		t.Fatalf("a row for a flag liferaftd registers was refused: %q", missing)
 	}
 }
+
+// A comment naming a .md path that matches no file fails the run; the
+// path is looked up beside the commenting file, then at the module root,
+// and testdata and nested modules are not read.
+func TestDanglingDocRefs(t *testing.T) {
+	if dangling, err := danglingDocRefs(repoRoot); err != nil || len(dangling) > 0 {
+		t.Fatalf("the committed tree: %q, %v", dangling, err)
+	}
+	root := t.TempDir()
+	write := func(path, body string) {
+		t.Helper()
+		path = filepath.Join(root, path)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("docs/GUIDE.md", "")
+	write("pkg/NOTES.md", "")
+	write("pkg/p.go", "// Package p: see NOTES.md, docs/GUIDE.md\n// and MISSING.md.\npackage p\n\n// README.md is not here.\nfunc F() {}\n")
+	write("pkg/testdata/t.go", "// GONE.md\npackage t\n")
+	write("sub/go.mod", "module sub\n")
+	write("sub/s.go", "// GONE.md\npackage s\n")
+	dangling, err := danglingDocRefs(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		filepath.Join(root, "pkg/p.go") + ":2:8: comment names MISSING.md, which matches no file",
+		filepath.Join(root, "pkg/p.go") + ":5:4: comment names README.md, which matches no file",
+	}
+	if strings.Join(dangling, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("danglingDocRefs = %q, want %q", dangling, want)
+	}
+}

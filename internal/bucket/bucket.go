@@ -261,7 +261,8 @@ type Store struct {
 	// backend, when non-nil, replaces the modeled reads with real I/O
 	// (see Backend). Read errors from a backend are fail-stop: a
 	// checksum mismatch or vanished file panics rather than silently
-	// serving wrong matches. DESIGN-segments.md discusses the trade.
+	// serving wrong matches. internal/segment/DESIGN-segments.md
+	// discusses the trade.
 	backend Backend
 	// obs, when non-nil, is notified of every read; see Observer.
 	obs Observer
@@ -274,7 +275,7 @@ func (s *Store) SetObserver(o Observer) { s.obs = o }
 
 // NewStore builds a store over a partition. If materialize is false, reads
 // charge I/O cost but return no objects — the cost-accurate mode used by
-// paper-scale scheduling experiments (DESIGN.md §3).
+// paper-scale scheduling experiments.
 func NewStore(part *Partition, d *disk.Disk, materialize bool) *Store {
 	return &Store{part: part, dsk: d, materialize: materialize}
 }

@@ -1,7 +1,7 @@
 // Package catalog provides deterministic, seeded synthetic sky catalogs
 // that stand in for the SDSS, 2MASS, and USNO-B archives of the paper's
-// evaluation. A catalog is defined by a total object count and a density
-// profile over the sphere; objects are materialized lazily, one coarse
+// evaluation. A catalog is defined by a total object count spread evenly
+// over the sphere; objects are materialized lazily, one coarse
 // trixel at a time, so a 200-million-object archive occupies no resident
 // memory until buckets are read. Materialization is a pure function of
 // (catalog seed, trixel), so repeated reads return identical objects —
@@ -14,7 +14,6 @@ package catalog
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -37,63 +36,6 @@ type Object struct {
 	Mag float64
 }
 
-// Density is a relative density profile over the sphere. Values must be
-// non-negative; only ratios matter.
-type Density func(v geom.Vec3) float64
-
-// Uniform returns a constant density profile.
-func Uniform() Density { return func(geom.Vec3) float64 { return 1 } }
-
-// Band returns a density profile concentrated around the great circle
-// whose pole is the given unit vector, with Gaussian fall-off of the given
-// angular width (degrees) and the given peak-to-floor contrast. It mimics
-// the galactic-plane concentration of real star catalogs.
-func Band(pole geom.Vec3, widthDeg, contrast float64) Density {
-	pole = pole.Normalize()
-	w := geom.Radians(widthDeg)
-	return func(v geom.Vec3) float64 {
-		lat := math.Abs(math.Asin(clamp(v.Dot(pole), -1, 1))) // distance from the plane
-		return 1 + contrast*math.Exp(-lat*lat/(2*w*w))
-	}
-}
-
-// Hotspots returns a density profile with Gaussian bumps of the given
-// angular radius (degrees) and weight at each center, over a uniform
-// floor. It produces the clustered-density fields that make cross-match
-// selectivity heterogeneous (paper §3.4).
-func Hotspots(centers []geom.Vec3, radiusDeg, weight float64) Density {
-	r := geom.Radians(radiusDeg)
-	return func(v geom.Vec3) float64 {
-		d := 1.0
-		for _, c := range centers {
-			a := v.Angle(c)
-			d += weight * math.Exp(-a*a/(2*r*r))
-		}
-		return d
-	}
-}
-
-// Sum returns the weighted sum of density profiles.
-func Sum(parts ...Density) Density {
-	return func(v geom.Vec3) float64 {
-		t := 0.0
-		for _, p := range parts {
-			t += p(v)
-		}
-		return t
-	}
-}
-
-func clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
 // Config describes a synthetic catalog.
 type Config struct {
 	// Name identifies the archive (e.g. "sdss").
@@ -102,8 +44,6 @@ type Config struct {
 	N int
 	// Seed makes generation deterministic.
 	Seed int64
-	// Density is the relative density profile; nil means uniform.
-	Density Density
 	// GenLevel is the coarse trixel level at which objects are counted
 	// and materialized. Depth 6 (32k trixels) suits tests; depth 8
 	// (524k trixels) matches the resolution needed for 20,000 buckets.
@@ -130,9 +70,9 @@ type Catalog struct {
 	derive *derivation
 }
 
-// New builds a catalog: it evaluates the density at every GenLevel trixel
-// center and apportions exactly cfg.N objects by the largest-remainder
-// method, so Total() == cfg.N exactly.
+// New builds a catalog: its cfg.N objects are spread evenly over the
+// GenLevel trixels, N/n each plus one more in each of the first N mod n
+// (n = 8·4^GenLevel), so Total() == cfg.N exactly.
 func New(cfg Config) (*Catalog, error) {
 	if cfg.N < 0 {
 		return nil, fmt.Errorf("catalog %q: negative N %d", cfg.Name, cfg.N)
@@ -144,58 +84,20 @@ func New(cfg Config) (*Catalog, error) {
 		return nil, fmt.Errorf("catalog %q: GenLevel %d must be above object level %d",
 			cfg.Name, cfg.GenLevel, htm.PaperLevel)
 	}
-	if cfg.Density == nil {
-		cfg.Density = Uniform()
-	}
 	n := htm.NumTrixels(cfg.GenLevel)
-	weights := make([]float64, n)
-	var total float64
-	for pos := uint64(0); pos < n; pos++ {
-		w := cfg.Density(htm.FromPos(pos, cfg.GenLevel).Center())
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return nil, fmt.Errorf("catalog %q: density returned invalid weight %v", cfg.Name, w)
-		}
-		weights[pos] = w
-		total += w
-	}
 	c := &Catalog{cfg: cfg, counts: make([]int32, n), cum: make([]int64, n+1)}
 	if cfg.CacheTrixels {
 		c.memo = make(map[uint64]*memoTrixel)
 	}
-	if total > 0 && cfg.N > 0 {
-		apportion(weights, total, cfg.N, c.counts)
-	}
-	for i, cnt := range c.counts {
-		c.cum[i+1] = c.cum[i] + int64(cnt)
+	each, extra := uint64(cfg.N)/n, uint64(cfg.N)%n
+	for pos := range c.counts {
+		c.counts[pos] = int32(each)
+		if uint64(pos) < extra {
+			c.counts[pos]++
+		}
+		c.cum[pos+1] = c.cum[pos] + int64(c.counts[pos])
 	}
 	return c, nil
-}
-
-// apportion distributes n objects over weights by largest remainder.
-func apportion(weights []float64, total float64, n int, out []int32) {
-	type frac struct {
-		pos int
-		rem float64
-	}
-	fracs := make([]frac, len(weights))
-	assigned := 0
-	for i, w := range weights {
-		exact := float64(n) * w / total
-		fl := math.Floor(exact)
-		out[i] = int32(fl)
-		assigned += int(fl)
-		fracs[i] = frac{pos: i, rem: exact - fl}
-	}
-	remain := n - assigned
-	sort.Slice(fracs, func(a, b int) bool {
-		if fracs[a].rem != fracs[b].rem {
-			return fracs[a].rem > fracs[b].rem
-		}
-		return fracs[a].pos < fracs[b].pos
-	})
-	for i := 0; i < remain; i++ {
-		out[fracs[i%len(fracs)].pos]++
-	}
 }
 
 // Name returns the catalog's archive name.

@@ -38,21 +38,22 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{N: 10, GenLevel: 11}); err == nil {
 		t.Error("GenLevel above 10 should fail")
 	}
-	bad := func(geom.Vec3) float64 { return math.NaN() }
-	if _, err := New(Config{N: 10, GenLevel: 3, Density: bad}); err == nil {
-		t.Error("NaN density should fail")
-	}
-	neg := func(geom.Vec3) float64 { return -1 }
-	if _, err := New(Config{N: 10, GenLevel: 3, Density: neg}); err == nil {
-		t.Error("negative density should fail")
-	}
 }
 
 func TestExactTotal(t *testing.T) {
+	trixels := htm.NumTrixels(4)
 	for _, n := range []int{0, 1, 7, 1000, 123457} {
 		c := mustNew(t, Config{Name: "t", N: n, Seed: 5, GenLevel: 4})
 		var sum int64
-		for pos := uint64(0); pos < htm.NumTrixels(4); pos++ {
+		for pos := uint64(0); pos < trixels; pos++ {
+			// Evenly spread: N/n each, one more in each of the first N mod n.
+			want := n / int(trixels)
+			if pos < uint64(n)%trixels {
+				want++
+			}
+			if got := c.TrixelCount(pos); got != want {
+				t.Fatalf("N=%d: trixel %d holds %d, want %d", n, pos, got, want)
+			}
 			sum += int64(c.TrixelCount(pos))
 		}
 		if sum != int64(n) {
@@ -225,49 +226,6 @@ func TestInCap(t *testing.T) {
 	}
 	if len(got) != want {
 		t.Errorf("InCap found %d, brute force %d", len(got), want)
-	}
-}
-
-func TestDensityProfiles(t *testing.T) {
-	pole := geom.Vec3{Z: 1}
-	band := Band(pole, 10, 20)
-	onPlane := band(geom.FromRaDec(30, 0))
-	offPlane := band(geom.FromRaDec(30, 80))
-	if onPlane <= offPlane {
-		t.Errorf("band density on plane %v should exceed off-plane %v", onPlane, offPlane)
-	}
-	hs := Hotspots([]geom.Vec3{geom.FromRaDec(0, 0)}, 5, 50)
-	if hs(geom.FromRaDec(0, 0)) <= hs(geom.FromRaDec(90, 0)) {
-		t.Error("hotspot density should peak at center")
-	}
-	s := Sum(Uniform(), Uniform())
-	if s(pole) != 2 {
-		t.Errorf("Sum = %v", s(pole))
-	}
-	if Uniform()(pole) != 1 {
-		t.Error("Uniform should be 1")
-	}
-}
-
-func TestBandCatalogSkew(t *testing.T) {
-	// A band catalog should concentrate objects near the plane.
-	c := mustNew(t, Config{
-		Name: "band", N: 50000, Seed: 12, GenLevel: 4,
-		Density: Band(geom.Vec3{Z: 1}, 8, 30),
-	})
-	near, far := 0, 0
-	for _, o := range c.Objects(0, 50000) {
-		_, dec := geom.ToRaDec(o.Pos)
-		if math.Abs(dec) < 10 {
-			near++
-		} else if math.Abs(dec) > 45 {
-			far++
-		}
-	}
-	// The near-plane belt (|dec|<10) is ~17% of the sky, the |dec|>45
-	// polar caps ~29%; with contrast 30 the belt must dominate.
-	if near < far {
-		t.Errorf("band catalog not skewed: near=%d far=%d", near, far)
 	}
 }
 

@@ -66,7 +66,7 @@ type Config struct {
 	// 0.03 per Figure 2).
 	HybridThreshold float64
 	// MaterializeResults makes the evaluator produce actual match pairs.
-	// Costs are charged identically either way (DESIGN.md §3).
+	// Costs are charged identically either way.
 	MaterializeResults bool
 
 	// Shards is K, the number of independent disk/worker shards the

@@ -566,6 +566,31 @@ func TestTunerSelection(t *testing.T) {
 		t.Errorf("high-saturation α = %v (%v), want 0.25", a, err)
 	}
 
+	// The §4 loop on a measured rate: an estimator fed a slow phase
+	// selects the low curve's α; a burst moves its estimate by more than
+	// a 25% dead band and the tuner over to the high curve's α.
+	est, _ := NewSaturationEstimator(30 * time.Second)
+	now := simclock.Epoch
+	for i := 0; i < 10; i++ {
+		est.Observe(now)
+		now = now.Add(10 * time.Second) // 0.1 q/s
+	}
+	slow := est.Rate()
+	if a, err := tn.Alpha(slow); err != nil || a != 1.0 {
+		t.Errorf("slow-phase rate %v: α = %v (%v), want 1.0", slow, a, err)
+	}
+	for i := 0; i < 30; i++ {
+		est.Observe(now)
+		now = now.Add(100 * time.Millisecond) // 10 q/s burst
+	}
+	burst := est.Rate()
+	if burst < 1.25*slow {
+		t.Errorf("burst moved the estimate %v -> %v, less than the 25%% dead band", slow, burst)
+	}
+	if a, err := tn.Alpha(burst); err != nil || a != 0.25 {
+		t.Errorf("burst rate %v: α = %v (%v), want 0.25", burst, a, err)
+	}
+
 	if _, err := NewTuner(-1); err == nil {
 		t.Error("negative tolerance")
 	}

@@ -301,7 +301,8 @@ func (l *Live) Cancel(id uint64) error {
 // SetAlpha changes the engine's age bias for all subsequent scheduling
 // decisions (clamped to [0, 1]; NaN is refused, since it would make every
 // Eq. 2 score NaN). This is the knob the paper's §4 adaptive tuning turns
-// as workload saturation changes; see Adaptive for the closed loop.
+// as workload saturation changes (Tuner.Alpha of a SaturationEstimator's
+// Rate; examples/saturation shows the loop).
 func (l *Live) SetAlpha(alpha float64) error {
 	if math.IsNaN(alpha) {
 		return fmt.Errorf("core: alpha %v is not a number", alpha)
@@ -484,8 +485,8 @@ func (w *shardWorker) loop(cfg Config, s *scheduler, parent simclock.Clock) {
 		// step); deliver copies the Results out before then.
 		done, _ := s.step(now)
 		// A virtual parent clock tracks the furthest shard clock, so
-		// observers of Clock() — the serving layer's admission stamps, the
-		// Adaptive saturation estimator — never read an instant before a
+		// observers of Clock() — the serving layer's admission stamps, a
+		// saturation estimator — never read an instant before a
 		// completion they have already been handed.
 		simclock.Join(parent, cfg.Clock.Now())
 		deliver(done)

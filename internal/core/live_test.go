@@ -12,7 +12,6 @@ import (
 	"liferaft/internal/bucket"
 	"liferaft/internal/geom"
 	"liferaft/internal/simclock"
-	"liferaft/internal/stats"
 	"liferaft/internal/workload"
 	"liferaft/internal/xmatch"
 )
@@ -277,83 +276,6 @@ func TestTunerEndToEnd(t *testing.T) {
 	}
 	if low[0] < high[0] {
 		t.Errorf("low-saturation α %v should be >= high-saturation α %v", low[0], high[0])
-	}
-}
-
-// TestAdaptiveRetunes drives the full §4 closed loop: a live engine whose
-// α follows the saturation estimate through the tuner's curves.
-func TestAdaptiveRetunes(t *testing.T) {
-	part, jobs := fixture(t)
-	cfg, _ := NewVirtual(part, 0, false)
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tn, _ := NewTuner(0.2)
-	// Curves shaped like the paper's: slow arrivals -> α=1, fast -> α=0.25.
-	tn.AddCurve(0.1, stats.Curve{
-		{Alpha: 0.25, Throughput: 0.10, RespTime: 50},
-		{Alpha: 1.0, Throughput: 0.10, RespTime: 20},
-	})
-	tn.AddCurve(10, stats.Curve{
-		{Alpha: 0.25, Throughput: 3.0, RespTime: 300},
-		{Alpha: 1.0, Throughput: 1.5, RespTime: 280},
-	})
-	est, _ := NewSaturationEstimator(30 * time.Second)
-	ad, err := NewAdaptive(l, tn, est, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ad.Close()
-
-	// Slow phase, then a burst: the estimator must cross the dead band
-	// and trigger at least two retunes (initial + shift).
-	clk := cfg.Clock.(*simclock.Virtual)
-	var chans []<-chan Result
-	for i := 0; i < 10; i++ {
-		ch, err := ad.SubmitCtx(context.Background(), jobs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		chans = append(chans, ch)
-		clk.Advance(10 * time.Second) // 0.1 q/s
-	}
-	for i := 10; i < 40; i++ {
-		ch, err := ad.SubmitCtx(context.Background(), jobs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		chans = append(chans, ch)
-		clk.Advance(100 * time.Millisecond) // 10 q/s burst
-	}
-	for _, ch := range chans {
-		if _, ok := <-ch; !ok {
-			t.Fatal("dropped query")
-		}
-	}
-	if ad.Retunes() < 2 {
-		t.Errorf("retunes = %d, want >= 2 (slow phase then burst)", ad.Retunes())
-	}
-}
-
-func TestAdaptiveValidation(t *testing.T) {
-	part, _ := fixture(t)
-	cfg, _ := NewVirtual(part, 0, false)
-	l, _ := NewLive(cfg)
-	defer l.Close()
-	tn, _ := NewTuner(0.2)
-	est, _ := NewSaturationEstimator(time.Minute)
-	if _, err := NewAdaptive(nil, tn, est, 0.25); err == nil {
-		t.Error("nil live should fail")
-	}
-	if _, err := NewAdaptive(l, nil, est, 0.25); err == nil {
-		t.Error("nil tuner should fail")
-	}
-	if _, err := NewAdaptive(l, tn, nil, 0.25); err == nil {
-		t.Error("nil estimator should fail")
-	}
-	if _, err := NewAdaptive(l, tn, est, 0); err == nil {
-		t.Error("zero threshold should fail")
 	}
 }
 

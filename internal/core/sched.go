@@ -550,9 +550,9 @@ func (s *scheduler) pick(now time.Time) (int, bool) {
 //	Ua(i) = Ût(i)·(1-α) + Â(i)·α
 //
 // where Ût and Â are Ut and A normalized to [0,1] over the current
-// non-empty queues (DESIGN.md §3 explains the normalization), and returns
-// the argmax. Ties break toward the lower bucket index, making schedules
-// deterministic.
+// non-empty queues (DESIGN-sched.md §1 explains the normalization), and
+// returns the argmax. Ties break toward the lower bucket index, making
+// schedules deterministic.
 func (s *scheduler) pickLifeRaft(now time.Time) (int, bool) {
 	maxUt, maxAge := 0.0, 0.0
 	cands := s.scoredBuf[:0]

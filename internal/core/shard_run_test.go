@@ -399,8 +399,8 @@ func TestShardedPairsMatchLegacy(t *testing.T) {
 }
 
 // TestLiveShardedClockAdvances: the parent virtual clock must track the
-// shard clocks while a sharded live engine runs — the Adaptive
-// saturation estimator and empty-fan-out completion stamps read it — not
+// shard clocks while a sharded live engine runs — a saturation
+// estimator and empty-fan-out completion stamps read it — not
 // stay frozen at the engine start until Close.
 func TestLiveShardedClockAdvances(t *testing.T) {
 	part, jobs := shardFixture(t)

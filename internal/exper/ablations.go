@@ -10,7 +10,7 @@ import (
 	"liferaft/internal/simclock"
 )
 
-// This file contains the ablation studies DESIGN.md calls out: design
+// This file contains the ablation studies: design
 // choices the paper fixes (the LRU cache's 20 buckets, the 3% hybrid
 // threshold, most-contentious-first) swept to show why those choices hold,
 // plus the §6 extensions (QoS age depreciation, workload overflow) and the

@@ -1,8 +1,7 @@
 // Package exper regenerates every table and figure of the paper's
-// evaluation (§5) plus the ablation studies DESIGN.md calls out. Each
+// evaluation (§5) plus the ablation studies in ablations.go. Each
 // experiment returns a Table that prints the same rows or series the paper
-// reports; cmd/skybench is the CLI front end and EXPERIMENTS.md records
-// paper-versus-measured values.
+// reports; cmd/skybench is the CLI front end.
 package exper
 
 import (
@@ -57,7 +56,7 @@ func CI() Scale {
 	}
 }
 
-// Mid is the scale EXPERIMENTS.md reports: the paper's 2,000-query trace
+// Mid is skybench's -scale mid: the paper's 2,000-query trace
 // over ~2,000 buckets; every figure regenerates in seconds.
 func Mid() Scale {
 	return Scale{

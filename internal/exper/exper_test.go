@@ -227,7 +227,7 @@ func TestFig8AndFig4(t *testing.T) {
 		t.Errorf("greedy throughput should rise with saturation: %v", greedyT)
 	}
 	// At the highest saturation the α-gap is material (paper: α=0 tops
-	// α=1 by ~1.24x; CI scale compresses the gap — see EXPERIMENTS.md).
+	// α=1 by ~1.24x; CI scale compresses the gap).
 	last := grid[20:]
 	if last[0].Throughput < 1.02*last[4].Throughput {
 		t.Errorf("at high saturation α=0 (%.3f) should beat α=1 (%.3f)",

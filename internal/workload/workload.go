@@ -263,20 +263,14 @@ func keep(seed int64, qid, oid uint64, p float64) bool {
 	return float64(x>>11)/float64(1<<53) < p
 }
 
-// Arrivals produces inter-arrival offsets for a trace: offsets[i] is query
-// i's arrival time relative to the start of the run.
-type Arrivals interface {
-	// Offsets returns n non-decreasing arrival offsets.
-	Offsets(n int, seed int64) []time.Duration
-}
-
 // Poisson is a Poisson arrival process at the given rate ("saturation" in
 // the paper's terms, queries per second).
 type Poisson struct {
 	RatePerSec float64
 }
 
-// Offsets implements Arrivals.
+// Offsets returns n non-decreasing arrival offsets: offsets[i] is query
+// i's arrival time relative to the start of the run.
 func (p Poisson) Offsets(n int, seed int64) []time.Duration {
 	if p.RatePerSec <= 0 {
 		panic("workload: Poisson rate must be positive")
@@ -286,57 +280,6 @@ func (p Poisson) Offsets(n int, seed int64) []time.Duration {
 	t := 0.0
 	for i := range out {
 		t += rng.ExpFloat64() / p.RatePerSec
-		//lifevet:allow durovf -- synthetic arrival-time math over generator-bounded rates; bounds are the trace definition
-		out[i] = time.Duration(t * float64(time.Second))
-	}
-	return out
-}
-
-// Uniform spaces arrivals at a fixed interval.
-type Uniform struct {
-	Interval time.Duration
-}
-
-// Offsets implements Arrivals.
-func (u Uniform) Offsets(n int, _ int64) []time.Duration {
-	if u.Interval <= 0 {
-		panic("workload: Uniform interval must be positive")
-	}
-	out := make([]time.Duration, n)
-	for i := range out {
-		//lifevet:allow durovf -- synthetic arrival-time math over generator-bounded rates; bounds are the trace definition
-		out[i] = time.Duration(i+1) * u.Interval
-	}
-	return out
-}
-
-// Bursty alternates Poisson bursts with idle gaps, the no-steady-state
-// pattern §6 argues arrival-rate-sensitive schedulers mishandle.
-type Bursty struct {
-	// BurstRate is the arrival rate inside a burst (queries/sec).
-	BurstRate float64
-	// BurstLen is the mean number of queries per burst.
-	BurstLen int
-	// Gap is the mean idle time between bursts.
-	Gap time.Duration
-}
-
-// Offsets implements Arrivals.
-func (b Bursty) Offsets(n int, seed int64) []time.Duration {
-	if b.BurstRate <= 0 || b.BurstLen <= 0 || b.Gap <= 0 {
-		panic("workload: Bursty parameters must be positive")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]time.Duration, n)
-	t := 0.0
-	inBurst := 0
-	for i := range out {
-		if inBurst == 0 {
-			t += rng.ExpFloat64() * b.Gap.Seconds()
-			inBurst = 1 + rng.Intn(2*b.BurstLen)
-		}
-		t += rng.ExpFloat64() / b.BurstRate
-		inBurst--
 		//lifevet:allow durovf -- synthetic arrival-time math over generator-bounded rates; bounds are the trace definition
 		out[i] = time.Duration(t * float64(time.Second))
 	}

@@ -33,7 +33,7 @@
 //
 // The paper's engine drives a single disk arm; this module scales the
 // same aged-workload-throughput policy across K disks, and there is one
-// engine for every K. Config.Shards = K deals the buckets to K shards
+// engine for every K. A config's Shards = K deals the buckets to K shards
 // round-robin along the HTM curve (bucket i to shard i mod K — the one
 // placement, see NewShardMap). Each shard owns its own modeled disk,
 // bucket cache, and workload queues, and a worker per shard services that
@@ -59,7 +59,7 @@
 //	results, stats, _ := liferaft.Run(cfg, jobs, offsets)
 //	for _, ss := range stats.PerShard { fmt.Println(ss.Shard, ss.Stats.BucketsServed) }
 //
-// Run, Live engines (NewLive), Adaptive engines, and federation nodes
+// Run, Live engines (NewLive) and federation nodes
 // (FedNodeConfig.Shards) all accept the knob; cmd/skybench and
 // cmd/liferaftd expose it as -shards.
 //
@@ -100,9 +100,9 @@
 //
 // The paper reproduction serves every bucket from the analytic disk
 // model; the segment store makes the same engine run against real
-// disks. WriteSegments (or skygen -write-segments) materializes a
-// partition into checksummed, versioned segment files; a Store built by
-// NewFileBackedConfig serves buckets from them with pread-based real
+// disks. EnsureSegments (or skygen -write-segments) materializes a
+// partition into checksummed, versioned segment files; the store
+// NewFileBackedConfig builds serves buckets from them with pread-based real
 // I/O on the real clock, recording measured read times in the disk
 // statistics (the engine observes the store's backend; there is no
 // separate backend option, and a real-I/O store on a virtual clock is
@@ -150,65 +150,34 @@ import (
 	"liferaft/internal/federation"
 	"liferaft/internal/geom"
 	"liferaft/internal/htm"
-	"liferaft/internal/metric"
 	"liferaft/internal/segment"
 	"liferaft/internal/server"
 	"liferaft/internal/shard"
 	"liferaft/internal/simclock"
-	"liferaft/internal/skyql"
 	"liferaft/internal/stats"
 	"liferaft/internal/workload"
-	"liferaft/internal/xmatch"
 )
 
 // ---- Scheduler core (the paper's contribution) ----
 
 // Core engine types; see internal/core for full documentation.
 type (
-	// Config configures a scheduler engine.
-	Config = core.Config
 	// Job is one pre-processed query: its workload objects and predicate.
 	Job = core.Job
 	// Result reports one completed query.
 	Result = core.Result
 	// RunStats aggregates a run's throughput, I/O, and cache behaviour.
 	RunStats = core.RunStats
-	// PolicyKind selects the scheduling discipline.
-	PolicyKind = core.PolicyKind
 	// Live is the long-running concurrent engine used by federation nodes.
 	Live = core.Live
-	// Tuner selects α from measured trade-off curves (paper §4).
-	Tuner = core.Tuner
-	// SaturationEstimator tracks arrival rate for the tuner.
-	SaturationEstimator = core.SaturationEstimator
-	// Adaptive closes the §4 loop: a Live engine whose α follows the
-	// measured saturation through the tuner's curves.
-	Adaptive = core.Adaptive
 	// ShardStats is one shard's slice of a sharded run (RunStats.PerShard).
 	ShardStats = core.ShardStats
 )
 
-// ---- Sharded execution (scaling the paper's policy across K disks) ----
-
-type (
-	// ShardMap is the bucket-to-shard assignment: bucket i belongs to
-	// shard i mod K.
-	ShardMap = shard.Map
-)
-
 // NewShardMap returns the bucket-to-shard assignment a K-shard engine
-// uses, for inspection and capacity planning.
+// uses (bucket i belongs to shard i mod K), for inspection and capacity
+// planning.
 var NewShardMap = shard.NewMap
-
-// Scheduling policies.
-const (
-	// PolicyLifeRaft is the aged-workload-throughput scheduler (Eq. 2).
-	PolicyLifeRaft = core.PolicyLifeRaft
-	// PolicyRoundRobin is the RR baseline (buckets in HTM ID order).
-	PolicyRoundRobin = core.PolicyRoundRobin
-	// PolicyLeastShared is the least-sharable-first ablation policy.
-	PolicyLeastShared = core.PolicyLeastShared
-)
 
 // Engine entry points.
 var (
@@ -218,23 +187,19 @@ var (
 	// RunNoShare is the paper's NoShare baseline: queries evaluated
 	// independently in arrival order.
 	RunNoShare = core.RunNoShare
-	// RunIndexOnly is SkyQuery's pre-LifeRaft index-exclusive approach.
-	RunIndexOnly = core.RunIndexOnly
 	// NewLive starts a concurrent engine accepting SubmitCtx calls.
 	NewLive = core.NewLive
 	// NewVirtualConfig builds the standard virtual-clock stack with
 	// paper defaults (20-bucket LRU cache, 3% hybrid threshold).
 	NewVirtualConfig = core.NewVirtual
-	// NewConfigOn builds the standard stack on a caller-provided clock.
-	NewConfigOn = core.NewOn
 	// BuildCurve measures a throughput/response trade-off curve.
 	BuildCurve = core.BuildCurve
-	// NewTuner creates an adaptive-α tuner with a throughput tolerance.
+	// NewTuner creates an adaptive-α tuner with a throughput tolerance
+	// (paper §4).
 	NewTuner = core.NewTuner
-	// NewSaturationEstimator creates an arrival-rate EWMA estimator.
+	// NewSaturationEstimator creates an arrival-rate EWMA estimator, the
+	// saturation signal the tuner reads.
 	NewSaturationEstimator = core.NewSaturationEstimator
-	// NewAdaptive wraps a Live engine with saturation-driven α retuning.
-	NewAdaptive = core.NewAdaptive
 )
 
 // ---- Multi-tenant serving layer ----
@@ -259,39 +224,14 @@ type (
 	TenantStats = server.TenantStats
 	// OverloadError is the backpressure signal (reason + retry-after).
 	OverloadError = server.OverloadError
-	// Gateway is the HTTP+JSON front door (/v1/query, /v1/stats,
-	// /metrics, /healthz).
-	Gateway = server.Gateway
-	// GatewayConfig configures a Gateway.
-	GatewayConfig = server.GatewayConfig
-	// MetricRegistry collects metric families and serves them in
-	// Prometheus text format (internal/metric); wire one through
-	// ServerConfig.Registry and GatewayConfig.Registry to expose
-	// /metrics. docs/OPERATIONS.md documents every exported family.
-	MetricRegistry = metric.Registry
 )
 
-// Admission rejection reasons carried by OverloadError.
-const (
-	OverloadRate    = server.OverloadRate
-	OverloadQueue   = server.OverloadQueue
-	OverloadTenants = server.OverloadTenants
-)
+// OverloadTenants is the OverloadError reason for a submission refused
+// because the tenant table is full (ServerConfig.MaxTenants).
+const OverloadTenants = server.OverloadTenants
 
-var (
-	// NewServer starts a serving layer over a Live engine.
-	NewServer = server.New
-	// NewGateway builds the HTTP handler over a query executor.
-	NewGateway = server.NewGateway
-	// ErrServerClosed is returned by Server.Submit after Close.
-	ErrServerClosed = server.ErrClosed
-	// NewMetricRegistry creates an empty metric registry.
-	NewMetricRegistry = metric.NewRegistry
-	// NewEngineMetrics registers the engine metric families on a
-	// registry; hand the result to Config.Metrics to instrument an
-	// engine (nil Metrics — the default — costs nothing).
-	NewEngineMetrics = core.NewEngineMetrics
-)
+// NewServer starts a serving layer over a Live engine.
+var NewServer = server.New
 
 // ---- Catalogs (synthetic sky archives) ----
 
@@ -302,10 +242,6 @@ type (
 	CatalogConfig = catalog.Config
 	// DerivedConfig describes a re-observation of a base survey.
 	DerivedConfig = catalog.DerivedConfig
-	// Object is one catalog observation.
-	Object = catalog.Object
-	// Density is a relative sky-density profile.
-	Density = catalog.Density
 )
 
 var (
@@ -314,12 +250,6 @@ var (
 	// NewDerivedCatalog builds a correlated re-observation (the only
 	// kind of catalog pair cross-matching is meaningful between).
 	NewDerivedCatalog = catalog.NewDerived
-	// UniformDensity, BandDensity, HotspotsDensity, and SumDensity build
-	// density profiles.
-	UniformDensity  = catalog.Uniform
-	BandDensity     = catalog.Band
-	HotspotsDensity = catalog.Hotspots
-	SumDensity      = catalog.Sum
 )
 
 // ---- Partitioning and storage ----
@@ -327,34 +257,18 @@ var (
 type (
 	// Partition is an equal-sized bucketing of a catalog (paper §3.1).
 	Partition = bucket.Partition
-	// Bucket is one equal-sized partition.
-	Bucket = bucket.Bucket
-	// Store serves buckets from the modeled disk or a real backend.
-	Store = bucket.Store
-	// StoreBackend is the pluggable storage layer under a Store; the
-	// segment package provides the real-I/O file implementation.
-	StoreBackend = bucket.Backend
-	// DiskModel is the analytic seek/rotate/transfer cost model.
-	DiskModel = disk.Model
-	// Disk charges model costs to a clock and tracks statistics.
-	Disk = disk.Disk
-	// SegmentSet is an opened on-disk segment directory.
-	SegmentSet = segment.Set
 	// SegmentWriteOptions tunes segment building.
 	SegmentWriteOptions = segment.WriteOptions
-	// SegmentWriteStats reports what a segment build produced.
-	SegmentWriteStats = segment.WriteStats
 )
 
 var (
-	// WriteSegments materializes a partition into segment files.
-	WriteSegments = segment.Write
+	// NewPartition divides a catalog into equal-object-count buckets.
+	NewPartition = bucket.NewPartition
+	// SkyQueryDisk returns the disk model calibrated to the paper's
+	// measured constants (Tb = 1.2 s / 40 MB bucket, Tm = 0.13 ms).
+	SkyQueryDisk = disk.SkyQuery
 	// EnsureSegments opens a segment directory, building it if missing.
 	EnsureSegments = segment.Ensure
-	// OpenSegments opens an existing segment directory.
-	OpenSegments = segment.OpenSet
-	// NewSegmentBackend adapts an opened segment set to a StoreBackend.
-	NewSegmentBackend = segment.NewBackend
 	// NewFileBackedConfig builds the real-I/O engine stack over a
 	// segment directory (real clock, measured read costs).
 	NewFileBackedConfig = core.NewFileBacked
@@ -364,56 +278,14 @@ var (
 	NewFileBackedConfigFrom = core.NewFileBackedFrom
 )
 
-var (
-	// NewPartition divides a catalog into equal-object-count buckets.
-	NewPartition = bucket.NewPartition
-	// NewStore builds a bucket store over a partition and disk.
-	NewStore = bucket.NewStore
-	// SkyQueryDisk returns the disk model calibrated to the paper's
-	// measured constants (Tb = 1.2 s / 40 MB bucket, Tm = 0.13 ms).
-	SkyQueryDisk = disk.SkyQuery
-	// NewDisk wires a model to a clock.
-	NewDisk = disk.New
-)
-
-// ---- Cross-match join ----
-
-type (
-	// WorkloadObject is one cross-match request with its HTM bounds.
-	WorkloadObject = xmatch.WorkloadObject
-	// Pair is one successful cross-match.
-	Pair = xmatch.Pair
-	// Predicate filters pairs that succeed in the spatial join.
-	Predicate = xmatch.Predicate
-)
-
-var (
-	// NewWorkloadObject wraps a remote object with its error-cap bounds.
-	NewWorkloadObject = xmatch.NewWorkloadObject
-	// MergeJoin is the HTM-sorted plane-sweep join (scan strategy).
-	MergeJoin = xmatch.MergeJoin
-	// IndexJoin is the probing join (index strategy).
-	IndexJoin = xmatch.IndexJoin
-	// MagnitudeWindow builds a photometric-cut predicate.
-	MagnitudeWindow = xmatch.MagnitudeWindow
-)
-
 // ---- Workload generation ----
 
 type (
 	// Query is one trace query.
 	Query = workload.Query
-	// TraceConfig parameterizes trace generation.
-	TraceConfig = workload.TraceConfig
-	// Trace is a generated query sequence.
-	Trace = workload.Trace
-	// Arrivals produces arrival-time offsets.
-	Arrivals = workload.Arrivals
-	// PoissonArrivals, UniformArrivals, and BurstyArrivals are the
-	// built-in arrival processes.
+	// PoissonArrivals is a Poisson arrival process; its Offsets are a
+	// run's arrival times.
 	PoissonArrivals = workload.Poisson
-	UniformArrivals = workload.Uniform
-	BurstyArrivals  = workload.Bursty
 )
 
 var (
@@ -429,66 +301,30 @@ var (
 // ---- Federation (SkyQuery-style) ----
 
 type (
-	// FedNode is one archive site running a LifeRaft engine.
-	FedNode = federation.Node
-	// FedNodeConfig configures a node.
+	// FedNodeConfig configures an archive node.
 	FedNodeConfig = federation.NodeConfig
-	// FedPortal plans and executes serial left-deep cross-matches.
-	FedPortal = federation.Portal
 	// FedQuery is a federation cross-match query.
 	FedQuery = federation.Query
-	// FedTransport reaches one archive (in-process or TCP).
-	FedTransport = federation.Transport
 	// FedInProc embeds a node in-process.
 	FedInProc = federation.InProc
 )
 
 var (
-	// NewFedNode builds and starts an archive node.
+	// NewFedNode builds and starts an archive node running a LifeRaft
+	// engine.
 	NewFedNode = federation.NewNode
-	// NewFedPortal returns an empty portal.
+	// NewFedPortal returns an empty portal, which plans and executes
+	// serial left-deep cross-matches.
 	NewFedPortal = federation.NewPortal
-	// ServeFed serves a node over TCP.
-	ServeFed = federation.Serve
-	// DialFed connects to a remote node.
-	DialFed = federation.Dial
 )
 
-// ---- SkyQL (the SkyQuery SQL dialect) ----
+// ---- Time, geometry, statistics ----
 
 type (
-	// SkyQL is a parsed SkyQL cross-match query.
-	SkyQL = skyql.Query
-)
-
-var (
-	// ParseSkyQL parses the SQL dialect SkyQuery exposed to astronomers.
-	ParseSkyQL = skyql.Parse
-	// CompileSkyQL lowers a parsed query to a federation query.
-	CompileSkyQL = skyql.Compile
-)
-
-// ---- Time, geometry, metrics ----
-
-type (
-	// Clock abstracts time (virtual for experiments, real for serving).
-	Clock = simclock.Clock
-	// VirtualClock is the discrete-event clock.
-	VirtualClock = simclock.Virtual
-	// RealClock is the wall clock.
-	RealClock = simclock.Real
-	// Vec3 is a unit position vector on the celestial sphere.
-	Vec3 = geom.Vec3
-	// Cap is a spherical cap (circular sky region).
-	Cap = geom.Cap
-	// HTMID is a level-addressed trixel identifier.
-	HTMID = htm.ID
 	// Summary is a response-time summary with CoV and percentiles.
 	Summary = stats.Summary
 	// Curve is a throughput/response trade-off curve over α.
 	Curve = stats.Curve
-	// TradeoffPoint is one curve point.
-	TradeoffPoint = stats.TradeoffPoint
 )
 
 var (
