@@ -43,7 +43,7 @@ const (
 	PolicyLeastShared PolicyKind = "lsf"
 )
 
-// Config configures an Engine.
+// Config configures Run, NewLive, RunNoShare and RunIndexOnly.
 type Config struct {
 	// Store serves buckets; it determines the partition and disk model.
 	Store *bucket.Store

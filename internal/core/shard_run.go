@@ -58,7 +58,7 @@ func Run(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunStats, e
 		}
 		if inFlight[j.ID] {
 			closeForked(l.cfgs)
-			return nil, RunStats{}, fmt.Errorf("shard: query %d already in flight", j.ID)
+			return nil, RunStats{}, fmt.Errorf("core: query %d already in flight", j.ID)
 		}
 		inFlight[j.ID] = true
 		merges = append(merges, m)

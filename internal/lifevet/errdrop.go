@@ -21,8 +21,9 @@ import (
 // not about cleanup hygiene on paths that already fail loudly:
 //
 //   - `defer f.Close()` and other deferred discards are exempt —
-//     close-on-error paths are fdleak's contract, and the deferred
-//     best-effort close on read paths is the package idiom.
+//     internal/segment's TestFailuresLeakNoFileDescriptors checks the
+//     close-on-error paths, and the deferred best-effort close on read
+//     paths is the package idiom.
 //   - a discard followed (in the same statement list) by a `return`
 //     that propagates a non-nil error is exempt: the function is
 //     already failing, and `f.Close(); os.Remove(tmp); return err` is
@@ -109,8 +110,9 @@ func (w *errdropWalker) walkStmt(s ast.Stmt, rest []ast.Stmt, failing bool) {
 			checkBlankErrAssign(w.pkg, s, w.r)
 		}
 	case *ast.DeferStmt:
-		// Deferred discards are the accepted idiom (fdleak owns the
-		// close-on-every-path contract).
+		// Deferred discards are the accepted idiom (internal/segment's
+		// TestFailuresLeakNoFileDescriptors owns the close-on-every-path
+		// contract).
 	case *ast.BlockStmt:
 		w.walkStmts(s.List, failing)
 	case *ast.IfStmt:
@@ -261,6 +263,10 @@ func lastResultIsError(sig *types.Signature) bool {
 		}
 	}
 	return false
+}
+
+func isErrorType(t types.Type) bool {
+	return t != nil && t.String() == "error"
 }
 
 // isNeverFail reports methods on writer types whose error results are

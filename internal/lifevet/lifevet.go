@@ -1,8 +1,8 @@
 // Package lifevet is the project-invariant static-analysis suite: a
 // dependency-free driver (stdlib go/parser + go/types over `go list
 // -json` package graphs) with analyzers for the invariants no tier-1 test
-// can force a violation of: fd hygiene, lock discipline and order,
-// context flow, duration overflow, dropped errors.
+// can force a violation of: lock discipline and order, context flow,
+// duration overflow, dropped errors.
 // Each is documented in docs/ANALYZERS.md, whose § Ledger also names the
 // tests that own the rest; `cmd/lifevet` wires the suite into CI.
 //
@@ -51,7 +51,6 @@ type Analyzer struct {
 // the def-use core (dataflow.go).
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		AnalyzerFDLeak,
 		AnalyzerLockDiscipline,
 		AnalyzerLockOrder,
 		AnalyzerCtxflow,

@@ -136,13 +136,6 @@ func assertSuppressed(t *testing.T, res Result, n int) {
 	}
 }
 
-func TestFDLeakFixture(t *testing.T) {
-	// Error returns after a successful open must close first; defers,
-	// explicit closes, and ownership transfers end tracking.
-	res := checkFixture(t, "fdleak")
-	assertSuppressed(t, res, 0)
-}
-
 func TestLockDisciplineFixture(t *testing.T) {
 	// Disk and channel traffic under a held mutex flagged, including
 	// through the transitive I/O summary; unlock-first and
@@ -194,12 +187,12 @@ func TestErrdropFixture(t *testing.T) {
 }
 
 func TestAnalyzersRegistered(t *testing.T) {
-	// Exactly the six checks no tier-1 test can stand in for, in
-	// documentation order. The invariants of the five cut ones (wallclock,
-	// hotpath-alloc, boundedlabels, goroleak, nilguard) are owned by the
-	// tests docs/ANALYZERS.md § Ledger names; the meta-check names stay
-	// reserved.
-	want := []string{"fdleak", "lockdiscipline", "lockorder", "ctxflow", "durovf", "errdrop"}
+	// Exactly the five checks no tier-1 test can stand in for, in
+	// documentation order. The invariants of the six cut ones (wallclock,
+	// hotpath-alloc, boundedlabels, goroleak, nilguard, fdleak) are owned
+	// by the tests docs/ANALYZERS.md § Ledger names; the meta-check names
+	// stay reserved.
+	want := []string{"lockdiscipline", "lockorder", "ctxflow", "durovf", "errdrop"}
 	var got []string
 	for _, a := range Analyzers() {
 		if a.Name == "" || a.Doc == "" || a.Run == nil {

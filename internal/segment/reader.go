@@ -30,7 +30,7 @@ type Set struct {
 // segFile is one opened segment file with its decoded index and fence
 // table. Both are immutable after open, so Reopen shares them.
 type segFile struct {
-	f       *os.File
+	f       file
 	hdr     header
 	entries []indexEntry
 	fences  []fence
@@ -107,7 +107,7 @@ func OpenSet(dir string) (*Set, error) {
 // openSegFile opens and verifies one segment file's header, index and
 // fence table.
 func openSegFile(path string) (*segFile, error) {
-	f, err := os.Open(path)
+	f, err := fsys.open(path)
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +120,7 @@ func openSegFile(path string) (*segFile, error) {
 }
 
 // readHeader preads and verifies f's header block.
-func readHeader(f *os.File) (header, error) {
+func readHeader(f file) (header, error) {
 	hb := make([]byte, BlockSize)
 	if _, err := f.ReadAt(hb, 0); err != nil {
 		return header{}, fmt.Errorf("reading header: %w", err)
@@ -130,7 +130,7 @@ func readHeader(f *os.File) (header, error) {
 
 // loadSegFile verifies f's header, index and fence table and decodes
 // them; f stays the caller's to close on error.
-func loadSegFile(f *os.File) (*segFile, error) {
+func loadSegFile(f file) (*segFile, error) {
 	hdr, err := readHeader(f)
 	if err != nil {
 		return nil, err
@@ -378,7 +378,7 @@ func (s *Set) Reopen() (*Set, error) {
 	ns := &Set{dir: s.dir, man: s.man, bucketSeg: s.bucketSeg}
 	for si, sf := range s.segs {
 		name := s.man.Segments[si]
-		f, err := os.Open(filepath.Join(s.dir, name))
+		f, err := fsys.open(filepath.Join(s.dir, name))
 		if err != nil {
 			ns.Close()
 			return nil, err

@@ -112,19 +112,8 @@ func Write(dir string, part *bucket.Partition, opts WriteOptions) (WriteStats, e
 		st.Objects += objs
 		st.Bytes += written
 	}
-	// Make the segment renames durable before the manifest appears:
-	// POSIX does not order directory-entry updates across renames, so
-	// without this a power loss could journal the manifest's entry but
-	// not a segment's, leaving a manifest that points at missing files
-	// — the torn state the manifest-last protocol exists to rule out.
-	if err := syncDir(dir); err != nil {
-		return WriteStats{}, err
-	}
 	if err := writeManifest(dir, m); err != nil {
-		return WriteStats{}, err
-	}
-	if err := syncDir(dir); err != nil {
-		return WriteStats{}, err
+		return WriteStats{}, fmt.Errorf("segment: writing %s: %w", ManifestName, err)
 	}
 	return st, nil
 }
@@ -195,7 +184,7 @@ func (m *materializer) stop() {
 
 // syncDir fsyncs a directory, making renames into it durable.
 func syncDir(dir string) error {
-	d, err := os.Open(dir)
+	d, err := fsys.open(dir)
 	if err != nil {
 		return err
 	}
@@ -214,7 +203,7 @@ func syncDir(dir string) error {
 // and all three are back-filled once every checksum is known.
 func writeSegment(path string, part *bucket.Partition, mat *materializer, first, n, stride int) (int64, int64, error) {
 	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	f, err := fsys.create(tmp)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -314,26 +303,35 @@ func writeSegment(path string, part *bucket.Partition, mat *materializer, first,
 	if err := f.Sync(); err != nil {
 		return 0, 0, err
 	}
-	if err := f.Close(); err != nil {
-		f = nil
-		return 0, 0, err
-	}
+	err = f.Close()
 	f = nil
-	if err := os.Rename(tmp, path); err != nil {
+	if err == nil {
+		err = fsys.rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return 0, 0, err
 	}
 	return off, objects, nil
 }
 
-// writeManifest atomically installs the manifest: tmp, sync, rename.
+// writeManifest atomically installs the manifest: tmp, sync, rename,
+// between two syncs of dir. The first makes the segment renames durable
+// before the manifest appears: POSIX does not order directory-entry
+// updates across renames, so without it a power loss could journal the
+// manifest's entry but not a segment's, leaving a manifest that points
+// at missing files — the torn state the manifest-last protocol exists to
+// rule out.
 func writeManifest(dir string, m manifest) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
+	if err := syncDir(dir); err != nil {
+		return err
+	}
 	tmp := filepath.Join(dir, ManifestName+".tmp")
-	f, err := os.Create(tmp)
+	f, err := fsys.create(tmp)
 	if err != nil {
 		return err
 	}
@@ -351,7 +349,11 @@ func writeManifest(dir string, m manifest) error {
 		os.Remove(tmp)
 		return err
 	}
-	return os.Rename(tmp, filepath.Join(dir, ManifestName))
+	if err := fsys.rename(tmp, filepath.Join(dir, ManifestName)); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return syncDir(dir)
 }
 
 // Ensure opens the segment store under dir, building it first when the

@@ -67,58 +67,62 @@ func TestWriteSameBytesAtEveryWidth(t *testing.T) {
 	}
 }
 
-// TestWriteFailureCleansUp makes the second segment's rename fail (its final
-// name is a directory) while the workers are materializing buckets past it.
-// Write must return the error, leave no temporary file and no manifest, and
-// stop every goroutine it started before returning; Ensure then rebuilds the
-// store once the obstacle is gone.
+// TestWriteFailureCleansUp makes a rename fail by putting a non-empty
+// directory where its target goes: the second segment's, while the workers
+// are materializing buckets past it, and the manifest's. Write must return
+// the error, leave no temporary file and no manifest, and stop every
+// goroutine it started before returning; Ensure then rebuilds the store
+// once the obstacle is gone.
 func TestWriteFailureCleansUp(t *testing.T) {
 	part := fixture(t)
-	dir := t.TempDir()
-	blocker := filepath.Join(dir, segmentName(1))
-	if err := os.Mkdir(blocker, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	withGOMAXPROCS(4, func() {
-		before := runtime.NumGoroutine()
-		if _, err := Write(dir, part, WriteOptions{BucketsPerSegment: 8}); err == nil {
-			t.Fatal("Write succeeded with a directory in the way of segment 1")
-		}
-		// A worker that has returned may not have left the scheduler yet.
-		deadline := time.Now().Add(2 * time.Second)
-		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if n := runtime.NumGoroutine(); n > before {
-			t.Fatalf("%d goroutines after the failed Write, %d before", n, before)
-		}
-	})
-	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) > 0 {
-		t.Fatalf("failed Write left %v", tmps)
-	}
-	if _, err := os.Stat(filepath.Join(dir, ManifestName)); !os.IsNotExist(err) {
-		t.Fatalf("failed Write left a manifest (stat: %v)", err)
-	}
-
-	if err := os.Remove(blocker); err != nil {
-		t.Fatal(err)
-	}
-	set, st, err := Ensure(dir, part, WriteOptions{BucketsPerSegment: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer set.Close()
-	if st.Segments != 4 || st.Objects != 3000 {
-		t.Fatalf("rebuild stats = %+v", st)
-	}
-	for i := 0; i < part.NumBuckets(); i++ {
-		objs, _, err := set.ReadBucket(i)
-		if err != nil {
-			t.Fatalf("bucket %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(objs, part.Materialize(i)) {
-			t.Fatalf("rebuilt bucket %d diverges from the catalog", i)
-		}
+	for _, target := range []string{segmentName(1), ManifestName} {
+		t.Run(target, func(t *testing.T) {
+			dir := t.TempDir()
+			blocker := filepath.Join(dir, target)
+			if err := os.MkdirAll(filepath.Join(blocker, "occupied"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			withGOMAXPROCS(4, func() {
+				before := runtime.NumGoroutine()
+				if _, err := Write(dir, part, WriteOptions{BucketsPerSegment: 8}); err == nil {
+					t.Fatalf("Write succeeded with a directory in the way of %s", target)
+				}
+				// A worker that has returned may not have left the scheduler yet.
+				deadline := time.Now().Add(2 * time.Second)
+				for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+				if n := runtime.NumGoroutine(); n > before {
+					t.Fatalf("%d goroutines after the failed Write, %d before", n, before)
+				}
+			})
+			if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) > 0 {
+				t.Fatalf("failed Write left %v", tmps)
+			}
+			if err := os.RemoveAll(blocker); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := os.Stat(filepath.Join(dir, ManifestName)); !os.IsNotExist(err) {
+				t.Fatalf("failed Write left a manifest (stat: %v)", err)
+			}
+			set, st, err := Ensure(dir, part, WriteOptions{BucketsPerSegment: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer set.Close()
+			if st.Segments != 4 || st.Objects != 3000 {
+				t.Fatalf("rebuild stats = %+v", st)
+			}
+			for i := 0; i < part.NumBuckets(); i++ {
+				objs, _, err := set.ReadBucket(i)
+				if err != nil {
+					t.Fatalf("bucket %d: %v", i, err)
+				}
+				if !reflect.DeepEqual(objs, part.Materialize(i)) {
+					t.Fatalf("rebuilt bucket %d diverges from the catalog", i)
+				}
+			}
+		})
 	}
 }
 
