@@ -373,9 +373,13 @@ func run(o options) error {
 	if o.httpAddr != "" {
 		portal := federation.NewPortal()
 		portal.Register(o.archive, federation.InProc{Node: node})
+		var hops *federation.HopMetrics
+		if len(peers) > 0 {
+			hops = federation.NewHopMetrics(reg)
+		}
 		for name, addr := range peers {
 			cli := federation.Dial(addr)
-			cli.Instrument(reg, name)
+			cli.Instrument(hops, name)
 			// Closed on the way out: the reader exits, and the peer
 			// withdraws the matches still in flight on the connection.
 			defer cli.Close()

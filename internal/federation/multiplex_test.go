@@ -326,8 +326,9 @@ func TestClientInstrument(t *testing.T) {
 	up, down := Dial(srv.Addr().String()), DialTimeout("127.0.0.1:1", time.Second)
 	defer up.Close()
 	defer down.Close()
-	up.Instrument(reg, "sdss")
-	down.Instrument(reg, "usnob")
+	hops := NewHopMetrics(reg)
+	up.Instrument(hops, "sdss")
+	down.Instrument(hops, "usnob")
 	Dial(srv.Addr().String()).Instrument(nil, "ignored")
 
 	if _, err := up.Archive(); err != nil {

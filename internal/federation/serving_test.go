@@ -92,7 +92,9 @@ func TestClientCancelAbortsInFlight(t *testing.T) {
 // handler goroutine.
 func TestServerDropsSilentClient(t *testing.T) {
 	f := newFixture(t)
-	srv, err := Serve(f.sdss, "127.0.0.1:0", WithIOTimeout(100*time.Millisecond))
+	defer func(d time.Duration) { ioTimeout = d }(ioTimeout)
+	ioTimeout = 100 * time.Millisecond
+	srv, err := Serve(f.sdss, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,11 +85,16 @@ const maxInFlight = 256
 // was dropped after longer think time transparently re-dial.
 const readIdle = 5 * time.Minute
 
+// ioTimeout bounds the handshake and each response write: a peer that
+// stops reading cannot wedge a handler goroutine forever. It is a
+// variable so a test can shorten it; Serve reads it once.
+var ioTimeout = 30 * time.Second
+
 // Server serves a Node over TCP.
 type Server struct {
-	node *Node
-	ln   net.Listener
-	opts serverOpts
+	node      *Node
+	ln        net.Listener
+	ioTimeout time.Duration
 	// ctx is the parent of every connection's context; Close cancels it,
 	// which withdraws every match still in the engine.
 	ctx    context.Context
@@ -101,38 +106,16 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// serverOpts holds the I/O pacing knobs; see the ServerOption builders.
-type serverOpts struct {
-	// ioTimeout bounds the handshake and each response write: a peer
-	// that stops reading cannot wedge a handler goroutine forever.
-	ioTimeout time.Duration
-}
-
-// ServerOption tunes Serve.
-type ServerOption func(*serverOpts)
-
-// WithIOTimeout bounds the handshake and each response write (default 30s).
-func WithIOTimeout(d time.Duration) ServerOption {
-	return func(o *serverOpts) { o.ioTimeout = d }
-}
-
 // Serve starts serving node on addr (e.g. "127.0.0.1:7701"). It returns
 // once the listener is bound; connections are handled in the background.
 // Handshake, request-read, and response-write deadlines guard every
 // connection so a stalled or silent peer cannot wedge the RPC loop.
-func Serve(node *Node, addr string, opts ...ServerOption) (*Server, error) {
-	o := serverOpts{ioTimeout: 30 * time.Second}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.ioTimeout <= 0 {
-		return nil, fmt.Errorf("federation: non-positive server timeout")
-	}
+func Serve(node *Node, addr string) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("federation: listen %s: %w", addr, err)
 	}
-	s := &Server{node: node, ln: ln, opts: o, conns: make(map[net.Conn]struct{})}
+	s := &Server{node: node, ln: ln, ioTimeout: ioTimeout, conns: make(map[net.Conn]struct{})}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -215,7 +198,7 @@ func (s *Server) handle(conn net.Conn) {
 	}()
 	// Handshake, under the I/O deadline: a silent dialer is dropped
 	// instead of pinning this goroutine.
-	conn.SetDeadline(time.Now().Add(s.opts.ioTimeout))
+	conn.SetDeadline(time.Now().Add(s.ioTimeout))
 	if _, err := fmt.Fprintf(conn, "%s\n", protoVersion); err != nil {
 		return
 	}
@@ -227,7 +210,7 @@ func (s *Server) handle(conn net.Conn) {
 	// deadline.
 	conn.SetDeadline(time.Time{})
 	sc := &serverConn{
-		node: s.node, conn: conn, ioTimeout: s.opts.ioTimeout,
+		node: s.node, conn: conn, ioTimeout: s.ioTimeout,
 		cancel: cancel, enc: gob.NewEncoder(conn),
 		running: make(map[uint64]context.CancelFunc),
 	}

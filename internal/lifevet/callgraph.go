@@ -7,8 +7,8 @@ import (
 )
 
 // funcIndex maps every function and method declared in the module to
-// its body, and resolves static call sites — the shared machinery under
-// the transitive summaries of lockdiscipline, lockorder and ctxflow.
+// its body, and resolves static call sites — the machinery under the
+// transitive blocking summary that lockdiscipline and ctxflow share.
 // Interface-method calls have no static callee and resolve to nil; the
 // analyzers document that boundary.
 type funcIndex struct {

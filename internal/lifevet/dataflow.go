@@ -5,27 +5,21 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
-// dataflow.go is the SSA-lite def-use core under the v2 analyzers
-// (lockorder, ctxflow, durovf, errdrop) and the
-// flow-sensitive refinements to the v1 set. It deliberately stops short
-// of full SSA: the module's analyzers need exactly three facts —
+// dataflow.go is the SSA-lite def-use core under lockdiscipline and
+// ctxflow. It deliberately stops short of full SSA: the analyzers need
+// two facts —
 //
 //   - single-assignment resolution: which expression a local variable
 //     provably holds (assigned exactly once, address never taken), so a
-//     value threaded through a local still matches a syntactic pattern;
-//   - global lock identity: a stable name for "the mutex field mu of
-//     type Server" that two different functions agree on, so acquisition
-//     edges observed in different corners of the module compose into
-//     one order graph;
-//   - transitive per-function summaries over the static call graph
-//     (locks a call may acquire, whether a body can block), reusing
-//     funcIndex/staticCallee from callgraph.go.
+//     value threaded through a local still matches a syntactic pattern
+//     (lockdiscipline's fresh buffered channel);
+//   - which parameters of a function are a context.Context (ctxflow).
 //
-// Everything flow-sensitive on top (held-sets, guard domination) stays
-// in the analyzers; this file owns the value- and identity-level facts.
+// The transitive blocking summary over the static call graph lives with
+// its owner in lockdiscipline.go; everything flow-sensitive (held-sets)
+// stays in the analyzers.
 
 // defUse records, for one function body, how many times each local is
 // assigned and the unique defining expression when there is exactly one.
@@ -181,146 +175,6 @@ func (du *defUse) freshChanCap(e ast.Expr) (int64, bool) {
 func isChanType(t types.Type) bool {
 	_, ok := t.Underlying().(*types.Chan)
 	return ok
-}
-
-// lockClassOf names the mutex behind a Lock/Unlock receiver expression
-// in module-global terms: "pkgtail.Type.field" for a mutex field
-// (resolved through the named type of the enclosing struct, so t.mu and
-// s.tier.mu in different functions agree), "pkgtail.var" for a
-// package-level mutex variable. Function-local mutexes (and receivers
-// the type checker cannot name) return "": they cannot participate in a
-// cross-function order.
-func lockClassOf(pkg *Package, recv ast.Expr) string {
-	switch e := ast.Unparen(recv).(type) {
-	case *ast.SelectorExpr:
-		tv, ok := pkg.Info.Types[e.X]
-		if !ok {
-			return ""
-		}
-		t := tv.Type
-		if ptr, isPtr := t.(*types.Pointer); isPtr {
-			t = ptr.Elem()
-		}
-		named, ok := t.(*types.Named)
-		if !ok || named.Obj().Pkg() == nil {
-			return ""
-		}
-		return pkgTail(named.Obj().Pkg().Path()) + "." + named.Obj().Name() + "." + e.Sel.Name
-	case *ast.Ident:
-		v, ok := pkg.Info.Uses[e].(*types.Var)
-		if !ok {
-			if v, ok = pkg.Info.Defs[e].(*types.Var); !ok {
-				return ""
-			}
-		}
-		// Package-level variables have the package itself as parent scope.
-		if v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-			return pkgTail(v.Pkg().Path()) + "." + v.Name()
-		}
-	}
-	return ""
-}
-
-func pkgTail(path string) string {
-	if i := strings.LastIndex(path, "/"); i >= 0 {
-		return path[i+1:]
-	}
-	return path
-}
-
-// lockAcq is one lock acquisition a function may perform: the global
-// class, where, and — when reached through a call — via whom.
-type lockAcq struct {
-	class string
-	pos   token.Pos
-	via   string // display name of the callee chain head, "" when direct
-}
-
-// lockSummary maps every module function to the set of lock classes it
-// may acquire, directly or transitively through static calls. Function
-// literals are excluded throughout: a closure typically runs on another
-// goroutine (or after the enclosing locks are released), so charging its
-// acquisitions to the enclosing function would fabricate edges.
-type lockSummary struct {
-	acquires map[*types.Func]map[string]lockAcq
-}
-
-// buildLockSummary computes the transitive may-acquire sets to a
-// fixpoint over the static call graph.
-func buildLockSummary(ix *funcIndex) *lockSummary {
-	s := &lockSummary{acquires: make(map[*types.Func]map[string]lockAcq)}
-	// Direct acquisitions.
-	for fn, d := range ix.decls {
-		set := make(map[string]lockAcq)
-		inspectOutsideFuncLits(d.decl.Body, func(n ast.Node) {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return
-			}
-			path, method := mutexMethod(d.pkg.Info, call)
-			if path == "" {
-				return
-			}
-			if method != "Lock" && method != "RLock" && method != "TryLock" && method != "TryRLock" {
-				return
-			}
-			sel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-			if class := lockClassOf(d.pkg, sel.X); class != "" {
-				if _, seen := set[class]; !seen {
-					set[class] = lockAcq{class: class, pos: call.Pos()}
-				}
-			}
-		})
-		if len(set) > 0 {
-			s.acquires[fn] = set
-		}
-	}
-	// Propagate callee sets to callers until stable.
-	for changed := true; changed; {
-		changed = false
-		for fn, d := range ix.decls {
-			inspectOutsideFuncLits(d.decl.Body, func(n ast.Node) {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return
-				}
-				callee := origin(staticCallee(d.pkg.Info, call))
-				if callee == nil || callee == fn {
-					return
-				}
-				for class, acq := range s.acquires[callee] {
-					set := s.acquires[fn]
-					if set == nil {
-						set = make(map[string]lockAcq)
-						s.acquires[fn] = set
-					}
-					if _, seen := set[class]; !seen {
-						via := funcDisplay(callee)
-						if acq.via != "" {
-							via = funcDisplay(callee) + " -> " + acq.via
-						}
-						set[class] = lockAcq{class: class, pos: call.Pos(), via: via}
-						changed = true
-					}
-				}
-			})
-		}
-	}
-	return s
-}
-
-// inspectOutsideFuncLits walks n, calling f on every node except those
-// inside nested function literals.
-func inspectOutsideFuncLits(n ast.Node, f func(ast.Node)) {
-	ast.Inspect(n, func(m ast.Node) bool {
-		if _, ok := m.(*ast.FuncLit); ok {
-			return false
-		}
-		if m != nil {
-			f(m)
-		}
-		return true
-	})
 }
 
 // isContextType reports whether t is context.Context.

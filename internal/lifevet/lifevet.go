@@ -1,8 +1,8 @@
 // Package lifevet is the project-invariant static-analysis suite: a
 // dependency-free driver (stdlib go/parser + go/types over `go list
 // -json` package graphs) with analyzers for the invariants no tier-1 test
-// can force a violation of: lock discipline and order, context flow,
-// duration overflow, dropped errors.
+// can force a violation of: lock discipline (which rules out lock-order
+// cycles), context flow, duration overflow, dropped errors.
 // Each is documented in docs/ANALYZERS.md, whose § Ledger also names the
 // tests that own the rest; `cmd/lifevet` wires the suite into CI.
 //
@@ -46,13 +46,10 @@ type Analyzer struct {
 	Run func(*Module, *Reporter)
 }
 
-// Analyzers returns the full suite in documentation order: the v1
-// syntactic/flow-lite checks followed by the v2 dataflow set built on
-// the def-use core (dataflow.go).
+// Analyzers returns the full suite in documentation order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerLockDiscipline,
-		AnalyzerLockOrder,
 		AnalyzerCtxflow,
 		AnalyzerDurovf,
 		AnalyzerErrdrop,

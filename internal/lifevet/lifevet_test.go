@@ -138,8 +138,10 @@ func assertSuppressed(t *testing.T, res Result, n int) {
 
 func TestLockDisciplineFixture(t *testing.T) {
 	// Disk and channel traffic under a held mutex flagged, including
-	// through the transitive I/O summary; unlock-first and
-	// select-with-default are clean.
+	// through the transitive summary; so is every Lock or RLock under
+	// another mutex (both sides of an inversion, one through a helper; a
+	// consistent order; hand-over-hand; RLock under Lock). Unlock-first,
+	// select-with-default, TryLock and release-before-acquire are clean.
 	res := checkFixture(t, "lockdiscipline")
 	assertSuppressed(t, res, 0)
 }
@@ -150,14 +152,6 @@ func TestDirectivesFixture(t *testing.T) {
 	// and empty directives are themselves diagnostics.
 	res := checkFixture(t, "directives")
 	assertSuppressed(t, res, 4)
-}
-
-func TestLockOrderFixture(t *testing.T) {
-	// An A->B / B->A inversion reports both edges (one transitive,
-	// carrying the callee chain); a consistent order, hand-over-hand on
-	// one class, and release-before-acquire are clean.
-	res := checkFixture(t, "lockorder")
-	assertSuppressed(t, res, 0)
 }
 
 func TestCtxflowFixture(t *testing.T) {
@@ -187,12 +181,13 @@ func TestErrdropFixture(t *testing.T) {
 }
 
 func TestAnalyzersRegistered(t *testing.T) {
-	// Exactly the five checks no tier-1 test can stand in for, in
+	// Exactly the four checks no tier-1 test can stand in for, in
 	// documentation order. The invariants of the six cut ones (wallclock,
 	// hotpath-alloc, boundedlabels, goroleak, nilguard, fdleak) are owned
-	// by the tests docs/ANALYZERS.md § Ledger names; the meta-check names
+	// by the tests docs/ANALYZERS.md § Ledger names, and lockorder's by
+	// lockdiscipline's no-lock-under-a-lock rule; the meta-check names
 	// stay reserved.
-	want := []string{"lockdiscipline", "lockorder", "ctxflow", "durovf", "errdrop"}
+	want := []string{"lockdiscipline", "ctxflow", "durovf", "errdrop"}
 	var got []string
 	for _, a := range Analyzers() {
 		if a.Name == "" || a.Doc == "" || a.Run == nil {

@@ -8,25 +8,29 @@ import (
 )
 
 // AnalyzerLockDiscipline flags blocking operations — channel traffic,
-// network or disk I/O, sleeps — performed while holding a sync.Mutex or
-// sync.RWMutex acquired in the same function. A lock that serializes
-// hot-path readers must bound its hold time by memory operations; one
-// fsync under a cache mutex and every concurrent Get stalls behind the
-// disk. Sites that are deliberately synchronous (crash-safety writes
-// that must be ordered with the map update) carry a
-// //lifevet:allow lockdiscipline directive recording the decision.
+// network or disk I/O, sleeps, and acquiring another mutex — performed
+// while holding a sync.Mutex or sync.RWMutex acquired in the same
+// function. A lock that serializes hot-path readers must bound its hold
+// time by memory operations; one fsync under a cache mutex and every
+// concurrent Get stalls behind the disk. A Lock or RLock under a held
+// mutex is the module's one lock rule: no mutex is acquired while
+// another is held, so the module has no lock-order edges and therefore
+// no lock-order cycle to deadlock on. TryLock and TryRLock never block
+// and are exempt. Sites that are deliberately synchronous (a send that
+// must be atomic with a closed check) carry a //lifevet:allow
+// lockdiscipline directive recording the decision.
 //
 // The check is per-function: it tracks mu.Lock()/mu.Unlock() pairs by
 // receiver path, treats `defer mu.Unlock()` as held-to-end, and
-// consults a transitive I/O summary of the module call graph so a
-// helper that hides the write (a persistLocked calling os.WriteFile)
-// still flags its locked caller. Non-blocking channel ops (select with
-// a default clause) are exempt, as are operations inside function
-// literals (they run in their own context, usually after the lock is
-// gone).
+// consults a transitive summary of the module call graph so a helper
+// that hides the blocking (a persistLocked calling os.WriteFile, a
+// metric handle taking its family lock) still flags its locked caller.
+// Non-blocking channel ops (select with a default clause) are exempt,
+// as are operations inside function literals (they run in their own
+// context, usually after the lock is gone).
 var AnalyzerLockDiscipline = &Analyzer{
 	Name: "lockdiscipline",
-	Doc:  "no channel, network, or disk I/O while holding a mutex acquired in the same function",
+	Doc:  "no channel traffic, network or disk I/O, or other mutex acquired while holding a mutex acquired in the same function",
 	Run:  runLockDiscipline,
 }
 
@@ -46,10 +50,12 @@ var osFileBlockingMethods = map[string]bool{
 	"Sync": true, "Seek": true,
 }
 
-// ioOp describes why an operation counts as blocking, for diagnostics.
+// ioOp describes why an operation counts as blocking, for diagnostics;
+// lock marks a mutex acquisition.
 type ioOp struct {
 	pos  token.Pos
 	desc string
+	lock bool
 }
 
 // directCallIO classifies a call as a direct blocking operation.
@@ -113,7 +119,7 @@ func directIOOps(d *funcDecl) []ioOp {
 			case *ast.SelectStmt:
 				hasDefault := selectHasDefault(m)
 				if !hasDefault {
-					ops = append(ops, ioOp{m.Pos(), "blocking select"})
+					ops = append(ops, ioOp{m.Pos(), "blocking select", false})
 				}
 				for _, c := range m.Body.List {
 					cc, ok := c.(*ast.CommClause)
@@ -128,15 +134,17 @@ func directIOOps(d *funcDecl) []ioOp {
 				return false
 			case *ast.SendStmt:
 				if !nonBlocking {
-					ops = append(ops, ioOp{m.Pos(), "channel send"})
+					ops = append(ops, ioOp{m.Pos(), "channel send", false})
 				}
 			case *ast.UnaryExpr:
 				if m.Op == token.ARROW && !nonBlocking {
-					ops = append(ops, ioOp{m.Pos(), "channel receive"})
+					ops = append(ops, ioOp{m.Pos(), "channel receive", false})
 				}
 			case *ast.CallExpr:
 				if desc, ok := directCallIO(info, m); ok {
-					ops = append(ops, ioOp{m.Pos(), desc})
+					ops = append(ops, ioOp{m.Pos(), desc, false})
+				} else if path, method := mutexMethod(info, m); method == "Lock" || method == "RLock" {
+					ops = append(ops, ioOp{m.Pos(), path + "." + method, true})
 				}
 			}
 			return true
@@ -147,10 +155,13 @@ func directIOOps(d *funcDecl) []ioOp {
 }
 
 // ioSummary records, for every module function that blocks (directly
-// or through static calls), a sample operation for diagnostics. Note
-// internal/disk is a virtual-time cost model (accounting only, no real
-// I/O), so it contributes nothing here; the module's real disk I/O is
-// the os package traffic in internal/segment and the disk cache tier.
+// or through static calls), a sample operation for diagnostics. Only
+// static calls propagate: internal/disk is a virtual-time cost model
+// (accounting only, no real I/O), and internal/segment's opens, reads,
+// writes and syncs go through its file/fsys seam (interface methods and
+// function values), so neither contributes here. What the summary does
+// see is channel traffic, sleeps, net calls, os calls made directly, and
+// every Lock/RLock.
 type ioSummary struct {
 	does map[*types.Func]ioOp
 }
@@ -185,7 +196,7 @@ func buildIOSummary(ix *funcIndex) *ioSummary {
 					return true
 				}
 				if op, ok := s.does[callee]; ok {
-					s.does[fn] = ioOp{call.Pos(), op.desc + " (via " + funcDisplay(callee) + ")"}
+					s.does[fn] = ioOp{call.Pos(), op.desc + " (via " + funcDisplay(callee) + ")", op.lock}
 					changed = true
 					return false
 				}
@@ -235,12 +246,7 @@ func runLockDiscipline(m *Module, r *Reporter) {
 	io := buildIOSummary(ix)
 	for _, d := range ix.decls {
 		w := &lockWalker{d: d, io: io, r: r, du: buildDefUse(d.pkg, d.decl.Body)}
-		hw := heldWalker{scan: w.scan, onBlockingSelect: func(s *ast.SelectStmt, held map[string]token.Pos) {
-			if len(held) > 0 {
-				w.report(s.Pos(), "blocking select", held)
-			}
-		}}
-		hw.walkStmts(d.decl.Body.List, map[string]token.Pos{})
+		w.walkStmts(d.decl.Body.List, map[string]token.Pos{})
 	}
 }
 
@@ -286,8 +292,9 @@ func (w *lockWalker) freshChanSend(send *ast.SendStmt) bool {
 	return sends <= capN && !passed
 }
 
-// lockWalker is lockdiscipline's view of one function: what counts as
-// blocking at a node a heldWalker reaches with mutexes held.
+// lockWalker is lockdiscipline's view of one function: the held-set
+// walk (heldwalk.go) and what counts as blocking at a node it reaches
+// with mutexes held.
 type lockWalker struct {
 	d  *funcDecl
 	io *ioSummary
@@ -297,7 +304,12 @@ type lockWalker struct {
 
 // scan inspects an expression or simple statement: mutex calls update
 // held, blocking operations are reported when held is non-empty.
+// nonBlocking marks the communication of a select that has a default
+// clause.
 func (w *lockWalker) scan(n ast.Node, held map[string]token.Pos, nonBlocking bool) {
+	if n == nil {
+		return
+	}
 	info := w.d.pkg.Info
 	ast.Inspect(n, func(m ast.Node) bool {
 		switch m := m.(type) {
@@ -306,7 +318,12 @@ func (w *lockWalker) scan(n ast.Node, held map[string]token.Pos, nonBlocking boo
 		case *ast.CallExpr:
 			if path, method := mutexMethod(info, m); path != "" {
 				switch method {
-				case "Lock", "RLock", "TryLock", "TryRLock":
+				case "Lock", "RLock":
+					if len(held) > 0 {
+						w.report(m.Pos(), path+"."+method, true, held)
+					}
+					held[path] = m.Pos()
+				case "TryLock", "TryRLock":
 					held[path] = m.Pos()
 				case "Unlock", "RUnlock":
 					delete(held, path)
@@ -317,7 +334,7 @@ func (w *lockWalker) scan(n ast.Node, held map[string]token.Pos, nonBlocking boo
 				return true
 			}
 			if desc, ok := directCallIO(info, m); ok {
-				w.report(m.Pos(), desc, held)
+				w.report(m.Pos(), desc, false, held)
 				return true
 			}
 			fn := origin(staticCallee(info, m))
@@ -325,26 +342,30 @@ func (w *lockWalker) scan(n ast.Node, held map[string]token.Pos, nonBlocking boo
 				return true
 			}
 			if op, ok := w.io.does[fn]; ok {
-				w.report(m.Pos(), op.desc+" via "+funcDisplay(fn), held)
+				w.report(m.Pos(), op.desc+" via "+funcDisplay(fn), op.lock, held)
 			}
 		case *ast.SendStmt:
 			if !nonBlocking && len(held) > 0 && !w.freshChanSend(m) {
-				w.report(m.Pos(), "channel send", held)
+				w.report(m.Pos(), "channel send", false, held)
 			}
 		case *ast.UnaryExpr:
 			if m.Op == token.ARROW && !nonBlocking && len(held) > 0 {
-				w.report(m.Pos(), "channel receive", held)
+				w.report(m.Pos(), "channel receive", false, held)
 			}
 		}
 		return true
 	})
 }
 
-func (w *lockWalker) report(pos token.Pos, op string, held map[string]token.Pos) {
+func (w *lockWalker) report(pos token.Pos, op string, lock bool, held map[string]token.Pos) {
 	paths := make([]string, 0, len(held))
 	for p := range held {
 		paths = append(paths, p)
 	}
 	sort.Strings(paths)
-	w.r.Reportf(pos, "%s while holding %s (locked in %s); blocking under a mutex turns every contending goroutine's lock wait into an I/O wait", op, paths[0], funcDisplay(w.d.fn))
+	why := "blocking under a mutex turns every contending goroutine's lock wait into an I/O wait"
+	if lock {
+		why = "a mutex acquired under another is an edge in the lock order, and two paths taking such edges in opposite directions deadlock — release the held mutex first"
+	}
+	w.r.Reportf(pos, "%s while holding %s (locked in %s); %s", op, paths[0], funcDisplay(w.d.fn), why)
 }

@@ -34,29 +34,38 @@ const (
 	aimdBacklogMin = 2
 )
 
+// rateMove is one AIMD rate change, recorded on the metrics by
+// recordMoves once s.mu is released.
+type rateMove struct {
+	tenant string
+	rate   float64
+	cut    bool
+}
+
 // maybeControlTick runs one AIMD evaluation when ControlInterval has
 // elapsed on the serving clock since the last one. It piggybacks on
 // data-path events (Submit, await) under s.mu instead of a timer
 // goroutine, so it works identically on the real clock and on a virtual
-// clock, where timers never fire. Caller holds s.mu.
-func (s *Server) maybeControlTick(now time.Time) {
+// clock, where timers never fire. Caller holds s.mu and hands the moves
+// to recordMoves after releasing it.
+func (s *Server) maybeControlTick(now time.Time) []rateMove {
 	if s.ctlLast.IsZero() {
 		s.ctlLast = now
-		return
+		return nil
 	}
 	el := now.Sub(s.ctlLast)
 	if el < s.cfg.ControlInterval {
-		return
+		return nil
 	}
-	s.controlTick(now, el)
 	s.ctlLast = now
+	return s.controlTick(now, el)
 }
 
 // controlTick evaluates the SLO over the window since the last tick and
 // moves per-tenant rates: multiplicative decrease for backlogged tenants
-// on a breach, additive increase for capped tenants on headroom. Caller
-// holds s.mu.
-func (s *Server) controlTick(now time.Time, el time.Duration) {
+// on a breach, additive increase for capped tenants on headroom. It
+// returns the moves when the layer is instrumented. Caller holds s.mu.
+func (s *Server) controlTick(now time.Time, el time.Duration) []rateMove {
 	p99 := percentile(s.ctlWindow, 0.99)
 	s.ctlWindow = s.ctlWindow[:0]
 	slo := s.cfg.SLOP99.Seconds()
@@ -67,6 +76,7 @@ func (s *Server) controlTick(now time.Time, el time.Duration) {
 	breach := (p99 > slo) || (queued > s.cfg.QueueDepth)
 	headroom := p99 < slo*aimdHeadroomFrac && queued <= s.cfg.MaxInFlight
 	intervalSec := el.Seconds()
+	var moves []rateMove
 	for _, t := range s.tenants {
 		observed := float64(t.winCompleted) / intervalSec
 		t.winCompleted = 0
@@ -85,22 +95,34 @@ func (s *Server) controlTick(now time.Time, el time.Duration) {
 			r = math.Max(aimdMinRate, r*aimdBeta)
 			t.bucket.setRate(r, now)
 			if s.obs != nil {
-				s.obs.rateCuts.With(t.name).Inc()
-				s.obs.cutEvents.Inc()
-				s.obs.rateLevel.Observe(r)
+				moves = append(moves, rateMove{t.name, r, true})
 			}
 		case headroom && t.bucket.rate < t.maxRate:
 			nr := math.Min(t.maxRate, t.bucket.rate+aimdStep)
 			t.bucket.setRate(nr, now)
 			if s.obs != nil {
-				s.obs.rateRaises.With(t.name).Inc()
-				s.obs.raiseEvent.Inc()
-				s.obs.rateLevel.Observe(nr)
+				moves = append(moves, rateMove{t.name, nr, false})
 			}
 		}
 	}
 	if s.obs != nil {
 		s.obs.ctlP99.Set(p99)
+	}
+	return moves
+}
+
+// recordMoves records AIMD rate moves on the metrics; the caller has
+// released s.mu.
+func (s *Server) recordMoves(moves []rateMove) {
+	for _, m := range moves {
+		if m.cut {
+			s.obs.rateCuts.With(m.tenant).Inc()
+			s.obs.cutEvents.Inc()
+		} else {
+			s.obs.rateRaises.With(m.tenant).Inc()
+			s.obs.raiseEvent.Inc()
+		}
+		s.obs.rateLevel.Observe(m.rate)
 	}
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"liferaft/internal/core"
 	"liferaft/internal/metric"
 	"liferaft/internal/simclock"
+	"liferaft/internal/trace"
 )
 
 // completeOne finishes an arbitrary in-flight job, returning its ID.
@@ -39,7 +41,10 @@ func tenantRate(s *Server, name string) float64 {
 
 // TestAIMDCutAndRegrow pins the controller end to end on a virtual clock:
 // an SLO breach cuts the backlogged tenant's rate (and only that
-// tenant's), and sustained headroom regrows it additively.
+// tenant's), and sustained headroom regrows it additively. Every query is
+// traced and the run also takes rate and queue-full rejections and a
+// cancel while queued, so the metrics the layer records after releasing
+// its lock can be held to the tenant stats it keeps under it.
 func TestAIMDCutAndRegrow(t *testing.T) {
 	clk := simclock.NewVirtual()
 	eng := newStubEngine(clk)
@@ -49,22 +54,60 @@ func TestAIMDCutAndRegrow(t *testing.T) {
 		Registry:        reg,
 		SLOP99:          time.Second,
 		ControlInterval: 100 * time.Millisecond,
+		Tenants: []TenantConfig{
+			{Name: "limited", Rate: 1, Burst: 1},
+			{Name: "shallow", QueueDepth: 1},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
+	rec := trace.New(trace.Config{Now: clk.Now})
+	var traces []*trace.Trace
+	var outs []<-chan core.Result
+	submit := func(ctx context.Context, tenant string, id uint64) error {
+		tr := rec.Start(tenant, id)
+		traces = append(traces, tr)
+		ch, err := s.Submit(trace.NewContext(ctx, tr), tenant, core.Job{ID: id})
+		if err == nil {
+			outs = append(outs, ch)
+		}
+		return err
+	}
+	rejected := func(err error, reason OverloadReason) bool {
+		var oe *OverloadError
+		return errors.As(err, &oe) && oe.Reason == reason
+	}
+
 	// greedy backlogs 4 queued behind 1 in flight; quiet queues just one.
 	for i := uint64(1); i <= 5; i++ {
-		if _, err := s.Submit(context.Background(), "greedy", core.Job{ID: i}); err != nil {
+		if err := submit(context.Background(), "greedy", i); err != nil {
 			t.Fatalf("greedy submit %d: %v", i, err)
 		}
 	}
-	if _, err := s.Submit(context.Background(), "quiet", core.Job{ID: 100}); err != nil {
+	if err := submit(context.Background(), "quiet", 100); err != nil {
 		t.Fatalf("quiet submit: %v", err)
 	}
 	eng.waitInflight(t, 1)
+	// limited spends its one token and is then rate-limited; shallow fills
+	// its one-deep queue and is then turned away, and abandons the queued
+	// query before the dispatcher reaches it.
+	if err := submit(context.Background(), "limited", 200); err != nil {
+		t.Fatalf("limited submit: %v", err)
+	}
+	if err := submit(context.Background(), "limited", 201); !rejected(err, OverloadRate) {
+		t.Fatalf("limited second submit: %v, want a rate rejection", err)
+	}
+	abandon, cancel := context.WithCancel(context.Background())
+	if err := submit(abandon, "shallow", 300); err != nil {
+		t.Fatalf("shallow submit: %v", err)
+	}
+	if err := submit(context.Background(), "shallow", 301); !rejected(err, OverloadQueue) {
+		t.Fatalf("shallow second submit: %v, want a queue-full rejection", err)
+	}
+	cancel()
 
 	// One completion past the SLO: the tick at its await sees p99 > SLO
 	// with greedy backlogged.
@@ -75,8 +118,8 @@ func TestAIMDCutAndRegrow(t *testing.T) {
 		t.Errorf("quiet (no backlog) was cut to %v qps; cuts must hit only backlogged tenants", r)
 	}
 
-	// Drain everything.
-	for done := 0; done < 5; {
+	// Drain everything: greedy's four, quiet's and limited's.
+	for done := 0; done < 6; {
 		eng.waitInflight(t, 1)
 		if _, ok := eng.completeOne(); ok {
 			done++
@@ -88,7 +131,7 @@ func TestAIMDCutAndRegrow(t *testing.T) {
 		for _, ts := range st.Tenants {
 			n += ts.Completed
 		}
-		return n == 6
+		return n == 7
 	})
 
 	// Headroom ticks: instant completions well under the SLO, empty
@@ -96,7 +139,7 @@ func TestAIMDCutAndRegrow(t *testing.T) {
 	cutRate := tenantRate(s, "greedy")
 	for i := 0; i < 4; i++ {
 		clk.Advance(200 * time.Millisecond)
-		if _, err := s.Submit(context.Background(), "quiet", core.Job{ID: uint64(1000 + i)}); err != nil {
+		if err := submit(context.Background(), "quiet", uint64(1000+i)); err != nil {
 			t.Fatalf("headroom submit %d: %v", i, err)
 		}
 		eng.waitInflight(t, 1)
@@ -111,6 +154,12 @@ func TestAIMDCutAndRegrow(t *testing.T) {
 		return s.inFlight == 0 && s.fq.len() == 0
 	})
 
+	// A waiter's result arrives after its query's observations are
+	// recorded, so once every channel is drained the scrape is final.
+	for _, ch := range outs {
+		for range ch {
+		}
+	}
 	var b strings.Builder
 	if err := reg.WriteText(&b); err != nil {
 		t.Fatal(err)
@@ -130,6 +179,67 @@ func TestAIMDCutAndRegrow(t *testing.T) {
 			t.Errorf("scrape missing %q", want)
 		}
 	}
+
+	// The observations agree with the tenant stats, tenant by tenant.
+	v := scrapeValues(out)
+	var cuts, raises float64
+	for _, ts := range s.Stats().Tenants {
+		l := `{tenant="` + ts.Tenant + `"`
+		for decision, want := range map[string]int64{
+			decisionAdmitted:      ts.Admitted,
+			decisionRejectedRate:  ts.RejectedRate,
+			decisionRejectedQueue: ts.RejectedQueue,
+		} {
+			if got := v["liferaft_admission_total"+l+`,decision="`+decision+`"}`]; got != float64(want) {
+				t.Errorf("%s: %d %s queries counted on liferaft_admission_total, stats say %d", ts.Tenant, int64(got), decision, want)
+			}
+		}
+		if got, want := v["liferaft_queue_wait_seconds_count"+l+"}"], ts.Admitted-int64(ts.Queued); got != float64(want) {
+			t.Errorf("%s: %d queue waits observed, %d queries dispatched", ts.Tenant, int64(got), want)
+		}
+		if got := v["liferaft_response_seconds_count"+l+"}"]; got != float64(ts.Completed) {
+			t.Errorf("%s: %d responses observed, %d completed", ts.Tenant, int64(got), ts.Completed)
+		}
+		cuts += v["liferaft_aimd_rate_cuts_total"+l+"}"]
+		raises += v["liferaft_aimd_rate_raises_total"+l+"}"]
+	}
+	if cuts == 0 || raises == 0 {
+		t.Errorf("%v cuts and %v raises: the run no longer moves a rate both ways", cuts, raises)
+	}
+	if cuts != v["liferaft_aimd_cut_events_total"] || raises != v["liferaft_aimd_raise_events_total"] {
+		t.Errorf("per-tenant cuts %v and raises %v, events %v and %v", cuts, raises,
+			v["liferaft_aimd_cut_events_total"], v["liferaft_aimd_raise_events_total"])
+	}
+	if levels := v["liferaft_aimd_rate_level_count"]; cuts+raises != levels {
+		t.Errorf("%v rate moves, %v rate levels observed", cuts+raises, levels)
+	}
+	for _, tr := range traces {
+		d, n := tr.Snapshot(), 0
+		for _, sp := range d.Spans {
+			if sp.Stage == trace.StageAdmission {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("trace of %s query %d has %d admission spans, want 1", d.Tenant, d.QueryID, n)
+		}
+	}
+}
+
+// scrapeValues maps every sample line of a text scrape, "name{labels}" or
+// a bare name, to its value.
+func scrapeValues(scrape string) map[string]float64 {
+	out := make(map[string]float64)
+	for _, line := range strings.Split(scrape, "\n") {
+		f := strings.Fields(line)
+		if len(f) < 2 || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if x, err := strconv.ParseFloat(f[1], 64); err == nil {
+			out[f[0]] = x
+		}
+	}
+	return out
 }
 
 // TestUnconfiguredTenantUnlimitedUntilCut: a tenant without a configured

@@ -296,16 +296,27 @@ func New(eng Engine, cfg Config) (*Server, error) {
 }
 
 // gather refreshes the scrape-time gauges (queue depths, in-flight,
-// per-tenant rates); registered as the registry's OnGather hook.
+// per-tenant rates); registered as the registry's OnGather hook. It
+// snapshots under s.mu and sets the gauges after releasing it.
 func (s *Server) gather() {
+	type tenantGauges struct {
+		name  string
+		depth int
+		rate  float64
+	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.obs.queued.Set(float64(s.fq.len()))
-	s.obs.inFlight.Set(float64(s.inFlight))
-	s.obs.tenants.Set(float64(len(s.tenants)))
+	queued, inFlight := s.fq.len(), s.inFlight
+	ts := make([]tenantGauges, 0, len(s.tenants))
 	for _, t := range s.tenants {
-		s.obs.queueDepth.With(t.name).Set(float64(t.flow.size()))
-		s.obs.tenantRate.With(t.name).Set(t.bucket.rate)
+		ts = append(ts, tenantGauges{t.name, t.flow.size(), t.bucket.rate})
+	}
+	s.mu.Unlock()
+	s.obs.queued.Set(float64(queued))
+	s.obs.inFlight.Set(float64(inFlight))
+	s.obs.tenants.Set(float64(len(ts)))
+	for _, t := range ts {
+		s.obs.queueDepth.With(t.name).Set(float64(t.depth))
+		s.obs.tenantRate.With(t.name).Set(t.rate)
 	}
 }
 
@@ -371,78 +382,90 @@ func (s *Server) tenantLocked(name string) (*tenant, error) {
 // workload queues and the Result carries Cancelled.
 func (s *Server) Submit(ctx context.Context, tenantName string, job core.Job) (<-chan core.Result, error) {
 	tr := trace.FromContext(ctx)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	t, err := s.tenantLocked(tenantName)
-	if err != nil {
-		if s.obs != nil {
-			var oe *OverloadError
-			if errors.As(err, &oe) {
-				s.obs.admission.With(tenantName, decisionRejectedTenants).Inc()
-			}
-		}
-		if tr != nil {
-			n := s.clk.Now()
-			tr.Add(trace.Span{Stage: trace.StageAdmission, Start: tr.StartTime(), End: n,
-				Attr: decisionRejectedTenants, Err: err.Error()})
-		}
-		return nil, err
-	}
-	t.submitted++
-	now := s.clk.Now()
-	s.maybeControlTick(now)
-	// Queue depth first: a queue-full rejection must not spend a rate
-	// token, or a tenant retrying against a draining queue would be
-	// double-penalized below its configured rate.
-	if t.flow.size() >= t.depth {
-		t.rejectedQueue++
-		retry := 500 * time.Millisecond // advisory: roughly one service
-		if !t.bucket.unlimited() {
-			retry = t.bucket.wait(1, now)
-		}
-		if s.obs != nil {
-			s.obs.admission.With(t.name, decisionRejectedQueue).Inc()
-		}
-		oe := &OverloadError{Tenant: t.name, Reason: OverloadQueue, RetryAfter: retry}
-		if tr != nil {
-			tr.Add(trace.Span{Stage: trace.StageAdmission, Start: tr.StartTime(), End: now,
-				Attr: decisionRejectedQueue, Score: retry.Seconds(), Err: oe.Error()})
-		}
-		return nil, oe
-	}
-	if !t.bucket.unlimited() && !t.bucket.take(1, now) {
-		t.rejectedRate++
-		retry := t.bucket.wait(1, now)
-		if s.obs != nil {
-			s.obs.admission.With(t.name, decisionRejectedRate).Inc()
-			s.obs.tbWait.With(t.name).Observe(retry.Seconds())
-		}
-		oe := &OverloadError{Tenant: t.name, Reason: OverloadRate, RetryAfter: retry}
-		if tr != nil {
-			// Score carries the token-bucket wait the client was told to
-			// back off for.
-			tr.Add(trace.Span{Stage: trace.StageAdmission, Start: tr.StartTime(), End: now,
-				Attr: decisionRejectedRate, Score: retry.Seconds(), Err: oe.Error()})
-		}
-		return nil, oe
-	}
-	if s.obs != nil {
-		s.obs.admission.With(t.name, decisionAdmitted).Inc()
-	}
 	if tr != nil {
-		// The span opens at trace start, so request-arrival work before
-		// the decision (parsing, tenant lookup) is attributed.
-		tr.Add(trace.Span{Stage: trace.StageAdmission, Start: tr.StartTime(), End: now, Attr: decisionAdmitted})
 		// The engine records its spans into the same trace.
 		job.Trace = tr
 	}
-	p := &pending{job: job, ctx: ctx, tenant: t, out: make(chan core.Result, 1), enq: now, tr: tr}
-	s.fq.push(t.flow, p)
-	s.cond.Broadcast()
-	return p.out, nil
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return nil, ErrClosed
+	}
+	a := s.admitLocked(ctx, tenantName, job, tr)
+	s.mu.Unlock()
+	s.recordAdmission(a, tr)
+	return a.out, a.err
+}
+
+// admission is one Submit decision, taken under s.mu and recorded after
+// it is released.
+type admission struct {
+	tenant   string
+	decision string // a decision* label value
+	now      time.Time
+	retry    time.Duration // a queue or rate rejection's Retry-After
+	err      error
+	out      chan core.Result // the admitted query's result channel
+	moves    []rateMove       // AIMD moves of a control tick this Submit ran
+}
+
+// admitLocked decides one submission and, on admission, queues it.
+// Caller holds s.mu.
+func (s *Server) admitLocked(ctx context.Context, tenantName string, job core.Job, tr *trace.Trace) admission {
+	t, err := s.tenantLocked(tenantName)
+	if err != nil {
+		return admission{tenant: tenantName, decision: decisionRejectedTenants, now: s.clk.Now(), err: err}
+	}
+	t.submitted++
+	a := admission{tenant: t.name, now: s.clk.Now()}
+	a.moves = s.maybeControlTick(a.now)
+	switch {
+	case t.flow.size() >= t.depth:
+		// Queue depth first: a queue-full rejection must not spend a rate
+		// token, or a tenant retrying against a draining queue would be
+		// double-penalized below its configured rate.
+		t.rejectedQueue++
+		a.decision, a.retry = decisionRejectedQueue, 500*time.Millisecond // advisory: roughly one service
+		if !t.bucket.unlimited() {
+			a.retry = t.bucket.wait(1, a.now)
+		}
+		a.err = &OverloadError{Tenant: t.name, Reason: OverloadQueue, RetryAfter: a.retry}
+	case !t.bucket.unlimited() && !t.bucket.take(1, a.now):
+		t.rejectedRate++
+		a.decision, a.retry = decisionRejectedRate, t.bucket.wait(1, a.now)
+		a.err = &OverloadError{Tenant: t.name, Reason: OverloadRate, RetryAfter: a.retry}
+	default:
+		a.decision = decisionAdmitted
+		p := &pending{job: job, ctx: ctx, tenant: t, out: make(chan core.Result, 1), enq: a.now, tr: tr}
+		s.fq.push(t.flow, p)
+		s.cond.Broadcast()
+		a.out = p.out
+	}
+	return a
+}
+
+// recordAdmission records one decision once s.mu is released: the
+// admission counter, a rate rejection's token-bucket wait, the control
+// tick's rate moves, and the admission span. The span opens at trace
+// start, so request-arrival work before the decision (parsing, tenant
+// lookup) is attributed; its Score carries the Retry-After a rejected
+// client was told to back off for.
+func (s *Server) recordAdmission(a admission, tr *trace.Trace) {
+	if s.obs != nil {
+		s.obs.admission.With(a.tenant, a.decision).Inc()
+		if a.decision == decisionRejectedRate {
+			s.obs.tbWait.With(a.tenant).Observe(a.retry.Seconds())
+		}
+	}
+	s.recordMoves(a.moves)
+	if tr != nil {
+		sp := trace.Span{Stage: trace.StageAdmission, Start: tr.StartTime(), End: a.now,
+			Attr: a.decision, Score: a.retry.Seconds()}
+		if a.err != nil {
+			sp.Err = a.err.Error()
+		}
+		tr.Add(sp)
+	}
 }
 
 // dispatch is the single scheduling goroutine: whenever an engine slot is
@@ -451,34 +474,38 @@ func (s *Server) Submit(ctx context.Context, tenantName string, job core.Job) (<
 func (s *Server) dispatch() {
 	defer s.wg.Done()
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	for {
 		for !(s.closed && s.fq.empty()) && (s.inFlight >= s.cfg.MaxInFlight || s.fq.empty()) {
 			s.cond.Wait()
 		}
 		if s.closed && s.fq.empty() {
+			s.mu.Unlock()
 			return
 		}
 		p := s.fq.pop()
 		p.dispatched = s.clk.Now()
+		// Abandoned while queued: resolve without touching the engine at
+		// all.
+		abandoned := p.ctx.Err() != nil
+		if abandoned {
+			p.tenant.cancelled++
+		} else {
+			s.inFlight++
+			p.tenant.inFlight++
+		}
+		s.mu.Unlock()
 		if s.obs != nil {
 			s.obs.queueWait.With(p.tenant.name).Observe(p.dispatched.Sub(p.enq).Seconds())
 		}
 		p.tr.Add(trace.Span{Stage: trace.StageQueueWait, Start: p.enq, End: p.dispatched})
-		if p.ctx.Err() != nil {
-			// Abandoned while queued: resolve without touching the
-			// engine at all.
-			p.tenant.cancelled++
+		if abandoned {
 			p.tr.Add(trace.Span{Stage: trace.StageEngine, Start: p.dispatched, End: p.dispatched,
 				Err: "cancelled while queued"})
-			//lifevet:allow lockdiscipline -- p.out has capacity 1 and this is its single resolution: the send can never block
 			p.out <- core.Result{QueryID: p.job.ID, Arrived: p.enq, Completed: s.clk.Now(), Cancelled: true}
 			close(p.out)
+			s.mu.Lock()
 			continue
 		}
-		s.inFlight++
-		p.tenant.inFlight++
-		s.mu.Unlock()
 		ch, err := s.eng.SubmitCtx(p.ctx, p.job)
 		s.mu.Lock()
 		if err != nil {
@@ -499,47 +526,45 @@ func (s *Server) dispatch() {
 func (s *Server) await(p *pending, ch <-chan core.Result) {
 	defer s.wg.Done()
 	r, ok := <-ch
+	completed := ok && !r.Cancelled
+	sp := trace.Span{Stage: trace.StageEngine, Start: p.dispatched, End: r.Completed, N: int64(r.Matches)}
+	var d time.Duration
 	s.mu.Lock()
 	s.inFlight--
 	p.tenant.inFlight--
 	switch {
 	case !ok:
 		p.tenant.failed++
-		p.tr.Add(trace.Span{Stage: trace.StageEngine, Start: p.dispatched, End: s.clk.Now(),
-			Err: "engine closed before completion"})
+		sp.End, sp.Err = s.clk.Now(), "engine closed before completion"
 	case r.Cancelled:
 		p.tenant.cancelled++
-		p.tr.Add(trace.Span{Stage: trace.StageEngine, Start: p.dispatched, End: r.Completed,
-			Err: "cancelled"})
+		sp.N, sp.Err = 0, "cancelled"
 	default:
 		p.tenant.completed++
 		p.tenant.winCompleted++
 		// Client-observed response: admission to engine completion,
 		// both on the serving clock. The engine stamps Completed
 		// authoritatively; rebase Arrived to the admission instant.
-		d := r.Completed.Sub(p.enq)
-		if d < 0 {
-			d = 0
-		}
+		d = max(r.Completed.Sub(p.enq), 0)
 		p.tenant.resp.Add(d.Seconds())
-		p.tr.Add(trace.Span{Stage: trace.StageEngine, Start: p.dispatched, End: r.Completed,
-			N: int64(r.Matches)})
-		if s.obs != nil {
-			// A traced request's response observation carries its trace ID
-			// as an OpenMetrics exemplar: the p99 spike on a dashboard
-			// links straight to the forensics capture. Unsampled traces get
-			// no exemplar — the capture they would link to is unpublished.
-			if id := p.tr.ID(); id != 0 && p.tr.Sampled() {
-				s.obs.response.With(p.tenant.name).ObserveExemplar(d.Seconds(), id.String())
-			} else {
-				s.obs.response.With(p.tenant.name).Observe(d.Seconds())
-			}
-		}
 		s.ctlWindow = append(s.ctlWindow, d.Seconds())
 	}
-	s.maybeControlTick(s.clk.Now())
+	moves := s.maybeControlTick(s.clk.Now())
 	s.cond.Broadcast()
 	s.mu.Unlock()
+	s.recordMoves(moves)
+	p.tr.Add(sp)
+	if completed && s.obs != nil {
+		// A traced request's response observation carries its trace ID
+		// as an OpenMetrics exemplar: the p99 spike on a dashboard links
+		// straight to the forensics capture. Unsampled traces get no
+		// exemplar — the capture they would link to is unpublished.
+		if id := p.tr.ID(); id != 0 && p.tr.Sampled() {
+			s.obs.response.With(p.tenant.name).ObserveExemplar(d.Seconds(), id.String())
+		} else {
+			s.obs.response.With(p.tenant.name).Observe(d.Seconds())
+		}
+	}
 	if ok {
 		r.Arrived = p.enq
 		p.out <- r
