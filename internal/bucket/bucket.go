@@ -194,14 +194,26 @@ func (p *Partition) Materialize(i int) []catalog.Object {
 // Backend is a pluggable storage layer under a Store. The default
 // (nil) backend is the analytic disk model: reads cost what the model
 // says and objects come from the synthetic catalog. A non-nil backend
-// performs real I/O — ReadBucket and ProbeRanges block for as long as
-// the hardware takes — and the Store accounts the measured elapsed time to
-// the disk's statistics instead of charging model cost to the clock.
-// internal/segment provides the file-backed implementation.
+// performs real I/O — ReadBucket, Fill and ProbeRanges block for as long
+// as the hardware takes — and the Store accounts the measured elapsed time
+// to the disk's statistics instead of charging model cost to the clock.
+// internal/segment provides the file-backed implementation, whose
+// granules are the unit a Scan service reads.
 type Backend interface {
 	// ReadBucket returns bucket i's objects in HTM-curve order (nil in
 	// cost-only mode) and the number of data bytes read.
 	ReadBucket(i int) (objs []catalog.Object, bytesRead int64, err error)
+	// Fill makes r hold every granule of bucket i that may hold an object
+	// with an ID in any of keys. It reads only the granules r lacks, each
+	// run of them once, and checks each granule before it decodes it into
+	// its slots of r.Objs and marks it resident; a Resident with an empty
+	// residency set is a fresh one, sized for bucket i here. In
+	// materializing mode it then appends the objects of every granule the
+	// keys select, in HTM-curve order, to gather and returns it: a subset
+	// of the bucket that holds every object with an ID in a key, which the
+	// join merges over. It returns the data bytes it read, 0 when r held
+	// every selected granule already.
+	Fill(i int, r *Resident, keys []htm.Range, gather []catalog.Object) (objs []catalog.Object, bytesRead int64, err error)
 	// ProbeRanges performs the I/O of len(ranges) index probes into
 	// bucket i, one per level-14 HTM ID range. In materializing mode it
 	// returns, in HTM-curve order, a subset of the bucket that holds
@@ -210,11 +222,6 @@ type Backend interface {
 	// is valid until its next ProbeRanges. An empty range (Start > End)
 	// is a probe that finds nothing: counted, with nothing read for it.
 	ProbeRanges(i int, ranges []htm.Range) (objs []catalog.Object, bytesRead int64, err error)
-	// Recycle hands back an array this backend's ReadBucket returned and
-	// that nothing references any more: the caller gives up every view
-	// of it, and the backend may decode a later ReadBucket into it. A
-	// backend is free to drop it instead.
-	Recycle(objs []catalog.Object)
 	// Fork opens an independent backend over the same data (fresh file
 	// descriptors); each shard of a sharded engine gets its own.
 	Fork() (Backend, error)
@@ -222,12 +229,37 @@ type Backend interface {
 	Close() error
 }
 
+// Resident is one bucket as the engine's RAM cache holds it. A segment
+// store fills it granule by granule, as Scan services need them: Objs has
+// a slot for every object of the bucket, but only the slots of the
+// granules in the residency set hold the bucket's objects — an array
+// recycled from another bucket keeps that bucket's objects in the rest.
+// The simulated store materializes whole buckets and keeps no set.
+type Resident struct {
+	// Objs is the bucket's slot array in HTM-curve order; nil in
+	// cost-only mode, where residency alone matters.
+	Objs []catalog.Object
+	// Have is the residency set of a segment store's bucket: bit g%64 of
+	// word g/64 marks granule g.
+	Have []uint64
+	// Bytes is the on-disk size of what is resident.
+	Bytes int64
+}
+
+// Holds reports whether granule g is resident.
+func (r *Resident) Holds(g int) bool { return r.Have[g/64]&(1<<(g%64)) != 0 }
+
+// Hold marks granule g resident.
+func (r *Resident) Hold(g int) { r.Have[g/64] |= 1 << (g % 64) }
+
 // ReadKind tells a Store observer which access pattern a read used.
 type ReadKind string
 
 // Store read kinds.
 const (
-	// ReadScan: a full sequential scan of a bucket's data region.
+	// ReadScan: what a Scan service reads — the granules its queue
+	// selects that the cached bucket lacks on a segment store, the whole
+	// bucket on the simulated disk.
 	ReadScan ReadKind = "scan"
 	// ReadProbe: index probes into a bucket's block run.
 	ReadProbe ReadKind = "probe"
@@ -266,6 +298,8 @@ type Store struct {
 	backend Backend
 	// obs, when non-nil, is notified of every read; see Observer.
 	obs Observer
+	// spare is the Resident Recycle kept, for the next Scan miss to fill.
+	spare *Resident
 }
 
 // SetObserver attaches o to the store (nil detaches). The engine wires
@@ -333,6 +367,8 @@ func (s *Store) Materializing() bool { return s.materialize }
 // ReadBucket performs a full sequential scan of bucket i, charging its
 // disk cost — modeled cost on the simulated backend, measured elapsed
 // time on a real one. The returned objects are nil in cost-only mode.
+// The NoShare baseline reads this way; the engine's Scan services call
+// Scan.
 func (s *Store) ReadBucket(i int) ([]catalog.Object, time.Duration) {
 	if s.backend != nil {
 		start := time.Now()
@@ -361,14 +397,71 @@ func (s *Store) ReadBucket(i int) ([]catalog.Object, time.Duration) {
 	return s.part.Materialize(i), cost
 }
 
-// Recycle returns to the backend an array s.ReadBucket returned, once
-// nothing reads it any more: no cache entry, join or result holds a view
-// of it, and none will. The next ReadBucket may overwrite it. A simulated
-// store's arrays come from the catalog, so without a backend Recycle does
-// nothing.
-func (s *Store) Recycle(objs []catalog.Object) {
-	if s.backend != nil {
-		s.backend.Recycle(objs)
+// Scan serves a Scan service of bucket i whose queue's probe keys are
+// keys, one per queued object (xmatch.WorkloadObject.RangeIn). r is the
+// bucket as the cache holds it, nil on a miss; a miss takes the Resident
+// Recycle kept, if any, and is accounted as one sequential read of the
+// whole bucket on either backend, the model's account RunStats.Disk keeps.
+// A segment store then reads only the granules the keys select that r
+// lacks (Backend.Fill) and appends the objects of every selected granule
+// to *gather, the caller's buffer; a hit that reads is accounted nothing,
+// and only the store observer sees the bytes it moved. The simulated
+// store materializes the whole bucket on a miss and reads nothing on a
+// hit. Scan returns the bucket to cache (r itself on a hit), the objects
+// the join merges over (nil in cost-only mode) and the data bytes read.
+func (s *Store) Scan(i int, r *Resident, keys []htm.Range, gather *[]catalog.Object) (*Resident, []catalog.Object, int64) {
+	miss := r == nil
+	if miss {
+		r, s.spare = s.spare, nil
+		if r == nil {
+			r = new(Resident)
+		}
+		r.Have, r.Bytes = r.Have[:0], 0
+	}
+	if s.backend == nil {
+		if !miss {
+			return r, r.Objs, 0
+		}
+		r.Objs, r.Bytes = nil, s.part.BucketBytes(i)
+		cost := s.dsk.ReadSequential(r.Bytes)
+		if s.obs != nil {
+			s.obs.ObserveRead(ReadScan, cost, r.Bytes)
+		}
+		if s.materialize {
+			r.Objs = s.part.Materialize(i)
+		}
+		return r, r.Objs, r.Bytes
+	}
+	start := time.Now()
+	objs, n, err := s.backend.Fill(i, r, keys, (*gather)[:0])
+	if err != nil {
+		if s.obs != nil {
+			s.obs.ObserveReadError(ReadScan, err)
+		}
+		panic(fmt.Sprintf("bucket: backend scan of bucket %d: %v", i, err))
+	}
+	elapsed := time.Since(start)
+	r.Bytes += n
+	if miss {
+		s.dsk.AccountSequential(s.part.BucketBytes(i), elapsed)
+	}
+	if n > 0 && s.obs != nil {
+		s.obs.ObserveRead(ReadScan, elapsed, n)
+	}
+	if objs != nil {
+		*gather = objs
+	}
+	return r, objs, n
+}
+
+// Recycle hands back a Resident s.Scan returned, once nothing reads it
+// any more: no cache entry, join or result holds a view of it, and none
+// will. The store keeps the one with the largest array, and its next Scan
+// miss overwrites that array and residency set. A simulated store's arrays
+// come from the catalog: it reuses the Resident, never the array.
+func (s *Store) Recycle(r *Resident) {
+	if s.spare == nil || cap(r.Objs) > cap(s.spare.Objs) {
+		s.spare = r
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 
 	"liferaft/internal/bucket"
 	"liferaft/internal/cache"
-	"liferaft/internal/catalog"
 	"liferaft/internal/disk"
 	"liferaft/internal/simclock"
 	"liferaft/internal/trace"
@@ -327,7 +326,3 @@ func NewVirtual(part *bucket.Partition, alpha float64, materialize bool) (Config
 func NewOn(part *bucket.Partition, alpha float64, materialize bool, clk simclock.Clock) Config {
 	return newConfig(part, alpha, materialize, clk, nil)
 }
-
-// bucketObjects is the cached payload: a materialized bucket (nil in
-// cost-only mode, where membership alone matters).
-type bucketObjects []catalog.Object

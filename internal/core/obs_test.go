@@ -175,3 +175,44 @@ func sampleSum(t *testing.T, scrape, family string, labels ...string) float64 {
 	}
 	return sum
 }
+
+// TestCacheBytesGaugeIsResidentGranules: liferaft_cache_bytes is the
+// on-disk size of what the RAM cache holds — on a segment store, the
+// granules Scan services filled. A miss needing k granules sets it to their
+// bytes, a hit needing j more adds theirs, and an eviction takes away the
+// evicted bucket's.
+func TestCacheBytesGaugeIsResidentGranules(t *testing.T) {
+	part, dir := granuleFixture(t)
+	em := NewEngineMetrics(metric.NewRegistry())
+	s := fileScheduler(t, part, dir, 2, em)
+	defer s.cfg.Store.Close()
+	gauge := em.cacheBytes.With("0", "ram")
+	held := map[int]map[int]bool{5: {}, 9: {}, 13: {}}
+	resident := map[int]int64{}
+	for _, c := range []struct {
+		what    string
+		b       int
+		job     Job
+		evicted int // -1: none
+	}{
+		{"miss", 5, stretchJob(part, 1, 5, 10, 40), -1},
+		{"hit that fills", 5, stretchJob(part, 2, 5, 30, 70), -1},
+		{"second bucket", 9, stretchJob(part, 3, 9, 100, 140), -1},
+		{"miss that evicts the first", 13, stretchJob(part, 4, 13, 200, 220), 5},
+	} {
+		serve(t, s, c.job)
+		added := selectGranules(part, c.b, c.job, held[c.b])
+		if added == 0 {
+			t.Fatalf("%s: the queue needs no granule the cache lacks", c.what)
+		}
+		resident[c.b] += added
+		delete(resident, c.evicted)
+		var want int64
+		for _, n := range resident {
+			want += n
+		}
+		if got := gauge.Value(); got != float64(want) {
+			t.Errorf("%s: liferaft_cache_bytes = %.0f, want %d (%d added)", c.what, got, want, added)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"liferaft/internal/catalog"
 	"liferaft/internal/disk"
 	"liferaft/internal/simclock"
 	"liferaft/internal/xmatch"
@@ -50,7 +51,7 @@ type forkJoin struct {
 	claims atomic.Uint64
 	wg     sync.WaitGroup
 
-	objs     bucketObjects           // the bucket, immutable for the service
+	objs     []catalog.Object        // what the join reads; immutable for the service
 	wos      []xmatch.WorkloadObject // the queue; sorted by MinID when split
 	preds    map[uint64]xmatch.Predicate
 	strategy xmatch.Strategy

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"liferaft/internal/catalog"
 	"liferaft/internal/htm"
 	"liferaft/internal/xmatch"
 )
@@ -52,7 +53,7 @@ func RunNoShare(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunS
 		for _, bi := range sortedKeys(byBucket) {
 			wos := byBucket[bi]
 			strategy := xmatch.ChooseStrategy(len(wos), part.Bucket(bi).Count(), cfg.HybridThreshold, false)
-			var objs bucketObjects
+			var objs []catalog.Object
 			switch strategy {
 			case xmatch.Scan:
 				objs, _ = cfg.Store.ReadBucket(bi)

@@ -7,7 +7,9 @@ import (
 	"sort"
 	"time"
 
+	"liferaft/internal/bucket"
 	"liferaft/internal/cache"
+	"liferaft/internal/catalog"
 	"liferaft/internal/disk"
 	"liferaft/internal/htm"
 	"liferaft/internal/simclock"
@@ -100,7 +102,7 @@ type queryState struct {
 // of it other goroutines reach is fj, under the rules forkJoin states.
 type scheduler struct {
 	cfg   Config
-	cache *cache.LRU[int, bucketObjects]
+	cache *cache.LRU[int, *bucket.Resident]
 
 	queues  map[int]*bqueue
 	queries map[uint64]*queryState
@@ -132,6 +134,10 @@ type scheduler struct {
 	bisBuf       []int
 	scoredBuf    []scored
 	qPool        queuePool
+	// gatherBuf holds what a file-backed Scan service joins: the objects
+	// of the granules its queue selects (bucket.Store.Scan). Helper parts
+	// read it only until fj.finish.
+	gatherBuf []catalog.Object
 	// qsPool holds the state of queries that completed here, for admit to
 	// reuse with its buckets list.
 	qsPool []*queryState
@@ -154,9 +160,9 @@ type scheduler struct {
 	// bit-identical to the uninstrumented engine.
 	obs *EngineObs
 
-	// ramBucketBytes sizes the cache bytes gauge (cached buckets x
-	// nominal bucket size).
-	ramBucketBytes float64
+	// cacheBytes is the on-disk size of what the cache holds: resident
+	// granules, whole buckets on the simulated store.
+	cacheBytes int64
 	// lastLedger is the disk account as of the last step, so each step
 	// adds only its own share to the disk-model counters.
 	lastLedger disk.Ledger
@@ -183,7 +189,7 @@ func newScheduler(cfg Config) (*scheduler, error) {
 	tb, tm := cfg.Disk.Model().Calibrate(part.BucketBytes(0))
 	s := &scheduler{
 		cfg:     cfg,
-		cache:   cache.NewLRU[int, bucketObjects](cfg.CacheBuckets),
+		cache:   cache.NewLRU[int, *bucket.Resident](cfg.CacheBuckets),
 		queues:  make(map[int]*bqueue),
 		queries: make(map[uint64]*queryState),
 		preds:   make(map[uint64]xmatch.Predicate),
@@ -192,12 +198,14 @@ func newScheduler(cfg Config) (*scheduler, error) {
 		tmSec:   tm.Seconds(),
 	}
 	s.fj.preds, s.fj.materialize = s.preds, cfg.MaterializeResults
-	// An evicted array goes back to the store: the cache held its one
-	// view, and the store overwrites it no earlier than this shard's next
-	// ReadBucket, which follows the current service's fj.finish, so no
-	// part, helper or join can still be reading it.
-	s.cache.OnEvict(func(_ int, objs bucketObjects) {
-		s.cfg.Store.Recycle(objs)
+	// An evicted bucket — array and residency set — goes back to the
+	// store: the cache held its one view, and the store overwrites it no
+	// earlier than this shard's next Scan miss, which follows the current
+	// service's fj.finish, so no part, helper or join can still be reading
+	// it.
+	s.cache.OnEvict(func(_ int, r *bucket.Resident) {
+		s.cacheBytes -= r.Bytes
+		s.cfg.Store.Recycle(r)
 		if s.obs != nil {
 			s.obs.cacheEvict.Inc()
 		}
@@ -207,7 +215,6 @@ func newScheduler(cfg Config) (*scheduler, error) {
 		// The store observer sees every read this engine issues; each
 		// shard owns its forked store, so the handles never cross shards.
 		cfg.Store.SetObserver(s.obs)
-		s.ramBucketBytes = float64(part.BucketBytes(0))
 	}
 	return s, nil
 }
@@ -653,7 +660,7 @@ func (s *scheduler) step(now time.Time) (completed []Result, ok bool) {
 		} else {
 			s.obs.pick.Observe(d)
 		}
-		s.obs.cacheBytes.Set(float64(s.cache.Len()) * s.ramBucketBytes)
+		s.obs.cacheBytes.Set(float64(s.cacheBytes))
 		s.observeLedger()
 		return completed, true
 	}
@@ -720,7 +727,7 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 	count := len(items)
 
 	// The Join Evaluator: hybrid strategy per §3.4.
-	objs, inMem := s.cache.Get(idx)
+	res, inMem := s.cache.Get(idx)
 	if s.obs != nil {
 		if inMem {
 			s.obs.cacheHits.Inc()
@@ -734,40 +741,43 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 		wos = append(wos, it.wo)
 	}
 	s.wosBuf = wos
+	// Either strategy keys each queued object by the IDs its error circle
+	// reaches in this bucket (its bounding range, unless that runs on past
+	// the bucket). A real backend reads only the granules those keys
+	// select, into buffers it or this scheduler reuses on the next
+	// service: objs is not kept past the join (pairs copy the objects they
+	// hold).
+	span := part.Bucket(idx).Span
+	ranges := s.rangesBuf[:0]
+	for _, it := range items {
+		ranges = append(ranges, it.wo.RangeIn(span))
+	}
+	s.rangesBuf = ranges
+	var objs []catalog.Object
 	var readT0, readT1 time.Time
 	var readKind string
+	if traced {
+		readT0 = s.cfg.Clock.Now()
+	}
 	switch strategy {
 	case xmatch.Scan:
+		// A miss caches the bucket; a hit fills the granules it lacks.
+		// Either way what was read is what became resident.
+		var read int64
+		res, objs, read = s.cfg.Store.Scan(idx, res, ranges, &s.gatherBuf)
+		s.cacheBytes += read
+		if traced && (!inMem || read > 0) {
+			readT1, readKind = s.cfg.Clock.Now(), "scan"
+		}
 		if !inMem {
-			if traced {
-				readT0 = s.cfg.Clock.Now()
-			}
-			objs, _ = s.cfg.Store.ReadBucket(idx)
-			if traced {
-				readT1, readKind = s.cfg.Clock.Now(), "scan"
-			}
-			s.cache.Put(idx, objs)
+			s.cache.Put(idx, res)
 		}
 		s.stats.ScanServices++
 		if s.obs != nil {
 			s.obs.scanSvc.Inc()
 		}
 	case xmatch.Index:
-		if traced {
-			readT0 = s.cfg.Clock.Now()
-		}
-		// One probe per queued object, keyed by the IDs its error circle
-		// reaches in this bucket (its bounding range, unless that runs on
-		// past the bucket). A real backend returns only the granules
-		// those ranges overlap, in a buffer it reuses on its next probe:
-		// objs is not kept past the join (pairs copy the objects they
-		// hold).
-		span := part.Bucket(idx).Span
-		ranges := s.rangesBuf[:0]
-		for _, it := range items {
-			ranges = append(ranges, it.wo.RangeIn(span))
-		}
-		s.rangesBuf = ranges
+		// One probe per queued object.
 		objs, _ = s.cfg.Store.ProbeRanges(idx, ranges)
 		if traced {
 			readT1, readKind = s.cfg.Clock.Now(), "probe"

@@ -234,8 +234,11 @@ func (d *Disk) ReadProbes(n int) time.Duration {
 // AccountSequential records a real sequential read of n bytes that took
 // elapsed wall time: the statistics advance exactly as ReadSequential's
 // would, but nothing is charged to the clock — the time already passed
-// while the I/O blocked. The file-backed bucket store reports its reads
-// this way, so RunStats.Disk counts I/O identically across backends.
+// while the I/O blocked. The file-backed bucket store reports each Scan
+// miss this way, as one read of the whole bucket whatever granules it
+// moved, and a fill on a cache hit not at all, so RunStats.Disk is the
+// model's account on both backends; the bytes actually moved go to the
+// store observer.
 func (d *Disk) AccountSequential(n int64, elapsed time.Duration) {
 	d.mu.Lock()
 	d.stats.SeqReads++

@@ -8,23 +8,21 @@ import (
 	"liferaft/internal/htm"
 )
 
-// FileBackend adapts a Set to the bucket.Backend interface: the store's
-// sequential scans become full-region preads with checksum
-// verification, and index probes become preads of just the granules
-// the probed ID ranges overlap. In cost-only mode (the configuration
-// scheduling experiments use) reads still move every byte — that is
-// the point — but skip decoding.
+// FileBackend adapts a Set to the bucket.Backend interface: a Scan
+// service becomes preads of just the granules its queue's keys select
+// that the cached bucket lacks, each checked against its fence CRC, and
+// index probes become preads of just the granules the probed ID ranges
+// overlap. In cost-only mode (the configuration scheduling experiments
+// use) reads move and check the same bytes — that is the point — but skip
+// decoding.
 //
-// A FileBackend serves one scheduling goroutine: probes decode into
-// scratch the backend owns, and a scan decodes into the array last
-// handed back through Recycle. Shards each Fork their own.
+// A FileBackend serves one scheduling goroutine: probes and fills read
+// through scratch the backend owns, and a fill decodes into the
+// bucket.Resident it is handed. Shards each Fork their own.
 type FileBackend struct {
 	set         *Set
 	materialize bool
 	scratch     probeScratch
-	// spare is the largest array Recycle was handed since the last scan
-	// took one: the next materializing ReadBucket decodes into it.
-	spare []catalog.Object
 }
 
 // NewBackend wraps an opened Set. materialize must match the Store the
@@ -37,28 +35,20 @@ func NewBackend(set *Set, materialize bool) *FileBackend {
 // Set returns the underlying segment set.
 func (b *FileBackend) Set() *Set { return b.set }
 
-// ReadBucket implements bucket.Backend: a checksum-verified pread of
-// the bucket's full data region, decoded into the spare array if there
-// is one.
+// ReadBucket implements bucket.Backend: a pread of the bucket's full data
+// region, verified against the bucket's checksum, decoded into a new
+// array.
 func (b *FileBackend) ReadBucket(i int) ([]catalog.Object, int64, error) {
 	if !b.materialize {
 		_, n, err := b.set.ReadBucketRaw(i)
 		return nil, n, err
 	}
-	objs, n, err := b.set.readBucketInto(i, b.spare)
-	if err == nil {
-		b.spare = nil // the caller's now
-	}
-	return objs, n, err
+	return b.set.ReadBucket(i)
 }
 
-// Recycle implements bucket.Backend. The backend keeps one spare array,
-// the largest it is handed, so a warm cache's evictions feed its next
-// scans instead of the garbage collector.
-func (b *FileBackend) Recycle(objs []catalog.Object) {
-	if cap(objs) > cap(b.spare) {
-		b.spare = objs[:0]
-	}
+// Fill implements bucket.Backend.
+func (b *FileBackend) Fill(i int, r *bucket.Resident, keys []htm.Range, gather []catalog.Object) ([]catalog.Object, int64, error) {
+	return b.set.fill(&b.scratch, i, r, keys, gather, b.materialize)
 }
 
 // ProbeRanges implements bucket.Backend. A materializing probe reads,

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 
+	"liferaft/internal/bucket"
 	"liferaft/internal/catalog"
 	"liferaft/internal/htm"
 )
@@ -71,42 +72,126 @@ func appendGranuleRuns(dst []granuleRun, fences []fence, ranges []htm.Range) []g
 	return dst[:base+w+1]
 }
 
+// bucketData is what a granule read of one bucket needs: the bucket's
+// index entry and fences in its segment file, and the record stride.
+type bucketData struct {
+	i      int
+	sf     *segFile
+	e      indexEntry
+	fences []fence
+	stride int64
+}
+
+func (s *Set) bucketData(i int) (bucketData, error) {
+	sf, e, err := s.entry(i)
+	if err != nil {
+		return bucketData{}, err
+	}
+	return bucketData{i, sf, e, sf.fences[e.fenceOff : e.fenceOff+e.fences], s.man.ObjectBytes}, nil
+}
+
+// readRun preads granules [run.lo, run.hi] in one read into sc.raw and
+// checks each against its fence CRC before, when decode is set, it
+// decodes the granule's records onto objs. A mismatch is an error, never
+// a shorter result. It returns objs and the data bytes read.
+func (b bucketData) readRun(sc *probeScratch, run granuleRun, objs []catalog.Object, decode bool) ([]catalog.Object, int64, error) {
+	gb := granuleBytes(b.stride)
+	lo := int64(run.lo) * gb
+	hi := min(int64(run.hi+1)*gb, int64(b.e.length))
+	sc.raw = slices.Grow(sc.raw[:0], int(hi-lo))[:hi-lo]
+	buf := sc.raw
+	if _, err := b.sf.f.ReadAt(buf, int64(b.e.offset)+lo); err != nil {
+		return nil, 0, fmt.Errorf("segment: bucket %d granule pread: %w", b.i, err)
+	}
+	for g := run.lo; g <= run.hi; g++ {
+		granule := buf[:min(gb, int64(len(buf)))]
+		buf = buf[len(granule):]
+		if sum := crc32.Checksum(granule, castagnoli); sum != b.fences[g].crc {
+			return nil, 0, fmt.Errorf("segment: bucket %d granule %d checksum mismatch (corrupt store)", b.i, g)
+		}
+		if decode {
+			objs = appendRecords(objs, granule, int(b.stride))
+		}
+	}
+	return objs, hi - lo, nil
+}
+
 // probeRanges returns, in HTM-curve order, the objects of every granule
 // of bucket i that may hold an ID in any of ranges — a superset of the
 // bucket's objects in those ranges — and the number of data bytes it
 // read. Each run of granules is one pread of the segment file; every
-// granule returned was verified against its fence CRC, and a mismatch is
-// an error, never a shorter result. The objects live in sc and are valid
-// until sc's next probe.
+// granule returned was verified against its fence CRC. The objects live
+// in sc and are valid until sc's next probe.
 func (s *Set) probeRanges(sc *probeScratch, i int, ranges []htm.Range) ([]catalog.Object, int64, error) {
-	sf, e, err := s.entry(i)
+	b, err := s.bucketData(i)
 	if err != nil {
 		return nil, 0, err
 	}
-	fences := sf.fences[e.fenceOff : e.fenceOff+e.fences]
-	sc.runs = appendGranuleRuns(sc.runs[:0], fences, ranges)
-	stride := s.man.ObjectBytes
-	gb := granuleBytes(stride)
+	sc.runs = appendGranuleRuns(sc.runs[:0], b.fences, ranges)
 	objs := sc.objs[:0]
 	var read int64
 	for _, run := range sc.runs {
-		lo := int64(run.lo) * gb
-		hi := min(int64(run.hi+1)*gb, int64(e.length))
-		sc.raw = slices.Grow(sc.raw[:0], int(hi-lo))[:hi-lo]
-		buf := sc.raw
-		if _, err := sf.f.ReadAt(buf, int64(e.offset)+lo); err != nil {
-			return nil, 0, fmt.Errorf("segment: bucket %d probe pread: %w", i, err)
+		var n int64
+		if objs, n, err = b.readRun(sc, run, objs, true); err != nil {
+			return nil, 0, err
 		}
-		read += hi - lo
-		for g := run.lo; g <= run.hi; g++ {
-			granule := buf[:min(gb, int64(len(buf)))]
-			buf = buf[len(granule):]
-			if sum := crc32.Checksum(granule, castagnoli); sum != fences[g].crc {
-				return nil, 0, fmt.Errorf("segment: bucket %d granule %d checksum mismatch (corrupt store)", i, g)
-			}
-			objs = appendRecords(objs, granule, int(stride))
-		}
+		read += n
 	}
 	sc.objs = objs
 	return objs, read, nil
+}
+
+// fill is bucket.Backend.Fill over sc's scratch: each run of selected
+// granules r lacks is one pread through readRun, decoding (when decode is
+// set) straight into the granules' slots of r.Objs. Only granules that
+// passed their check are marked resident, and only marked granules are
+// gathered, so no slot a recycled array still holds for another bucket is
+// ever joined.
+func (s *Set) fill(sc *probeScratch, i int, r *bucket.Resident, ranges []htm.Range, gather []catalog.Object, decode bool) ([]catalog.Object, int64, error) {
+	b, err := s.bucketData(i)
+	if err != nil {
+		return nil, 0, err
+	}
+	if len(r.Have) == 0 {
+		words := (len(b.fences) + 63) / 64
+		r.Have = slices.Grow(r.Have, words)[:words]
+		clear(r.Have)
+		if decode {
+			n := int(int64(b.e.length) / b.stride)
+			r.Objs = slices.Grow(r.Objs[:0], n)[:n]
+		}
+	}
+	per := int(granuleBytes(b.stride) / b.stride)
+	sc.runs = appendGranuleRuns(sc.runs[:0], b.fences, ranges)
+	var read int64
+	for _, run := range sc.runs {
+		for g := run.lo; g <= run.hi; g++ {
+			if r.Holds(g) {
+				continue
+			}
+			lo := g
+			for g < run.hi && !r.Holds(g+1) {
+				g++
+			}
+			var slots []catalog.Object
+			if decode {
+				slots = r.Objs[lo*per : lo*per]
+			}
+			_, n, err := b.readRun(sc, granuleRun{lo, g}, slots, decode)
+			if err != nil {
+				return nil, 0, err
+			}
+			read += n
+			for k := lo; k <= g; k++ {
+				r.Hold(k)
+			}
+		}
+	}
+	if !decode {
+		return nil, read, nil
+	}
+	for _, run := range sc.runs {
+		gather = append(gather, r.Objs[run.lo*per:min((run.hi+1)*per, len(r.Objs))]...)
+	}
+	return gather, read, nil
 }

@@ -13,8 +13,10 @@ import (
 
 	"liferaft/internal/bucket"
 	"liferaft/internal/catalog"
+	"liferaft/internal/disk"
 	"liferaft/internal/geom"
 	"liferaft/internal/htm"
+	"liferaft/internal/simclock"
 	"liferaft/internal/xmatch"
 )
 
@@ -355,8 +357,10 @@ func TestProbeByBucketKeys(t *testing.T) {
 }
 
 // A flipped bit inside a granule a probe reads fails the probe; one in a
-// granule it skips does not, and the next scan of that bucket fails on
-// the whole-bucket checksum.
+// granule it skips does not, and the next whole-bucket read fails on the
+// bucket checksum. A Scan service's fill checks the granules it reads the
+// same way: one that skips the flipped granule succeeds, and a later fill
+// of the now resident bucket that reaches it fails the store's fail-stop.
 func TestProbeChecksumPerGranule(t *testing.T) {
 	part := probeFixture(t)
 	dir, _ := writeFixture(t, part, 3)
@@ -405,6 +409,20 @@ func TestProbeChecksumPerGranule(t *testing.T) {
 	if _, _, err := be.ProbeRanges(bi, everyID); err == nil {
 		t.Fatal("probe over every granule of the corrupt bucket succeeded")
 	}
+
+	flip(5)
+	store := bucket.NewStore(part, disk.New(disk.SkyQuery(), simclock.Real{}), true).WithBackend(be)
+	far := whole[10*perGranule+perGranule/2].HTMID
+	skip := []htm.Range{{Start: far, End: far}}
+	var gather []catalog.Object
+	r, got, _ := store.Scan(bi, nil, skip, &gather)
+	checkProbe(t, "fill that skips the corrupt granule", whole, got, skip)
+	defer func() {
+		if err := recover(); err == nil || !strings.Contains(fmt.Sprint(err), "granule 5 checksum") {
+			t.Errorf("fill of a resident bucket over a corrupt granule = %v, want a granule checksum panic", err)
+		}
+	}()
+	store.Scan(bi, r, ranges, &gather)
 }
 
 // A steady-state probe allocates nothing: runs, raw bytes and decoded

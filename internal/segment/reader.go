@@ -38,7 +38,7 @@ type segFile struct {
 
 // OpenSet opens the segment directory at dir: it reads the manifest,
 // opens every segment file, and verifies each header, index and fence
-// table checksum. Bucket data checksums are verified on read.
+// table checksum. Granule and bucket data checksums are verified on read.
 func OpenSet(dir string) (*Set, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -321,12 +321,6 @@ var rawPool = sync.Pool{New: func() any { return new([]byte) }}
 // ReadBucket is ReadBucketRaw plus decoding: the bucket's objects in
 // HTM-curve order, bit-identical to what the catalog materializes.
 func (s *Set) ReadBucket(i int) ([]catalog.Object, int64, error) {
-	return s.readBucketInto(i, nil)
-}
-
-// readBucketInto is ReadBucket decoding into dst's array when it has the
-// room, overwriting whatever dst held.
-func (s *Set) readBucketInto(i int, dst []catalog.Object) ([]catalog.Object, int64, error) {
 	bp := rawPool.Get().(*[]byte)
 	defer rawPool.Put(bp)
 	buf, err := s.readBucket(i, *bp)
@@ -334,7 +328,7 @@ func (s *Set) readBucketInto(i int, dst []catalog.Object) ([]catalog.Object, int
 		return nil, 0, err
 	}
 	*bp = buf
-	return appendRecords(dst[:0], buf, int(s.man.ObjectBytes)), int64(len(buf)), nil
+	return appendRecords(nil, buf, int(s.man.ObjectBytes)), int64(len(buf)), nil
 }
 
 // appendRecords decodes the whole fixed-stride records in raw onto dst.
@@ -350,7 +344,8 @@ func appendRecords(dst []catalog.Object, raw []byte, stride int) []catalog.Objec
 // data region — the I/O a cost-only index probe pass issues — and
 // returns the bytes actually read. Nothing is decoded, so nothing is
 // verified: this is the one partial read that skips the checksums
-// (materializing probes verify every granule, scans the whole region).
+// (materializing probes and every scan fill verify each granule they
+// read).
 func (s *Set) ReadPages(i, n int) (int64, error) {
 	sf, e, err := s.entry(i)
 	if err != nil {

@@ -277,7 +277,9 @@ type Strategy int
 
 // Join strategies.
 const (
-	// Scan reads the whole bucket sequentially and merge-joins.
+	// Scan reads the bucket sequentially and merge-joins; the model
+	// charges the whole bucket, and a segment store reads only the
+	// granules the queue needs that the RAM cache lacks.
 	Scan Strategy = iota
 	// Index probes the spatial index per workload object.
 	Index
