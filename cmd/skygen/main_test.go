@@ -61,11 +61,12 @@ func TestWriteSegmentsStoreReadsBackIndependently(t *testing.T) {
 		t.Errorf("bucket %d: scan read %d bytes, less than %d objects of %d bytes", bi, read, len(whole), objectBytes)
 	}
 
-	// Probe the middle third of the bucket's ID span: the result is a
+	// Probe the middle third of the bucket's ID span, as the store does —
+	// a fill of a Resident that holds nothing yet: the result is a
 	// subsequence of the bucket holding every object whose ID is in range
 	// (whole granules come back, so neighbours may ride along).
 	key := htm.Range{Start: whole[len(whole)/3].HTMID, End: whole[2*len(whole)/3].HTMID}
-	probed, _, err := be.ProbeRanges(bi, []htm.Range{key})
+	probed, _, err := be.Fill(bi, new(bucket.Resident), []htm.Range{key}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

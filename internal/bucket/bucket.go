@@ -1,6 +1,9 @@
 // Package bucket implements the equal-sized bucket partitioning of paper
-// §3.1 (Figure 1) and the bucket store that serves them from the modeled
-// disk.
+// §3.1 (Figure 1) and the bucket store that serves them — from the modeled
+// disk, or from a Backend doing real I/O. Either way the store has two
+// reads, the two arms of the hybrid join (§3.4): Scan, whose bucket the
+// RAM cache keeps, and Probe, whose bucket nothing keeps. On a Backend
+// both are one Fill of the granules the queue's keys select.
 //
 // A partition divides a catalog's objects — already linearly ordered along
 // the HTM space-filling curve — into consecutive buckets holding exactly
@@ -194,15 +197,14 @@ func (p *Partition) Materialize(i int) []catalog.Object {
 // Backend is a pluggable storage layer under a Store. The default
 // (nil) backend is the analytic disk model: reads cost what the model
 // says and objects come from the synthetic catalog. A non-nil backend
-// performs real I/O — ReadBucket, Fill and ProbeRanges block for as long
-// as the hardware takes — and the Store accounts the measured elapsed time
-// to the disk's statistics instead of charging model cost to the clock.
+// performs real I/O — a Fill blocks for as long as the hardware takes —
+// and the Store accounts the measured elapsed time to the disk's
+// statistics instead of charging model cost to the clock. Fill is the one
+// read: a Scan fills the Resident the cache keeps, an index probe fills a
+// scratch Resident the store resets for every probe and never caches.
 // internal/segment provides the file-backed implementation, whose
-// granules are the unit a Scan service reads.
+// granules are the unit a fill reads.
 type Backend interface {
-	// ReadBucket returns bucket i's objects in HTM-curve order (nil in
-	// cost-only mode) and the number of data bytes read.
-	ReadBucket(i int) (objs []catalog.Object, bytesRead int64, err error)
 	// Fill makes r hold every granule of bucket i that may hold an object
 	// with an ID in any of keys. It reads only the granules r lacks, each
 	// run of them once, and checks each granule before it decodes it into
@@ -211,17 +213,10 @@ type Backend interface {
 	// materializing mode it then appends the objects of every granule the
 	// keys select, in HTM-curve order, to gather and returns it: a subset
 	// of the bucket that holds every object with an ID in a key, which the
-	// join merges over. It returns the data bytes it read, 0 when r held
-	// every selected granule already.
+	// join merges over. An empty key (Start > End) selects nothing. It
+	// returns the data bytes it read, 0 when r held every selected granule
+	// already.
 	Fill(i int, r *Resident, keys []htm.Range, gather []catalog.Object) (objs []catalog.Object, bytesRead int64, err error)
-	// ProbeRanges performs the I/O of len(ranges) index probes into
-	// bucket i, one per level-14 HTM ID range. In materializing mode it
-	// returns, in HTM-curve order, a subset of the bucket that holds
-	// every object with an ID in any of the ranges, so the join
-	// evaluator can probe it in memory; the slice is the backend's and
-	// is valid until its next ProbeRanges. An empty range (Start > End)
-	// is a probe that finds nothing: counted, with nothing read for it.
-	ProbeRanges(i int, ranges []htm.Range) (objs []catalog.Object, bytesRead int64, err error)
 	// Fork opens an independent backend over the same data (fresh file
 	// descriptors); each shard of a sharded engine gets its own.
 	Fork() (Backend, error)
@@ -229,11 +224,12 @@ type Backend interface {
 	Close() error
 }
 
-// Resident is one bucket as the engine's RAM cache holds it. A segment
-// store fills it granule by granule, as Scan services need them: Objs has
-// a slot for every object of the bucket, but only the slots of the
-// granules in the residency set hold the bucket's objects — an array
-// recycled from another bucket keeps that bucket's objects in the rest.
+// Resident is one bucket as the engine's RAM cache holds it, or as an
+// index probe reads it into the store's scratch. A segment store fills it
+// granule by granule, as services need them: Objs has a slot for every
+// object of the bucket, but only the slots of the granules in the
+// residency set hold the bucket's objects — an array recycled from
+// another bucket keeps that bucket's objects in the rest.
 // The simulated store materializes whole buckets and keeps no set.
 type Resident struct {
 	// Objs is the bucket's slot array in HTM-curve order; nil in
@@ -283,9 +279,11 @@ type Observer interface {
 }
 
 // Store serves buckets from the modeled disk, charging sequential-scan
-// cost for full bucket reads and sorted-probe cost for indexed access.
-// The cache layer sits above the store (see the engine); every Store read
-// is a real disk transfer.
+// cost for bucket scans and sorted-probe cost for indexed access. It owns
+// the engine's disk, and through it the clock the engine runs on and
+// charges: core.Config takes both from its Store. The cache layer sits
+// above the store (see the engine); every Store read is a real disk
+// transfer.
 type Store struct {
 	part        *Partition
 	dsk         *disk.Disk
@@ -300,6 +298,9 @@ type Store struct {
 	obs Observer
 	// spare is the Resident Recycle kept, for the next Scan miss to fill.
 	spare *Resident
+	// probe is what an index probe fills: reset for every probe, never
+	// cached, never recycled.
+	probe Resident
 }
 
 // SetObserver attaches o to the store (nil detaches). The engine wires
@@ -317,14 +318,8 @@ func NewStore(part *Partition, d *disk.Disk, materialize bool) *Store {
 // Partition returns the store's partition.
 func (s *Store) Partition() *Partition { return s.part }
 
-// WithDisk returns a Store over the same partition, materialization
-// mode, and backend that charges I/O to d. The sharded engine rebinds
-// the configured store to each shard's own disk this way, so shards
-// never contend for one modeled arm. A file-backed store's backend is
-// shared by the copy; use Fork to give a shard its own descriptors.
-func (s *Store) WithDisk(d *disk.Disk) *Store {
-	return &Store{part: s.part, dsk: d, materialize: s.materialize, backend: s.backend}
-}
+// Disk returns the disk the store charges its reads to.
+func (s *Store) Disk() *disk.Disk { return s.dsk }
 
 // WithBackend returns a Store serving reads from b instead of the disk
 // model (see Backend). The disk keeps accounting statistics — real
@@ -337,11 +332,12 @@ func (s *Store) WithBackend(b Backend) *Store {
 // Backend returns the store's backend, nil for the simulated disk.
 func (s *Store) Backend() Backend { return s.backend }
 
-// Fork returns a Store charging I/O to d with its own backend instance:
-// the sharding path, where every shard must own both its disk (modeled
-// or accounted) and its file descriptors.
+// Fork returns a Store over the same partition and materialization mode
+// that charges I/O to d and has its own backend instance: the sharding
+// path, where every shard owns both its disk (modeled or accounted), so
+// shards never contend for one modeled arm, and its file descriptors.
 func (s *Store) Fork(d *disk.Disk) (*Store, error) {
-	ns := s.WithDisk(d)
+	ns := NewStore(s.part, d, s.materialize)
 	if s.backend != nil {
 		b, err := s.backend.Fork()
 		if err != nil {
@@ -363,39 +359,6 @@ func (s *Store) Close() error {
 
 // Materializing reports whether reads return objects.
 func (s *Store) Materializing() bool { return s.materialize }
-
-// ReadBucket performs a full sequential scan of bucket i, charging its
-// disk cost — modeled cost on the simulated backend, measured elapsed
-// time on a real one. The returned objects are nil in cost-only mode.
-// The NoShare baseline reads this way; the engine's Scan services call
-// Scan.
-func (s *Store) ReadBucket(i int) ([]catalog.Object, time.Duration) {
-	if s.backend != nil {
-		start := time.Now()
-		objs, n, err := s.backend.ReadBucket(i)
-		if err != nil {
-			if s.obs != nil {
-				s.obs.ObserveReadError(ReadScan, err)
-			}
-			panic(fmt.Sprintf("bucket: backend scan of bucket %d: %v", i, err))
-		}
-		elapsed := time.Since(start)
-		s.dsk.AccountSequential(n, elapsed)
-		if s.obs != nil {
-			s.obs.ObserveRead(ReadScan, elapsed, n)
-		}
-		return objs, elapsed
-	}
-	n := s.part.BucketBytes(i)
-	cost := s.dsk.ReadSequential(n)
-	if s.obs != nil {
-		s.obs.ObserveRead(ReadScan, cost, n)
-	}
-	if !s.materialize {
-		return nil, cost
-	}
-	return s.part.Materialize(i), cost
-}
 
 // Scan serves a Scan service of bucket i whose queue's probe keys are
 // keys, one per queued object (xmatch.WorkloadObject.RangeIn). r is the
@@ -432,24 +395,13 @@ func (s *Store) Scan(i int, r *Resident, keys []htm.Range, gather *[]catalog.Obj
 		}
 		return r, r.Objs, r.Bytes
 	}
-	start := time.Now()
-	objs, n, err := s.backend.Fill(i, r, keys, (*gather)[:0])
-	if err != nil {
-		if s.obs != nil {
-			s.obs.ObserveReadError(ReadScan, err)
-		}
-		panic(fmt.Sprintf("bucket: backend scan of bucket %d: %v", i, err))
-	}
-	elapsed := time.Since(start)
+	objs, n, elapsed := s.fill(ReadScan, i, r, keys, gather)
 	r.Bytes += n
 	if miss {
 		s.dsk.AccountSequential(s.part.BucketBytes(i), elapsed)
 	}
 	if n > 0 && s.obs != nil {
 		s.obs.ObserveRead(ReadScan, elapsed, n)
-	}
-	if objs != nil {
-		*gather = objs
 	}
 	return r, objs, n
 }
@@ -465,38 +417,52 @@ func (s *Store) Recycle(r *Resident) {
 	}
 }
 
-// ProbeRanges charges the cost of len(ranges) index probes into bucket i
-// (objects are located via the spatial index instead of a scan), one per
-// level-14 HTM ID range. In materializing mode it returns objects of the
-// bucket, in HTM-curve order, that include every one with an ID in any of
-// the ranges, so the caller can evaluate matches: the whole bucket from
-// the simulated disk, the overlapping granules from a real backend (valid
-// until the next ProbeRanges). The cost charged is the probe cost, not a
-// scan.
-func (s *Store) ProbeRanges(i int, ranges []htm.Range) ([]catalog.Object, time.Duration) {
-	n := len(ranges)
-	if s.backend != nil {
-		start := time.Now()
-		objs, read, err := s.backend.ProbeRanges(i, ranges)
-		if err != nil {
-			if s.obs != nil {
-				s.obs.ObserveReadError(ReadProbe, err)
-			}
-			panic(fmt.Sprintf("bucket: backend probe of bucket %d: %v", i, err))
-		}
-		elapsed := time.Since(start)
-		s.dsk.AccountProbes(n, elapsed)
+// Probe serves an index probe service of bucket i: len(keys) probes, one
+// per queued object, keyed as Scan keys them, accounted as probes rather
+// than a scan. A segment store fills the granules the keys select into a
+// scratch Resident it resets for every probe and never caches, so a probe
+// reads what a Scan miss would and keeps none of it; the objects of the
+// selected granules, in HTM-curve order, go to *gather as Scan's do. The
+// simulated store charges the model's sorted-probe cost and returns the
+// whole bucket. Probe returns the objects the join probes (nil in
+// cost-only mode) and the data bytes read — on the simulated store, a
+// page per probe.
+func (s *Store) Probe(i int, keys []htm.Range, gather *[]catalog.Object) ([]catalog.Object, int64) {
+	if s.backend == nil {
+		n := int64(len(keys)) * s.dsk.Model().PageSize
+		cost := s.dsk.ReadProbes(len(keys))
 		if s.obs != nil {
-			s.obs.ObserveRead(ReadProbe, elapsed, read)
+			s.obs.ObserveRead(ReadProbe, cost, n)
 		}
-		return objs, elapsed
+		if !s.materialize {
+			return nil, n
+		}
+		return s.part.Materialize(i), n
 	}
-	cost := s.dsk.ReadProbes(n)
+	s.probe.Have = s.probe.Have[:0]
+	objs, n, elapsed := s.fill(ReadProbe, i, &s.probe, keys, gather)
+	s.dsk.AccountProbes(len(keys), elapsed)
 	if s.obs != nil {
-		s.obs.ObserveRead(ReadProbe, cost, int64(n)*s.dsk.Model().PageSize)
+		s.obs.ObserveRead(ReadProbe, elapsed, n)
 	}
-	if !s.materialize {
-		return nil, cost
+	return objs, n
+}
+
+// fill is one Backend.Fill, timed, with the gathered objects left in
+// *gather. A backend error is fail-stop: the observer hears of it, then
+// fill panics.
+func (s *Store) fill(kind ReadKind, i int, r *Resident, keys []htm.Range, gather *[]catalog.Object) ([]catalog.Object, int64, time.Duration) {
+	start := time.Now()
+	objs, n, err := s.backend.Fill(i, r, keys, (*gather)[:0])
+	if err != nil {
+		if s.obs != nil {
+			s.obs.ObserveReadError(kind, err)
+		}
+		panic(fmt.Sprintf("bucket: backend %s of bucket %d: %v", kind, i, err))
 	}
-	return s.part.Materialize(i), cost
+	elapsed := time.Since(start)
+	if objs != nil {
+		*gather = objs
+	}
+	return objs, n, elapsed
 }

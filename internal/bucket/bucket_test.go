@@ -283,27 +283,33 @@ func TestStoreCostAndMaterialization(t *testing.T) {
 	if !s.Materializing() || s.Partition() != p {
 		t.Error("accessors")
 	}
-	objs, cost := s.ReadBucket(0)
+	var gather []catalog.Object
+	before := d.Ledger().Charged
+	_, objs, _ := s.Scan(0, nil, nil, &gather)
 	if len(objs) != 200 {
 		t.Errorf("read returned %d objects", len(objs))
 	}
-	if cost != d.Model().SequentialRead(p.BucketBytes(0)) {
+	if cost := d.Ledger().Charged - before; cost != d.Model().SequentialRead(p.BucketBytes(0)) {
 		t.Errorf("scan cost = %v", cost)
 	}
-	objs2, cost2 := s.ProbeRanges(0, make([]htm.Range, 7))
+	before = d.Ledger().Charged
+	objs2, _ := s.Probe(0, make([]htm.Range, 7), &gather)
 	if len(objs2) != 200 {
 		t.Errorf("probe returned %d objects", len(objs2))
 	}
-	if cost2 != 7*d.Model().SortedProbe() {
+	if cost2 := d.Ledger().Charged - before; cost2 != 7*d.Model().SortedProbe() {
 		t.Errorf("probe cost = %v", cost2)
 	}
 
 	cs := NewStore(p, d, false)
-	objs3, _ := cs.ReadBucket(1)
+	if cs.Disk() != d {
+		t.Error("a store's disk is the one it was built with")
+	}
+	_, objs3, _ := cs.Scan(1, nil, nil, &gather)
 	if objs3 != nil {
 		t.Error("cost-only store should not materialize")
 	}
-	objs4, _ := cs.ProbeRanges(1, make([]htm.Range, 3))
+	objs4, _ := cs.Probe(1, make([]htm.Range, 3), &gather)
 	if objs4 != nil {
 		t.Error("cost-only probe should not materialize")
 	}

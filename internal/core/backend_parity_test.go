@@ -102,12 +102,9 @@ func mkSimParity(t *testing.T, part *bucket.Partition, pc parityCase) (Config, *
 	d := disk.New(parityModel(), clk)
 	cfg := Config{
 		Store:                bucket.NewStore(part, d, pc.materialize),
-		Disk:                 d,
-		Clock:                clk,
 		Policy:               pc.policy,
 		Alpha:                pc.alpha,
 		CacheBuckets:         20,
-		MaterializeResults:   pc.materialize,
 		AgeDepreciationGamma: pc.gamma,
 		WorkloadMemoryCap:    pc.memCap,
 	}
@@ -135,12 +132,9 @@ func mkFileParity(t *testing.T, part *bucket.Partition, dir string, pc parityCas
 	st := bucket.NewStore(part, d, pc.materialize).WithBackend(segment.NewBackend(set, pc.materialize))
 	cfg := Config{
 		Store:                st,
-		Disk:                 d,
-		Clock:                clk,
 		Policy:               pc.policy,
 		Alpha:                pc.alpha,
 		CacheBuckets:         20,
-		MaterializeResults:   pc.materialize,
 		AgeDepreciationGamma: pc.gamma,
 		WorkloadMemoryCap:    pc.memCap,
 	}
@@ -176,7 +170,7 @@ func replayBackends(t *testing.T, part *bucket.Partition, dir string, pc parityC
 	cfgB, file := mkFileParity(t, part, dir, pc)
 
 	// Batch admission: the whole trace arrives before the first service.
-	startA, startB := cfgA.Clock.Now(), cfgB.Clock.Now()
+	startA, startB := cfgA.clock().Now(), cfgB.clock().Now()
 	for _, j := range jobs {
 		rA := sim.admit(j, startA)
 		rB := file.admit(j, startB)
@@ -191,20 +185,20 @@ func replayBackends(t *testing.T, part *bucket.Partition, dir string, pc parityC
 	// degenerate to a tie there. Nudge the virtual clock so both
 	// engines see positive ages, which the Eq. 2 normalization then
 	// cancels identically.
-	cfgA.Clock.Sleep(time.Millisecond)
+	cfgA.clock().Sleep(time.Millisecond)
 
 	steps, completed := 0, 0
 	for sim.pendingWork() || file.pendingWork() {
 		if sim.pendingWork() != file.pendingWork() {
 			t.Fatalf("step %d: pendingWork diverged", steps)
 		}
-		pA, okA := sim.pick(cfgA.Clock.Now())
-		pB, okB := file.pick(cfgB.Clock.Now())
+		pA, okA := sim.pick(cfgA.clock().Now())
+		pB, okB := file.pick(cfgB.clock().Now())
 		if pA != pB || okA != okB {
 			t.Fatalf("step %d: pick diverged: sim (%d,%v) vs file (%d,%v)", steps, pA, okA, pB, okB)
 		}
-		doneA := stripTimes(sim.serviceBucket(pA, cfgA.Clock.Now()))
-		doneB := stripTimes(file.serviceBucket(pB, cfgB.Clock.Now()))
+		doneA := stripTimes(sim.serviceBucket(pA, cfgA.clock().Now()))
+		doneB := stripTimes(file.serviceBucket(pB, cfgB.clock().Now()))
 		if !reflect.DeepEqual(doneA, doneB) {
 			t.Fatalf("step %d (bucket %d): completions diverged:\nsim:  %+v\nfile: %+v", steps, pA, doneA, doneB)
 		}
@@ -221,8 +215,8 @@ func replayBackends(t *testing.T, part *bucket.Partition, dir string, pc parityC
 		t.Error("materializing case never scanned a bucket")
 	}
 
-	stA := stripStatTimes(sim.finalize(cfgA.Clock.Now().Sub(startA), completed))
-	stB := stripStatTimes(file.finalize(cfgB.Clock.Now().Sub(startB), completed))
+	stA := stripStatTimes(sim.finalize(cfgA.clock().Now().Sub(startA), completed))
+	stB := stripStatTimes(file.finalize(cfgB.clock().Now().Sub(startB), completed))
 	if !reflect.DeepEqual(stA, stB) {
 		t.Fatalf("RunStats diverged after %d services (clock fields excluded):\nsim:  %+v\nfile: %+v", steps, stA, stB)
 	}
@@ -241,8 +235,7 @@ func shardedParity(t *testing.T, part *bucket.Partition, dir string, hotJobs []J
 	simClk := simclock.NewVirtual()
 	simDisk := disk.New(parityModel(), simClk)
 	simCfg := Config{
-		Store: bucket.NewStore(part, simDisk, false), Disk: simDisk, Clock: simClk,
-		Alpha: 0.5, CacheBuckets: 20, Shards: 4,
+		Store: bucket.NewStore(part, simDisk, false), Alpha: 0.5, CacheBuckets: 20, Shards: 4,
 	}
 	simRes, simStats, err := Run(simCfg, hotJobs, offsets)
 	if err != nil {
@@ -257,7 +250,6 @@ func shardedParity(t *testing.T, part *bucket.Partition, dir string, hotJobs []J
 	fileDisk := disk.New(parityModel(), simclock.Real{})
 	fileCfg := Config{
 		Store: bucket.NewStore(part, fileDisk, false).WithBackend(segment.NewBackend(set, false)),
-		Disk:  fileDisk, Clock: simclock.Real{},
 		Alpha: 0.5, CacheBuckets: 20, Shards: 4,
 	}
 	fileRes, fileStats, err := Run(fileCfg, hotJobs, offsets)

@@ -65,7 +65,7 @@ func syntheticPartition(tb testing.TB, n int) *bucket.Partition {
 // populateQueues fills B bucket queues with varied lengths and ages so
 // picks exercise realistic key diversity (uniform queues would tie).
 func populateQueues(s *scheduler, bkts int) {
-	base := s.cfg.Clock.Now()
+	base := s.cfg.clock().Now()
 	qs := &queryState{result: Result{QueryID: 1, Arrived: base}, arrived: base}
 	// Sentinel work unit: the benchmark query must survive every service
 	// even if one bucket briefly holds all remaining work.
@@ -90,7 +90,7 @@ func BenchmarkPick(b *testing.B) {
 	for _, bkts := range benchBs {
 		s := syntheticScheduler(b, bkts, PolicyLifeRaft, 0.5)
 		populateQueues(s, bkts)
-		now := s.cfg.Clock.Now().Add(time.Hour)
+		now := s.cfg.clock().Now().Add(time.Hour)
 		b.Run(fmt.Sprintf("B=%d", bkts), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -105,7 +105,7 @@ func BenchmarkPick(b *testing.B) {
 // stepSteadyState services one bucket and refills it, keeping the number
 // of active queues constant — the scheduler's steady-state regime.
 func stepSteadyState(tb testing.TB, s *scheduler) {
-	now := s.cfg.Clock.Now()
+	now := s.cfg.clock().Now()
 	bi, ok := s.pick(now)
 	if !ok {
 		tb.Fatal("no pending work")
@@ -153,7 +153,7 @@ func forEachMetrics(t *testing.T, body func(t *testing.T, em *EngineMetrics)) {
 // bucket's work as it was queued, copied into buf. The bucket is the one a
 // pick just before chooses: a pick changes no queue.
 func stepPicked(tb testing.TB, s *scheduler, buf []item) (int, []item) {
-	now := s.cfg.Clock.Now()
+	now := s.cfg.clock().Now()
 	bi, ok := s.pick(now)
 	if !ok {
 		tb.Fatal("no pending work")
@@ -183,7 +183,7 @@ func TestStepServiceLoopZeroAlloc(t *testing.T) {
 		populateQueues(s, 10_000)
 		var buf []item
 		step := func() {
-			now := s.cfg.Clock.Now()
+			now := s.cfg.clock().Now()
 			var bi int
 			bi, buf = stepPicked(t, s, buf)
 			for _, it := range buf {
@@ -202,8 +202,8 @@ func TestStepServiceLoopZeroAlloc(t *testing.T) {
 	})
 }
 
-// TestStepServiceLoopZeroAllocMaterializing is the same claim with
-// MaterializeResults on: the join runs in the scheduler's Joiner and every
+// TestStepServiceLoopZeroAllocMaterializing is the same claim over a
+// materializing store: the join runs in the scheduler's Joiner and every
 // pair is appended straight to its query's Result.Pairs, so once scratch is
 // warm a service allocates nothing but that slice's growth — which the test
 // takes out of the picture by handing each query its Pairs capacity back,
@@ -223,7 +223,7 @@ func TestStepServiceLoopZeroAllocMaterializing(t *testing.T) {
 		}
 		// Queries that never complete (a sentinel unit each), so their state
 		// and Pairs buffers persist across services like populateQueues' do.
-		now := s.cfg.Clock.Now()
+		now := s.cfg.clock().Now()
 		for _, j := range jobs[:40] {
 			if s.admit(j, now) == nil {
 				s.queries[j.ID].remaining++
@@ -289,9 +289,8 @@ func TestStepServiceLoopZeroAllocEvicting(t *testing.T) {
 		clk := simclock.Real{}
 		d := disk.New(parityModel(), clk)
 		s, err := newScheduler(Config{
-			Store: bucket.NewStore(part, d, true).WithBackend(segment.NewBackend(set, true)),
-			Disk:  d, Clock: clk, Policy: PolicyLifeRaft, Alpha: 1, CacheBuckets: part.NumBuckets() / 4,
-			MaterializeResults: true, Metrics: em,
+			Store:  bucket.NewStore(part, d, true).WithBackend(segment.NewBackend(set, true)),
+			Policy: PolicyLifeRaft, Alpha: 1, CacheBuckets: part.NumBuckets() / 4, Metrics: em,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -36,7 +36,7 @@ func TestSchedulerCancelDropsQueuedObjects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	now := cfg.Clock.Now()
+	now := cfg.clock().Now()
 	a, b := jobs[0], jobs[1]
 	if r := s.admit(a, now); r != nil {
 		t.Fatal("job a completed on admit; fixture job should have work")
@@ -91,7 +91,7 @@ func TestSchedulerCancelDropsQueuedObjects(t *testing.T) {
 	// The frontier rebuild must keep the scheduler consistent: draining
 	// the survivor completes it.
 	for s.pendingWork() {
-		if _, ok := s.step(cfg.Clock.Now()); !ok {
+		if _, ok := s.step(cfg.clock().Now()); !ok {
 			t.Fatal("pending work but step found none")
 		}
 	}
@@ -260,7 +260,7 @@ func TestCancelVisitsScaleWithQueryNotQueues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	now := cfg.Clock.Now()
+	now := cfg.clock().Now()
 	// Load every fixture job but the last; cancel only the last.
 	for _, j := range jobs[:len(jobs)-1] {
 		s.admit(j, now)

@@ -44,12 +44,11 @@ const (
 
 // Config configures Run, NewLive, RunNoShare and RunIndexOnly.
 type Config struct {
-	// Store serves buckets; it determines the partition and disk model.
+	// Store serves buckets. It determines everything the engine reads
+	// and charges: the partition, the disk (Store.Disk) and its model,
+	// the clock that disk charges (disk.Disk.Clock), which the engine
+	// runs on, and whether queries get their pairs (Store.Materializing).
 	Store *bucket.Store
-	// Disk charges costs; it must be the disk the Store was built with.
-	Disk *disk.Disk
-	// Clock is the time source shared with Disk.
-	Clock simclock.Clock
 
 	// Policy selects the scheduler; default PolicyLifeRaft.
 	Policy PolicyKind
@@ -64,9 +63,6 @@ type Config struct {
 	// out-of-core bucket is joined via the index (paper §3.4; default
 	// 0.03 per Figure 2).
 	HybridThreshold float64
-	// MaterializeResults makes the evaluator produce actual match pairs.
-	// Costs are charged identically either way.
-	MaterializeResults bool
 
 	// Shards is K, the number of independent disk/worker shards the
 	// engine runs as: buckets are dealt to shards round-robin along the
@@ -81,9 +77,9 @@ type Config struct {
 	// scan service is cut into parts that idle sibling workers also run,
 	// on their own arms (see Live). 0 means 1: one shard owning every
 	// bucket, the paper's single-disk engine, on the same code path as
-	// any other K. Config.Disk and Config.Store serve as templates; each
-	// shard forks its own from them. Each shard's cache holds
-	// CacheBuckets buckets (scaling out adds memory along with arms).
+	// any other K. Config.Store, its disk and its clock serve as
+	// templates; each shard forks its own from them. Each shard's cache
+	// holds CacheBuckets buckets (scaling out adds memory along with arms).
 	Shards int
 	// ownsBucket, when non-nil, restricts admission to the buckets a
 	// shard owns. Set only by forkConfigs on the per-shard configs;
@@ -111,17 +107,17 @@ type Config struct {
 	WorkloadMemoryCap int
 }
 
+// clock is the engine's time source: the one its disk charges.
+func (c Config) clock() simclock.Clock { return c.Store.Disk().Clock() }
+
 func (c Config) withDefaults() (Config, error) {
 	if c.Store == nil {
 		return c, fmt.Errorf("core: Config.Store is required")
 	}
-	if c.Disk == nil {
-		return c, fmt.Errorf("core: Config.Disk is required")
+	if c.Store.Disk() == nil {
+		return c, fmt.Errorf("core: Config.Store has no disk")
 	}
-	if c.Clock == nil {
-		return c, fmt.Errorf("core: Config.Clock is required")
-	}
-	if _, virtual := c.Clock.(*simclock.Virtual); virtual && c.Store.Backend() != nil {
+	if _, virtual := c.clock().(*simclock.Virtual); virtual && c.Store.Backend() != nil {
 		return c, fmt.Errorf("core: the store's backend does real I/O and must run on the real clock, not a virtual one")
 	}
 	if c.Policy == "" {
@@ -197,12 +193,12 @@ type Result struct {
 	// Assignments is the number of (object, bucket) work units the
 	// query expanded to.
 	Assignments int
-	// Pairs holds the materialized matches when the engine is
-	// configured with MaterializeResults: shard by shard in shard order,
-	// in service order within a shard, nil when there are none (and for a
-	// cancelled query, the pairs found before the cancel). It is the one
-	// array the front end allocated for the query at submission, sized from
-	// the object count, which every shard appended its pairs into — the
+	// Pairs holds the materialized matches when the engine's Store
+	// materializes: shard by shard in shard order, in service order
+	// within a shard, nil when there are none (and for a cancelled
+	// query, the pairs found before the cancel). It is the one array the
+	// front end allocated for the query at submission, sized from the
+	// object count, which every shard appended its pairs into — the
 	// result owns it, and its capacity may exceed its length by the room
 	// the shards did not use.
 	Pairs []xmatch.Pair
@@ -300,16 +296,12 @@ func (s RunStats) String() string {
 // and a Config pre-filled with paper defaults (LifeRaft policy, 20-bucket
 // LRU cache, 3% hybrid threshold).
 func newConfig(part *bucket.Partition, alpha float64, materialize bool, clk simclock.Clock, backend bucket.Backend) Config {
-	d := disk.New(disk.SkyQuery(), clk)
 	return Config{
-		Store:              bucket.NewStore(part, d, materialize).WithBackend(backend),
-		Disk:               d,
-		Clock:              clk,
-		Policy:             PolicyLifeRaft,
-		Alpha:              alpha,
-		CacheBuckets:       20,
-		HybridThreshold:    xmatch.DefaultThreshold,
-		MaterializeResults: materialize,
+		Store:           bucket.NewStore(part, disk.New(disk.SkyQuery(), clk), materialize).WithBackend(backend),
+		Policy:          PolicyLifeRaft,
+		Alpha:           alpha,
+		CacheBuckets:    20,
+		HybridThreshold: xmatch.DefaultThreshold,
 	}
 }
 

@@ -88,8 +88,7 @@ func TestConfigValidation(t *testing.T) {
 	good, _ := NewVirtual(part, 0.5, false)
 	bad := []func(Config) Config{
 		func(c Config) Config { c.Store = nil; return c },
-		func(c Config) Config { c.Disk = nil; return c },
-		func(c Config) Config { c.Clock = nil; return c },
+		func(c Config) Config { c.Store = bucket.NewStore(part, nil, false); return c },
 		func(c Config) Config { c.Policy = "bogus"; return c },
 		func(c Config) Config { c.Alpha = -0.1; return c },
 		func(c Config) Config { c.Alpha = 1.1; return c },
@@ -100,11 +99,20 @@ func TestConfigValidation(t *testing.T) {
 		func(c Config) Config { c.WorkloadMemoryCap = -1; return c },
 	}
 	for i, mut := range bad {
-		if _, _, err := Run(mut(good), nil, nil); err == nil {
-			t.Errorf("mutation %d should fail", i)
+		for _, d := range drivers {
+			if _, _, err := d.run(mut(good), nil, nil); err == nil {
+				t.Errorf("%s: mutation %d should fail", d.name, i)
+			}
 		}
 	}
 }
+
+// drivers are the three trace drivers: the engine and the two baselines.
+// They take the same arguments and refuse the same bad ones.
+var drivers = []struct {
+	name string
+	run  func(Config, []Job, []time.Duration) ([]Result, RunStats, error)
+}{{"Run", Run}, {"RunNoShare", RunNoShare}, {"RunIndexOnly", RunIndexOnly}}
 
 func TestRunEmptyAndMismatched(t *testing.T) {
 	part, _ := fixture(t)
@@ -113,11 +121,13 @@ func TestRunEmptyAndMismatched(t *testing.T) {
 	if len(res) != 0 || stats.Completed != 0 {
 		t.Error("empty run should complete nothing")
 	}
-	if _, _, err := Run(cfg, make([]Job, 2), make([]time.Duration, 1)); err == nil {
-		t.Error("mismatched lengths should fail")
-	}
-	if _, _, err := Run(cfg, make([]Job, 1), []time.Duration{-time.Second}); err == nil {
-		t.Error("negative offset should fail")
+	for _, d := range drivers {
+		if _, _, err := d.run(cfg, make([]Job, 2), make([]time.Duration, 1)); err == nil {
+			t.Errorf("%s: mismatched lengths should fail", d.name)
+		}
+		if _, _, err := d.run(cfg, make([]Job, 1), []time.Duration{-time.Second}); err == nil {
+			t.Errorf("%s: negative offset should fail", d.name)
+		}
 	}
 }
 
@@ -660,13 +670,13 @@ func TestSaturationEstimator(t *testing.T) {
 func TestNewVirtualDefaults(t *testing.T) {
 	part, _ := fixture(t)
 	cfg, clk := NewVirtual(part, 0.25, true)
-	if cfg.Alpha != 0.25 || !cfg.MaterializeResults || cfg.CacheBuckets != 20 {
+	if cfg.Alpha != 0.25 || !cfg.Store.Materializing() || cfg.CacheBuckets != 20 {
 		t.Errorf("NewVirtual config = %+v", cfg)
 	}
-	if clk == nil || cfg.Clock != simclock.Clock(clk) {
+	if clk == nil || cfg.clock() != simclock.Clock(clk) {
 		t.Error("clock not wired")
 	}
-	tb, _ := cfg.Disk.Model().Calibrate(part.BucketBytes(0))
+	tb, _ := cfg.Store.Disk().Model().Calibrate(part.BucketBytes(0))
 	if tb <= 0 {
 		t.Error("calibration")
 	}

@@ -68,7 +68,7 @@ func perShardReference(t *testing.T, cfg Config, jobs []Job, offs []time.Duratio
 	out := make(map[uint64]Result)
 	for i, j := range jobs {
 		if len(j.Objects) == 0 { // no work anywhere: complete on arrival
-			at := cfg.Clock.Now().Add(offs[i])
+			at := cfg.clock().Now().Add(offs[i])
 			out[j.ID] = Result{QueryID: j.ID, Arrived: at, Completed: at}
 		}
 	}
@@ -360,7 +360,7 @@ func TestNoMatchAndCancelledPairs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			now := sc.Clock.Now()
+			now := sc.clock().Now()
 			if r := sched.admit(f.job(job, s), now); r != nil {
 				t.Fatalf("shard %d completed the query at admission", s)
 			}
@@ -368,7 +368,7 @@ func TestNoMatchAndCancelledPairs(t *testing.T) {
 				t.Fatalf("shard %d finished the query in one service", s)
 			}
 			prefix = append(prefix, sched.queries[job.ID].result.Pairs...)
-			r := sched.cancel(job.ID, sc.Clock.Now())
+			r := sched.cancel(job.ID, sc.clock().Now())
 			if r == nil || !r.Cancelled {
 				t.Fatalf("shard %d: cancel returned %+v", s, r)
 			}
@@ -603,7 +603,7 @@ func TestLiveStraddlersShareEqualsAdmission(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sched.admit(Job{ID: job.ID, Objects: job.Objects, share: shares[s]}, sc.Clock.Now())
+			sched.admit(Job{ID: job.ID, Objects: job.Objects, share: shares[s]}, sc.clock().Now())
 			queued := make(map[uint64]bool)
 			for _, q := range sched.queues {
 				for _, it := range q.items {

@@ -178,7 +178,7 @@ func replayGolden(t *testing.T, part *bucket.Partition, gc goldenCase, jobs []Jo
 	}
 	var cancels []cancelAt
 
-	start := cfg.Clock.Now()
+	start := cfg.clock().Now()
 	var events simclock.EventQueue[Job]
 	for i, j := range jobs {
 		events.Push(start.Add(time.Duration(i*gc.arrivalMS)*time.Millisecond), j)
@@ -196,7 +196,7 @@ func replayGolden(t *testing.T, part *bucket.Partition, gc goldenCase, jobs []Jo
 	}
 	completed, steps, nextCancel := 0, 0, 0
 	for {
-		now := cfg.Clock.Now()
+		now := cfg.clock().Now()
 		for _, ev := range events.PopUntil(now) {
 			if r := s.admit(ev.Value, ev.At); r != nil {
 				record(comps, steps, []Result{*r})
@@ -216,7 +216,7 @@ func replayGolden(t *testing.T, part *bucket.Partition, gc goldenCase, jobs []Jo
 			if !ok {
 				break // drained
 			}
-			cfg.Clock.Sleep(at.Sub(now))
+			cfg.clock().Sleep(at.Sub(now))
 			continue
 		}
 		p, ok := s.pick(now)
@@ -238,7 +238,7 @@ func replayGolden(t *testing.T, part *bucket.Partition, gc goldenCase, jobs []Jo
 	if gc.cancels && s.stats.Cancelled == 0 {
 		t.Error("cancels scheduled but none landed in-flight; adjust the schedule")
 	}
-	end := cfg.Clock.Now()
+	end := cfg.clock().Now()
 	final := sha256.New()
 	// RunStats' String method prints a summary; the converted type has
 	// none, so %#v prints every field, nested disk and cache stats included.

@@ -47,7 +47,7 @@ import (
 type Live struct {
 	clock       simclock.Clock
 	smap        *shard.Map
-	materialize bool     // Config.MaterializeResults: queries get a pair array
+	materialize bool     // the Store materializes: queries get a pair array
 	cfgs        []Config // forked per-shard configs; Close releases their stores
 	workers     []*shardWorker
 
@@ -141,7 +141,8 @@ func (l *Live) resolved(cancelled bool) {
 	}
 }
 
-// Clock returns the engine's time source (set by its Config).
+// Clock returns the engine's time source: the clock of its Config's
+// Store's disk.
 func (l *Live) Clock() simclock.Clock { return l.clock }
 
 // ErrClosed is returned by SubmitCtx after Close.
@@ -185,11 +186,11 @@ func newLive(cfg Config) (*Live, []*scheduler, error) {
 			return nil, nil, err
 		}
 	}
-	l := &Live{clock: cfg.Clock, smap: m, materialize: cfg.MaterializeResults, cfgs: cfgs}
+	l := &Live{clock: cfg.clock(), smap: m, materialize: cfg.Store.Materializing(), cfgs: cfgs}
 	if cfg.Metrics != nil {
 		l.obs = cfg.Metrics.front()
 	}
-	_, virtual := cfg.Clock.(*simclock.Virtual)
+	_, virtual := l.clock.(*simclock.Virtual)
 	l.workers = newWorkers(scheds, !virtual)
 	return l, scheds, nil
 }
@@ -374,8 +375,7 @@ func (w *shardWorker) help(s *scheduler) (helped bool) {
 			if !ok {
 				break
 			}
-			simclock.Join(s.cfg.Clock, fj.start)
-			fj.run(i, s.cfg.Clock, s.cfg.Disk)
+			fj.run(i, s.cfg.clock(), s.cfg.Store.Disk())
 			helped = true
 			if s.obs != nil {
 				s.obs.partsHelp.Inc()
@@ -389,10 +389,11 @@ func (w *shardWorker) help(s *scheduler) (helped bool) {
 }
 
 // loop is one shard's scheduling loop: it owns s exclusively. parent is
-// the clock cfg.Clock was forked from.
+// the clock the shard's clock was forked from.
 func (w *shardWorker) loop(cfg Config, s *scheduler, parent simclock.Clock) {
 	defer close(w.done)
-	start := cfg.Clock.Now()
+	clk := cfg.clock()
+	start := clk.Now()
 	waiters := make(map[uint64]*merge)
 	completed := 0
 
@@ -410,7 +411,7 @@ func (w *shardWorker) loop(cfg Config, s *scheduler, parent simclock.Clock) {
 			}
 		}
 		if s.obs != nil && len(rs) > 0 {
-			if el := cfg.Clock.Now().Sub(start).Seconds(); el > 0 {
+			if el := clk.Now().Sub(start).Seconds(); el > 0 {
 				s.obs.vqps.Set(float64(completed) / el)
 			}
 		}
@@ -435,7 +436,7 @@ func (w *shardWorker) loop(cfg Config, s *scheduler, parent simclock.Clock) {
 		for {
 			select {
 			case sub := <-w.inbox:
-				admit(sub, cfg.Clock.Now())
+				admit(sub, clk.Now())
 			default:
 				return
 			}
@@ -446,7 +447,7 @@ func (w *shardWorker) loop(cfg Config, s *scheduler, parent simclock.Clock) {
 	for {
 		// step reads the clock here, before any admission below charges
 		// spill writes to it.
-		now := cfg.Clock.Now()
+		now := clk.Now()
 		for _, ev := range w.arrivals.PopUntil(now) {
 			admit(ev.Value, ev.At)
 		}
@@ -454,7 +455,7 @@ func (w *shardWorker) loop(cfg Config, s *scheduler, parent simclock.Clock) {
 		if !s.pendingWork() {
 			if at, ok := w.arrivals.PeekTime(); ok {
 				// Idle until the replay's next arrival.
-				cfg.Clock.Sleep(at.Sub(now))
+				clk.Sleep(at.Sub(now))
 				continue
 			}
 			if closing {
@@ -462,7 +463,7 @@ func (w *shardWorker) loop(cfg Config, s *scheduler, parent simclock.Clock) {
 				// inbox is empty after the closing signal.
 				select {
 				case sub := <-w.inbox:
-					admit(sub, cfg.Clock.Now())
+					admit(sub, clk.Now())
 					continue
 				default:
 				}
@@ -473,7 +474,7 @@ func (w *shardWorker) loop(cfg Config, s *scheduler, parent simclock.Clock) {
 			}
 			select {
 			case sub := <-w.inbox:
-				admit(sub, cfg.Clock.Now())
+				admit(sub, clk.Now())
 			case <-w.offers:
 				// A sibling split a service: look again.
 			case <-w.closing:
@@ -488,7 +489,7 @@ func (w *shardWorker) loop(cfg Config, s *scheduler, parent simclock.Clock) {
 		// observers of Clock() — the serving layer's admission stamps, a
 		// saturation estimator — never read an instant before a
 		// completion they have already been handed.
-		simclock.Join(parent, cfg.Clock.Now())
+		simclock.Join(parent, clk.Now())
 		deliver(done)
 		if !closing {
 			select {
@@ -498,5 +499,5 @@ func (w *shardWorker) loop(cfg Config, s *scheduler, parent simclock.Clock) {
 			}
 		}
 	}
-	w.stats = s.finalize(cfg.Clock.Now().Sub(start), completed)
+	w.stats = s.finalize(clk.Now().Sub(start), completed)
 }

@@ -80,8 +80,8 @@ func TestLiveWithoutMetrics(t *testing.T) {
 					// here on is a part it ran for shard 1. Whether the
 					// idle arm wins a claim is a race on the wall clock,
 					// so give it a few services.
-					before := l.cfgs[0].Disk.Stats().Matches
-					for id := uint64(10); l.cfgs[0].Disk.Stats().Matches == before; id++ {
+					before := l.cfgs[0].Store.Disk().Stats().Matches
+					for id := uint64(10); l.cfgs[0].Store.Disk().Stats().Matches == before; id++ {
 						if id == 30 {
 							t.Fatal("20 split services, and the idle arm ran no part of any")
 						}
@@ -118,8 +118,7 @@ func TestCacheFamiliesScrape(t *testing.T) {
 			clk := simclock.NewVirtual()
 			d := disk.New(parityModel(), clk)
 			cfg := Config{
-				Store: bucket.NewStore(part, d, false), Disk: d, Clock: clk,
-				Alpha: 0.5, CacheBuckets: 20, Shards: k, Metrics: NewEngineMetrics(reg),
+				Store: bucket.NewStore(part, d, false), Alpha: 0.5, CacheBuckets: 20, Shards: k, Metrics: NewEngineMetrics(reg),
 			}
 			_, stats, err := Run(cfg, hotJobs, offsets)
 			if err != nil {

@@ -55,13 +55,8 @@ type forkJoin struct {
 	wos      []xmatch.WorkloadObject // the queue; sorted by MinID when split
 	preds    map[uint64]xmatch.Predicate
 	strategy xmatch.Strategy
-	// materialize is Config.MaterializeResults: without it a part is its
-	// charge alone.
+	// materialize is the Store's: without it a part is its charge alone.
 	materialize bool
-	// start is the instant on the owner's clock at which the parts became
-	// runnable. A helper on a virtual clock of its own moves that clock up
-	// to it first: no part is run before the pick that made it.
-	start time.Time
 	// size is the units per part: part i is wos[i*size:][:size], the last
 	// one shorter.
 	size  int

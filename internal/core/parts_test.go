@@ -63,11 +63,11 @@ func arms(t testing.TB, part *bucket.Partition, clks ...simclock.Clock) ([]*sche
 func serve(t testing.TB, s *scheduler, job Job) Result {
 	t.Helper()
 	var res *Result
-	if r := s.admit(job, s.cfg.Clock.Now()); r != nil {
+	if r := s.admit(job, s.cfg.clock().Now()); r != nil {
 		res = r
 	}
 	for s.pendingWork() {
-		done, _ := s.step(s.cfg.Clock.Now())
+		done, _ := s.step(s.cfg.clock().Now())
 		for _, r := range done {
 			if r.QueryID == job.ID {
 				r := r
@@ -93,7 +93,7 @@ func helpUntil(w *shardWorker, s *scheduler, stop <-chan struct{}) {
 	}
 }
 
-func charged(s *scheduler) time.Duration { return s.cfg.Disk.Ledger().Charged }
+func charged(s *scheduler) time.Duration { return s.cfg.Store.Disk().Ledger().Charged }
 
 // partsOf is how many parts s's last service was cut into.
 func partsOf(s *scheduler) int { return int(s.fj.claims.Load() >> 32) }
@@ -170,12 +170,12 @@ func TestSplitServiceEqualsWhole(t *testing.T) {
 		if len(owner.queries)+len(owner.queues)+owner.pendingItems != 0 {
 			t.Errorf("%d units: %d queries, %d queues, %d items left after the service", c.units, len(owner.queries), len(owner.queues), owner.pendingItems)
 		}
-		tm := owner.cfg.Disk.Model().Match(c.units)
+		tm := owner.cfg.Store.Disk().Model().Match(c.units)
 		if got := charged(owner) + charged(helper) - before; got != tm || charged(solo[0])-soloBefore != tm {
 			t.Errorf("%d units: both arms charged %v, the whole service %v, want Tm × %d = %v", c.units, got, charged(solo[0])-soloBefore, c.units, tm)
 		}
-		if got := owner.cfg.Disk.Stats().Matches + helper.cfg.Disk.Stats().Matches; got != solo[0].cfg.Disk.Stats().Matches {
-			t.Errorf("%d units: %d matches charged on both arms, %d whole", c.units, got, solo[0].cfg.Disk.Stats().Matches)
+		if got := owner.cfg.Store.Disk().Stats().Matches + helper.cfg.Store.Disk().Stats().Matches; got != solo[0].cfg.Store.Disk().Stats().Matches {
+			t.Errorf("%d units: %d matches charged on both arms, %d whole", c.units, got, solo[0].cfg.Store.Disk().Stats().Matches)
 		}
 	}
 }
@@ -184,14 +184,14 @@ func TestSplitServiceEqualsWhole(t *testing.T) {
 // query's predicate, which the join calls — so that what the helper does
 // meanwhile is decided: with an empty inbox it takes every other part,
 // with a submission arriving during its first it stops after that one.
-// The helper's clock is moved up to the service's start before it runs
-// anything, its arm is charged for what it ran and the owner's for the
-// rest, and the service — the owner's clock, the query's completion — ends
-// with the latest part, whoever ran it.
+// Its arm is charged for what it ran and the owner's for the rest, each
+// arm's clock moves by its own parts alone, and the query completes with
+// the latest part, whoever ran it. Services are split only on real
+// clocks, which read alike, so the two virtual clocks here start level.
 func TestIdleArmStealsParts(t *testing.T) {
 	const parts = 5
 	part, _ := shardFixture(t)
-	tmPart := time.Duration(servicePartUnits) * NewOn(part, 0, false, simclock.NewVirtual()).Disk.Model().MatchCost
+	tmPart := time.Duration(servicePartUnits) * NewOn(part, 0, false, simclock.NewVirtual()).Store.Disk().Model().MatchCost
 	for _, c := range []struct {
 		name        string
 		interrupted bool // a submission reaches the helper's inbox during its first part
@@ -206,9 +206,7 @@ func TestIdleArmStealsParts(t *testing.T) {
 			owner, helper := pair[0], pair[1]
 			serve(t, owner, warmJob(part, 1))
 			start := ownerClk.Now()
-			if !helperClk.Now().Before(start) {
-				t.Fatal("the helper's clock must start behind the service")
-			}
+			helperClk.AdvanceTo(start)
 
 			// The first call is the owner's (it runs part 0 before anyone
 			// can have claimed another); the second is the helper's first.
@@ -238,7 +236,7 @@ func TestIdleArmStealsParts(t *testing.T) {
 				t.Errorf("helper charged %v, want %d parts of %v", got, c.helped, tmPart)
 			}
 			if got, want := helperClk.Now(), start.Add(time.Duration(c.helped)*tmPart); !got.Equal(want) {
-				t.Errorf("helper's clock reads start + %v, want start + %v: joined to the service's start, then its own parts", got.Sub(start), want.Sub(start))
+				t.Errorf("helper's clock reads start + %v, want start + %v: its own parts", got.Sub(start), want.Sub(start))
 			}
 			ownerBefore := charged(owner)
 			close(release)
@@ -249,9 +247,11 @@ func TestIdleArmStealsParts(t *testing.T) {
 				t.Errorf("owner charged %v, want %d parts of %v", got, ownParts, tmPart)
 			}
 			latest := start.Add(time.Duration(max(ownParts, c.helped)) * tmPart)
-			if !res.Completed.Equal(latest) || !ownerClk.Now().Equal(latest) {
-				t.Errorf("query completed at start + %v, owner's clock at start + %v, want the latest part's end, start + %v",
-					res.Completed.Sub(start), ownerClk.Now().Sub(start), latest.Sub(start))
+			if !res.Completed.Equal(latest) {
+				t.Errorf("query completed at start + %v, want the latest part's end, start + %v", res.Completed.Sub(start), latest.Sub(start))
+			}
+			if got, want := ownerClk.Now(), start.Add(time.Duration(ownParts)*tmPart); !got.Equal(want) {
+				t.Errorf("owner's clock reads start + %v, want start + %v: its own parts", got.Sub(start), want.Sub(start))
 			}
 			if res.Matches < parts*servicePartUnits {
 				t.Errorf("%d matches for %d objects drawn from the bucket itself", res.Matches, parts*servicePartUnits)
@@ -281,12 +281,12 @@ func TestLateHelperFindsNothing(t *testing.T) {
 	default:
 		t.Fatal("a split service left no wake-up behind")
 	}
-	claims, clk := owner.fj.claims.Load(), helper.cfg.Clock.Now()
+	claims, clk := owner.fj.claims.Load(), helper.cfg.clock().Now()
 	if ws[1].help(helper) {
 		t.Error("a helper woken after the service ended ran a part")
 	}
-	if charged(helper) != 0 || !helper.cfg.Clock.Now().Equal(clk) || owner.fj.claims.Load() != claims {
-		t.Errorf("late helper: charged %v, clock moved %v, claims %#x -> %#x", charged(helper), helper.cfg.Clock.Now().Sub(clk), claims, owner.fj.claims.Load())
+	if charged(helper) != 0 || !helper.cfg.clock().Now().Equal(clk) || owner.fj.claims.Load() != claims {
+		t.Errorf("late helper: charged %v, clock moved %v, claims %#x -> %#x", charged(helper), helper.cfg.clock().Now().Sub(clk), claims, owner.fj.claims.Load())
 	}
 
 	const services = 40
@@ -319,7 +319,7 @@ func TestLateHelperFindsNothing(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if got, want := charged(owner)+charged(helper)-before, owner.cfg.Disk.Model().Match(units); got != want {
+	if got, want := charged(owner)+charged(helper)-before, owner.cfg.Store.Disk().Model().Match(units); got != want {
 		t.Errorf("%d units over %d services: both arms charged %v, want %v", units, services, got, want)
 	}
 	if charged(helper) == 0 {
@@ -504,13 +504,13 @@ func BenchmarkServiceParts(b *testing.B) {
 			// One query that never completes (a sentinel unit), its 300
 			// units pushed back after every service.
 			job := hotJob(part, 1, 300)
-			now := owner.cfg.Clock.Now()
+			now := owner.cfg.clock().Now()
 			owner.admit(job, now)
 			qs := owner.queries[job.ID]
 			qs.remaining++
 			items := append([]item(nil), owner.queues[hotBucket].items...)
 			service := func() {
-				owner.serviceBucket(hotBucket, owner.cfg.Clock.Now())
+				owner.serviceBucket(hotBucket, owner.cfg.clock().Now())
 				qs.result.Pairs = qs.result.Pairs[:0]
 				for _, it := range items {
 					qs.remaining++

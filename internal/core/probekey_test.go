@@ -14,14 +14,15 @@ import (
 	"liferaft/internal/xmatch"
 )
 
-// probeMeter records what each index probe asked of the backend under it.
+// probeMeter records what each fill — every service here is an index
+// probe — read of the backend under it.
 type probeMeter struct {
 	bucket.Backend
 	bytes map[int]int64 // bucket -> bytes its probes read
 }
 
-func (m *probeMeter) ProbeRanges(i int, ranges []htm.Range) ([]catalog.Object, int64, error) {
-	objs, n, err := m.Backend.ProbeRanges(i, ranges)
+func (m *probeMeter) Fill(i int, r *bucket.Resident, keys []htm.Range, gather []catalog.Object) ([]catalog.Object, int64, error) {
+	objs, n, err := m.Backend.Fill(i, r, keys, gather)
 	m.bytes[i] += n
 	return objs, n, err
 }
@@ -43,13 +44,10 @@ func TestSweepingObjectReadsOnlyWhatItsCircleReaches(t *testing.T) {
 	clk := simclock.Real{}
 	d := disk.New(parityModel(), clk)
 	cfg := Config{
-		Store:              bucket.NewStore(part, d, true).WithBackend(meter),
-		Disk:               d,
-		Clock:              clk,
-		Policy:             PolicyLifeRaft,
-		Alpha:              0.5,
-		CacheBuckets:       20,
-		MaterializeResults: true,
+		Store:        bucket.NewStore(part, d, true).WithBackend(meter),
+		Policy:       PolicyLifeRaft,
+		Alpha:        0.5,
+		CacheBuckets: 20,
 	}
 	s, err := newScheduler(cfg)
 	if err != nil {

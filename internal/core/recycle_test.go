@@ -103,7 +103,7 @@ func TestRecycledBucketsMatchBruteForce(t *testing.T) {
 			d := disk.New(model, clk)
 			return Config{
 				Store: bucket.NewStore(part, d, true).WithBackend(segment.NewBackend(set, true)),
-				Disk:  d, Clock: clk, Alpha: 0.25, MaterializeResults: true,
+				Alpha: 0.25,
 			}
 		}},
 		{"sim", false, func() Config { cfg, _ := NewVirtual(part, 0.25, true); return cfg }},
@@ -236,7 +236,7 @@ func TestScanReadsGranulesOnce(t *testing.T) {
 	var want float64
 	check := func(what string, job Job, b int, have map[int]bool, miss bool) {
 		t.Helper()
-		seq, obs := s.cfg.Disk.Stats().SeqReads, reads.Count()
+		seq, obs := s.cfg.Store.Disk().Stats().SeqReads, reads.Count()
 		job.Trace = rec.Start("read-once", job.ID)
 		r := serve(t, s, job)
 		spans := 0
@@ -264,7 +264,7 @@ func TestScanReadsGranulesOnce(t *testing.T) {
 		if miss {
 			wantSeq++
 		}
-		if got := s.cfg.Disk.Stats().SeqReads; got != wantSeq {
+		if got := s.cfg.Store.Disk().Stats().SeqReads; got != wantSeq {
 			t.Errorf("%s: %d sequential reads accounted, want %d", what, got, wantSeq)
 		}
 	}
@@ -281,17 +281,65 @@ func TestScanReadsGranulesOnce(t *testing.T) {
 	// reach none of its IDs, so every key is empty.
 	far := stretchJob(part, 7, 20, 100, 130)
 	s.queries[far.ID] = &queryState{job: far, result: Result{QueryID: far.ID}, remaining: len(far.Objects)}
-	now := s.cfg.Clock.Now()
+	now := s.cfg.clock().Now()
 	for _, wo := range far.Objects {
 		s.pushItem(13, item{wo: wo, arrived: now, ageWeight: 1})
 	}
-	seq, obs, before := s.cfg.Disk.Stats().SeqReads, reads.Count(), bytes.Value()
+	seq, obs, before := s.cfg.Store.Disk().Stats().SeqReads, reads.Count(), bytes.Value()
 	if done, _ := s.step(now); len(done) != 1 || len(done[0].Pairs) != 0 {
 		t.Fatalf("the far queue's service completed %v, want q%d with no pairs", done, far.ID)
 	}
-	if s.stats.ScanServices != 7 || reads.Count() != obs || bytes.Value() != before || s.cfg.Disk.Stats().SeqReads != seq+1 {
+	if s.stats.ScanServices != 7 || reads.Count() != obs || bytes.Value() != before || s.cfg.Store.Disk().Stats().SeqReads != seq+1 {
 		t.Errorf("a scan miss whose keys select nothing: %d scan services (want 7), %d read observations and %.0f bytes (want none), %d sequential reads accounted (want 1)",
-			s.stats.ScanServices, reads.Count()-obs, bytes.Value()-before, s.cfg.Disk.Stats().SeqReads-seq)
+			s.stats.ScanServices, reads.Count()-obs, bytes.Value()-before, s.cfg.Store.Disk().Stats().SeqReads-seq)
+	}
+}
+
+// TestProbeKeepsNothing: on a segment store an index probe is a fill of a
+// Resident the store resets for every probe and no cache holds. It reads
+// the distinct granules its queue's keys select —
+// liferaft_store_read_bytes_total{kind="probe"} moves by their bytes, the
+// short last granule at its length — and the same probe again reads them
+// again. A Scan service of the bucket after the probes is still a miss,
+// accounted as one sequential read, that reads every granule its own keys
+// select, the probed ones among them.
+func TestProbeKeepsNothing(t *testing.T) {
+	part, dir := granuleFixture(t)
+	em := NewEngineMetrics(metric.NewRegistry())
+	s := fileScheduler(t, part, dir, 4, em)
+	defer s.cfg.Store.Close()
+	locals := allObjects(part)
+	probeBytes, scanBytes := em.readBytes.With("0", "probe"), em.readBytes.With("0", "scan")
+	misses := em.cacheMiss.With("0", "ram")
+	const b = 5
+	for id := uint64(1); id <= 2; id++ {
+		// Four units of a 400-object bucket: under the 3% threshold.
+		job := stretchJob(part, id, b, 100, 104)
+		before := probeBytes.Value()
+		r := serve(t, s, job)
+		if pairs := xmatch.BruteForce(locals, job.Objects, nil); len(pairs) == 0 || !samePairSet(r.Pairs, pairs) {
+			t.Errorf("probe %d: %d pairs, not the %d brute-force pairs", id, len(r.Pairs), len(pairs))
+		}
+		if s.stats.IndexServices != int64(id) || s.stats.ScanServices != 0 {
+			t.Fatalf("after probe %d: %d index and %d scan services; the fixture must probe", id, s.stats.IndexServices, s.stats.ScanServices)
+		}
+		want := selectGranules(part, b, job, make(map[int]bool))
+		if got := probeBytes.Value() - before; got != float64(want) || want == 0 {
+			t.Errorf("probe %d read %.0f bytes, want the %d bytes of the granules its keys select", id, got, want)
+		}
+	}
+	job := stretchJob(part, 3, b, 90, 130)
+	missed, seq := misses.Value(), s.cfg.Store.Disk().Stats().SeqReads
+	r := serve(t, s, job)
+	if pairs := xmatch.BruteForce(locals, job.Objects, nil); !samePairSet(r.Pairs, pairs) {
+		t.Errorf("scan: %d pairs, not the %d brute-force pairs", len(r.Pairs), len(pairs))
+	}
+	if s.stats.ScanServices != 1 || misses.Value() != missed+1 || s.cfg.Store.Disk().Stats().SeqReads != seq+1 {
+		t.Errorf("the scan after the probes: %d scan services, %.0f cache misses and %d sequential reads; want 1 each: the probed bucket is not resident",
+			s.stats.ScanServices, misses.Value()-missed, s.cfg.Store.Disk().Stats().SeqReads-seq)
+	}
+	if got, want := scanBytes.Value(), selectGranules(part, b, job, make(map[int]bool)); got != float64(want) {
+		t.Errorf("the scan read %.0f bytes, want all %d its keys select", got, want)
 	}
 }
 
@@ -324,7 +372,7 @@ func fileScheduler(t *testing.T, part *bucket.Partition, dir string, cached int,
 	d := disk.New(parityModel(), clk)
 	s, err := newScheduler(Config{
 		Store: bucket.NewStore(part, d, true).WithBackend(segment.NewBackend(set, true)),
-		Disk:  d, Clock: clk, Alpha: 0.25, CacheBuckets: cached, MaterializeResults: true, Metrics: em,
+		Alpha: 0.25, CacheBuckets: cached, Metrics: em,
 	})
 	if err != nil {
 		set.Close()

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"liferaft/internal/bucket"
 	"liferaft/internal/catalog"
 	"liferaft/internal/htm"
 	"liferaft/internal/xmatch"
@@ -14,27 +15,27 @@ import (
 // independently and strictly in arrival order, sharing no I/O with other
 // queries (§5: "NoShare, which evaluates each query independently (no I/O
 // is shared) and in arrival order"). Each query still gets the hybrid join
-// strategy for its own per-bucket workloads, but no bucket cache persists
-// across queries.
+// strategy for its own per-bucket workloads, keyed and read as the
+// engine's services are (Store.Scan, Store.Probe), but no bucket cache
+// persists across queries: a scanned bucket goes back to the store
+// (Store.Recycle) once joined.
 func RunNoShare(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunStats, error) {
-	cfg, err := cfg.withDefaults()
+	cfg, err := checkReplay(cfg, jobs, offsets)
 	if err != nil {
 		return nil, RunStats{}, err
 	}
-	if len(jobs) != len(offsets) {
-		return nil, RunStats{}, fmt.Errorf("core: %d jobs but %d offsets", len(jobs), len(offsets))
-	}
-	part := cfg.Store.Partition()
-	start := cfg.Clock.Now()
+	part, clk := cfg.Store.Partition(), cfg.clock()
+	start := clk.Now()
 	var results []Result
 	var stats RunStats
-	order := arrivalOrder(offsets)
-	for _, i := range order {
+	var keys []htm.Range
+	var gather []catalog.Object
+	for _, i := range arrivalOrder(offsets) {
 		job, arrive := jobs[i], start.Add(offsets[i])
 		// Queries are picked up in arrival order; idle until this one
 		// arrives if the previous ones finished early.
-		if now := cfg.Clock.Now(); arrive.After(now) {
-			cfg.Clock.Sleep(arrive.Sub(now))
+		if now := clk.Now(); arrive.After(now) {
+			clk.Sleep(arrive.Sub(now))
 		}
 		res := Result{QueryID: job.ID, Arrived: arrive}
 
@@ -52,34 +53,37 @@ func RunNoShare(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunS
 		}
 		for _, bi := range sortedKeys(byBucket) {
 			wos := byBucket[bi]
-			strategy := xmatch.ChooseStrategy(len(wos), part.Bucket(bi).Count(), cfg.HybridThreshold, false)
+			span := part.Bucket(bi).Span
+			keys = keys[:0]
+			for _, wo := range wos {
+				keys = append(keys, wo.RangeIn(span))
+			}
+			var r *bucket.Resident
 			var objs []catalog.Object
-			switch strategy {
-			case xmatch.Scan:
-				objs, _ = cfg.Store.ReadBucket(bi)
+			if xmatch.ChooseStrategy(len(wos), part.Bucket(bi).Count(), cfg.HybridThreshold, false) == xmatch.Scan {
+				r, objs, _ = cfg.Store.Scan(bi, nil, keys, &gather)
 				stats.ScanServices++
-			case xmatch.Index:
-				ranges := make([]htm.Range, len(wos))
-				for k, wo := range wos {
-					ranges[k] = wo.Range()
-				}
-				objs, _ = cfg.Store.ProbeRanges(bi, ranges)
+			} else {
+				objs, _ = cfg.Store.Probe(bi, keys, &gather)
 				stats.IndexServices++
 			}
-			cfg.Disk.MatchObjects(len(wos))
+			cfg.Store.Disk().MatchObjects(len(wos))
 			stats.BucketsServed++
-			if cfg.MaterializeResults {
+			if cfg.Store.Materializing() {
 				pairs := xmatch.MergeJoin(objs, wos, preds)
 				res.Pairs = append(res.Pairs, pairs...)
 				res.Matches += len(pairs)
 			}
+			if r != nil {
+				cfg.Store.Recycle(r)
+			}
 		}
-		res.Completed = cfg.Clock.Now()
+		res.Completed = clk.Now()
 		results = append(results, res)
 	}
 	stats.Completed = len(results)
-	stats.Makespan = cfg.Clock.Now().Sub(start)
-	stats.Disk = cfg.Disk.Stats()
+	stats.Makespan = clk.Now().Sub(start)
+	stats.Disk = cfg.Store.Disk().Stats()
 	return results, stats, nil
 }
 
@@ -89,27 +93,24 @@ func RunNoShare(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunS
 // hybrid join gets — in arrival order, with no scans and no batching. The
 // paper reports this is ~7x slower than even NoShare.
 func RunIndexOnly(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunStats, error) {
-	cfg, err := cfg.withDefaults()
+	cfg, err := checkReplay(cfg, jobs, offsets)
 	if err != nil {
 		return nil, RunStats{}, err
 	}
-	if len(jobs) != len(offsets) {
-		return nil, RunStats{}, fmt.Errorf("core: %d jobs but %d offsets", len(jobs), len(offsets))
-	}
-	part := cfg.Store.Partition()
-	start := cfg.Clock.Now()
+	part, clk, d := cfg.Store.Partition(), cfg.clock(), cfg.Store.Disk()
+	start := clk.Now()
 	var results []Result
 	var stats RunStats
 	for _, i := range arrivalOrder(offsets) {
 		job, arrive := jobs[i], start.Add(offsets[i])
-		if now := cfg.Clock.Now(); arrive.After(now) {
-			cfg.Clock.Sleep(arrive.Sub(now))
+		if now := clk.Now(); arrive.After(now) {
+			clk.Sleep(arrive.Sub(now))
 		}
 		res := Result{QueryID: job.ID, Arrived: arrive, Assignments: len(job.Objects)}
 		const pagesPerProbe = 1
-		cfg.Disk.ReadRandom(pagesPerProbe * len(job.Objects))
-		cfg.Disk.MatchObjects(len(job.Objects))
-		if cfg.MaterializeResults {
+		d.ReadRandom(pagesPerProbe * len(job.Objects))
+		d.MatchObjects(len(job.Objects))
+		if cfg.Store.Materializing() {
 			var preds map[uint64]xmatch.Predicate
 			if job.Pred != nil {
 				preds = map[uint64]xmatch.Predicate{job.ID: job.Pred}
@@ -126,13 +127,28 @@ func RunIndexOnly(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, Ru
 				res.Matches += len(pairs)
 			}
 		}
-		res.Completed = cfg.Clock.Now()
+		res.Completed = clk.Now()
 		results = append(results, res)
 	}
 	stats.Completed = len(results)
-	stats.Makespan = cfg.Clock.Now().Sub(start)
-	stats.Disk = cfg.Disk.Stats()
+	stats.Makespan = clk.Now().Sub(start)
+	stats.Disk = d.Stats()
 	return results, stats, nil
+}
+
+// checkReplay is the argument check of every trace driver (Run, RunNoShare,
+// RunIndexOnly): one offset per job, none negative — a query cannot arrive
+// before the run starts. It returns cfg with its defaults filled in.
+func checkReplay(cfg Config, jobs []Job, offsets []time.Duration) (Config, error) {
+	if len(jobs) != len(offsets) {
+		return cfg, fmt.Errorf("core: %d jobs but %d offsets", len(jobs), len(offsets))
+	}
+	for i, off := range offsets {
+		if off < 0 {
+			return cfg, fmt.Errorf("core: negative offset for job %d", i)
+		}
+	}
+	return cfg.withDefaults()
 }
 
 // arrivalOrder returns job indices sorted by offset (stable).

@@ -12,7 +12,6 @@ import (
 	"liferaft/internal/catalog"
 	"liferaft/internal/disk"
 	"liferaft/internal/htm"
-	"liferaft/internal/simclock"
 	"liferaft/internal/trace"
 	"liferaft/internal/xmatch"
 )
@@ -134,9 +133,9 @@ type scheduler struct {
 	bisBuf       []int
 	scoredBuf    []scored
 	qPool        queuePool
-	// gatherBuf holds what a file-backed Scan service joins: the objects
-	// of the granules its queue selects (bucket.Store.Scan). Helper parts
-	// read it only until fj.finish.
+	// gatherBuf holds what a file-backed service joins: the objects of
+	// the granules its queue selects (bucket.Store.Scan and Probe).
+	// Helper parts read it only until fj.finish.
 	gatherBuf []catalog.Object
 	// qsPool holds the state of queries that completed here, for admit to
 	// reuse with its buckets list.
@@ -186,7 +185,7 @@ func newScheduler(cfg Config) (*scheduler, error) {
 	if part.NumBuckets() == 0 {
 		return nil, fmt.Errorf("core: partition has no buckets")
 	}
-	tb, tm := cfg.Disk.Model().Calibrate(part.BucketBytes(0))
+	tb, tm := cfg.Store.Disk().Model().Calibrate(part.BucketBytes(0))
 	s := &scheduler{
 		cfg:     cfg,
 		cache:   cache.NewLRU[int, *bucket.Resident](cfg.CacheBuckets),
@@ -197,7 +196,7 @@ func newScheduler(cfg Config) (*scheduler, error) {
 		tbSec:   tb.Seconds(),
 		tmSec:   tm.Seconds(),
 	}
-	s.fj.preds, s.fj.materialize = s.preds, cfg.MaterializeResults
+	s.fj.preds, s.fj.materialize = s.preds, cfg.Store.Materializing()
 	// An evicted bucket — array and residency set — goes back to the
 	// store: the cache held its one view, and the store overwrites it no
 	// earlier than this shard's next Scan miss, which follows the current
@@ -413,7 +412,7 @@ func (s *scheduler) maybeSpill() {
 		victim.spilled = true
 		s.memObjects -= len(victim.items)
 		s.stats.SpilledObjects += int64(len(victim.items))
-		s.cfg.Disk.ReadSequential(int64(len(victim.items)) * spillObjectBytes) // write cost ≈ read cost
+		s.cfg.Store.Disk().ReadSequential(int64(len(victim.items)) * spillObjectBytes) // write cost ≈ read cost
 	}
 }
 
@@ -678,7 +677,7 @@ func (s *scheduler) observeLedger() {
 	if s.obs == nil {
 		return
 	}
-	led := s.cfg.Disk.Ledger()
+	led := s.cfg.Store.Disk().Ledger()
 	s.obs.modelCharged.Add((led.Charged - s.lastLedger.Charged).Seconds())
 	s.obs.modelSlept.Add((led.Slept - s.lastLedger.Slept).Seconds())
 	s.obs.modelCredited.Add((led.Credited - s.lastLedger.Credited).Seconds())
@@ -717,7 +716,7 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 	if q.spilled {
 		// Fetch the spilled queue back from disk.
 		s.stats.SpillFetches++
-		s.cfg.Disk.ReadSequential(int64(len(items)) * spillObjectBytes)
+		s.cfg.Store.Disk().ReadSequential(int64(len(items)) * spillObjectBytes)
 	} else {
 		s.memObjects -= len(items)
 	}
@@ -757,7 +756,7 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 	var readT0, readT1 time.Time
 	var readKind string
 	if traced {
-		readT0 = s.cfg.Clock.Now()
+		readT0 = s.cfg.clock().Now()
 	}
 	switch strategy {
 	case xmatch.Scan:
@@ -767,7 +766,7 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 		res, objs, read = s.cfg.Store.Scan(idx, res, ranges, &s.gatherBuf)
 		s.cacheBytes += read
 		if traced && (!inMem || read > 0) {
-			readT1, readKind = s.cfg.Clock.Now(), "scan"
+			readT1, readKind = s.cfg.clock().Now(), "scan"
 		}
 		if !inMem {
 			s.cache.Put(idx, res)
@@ -777,10 +776,11 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 			s.obs.scanSvc.Inc()
 		}
 	case xmatch.Index:
-		// One probe per queued object.
-		objs, _ = s.cfg.Store.ProbeRanges(idx, ranges)
+		// One probe per queued object: the scan's read, into nothing the
+		// cache keeps.
+		objs, _ = s.cfg.Store.Probe(idx, ranges, &s.gatherBuf)
 		if traced {
-			readT1, readKind = s.cfg.Clock.Now(), "probe"
+			readT1, readKind = s.cfg.clock().Now(), "probe"
 		}
 		s.stats.IndexServices++
 		if s.obs != nil {
@@ -814,20 +814,16 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 			n = (count + servicePartUnits - 1) / servicePartUnits
 		}
 	}
-	fj.objs, fj.wos, fj.strategy, fj.start = objs, wos, strategy, s.cfg.Clock.Now()
+	fj.objs, fj.wos, fj.strategy = objs, wos, strategy
 	fj.begin(n)
 	s.offer(n - 1)
 	for i, mine := 0, true; mine; i, mine = fj.claim() {
-		fj.run(i, s.cfg.Clock, s.cfg.Disk)
+		fj.run(i, s.cfg.clock(), s.cfg.Store.Disk())
 		if s.obs != nil {
 			s.obs.partsOwn.Inc()
 		}
 	}
-	// The service ends with its last part. On a virtual clock that part may
-	// have run on a sibling's clock, ahead of this one: catch up, so no
-	// query completes before work done for it.
 	end := fj.finish(n)
-	simclock.Join(s.cfg.Clock, end)
 	// A part's pairs are its Joiner's buffer: each pair is copied to its
 	// query — into this shard's region of the query's pair array, where the
 	// front end carved one — before the next service reuses it. Runs of one
@@ -895,7 +891,7 @@ func (s *scheduler) finalize(makespan time.Duration, completed int) RunStats {
 	st := s.stats
 	st.Completed = completed
 	st.Makespan = makespan
-	st.Disk = s.cfg.Disk.Stats()
+	st.Disk = s.cfg.Store.Disk().Stats()
 	st.Cache = s.cache.Stats()
 	return st
 }

@@ -32,13 +32,9 @@ import (
 // moves it up to its own clock after each step. On the real clock the
 // shard workers genuinely run in parallel.
 func Run(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunStats, error) {
-	if len(jobs) != len(offsets) {
-		return nil, RunStats{}, fmt.Errorf("core: %d jobs but %d offsets", len(jobs), len(offsets))
-	}
-	for i, off := range offsets {
-		if off < 0 {
-			return nil, RunStats{}, fmt.Errorf("core: negative offset for job %d", i)
-		}
+	cfg, err := checkReplay(cfg, jobs, offsets)
+	if err != nil {
+		return nil, RunStats{}, err
 	}
 	l, scheds, err := newLive(cfg)
 	if err != nil {
@@ -104,9 +100,7 @@ func forkConfigs(cfg Config, m *shard.Map) ([]Config, error) {
 		s := s
 		sc := cfg
 		sc.Shards = 1
-		sc.Clock = simclock.Fork(cfg.Clock)
-		sc.Disk = cfg.Disk.Fork(sc.Clock)
-		st, err := cfg.Store.Fork(sc.Disk)
+		st, err := cfg.Store.Fork(cfg.Store.Disk().Fork(simclock.Fork(cfg.clock())))
 		if err != nil {
 			closeForked(shardCfgs[:s])
 			return nil, fmt.Errorf("core: forking store for shard %d: %w", s, err)

@@ -72,7 +72,7 @@ func runEngine(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunSt
 	if err != nil {
 		return nil, RunStats{}, err
 	}
-	start := cfg.Clock.Now()
+	start := cfg.clock().Now()
 	var events simclock.EventQueue[Job]
 	for i, j := range jobs {
 		if offsets[i] < 0 {
@@ -83,7 +83,7 @@ func runEngine(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunSt
 
 	var results []Result
 	for {
-		now := cfg.Clock.Now()
+		now := cfg.clock().Now()
 		for _, ev := range events.PopUntil(now) {
 			if r := s.admit(ev.Value, ev.At); r != nil {
 				results = append(results, *r)
@@ -95,7 +95,7 @@ func runEngine(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunSt
 				break // drained
 			}
 			// Idle until the next arrival.
-			cfg.Clock.Sleep(at.Sub(now))
+			cfg.clock().Sleep(at.Sub(now))
 			continue
 		}
 		// step's slice aliases scheduler scratch (valid until the next
@@ -103,7 +103,7 @@ func runEngine(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunSt
 		done, _ := s.step(now)
 		results = append(results, done...)
 	}
-	return results, s.finalize(cfg.Clock.Now().Sub(start), len(results)), nil
+	return results, s.finalize(cfg.clock().Now().Sub(start), len(results)), nil
 }
 
 func shardCfg(part *bucket.Partition, shards int, materialize bool) Config {
@@ -251,7 +251,7 @@ func TestShardedConservation(t *testing.T) {
 			t.Fatalf("k=%d: makespan %v is not the slowest shard's %v",
 				k, stats.Makespan, makespan)
 		}
-		if end := cfg.Clock.Now().Sub(simclock.Epoch); end != stats.Makespan {
+		if end := cfg.clock().Now().Sub(simclock.Epoch); end != stats.Makespan {
 			t.Fatalf("k=%d: the run's clock ends %v after its start, makespan %v", k, end, stats.Makespan)
 		}
 		// The same total work was done; only its distribution moved.
@@ -405,7 +405,7 @@ func TestShardedPairsMatchLegacy(t *testing.T) {
 func TestLiveShardedClockAdvances(t *testing.T) {
 	part, jobs := shardFixture(t)
 	cfg := shardCfg(part, 2, false)
-	start := cfg.Clock.Now()
+	start := cfg.clock().Now()
 	l, err := NewLive(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -417,7 +417,7 @@ func TestLiveShardedClockAdvances(t *testing.T) {
 		}
 		<-ch
 	}
-	if !cfg.Clock.Now().After(start) {
+	if !cfg.clock().Now().After(start) {
 		t.Error("parent clock frozen during sharded live run")
 	}
 	if err := l.Close(); err != nil {

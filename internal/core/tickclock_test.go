@@ -185,16 +185,16 @@ func TestServiceCreditsJoinTimeAgainstItsCharge(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, j := range jobs[:8] {
-			s.admit(j, s.cfg.Clock.Now())
+			s.admit(j, s.cfg.clock().Now())
 		}
 		matches := 0
 		for s.pendingWork() {
-			done, _ := s.step(s.cfg.Clock.Now())
+			done, _ := s.step(s.cfg.clock().Now())
 			for _, r := range done {
 				matches += r.Matches
 			}
 		}
-		l := s.cfg.Disk.Ledger()
+		l := s.cfg.Store.Disk().Ledger()
 		want := time.Duration(0)
 		if materialize {
 			// One reading before the join and one after it (each service

@@ -204,6 +204,9 @@ func New(model Model, clock simclock.Clock) *Disk {
 // Model returns the disk's cost model.
 func (d *Disk) Model() Model { return d.model }
 
+// Clock returns the clock the disk charges its costs to.
+func (d *Disk) Clock() simclock.Clock { return d.clock }
+
 // Fork returns a new Disk with the same cost model charging to clk, with
 // fresh statistics. The sharded engine forks one disk per shard from the
 // configured template so each shard models an independent disk arm, with

@@ -121,9 +121,8 @@ type NodeConfig struct {
 	Catalog *catalog.Catalog
 	// ObjectsPerBucket partitions the archive (paper: 10,000).
 	ObjectsPerBucket int
-	// Engine configures the node's LifeRaft engine. Store/Disk/Clock
-	// fields are constructed by NewNode and must be nil; set policy
-	// knobs (Alpha, CacheBuckets, ...) only.
+	// Alpha and CacheBuckets are the policy knobs of the node's LifeRaft
+	// engine; NewNode builds its store, disk and clock.
 	Alpha        float64
 	CacheBuckets int
 	// Shards runs the node's engine across K independent disk/worker
@@ -145,7 +144,7 @@ type NodeConfig struct {
 	// segment store under it (built beforehand; see segment.Ensure and
 	// skygen -write-segments) instead of the analytic disk model. The
 	// engine then does real I/O on the real clock, so Clock must be nil
-	// or the real clock (the engine rejects a virtual one).
+	// or the real clock: NewNode refuses a virtual one.
 	DataDir string
 	// ObjectBytes is the on-disk size per object for the node's
 	// partition (0 = the paper's 4 KiB). A file-backed node's segment
@@ -199,15 +198,14 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	var ecfg core.Config
 	if cfg.DataDir == "" {
 		ecfg = core.NewOn(part, cfg.Alpha, true, clk)
+	} else if _, virtual := clk.(*simclock.Virtual); virtual {
+		return nil, fmt.Errorf("federation: a DataDir node does real I/O and must run on the real clock, not a virtual one")
 	} else if ecfg, err = core.NewFileBacked(part, cfg.Alpha, true, cfg.DataDir); err != nil {
 		return nil, err
 	}
 	if cfg.CacheBuckets > 0 {
 		ecfg.CacheBuckets = cfg.CacheBuckets
 	}
-	// The node runs on the clock it was given; core.NewLive rejects a
-	// file-backed store (real I/O) on a virtual one.
-	ecfg.Clock = clk
 	ecfg.Shards = cfg.Shards
 	ecfg.Metrics = cfg.Metrics
 	eng, err := core.NewLive(ecfg)

@@ -1,28 +1,29 @@
 package segment
 
 import (
-	"math"
-
 	"liferaft/internal/bucket"
 	"liferaft/internal/catalog"
 	"liferaft/internal/htm"
 )
 
-// FileBackend adapts a Set to the bucket.Backend interface: a Scan
-// service becomes preads of just the granules its queue's keys select
-// that the cached bucket lacks, each checked against its fence CRC, and
-// index probes become preads of just the granules the probed ID ranges
-// overlap. In cost-only mode (the configuration scheduling experiments
-// use) reads move and check the same bytes — that is the point — but skip
-// decoding.
+// FileBackend adapts a Set to the bucket.Backend interface: a fill — a
+// Scan service, or an index probe into a Resident the store does not
+// keep — becomes preads of just the granules its queue's keys select that
+// the Resident lacks, each checked against its fence CRC. In cost-only
+// mode (the configuration scheduling experiments use) a fill moves and
+// checks the same bytes — that is the point — but skips decoding.
 //
-// A FileBackend serves one scheduling goroutine: probes and fills read
-// through scratch the backend owns, and a fill decodes into the
-// bucket.Resident it is handed. Shards each Fork their own.
+// A FileBackend serves one scheduling goroutine: fills read through
+// scratch the backend owns, and decode into the bucket.Resident they are
+// handed. Shards each Fork their own.
 type FileBackend struct {
 	set         *Set
 	materialize bool
-	scratch     probeScratch
+	scratch     fillScratch
+	// probe and probed are Probe's: the Resident it fills and the
+	// objects it gathers, both reused by its next call.
+	probe  bucket.Resident
+	probed []catalog.Object
 }
 
 // NewBackend wraps an opened Set. materialize must match the Store the
@@ -35,14 +36,11 @@ func NewBackend(set *Set, materialize bool) *FileBackend {
 // Set returns the underlying segment set.
 func (b *FileBackend) Set() *Set { return b.set }
 
-// ReadBucket implements bucket.Backend: a pread of the bucket's full data
-// region, verified against the bucket's checksum, decoded into a new
-// array.
+// ReadBucket is a pread of bucket i's full data region, verified against
+// the bucket's checksum and decoded into a new array. It is not part of
+// bucket.Backend — the engine reads through Fill — and only the
+// benchmark's segment.read_bucket kernel calls it.
 func (b *FileBackend) ReadBucket(i int) ([]catalog.Object, int64, error) {
-	if !b.materialize {
-		_, n, err := b.set.ReadBucketRaw(i)
-		return nil, n, err
-	}
 	return b.set.ReadBucket(i)
 }
 
@@ -51,31 +49,27 @@ func (b *FileBackend) Fill(i int, r *bucket.Resident, keys []htm.Range, gather [
 	return b.set.fill(&b.scratch, i, r, keys, gather, b.materialize)
 }
 
-// ProbeRanges implements bucket.Backend. A materializing probe reads,
-// verifies and decodes the granules that ranges overlap, into a buffer
-// that is valid until the next probe; a cost-only probe reads just the
-// len(ranges) head pages an index pass would touch. Either way the
-// caller accounts len(ranges) probes, not a scan.
-func (b *FileBackend) ProbeRanges(i int, ranges []htm.Range) ([]catalog.Object, int64, error) {
-	if !b.materialize {
-		read, err := b.set.ReadPages(i, len(ranges))
-		return nil, read, err
+// Probe is an index probe for a caller that does not know its keys: a
+// fill of every granule of bucket i into a Resident no cache keeps, so it
+// reads, verifies and decodes the whole bucket. The objects are valid
+// until the next Probe. It is not part of bucket.Backend; the benchmark's
+// segment.probe_* kernels call it, and therefore keep reading the whole
+// ≈2 000 KB bucket until a benchmark issue re-points them at recorded
+// keys.
+func (b *FileBackend) Probe(i, _ int) ([]catalog.Object, int64, error) {
+	b.probe.Have = b.probe.Have[:0]
+	objs, n, err := b.Fill(i, &b.probe, everyID, b.probed[:0])
+	if objs != nil {
+		b.probed = objs
 	}
-	return b.set.probeRanges(&b.scratch, i, ranges)
+	return objs, n, err
 }
 
-// Probe is ProbeRanges for a caller that does not know its keys: it
-// probes bucket i over the whole ID span, so it reads, verifies and
-// decodes every granule. It is not part of bucket.Backend; the
-// benchmark's segment.probe_* kernels call it, and therefore keep
-// reading the whole ≈2 000 KB bucket until a benchmark issue re-points
-// them at ProbeRanges with recorded ranges.
-func (b *FileBackend) Probe(i, _ int) ([]catalog.Object, int64, error) {
-	return b.ProbeRanges(i, []htm.Range{{Start: 0, End: math.MaxUint64}})
-}
+// everyID is the key of a probe that does not know its keys.
+var everyID = []htm.Range{{Start: 0, End: ^htm.ID(0)}}
 
 // Fork implements bucket.Backend: an independent Set over the same
-// directory, with its own file descriptors and probe scratch.
+// directory, with its own file descriptors and fill scratch.
 func (b *FileBackend) Fork() (bucket.Backend, error) {
 	set, err := b.set.Reopen()
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"liferaft/internal/bucket"
 	"liferaft/internal/catalog"
 	"liferaft/internal/htm"
 )
@@ -156,33 +157,31 @@ func FuzzSegmentIndex(f *testing.F) {
 		}
 		sf := s.segs[0]
 		for i := range sf.entries {
-			raw, _, err := s.ReadBucketRaw(i)
+			raw, err := s.readBucket(i, nil)
 			if err == nil {
 				if sum := crc32.Checksum(raw, castagnoli); sum != sf.entries[i].crc {
 					t.Fatalf("bucket %d served bytes whose checksum %#x differs from its index entry %#x", i, sum, sf.entries[i].crc)
 				}
 			}
-			if _, _, err := s.ReadBucket(i); err != nil {
-				continue
-			}
-			if _, err := s.ReadPages(i, 1); err != nil {
-				t.Fatalf("bucket %d: scan succeeded but probe pread failed: %v", i, err)
+			if objs, n, err := s.ReadBucket(i); err == nil && int64(len(objs))*RecordBytes > n {
+				t.Fatalf("bucket %d: %d objects decoded from %d bytes", i, len(objs), n)
 			}
 		}
 	})
 }
 
-// everyID is the probe of a caller that does not know its keys.
-var everyID = []htm.Range{{Start: 0, End: math.MaxUint64}}
-
-// FuzzSegmentFence forges the parts of a file the probe path trusts: the
-// fence table's bytes, and one index entry's fence offset, fence count,
-// data offset and length. The checksums over the forged regions are
+// FuzzSegmentFence forges the parts of a file a fill trusts: the fence
+// table's bytes, and one index entry's fence offset, fence count, data
+// offset and length. The checksums over the forged regions are
 // recomputed, so the forgeries reach the structural checks behind them
-// rather than dying on a CRC. openSegFile must refuse or the probes must
-// hold their contract — never a panic, never an allocation past the file
-// size (a forged count sizes the fence table), and every object a probe
-// returns comes from a granule whose bytes match its fence.
+// rather than dying on a CRC. openSegFile must refuse or fills must hold
+// their contract — never a panic, never an allocation past the file size
+// (a forged count sizes the fence table). Each bucket is filled twice, as
+// a probe and then a scan of the same Resident would: first fresh, with
+// keys that select a few granules, then with every ID over what the first
+// left resident. Neither reads past the region, neither gathers more
+// objects than the bytes resident hold, and the second reads exactly the
+// granules the first did not.
 func FuzzSegmentFence(f *testing.F) {
 	base := buildSegImage(RecordBytes, [][]byte{fuzzBucketPayload(1, 200), nil, fuzzBucketPayload(7, 90)})
 	fenceAt := BlockSize + int(alignUp(3*indexEntryBytes))
@@ -195,7 +194,7 @@ func FuzzSegmentFence(f *testing.F) {
 	f.Add(uint16(0), uint64(0), []byte{}, uint8(0), uint32(0), uint32(0), uint64(1<<40), uint64(0))                         // data far outside the file
 	f.Add(uint16(0), uint64(0), make([]byte, 5000), uint8(1), uint32(0), uint32(0), uint64(0), uint64(4800))                // bytes for a bucket with no fences
 	f.Add(uint16(0), uint64(0), make([]byte, 5000), uint8(2), uint32(0), uint32(1), uint64(0), uint64(90*RecordBytes^4800)) // ... and with too many
-	f.Fuzz(func(t *testing.T, fenceByte uint16, fenceXor uint64, tail []byte, bucket uint8, fenceOff, fences uint32, offset, length uint64) {
+	f.Fuzz(func(t *testing.T, fenceByte uint16, fenceXor uint64, tail []byte, forged uint8, fenceOff, fences uint32, offset, length uint64) {
 		if len(tail) > 1<<16 {
 			return
 		}
@@ -206,7 +205,7 @@ func FuzzSegmentFence(f *testing.F) {
 		if at := fenceAt + int(fenceByte)%BlockSize&^7; at+8 <= len(img) {
 			le.PutUint64(img[at:], le.Uint64(img[at:])^fenceXor)
 		}
-		entry := img[BlockSize+int(bucket)%3*indexEntryBytes:]
+		entry := img[BlockSize+int(forged)%3*indexEntryBytes:]
 		e := getIndexEntry(entry)
 		e.fenceOff, e.fences, e.offset, e.length = e.fenceOff^fenceOff, e.fences^fences, e.offset^offset, e.length^length
 		putIndexEntry(entry, e)
@@ -222,16 +221,29 @@ func FuzzSegmentFence(f *testing.F) {
 		if len(sf.fences)*fenceEntryBytes > len(img) {
 			t.Fatalf("fence table of %d entries loaded from a %d-byte file", len(sf.fences), len(img))
 		}
-		var sc probeScratch
+		var sc fillScratch
+		gb := granuleBytes(RecordBytes)
 		for i, e := range sf.entries {
-			for _, ranges := range [][]htm.Range{everyID, {{Start: 3, End: 3}, {Start: 1 << 40, End: 1 << 41}}} {
-				objs, read, err := s.probeRanges(&sc, i, ranges)
-				if err != nil {
-					continue
+			var r bucket.Resident
+			first, read1, err := s.fill(&sc, i, &r, []htm.Range{{Start: 3, End: 3}, {Start: 1 << 40, End: 1 << 41}}, nil, true)
+			if err != nil {
+				continue
+			}
+			var held int64
+			for g := 0; int64(g)*gb < int64(e.length); g++ {
+				if r.Holds(g) {
+					held += min(gb, int64(e.length)-int64(g)*gb)
 				}
-				if read > int64(e.length) || int64(len(objs))*RecordBytes > read {
-					t.Fatalf("bucket %d probe returned %d objects from %d bytes of a %d-byte region", i, len(objs), read, e.length)
-				}
+			}
+			if read1 != held || read1 > int64(e.length) || int64(len(first))*RecordBytes > read1 {
+				t.Fatalf("bucket %d fresh fill: %d objects from %d bytes read, %d bytes of granules resident, a %d-byte region", i, len(first), read1, held, e.length)
+			}
+			second, read2, err := s.fill(&sc, i, &r, everyID, nil, true)
+			if err != nil {
+				continue
+			}
+			if read2 != int64(e.length)-held || int64(len(second))*RecordBytes > read1+read2 {
+				t.Fatalf("bucket %d fill over %d resident bytes: %d objects from %d more bytes of a %d-byte region", i, held, len(second), read2, e.length)
 			}
 		}
 	})

@@ -16,13 +16,11 @@ import (
 // contiguous read.
 type granuleRun struct{ lo, hi int }
 
-// probeScratch is the reusable state of one backend's probes. The
-// objects a probe returns live in objs, so they are valid until that
-// backend's next probe.
-type probeScratch struct {
+// fillScratch is the reusable state of one backend's fills: the granule
+// runs a fill selects and the raw bytes of the run it reads.
+type fillScratch struct {
 	runs []granuleRun
 	raw  []byte
-	objs []catalog.Object
 }
 
 // appendGranuleRuns appends to dst the granules of a bucket that may
@@ -94,7 +92,7 @@ func (s *Set) bucketData(i int) (bucketData, error) {
 // checks each against its fence CRC before, when decode is set, it
 // decodes the granule's records onto objs. A mismatch is an error, never
 // a shorter result. It returns objs and the data bytes read.
-func (b bucketData) readRun(sc *probeScratch, run granuleRun, objs []catalog.Object, decode bool) ([]catalog.Object, int64, error) {
+func (b bucketData) readRun(sc *fillScratch, run granuleRun, objs []catalog.Object, decode bool) ([]catalog.Object, int64, error) {
 	gb := granuleBytes(b.stride)
 	lo := int64(run.lo) * gb
 	hi := min(int64(run.hi+1)*gb, int64(b.e.length))
@@ -116,38 +114,13 @@ func (b bucketData) readRun(sc *probeScratch, run granuleRun, objs []catalog.Obj
 	return objs, hi - lo, nil
 }
 
-// probeRanges returns, in HTM-curve order, the objects of every granule
-// of bucket i that may hold an ID in any of ranges — a superset of the
-// bucket's objects in those ranges — and the number of data bytes it
-// read. Each run of granules is one pread of the segment file; every
-// granule returned was verified against its fence CRC. The objects live
-// in sc and are valid until sc's next probe.
-func (s *Set) probeRanges(sc *probeScratch, i int, ranges []htm.Range) ([]catalog.Object, int64, error) {
-	b, err := s.bucketData(i)
-	if err != nil {
-		return nil, 0, err
-	}
-	sc.runs = appendGranuleRuns(sc.runs[:0], b.fences, ranges)
-	objs := sc.objs[:0]
-	var read int64
-	for _, run := range sc.runs {
-		var n int64
-		if objs, n, err = b.readRun(sc, run, objs, true); err != nil {
-			return nil, 0, err
-		}
-		read += n
-	}
-	sc.objs = objs
-	return objs, read, nil
-}
-
-// fill is bucket.Backend.Fill over sc's scratch: each run of selected
-// granules r lacks is one pread through readRun, decoding (when decode is
-// set) straight into the granules' slots of r.Objs. Only granules that
-// passed their check are marked resident, and only marked granules are
-// gathered, so no slot a recycled array still holds for another bucket is
-// ever joined.
-func (s *Set) fill(sc *probeScratch, i int, r *bucket.Resident, ranges []htm.Range, gather []catalog.Object, decode bool) ([]catalog.Object, int64, error) {
+// fill is bucket.Backend.Fill over sc's scratch, the one read of a scan
+// and of an index probe: each run of selected granules r lacks is one
+// pread through readRun, decoding (when decode is set) straight into the
+// granules' slots of r.Objs. Only granules that passed their check are
+// marked resident, and only marked granules are gathered, so no slot a
+// recycled array still holds for another bucket is ever joined.
+func (s *Set) fill(sc *fillScratch, i int, r *bucket.Resident, ranges []htm.Range, gather []catalog.Object, decode bool) ([]catalog.Object, int64, error) {
 	b, err := s.bucketData(i)
 	if err != nil {
 		return nil, 0, err

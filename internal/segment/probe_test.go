@@ -49,7 +49,50 @@ func rawRanges(ranges []htm.Range) string {
 	return b.String()
 }
 
-// checkProbe asserts the ProbeRanges contract for one result: got is a
+// prober fills as bucket.Store.Probe does, for the tests that drive a Set
+// with no partition behind it: each probe resets the Resident first, so it
+// reads every granule its ranges select and keeps none of them.
+type prober struct {
+	sc     fillScratch
+	r      bucket.Resident
+	gather []catalog.Object
+}
+
+func (p *prober) probe(s *Set, i int, ranges []htm.Range) ([]catalog.Object, int64, error) {
+	p.r.Have = p.r.Have[:0]
+	objs, n, err := s.fill(&p.sc, i, &p.r, ranges, p.gather[:0], true)
+	if objs != nil {
+		p.gather = objs
+	}
+	return objs, n, err
+}
+
+// probeStore is a materializing store over the segment set in dir on the
+// real clock, probing the way the engine does.
+func probeStore(t *testing.T, part *bucket.Partition, dir string) *bucket.Store {
+	t.Helper()
+	set, err := OpenSet(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := bucket.NewStore(part, disk.New(disk.SkyQuery(), simclock.Real{}), true).WithBackend(NewBackend(set, true))
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+// failStop runs read and returns the message the store's fail-stop
+// panicked with, "" if it did not.
+func failStop(read func()) (msg string) {
+	defer func() {
+		if err := recover(); err != nil {
+			msg = fmt.Sprint(err)
+		}
+	}()
+	read()
+	return ""
+}
+
+// checkProbe asserts a probe's contract for one result: got is a
 // subsequence of the bucket (so still in HTM-curve order) holding every
 // object whose ID lies in any range.
 func checkProbe(t *testing.T, what string, whole, got []catalog.Object, ranges []htm.Range) {
@@ -116,7 +159,7 @@ func TestFenceGranuleEdges(t *testing.T) {
 					ids = append(ids, o.HTMID-1, o.HTMID, o.HTMID+1)
 				}
 			}
-			var sc probeScratch
+			var p prober
 			regionBytes := int64(len(objs) * tc.stride)
 			for _, lo := range ids {
 				for _, hi := range ids {
@@ -124,7 +167,7 @@ func TestFenceGranuleEdges(t *testing.T) {
 						continue
 					}
 					ranges := []htm.Range{{Start: lo, End: hi}}
-					got, read, err := set.probeRanges(&sc, 2, ranges)
+					got, read, err := p.probe(set, 2, ranges)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -139,7 +182,7 @@ func TestFenceGranuleEdges(t *testing.T) {
 					}
 				}
 			}
-			if got, read, err := set.probeRanges(&sc, 0, everyID); err != nil || len(got) != 0 || read != 0 {
+			if got, read, err := p.probe(set, 0, everyID); err != nil || len(got) != 0 || read != 0 {
 				t.Fatalf("probe of an empty bucket = %d objects, %d bytes, %v", len(got), read, err)
 			}
 			// The scan path over the same hand-built image agrees.
@@ -233,18 +276,14 @@ func queueRanges(queue []xmatch.WorkloadObject) []htm.Range {
 	return ranges
 }
 
-// Property: over random buckets and random range sets, ProbeRanges
+// Property: over random buckets and random range sets, a store's probe
 // returns a superset of the objects in range and IndexJoin over it
 // equals the brute-force join over the whole bucket.
 func TestProbeRangesProperty(t *testing.T) {
 	part := probeFixture(t)
 	dir, _ := writeFixture(t, part, 3)
-	set, err := OpenSet(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	file := NewBackend(set, true)
-	defer file.Close()
+	store := probeStore(t, part, dir)
+	var gather []catalog.Object
 
 	rng := rand.New(rand.NewPCG(14, 2))
 	var shrunk int
@@ -256,10 +295,7 @@ func TestProbeRangesProperty(t *testing.T) {
 		want := xmatch.BruteForce(whole, queue, nil)
 		xmatch.SortPairs(want)
 		what := fmt.Sprintf("probe %d, bucket %d", n, bi)
-		got, read, err := file.ProbeRanges(bi, ranges)
-		if err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
+		got, read := store.Probe(bi, ranges, &gather)
 		checkProbe(t, what, whole, got, ranges)
 		if read != int64(len(got))*part.ObjectBytes() {
 			t.Fatalf("%s: read %d bytes for %d objects", what, read, len(got))
@@ -288,12 +324,8 @@ func TestProbeRangesProperty(t *testing.T) {
 func TestProbeByBucketKeys(t *testing.T) {
 	part := probeFixture(t)
 	dir, _ := writeFixture(t, part, 3)
-	set, err := OpenSet(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	file := NewBackend(set, true)
-	defer file.Close()
+	store := probeStore(t, part, dir)
+	var gather []catalog.Object
 
 	var queue []xmatch.WorkloadObject
 	for _, o := range part.Catalog().Objects(0, int64(part.Catalog().Total())) {
@@ -325,10 +357,7 @@ func TestProbeByBucketKeys(t *testing.T) {
 			span := part.Bucket(bi).Span
 			key := wo.RangeIn(span)
 			whole := part.Materialize(bi)
-			got, read, err := file.ProbeRanges(bi, []htm.Range{key})
-			if err != nil {
-				t.Fatalf("%s: %v", what, err)
-			}
+			got, read := store.Probe(bi, []htm.Range{key}, &gather)
 			reached := false
 			for _, r := range cover {
 				reached = reached || r.Overlaps(span)
@@ -358,9 +387,10 @@ func TestProbeByBucketKeys(t *testing.T) {
 
 // A flipped bit inside a granule a probe reads fails the probe; one in a
 // granule it skips does not, and the next whole-bucket read fails on the
-// bucket checksum. A Scan service's fill checks the granules it reads the
-// same way: one that skips the flipped granule succeeds, and a later fill
-// of the now resident bucket that reaches it fails the store's fail-stop.
+// bucket checksum. A probe is a fill the store does not keep, and a Scan
+// service's fill checks the granules it reads through the same path: one
+// that skips the flipped granule succeeds, and a later fill of the now
+// resident bucket that reaches it fails the store's fail-stop.
 func TestProbeChecksumPerGranule(t *testing.T) {
 	part := probeFixture(t)
 	dir, _ := writeFixture(t, part, 3)
@@ -384,6 +414,8 @@ func TestProbeChecksumPerGranule(t *testing.T) {
 	id := whole[5*perGranule+perGranule/2].HTMID
 	ranges := []htm.Range{{Start: id, End: id}}
 	be := NewBackend(set, true)
+	store := bucket.NewStore(part, disk.New(disk.SkyQuery(), simclock.Real{}), true).WithBackend(be)
+	var gather []catalog.Object
 
 	flip := func(granule int64) {
 		t.Helper()
@@ -394,64 +426,49 @@ func TestProbeChecksumPerGranule(t *testing.T) {
 		}
 	}
 	flip(5)
-	if _, _, err := be.ProbeRanges(bi, ranges); err == nil || !strings.Contains(err.Error(), "granule 5 checksum") {
-		t.Fatalf("probe over a corrupt granule = %v, want a granule checksum error", err)
+	if msg := failStop(func() { store.Probe(bi, ranges, &gather) }); !strings.Contains(msg, "granule 5 checksum") {
+		t.Fatalf("probe over a corrupt granule = %q, want a granule checksum panic", msg)
 	}
 	flip(17)
-	got, _, err := be.ProbeRanges(bi, ranges)
-	if err != nil {
-		t.Fatalf("probe that skips the corrupt granule: %v", err)
-	}
+	got, _ := store.Probe(bi, ranges, &gather)
 	checkProbe(t, "skip", whole, got, ranges)
 	if _, _, err := be.ReadBucket(bi); err == nil || !strings.Contains(err.Error(), "data checksum") {
 		t.Fatalf("scan of the corrupt bucket = %v, want the whole-bucket checksum error", err)
 	}
-	if _, _, err := be.ProbeRanges(bi, everyID); err == nil {
+	if msg := failStop(func() { store.Probe(bi, everyID, &gather) }); msg == "" {
 		t.Fatal("probe over every granule of the corrupt bucket succeeded")
 	}
 
 	flip(5)
-	store := bucket.NewStore(part, disk.New(disk.SkyQuery(), simclock.Real{}), true).WithBackend(be)
 	far := whole[10*perGranule+perGranule/2].HTMID
 	skip := []htm.Range{{Start: far, End: far}}
-	var gather []catalog.Object
 	r, got, _ := store.Scan(bi, nil, skip, &gather)
 	checkProbe(t, "fill that skips the corrupt granule", whole, got, skip)
-	defer func() {
-		if err := recover(); err == nil || !strings.Contains(fmt.Sprint(err), "granule 5 checksum") {
-			t.Errorf("fill of a resident bucket over a corrupt granule = %v, want a granule checksum panic", err)
-		}
-	}()
-	store.Scan(bi, r, ranges, &gather)
+	if msg := failStop(func() { store.Scan(bi, r, ranges, &gather) }); !strings.Contains(msg, "granule 5 checksum") {
+		t.Errorf("fill of a resident bucket over a corrupt granule = %q, want a granule checksum panic", msg)
+	}
 }
 
-// A steady-state probe allocates nothing: runs, raw bytes and decoded
-// objects all live in the backend's scratch.
+// A steady-state probe allocates nothing: runs and raw bytes live in the
+// backend's scratch, the decoded granules in the store's probe Resident,
+// and the gathered objects in the caller's buffer.
 func TestProbeRangesZeroAlloc(t *testing.T) {
 	part := probeFixture(t)
 	dir, _ := writeFixture(t, part, 3)
-	set, err := OpenSet(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	file := NewBackend(set, true)
-	defer file.Close()
+	store := probeStore(t, part, dir)
 	rng := rand.New(rand.NewPCG(3, 9))
 	var ranges [][]htm.Range
 	for bi := 0; bi < part.NumBuckets(); bi++ {
 		ranges = append(ranges, queueRanges(randomQueue(rng, part, bi)))
 	}
+	var gather []catalog.Object
 	probeAll := func() {
 		for bi, rs := range ranges {
-			if _, _, err := file.ProbeRanges(bi, rs); err != nil {
-				t.Fatal(err)
-			}
+			store.Probe(bi, rs, &gather)
 		}
 	}
-	probeAll() // grow the scratch
-	if _, _, err := file.ProbeRanges(0, everyID); err != nil {
-		t.Fatal(err)
-	}
+	probeAll()                       // grow the scratch
+	store.Probe(0, everyID, &gather) // and the gather buffer
 	if allocs := testing.AllocsPerRun(50, probeAll); allocs != 0 {
 		t.Errorf("a steady-state round of probes allocates %.2f times, want 0", allocs)
 	}

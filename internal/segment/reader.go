@@ -305,21 +305,16 @@ func (s *Set) readBucket(i int, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// ReadBucketRaw preads bucket i's full data region and verifies its
-// checksum, returning the raw records and the number of data bytes
-// read. This is the real sequential bucket scan.
-func (s *Set) ReadBucketRaw(i int) ([]byte, int64, error) {
-	buf, err := s.readBucket(i, nil)
-	return buf, int64(len(buf)), err
-}
-
 // rawPool recycles the raw record buffers ReadBucket decodes out of: the
-// decoded objects outlive the read (they go to the bucket cache), the raw
-// bytes never do.
+// decoded objects outlive the read (the caller keeps them), the raw bytes
+// never do.
 var rawPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// ReadBucket is ReadBucketRaw plus decoding: the bucket's objects in
-// HTM-curve order, bit-identical to what the catalog materializes.
+// ReadBucket preads bucket i's full data region, verifies it against the
+// bucket's checksum and decodes it: the bucket's objects in HTM-curve
+// order, bit-identical to what the catalog materializes, and the data
+// bytes read. The engine never reads a whole bucket; tests and the
+// benchmark's kernels do.
 func (s *Set) ReadBucket(i int) ([]catalog.Object, int64, error) {
 	bp := rawPool.Get().(*[]byte)
 	defer rawPool.Put(bp)
@@ -338,31 +333,6 @@ func appendRecords(dst []catalog.Object, raw []byte, stride int) []catalog.Objec
 		dst = append(dst, decodeObject(raw))
 	}
 	return dst
-}
-
-// ReadPages preads up to n BlockSize pages from the head of bucket i's
-// data region — the I/O a cost-only index probe pass issues — and
-// returns the bytes actually read. Nothing is decoded, so nothing is
-// verified: this is the one partial read that skips the checksums
-// (materializing probes and every scan fill verify each granule they
-// read).
-func (s *Set) ReadPages(i, n int) (int64, error) {
-	sf, e, err := s.entry(i)
-	if err != nil {
-		return 0, err
-	}
-	want := int64(n) * BlockSize
-	if want > int64(e.length) {
-		want = int64(e.length)
-	}
-	if want <= 0 {
-		return 0, nil
-	}
-	buf := make([]byte, want)
-	if _, err := sf.f.ReadAt(buf, int64(e.offset)); err != nil {
-		return 0, fmt.Errorf("segment: bucket %d probe pread: %w", i, err)
-	}
-	return want, nil
 }
 
 // Reopen opens an independent Set over the same directory (fresh file

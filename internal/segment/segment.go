@@ -25,9 +25,9 @@
 //   - The fence table holds one entry per granule — a run of whole
 //     records of about 4 KiB — of every bucket: the granule's first
 //     level-14 HTM ID and the CRC32-C of its bytes. Buckets are sorted
-//     by HTM ID, so the fences are a sparse index: a probe
-//     binary-searches them and reads, verifies and decodes only the
-//     granules its ID ranges overlap (see probe.go).
+//     by HTM ID, so the fences are a sparse index: a fill — a scan or
+//     an index probe — binary-searches them and reads, verifies and
+//     decodes only the granules its ID ranges overlap (see probe.go).
 //   - A bucket block is the bucket's objects encoded as fixed-stride
 //     records (the stride is the partition's on-disk object size, the
 //     paper's 4 KiB SDSS row by default), in HTM-curve order — exactly

@@ -10,6 +10,9 @@ import (
 
 	"liferaft/internal/bucket"
 	"liferaft/internal/catalog"
+	"liferaft/internal/disk"
+	"liferaft/internal/htm"
+	"liferaft/internal/simclock"
 )
 
 // fixture builds a small catalog and partition: 3000 objects in 25
@@ -81,14 +84,23 @@ func TestSegmentProbePages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer set.Close()
-	// Bucket 0 holds 120*64 = 7680 data bytes: one probe reads one
-	// 4 KiB page, a flood of probes is capped at the region size.
-	if n, err := set.ReadPages(0, 1); err != nil || n != BlockSize {
-		t.Errorf("ReadPages(0,1) = %d, %v; want %d", n, err, BlockSize)
+	d := disk.New(disk.SkyQuery(), simclock.Real{})
+	store := bucket.NewStore(part, d, false).WithBackend(NewBackend(set, false))
+	defer store.Close()
+	// Bucket 0 holds 120*64 = 7680 data bytes in two granules of 64 and
+	// 56 records. A cost-only probe reads and checks the granules its keys
+	// select and decodes none of them: one ID reads the first granule,
+	// every ID the whole region.
+	id := part.Materialize(0)[0].HTMID
+	var gather []catalog.Object
+	if objs, n := store.Probe(0, []htm.Range{{Start: id, End: id}}, &gather); objs != nil || n != BlockSize {
+		t.Errorf("cost-only probe of one ID = %d objects, %d bytes; want none, %d", len(objs), n, BlockSize)
 	}
-	if n, err := set.ReadPages(0, 100); err != nil || n != 7680 {
-		t.Errorf("ReadPages(0,100) = %d, %v; want 7680", n, err)
+	if objs, n := store.Probe(0, everyID, &gather); objs != nil || n != 7680 {
+		t.Errorf("cost-only probe of every ID = %d objects, %d bytes; want none, 7680", len(objs), n)
+	}
+	if st := d.Stats(); st.Probes != 2 || st.SeqReads != 0 {
+		t.Errorf("two probes accounted as %+v", st)
 	}
 }
 
@@ -217,7 +229,7 @@ func TestBackendForkIsIndependent(t *testing.T) {
 	}
 	// Closing the original must not break the fork's descriptors.
 	be.Close()
-	objs, _, err := fork.ReadBucket(3)
+	objs, _, err := fork.(*FileBackend).ReadBucket(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,15 +248,16 @@ func TestBackendCostOnlyStillReads(t *testing.T) {
 	}
 	defer set.Close()
 	be := NewBackend(set, false)
-	objs, n, err := be.ReadBucket(0)
+	var r bucket.Resident
+	objs, n, err := be.Fill(0, &r, everyID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if objs != nil {
-		t.Error("cost-only read returned objects")
+	if objs != nil || r.Objs != nil {
+		t.Error("cost-only fill decoded objects")
 	}
-	if n != part.BucketBytes(0) {
-		t.Errorf("cost-only read moved %d bytes, want %d", n, part.BucketBytes(0))
+	if n != part.BucketBytes(0) || !r.Holds(0) || !r.Holds(1) {
+		t.Errorf("cost-only fill moved %d bytes, want %d, and holds granules 0, 1: %v, %v", n, part.BucketBytes(0), r.Holds(0), r.Holds(1))
 	}
 }
 
