@@ -66,10 +66,11 @@ func TestWriteSegmentsStoreReadsBackIndependently(t *testing.T) {
 	// subsequence of the bucket holding every object whose ID is in range
 	// (whole granules come back, so neighbours may ride along).
 	key := htm.Range{Start: whole[len(whole)/3].HTMID, End: whole[2*len(whole)/3].HTMID}
-	probed, _, err := be.Fill(bi, new(bucket.Resident), []htm.Range{key}, nil)
+	runs, _, err := be.Fill(bi, new(bucket.Resident), []htm.Range{key})
 	if err != nil {
 		t.Fatal(err)
 	}
+	probed := slices.Concat(runs...)
 	g := 0
 	for _, o := range whole {
 		switch {

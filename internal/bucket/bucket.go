@@ -3,7 +3,8 @@
 // disk, or from a Backend doing real I/O. Either way the store has two
 // reads, the two arms of the hybrid join (§3.4): Scan, whose bucket the
 // RAM cache keeps, and Probe, whose bucket nothing keeps. On a Backend
-// both are one Fill of the granules the queue's keys select.
+// both are one Fill of the granules the queue's keys select, handed to the
+// join as runs of the array the fill decoded them into, uncopied.
 //
 // A partition divides a catalog's objects — already linearly ordered along
 // the HTM space-filling curve — into consecutive buckets holding exactly
@@ -210,13 +211,14 @@ type Backend interface {
 	// run of them once, and checks each granule before it decodes it into
 	// its slots of r.Objs and marks it resident; a Resident with an empty
 	// residency set is a fresh one, sized for bucket i here. In
-	// materializing mode it then appends the objects of every granule the
-	// keys select, in HTM-curve order, to gather and returns it: a subset
-	// of the bucket that holds every object with an ID in a key, which the
-	// join merges over. An empty key (Start > End) selects nothing. It
-	// returns the data bytes it read, 0 when r held every selected granule
-	// already.
-	Fill(i int, r *Resident, keys []htm.Range, gather []catalog.Object) (objs []catalog.Object, bytesRead int64, err error)
+	// materializing mode it returns the runs of granules the keys select
+	// as slices of r.Objs, disjoint and in HTM-curve order: together a
+	// subset of the bucket that holds every object with an ID in a key,
+	// which the join merges over where it lies. The runs slice is the
+	// backend's and valid until its next Fill; the objects are r's. An
+	// empty key (Start > End) selects nothing. It returns the data bytes
+	// it read, 0 when r held every selected granule already.
+	Fill(i int, r *Resident, keys []htm.Range) (runs [][]catalog.Object, bytesRead int64, err error)
 	// Fork opens an independent backend over the same data (fresh file
 	// descriptors); each shard of a sharded engine gets its own.
 	Fork() (Backend, error)
@@ -229,7 +231,8 @@ type Backend interface {
 // granule by granule, as services need them: Objs has a slot for every
 // object of the bucket, but only the slots of the granules in the
 // residency set hold the bucket's objects — an array recycled from
-// another bucket keeps that bucket's objects in the rest.
+// another bucket keeps that bucket's objects in the rest. The join reads
+// the selected granules in their slots (Backend.Fill).
 // The simulated store materializes whole buckets and keeps no set.
 type Resident struct {
 	// Objs is the bucket's slot array in HTM-curve order; nil in
@@ -283,7 +286,8 @@ type Observer interface {
 // the engine's disk, and through it the clock the engine runs on and
 // charges: core.Config takes both from its Store. The cache layer sits
 // above the store (see the engine); every Store read is a real disk
-// transfer.
+// transfer. Both reads return what the join merges over as runs (see
+// Backend.Fill), valid until the store's next read.
 type Store struct {
 	part        *Partition
 	dsk         *disk.Disk
@@ -301,6 +305,7 @@ type Store struct {
 	// probe is what an index probe fills: reset for every probe, never
 	// cached, never recycled.
 	probe Resident
+	whole [][]catalog.Object // the simulated store's one run
 }
 
 // SetObserver attaches o to the store (nil detaches). The engine wires
@@ -366,13 +371,13 @@ func (s *Store) Materializing() bool { return s.materialize }
 // Recycle kept, if any, and is accounted as one sequential read of the
 // whole bucket on either backend, the model's account RunStats.Disk keeps.
 // A segment store then reads only the granules the keys select that r
-// lacks (Backend.Fill) and appends the objects of every selected granule
-// to *gather, the caller's buffer; a hit that reads is accounted nothing,
-// and only the store observer sees the bytes it moved. The simulated
-// store materializes the whole bucket on a miss and reads nothing on a
-// hit. Scan returns the bucket to cache (r itself on a hit), the objects
-// the join merges over (nil in cost-only mode) and the data bytes read.
-func (s *Store) Scan(i int, r *Resident, keys []htm.Range, gather *[]catalog.Object) (*Resident, []catalog.Object, int64) {
+// lacks (Backend.Fill); a hit that reads is accounted nothing, and only
+// the store observer sees the bytes it moved. The simulated store
+// materializes the whole bucket on a miss and reads nothing on a hit.
+// Scan returns the bucket to cache (r itself on a hit), the runs of it
+// the join merges over (the selected granules, or the whole bucket; nil
+// in cost-only mode) and the data bytes read.
+func (s *Store) Scan(i int, r *Resident, keys []htm.Range) (*Resident, [][]catalog.Object, int64) {
 	miss := r == nil
 	if miss {
 		r, s.spare = s.spare, nil
@@ -383,7 +388,7 @@ func (s *Store) Scan(i int, r *Resident, keys []htm.Range, gather *[]catalog.Obj
 	}
 	if s.backend == nil {
 		if !miss {
-			return r, r.Objs, 0
+			return r, s.oneRun(r.Objs), 0
 		}
 		r.Objs, r.Bytes = nil, s.part.BucketBytes(i)
 		cost := s.dsk.ReadSequential(r.Bytes)
@@ -393,9 +398,9 @@ func (s *Store) Scan(i int, r *Resident, keys []htm.Range, gather *[]catalog.Obj
 		if s.materialize {
 			r.Objs = s.part.Materialize(i)
 		}
-		return r, r.Objs, r.Bytes
+		return r, s.oneRun(r.Objs), r.Bytes
 	}
-	objs, n, elapsed := s.fill(ReadScan, i, r, keys, gather)
+	runs, n, elapsed := s.fill(ReadScan, i, r, keys)
 	r.Bytes += n
 	if miss {
 		s.dsk.AccountSequential(s.part.BucketBytes(i), elapsed)
@@ -403,7 +408,16 @@ func (s *Store) Scan(i int, r *Resident, keys []htm.Range, gather *[]catalog.Obj
 	if n > 0 && s.obs != nil {
 		s.obs.ObserveRead(ReadScan, elapsed, n)
 	}
-	return r, objs, n
+	return r, runs, n
+}
+
+// oneRun returns a whole bucket as the simulated store's one run.
+func (s *Store) oneRun(objs []catalog.Object) [][]catalog.Object {
+	if objs == nil {
+		return nil
+	}
+	s.whole = append(s.whole[:0], objs)
+	return s.whole
 }
 
 // Recycle hands back a Resident s.Scan returned, once nothing reads it
@@ -421,13 +435,12 @@ func (s *Store) Recycle(r *Resident) {
 // per queued object, keyed as Scan keys them, accounted as probes rather
 // than a scan. A segment store fills the granules the keys select into a
 // scratch Resident it resets for every probe and never caches, so a probe
-// reads what a Scan miss would and keeps none of it; the objects of the
-// selected granules, in HTM-curve order, go to *gather as Scan's do. The
-// simulated store charges the model's sorted-probe cost and returns the
-// whole bucket. Probe returns the objects the join probes (nil in
-// cost-only mode) and the data bytes read — on the simulated store, a
-// page per probe.
-func (s *Store) Probe(i int, keys []htm.Range, gather *[]catalog.Object) ([]catalog.Object, int64) {
+// reads what a Scan miss would and keeps none of it, and returns the runs
+// of the selected granules as Scan does. The simulated store charges the
+// model's sorted-probe cost and returns the whole bucket as one run.
+// Probe returns the runs the join merges over (nil in cost-only mode) and
+// the data bytes read — on the simulated store, a page per probe.
+func (s *Store) Probe(i int, keys []htm.Range) ([][]catalog.Object, int64) {
 	if s.backend == nil {
 		n := int64(len(keys)) * s.dsk.Model().PageSize
 		cost := s.dsk.ReadProbes(len(keys))
@@ -437,32 +450,27 @@ func (s *Store) Probe(i int, keys []htm.Range, gather *[]catalog.Object) ([]cata
 		if !s.materialize {
 			return nil, n
 		}
-		return s.part.Materialize(i), n
+		return s.oneRun(s.part.Materialize(i)), n
 	}
 	s.probe.Have = s.probe.Have[:0]
-	objs, n, elapsed := s.fill(ReadProbe, i, &s.probe, keys, gather)
+	runs, n, elapsed := s.fill(ReadProbe, i, &s.probe, keys)
 	s.dsk.AccountProbes(len(keys), elapsed)
 	if s.obs != nil {
 		s.obs.ObserveRead(ReadProbe, elapsed, n)
 	}
-	return objs, n
+	return runs, n
 }
 
-// fill is one Backend.Fill, timed, with the gathered objects left in
-// *gather. A backend error is fail-stop: the observer hears of it, then
-// fill panics.
-func (s *Store) fill(kind ReadKind, i int, r *Resident, keys []htm.Range, gather *[]catalog.Object) ([]catalog.Object, int64, time.Duration) {
+// fill is one Backend.Fill, timed. A backend error is fail-stop: the
+// observer hears of it, then fill panics.
+func (s *Store) fill(kind ReadKind, i int, r *Resident, keys []htm.Range) ([][]catalog.Object, int64, time.Duration) {
 	start := time.Now()
-	objs, n, err := s.backend.Fill(i, r, keys, (*gather)[:0])
+	runs, n, err := s.backend.Fill(i, r, keys)
 	if err != nil {
 		if s.obs != nil {
 			s.obs.ObserveReadError(kind, err)
 		}
 		panic(fmt.Sprintf("bucket: backend %s of bucket %d: %v", kind, i, err))
 	}
-	elapsed := time.Since(start)
-	if objs != nil {
-		*gather = objs
-	}
-	return objs, n, elapsed
+	return runs, n, time.Since(start)
 }

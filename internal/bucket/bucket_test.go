@@ -283,19 +283,18 @@ func TestStoreCostAndMaterialization(t *testing.T) {
 	if !s.Materializing() || s.Partition() != p {
 		t.Error("accessors")
 	}
-	var gather []catalog.Object
 	before := d.Ledger().Charged
-	_, objs, _ := s.Scan(0, nil, nil, &gather)
-	if len(objs) != 200 {
-		t.Errorf("read returned %d objects", len(objs))
+	_, runs, _ := s.Scan(0, nil, nil)
+	if objs := slices.Concat(runs...); len(runs) != 1 || len(objs) != 200 {
+		t.Errorf("read returned %d objects in %d runs", len(objs), len(runs))
 	}
 	if cost := d.Ledger().Charged - before; cost != d.Model().SequentialRead(p.BucketBytes(0)) {
 		t.Errorf("scan cost = %v", cost)
 	}
 	before = d.Ledger().Charged
-	objs2, _ := s.Probe(0, make([]htm.Range, 7), &gather)
-	if len(objs2) != 200 {
-		t.Errorf("probe returned %d objects", len(objs2))
+	runs2, _ := s.Probe(0, make([]htm.Range, 7))
+	if objs2 := slices.Concat(runs2...); len(runs2) != 1 || len(objs2) != 200 {
+		t.Errorf("probe returned %d objects in %d runs", len(objs2), len(runs2))
 	}
 	if cost2 := d.Ledger().Charged - before; cost2 != 7*d.Model().SortedProbe() {
 		t.Errorf("probe cost = %v", cost2)
@@ -305,11 +304,11 @@ func TestStoreCostAndMaterialization(t *testing.T) {
 	if cs.Disk() != d {
 		t.Error("a store's disk is the one it was built with")
 	}
-	_, objs3, _ := cs.Scan(1, nil, nil, &gather)
+	_, objs3, _ := cs.Scan(1, nil, nil)
 	if objs3 != nil {
 		t.Error("cost-only store should not materialize")
 	}
-	objs4, _ := cs.Probe(1, make([]htm.Range, 3), &gather)
+	objs4, _ := cs.Probe(1, make([]htm.Range, 3))
 	if objs4 != nil {
 		t.Error("cost-only probe should not materialize")
 	}

@@ -77,7 +77,7 @@ func NewEngineMetrics(reg *metric.Registry) *EngineMetrics {
 			"Store read failures by kind, including checksum mismatches; the store fail-stops after counting.",
 			[]string{"shard", "kind"}, metric.VecOpts{}),
 		model: reg.NewCounterVec("liferaft_disk_model_seconds_total",
-			"Modeled disk and match time on the engine clock: charged = what the cost model billed, slept = what the shard spent asleep paying it (timer overrun included), credited = measured join time accepted in place of sleep. charged = slept + credited to within one timer tick per shard when the engine paces at the model's rate.",
+			"Modeled disk and match time on the engine clock: charged = what the cost model billed, slept = what the shard spent asleep paying it (timer overrun included), credited = measured join time accepted in place of sleep, expired = overrun dropped because the shard went idle before a charge used it. charged = slept + credited - expired to within one timer tick per shard when the engine paces at the model's rate.",
 			[]string{"shard", "kind"}, metric.VecOpts{}),
 		cacheHits: reg.NewCounterVec("liferaft_cache_hits_total",
 			"Bucket services that found the bucket in the in-memory bucket cache (tier is always ram).",
@@ -116,6 +116,7 @@ func (m *EngineMetrics) Shard(i int) *EngineObs {
 		modelCharged:  m.model.With(s, "charged"),
 		modelSlept:    m.model.With(s, "slept"),
 		modelCredited: m.model.With(s, "credited"),
+		modelExpired:  m.model.With(s, "expired"),
 
 		cacheHits:  m.cacheHits.With(s, "ram"),
 		cacheMiss:  m.cacheMiss.With(s, "ram"),
@@ -161,6 +162,7 @@ type EngineObs struct {
 	modelCharged  *metric.Counter
 	modelSlept    *metric.Counter
 	modelCredited *metric.Counter
+	modelExpired  *metric.Counter
 
 	cacheHits  *metric.Counter
 	cacheMiss  *metric.Counter

@@ -51,10 +51,9 @@ type forkJoin struct {
 	claims atomic.Uint64
 	wg     sync.WaitGroup
 
-	objs     []catalog.Object        // what the join reads; immutable for the service
-	wos      []xmatch.WorkloadObject // the queue; sorted by MinID when split
-	preds    map[uint64]xmatch.Predicate
-	strategy xmatch.Strategy
+	runs  [][]catalog.Object      // what the join reads; immutable for the service
+	wos   []xmatch.WorkloadObject // the queue; sorted by MinID when split
+	preds map[uint64]xmatch.Predicate
 	// materialize is the Store's: without it a part is its charge alone.
 	materialize bool
 	// size is the units per part: part i is wos[i*size:][:size], the last
@@ -112,11 +111,7 @@ func (fj *forkJoin) run(i int, clk simclock.Clock, d *disk.Disk) {
 	var joined time.Duration
 	if fj.materialize {
 		t0 := clk.Now()
-		if fj.strategy == xmatch.Scan {
-			p.pairs = p.join.Merge(fj.objs, wos, fj.preds)
-		} else {
-			p.pairs = p.join.Index(fj.objs, wos, fj.preds)
-		}
+		p.pairs = p.join.Merge(fj.runs, wos, fj.preds)
 		joined = clk.Now().Sub(t0)
 	}
 	d.MatchObjectsAfter(len(wos), joined)

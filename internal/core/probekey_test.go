@@ -21,10 +21,10 @@ type probeMeter struct {
 	bytes map[int]int64 // bucket -> bytes its probes read
 }
 
-func (m *probeMeter) Fill(i int, r *bucket.Resident, keys []htm.Range, gather []catalog.Object) ([]catalog.Object, int64, error) {
-	objs, n, err := m.Backend.Fill(i, r, keys, gather)
+func (m *probeMeter) Fill(i int, r *bucket.Resident, keys []htm.Range) ([][]catalog.Object, int64, error) {
+	runs, n, err := m.Backend.Fill(i, r, keys)
 	m.bytes[i] += n
-	return objs, n, err
+	return runs, n, err
 }
 
 // An object on an edge of the octahedron has a bounding ID range that runs

@@ -29,7 +29,7 @@ func RunNoShare(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunS
 	var results []Result
 	var stats RunStats
 	var keys []htm.Range
-	var gather []catalog.Object
+	var join xmatch.Joiner
 	for _, i := range arrivalOrder(offsets) {
 		job, arrive := jobs[i], start.Add(offsets[i])
 		// Queries are picked up in arrival order; idle until this one
@@ -59,18 +59,18 @@ func RunNoShare(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunS
 				keys = append(keys, wo.RangeIn(span))
 			}
 			var r *bucket.Resident
-			var objs []catalog.Object
+			var runs [][]catalog.Object
 			if xmatch.ChooseStrategy(len(wos), part.Bucket(bi).Count(), cfg.HybridThreshold, false) == xmatch.Scan {
-				r, objs, _ = cfg.Store.Scan(bi, nil, keys, &gather)
+				r, runs, _ = cfg.Store.Scan(bi, nil, keys)
 				stats.ScanServices++
 			} else {
-				objs, _ = cfg.Store.Probe(bi, keys, &gather)
+				runs, _ = cfg.Store.Probe(bi, keys)
 				stats.IndexServices++
 			}
 			cfg.Store.Disk().MatchObjects(len(wos))
 			stats.BucketsServed++
 			if cfg.Store.Materializing() {
-				pairs := xmatch.MergeJoin(objs, wos, preds)
+				pairs := join.Merge(runs, wos, preds)
 				res.Pairs = append(res.Pairs, pairs...)
 				res.Matches += len(pairs)
 			}

@@ -133,10 +133,6 @@ type scheduler struct {
 	bisBuf       []int
 	scoredBuf    []scored
 	qPool        queuePool
-	// gatherBuf holds what a file-backed service joins: the objects of
-	// the granules its queue selects (bucket.Store.Scan and Probe).
-	// Helper parts read it only until fj.finish.
-	gatherBuf []catalog.Object
 	// qsPool holds the state of queries that completed here, for admit to
 	// reuse with its buckets list.
 	qsPool []*queryState
@@ -681,6 +677,7 @@ func (s *scheduler) observeLedger() {
 	s.obs.modelCharged.Add((led.Charged - s.lastLedger.Charged).Seconds())
 	s.obs.modelSlept.Add((led.Slept - s.lastLedger.Slept).Seconds())
 	s.obs.modelCredited.Add((led.Credited - s.lastLedger.Credited).Seconds())
+	s.obs.modelExpired.Add((led.Expired - s.lastLedger.Expired).Seconds())
 	s.lastLedger = led
 }
 
@@ -743,16 +740,16 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 	// Either strategy keys each queued object by the IDs its error circle
 	// reaches in this bucket (its bounding range, unless that runs on past
 	// the bucket). A real backend reads only the granules those keys
-	// select, into buffers it or this scheduler reuses on the next
-	// service: objs is not kept past the join (pairs copy the objects they
-	// hold).
+	// select, and either way the join merges over runs the store hands
+	// back where they were decoded, valid until its next read: runs is not
+	// kept past the join (pairs copy the objects they hold).
 	span := part.Bucket(idx).Span
 	ranges := s.rangesBuf[:0]
 	for _, it := range items {
 		ranges = append(ranges, it.wo.RangeIn(span))
 	}
 	s.rangesBuf = ranges
-	var objs []catalog.Object
+	var runs [][]catalog.Object
 	var readT0, readT1 time.Time
 	var readKind string
 	if traced {
@@ -763,7 +760,7 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 		// A miss caches the bucket; a hit fills the granules it lacks.
 		// Either way what was read is what became resident.
 		var read int64
-		res, objs, read = s.cfg.Store.Scan(idx, res, ranges, &s.gatherBuf)
+		res, runs, read = s.cfg.Store.Scan(idx, res, ranges)
 		s.cacheBytes += read
 		if traced && (!inMem || read > 0) {
 			readT1, readKind = s.cfg.clock().Now(), "scan"
@@ -778,7 +775,7 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 	case xmatch.Index:
 		// One probe per queued object: the scan's read, into nothing the
 		// cache keeps.
-		objs, _ = s.cfg.Store.Probe(idx, ranges, &s.gatherBuf)
+		runs, _ = s.cfg.Store.Probe(idx, ranges)
 		if traced {
 			readT1, readKind = s.cfg.clock().Now(), "probe"
 		}
@@ -814,7 +811,7 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 			n = (count + servicePartUnits - 1) / servicePartUnits
 		}
 	}
-	fj.objs, fj.wos, fj.strategy = objs, wos, strategy
+	fj.runs, fj.wos = runs, wos
 	fj.begin(n)
 	s.offer(n - 1)
 	for i, mine := 0, true; mine; i, mine = fj.claim() {

@@ -19,8 +19,8 @@ func checkLedger(t *testing.T, d *Disk) Ledger {
 	if l.Credit < 0 || l.Credit >= tick {
 		t.Fatalf("credit %v outside [0, %v): %+v", l.Credit, tick, l)
 	}
-	if l.Slept+l.Credited-l.Charged != l.Credit {
-		t.Fatalf("slept + credited − charged = %v, credit %v: %+v", l.Slept+l.Credited-l.Charged, l.Credit, l)
+	if l.Slept+l.Credited-l.Charged-l.Expired != l.Credit {
+		t.Fatalf("slept + credited − charged − expired = %v, credit %v: %+v", l.Slept+l.Credited-l.Charged-l.Expired, l.Credit, l)
 	}
 	return l
 }
@@ -46,7 +46,8 @@ func TestTickClockChargePaysModelOnce(t *testing.T) {
 
 // Charges of every kind and size, handed-in compute and idle gaps: after
 // every call the clock has moved by what was charged less what was worked
-// off, to within one tick, and idle time earns nothing.
+// off plus what expired, to within one tick; idle time earns nothing, and
+// credit does not outlive a gap of more than a tick.
 func TestChargeMixedSizesTrackElapsed(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	clk := simclock.NewVirtualTick(tick)
@@ -84,12 +85,37 @@ func TestChargeMixedSizesTrackElapsed(t *testing.T) {
 		l := checkLedger(t, d)
 		maxCredit = max(maxCredit, l.Credit)
 		busy := clk.Now().Sub(simclock.Epoch) - idle
-		if diff := busy - (l.Charged - l.Credited); diff < 0 || diff >= tick {
-			t.Fatalf("call %d: clock busy %v, charged %v − credited %v: off by %v", i, busy, l.Charged, l.Credited, diff)
+		if diff := busy - (l.Charged - l.Credited + l.Expired); diff < 0 || diff >= tick {
+			t.Fatalf("call %d: clock busy %v, charged %v − credited %v + expired %v: off by %v", i, busy, l.Charged, l.Credited, l.Expired, diff)
 		}
 	}
-	if maxCredit == 0 {
-		t.Error("no sleep ever overran: the tick clock is not exercising credit")
+	if maxCredit == 0 || d.Ledger().Expired == 0 {
+		t.Errorf("max credit %v, expired %v: the tick clock is not exercising credit and its expiry", maxCredit, d.Ledger().Expired)
+	}
+}
+
+// An overrun is credit for the charges of the same busy period, not of the
+// next one: a gap of up to a tick keeps it, a longer one expires it, and
+// measured work handed in with a charge counts as busy, not idle.
+func TestChargeCreditExpiresAcrossIdleTime(t *testing.T) {
+	clk := simclock.NewVirtualTick(tick)
+	d := New(SkyQuery(), clk)
+	tm := SkyQuery().MatchCost
+	d.MatchObjects(1) // sleeps to the first tick: tick − Tm of credit
+	clk.Advance(tick)
+	d.MatchObjects(1) // a gap of one tick keeps it
+	if l := checkLedger(t, d); l.Expired != 0 || l.Credit != tick-2*tm || l.Slept != tick {
+		t.Fatalf("after a one-tick gap: %+v, want credit %v and nothing expired", l, tick-2*tm)
+	}
+	clk.Advance(2 * tick)
+	d.MatchObjectsAfter(1, 3*tick) // the gap was this work
+	if l := checkLedger(t, d); l.Expired != 0 || l.Credit != tick-2*tm {
+		t.Fatalf("after a gap of measured work: %+v, want credit %v and nothing expired", l, tick-2*tm)
+	}
+	clk.Advance(2 * tick)
+	d.MatchObjects(1) // idle for more than a tick: the credit expires, this charge sleeps
+	if l := checkLedger(t, d); l.Expired != tick-2*tm || l.Credit != tick-tm || l.Slept != 2*tick {
+		t.Fatalf("after an idle gap of two ticks: %+v, want %v expired, credit %v, slept %v", l, tick-2*tm, tick-tm, 2*tick)
 	}
 }
 

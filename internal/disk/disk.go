@@ -27,11 +27,12 @@
 // has already spent measured time doing the work a charge stands for (the
 // engine's join, against MatchObjectsAfter) hands that time in as credit
 // against that one charge. Credit comes only from time spent inside Sleep
-// or inside such measured work, never from idle time between charges, so
-// over any run of charges the arm is busy for their modeled sum to within
-// one timer tick: the model is paid once, neither skipped nor padded. The
-// account belongs to the Disk — one per shard, through Fork — and Ledger
-// reports it.
+// or inside such measured work, never from idle time, and is spent never
+// across idle time: an arm idle for more than a timer tick drops it. So
+// over any busy run of charges the arm is busy for their modeled sum to
+// within one timer tick: the model is paid once, neither skipped nor
+// padded. The account belongs to the Disk — one per shard, through Fork —
+// and Ledger reports it.
 package disk
 
 import (
@@ -173,14 +174,19 @@ func (s Stats) Add(o Stats) Stats {
 }
 
 // Ledger is a Disk's account with its clock (see the package comment).
-// While no charge is in flight Slept + Credited − Charged = Credit, and
-// Credit is zero on a clock whose Sleep is exact.
+// While no charge is in flight Slept + Credited − Charged − Expired =
+// Credit, and Credit and Expired are zero on a clock whose Sleep is exact.
 type Ledger struct {
 	Charged  time.Duration // modeled costs charged to the clock
 	Slept    time.Duration // time spent inside clock.Sleep paying them, by the clock's own reckoning
 	Credited time.Duration // caller-measured work accepted in place of sleeping
 	Credit   time.Duration // sleep overrun not yet set against a charge
+	Expired  time.Duration // credit dropped because the arm went idle before a charge used it
 }
+
+// timerTick is how late Linux wakes a sleeper, and how long an arm may
+// idle between charges before its credit expires.
+const timerTick = time.Millisecond
 
 // Disk charges model costs to a clock and accumulates statistics. It is
 // safe for concurrent use.
@@ -188,9 +194,10 @@ type Disk struct {
 	model Model
 	clock simclock.Clock
 
-	mu     sync.Mutex
-	stats  Stats
-	ledger Ledger
+	mu      sync.Mutex
+	stats   Stats
+	ledger  Ledger
+	lastEnd time.Time // when the arm's last charge (its sleep or measured work) ended
 }
 
 // New returns a Disk charging costs from model to clock.
@@ -293,20 +300,28 @@ func (d *Disk) MatchObjectsAfter(n int, spent time.Duration) time.Duration {
 // worked off `worked`, and sleeps what the arm then still owes: c less
 // worked less the credit earlier sleeps left by overrunning. The sleep is
 // timed by the disk's clock and its overrun becomes the next charges'
-// credit. The lock is not held across the sleep; a concurrent charger
-// takes whatever credit is on the account at that moment and sleeps for
-// its own remainder.
+// credit, unless the arm idles for more than a tick between the last
+// charge's end and this one's work. The lock is not held across the
+// sleep; a concurrent charger takes whatever credit is on the account at
+// that moment and sleeps for its own remainder.
 func (d *Disk) charge(c, worked time.Duration) {
 	if c <= 0 {
 		return
 	}
-	worked = min(max(worked, 0), c)
+	worked = max(worked, 0)
+	now := d.clock.Now()
 	d.mu.Lock()
+	if d.ledger.Credit > 0 && now.Add(-worked).Sub(d.lastEnd) > timerTick {
+		d.ledger.Expired += d.ledger.Credit
+		d.ledger.Credit = 0
+	}
+	worked = min(worked, c)
 	d.stats.BusyTime += c
 	d.ledger.Charged += c
 	d.ledger.Credited += worked
 	owed := c - worked - d.ledger.Credit
 	d.ledger.Credit = max(-owed, 0)
+	d.lastEnd = now
 	d.mu.Unlock()
 	if owed <= 0 {
 		return
@@ -315,6 +330,7 @@ func (d *Disk) charge(c, worked time.Duration) {
 	d.mu.Lock()
 	d.ledger.Slept += slept
 	d.ledger.Credit += max(slept-owed, 0)
+	d.lastEnd = now.Add(slept)
 	d.mu.Unlock()
 }
 

@@ -20,10 +20,8 @@ type FileBackend struct {
 	set         *Set
 	materialize bool
 	scratch     fillScratch
-	// probe and probed are Probe's: the Resident it fills and the
-	// objects it gathers, both reused by its next call.
-	probe  bucket.Resident
-	probed []catalog.Object
+	// probe is the Resident Probe fills, reused by its next call.
+	probe bucket.Resident
 }
 
 // NewBackend wraps an opened Set. materialize must match the Store the
@@ -44,9 +42,10 @@ func (b *FileBackend) ReadBucket(i int) ([]catalog.Object, int64, error) {
 	return b.set.ReadBucket(i)
 }
 
-// Fill implements bucket.Backend.
-func (b *FileBackend) Fill(i int, r *bucket.Resident, keys []htm.Range, gather []catalog.Object) ([]catalog.Object, int64, error) {
-	return b.set.fill(&b.scratch, i, r, keys, gather, b.materialize)
+// Fill implements bucket.Backend: the runs it returns live in the
+// backend's fill scratch until its next Fill.
+func (b *FileBackend) Fill(i int, r *bucket.Resident, keys []htm.Range) ([][]catalog.Object, int64, error) {
+	return b.set.fill(&b.scratch, i, r, keys, b.materialize)
 }
 
 // Probe is an index probe for a caller that does not know its keys: a
@@ -58,11 +57,11 @@ func (b *FileBackend) Fill(i int, r *bucket.Resident, keys []htm.Range, gather [
 // keys.
 func (b *FileBackend) Probe(i, _ int) ([]catalog.Object, int64, error) {
 	b.probe.Have = b.probe.Have[:0]
-	objs, n, err := b.Fill(i, &b.probe, everyID, b.probed[:0])
-	if objs != nil {
-		b.probed = objs
+	_, n, err := b.Fill(i, &b.probe, everyID)
+	if err != nil {
+		return nil, 0, err
 	}
-	return objs, n, err
+	return b.probe.Objs, n, nil
 }
 
 // everyID is the key of a probe that does not know its keys.

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"liferaft/internal/bucket"
@@ -225,7 +226,8 @@ func FuzzSegmentFence(f *testing.F) {
 		gb := granuleBytes(RecordBytes)
 		for i, e := range sf.entries {
 			var r bucket.Resident
-			first, read1, err := s.fill(&sc, i, &r, []htm.Range{{Start: 3, End: 3}, {Start: 1 << 40, End: 1 << 41}}, nil, true)
+			runs, read1, err := s.fill(&sc, i, &r, []htm.Range{{Start: 3, End: 3}, {Start: 1 << 40, End: 1 << 41}}, true)
+			first := slices.Concat(runs...)
 			if err != nil {
 				continue
 			}
@@ -238,7 +240,8 @@ func FuzzSegmentFence(f *testing.F) {
 			if read1 != held || read1 > int64(e.length) || int64(len(first))*RecordBytes > read1 {
 				t.Fatalf("bucket %d fresh fill: %d objects from %d bytes read, %d bytes of granules resident, a %d-byte region", i, len(first), read1, held, e.length)
 			}
-			second, read2, err := s.fill(&sc, i, &r, everyID, nil, true)
+			runs, read2, err := s.fill(&sc, i, &r, everyID, true)
+			second := slices.Concat(runs...)
 			if err != nil {
 				continue
 			}

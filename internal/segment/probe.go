@@ -17,10 +17,12 @@ import (
 type granuleRun struct{ lo, hi int }
 
 // fillScratch is the reusable state of one backend's fills: the granule
-// runs a fill selects and the raw bytes of the run it reads.
+// runs a fill selects, the raw bytes of the run it reads, and the runs it
+// returns as slices of the Resident's objects, valid until its next fill.
 type fillScratch struct {
 	runs []granuleRun
 	raw  []byte
+	objs [][]catalog.Object
 }
 
 // appendGranuleRuns appends to dst the granules of a bucket that may
@@ -70,72 +72,32 @@ func appendGranuleRuns(dst []granuleRun, fences []fence, ranges []htm.Range) []g
 	return dst[:base+w+1]
 }
 
-// bucketData is what a granule read of one bucket needs: the bucket's
-// index entry and fences in its segment file, and the record stride.
-type bucketData struct {
-	i      int
-	sf     *segFile
-	e      indexEntry
-	fences []fence
-	stride int64
-}
-
-func (s *Set) bucketData(i int) (bucketData, error) {
-	sf, e, err := s.entry(i)
-	if err != nil {
-		return bucketData{}, err
-	}
-	return bucketData{i, sf, e, sf.fences[e.fenceOff : e.fenceOff+e.fences], s.man.ObjectBytes}, nil
-}
-
-// readRun preads granules [run.lo, run.hi] in one read into sc.raw and
-// checks each against its fence CRC before, when decode is set, it
-// decodes the granule's records onto objs. A mismatch is an error, never
-// a shorter result. It returns objs and the data bytes read.
-func (b bucketData) readRun(sc *fillScratch, run granuleRun, objs []catalog.Object, decode bool) ([]catalog.Object, int64, error) {
-	gb := granuleBytes(b.stride)
-	lo := int64(run.lo) * gb
-	hi := min(int64(run.hi+1)*gb, int64(b.e.length))
-	sc.raw = slices.Grow(sc.raw[:0], int(hi-lo))[:hi-lo]
-	buf := sc.raw
-	if _, err := b.sf.f.ReadAt(buf, int64(b.e.offset)+lo); err != nil {
-		return nil, 0, fmt.Errorf("segment: bucket %d granule pread: %w", b.i, err)
-	}
-	for g := run.lo; g <= run.hi; g++ {
-		granule := buf[:min(gb, int64(len(buf)))]
-		buf = buf[len(granule):]
-		if sum := crc32.Checksum(granule, castagnoli); sum != b.fences[g].crc {
-			return nil, 0, fmt.Errorf("segment: bucket %d granule %d checksum mismatch (corrupt store)", b.i, g)
-		}
-		if decode {
-			objs = appendRecords(objs, granule, int(b.stride))
-		}
-	}
-	return objs, hi - lo, nil
-}
-
 // fill is bucket.Backend.Fill over sc's scratch, the one read of a scan
 // and of an index probe: each run of selected granules r lacks is one
-// pread through readRun, decoding (when decode is set) straight into the
-// granules' slots of r.Objs. Only granules that passed their check are
-// marked resident, and only marked granules are gathered, so no slot a
-// recycled array still holds for another bucket is ever joined.
-func (s *Set) fill(sc *fillScratch, i int, r *bucket.Resident, ranges []htm.Range, gather []catalog.Object, decode bool) ([]catalog.Object, int64, error) {
-	b, err := s.bucketData(i)
+// pread into sc.raw, and each granule of it is checked against its fence
+// CRC before, when decode is set, it is decoded straight into its slots of
+// r.Objs and marked resident. A mismatch is an error, never a shorter
+// result. Only the selected runs, every granule of them checked, are
+// returned, so no slot a recycled array still holds for another bucket is
+// ever joined.
+func (s *Set) fill(sc *fillScratch, i int, r *bucket.Resident, ranges []htm.Range, decode bool) ([][]catalog.Object, int64, error) {
+	sf, e, err := s.entry(i)
 	if err != nil {
 		return nil, 0, err
 	}
+	fences, stride := sf.fences[e.fenceOff:e.fenceOff+e.fences], s.man.ObjectBytes
+	gb := granuleBytes(stride)
+	per := int(gb / stride)
 	if len(r.Have) == 0 {
-		words := (len(b.fences) + 63) / 64
+		words := (len(fences) + 63) / 64
 		r.Have = slices.Grow(r.Have, words)[:words]
 		clear(r.Have)
 		if decode {
-			n := int(int64(b.e.length) / b.stride)
+			n := int(int64(e.length) / stride)
 			r.Objs = slices.Grow(r.Objs[:0], n)[:n]
 		}
 	}
-	per := int(granuleBytes(b.stride) / b.stride)
-	sc.runs = appendGranuleRuns(sc.runs[:0], b.fences, ranges)
+	sc.runs = appendGranuleRuns(sc.runs[:0], fences, ranges)
 	var read int64
 	for _, run := range sc.runs {
 		for g := run.lo; g <= run.hi; g++ {
@@ -146,16 +108,22 @@ func (s *Set) fill(sc *fillScratch, i int, r *bucket.Resident, ranges []htm.Rang
 			for g < run.hi && !r.Holds(g+1) {
 				g++
 			}
-			var slots []catalog.Object
-			if decode {
-				slots = r.Objs[lo*per : lo*per]
+			from, to := int64(lo)*gb, min(int64(g+1)*gb, int64(e.length))
+			buf := slices.Grow(sc.raw[:0], int(to-from))[:to-from]
+			sc.raw = buf
+			if _, err := sf.f.ReadAt(buf, int64(e.offset)+from); err != nil {
+				return nil, 0, fmt.Errorf("segment: bucket %d granule pread: %w", i, err)
 			}
-			_, n, err := b.readRun(sc, granuleRun{lo, g}, slots, decode)
-			if err != nil {
-				return nil, 0, err
-			}
-			read += n
+			read += to - from
 			for k := lo; k <= g; k++ {
+				granule := buf[:min(gb, int64(len(buf)))]
+				buf = buf[len(granule):]
+				if sum := crc32.Checksum(granule, castagnoli); sum != fences[k].crc {
+					return nil, 0, fmt.Errorf("segment: bucket %d granule %d checksum mismatch (corrupt store)", i, k)
+				}
+				if decode {
+					appendRecords(r.Objs[k*per:k*per], granule, int(stride))
+				}
 				r.Hold(k)
 			}
 		}
@@ -163,8 +131,9 @@ func (s *Set) fill(sc *fillScratch, i int, r *bucket.Resident, ranges []htm.Rang
 	if !decode {
 		return nil, read, nil
 	}
+	sc.objs = sc.objs[:0]
 	for _, run := range sc.runs {
-		gather = append(gather, r.Objs[run.lo*per:min((run.hi+1)*per, len(r.Objs))]...)
+		sc.objs = append(sc.objs, r.Objs[run.lo*per:min((run.hi+1)*per, len(r.Objs))])
 	}
-	return gather, read, nil
+	return sc.objs, read, nil
 }

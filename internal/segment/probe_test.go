@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -53,18 +54,14 @@ func rawRanges(ranges []htm.Range) string {
 // with no partition behind it: each probe resets the Resident first, so it
 // reads every granule its ranges select and keeps none of them.
 type prober struct {
-	sc     fillScratch
-	r      bucket.Resident
-	gather []catalog.Object
+	sc fillScratch
+	r  bucket.Resident
 }
 
 func (p *prober) probe(s *Set, i int, ranges []htm.Range) ([]catalog.Object, int64, error) {
 	p.r.Have = p.r.Have[:0]
-	objs, n, err := s.fill(&p.sc, i, &p.r, ranges, p.gather[:0], true)
-	if objs != nil {
-		p.gather = objs
-	}
-	return objs, n, err
+	runs, n, err := s.fill(&p.sc, i, &p.r, ranges, true)
+	return slices.Concat(runs...), n, err
 }
 
 // probeStore is a materializing store over the segment set in dir on the
@@ -283,7 +280,6 @@ func TestProbeRangesProperty(t *testing.T) {
 	part := probeFixture(t)
 	dir, _ := writeFixture(t, part, 3)
 	store := probeStore(t, part, dir)
-	var gather []catalog.Object
 
 	rng := rand.New(rand.NewPCG(14, 2))
 	var shrunk int
@@ -295,7 +291,8 @@ func TestProbeRangesProperty(t *testing.T) {
 		want := xmatch.BruteForce(whole, queue, nil)
 		xmatch.SortPairs(want)
 		what := fmt.Sprintf("probe %d, bucket %d", n, bi)
-		got, read := store.Probe(bi, ranges, &gather)
+		runs, read := store.Probe(bi, ranges)
+		got := slices.Concat(runs...)
 		checkProbe(t, what, whole, got, ranges)
 		if read != int64(len(got))*part.ObjectBytes() {
 			t.Fatalf("%s: read %d bytes for %d objects", what, read, len(got))
@@ -325,7 +322,6 @@ func TestProbeByBucketKeys(t *testing.T) {
 	part := probeFixture(t)
 	dir, _ := writeFixture(t, part, 3)
 	store := probeStore(t, part, dir)
-	var gather []catalog.Object
 
 	var queue []xmatch.WorkloadObject
 	for _, o := range part.Catalog().Objects(0, int64(part.Catalog().Total())) {
@@ -357,7 +353,8 @@ func TestProbeByBucketKeys(t *testing.T) {
 			span := part.Bucket(bi).Span
 			key := wo.RangeIn(span)
 			whole := part.Materialize(bi)
-			got, read := store.Probe(bi, []htm.Range{key}, &gather)
+			runs, read := store.Probe(bi, []htm.Range{key})
+			got := slices.Concat(runs...)
 			reached := false
 			for _, r := range cover {
 				reached = reached || r.Overlaps(span)
@@ -415,7 +412,6 @@ func TestProbeChecksumPerGranule(t *testing.T) {
 	ranges := []htm.Range{{Start: id, End: id}}
 	be := NewBackend(set, true)
 	store := bucket.NewStore(part, disk.New(disk.SkyQuery(), simclock.Real{}), true).WithBackend(be)
-	var gather []catalog.Object
 
 	flip := func(granule int64) {
 		t.Helper()
@@ -426,32 +422,32 @@ func TestProbeChecksumPerGranule(t *testing.T) {
 		}
 	}
 	flip(5)
-	if msg := failStop(func() { store.Probe(bi, ranges, &gather) }); !strings.Contains(msg, "granule 5 checksum") {
+	if msg := failStop(func() { store.Probe(bi, ranges) }); !strings.Contains(msg, "granule 5 checksum") {
 		t.Fatalf("probe over a corrupt granule = %q, want a granule checksum panic", msg)
 	}
 	flip(17)
-	got, _ := store.Probe(bi, ranges, &gather)
-	checkProbe(t, "skip", whole, got, ranges)
+	runs, _ := store.Probe(bi, ranges)
+	checkProbe(t, "skip", whole, slices.Concat(runs...), ranges)
 	if _, _, err := be.ReadBucket(bi); err == nil || !strings.Contains(err.Error(), "data checksum") {
 		t.Fatalf("scan of the corrupt bucket = %v, want the whole-bucket checksum error", err)
 	}
-	if msg := failStop(func() { store.Probe(bi, everyID, &gather) }); msg == "" {
+	if msg := failStop(func() { store.Probe(bi, everyID) }); msg == "" {
 		t.Fatal("probe over every granule of the corrupt bucket succeeded")
 	}
 
 	flip(5)
 	far := whole[10*perGranule+perGranule/2].HTMID
 	skip := []htm.Range{{Start: far, End: far}}
-	r, got, _ := store.Scan(bi, nil, skip, &gather)
-	checkProbe(t, "fill that skips the corrupt granule", whole, got, skip)
-	if msg := failStop(func() { store.Scan(bi, r, ranges, &gather) }); !strings.Contains(msg, "granule 5 checksum") {
+	r, runs, _ := store.Scan(bi, nil, skip)
+	checkProbe(t, "fill that skips the corrupt granule", whole, slices.Concat(runs...), skip)
+	if msg := failStop(func() { store.Scan(bi, r, ranges) }); !strings.Contains(msg, "granule 5 checksum") {
 		t.Errorf("fill of a resident bucket over a corrupt granule = %q, want a granule checksum panic", msg)
 	}
 }
 
-// A steady-state probe allocates nothing: runs and raw bytes live in the
-// backend's scratch, the decoded granules in the store's probe Resident,
-// and the gathered objects in the caller's buffer.
+// A steady-state probe allocates nothing: the granule runs, the raw bytes
+// and the runs of objects it returns live in the backend's scratch, and
+// the decoded granules in the store's probe Resident.
 func TestProbeRangesZeroAlloc(t *testing.T) {
 	part := probeFixture(t)
 	dir, _ := writeFixture(t, part, 3)
@@ -461,14 +457,13 @@ func TestProbeRangesZeroAlloc(t *testing.T) {
 	for bi := 0; bi < part.NumBuckets(); bi++ {
 		ranges = append(ranges, queueRanges(randomQueue(rng, part, bi)))
 	}
-	var gather []catalog.Object
 	probeAll := func() {
 		for bi, rs := range ranges {
-			store.Probe(bi, rs, &gather)
+			store.Probe(bi, rs)
 		}
 	}
-	probeAll()                       // grow the scratch
-	store.Probe(0, everyID, &gather) // and the gather buffer
+	probeAll()              // grow the scratch
+	store.Probe(0, everyID) // and the Resident, to a whole bucket
 	if allocs := testing.AllocsPerRun(50, probeAll); allocs != 0 {
 		t.Errorf("a steady-state round of probes allocates %.2f times, want 0", allocs)
 	}

@@ -92,11 +92,10 @@ func TestSegmentProbePages(t *testing.T) {
 	// select and decodes none of them: one ID reads the first granule,
 	// every ID the whole region.
 	id := part.Materialize(0)[0].HTMID
-	var gather []catalog.Object
-	if objs, n := store.Probe(0, []htm.Range{{Start: id, End: id}}, &gather); objs != nil || n != BlockSize {
+	if objs, n := store.Probe(0, []htm.Range{{Start: id, End: id}}); objs != nil || n != BlockSize {
 		t.Errorf("cost-only probe of one ID = %d objects, %d bytes; want none, %d", len(objs), n, BlockSize)
 	}
-	if objs, n := store.Probe(0, everyID, &gather); objs != nil || n != 7680 {
+	if objs, n := store.Probe(0, everyID); objs != nil || n != 7680 {
 		t.Errorf("cost-only probe of every ID = %d objects, %d bytes; want none, 7680", len(objs), n)
 	}
 	if st := d.Stats(); st.Probes != 2 || st.SeqReads != 0 {
@@ -249,7 +248,7 @@ func TestBackendCostOnlyStillReads(t *testing.T) {
 	defer set.Close()
 	be := NewBackend(set, false)
 	var r bucket.Resident
-	objs, n, err := be.Fill(0, &r, everyID, nil)
+	objs, n, err := be.Fill(0, &r, everyID)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,19 +4,19 @@
 // find all pairs within each remote object's positional-error radius and
 // apply query-specific predicates.
 //
-// Three join strategies are provided, mirroring §3.4:
+// The hybrid plan of §3.4 (ChooseStrategy) picks a scan or an index probe
+// per bucket service; they differ in what they read, not in how they join:
 //
-//   - MergeJoin: both inputs sorted by level-14 HTM ID are swept and
-//     merged in one pass, the plane-sweep of Partition Based Spatial-Merge
-//     Join adapted to the HTM curve. Used after a sequential bucket scan.
+//   - Merge (Joiner.Merge, MergeJoin): both inputs sorted by level-14 HTM
+//     ID are swept and merged in one pass, the plane-sweep of Partition
+//     Based Spatial-Merge Join adapted to the HTM curve. The engine's only
+//     join, on scan and index services alike.
 //   - IndexJoin: each workload object binary-searches the bucket's sorted
 //     objects over its bounding ID range, standing in for probing the
-//     database's spatial index. Used when the workload queue is small.
+//     database's spatial index: the index-only baseline (RunIndexOnly).
 //   - BruteForce: the O(n·m) reference used by tests to verify both.
 //
-// All strategies return identical match sets; they differ only in I/O
-// pattern (and therefore cost, which the engine charges via the disk
-// model).
+// All three return identical match sets.
 package xmatch
 
 import (
@@ -131,7 +131,7 @@ func verify(out []Pair, local catalog.Object, w WorkloadObject, pred Predicate) 
 	return append(out, Pair{QueryID: w.QueryID, Local: local, Remote: w.Obj, SepRad: sep})
 }
 
-// Joiner runs the two production joins in buffers it keeps between calls,
+// Joiner runs the engine's join, Merge, in buffers it keeps between calls,
 // so an engine that joins on every bucket service allocates only while the
 // buffers are still growing. The zero value is ready to use; a Joiner is not
 // safe for concurrent use (each shard's scheduler owns one). The slice a
@@ -163,69 +163,84 @@ func pastHTMID(o catalog.Object, id htm.ID) int {
 func SortQueue(queue []WorkloadObject) { slices.SortFunc(queue, byMinID) }
 
 // Merge cross-matches a bucket against a workload queue by a single
-// simultaneous sweep of both inputs in HTM ID order. bucket must be sorted
-// by HTMID (bucket stores materialize it that way); queue is copied and
-// sorted by MinID (the paper sorts the workload queue before the sweep).
-// preds maps QueryID to that query's predicate; nil preds, or a missing
-// entry, accepts all pairs.
+// simultaneous sweep of both inputs in HTM ID order. The bucket comes as
+// runs, disjoint and in HTM-curve order (a store read's, or one whole
+// bucket); queue is copied and sorted by MinID (the paper sorts the
+// workload queue before the sweep). preds maps QueryID to that query's
+// predicate; nil preds, or a missing entry, accepts all pairs.
 //
 // Only the bucket objects the queue can reach are swept: those with IDs in
-// [least MinID, greatest MaxID], found by binary search, so a queue that
-// covers a tenth of the bucket's ID span costs a tenth of the sweep. Objects
-// outside that window admit nothing and pair with nothing.
+// [least MinID, greatest MaxID], found by binary search in each run that
+// overlaps it (a run that does not is skipped in O(1)), so a queue that
+// covers a tenth of the bucket's ID span costs a tenth of the sweep.
+// Objects outside that window admit nothing and pair with nothing.
 //
-// Complexity is O(log n + w + m + candidates) for a window of w objects:
-// the sweep maintains the set of workload intervals overlapping the current
-// bucket object's ID, which stays tiny because error radii are arcseconds.
-func (j *Joiner) Merge(bucket []catalog.Object, queue []WorkloadObject, preds map[uint64]Predicate) []Pair {
+// Complexity is O(r log n + w + m + candidates) for r runs and a window of
+// w objects: the sweep maintains the set of workload intervals overlapping
+// the current bucket object's ID, which stays tiny because error radii are
+// arcseconds.
+func (j *Joiner) Merge(runs [][]catalog.Object, queue []WorkloadObject, preds map[uint64]Predicate) []Pair {
 	out := j.pairs[:0]
-	if len(bucket) == 0 || len(queue) == 0 {
+	if len(queue) == 0 {
 		return out
 	}
 	q := append(j.queue[:0], queue...)
 	SortQueue(q)
-	reach := q[0].MaxID
+	least, reach := q[0].MinID, q[0].MaxID
 	for _, wo := range q[1:] {
 		reach = max(reach, wo.MaxID)
 	}
-	first, _ := slices.BinarySearchFunc(bucket, q[0].MinID, cmpHTMID)
-	past, _ := slices.BinarySearchFunc(bucket, reach, pastHTMID)
 	// active holds workload objects whose interval may still overlap
 	// bucket objects at or beyond the sweep position, as a min-heap
 	// substitute: since radii are uniform-ish and intervals short, a
-	// slice with compaction is efficient.
+	// slice with compaction is efficient. It carries on from run to run.
 	active := j.active[:0]
 	next := 0
-	for _, local := range bucket[first:max(first, past)] {
-		id := local.HTMID
-		// Admit queue intervals starting at or before id.
-		for next < len(q) && q[next].MinID <= id {
-			active = append(active, q[next])
-			next++
+	for _, run := range runs {
+		if len(run) == 0 || run[len(run)-1].HTMID < least || run[0].HTMID > reach {
+			continue
 		}
-		// Drop expired intervals and test the rest.
-		w := 0
-		for _, wo := range active {
-			if wo.MaxID < id {
-				continue // expired: compact away
+		first, _ := slices.BinarySearchFunc(run, least, cmpHTMID)
+		past, _ := slices.BinarySearchFunc(run, reach, pastHTMID)
+		for _, local := range run[first:max(first, past)] {
+			id := local.HTMID
+			// Admit queue intervals starting at or before id.
+			for next < len(q) && q[next].MinID <= id {
+				active = append(active, q[next])
+				next++
 			}
-			active[w] = wo
-			w++
-			out = verify(out, local, wo, predFor(preds, wo.QueryID))
+			// Drop expired intervals and test the rest.
+			w := 0
+			for _, wo := range active {
+				if wo.MaxID < id {
+					continue // expired: compact away
+				}
+				active[w] = wo
+				w++
+				out = verify(out, local, wo, predFor(preds, wo.QueryID))
+			}
+			active = active[:w]
 		}
-		active = active[:w]
 	}
 	j.queue, j.active, j.pairs = q, active, out
 	return out
 }
 
-// Index cross-matches by probing: for each workload object, the bucket's
-// sorted objects are binary-searched over the object's bounding ID range
-// and candidates are verified. This models an indexed join against the
-// database's HTM index; the engine charges one sorted index probe per
-// workload object.
-func (j *Joiner) Index(bucket []catalog.Object, queue []WorkloadObject, preds map[uint64]Predicate) []Pair {
-	out := j.pairs[:0]
+// MergeJoin is Joiner.Merge over a whole bucket for callers without a
+// Joiner to reuse: the pairs come back in a slice of their own (nil when
+// there are none).
+func MergeJoin(bucket []catalog.Object, queue []WorkloadObject, preds map[uint64]Predicate) []Pair {
+	var j Joiner
+	return j.Merge([][]catalog.Object{bucket}, queue, preds)
+}
+
+// IndexJoin cross-matches by probing: for each workload object, the
+// bucket's sorted objects are binary-searched over the object's bounding ID
+// range and candidates are verified. It models an indexed join against the
+// database's HTM index for the RunIndexOnly baseline; the engine's index
+// services merge instead.
+func IndexJoin(bucket []catalog.Object, queue []WorkloadObject, preds map[uint64]Predicate) []Pair {
+	var out []Pair
 	for _, wo := range queue {
 		lo, _ := slices.BinarySearchFunc(bucket, wo.MinID, cmpHTMID)
 		pred := predFor(preds, wo.QueryID)
@@ -233,21 +248,7 @@ func (j *Joiner) Index(bucket []catalog.Object, queue []WorkloadObject, preds ma
 			out = verify(out, bucket[i], wo, pred)
 		}
 	}
-	j.pairs = out
 	return out
-}
-
-// MergeJoin is Joiner.Merge for callers without a Joiner to reuse: the
-// pairs come back in a slice of their own (nil when there are none).
-func MergeJoin(bucket []catalog.Object, queue []WorkloadObject, preds map[uint64]Predicate) []Pair {
-	var j Joiner
-	return j.Merge(bucket, queue, preds)
-}
-
-// IndexJoin is Joiner.Index for callers without a Joiner to reuse.
-func IndexJoin(bucket []catalog.Object, queue []WorkloadObject, preds map[uint64]Predicate) []Pair {
-	var j Joiner
-	return j.Index(bucket, queue, preds)
 }
 
 // BruteForce is the O(n*m) reference join used to validate the other

@@ -269,20 +269,17 @@ func TestJoinerSteadyStateZeroAlloc(t *testing.T) {
 	locals, queue := makeField(1, 1000, 300, 20, 3)
 	preds := map[uint64]Predicate{1: MagnitudeWindow(0, 100)}
 	var j Joiner
-	for name, join := range map[string]func([]catalog.Object, []WorkloadObject, map[uint64]Predicate) []Pair{
-		"Merge": j.Merge, "Index": j.Index,
-	} {
-		if len(join(locals, queue, preds)) == 0 {
-			t.Fatalf("%s: no pairs; bad fixture", name)
-		}
-		if n := testing.AllocsPerRun(50, func() { join(locals, queue, preds) }); n != 0 {
-			t.Errorf("warm Joiner.%s allocates %.1f/op, want 0", name, n)
-		}
+	whole := [][]catalog.Object{locals}
+	if len(j.Merge(whole, queue, preds)) == 0 {
+		t.Fatal("no pairs; bad fixture")
+	}
+	if n := testing.AllocsPerRun(50, func() { j.Merge(whole, queue, preds) }); n != 0 {
+		t.Errorf("warm Joiner.Merge allocates %.1f/op, want 0", n)
 	}
 	// A part of a service: a run of the sorted queue, after the whole.
 	SortQueue(queue)
 	for _, part := range [][]WorkloadObject{queue[:40], queue[len(queue)-40:]} {
-		if n := testing.AllocsPerRun(50, func() { j.Merge(locals, part, preds) }); n != 0 {
+		if n := testing.AllocsPerRun(50, func() { j.Merge(whole, part, preds) }); n != 0 {
 			t.Errorf("warm Joiner.Merge over a %d-object run of the queue allocates %.1f/op, want 0", len(part), n)
 		}
 	}
@@ -321,10 +318,24 @@ func mergeWholeBucket(bucket []catalog.Object, queue []WorkloadObject) []Pair {
 // pair and no pair's position — for the whole queue, for narrow runs of
 // it at either end of the bucket and in the middle (the parts a split
 // service joins), and for queues whose ranges begin before the bucket's
-// first object, run on past its last, or miss it altogether.
+// first object, run on past its last, or miss it altogether. Each queue is
+// also merged over the bucket cut at random points into runs, the way a
+// fill hands back the granules it decoded: empty runs among them, and for
+// every narrow queue runs wholly outside its window, which the sweep skips.
 func TestMergeSweepsOnlyTheQueueWindow(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		locals, queue := makeField(seed, 400, 120, 10, 3)
+		rng := rand.New(rand.NewSource(seed))
+		var runs [][]catalog.Object
+		for lo := 0; lo < len(locals); {
+			hi := min(lo+rng.Intn(40), len(locals))
+			runs = append(runs, locals[lo:hi]) // empty when hi == lo
+			if rng.Intn(4) == 0 {
+				runs = append(runs, locals[hi:hi])
+			}
+			lo = hi
+		}
+		var j Joiner
 		SortQueue(queue)
 		n := len(queue)
 		wide := queue[n/2]
@@ -349,6 +360,10 @@ func TestMergeSweepsOnlyTheQueueWindow(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("seed %d, %s: %d pairs, the whole-bucket sweep finds %d (or in another order)", seed, name, len(got), len(want))
 			}
+			over := append([]Pair(nil), j.Merge(runs, q, nil)...)
+			if !reflect.DeepEqual(over, want) {
+				t.Errorf("seed %d, %s: over %d runs, %d pairs; the whole-bucket sweep finds %d (or in another order)", seed, name, len(runs), len(over), len(want))
+			}
 			// The last two carry ranges their objects do not lie in, which
 			// brute force, testing distance alone, knows nothing of.
 			if name == "all before" || name == "all after" {
@@ -357,8 +372,8 @@ func TestMergeSweepsOnlyTheQueueWindow(t *testing.T) {
 				}
 				continue
 			}
-			if bf := BruteForce(locals, q, nil); !pairsEqual(append([]Pair(nil), got...), bf) {
-				t.Errorf("seed %d, %s: %d pairs, brute force %d", seed, name, len(got), len(bf))
+			if bf := BruteForce(locals, q, nil); !pairsEqual(append([]Pair(nil), got...), bf) || !pairsEqual(over, bf) {
+				t.Errorf("seed %d, %s: %d pairs, %d over runs, brute force %d", seed, name, len(got), len(over), len(bf))
 			}
 		}
 	}
@@ -370,11 +385,8 @@ func TestJoinerReuseMatchesFreshJoins(t *testing.T) {
 	var j Joiner
 	for seed := int64(0); seed < 8; seed++ {
 		locals, queue := makeField(seed, 50+int(seed)*40, 5+int(seed)*9, int(seed), 3)
-		if got, want := j.Merge(locals, queue, nil), MergeJoin(locals, queue, nil); !reflect.DeepEqual(append([]Pair(nil), got...), want) {
+		if got, want := j.Merge([][]catalog.Object{locals}, queue, nil), MergeJoin(locals, queue, nil); !reflect.DeepEqual(append([]Pair(nil), got...), want) {
 			t.Errorf("seed %d: reused Merge differs from MergeJoin", seed)
-		}
-		if got, want := j.Index(locals, queue, nil), IndexJoin(locals, queue, nil); !reflect.DeepEqual(append([]Pair(nil), got...), want) {
-			t.Errorf("seed %d: reused Index differs from IndexJoin", seed)
 		}
 	}
 }
