@@ -70,6 +70,7 @@ func RunNoShare(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunS
 			cfg.Store.Disk().MatchObjects(len(wos))
 			stats.BucketsServed++
 			if cfg.Store.Materializing() {
+				xmatch.SortQueue(wos)
 				pairs := join.Merge(runs, wos, preds)
 				res.Pairs = append(res.Pairs, pairs...)
 				res.Matches += len(pairs)

@@ -797,19 +797,18 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 		}
 	}
 
-	// Join, charge Tm per object, and distribute the results. A Scan
-	// service whose queue fills two parts or more is cut into runs of the
-	// queue in MinID order, the order the merge sweeps it in, and idle
-	// sibling workers run some of them on their own arms; the owner waits
-	// for every part, so what follows — fan-out, retire, completion — sees
-	// the same pairs in the same order whoever ran which part.
+	// Join, charge Tm per object, and distribute the results. The queue is
+	// sorted once, in MinID order, the order the merge sweeps it in. A Scan
+	// service whose queue fills two parts or more is cut into runs of it,
+	// and idle sibling workers run some of them on their own arms; the
+	// owner waits for every part, so what follows — fan-out, retire,
+	// completion — sees the same pairs in the same order whoever ran which
+	// part.
+	xmatch.SortQueue(wos)
 	fj := &s.fj
 	n := 1
-	if strategy == xmatch.Scan {
-		xmatch.SortQueue(wos)
-		if s.offers != nil && count >= 2*servicePartUnits {
-			n = (count + servicePartUnits - 1) / servicePartUnits
-		}
+	if strategy == xmatch.Scan && s.offers != nil && count >= 2*servicePartUnits {
+		n = (count + servicePartUnits - 1) / servicePartUnits
 	}
 	fj.runs, fj.wos = runs, wos
 	fj.begin(n)

@@ -14,7 +14,7 @@ import (
 	"time"
 )
 
-// stubPeer is a scripted LIFERAFT/2 server: it completes the handshake,
+// stubPeer is a scripted server of this protocol: it completes the handshake,
 // decodes request frames onto channels and writes only the responses the
 // test tells it to, in the order the test chooses.
 type stubPeer struct {

@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"net"
 	"time"
 
 	"liferaft/internal/metric"
@@ -14,6 +15,7 @@ type HopMetrics struct {
 	inflight *metric.GaugeVec
 	seconds  *metric.HistogramVec
 	errors   *metric.CounterVec
+	wire     *metric.CounterVec
 }
 
 // NewHopMetrics registers the hop families on reg. Call it once per
@@ -29,23 +31,31 @@ func NewHopMetrics(reg *metric.Registry) *HopMetrics {
 		errors: reg.NewCounterVec("liferaft_federation_rpc_errors_total",
 			"Requests to the peer that returned an error, by kind: connection failures, timeouts, cancellations and errors the peer answered with.",
 			[]string{"peer", "kind"}, metric.VecOpts{}),
+		wire: reg.NewCounterVec("liferaft_federation_wire_bytes_total",
+			"Bytes the connection to the peer carried, by direction (sent, received), handshakes included.",
+			[]string{"peer", "dir"}, metric.VecOpts{}),
 	}
 }
 
 // clientObs is one client's handle on the hop families: its peer's series.
+// The byte counters are resolved once, at Instrument: they are written on
+// every read and write of the connection, and peer names are bounded.
 type clientObs struct {
 	*HopMetrics
-	peer string
+	peer           string
+	sent, received *metric.Counter
 }
 
 // Instrument reports the client's requests on m under the given peer
-// name: requests in flight, request latency by kind and errors by kind.
+// name: requests in flight, request latency by kind, errors by kind and
+// the bytes its connection carries each way.
 // Call it before the client's first request. Peer names are operator
 // configuration (liferaftd -peers), so the series count is bounded. Nil
 // metrics leave the client uninstrumented.
 func (c *Client) Instrument(m *HopMetrics, peer string) {
 	if m != nil {
-		c.obs = &clientObs{HopMetrics: m, peer: peer}
+		c.obs = &clientObs{HopMetrics: m, peer: peer,
+			sent: m.wire.With(peer, "sent"), received: m.wire.With(peer, "received")}
 		c.obs.inflight.With(peer) // scrapes show the peer at 0 before its first request
 	}
 }
@@ -63,4 +73,23 @@ func (o *clientObs) begin(kind string) func(error) {
 			o.errors.With(o.peer, kind).Inc()
 		}
 	}
+}
+
+// countingConn is a client connection that counts the bytes it writes and
+// reads on its peer's series.
+type countingConn struct {
+	net.Conn
+	o *clientObs
+}
+
+func (c countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.o.received.Add(float64(n))
+	return n, err
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.o.sent.Add(float64(n))
+	return n, err
 }

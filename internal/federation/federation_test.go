@@ -12,6 +12,7 @@ import (
 	"net"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -22,6 +23,7 @@ import (
 	"liferaft/internal/geom"
 	"liferaft/internal/segment"
 	"liferaft/internal/simclock"
+	"liferaft/internal/xmatch"
 )
 
 // fedFixture builds a three-archive federation over one shared virtual
@@ -339,23 +341,44 @@ func TestTCPTransportEquivalence(t *testing.T) {
 	}
 }
 
+// hopRecorder is a site that keeps a copy of the pairs of every match
+// response it passes on.
+type hopRecorder struct {
+	Transport
+	pairs [][]xmatch.Pair
+}
+
+func (r *hopRecorder) MatchCtx(ctx context.Context, req MatchRequest) (MatchResponse, error) {
+	resp, err := r.Transport.(ContextTransport).MatchCtx(ctx, req)
+	r.pairs = append(r.pairs, slices.Clone(resp.Pairs))
+	return resp, err
+}
+
 // TestTCPPortalEndToEnd: a plan whose every archive is reached over TCP
 // answers the same JSON, byte for byte, as the same plan in-process — where
 // the rows view the engine's own pair arrays rather than gob-decoded ones. The
 // three-archive plan ships sdss's half of the pairs on to usnob as the
-// intermediate frontier.
+// intermediate frontier. Every hop's pairs are the in-process hop's, field
+// by field: a TCP response names each shipped object by its ID, and the
+// client restores the object from its request. The TCP plans run on nodes
+// of their own, so a node's job IDs, which a pair's QueryID is, count alike
+// on both sides.
 func TestTCPPortalEndToEnd(t *testing.T) {
-	f := newFixture(t)
-	p := NewPortal()
-	for name, n := range map[string]*Node{"twomass": f.twomass, "sdss": f.sdss, "usnob": f.usnob} {
-		srv, err := Serve(n, "127.0.0.1:0")
+	f, g := newFixture(t), newFixture(t)
+	p, inproc := NewPortal(), NewPortal()
+	hops := map[string][2]*hopRecorder{}
+	for name, n := range map[string][2]*Node{"twomass": {f.twomass, g.twomass}, "sdss": {f.sdss, g.sdss}, "usnob": {f.usnob, g.usnob}} {
+		srv, err := Serve(n[1], "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer srv.Close()
 		cli := Dial(srv.Addr().String())
 		defer cli.Close()
-		p.Register(name, cli)
+		rec := [2]*hopRecorder{{Transport: InProc{n[0]}}, {Transport: cli}}
+		hops[name] = rec
+		inproc.Register(name, rec[0])
+		p.Register(name, rec[1])
 	}
 	three := testQuery()
 	three.Archives = []string{"twomass", "sdss", "usnob"}
@@ -364,7 +387,7 @@ func TestTCPPortalEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, err := f.portal.ExecuteCtx(context.Background(), q)
+		direct, err := inproc.ExecuteCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,6 +407,24 @@ func TestTCPPortalEndToEnd(t *testing.T) {
 		}
 		if !reflect.DeepEqual(rs.Shipped, direct.Shipped) {
 			t.Errorf("%v: TCP federation shipped %v, in-process %v", q.Archives, rs.Shipped, direct.Shipped)
+		}
+	}
+	for name, rec := range hops {
+		in, tcp := rec[0].pairs, rec[1].pairs
+		if len(in) != len(tcp) {
+			t.Fatalf("%s: %d hops in-process, %d over TCP", name, len(in), len(tcp))
+		}
+		for h := range in {
+			if len(in[h]) == 0 || len(in[h]) != len(tcp[h]) {
+				t.Fatalf("%s, hop %d: %d pairs in-process, %d over TCP", name, h, len(in[h]), len(tcp[h]))
+			}
+			xmatch.SortPairs(in[h])
+			xmatch.SortPairs(tcp[h])
+			for i, want := range in[h] {
+				if got := tcp[h][i]; got != want { // QueryID, Local, Remote and SepRad
+					t.Fatalf("%s, hop %d, pair %d: over TCP %+v, in-process %+v", name, h, i, got, want)
+				}
+			}
 		}
 	}
 }
@@ -482,12 +523,13 @@ func TestNodeRefusesMalformedRequests(t *testing.T) {
 	}
 }
 
-// TestProtocolMismatchRefusedBothWays: a LIFERAFT/2 peer, whose pairs
-// carried flat positions this build's gob decoding would silently drop, is
-// refused at the handshake whichever end it is: a client dialing it fails with
-// the server's version in the error, and it is hung up on when it dials.
+// TestProtocolMismatchRefusedBothWays: a LIFERAFT/3 peer is refused at the
+// handshake whichever end it is: a client dialing it fails with the server's
+// version in the error, and it is hung up on when it dials. A version 3 client
+// would take the Remote{ID} of a version 4 pair for the shipped object itself,
+// position zero, and gob would not complain.
 func TestProtocolMismatchRefusedBothWays(t *testing.T) {
-	const old = "LIFERAFT/2"
+	const old = "LIFERAFT/3"
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -2,15 +2,20 @@ package federation
 
 import (
 	"bytes"
+	"cmp"
+	"context"
 	"encoding/gob"
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"liferaft/internal/catalog"
 	"liferaft/internal/simclock"
+	"liferaft/internal/xmatch"
 )
 
 // fuzzKinds are the request kinds a scripted frame may carry: the four of
@@ -43,7 +48,9 @@ func fuzzFrames(script []byte, objs []Object) []rpcRequest {
 // not panic (that would take the fuzz worker down) and must keep serving
 // others; in scripted mode it answers every frame but the cancels exactly
 // once, under the frame's ID, with no more goroutines than the in-flight
-// bound allows.
+// bound allows. With toClient the roles turn: a hostile peer answers a
+// client's match with the data, raw or as a script of response frames
+// (hostilePeer).
 func FuzzFederationFrames(f *testing.F) {
 	cat, err := catalog.New(catalog.Config{Name: "sdss", N: 2000, Seed: 7, GenLevel: 3, CacheTrixels: true})
 	if err != nil {
@@ -72,18 +79,145 @@ func FuzzFederationFrames(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	f.Add(valid.Bytes(), false)
-	f.Add(valid.Bytes()[:valid.Len()/2], false)
-	f.Add([]byte("GET / HTTP/1.1\r\n\r\n"), false)
-	f.Add([]byte{1, 2, 3, 1, 2, 3, 1, 3, 0, 9, 3, 0}, true)    // duplicate match IDs, cancels known and unknown
-	f.Add([]byte{0, 1, 0, 0, 2, 0, 0, 4, 1, 0, 5, 1}, true)    // missing payloads, undefined kinds
-	f.Add(bytes.Repeat([]byte{7, 2, 5, 7, 3, 0}, 200), true)   // a long run of matches and their cancels
-	f.Add(bytes.Repeat([]byte{3, 1, 7, 4, 0, 0}, 256), true)   // past the in-flight bound
-	f.Add([]byte{2, 2, 2, 2, 1, 4, 5, 2, 3, 5, 1, 1, 0}, true) // zero radii: the node refuses, the server answers
+	f.Add(valid.Bytes(), false, false)
+	f.Add(valid.Bytes()[:valid.Len()/2], false, false)
+	f.Add([]byte("GET / HTTP/1.1\r\n\r\n"), false, false)
+	f.Add([]byte{1, 2, 3, 1, 2, 3, 1, 3, 0, 9, 3, 0}, true, false)    // duplicate match IDs, cancels known and unknown
+	f.Add([]byte{0, 1, 0, 0, 2, 0, 0, 4, 1, 0, 5, 1}, true, false)    // missing payloads, undefined kinds
+	f.Add(bytes.Repeat([]byte{7, 2, 5, 7, 3, 0}, 200), true, false)   // a long run of matches and their cancels
+	f.Add(bytes.Repeat([]byte{3, 1, 7, 4, 0, 0}, 256), true, false)   // past the in-flight bound
+	f.Add([]byte{2, 2, 2, 2, 1, 4, 5, 2, 3, 5, 1, 1, 0}, true, false) // zero radii: the node refuses, the server answers
 
-	f.Fuzz(func(t *testing.T, data []byte, scripted bool) {
+	peerLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { peerLn.Close() })
+	// A client ships at most eight objects, so a script can name each of
+	// them and one that was not shipped.
+	sent := objs[:min(len(objs), 8)]
+	f.Add([]byte{1, 2, 4}, true, true)                        // a valid answer
+	f.Add([]byte{1, 2, 44}, true, true)                       // a pair naming an object the request did not ship
+	f.Add([]byte{0, 2, 1, 2, 0, 0, 1, 3, 9}, true, true)      // answers for IDs nobody waits for, then the right one
+	f.Add([]byte{1, 0, 0, 1, 2, 3}, true, true)               // the peer's error, then a late answer under the same ID
+	f.Add([]byte{1, 1, 0}, true, true)                        // an answer without its payload
+	f.Add(responseFrames(f, rpcResponse{ID: 1}), false, true) // a raw, empty answer
+
+	f.Fuzz(func(t *testing.T, data []byte, scripted, toClient bool) {
+		if toClient {
+			hostilePeer(t, peerLn, sent, data, scripted)
+			return
+		}
 		hostileConn(t, srv, objs, data, scripted)
 	})
+}
+
+// fuzzResponses reads script three bytes at a time as (ID, payload, pairs)
+// response frames to a client whose one request (ID 1) shipped objs. IDs are
+// taken modulo 3, so scripts answer IDs nobody waits for and answer ID 1
+// twice. A frame carries the peer's error, no payload, or a match of up to
+// four pairs, each naming one of objs by ID or, for an index past them, an
+// object that was not shipped.
+func fuzzResponses(script []byte, objs []Object) []rpcResponse {
+	stray := slices.MaxFunc(objs, func(a, b Object) int { return cmp.Compare(a.ID, b.ID) }).ID + 1
+	var resps []rpcResponse
+	for ; len(script) >= 3 && len(resps) < 64; script = script[3:] {
+		resp := rpcResponse{ID: uint64(script[0] % 3)}
+		switch script[1] % 4 {
+		case 0:
+			resp.Err = "federation: the peer refused"
+		case 1: // no payload
+		default:
+			resp.Match = &MatchResponse{}
+			for j := range int(script[2] % 5) {
+				id := stray
+				if k := int(script[2]/5) + j; k < len(objs) {
+					id = objs[k].ID
+				}
+				resp.Match.Pairs = append(resp.Match.Pairs, xmatch.Pair{QueryID: 7,
+					Local: catalog.Object{ID: uint64(j)}, Remote: catalog.Object{ID: id}, SepRad: float64(j)})
+			}
+		}
+		resps = append(resps, resp)
+	}
+	return resps
+}
+
+// hostilePeer is one fuzz execution against the client: a peer on ln that
+// shakes hands, reads the client's match request and answers with data — as
+// it is, or read as a script of response frames — then hangs up. The client
+// must not panic; whatever match it returns names only shipped objects,
+// restored whole. In scripted mode the outcome is known: the first frame
+// under the request's ID decides it, and a pair naming an object that was
+// not shipped fails the call with an error naming the ID.
+func hostilePeer(t *testing.T, ln net.Listener, objs []Object, data []byte, scripted bool) {
+	var want []rpcResponse
+	if scripted {
+		want = fuzzResponses(data, objs)
+		data = responseFrames(t, want...)
+	}
+	done := fakePeer(ln, data)
+	cli := DialTimeout(ln.Addr().String(), 10*time.Second)
+	resp, err := cli.MatchCtx(context.Background(), MatchRequest{QueryID: 1, MatchRadiusArcsec: 5, Objects: objs})
+	cli.Close()
+	<-done
+
+	byID := make(map[uint64]Object, len(objs))
+	for _, o := range objs {
+		byID[o.ID] = o
+	}
+	if err == nil {
+		for i, p := range resp.Pairs {
+			if o, ok := byID[p.Remote.ID]; !ok || p.Remote != o.toCatalog() {
+				t.Fatalf("pair %d: Remote %+v is not the object shipped under its ID", i, p.Remote)
+			}
+		}
+	}
+	if !scripted {
+		return
+	}
+	wantErr := "receive" // no answer under the request's ID: the hang-up fails it
+	var answer *rpcResponse
+	for i := range want {
+		if want[i].ID == 1 {
+			answer = &want[i]
+			break
+		}
+	}
+	if answer != nil {
+		wantErr = ""
+		switch {
+		case answer.Err != "":
+			wantErr = answer.Err
+		case answer.Match == nil:
+			wantErr = "empty match response"
+		default:
+			for _, p := range answer.Match.Pairs {
+				if _, ok := byID[p.Remote.ID]; !ok {
+					wantErr = fmt.Sprintf("object %d, which the request did not ship", p.Remote.ID)
+					break
+				}
+			}
+		}
+	}
+	if wantErr != "" {
+		if err == nil || !strings.Contains(err.Error(), wantErr) {
+			t.Fatalf("err = %v, want one containing %q", err, wantErr)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("a valid answer failed: %v", err)
+	}
+	if len(resp.Pairs) != len(answer.Match.Pairs) {
+		t.Fatalf("%d pairs, the peer sent %d", len(resp.Pairs), len(answer.Match.Pairs))
+	}
+	for i, p := range resp.Pairs {
+		sent := answer.Match.Pairs[i]
+		if p.QueryID != sent.QueryID || p.Local != sent.Local || p.Remote.ID != sent.Remote.ID || p.SepRad != sent.SepRad {
+			t.Fatalf("pair %d: %+v, the peer sent %+v", i, p, sent)
+		}
+	}
 }
 
 // hostileConn is one fuzz execution: a connection that shakes hands and then

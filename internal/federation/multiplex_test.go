@@ -314,7 +314,8 @@ func TestMultiplexNoGoroutineLeak(t *testing.T) {
 
 // TestClientInstrument: two clients of one daemon share the hop families on
 // its registry, one series per peer; requests and failures are counted by
-// kind, and nothing stays in flight.
+// kind, nothing stays in flight, and the bytes a connection carries are
+// counted each way.
 func TestClientInstrument(t *testing.T) {
 	f := newFixture(t)
 	srv, err := Serve(f.sdss, "127.0.0.1:0")
@@ -358,5 +359,16 @@ func TestClientInstrument(t *testing.T) {
 	}
 	if strings.Contains(out.String(), `rpc_errors_total{peer="sdss",kind="archive"}`) {
 		t.Error("a successful request was counted as an error")
+	}
+	for _, dir := range []string{"sent", "received"} {
+		if n := hops.wire.With("sdss", dir).Value(); n == 0 {
+			t.Errorf("no bytes %s to sdss", dir)
+		}
+		if n := hops.wire.With("usnob", dir).Value(); n != 0 {
+			t.Errorf("%.0f bytes %s to usnob, which never answered a dial", n, dir)
+		}
+		if want := `liferaft_federation_wire_bytes_total{peer="sdss",dir="` + dir + `"}`; !strings.Contains(out.String(), want) {
+			t.Errorf("scrape lacks %s", want)
+		}
 	}
 }

@@ -1,14 +1,19 @@
 package federation
 
 import (
+	"cmp"
 	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"time"
+
+	"liferaft/internal/catalog"
+	"liferaft/internal/xmatch"
 )
 
 // InProc adapts a Node to the Transport interface directly, for embedded
@@ -35,7 +40,7 @@ func (t InProc) MatchCtx(ctx context.Context, req MatchRequest) (MatchResponse, 
 	return t.Node.MatchCtx(ctx, req)
 }
 
-// Wire protocol (LIFERAFT/3). Each side sends its version line, then the
+// Wire protocol (LIFERAFT/4). Each side sends its version line, then the
 // connection carries two independent gob streams of envelopes: requests one
 // way, responses the other. The client numbers its requests from a
 // per-connection counter and a response carries the ID of the request it
@@ -48,14 +53,21 @@ func (t InProc) MatchCtx(ctx context.Context, req MatchRequest) (MatchResponse, 
 // context error): the client drops that answer, as it drops every response
 // whose ID is no longer pending.
 //
-// Version 3 ships a match's pairs as the engine's xmatch.Pair, each object a
-// catalog.Object with its position nested in Pos. A version 2 peer's flat
-// pair objects would decode without their positions, and gob would not
-// complain, so the two versions refuse each other at the handshake.
+// A match's pairs travel as the engine's xmatch.Pair, each object a
+// catalog.Object with its position nested in Pos, except that version 4
+// does not echo what the client sent: a pair's Remote is the shipped object
+// the client already holds in its own request, so the server sends its ID
+// alone (gob omits the zero fields) and the client restores the rest from
+// the request (restoreRemotes). That is over a third of a response's
+// bytes. IDs name objects: a request that ships one ID twice gets its first
+// object back for both. A version 3 peer would take Remote{ID} for the
+// object, and a version 2 peer's flat pair objects would decode without
+// their positions, and gob would complain of neither, so versions refuse
+// each other at the handshake.
 
 // protoVersion guards against cross-version deployments: a peer that
 // announces anything else is refused at the handshake.
-const protoVersion = "LIFERAFT/3"
+const protoVersion = "LIFERAFT/4"
 
 type rpcRequest struct {
 	ID      uint64 // echoed by the response; for "cancel", the request to withdraw
@@ -310,6 +322,11 @@ func (sc *serverConn) serve(ctx context.Context, req rpcRequest) {
 		if err != nil {
 			resp.Err = err.Error()
 		} else {
+			// The pair array is this request's to edit: the client holds
+			// the shipped objects, so each Remote goes back as its ID.
+			for i := range r.Pairs {
+				r.Pairs[i].Remote = catalog.Object{ID: r.Pairs[i].Remote.ID}
+			}
 			resp.Match = &r
 		}
 	}
@@ -393,6 +410,9 @@ func (c *Client) dial(ctx context.Context, deadline time.Time) (*clientConn, err
 	conn, err := d.DialContext(ctx, "tcp", c.addr)
 	if err != nil {
 		return nil, fmt.Errorf("federation: dial %s: %w", c.addr, err)
+	}
+	if c.obs != nil {
+		conn = countingConn{Conn: conn, o: c.obs}
 	}
 	// The handshake runs under the request's deadline, and a cancelled
 	// caller expires it at once; the connection is not shared yet.
@@ -674,7 +694,9 @@ func (c *Client) Match(req MatchRequest) (MatchResponse, error) {
 // arrives, the call returns ctx's error at once and a cancel frame
 // withdraws the cross-match from the remote engine's queues, as an
 // in-process MatchCtx would. Calls from concurrent goroutines share the
-// connection and are in the remote engine together.
+// connection and are in the remote engine together. Each pair's Remote is
+// restored from req.Objects by the ID the response names; a response that
+// names an object req did not ship fails the call.
 func (c *Client) MatchCtx(ctx context.Context, req MatchRequest) (MatchResponse, error) {
 	resp, err := c.roundTripCtx(ctx, rpcRequest{Kind: "match", Match: &req})
 	if err != nil {
@@ -683,5 +705,37 @@ func (c *Client) MatchCtx(ctx context.Context, req MatchRequest) (MatchResponse,
 	if resp.Match == nil {
 		return MatchResponse{}, errors.New("federation: empty match response")
 	}
+	if err := restoreRemotes(resp.Match.Pairs, req.Objects); err != nil {
+		return MatchResponse{}, fmt.Errorf("federation: match at %s: %w", c.addr, err)
+	}
 	return *resp.Match, nil
+}
+
+// restoreRemotes replaces each pair's Remote, which names a shipped object
+// by its ID, with that object. Shipped objects in ascending ID order, which
+// is how a portal ships them, are binary-searched where they lie; any other
+// order is indexed once, the first object of an ID winning.
+func restoreRemotes(pairs []xmatch.Pair, shipped []Object) error {
+	var byID map[uint64]int // nil: search shipped in place
+	if len(pairs) > 0 && !ascendingIDs(shipped) {
+		byID = make(map[uint64]int, len(shipped))
+		for k := len(shipped) - 1; k >= 0; k-- {
+			byID[shipped[k].ID] = k
+		}
+	}
+	for i := range pairs {
+		id := pairs[i].Remote.ID
+		var k int
+		var found bool
+		if byID != nil {
+			k, found = byID[id]
+		} else {
+			k, found = slices.BinarySearchFunc(shipped, id, func(o Object, id uint64) int { return cmp.Compare(o.ID, id) })
+		}
+		if !found {
+			return fmt.Errorf("the response names object %d, which the request did not ship", id)
+		}
+		pairs[i].Remote = shipped[k].toCatalog()
+	}
+	return nil
 }

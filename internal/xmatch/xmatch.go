@@ -137,7 +137,6 @@ func verify(out []Pair, local catalog.Object, w WorkloadObject, pred Predicate) 
 // safe for concurrent use (each shard's scheduler owns one). The slice a
 // join returns aliases the Joiner and is valid until its next join.
 type Joiner struct {
-	queue  []WorkloadObject // the caller's queue, sorted by MinID
 	active []WorkloadObject // sweep set of Merge
 	pairs  []Pair
 }
@@ -155,19 +154,20 @@ func pastHTMID(o catalog.Object, id htm.ID) int {
 	return 1
 }
 
-// SortQueue sorts a workload queue by MinID, the order Merge sweeps it in.
-// A run of consecutive elements of a sorted queue reaches one stretch of
-// the bucket and is itself a queue Merge takes as it is, so a caller that
-// cuts one service's queue into parts sorts it once, here, and joins each
-// run against its own window.
+// SortQueue sorts a workload queue by MinID, the order Merge requires. A
+// run of consecutive elements of a sorted queue reaches one stretch of the
+// bucket and is itself a sorted queue, so a caller that cuts one service's
+// queue into parts sorts it once, here, and joins each run against its own
+// window.
 func SortQueue(queue []WorkloadObject) { slices.SortFunc(queue, byMinID) }
 
 // Merge cross-matches a bucket against a workload queue by a single
 // simultaneous sweep of both inputs in HTM ID order. The bucket comes as
 // runs, disjoint and in HTM-curve order (a store read's, or one whole
-// bucket); queue is copied and sorted by MinID (the paper sorts the
-// workload queue before the sweep). preds maps QueryID to that query's
-// predicate; nil preds, or a missing entry, accepts all pairs.
+// bucket); queue must be sorted by MinID (SortQueue: the paper sorts the
+// workload queue before the sweep), and Merge only reads it, so concurrent
+// parts may join runs of one sorted queue. preds maps QueryID to that
+// query's predicate; nil preds, or a missing entry, accepts all pairs.
 //
 // Only the bucket objects the queue can reach are swept: those with IDs in
 // [least MinID, greatest MaxID], found by binary search in each run that
@@ -184,10 +184,8 @@ func (j *Joiner) Merge(runs [][]catalog.Object, queue []WorkloadObject, preds ma
 	if len(queue) == 0 {
 		return out
 	}
-	q := append(j.queue[:0], queue...)
-	SortQueue(q)
-	least, reach := q[0].MinID, q[0].MaxID
-	for _, wo := range q[1:] {
+	least, reach := queue[0].MinID, queue[0].MaxID
+	for _, wo := range queue[1:] {
 		reach = max(reach, wo.MaxID)
 	}
 	// active holds workload objects whose interval may still overlap
@@ -205,8 +203,8 @@ func (j *Joiner) Merge(runs [][]catalog.Object, queue []WorkloadObject, preds ma
 		for _, local := range run[first:max(first, past)] {
 			id := local.HTMID
 			// Admit queue intervals starting at or before id.
-			for next < len(q) && q[next].MinID <= id {
-				active = append(active, q[next])
+			for next < len(queue) && queue[next].MinID <= id {
+				active = append(active, queue[next])
 				next++
 			}
 			// Drop expired intervals and test the rest.
@@ -222,16 +220,19 @@ func (j *Joiner) Merge(runs [][]catalog.Object, queue []WorkloadObject, preds ma
 			active = active[:w]
 		}
 	}
-	j.queue, j.active, j.pairs = q, active, out
+	j.active, j.pairs = active, out
 	return out
 }
 
 // MergeJoin is Joiner.Merge over a whole bucket for callers without a
-// Joiner to reuse: the pairs come back in a slice of their own (nil when
-// there are none).
+// Joiner to reuse: it sorts a copy of queue, leaving the caller's as it
+// was, and the pairs come back in a slice of their own (nil when there are
+// none).
 func MergeJoin(bucket []catalog.Object, queue []WorkloadObject, preds map[uint64]Predicate) []Pair {
+	q := slices.Clone(queue)
+	SortQueue(q)
 	var j Joiner
-	return j.Merge([][]catalog.Object{bucket}, queue, preds)
+	return j.Merge([][]catalog.Object{bucket}, q, preds)
 }
 
 // IndexJoin cross-matches by probing: for each workload object, the

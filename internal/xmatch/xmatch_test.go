@@ -270,6 +270,7 @@ func TestJoinerSteadyStateZeroAlloc(t *testing.T) {
 	preds := map[uint64]Predicate{1: MagnitudeWindow(0, 100)}
 	var j Joiner
 	whole := [][]catalog.Object{locals}
+	SortQueue(queue)
 	if len(j.Merge(whole, queue, preds)) == 0 {
 		t.Fatal("no pairs; bad fixture")
 	}
@@ -277,7 +278,6 @@ func TestJoinerSteadyStateZeroAlloc(t *testing.T) {
 		t.Errorf("warm Joiner.Merge allocates %.1f/op, want 0", n)
 	}
 	// A part of a service: a run of the sorted queue, after the whole.
-	SortQueue(queue)
 	for _, part := range [][]WorkloadObject{queue[:40], queue[len(queue)-40:]} {
 		if n := testing.AllocsPerRun(50, func() { j.Merge(whole, part, preds) }); n != 0 {
 			t.Errorf("warm Joiner.Merge over a %d-object run of the queue allocates %.1f/op, want 0", len(part), n)
@@ -385,6 +385,7 @@ func TestJoinerReuseMatchesFreshJoins(t *testing.T) {
 	var j Joiner
 	for seed := int64(0); seed < 8; seed++ {
 		locals, queue := makeField(seed, 50+int(seed)*40, 5+int(seed)*9, int(seed), 3)
+		SortQueue(queue)
 		if got, want := j.Merge([][]catalog.Object{locals}, queue, nil), MergeJoin(locals, queue, nil); !reflect.DeepEqual(append([]Pair(nil), got...), want) {
 			t.Errorf("seed %d: reused Merge differs from MergeJoin", seed)
 		}
