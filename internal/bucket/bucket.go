@@ -281,6 +281,12 @@ type Observer interface {
 	ObserveReadError(kind ReadKind, err error)
 }
 
+// nopObserver is the observer of a Store nobody observes.
+type nopObserver struct{}
+
+func (nopObserver) ObserveRead(ReadKind, time.Duration, int64) {}
+func (nopObserver) ObserveReadError(ReadKind, error)           {}
+
 // Store serves buckets from the modeled disk, charging sequential-scan
 // cost for bucket scans and sorted-probe cost for indexed access. It owns
 // the engine's disk, and through it the clock the engine runs on and
@@ -298,7 +304,8 @@ type Store struct {
 	// serving wrong matches. internal/segment/DESIGN-segments.md
 	// discusses the trade.
 	backend Backend
-	// obs, when non-nil, is notified of every read; see Observer.
+	// obs is notified of every read (see Observer): the engine's, or a
+	// no-op one.
 	obs Observer
 	// spare is the Resident Recycle kept, for the next Scan miss to fill.
 	spare *Resident
@@ -308,16 +315,21 @@ type Store struct {
 	whole [][]catalog.Object // the simulated store's one run
 }
 
-// SetObserver attaches o to the store (nil detaches). The engine wires
-// its per-shard metrics here; stores forked for shards each get their
-// own observer.
-func (s *Store) SetObserver(o Observer) { s.obs = o }
+// SetObserver attaches o to the store (nil detaches it, leaving a no-op
+// observer). The engine wires its per-shard metrics here; stores forked
+// for shards each get their own observer.
+func (s *Store) SetObserver(o Observer) {
+	if o == nil {
+		o = nopObserver{}
+	}
+	s.obs = o
+}
 
 // NewStore builds a store over a partition. If materialize is false, reads
 // charge I/O cost but return no objects — the cost-accurate mode used by
 // paper-scale scheduling experiments.
 func NewStore(part *Partition, d *disk.Disk, materialize bool) *Store {
-	return &Store{part: part, dsk: d, materialize: materialize}
+	return &Store{part: part, dsk: d, materialize: materialize, obs: nopObserver{}}
 }
 
 // Partition returns the store's partition.
@@ -331,7 +343,9 @@ func (s *Store) Disk() *disk.Disk { return s.dsk }
 // reads record their measured elapsed time — so RunStats.Disk reports
 // the same counters either way.
 func (s *Store) WithBackend(b Backend) *Store {
-	return &Store{part: s.part, dsk: s.dsk, materialize: s.materialize, backend: b}
+	ns := NewStore(s.part, s.dsk, s.materialize)
+	ns.backend = b
+	return ns
 }
 
 // Backend returns the store's backend, nil for the simulated disk.
@@ -392,9 +406,7 @@ func (s *Store) Scan(i int, r *Resident, keys []htm.Range) (*Resident, [][]catal
 		}
 		r.Objs, r.Bytes = nil, s.part.BucketBytes(i)
 		cost := s.dsk.ReadSequential(r.Bytes)
-		if s.obs != nil {
-			s.obs.ObserveRead(ReadScan, cost, r.Bytes)
-		}
+		s.obs.ObserveRead(ReadScan, cost, r.Bytes)
 		if s.materialize {
 			r.Objs = s.part.Materialize(i)
 		}
@@ -405,7 +417,7 @@ func (s *Store) Scan(i int, r *Resident, keys []htm.Range) (*Resident, [][]catal
 	if miss {
 		s.dsk.AccountSequential(s.part.BucketBytes(i), elapsed)
 	}
-	if n > 0 && s.obs != nil {
+	if n > 0 {
 		s.obs.ObserveRead(ReadScan, elapsed, n)
 	}
 	return r, runs, n
@@ -444,9 +456,7 @@ func (s *Store) Probe(i int, keys []htm.Range) ([][]catalog.Object, int64) {
 	if s.backend == nil {
 		n := int64(len(keys)) * s.dsk.Model().PageSize
 		cost := s.dsk.ReadProbes(len(keys))
-		if s.obs != nil {
-			s.obs.ObserveRead(ReadProbe, cost, n)
-		}
+		s.obs.ObserveRead(ReadProbe, cost, n)
 		if !s.materialize {
 			return nil, n
 		}
@@ -455,9 +465,7 @@ func (s *Store) Probe(i int, keys []htm.Range) ([][]catalog.Object, int64) {
 	s.probe.Have = s.probe.Have[:0]
 	runs, n, elapsed := s.fill(ReadProbe, i, &s.probe, keys)
 	s.dsk.AccountProbes(len(keys), elapsed)
-	if s.obs != nil {
-		s.obs.ObserveRead(ReadProbe, elapsed, n)
-	}
+	s.obs.ObserveRead(ReadProbe, elapsed, n)
 	return runs, n
 }
 
@@ -467,9 +475,7 @@ func (s *Store) fill(kind ReadKind, i int, r *Resident, keys []htm.Range) ([][]c
 	start := time.Now()
 	runs, n, err := s.backend.Fill(i, r, keys)
 	if err != nil {
-		if s.obs != nil {
-			s.obs.ObserveReadError(kind, err)
-		}
+		s.obs.ObserveReadError(kind, err)
 		panic(fmt.Sprintf("bucket: backend %s of bucket %d: %v", kind, i, err))
 	}
 	return runs, n, time.Since(start)

@@ -86,11 +86,12 @@ type Config struct {
 	// external callers cannot (and must not) set it.
 	ownsBucket func(int) bool
 
-	// Metrics, when non-nil, instruments the engine: pick latency,
-	// service strategy, cache hit/miss, completions, and store read
-	// latency are recorded per shard (internal/metric handles, resolved
-	// once at construction; nil costs nothing on the hot path). Every
-	// shard gets the same EngineMetrics with the shard's own index.
+	// Metrics instruments the engine: pick latency, service strategy,
+	// cache hit/miss, completions, and store read latency are recorded
+	// per shard (internal/metric handles, resolved once at construction).
+	// Every shard gets the same EngineMetrics with the shard's own index.
+	// Nil, the default, resolves every handle to a nil one, which records
+	// nothing: the engine makes the same calls either way.
 	Metrics *EngineMetrics
 	// shardIndex is the shard's index in the engine: the label it reports
 	// metrics under and its slot in a query's fan-in. Set by forkConfigs.

@@ -56,7 +56,7 @@ type Live struct {
 	// to that worker's inbox.
 	completed atomic.Int64
 	cancelled atomic.Int64
-	obs       frontObs // zero without Config.Metrics
+	obs       frontObs // all nil handles without Config.Metrics
 
 	closeOnce sync.Once
 	mu        sync.Mutex
@@ -136,9 +136,7 @@ func (l *Live) resolved(cancelled bool) {
 		n, exported = &l.cancelled, l.obs.cancelled
 	}
 	n.Add(1)
-	if exported != nil {
-		exported.Inc()
-	}
+	exported.Inc()
 }
 
 // Clock returns the engine's time source: the clock of its Config's
@@ -186,10 +184,8 @@ func newLive(cfg Config) (*Live, []*scheduler, error) {
 			return nil, nil, err
 		}
 	}
-	l := &Live{clock: cfg.clock(), smap: m, materialize: cfg.Store.Materializing(), cfgs: cfgs}
-	if cfg.Metrics != nil {
-		l.obs = cfg.Metrics.front()
-	}
+	l := &Live{clock: cfg.clock(), smap: m, materialize: cfg.Store.Materializing(), cfgs: cfgs,
+		obs: cfg.Metrics.front()}
 	_, virtual := l.clock.(*simclock.Virtual)
 	l.workers = newWorkers(scheds, !virtual)
 	return l, scheds, nil
@@ -259,9 +255,7 @@ func (l *Live) SubmitCtx(ctx context.Context, job Job) (<-chan Result, error) {
 		l.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if l.obs.fanout != nil {
-		l.obs.fanout.Observe(float64(width))
-	}
+	l.obs.fanout.Observe(float64(width))
 	if width == 0 {
 		// No bucket overlaps anywhere: complete immediately.
 		l.resolved(false)
@@ -377,9 +371,7 @@ func (w *shardWorker) help(s *scheduler) (helped bool) {
 			}
 			fj.run(i, s.cfg.clock(), s.cfg.Store.Disk())
 			helped = true
-			if s.obs != nil {
-				s.obs.partsHelp.Inc()
-			}
+			s.obs.partsHelp.Inc()
 		}
 	}
 	if helped {
@@ -401,16 +393,14 @@ func (w *shardWorker) loop(cfg Config, s *scheduler, parent simclock.Clock) {
 		for _, r := range rs {
 			if !r.Cancelled {
 				completed++
-				if s.obs != nil {
-					s.obs.completed.Inc()
-				}
+				s.obs.completed.Inc()
 			}
 			if m := waiters[r.QueryID]; m != nil {
 				m.deliver(cfg.shardIndex, r)
 				delete(waiters, r.QueryID)
 			}
 		}
-		if s.obs != nil && len(rs) > 0 {
+		if len(rs) > 0 {
 			if el := clk.Now().Sub(start).Seconds(); el > 0 {
 				s.obs.vqps.Set(float64(completed) / el)
 			}

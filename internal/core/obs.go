@@ -13,8 +13,10 @@ import (
 // Construct one per registry (NewEngineMetrics) and hand it to Config.
 // Metrics; the engine resolves per-shard handles once at scheduler
 // construction, so the hot scheduling path touches only atomics and the
-// zero-alloc service loop stays zero-alloc (instrumentation is skipped
-// entirely when Config.Metrics is nil, the default).
+// zero-alloc service loop stays zero-alloc. A nil *EngineMetrics (the
+// default Config.Metrics) resolves every handle to nil, and a nil handle
+// records nothing (internal/metric), so the engine records unconditionally
+// and off costs a nil check per call.
 type EngineMetrics struct {
 	pick      *metric.HistogramVec
 	services  *metric.CounterVec
@@ -95,8 +97,12 @@ func NewEngineMetrics(reg *metric.Registry) *EngineMetrics {
 }
 
 // Shard resolves the per-shard handles for shard i (0 is the only shard
-// of a default engine). The returned EngineObs implements bucket.Observer.
+// of a default engine). The returned EngineObs implements bucket.Observer;
+// on a nil m its handles are all nil.
 func (m *EngineMetrics) Shard(i int) *EngineObs {
+	if m == nil {
+		return &EngineObs{}
+	}
 	s := strconv.Itoa(i)
 	return &EngineObs{
 		pick:       m.pick.With(s),
@@ -125,8 +131,12 @@ func (m *EngineMetrics) Shard(i int) *EngineObs {
 	}
 }
 
-// front resolves the handles Live's front end reports whole queries on.
+// front resolves the handles Live's front end reports whole queries on;
+// on a nil m they are all nil.
 func (m *EngineMetrics) front() frontObs {
+	if m == nil {
+		return frontObs{}
+	}
 	return frontObs{
 		completed: m.queries.With("completed"),
 		cancelled: m.queries.With("cancelled"),
@@ -136,7 +146,7 @@ func (m *EngineMetrics) front() frontObs {
 
 // frontObs is the front end's resolved metric handles: whole queries by
 // outcome, and the shards each one fanned out to. All nil when the engine
-// has no metrics.
+// has no metrics, which records nothing.
 type frontObs struct {
 	completed, cancelled *metric.Counter
 	fanout               *metric.Histogram

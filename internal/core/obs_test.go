@@ -18,10 +18,11 @@ import (
 )
 
 // TestLiveWithoutMetrics: a nil Config.Metrics is how instrumentation is
-// turned off, so every observability handle in the engine is nil and each
-// use of one must sit behind its nil check; an unguarded one panics a shard
-// worker and with it the test binary. A Live engine without metrics is
-// driven through every path that carries such a check: a real clock at
+// turned off, so every observability handle in the engine is nil and the
+// engine records through it unconditionally; a handle method that is not a
+// no-op on a nil receiver panics a shard worker and with it the test
+// binary. A Live engine without metrics is driven through every path that
+// records: a real clock at
 // K = 1 and 2 — where a 300-unit service is split and the idle arm runs
 // parts of it — and a virtual one, scan and index services, cache
 // evictions, spilled queues, a cancel, and Close. Every query that was not

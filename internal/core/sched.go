@@ -150,9 +150,10 @@ type scheduler struct {
 	tbSec float64
 	tmSec float64
 
-	// obs holds this shard's resolved metric handles; nil (the default)
-	// skips all instrumentation, keeping the service loop zero-alloc and
-	// bit-identical to the uninstrumented engine.
+	// obs holds this shard's resolved metric handles, all nil without
+	// Config.Metrics: a nil handle records nothing and allocates nothing,
+	// so the service loop records unconditionally and stays zero-alloc
+	// and bit-identical to the uninstrumented engine.
 	obs *EngineObs
 
 	// cacheBytes is the on-disk size of what the cache holds: resident
@@ -201,16 +202,12 @@ func newScheduler(cfg Config) (*scheduler, error) {
 	s.cache.OnEvict(func(_ int, r *bucket.Resident) {
 		s.cacheBytes -= r.Bytes
 		s.cfg.Store.Recycle(r)
-		if s.obs != nil {
-			s.obs.cacheEvict.Inc()
-		}
+		s.obs.cacheEvict.Inc()
 	})
-	if cfg.Metrics != nil {
-		s.obs = cfg.Metrics.Shard(cfg.shardIndex)
-		// The store observer sees every read this engine issues; each
-		// shard owns its forked store, so the handles never cross shards.
-		cfg.Store.SetObserver(s.obs)
-	}
+	s.obs = cfg.Metrics.Shard(cfg.shardIndex)
+	// The store observer sees every read this engine issues; each shard
+	// owns its forked store, so the handles never cross shards.
+	cfg.Store.SetObserver(s.obs)
 	return s, nil
 }
 
@@ -637,42 +634,32 @@ func (s *scheduler) pickLeastShared() (int, bool) {
 // the next step (or serviceBucket) call; the shard worker's loop consumes
 // it immediately (live.go delivers the values).
 func (s *scheduler) step(now time.Time) (completed []Result, ok bool) {
-	if s.obs != nil {
-		t0 := time.Now()
-		idx, ok := s.pick(now)
-		d := time.Since(t0).Seconds()
-		if !ok {
-			s.obs.pick.Observe(d)
-			return nil, false
-		}
-		// When the service touches a traced query, attach its trace ID to
-		// the pick-latency observation as an exemplar — a slow pick on a
-		// dashboard then links to a full schedule forensics capture.
-		s.svcTraceID = 0
-		completed = s.serviceBucket(idx, now)
-		if s.svcTraceID != 0 {
-			s.obs.pick.ObserveExemplar(d, s.svcTraceID.String())
-		} else {
-			s.obs.pick.Observe(d)
-		}
-		s.obs.cacheBytes.Set(float64(s.cacheBytes))
-		s.observeLedger()
-		return completed, true
-	}
+	t0 := time.Now()
 	idx, ok := s.pick(now)
+	d := time.Since(t0).Seconds()
 	if !ok {
+		s.obs.pick.Observe(d)
 		return nil, false
 	}
-	return s.serviceBucket(idx, now), true
+	// When the service touches a traced query, attach its trace ID to the
+	// pick-latency observation as an exemplar — a slow pick on a dashboard
+	// then links to a full schedule forensics capture.
+	s.svcTraceID = 0
+	completed = s.serviceBucket(idx, now)
+	if s.svcTraceID != 0 {
+		s.obs.pick.ObserveExemplar(d, s.svcTraceID.String())
+	} else {
+		s.obs.pick.Observe(d)
+	}
+	s.obs.cacheBytes.Set(float64(s.cacheBytes))
+	s.observeLedger()
+	return completed, true
 }
 
 // observeLedger adds what this arm's disk account has moved by since the
 // last call — its own services' charges and the parts it ran for sibling
 // shards — to the disk-model counters.
 func (s *scheduler) observeLedger() {
-	if s.obs == nil {
-		return
-	}
 	led := s.cfg.Store.Disk().Ledger()
 	s.obs.modelCharged.Add((led.Charged - s.lastLedger.Charged).Seconds())
 	s.obs.modelSlept.Add((led.Slept - s.lastLedger.Slept).Seconds())
@@ -724,12 +711,10 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 
 	// The Join Evaluator: hybrid strategy per §3.4.
 	res, inMem := s.cache.Get(idx)
-	if s.obs != nil {
-		if inMem {
-			s.obs.cacheHits.Inc()
-		} else {
-			s.obs.cacheMiss.Inc()
-		}
+	if inMem {
+		s.obs.cacheHits.Inc()
+	} else {
+		s.obs.cacheMiss.Inc()
 	}
 	strategy := xmatch.ChooseStrategy(count, bucketLen, s.cfg.HybridThreshold, inMem)
 	wos := s.wosBuf[:0]
@@ -769,9 +754,7 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 			s.cache.Put(idx, res)
 		}
 		s.stats.ScanServices++
-		if s.obs != nil {
-			s.obs.scanSvc.Inc()
-		}
+		s.obs.scanSvc.Inc()
 	case xmatch.Index:
 		// One probe per queued object: the scan's read, into nothing the
 		// cache keeps.
@@ -780,9 +763,7 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 			readT1, readKind = s.cfg.clock().Now(), "probe"
 		}
 		s.stats.IndexServices++
-		if s.obs != nil {
-			s.obs.indexSvc.Inc()
-		}
+		s.obs.indexSvc.Inc()
 	}
 	s.stats.BucketsServed++
 	var svcAttr string
@@ -815,9 +796,7 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 	s.offer(n - 1)
 	for i, mine := 0, true; mine; i, mine = fj.claim() {
 		fj.run(i, s.cfg.clock(), s.cfg.Store.Disk())
-		if s.obs != nil {
-			s.obs.partsOwn.Inc()
-		}
+		s.obs.partsOwn.Inc()
 	}
 	end := fj.finish(n)
 	// A part's pairs are its Joiner's buffer: each pair is copied to its

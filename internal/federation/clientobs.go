@@ -51,7 +51,8 @@ type clientObs struct {
 // the bytes its connection carries each way.
 // Call it before the client's first request. Peer names are operator
 // configuration (liferaftd -peers), so the series count is bounded. Nil
-// metrics leave the client uninstrumented.
+// metrics leave the client uninstrumented: its connection is not wrapped
+// to count bytes, and its requests record nothing.
 func (c *Client) Instrument(m *HopMetrics, peer string) {
 	if m != nil {
 		c.obs = &clientObs{HopMetrics: m, peer: peer,
@@ -61,8 +62,12 @@ func (c *Client) Instrument(m *HopMetrics, peer string) {
 }
 
 // begin counts a request of the given kind in; the returned function counts
-// it out with its outcome.
+// it out with its outcome. On an uninstrumented client (nil o) both are
+// no-ops.
 func (o *clientObs) begin(kind string) func(error) {
+	if o == nil {
+		return nopDone
+	}
 	inflight := o.inflight.With(o.peer)
 	inflight.Inc()
 	start := time.Now()
@@ -74,6 +79,9 @@ func (o *clientObs) begin(kind string) func(error) {
 		}
 	}
 }
+
+// nopDone is what begin returns on an uninstrumented client.
+func nopDone(error) {}
 
 // countingConn is a client connection that counts the bytes it writes and
 // reads on its peer's series.

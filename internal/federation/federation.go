@@ -525,25 +525,18 @@ func (p *Portal) ExecuteCtx(ctx context.Context, q Query) (*ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	var stepStart time.Time
-	if tr != nil {
-		stepStart = tr.Now()
-	}
+	stepStart := tr.Now()
 	ext, err := site.Extract(ExtractRequest{
 		QueryID: q.ID, RA: q.RA, Dec: q.Dec, RadiusDeg: q.RadiusDeg,
 		Selectivity: q.Selectivity, Seed: q.Seed,
 	})
 	if err != nil {
-		if tr != nil {
-			tr.Add(trace.Span{Stage: trace.StageFedExtract, Node: driving,
-				Start: stepStart, End: tr.Now(), Err: err.Error()})
-		}
+		tr.Add(trace.Span{Stage: trace.StageFedExtract, Node: driving,
+			Start: stepStart, End: tr.Now(), Err: err.Error()})
 		return nil, fmt.Errorf("federation: extract at %s: %w", driving, err)
 	}
-	if tr != nil {
-		tr.Add(trace.Span{Stage: trace.StageFedExtract, Node: driving,
-			Start: stepStart, End: tr.Now(), N: int64(len(ext.Objects))})
-	}
+	tr.Add(trace.Span{Stage: trace.StageFedExtract, Node: driving,
+		Start: stepStart, End: tr.Now(), N: int64(len(ext.Objects))})
 
 	rs := &ResultSet{HopElapsed: map[string]time.Duration{}, Shipped: map[string]int{}}
 	// Live tuples are flat object chains: tuple t is chains[t*width :
@@ -594,9 +587,7 @@ func (p *Portal) ExecuteCtx(ctx context.Context, q Query) (*ResultSet, error) {
 			MagLo: q.MagLo, MagHi: q.MagHi, Objects: shipped, Tenant: q.Tenant,
 			TraceID: uint64(tr.ID()),
 		}
-		if tr != nil {
-			stepStart = tr.Now()
-		}
+		stepStart = tr.Now()
 		var resp MatchResponse
 		if ct, ok := site.(ContextTransport); ok {
 			resp, err = ct.MatchCtx(ctx, mreq)
@@ -607,20 +598,16 @@ func (p *Portal) ExecuteCtx(ctx context.Context, q Query) (*ResultSet, error) {
 			// A failed hop — a silent peer, a timeout, an overloaded node —
 			// annotates the trace instead of dropping it: the capture shows
 			// which archive the plan died at and after how long.
-			if tr != nil {
-				tr.Add(trace.Span{Stage: trace.StageFedMatch, Node: archive,
-					Start: stepStart, End: tr.Now(), N: int64(len(shipped)), Err: err.Error()})
-			}
+			tr.Add(trace.Span{Stage: trace.StageFedMatch, Node: archive,
+				Start: stepStart, End: tr.Now(), N: int64(len(shipped)), Err: err.Error()})
 			return nil, fmt.Errorf("federation: match at %s: %w", archive, err)
 		}
-		if tr != nil {
-			tr.Add(trace.Span{Stage: trace.StageFedMatch, Node: archive,
-				Start: stepStart, End: tr.Now(), N: int64(len(shipped))})
-			// A TCP hop returns the node-side continuation as offsets from
-			// the hop start; rebase them onto this trace's clock. An
-			// in-process hop recorded straight into tr (Spans is empty).
-			tr.Stitch(archive, stepStart, resp.Spans)
-		}
+		tr.Add(trace.Span{Stage: trace.StageFedMatch, Node: archive,
+			Start: stepStart, End: tr.Now(), N: int64(len(shipped))})
+		// A TCP hop returns the node-side continuation as offsets from the
+		// hop start; rebase them onto this trace's clock. An in-process hop
+		// recorded straight into tr (Spans is empty).
+		tr.Stitch(archive, stepStart, resp.Spans)
 		rs.HopElapsed[archive] = resp.Elapsed
 
 		// Join: each tuple whose frontier object matched extends by the

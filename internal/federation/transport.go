@@ -363,7 +363,7 @@ func (sc *serverConn) reply(resp *rpcResponse) bool {
 type Client struct {
 	addr    string
 	timeout time.Duration
-	obs     *clientObs // nil: uninstrumented (see Instrument)
+	obs     *clientObs // nil: uninstrumented, records nothing (see Instrument)
 
 	// wtok is the write token: its holder alone dials, handshakes and
 	// writes request frames. It is a one-slot channel, not a mutex, so that
@@ -601,10 +601,8 @@ func (c *Client) roundTrip(req rpcRequest) (rpcResponse, error) {
 // and the context deadline. Giving up — cancellation or timeout — sends a
 // cancel frame and returns at once; the connection stays up.
 func (c *Client) roundTripCtx(ctx context.Context, req rpcRequest) (_ rpcResponse, err error) {
-	if c.obs != nil {
-		done := c.obs.begin(req.Kind)
-		defer func() { done(err) }()
-	}
+	done := c.obs.begin(req.Kind)
+	defer func() { done(err) }()
 	if err := ctx.Err(); err != nil {
 		return rpcResponse{}, fmt.Errorf("federation: %w", err)
 	}

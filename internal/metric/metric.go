@@ -12,6 +12,14 @@
 //     (With) take a mutex and are meant for admission-rate paths, not
 //     per-pick paths.
 //
+//   - Off is a nil handle. Every recording method (Add, Inc, Dec, Set,
+//     Observe, ObserveExemplar) is a no-op on a nil *Counter, *Gauge or
+//     *Histogram, with no allocation, and With on a nil vec returns a nil
+//     handle, so a layer built without a Registry records through the same
+//     calls as one built with it and call sites need no metrics-enabled
+//     checks. Reading methods (Value, Count, Sum, Series) need a live
+//     handle.
+//
 //   - Label cardinality is bounded by construction. Every Vec carries a
 //     MaxSeries cap; when a new label set would exceed it, the
 //     least-recently-used series is folded into a reserved overflow
@@ -175,6 +183,9 @@ type Counter struct{ s *series }
 // Add increases the counter by v; negative v panics (counters only go
 // up — use a Gauge for values that fall).
 func (c *Counter) Add(v float64) {
+	if c == nil {
+		return
+	}
 	if v < 0 {
 		panic("metric: counter decrease")
 	}
@@ -191,10 +202,18 @@ func (c *Counter) Value() float64 { return math.Float64frombits(c.s.bits.Load())
 type Gauge struct{ s *series }
 
 // Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.s.bits.Store(math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) {
+	if g != nil {
+		g.s.bits.Store(math.Float64bits(v))
+	}
+}
 
 // Add increases (or with negative v decreases) the gauge.
-func (g *Gauge) Add(v float64) { addFloat(&g.s.bits, v) }
+func (g *Gauge) Add(v float64) {
+	if g != nil {
+		addFloat(&g.s.bits, v)
+	}
+}
 
 // Inc adds 1.
 func (g *Gauge) Inc() { g.Add(1) }
@@ -212,20 +231,18 @@ type Histogram struct {
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	// Binary search beats linear walk from ~16 buckets; latency
-	// histograms here have 10-20. sort.SearchFloat64s allocates nothing.
-	i := sort.SearchFloat64s(h.buckets, v)
-	h.s.counts[i].Add(1)
-	h.s.total.Add(1)
-	addFloat(&h.s.sumBits, v)
-}
+func (h *Histogram) Observe(v float64) { h.ObserveExemplar(v, "") }
 
 // ObserveExemplar records one value and attaches traceID as the bucket's
 // exemplar (replacing any earlier one — the freshest trace is the one an
 // operator wants). An empty traceID degrades to a plain Observe. Unlike
 // Observe this allocates; call it only on already-traced requests.
 func (h *Histogram) ObserveExemplar(v float64, traceID string) {
+	if h == nil {
+		return
+	}
+	// Binary search beats linear walk from ~16 buckets; latency
+	// histograms here have 10-20. sort.SearchFloat64s allocates nothing.
 	i := sort.SearchFloat64s(h.buckets, v)
 	h.s.counts[i].Add(1)
 	h.s.total.Add(1)
@@ -323,18 +340,27 @@ func (r *Registry) NewHistogramVec(name, help string, labels []string, buckets [
 // handle kept across evictions keeps writing, but to a series no longer
 // rendered. Re-resolving on each use is what keeps the LRU honest.
 func (v *CounterVec) With(labelVals ...string) *Counter {
+	if v == nil {
+		return nil
+	}
 	return &Counter{s: v.f.resolve(labelVals)}
 }
 
 // With resolves the series for the given label values; see
 // CounterVec.With.
 func (v *GaugeVec) With(labelVals ...string) *Gauge {
+	if v == nil {
+		return nil
+	}
 	return &Gauge{s: v.f.resolve(labelVals)}
 }
 
 // With resolves the series for the given label values; see
 // CounterVec.With.
 func (v *HistogramVec) With(labelVals ...string) *Histogram {
+	if v == nil {
+		return nil
+	}
 	return &Histogram{s: v.f.resolve(labelVals), buckets: v.f.buckets}
 }
 

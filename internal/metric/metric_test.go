@@ -341,3 +341,43 @@ func TestHistogramVecExemplar(t *testing.T) {
 		t.Fatalf("tenant b line not clean:\n%s", out)
 	}
 }
+
+// TestNilHandlesAreNoOps pins the package's nil contract: every recording
+// method on a nil handle, and With on a nil vec, returns without a panic
+// and without allocating, so a layer built without a Registry records
+// through the same calls as an instrumented one.
+func TestNilHandlesAreNoOps(t *testing.T) {
+	var (
+		c  *Counter
+		g  *Gauge
+		h  *Histogram
+		cv *CounterVec
+		gv *GaugeVec
+		hv *HistogramVec
+	)
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"Counter.Add", func() { c.Add(2) }},
+		{"Counter.Inc", func() { c.Inc() }},
+		{"Gauge.Set", func() { g.Set(3) }},
+		{"Gauge.Add", func() { g.Add(-1) }},
+		{"Gauge.Inc", func() { g.Inc() }},
+		{"Gauge.Dec", func() { g.Dec() }},
+		{"Histogram.Observe", func() { h.Observe(0.5) }},
+		{"Histogram.ObserveExemplar", func() { h.ObserveExemplar(0.5, "00000000deadbeef") }},
+		{"CounterVec.With", func() { cv.With("a", "b").Inc() }},
+		{"GaugeVec.With", func() { gv.With("a").Set(1) }},
+		{"HistogramVec.With", func() { hv.With("a", "b").Observe(1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if allocs := testing.AllocsPerRun(100, tc.call); allocs != 0 {
+				t.Errorf("%s on a nil handle: %v allocs, want 0", tc.name, allocs)
+			}
+		})
+	}
+	if cv.With("a") != nil || gv.With("a") != nil || hv.With("a") != nil {
+		t.Error("With on a nil vec returned a live handle")
+	}
+}

@@ -64,7 +64,7 @@ func (s *Server) maybeControlTick(now time.Time) []rateMove {
 // controlTick evaluates the SLO over the window since the last tick and
 // moves per-tenant rates: multiplicative decrease for backlogged tenants
 // on a breach, additive increase for capped tenants on headroom. It
-// returns the moves when the layer is instrumented. Caller holds s.mu.
+// returns the moves, for recordMoves. Caller holds s.mu.
 func (s *Server) controlTick(now time.Time, el time.Duration) []rateMove {
 	p99 := percentile(s.ctlWindow, 0.99)
 	s.ctlWindow = s.ctlWindow[:0]
@@ -94,20 +94,14 @@ func (s *Server) controlTick(now time.Time, el time.Duration) []rateMove {
 			}
 			r = math.Max(aimdMinRate, r*aimdBeta)
 			t.bucket.setRate(r, now)
-			if s.obs != nil {
-				moves = append(moves, rateMove{t.name, r, true})
-			}
+			moves = append(moves, rateMove{t.name, r, true})
 		case headroom && t.bucket.rate < t.maxRate:
 			nr := math.Min(t.maxRate, t.bucket.rate+aimdStep)
 			t.bucket.setRate(nr, now)
-			if s.obs != nil {
-				moves = append(moves, rateMove{t.name, nr, false})
-			}
+			moves = append(moves, rateMove{t.name, nr, false})
 		}
 	}
-	if s.obs != nil {
-		s.obs.ctlP99.Set(p99)
-	}
+	s.obs.ctlP99.Set(p99)
 	return moves
 }
 

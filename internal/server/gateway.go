@@ -275,14 +275,12 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	res, err := g.cfg.Exec(ctx, req.Tenant, req.Query)
+	// Echo the trace_id only when the trace was published: unsampled fast
+	// traces are not in any ring, so a link would 404. Slow traces are
+	// force-captured regardless of the sample rate.
 	var traceID string
-	if tr != nil {
-		// Echo the trace_id only when the trace was published: unsampled
-		// fast traces are not in any ring, so a link would 404. Slow
-		// traces are force-captured regardless of the sample rate.
-		if d := g.cfg.Tracer.Finish(tr); d.Sampled || d.Slow {
-			traceID = d.TraceID.String()
-		}
+	if d := g.cfg.Tracer.Finish(tr); d.Sampled || d.Slow {
+		traceID = d.TraceID.String()
 	}
 	if err != nil {
 		g.writeError(w, traceID, err)

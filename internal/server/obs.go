@@ -40,10 +40,10 @@ const (
 	decisionRejectedTenants = "rejected_tenants"
 )
 
-func newServingMetrics(reg *metric.Registry) *servingMetrics {
+func newServingMetrics(reg *metric.Registry) servingMetrics {
 	tenant := []string{"tenant"}
 	capped := metric.VecOpts{MaxSeries: tenantSeriesCap}
-	return &servingMetrics{
+	return servingMetrics{
 		admission: reg.NewCounterVec("liferaft_admission_total",
 			"Admission decisions by tenant: admitted, rejected_rate (token bucket empty), rejected_queue (tenant queue full), rejected_tenants (tenant table full).",
 			[]string{"tenant", "decision"}, capped),

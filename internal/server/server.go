@@ -100,10 +100,11 @@ type Config struct {
 	// ControlInterval is the AIMD evaluation period on the serving clock
 	// (default 250ms).
 	ControlInterval time.Duration
-	// Registry, when non-nil, instruments the serving layer: admission
-	// decisions, token-bucket waits, queue depth and wait, in-flight,
-	// response latency, and AIMD rate moves (see docs/OPERATIONS.md for
-	// every family).
+	// Registry instruments the serving layer: admission decisions,
+	// token-bucket waits, queue depth and wait, in-flight, response
+	// latency, and AIMD rate moves (see docs/OPERATIONS.md for every
+	// family). Without one every handle is nil and records nothing; the
+	// layer makes the same calls either way.
 	Registry *metric.Registry
 }
 
@@ -250,10 +251,10 @@ type Server struct {
 	inFlight int
 	closed   bool
 
-	// obs holds resolved metric families (nil without a Registry);
-	// ctlLast/ctlWindow are the AIMD controller's tick state (aimd.go),
-	// guarded by mu like everything else.
-	obs       *servingMetrics
+	// obs holds resolved metric families, all nil (recording nothing)
+	// without a Registry; ctlLast/ctlWindow are the AIMD controller's tick
+	// state (aimd.go), guarded by mu like everything else.
+	obs       servingMetrics
 	ctlLast   time.Time
 	ctlWindow []float64
 
@@ -282,9 +283,9 @@ func New(eng Engine, cfg Config) (*Server, error) {
 	s.cond = sync.NewCond(&s.mu)
 	if cfg.Registry != nil {
 		s.obs = newServingMetrics(cfg.Registry)
-		s.obs.sloP99.Set(cfg.SLOP99.Seconds())
 		cfg.Registry.OnGather(s.gather)
 	}
+	s.obs.sloP99.Set(cfg.SLOP99.Seconds())
 	for _, tc := range cfg.Tenants {
 		if _, err := s.register(tc); err != nil {
 			return nil, err
@@ -382,10 +383,8 @@ func (s *Server) tenantLocked(name string) (*tenant, error) {
 // workload queues and the Result carries Cancelled.
 func (s *Server) Submit(ctx context.Context, tenantName string, job core.Job) (<-chan core.Result, error) {
 	tr := trace.FromContext(ctx)
-	if tr != nil {
-		// The engine records its spans into the same trace.
-		job.Trace = tr
-	}
+	// The engine records its spans into the same trace.
+	job.Trace = tr
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -451,21 +450,17 @@ func (s *Server) admitLocked(ctx context.Context, tenantName string, job core.Jo
 // lookup) is attributed; its Score carries the Retry-After a rejected
 // client was told to back off for.
 func (s *Server) recordAdmission(a admission, tr *trace.Trace) {
-	if s.obs != nil {
-		s.obs.admission.With(a.tenant, a.decision).Inc()
-		if a.decision == decisionRejectedRate {
-			s.obs.tbWait.With(a.tenant).Observe(a.retry.Seconds())
-		}
+	s.obs.admission.With(a.tenant, a.decision).Inc()
+	if a.decision == decisionRejectedRate {
+		s.obs.tbWait.With(a.tenant).Observe(a.retry.Seconds())
 	}
 	s.recordMoves(a.moves)
-	if tr != nil {
-		sp := trace.Span{Stage: trace.StageAdmission, Start: tr.StartTime(), End: a.now,
-			Attr: a.decision, Score: a.retry.Seconds()}
-		if a.err != nil {
-			sp.Err = a.err.Error()
-		}
-		tr.Add(sp)
+	sp := trace.Span{Stage: trace.StageAdmission, Start: tr.StartTime(), End: a.now,
+		Attr: a.decision, Score: a.retry.Seconds()}
+	if a.err != nil {
+		sp.Err = a.err.Error()
 	}
+	tr.Add(sp)
 }
 
 // dispatch is the single scheduling goroutine: whenever an engine slot is
@@ -494,9 +489,7 @@ func (s *Server) dispatch() {
 			p.tenant.inFlight++
 		}
 		s.mu.Unlock()
-		if s.obs != nil {
-			s.obs.queueWait.With(p.tenant.name).Observe(p.dispatched.Sub(p.enq).Seconds())
-		}
+		s.obs.queueWait.With(p.tenant.name).Observe(p.dispatched.Sub(p.enq).Seconds())
 		p.tr.Add(trace.Span{Stage: trace.StageQueueWait, Start: p.enq, End: p.dispatched})
 		if abandoned {
 			p.tr.Add(trace.Span{Stage: trace.StageEngine, Start: p.dispatched, End: p.dispatched,
@@ -554,7 +547,7 @@ func (s *Server) await(p *pending, ch <-chan core.Result) {
 	s.mu.Unlock()
 	s.recordMoves(moves)
 	p.tr.Add(sp)
-	if completed && s.obs != nil {
+	if completed {
 		// A traced request's response observation carries its trace ID
 		// as an OpenMetrics exemplar: the p99 spike on a dashboard links
 		// straight to the forensics capture. Unsampled traces get no

@@ -5,7 +5,7 @@
 // slow?" — the hardest operational question a batch scheduler faces —
 // has a post-hoc answer.
 //
-// The design mirrors internal/metric's nil-guard discipline: a nil
+// The design mirrors internal/metric's nil contract: a nil
 // *Trace (tracing disabled) makes every recording method a no-op with
 // no allocation, so the engine's zero-alloc service loop stays
 // zero-alloc; an enabled trace records into a fixed-size span slab
