@@ -3,6 +3,7 @@ package liferaft_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -300,8 +301,14 @@ func TestPublicServingAPI(t *testing.T) {
 		t.Errorf("resp summary count = %d", sum.Count)
 	}
 
-	// The overload error surfaces typed through the public alias.
-	srv2, err := liferaft.NewServer(eng, liferaft.ServerConfig{MaxTenants: 1})
+	// The overload error surfaces typed through the public alias: with
+	// 1 023 tenants pre-registered, "a" takes the last slot of the
+	// 1 024-tenant table and "b" finds it full.
+	full := make([]liferaft.TenantConfig, 1023)
+	for i := range full {
+		full[i].Name = fmt.Sprintf("pre%04d", i)
+	}
+	srv2, err := liferaft.NewServer(eng, liferaft.ServerConfig{Tenants: full})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -256,7 +256,7 @@ func NewDerived(base *Catalog, cfg DerivedConfig) (*Catalog, error) {
 	for pos := uint64(0); pos < n; pos++ {
 		cnt := 0
 		for i := 0; i < int(base.counts[pos]); i++ {
-			if derivedKeep(cfg.Seed, pos, i, cfg.Fraction) {
+			if Keep(cfg.Seed, pos, uint64(i), cfg.Fraction) {
 				cnt++
 			}
 		}
@@ -276,10 +276,13 @@ type derivation struct {
 	cfg  DerivedConfig
 }
 
-// derivedKeep decides deterministically whether base object i of trixel
-// pos is re-observed.
-func derivedKeep(seed int64, pos uint64, i int, p float64) bool {
-	x := uint64(seed) ^ pos*0x9E3779B97F4A7C15 ^ uint64(i)*0xBF58476D1CE4E5B9
+// Keep is a deterministic Bernoulli(p) draw keyed by (seed, a, b): it
+// hashes the three with splitmix64 and keeps when the top 53 bits, read
+// as a fraction, fall below p. A derived catalog keys it by (trixel, base
+// object index) to decide re-observation; query subsampling keys it by
+// (query ID, object ID), so repeated materialization is identical.
+func Keep(seed int64, a, b uint64, p float64) bool {
+	x := uint64(seed) ^ a*0x9E3779B97F4A7C15 ^ b*0xBF58476D1CE4E5B9
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 27
@@ -301,7 +304,7 @@ func (c *Catalog) deriveTrixel(pos uint64) []Object {
 	defer rngPool.Put(rng)
 	out := make([]Object, 0, int(c.counts[pos]))
 	for i, o := range baseObjs {
-		if !derivedKeep(d.cfg.Seed, pos, i, d.cfg.Fraction) {
+		if !Keep(d.cfg.Seed, pos, uint64(i), d.cfg.Fraction) {
 			continue
 		}
 		p := o.Pos

@@ -58,6 +58,13 @@ type Live struct {
 	cancelled atomic.Int64
 	obs       frontObs // all nil handles without Config.Metrics
 
+	// ids holds the IDs of the queries in flight: claimed before a query
+	// fans out, released by the worker resolving it before its caller sees
+	// the result. idsMu is never held with mu, so that worker need not take
+	// mu.
+	idsMu sync.Mutex
+	ids   map[uint64]struct{}
+
 	closeOnce sync.Once
 	mu        sync.Mutex
 	closed    bool
@@ -124,9 +131,29 @@ func (m *merge) deliver(s int, r Result) {
 		m.stop()
 	}
 	res := m.result()
+	m.l.release(res.QueryID)
 	m.l.resolved(res.Cancelled)
 	m.out <- res
 	close(m.out)
+}
+
+// claim records id as in flight, or refuses it if a query with that ID
+// already is: two would share every shard's per-query state.
+func (l *Live) claim(id uint64) error {
+	l.idsMu.Lock()
+	defer l.idsMu.Unlock()
+	if _, dup := l.ids[id]; dup {
+		return fmt.Errorf("core: query %d already in flight", id)
+	}
+	l.ids[id] = struct{}{}
+	return nil
+}
+
+// release frees a claimed ID for reuse.
+func (l *Live) release(id uint64) {
+	l.idsMu.Lock()
+	delete(l.ids, id)
+	l.idsMu.Unlock()
 }
 
 // resolved counts one whole query leaving the engine.
@@ -185,7 +212,7 @@ func newLive(cfg Config) (*Live, []*scheduler, error) {
 		}
 	}
 	l := &Live{clock: cfg.clock(), smap: m, materialize: cfg.Store.Materializing(), cfgs: cfgs,
-		obs: cfg.Metrics.front()}
+		obs: cfg.Metrics.front(), ids: make(map[uint64]struct{})}
 	_, virtual := l.clock.(*simclock.Virtual)
 	l.workers = newWorkers(scheds, !virtual)
 	return l, scheds, nil
@@ -246,13 +273,23 @@ func (l *Live) newMerge(job Job) (*merge, int) {
 // consuming workload slots — and the channel delivers a Result with
 // Cancelled set (carrying the partial work done before the cancel). If
 // the engine is closing by then, the query drains to its uncancelled
-// result instead.
+// result instead. A query with work on some shard is refused while another
+// query with its ID is in flight; the ID is free again once that query's
+// result is delivered.
 func (l *Live) SubmitCtx(ctx context.Context, job Job) (<-chan Result, error) {
 	m, width := l.newMerge(job)
+	if width > 0 {
+		if err := l.claim(job.ID); err != nil {
+			return nil, err
+		}
+	}
 
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
+		if width > 0 {
+			l.release(job.ID)
+		}
 		return nil, ErrClosed
 	}
 	l.obs.fanout.Observe(float64(width))

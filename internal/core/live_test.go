@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -113,6 +114,60 @@ func TestLiveConcurrentSubmitters(t *testing.T) {
 		if err := l.Close(); err != nil {
 			t.Errorf("second close: %v", err)
 		}
+	})
+}
+
+// TestLiveRefusesDuplicateID: a second submission of an ID that is still in
+// flight is refused with an error naming the ID, instead of reaching a shard
+// worker, whose admission panics on the duplicate and takes the process
+// down. The workers start only after both submissions, so the first query
+// is certainly still in flight. It then resolves to its solo result, and
+// once it has, its ID is accepted again.
+func TestLiveRefusesDuplicateID(t *testing.T) {
+	part, jobs := shardFixture(t)
+	job := jobs[0]
+	solo, _, err := Run(shardCfg(part, 1, true), []Job{job}, []time.Duration{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(solo) != 1 || solo[0].Assignments == 0 {
+		t.Fatalf("fixture query %d has no work: %+v", job.ID, solo)
+	}
+	want := pairKeySet(solo)
+	check := func(t *testing.T, what string, ch <-chan Result) {
+		t.Helper()
+		r, ok := <-ch
+		if !ok {
+			t.Fatalf("%s: channel closed without a result", what)
+		}
+		if r.QueryID != job.ID || r.Cancelled || r.Assignments != solo[0].Assignments ||
+			r.Matches != solo[0].Matches || !samePairs(pairKeySet([]Result{r}), want) {
+			t.Errorf("%s: %d assignments, %d matches, cancelled %v; solo %d, %d",
+				what, r.Assignments, r.Matches, r.Cancelled, solo[0].Assignments, solo[0].Matches)
+		}
+	}
+	forEachK(t, func(t *testing.T, k int) {
+		l, scheds, err := newLive(shardCfg(part, k, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := l.SubmitCtx(context.Background(), job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.SubmitCtx(context.Background(), job); err == nil {
+			t.Errorf("second submit of in-flight query %d accepted", job.ID)
+		} else if want := fmt.Sprint(job.ID); !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal %q does not name query %s", err, want)
+		}
+		l.start(scheds)
+		defer l.Close()
+		check(t, "first", first)
+		again, err := l.SubmitCtx(context.Background(), job)
+		if err != nil {
+			t.Fatalf("resubmit after completion: %v", err)
+		}
+		check(t, "resubmitted", again)
 	})
 }
 

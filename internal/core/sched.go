@@ -92,8 +92,6 @@ type queryState struct {
 	// owning queues instead of sweeping all of them. May contain
 	// duplicates; cancel sorts and skips them.
 	buckets []int
-	// trace mirrors job.Trace (nil when the query is untraced).
-	trace *trace.Trace
 }
 
 // scheduler is the workload manager plus join evaluator of Figure 3. It is
@@ -327,7 +325,6 @@ func (s *scheduler) admit(job Job, arrived time.Time) (done *Result) {
 		arrived: arrived,
 		result:  Result{QueryID: job.ID, Arrived: arrived, Pairs: job.region},
 		buckets: slices.Grow(qs.buckets[:0], share),
-		trace:   job.Trace,
 	}
 	part := s.cfg.Store.Partition()
 	weight := s.ageWeight(share)
@@ -343,7 +340,7 @@ func (s *scheduler) admit(job Job, arrived time.Time) (done *Result) {
 			qs.result.Assignments++
 		}
 	}
-	qs.trace.Add(trace.Span{
+	qs.job.Trace.Add(trace.Span{
 		Stage: trace.StageEngineAdmit, Start: arrived, End: arrived,
 		N: int64(qs.result.Assignments),
 	})
@@ -351,7 +348,7 @@ func (s *scheduler) admit(job Job, arrived time.Time) (done *Result) {
 		qs.result.Completed = arrived
 		return &qs.result
 	}
-	if qs.trace != nil {
+	if qs.job.Trace != nil {
 		s.traced++
 	}
 	s.queries[job.ID] = qs
@@ -481,9 +478,9 @@ func (s *scheduler) cancel(qid uint64, now time.Time) *Result {
 	if qs.remaining != 0 {
 		panic(fmt.Sprintf("core: query %d cancelled with %d unaccounted objects", qid, qs.remaining))
 	}
-	if qs.trace != nil {
+	if qs.job.Trace != nil {
 		s.traced--
-		qs.trace.Add(trace.Span{Stage: trace.StageCancel, Start: now, End: now, Err: "cancelled"})
+		qs.job.Trace.Add(trace.Span{Stage: trace.StageCancel, Start: now, End: now, Err: "cancelled"})
 	}
 	delete(s.queries, qid)
 	delete(s.preds, qid)
@@ -828,7 +825,7 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 			panic(fmt.Sprintf("core: work unit for unknown query %d", qid))
 		}
 		qs.remaining -= n
-		if qs.trace != nil {
+		if qs.job.Trace != nil {
 			var read *trace.Span
 			if readKind != "" {
 				read = &trace.Span{
@@ -836,17 +833,17 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 					Attr: readKind, Key: int64(idx),
 				}
 			}
-			qs.trace.ServiceVisit(trace.Span{
+			qs.job.Trace.ServiceVisit(trace.Span{
 				Stage: trace.StageService, Start: now, End: end,
 				Attr: svcAttr, N: int64(n), Key: int64(idx), Score: svcUt,
 			}, read, inMem)
-			s.svcTraceID = qs.trace.ID()
+			s.svcTraceID = qs.job.Trace.ID()
 		}
 		if qs.remaining < 0 {
 			panic(fmt.Sprintf("core: query %d over-completed", qid))
 		}
 		if qs.remaining == 0 {
-			if qs.trace != nil {
+			if qs.job.Trace != nil {
 				s.traced--
 			}
 			qs.result.Completed = end

@@ -43,7 +43,6 @@ func Run(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunStats, e
 	start := l.clock.Now()
 	var results []Result
 	var merges []*merge
-	inFlight := make(map[uint64]bool, len(jobs))
 	for i, j := range jobs {
 		at := start.Add(offsets[i])
 		m, width := l.newMerge(j)
@@ -52,11 +51,12 @@ func Run(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunStats, e
 			results = append(results, Result{QueryID: j.ID, Arrived: at, Completed: at})
 			continue
 		}
-		if inFlight[j.ID] {
+		// No query resolves before the workers start, so every claim
+		// stands until then.
+		if err := l.claim(j.ID); err != nil {
 			closeForked(l.cfgs)
-			return nil, RunStats{}, fmt.Errorf("core: query %d already in flight", j.ID)
+			return nil, RunStats{}, err
 		}
-		inFlight[j.ID] = true
 		merges = append(merges, m)
 		for s := range m.parts {
 			if m.parts[s].share > 0 {

@@ -334,8 +334,7 @@ func (d *Disk) charge(c, worked time.Duration) {
 	d.mu.Unlock()
 }
 
-// Ledger returns a snapshot of the disk's clock account. ResetStats does
-// not touch it: credit is time already paid, not a statistic.
+// Ledger returns a snapshot of the disk's clock account.
 func (d *Disk) Ledger() Ledger {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -347,13 +346,6 @@ func (d *Disk) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.stats
-}
-
-// ResetStats zeroes the accumulated statistics.
-func (d *Disk) ResetStats() {
-	d.mu.Lock()
-	d.stats = Stats{}
-	d.mu.Unlock()
 }
 
 // String summarizes the stats.

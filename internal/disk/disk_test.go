@@ -100,10 +100,6 @@ func TestDiskChargesVirtualClock(t *testing.T) {
 	if st.String() == "" {
 		t.Error("Stats String empty")
 	}
-	d.ResetStats()
-	if d.Stats() != (Stats{}) {
-		t.Error("ResetStats did not zero")
-	}
 	if d.Model() != SkyQuery() {
 		t.Error("Model accessor")
 	}

@@ -275,7 +275,7 @@ func (n *Node) Extract(req ExtractRequest) (ExtractResponse, error) {
 	*scratch = in[:0]
 	if req.Selectivity < 1 {
 		in = slices.DeleteFunc(in, func(o catalog.Object) bool {
-			return !subsample(req.Seed, req.QueryID, o.ID, req.Selectivity)
+			return !catalog.Keep(req.Seed, req.QueryID, o.ID, req.Selectivity)
 		})
 	}
 	var out []Object
@@ -410,16 +410,6 @@ func checkMagWindow(lo, hi float64) error {
 		return fmt.Errorf("federation: magnitude bound MagHi %v is not a finite number", hi)
 	}
 	return nil
-}
-
-func subsample(seed int64, qid, oid uint64, p float64) bool {
-	x := uint64(seed) ^ qid*0x9E3779B97F4A7C15 ^ oid*0xBF58476D1CE4E5B9
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return float64(x>>11)/float64(1<<53) < p
 }
 
 // Query is a federation cross-match query as the portal accepts it.

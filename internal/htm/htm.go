@@ -251,18 +251,13 @@ func Lookup(v geom.Vec3, level int) ID {
 	return descend(ID(8+face), tri, v, level)
 }
 
-// LookupWithin returns the trixel of the given level containing v,
-// descending from base instead of from the octahedron faces. If v lies
-// outside base (within epsilon), the descent still terminates by snapping to
-// the nearest child at each level.
-func LookupWithin(base ID, v geom.Vec3, level int) ID {
-	return LookupIn(base, base.Triangle(), v, level)
-}
-
-// LookupIn is LookupWithin for a caller that already holds base's triangle:
-// tri must be base.Triangle(). It is the fast path for catalog generation,
-// which samples a coarse trixel's objects inside that triangle and then keys
-// each one at level 14 without re-deriving it from the octahedron face.
+// LookupIn returns the trixel of the given level containing v, descending
+// from base instead of from the octahedron faces; tri must be
+// base.Triangle(). If v lies outside base (within epsilon), the descent
+// still terminates by snapping to the nearest child at each level. It is the
+// fast path for catalog generation, which samples a coarse trixel's objects
+// inside that triangle and then keys each one at level 14 without
+// re-deriving it from the octahedron face.
 func LookupIn(base ID, tri geom.Triangle, v geom.Vec3, level int) ID {
 	if level < base.Level() {
 		panic("htm: lookup target above base level")

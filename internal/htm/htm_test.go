@@ -437,25 +437,27 @@ func BenchmarkCapBoundsArcsec(b *testing.B) {
 	}
 }
 
+// TestLookupWithin: LookupIn from a base trixel stays inside it and agrees
+// with a full Lookup.
 func TestLookupWithin(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for i := 0; i < 300; i++ {
 		v := geom.FromRaDec(rng.Float64()*360, math.Asin(rng.Float64()*2-1)*180/math.Pi)
 		base := Lookup(v, 5)
-		got := LookupWithin(base, v, PaperLevel)
+		got := LookupIn(base, base.Triangle(), v, PaperLevel)
 		if got.Level() != PaperLevel {
 			t.Fatalf("level = %d", got.Level())
 		}
 		if got.AncestorAtLevel(5) != base {
-			t.Fatalf("LookupWithin escaped its base trixel")
+			t.Fatalf("LookupIn escaped its base trixel")
 		}
 		if !got.Contains(v) {
-			t.Fatalf("LookupWithin result does not contain point")
+			t.Fatalf("LookupIn result does not contain point")
 		}
 		// Must agree with a full Lookup away from boundaries.
 		full := Lookup(v, PaperLevel)
 		if full != got && full.AncestorAtLevel(5) == base {
-			t.Fatalf("LookupWithin %s disagrees with Lookup %s", got, full)
+			t.Fatalf("LookupIn %s disagrees with Lookup %s", got, full)
 		}
 	}
 }
@@ -463,8 +465,8 @@ func TestLookupWithin(t *testing.T) {
 func TestLookupWithinSameLevel(t *testing.T) {
 	v := geom.FromRaDec(42, 42)
 	base := Lookup(v, 7)
-	if got := LookupWithin(base, v, 7); got != base {
-		t.Errorf("same-level LookupWithin = %s, want %s", got, base)
+	if got := LookupIn(base, base.Triangle(), v, 7); got != base {
+		t.Errorf("same-level LookupIn = %s, want %s", got, base)
 	}
 }
 
@@ -473,7 +475,7 @@ func TestLookupWithinOutsideBaseStillTerminates(t *testing.T) {
 	// children and terminates at the right level.
 	base := FaceID(0)
 	v := base.Center().Scale(-1)
-	got := LookupWithin(base, v, 6)
+	got := LookupIn(base, base.Triangle(), v, 6)
 	if got.Level() != 6 || got.AncestorAtLevel(0) != base {
 		t.Errorf("outside-point descent broken: %s", got)
 	}
@@ -498,7 +500,7 @@ func TestPanicPaths(t *testing.T) {
 	mustPanic("Lookup bad level", func() { Lookup(geom.Vec3{X: 1}, -1) })
 	mustPanic("Lookup deep level", func() { Lookup(geom.Vec3{X: 1}, MaxLevel+1) })
 	mustPanic("CoverCap bad level", func() { CoverCap(geom.NewCap(geom.Vec3{X: 1}, 0.1), MaxLevel+1) })
-	mustPanic("LookupWithin above base", func() { LookupWithin(FromPos(0, 5), geom.Vec3{X: 1}, 3) })
+	mustPanic("LookupIn above base", func() { LookupIn(FromPos(0, 5), FromPos(0, 5).Triangle(), geom.Vec3{X: 1}, 3) })
 }
 
 func TestLookupPathologicalPoint(t *testing.T) {
@@ -850,9 +852,9 @@ func TestCapBoundsMatchReferenceWalk(t *testing.T) {
 	}
 }
 
-// refSubTriangle, refLookup and refLookupWithin are the descent as it was
+// refSubTriangle, refLookup and refLookupIn are the descent as it was
 // before each level's midpoints were taken once: every child tried pays for
-// all three of its parent's edge midpoints, and LookupWithin re-derives
+// all three of its parent's edge midpoints, and refLookupIn re-derives
 // base's triangle from the octahedron face. Kept as the reference the
 // hoisted descent must agree with, bit for bit.
 func refSubTriangle(tri geom.Triangle, i int) geom.Triangle {
@@ -927,11 +929,11 @@ func refLookup(v geom.Vec3, level int) ID {
 	return refDescend(FaceID(face), FaceTriangle(face), v, 0, level)
 }
 
-func refLookupWithin(base ID, v geom.Vec3, level int) ID {
+func refLookupIn(base ID, v geom.Vec3, level int) ID {
 	return refDescend(base, refTriangle(base), v.Normalize(), base.Level(), level)
 }
 
-// TestDescentMatchesPerChildReference holds LookupIn, LookupWithin, Lookup
+// TestDescentMatchesPerChildReference holds LookupIn, Lookup
 // and ID.Triangle to the per-child descent they replace, on random points,
 // on the vertices, edge midpoints and edges of trixels at levels 5 to 14
 // (where the lowest-numbered-child rule decides), and on points a hair
@@ -948,12 +950,9 @@ func TestDescentMatchesPerChildReference(t *testing.T) {
 		if want := refTriangle(base); tri != want {
 			t.Fatalf("%s.Triangle() = %v, reference %v", base, tri, want)
 		}
-		want := refLookupWithin(base, v, level)
+		want := refLookupIn(base, v, level)
 		if got := LookupIn(base, tri, v, level); got != want {
 			t.Fatalf("LookupIn(%s, %v, %d) = %s, reference %s", base, v, level, got, want)
-		}
-		if got := LookupWithin(base, v, level); got != want {
-			t.Fatalf("LookupWithin(%s, %v, %d) = %s, reference %s", base, v, level, got, want)
 		}
 		full := Lookup(v, level)
 		if wantFull := refLookup(v, level); full != wantFull {

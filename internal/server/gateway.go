@@ -34,6 +34,15 @@ type Gateway struct {
 	mux *http.ServeMux
 }
 
+// A query that asks for no deadline gets defaultTimeout, one that asks for
+// more than maxTimeout gets maxTimeout, and a request body is read up to
+// maxBodyBytes.
+const (
+	defaultTimeout = 30 * time.Second
+	maxTimeout     = 5 * time.Minute
+	maxBodyBytes   = 1 << 20
+)
+
 // GatewayConfig configures a Gateway.
 type GatewayConfig struct {
 	// Exec executes one admitted query for a tenant and returns a
@@ -41,13 +50,6 @@ type GatewayConfig struct {
 	Exec func(ctx context.Context, tenant, query string) (any, error)
 	// Server, when set, backs /v1/stats with its snapshot.
 	Server *Server
-	// DefaultTimeout bounds queries that do not ask for a deadline
-	// (default 30s). MaxTimeout caps what clients may ask for
-	// (default 5m).
-	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
-	// MaxBodyBytes bounds request bodies (default 1 MiB).
-	MaxBodyBytes int64
 	// Registry, when set, backs /metrics with the Prometheus text
 	// rendering (a /metrics request without one returns 404).
 	Registry *metric.Registry
@@ -61,15 +63,6 @@ type GatewayConfig struct {
 func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	if cfg.Exec == nil {
 		return nil, fmt.Errorf("server: GatewayConfig.Exec is required")
-	}
-	if cfg.DefaultTimeout <= 0 {
-		cfg.DefaultTimeout = 30 * time.Second
-	}
-	if cfg.MaxTimeout <= 0 {
-		cfg.MaxTimeout = 5 * time.Minute
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 1 << 20
 	}
 	g := &Gateway{cfg: cfg, mux: http.NewServeMux()}
 	g.mux.HandleFunc("/v1/query", g.handleQuery)
@@ -238,7 +231,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req queryRequest
-	body := http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
 		return
@@ -253,14 +246,14 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "empty query"})
 		return
 	}
-	timeout := g.cfg.DefaultTimeout
+	timeout := defaultTimeout
 	if req.TimeoutMillis > 0 {
 		// Clamp in the millisecond domain before converting: scaling a
 		// caller-controlled count to nanoseconds first overflows int64 for
 		// values past ~2.9e12 ms, yielding a negative timeout that expires
 		// the request instantly instead of capping it.
 		millis := req.TimeoutMillis
-		if maxMillis := int64(g.cfg.MaxTimeout / time.Millisecond); millis > maxMillis {
+		if maxMillis := int64(maxTimeout / time.Millisecond); millis > maxMillis {
 			millis = maxMillis
 		}
 		timeout = time.Duration(millis) * time.Millisecond

@@ -26,7 +26,7 @@ func testGateway(t *testing.T, exec func(ctx context.Context, tenant, query stri
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	g, err := NewGateway(GatewayConfig{Exec: exec, Server: srv, DefaultTimeout: time.Second})
+	g, err := NewGateway(GatewayConfig{Exec: exec, Server: srv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,11 +210,10 @@ func TestGatewayStatsKeys(t *testing.T) {
 	}
 }
 
-// TestGatewayDeadline: the request context carries the gateway timeout.
 // TestGatewayTimeoutOverflowClamped: a huge timeout_ms used to overflow
 // the nanosecond multiplication into a negative Duration, so the request
 // context expired before Exec ran and every such request 504'd. It must
-// behave as "capped at MaxTimeout" instead.
+// behave as "capped at maxTimeout" instead.
 func TestGatewayTimeoutOverflowClamped(t *testing.T) {
 	deadlines := make(chan time.Duration, 1)
 	ts := testGateway(t, func(ctx context.Context, tenant, query string) (any, error) {
@@ -234,12 +233,13 @@ func TestGatewayTimeoutOverflowClamped(t *testing.T) {
 	if left <= 0 {
 		t.Errorf("deadline already expired by %v at exec time", -left)
 	}
-	// The default MaxTimeout is 5m; the clamped deadline must not exceed it.
+	// The clamped deadline must not exceed the 5-minute cap.
 	if left > 5*time.Minute {
-		t.Errorf("deadline %v exceeds the MaxTimeout cap", left)
+		t.Errorf("deadline %v exceeds the 5-minute cap", left)
 	}
 }
 
+// TestGatewayDeadline: the request context carries the gateway timeout.
 func TestGatewayDeadline(t *testing.T) {
 	ts := testGateway(t, func(ctx context.Context, tenant, query string) (any, error) {
 		if _, ok := ctx.Deadline(); !ok {
@@ -256,6 +256,32 @@ func TestGatewayDeadline(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Errorf("status = %d, want 504", resp.StatusCode)
+	}
+}
+
+// TestGatewayDefaultsAndBodyCap: a query without timeout_ms runs under the
+// 30-second default, and a body past 1 MiB is refused before Exec runs.
+func TestGatewayDefaultsAndBodyCap(t *testing.T) {
+	deadlines := make(chan time.Duration, 1)
+	ts := testGateway(t, func(ctx context.Context, tenant, query string) (any, error) {
+		dl, _ := ctx.Deadline()
+		deadlines <- time.Until(dl)
+		return "ok", nil
+	})
+	if resp, out := postQuery(t, ts, `{"query":"q"}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, body %v", resp.StatusCode, out)
+	}
+	if left := <-deadlines; left <= 25*time.Second || left > 30*time.Second {
+		t.Errorf("default deadline %v, want just under 30s", left)
+	}
+	big := `{"query":"q","tenant":"` + strings.Repeat("x", 1<<20) + `"}`
+	if resp, out := postQuery(t, ts, big); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("oversized body: status = %d, body %v; want 400", resp.StatusCode, out)
+	}
+	select {
+	case <-deadlines:
+		t.Error("Exec ran for an oversized body")
+	default:
 	}
 }
 

@@ -342,7 +342,7 @@ func TestLoadSteadyTenantBoundedP99(t *testing.T) {
 			defer eng.Close()
 			reg := metric.NewRegistry()
 			cfg := row.cfg
-			cfg.MaxInFlight, cfg.Quantum, cfg.Registry = 4, 32, reg
+			cfg.MaxInFlight, cfg.Registry = 4, reg
 			s, err := New(eng, cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -80,7 +80,7 @@ func newServingMetrics(reg *metric.Registry) servingMetrics {
 		inFlight: reg.NewGauge("liferaft_inflight",
 			"Queries inside the engine at scrape time (bounded by MaxInFlight)."),
 		tenants: reg.NewGauge("liferaft_tenants",
-			"Registered tenants at scrape time (bounded by MaxTenants)."),
+			"Registered tenants at scrape time (bounded by the 1 024-tenant table)."),
 		ctlP99: reg.NewGauge("liferaft_control_p99_seconds",
 			"Windowed p99 response time the AIMD controller saw at its last tick (0 until a window completes)."),
 		sloP99: reg.NewGauge("liferaft_slo_p99_seconds",

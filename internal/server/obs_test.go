@@ -45,7 +45,6 @@ func TestTenantFamiliesStayCapped(t *testing.T) {
 		DefaultRate:     1,
 		DefaultBurst:    2,
 		MaxInFlight:     1,
-		MaxTenants:      tenants,
 		Registry:        reg,
 		ControlInterval: tick,
 	})

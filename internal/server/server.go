@@ -48,7 +48,7 @@ type TenantConfig struct {
 	// Name identifies the tenant in Submit calls and stats.
 	Name string
 	// Weight is the tenant's DRR share relative to other tenants;
-	// values < 1 mean Config.DefaultWeight.
+	// values < 1 mean 1.
 	Weight int
 	// Rate is the tenant's sustained admission rate in queries per
 	// second. 0 means Config.DefaultRate; negative means unlimited.
@@ -75,15 +75,9 @@ type Config struct {
 	// MaxInFlight caps the queries concurrently inside the engine
 	// (default 4); the fair queue picks which tenant fills a freed slot.
 	MaxInFlight int
-	// Quantum is the DRR quantum in workload objects (default 32).
-	Quantum int
-	// DefaultWeight is the DRR weight of unconfigured tenants (default 1).
-	DefaultWeight int
-	// MaxTenants bounds how many tenants may auto-register (default
-	// 1024); beyond it, unknown tenants are rejected.
-	MaxTenants int
 	// Tenants pre-registers tenants with explicit limits; all other
-	// tenants auto-register with the defaults above on first use.
+	// tenants auto-register with the defaults above and weight 1 on first
+	// use, until the table holds 1 024 tenants.
 	Tenants []TenantConfig
 
 	// RateMode names the admission-rate control, of which there is one:
@@ -131,18 +125,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.MaxInFlight < 0 {
 		return c, fmt.Errorf("server: MaxInFlight %d must be positive", c.MaxInFlight)
 	}
-	if c.Quantum == 0 {
-		c.Quantum = 32
-	}
-	if c.Quantum < 0 {
-		return c, fmt.Errorf("server: Quantum %d must be positive", c.Quantum)
-	}
-	if c.DefaultWeight < 1 {
-		c.DefaultWeight = 1
-	}
-	if c.MaxTenants == 0 {
-		c.MaxTenants = 1024
-	}
 	if c.RateMode != "" && c.RateMode != RateAdaptive {
 		return c, fmt.Errorf("server: unknown RateMode %q", c.RateMode)
 	}
@@ -165,9 +147,16 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// reservoirSize bounds each tenant's response-time sample; summaries stay
-// unbiased at fixed memory.
-const reservoirSize = 1024
+const (
+	// reservoirSize bounds each tenant's response-time sample; summaries
+	// stay unbiased at fixed memory.
+	reservoirSize = 1024
+	// drrQuantum is the DRR quantum in workload objects.
+	drrQuantum = 32
+	// maxTenants bounds the tenant table; once it is full, unknown
+	// tenants are rejected instead of auto-registering.
+	maxTenants = 1024
+)
 
 // ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("server: closed")
@@ -181,7 +170,7 @@ const (
 	OverloadRate OverloadReason = "rate"
 	// OverloadQueue: the tenant's pending queue is full.
 	OverloadQueue OverloadReason = "queue"
-	// OverloadTenants: the tenant table is full (MaxTenants).
+	// OverloadTenants: the 1 024-tenant table is full.
 	OverloadTenants OverloadReason = "tenants"
 )
 
@@ -206,9 +195,7 @@ type pending struct {
 	tenant *tenant
 	out    chan core.Result
 	enq    time.Time // serving-clock accept instant
-	// tr is the request's trace (from the submit context; nil untraced);
 	// dispatched is the serving-clock instant the fair queue released it.
-	tr         *trace.Trace
 	dispatched time.Time
 }
 
@@ -278,7 +265,7 @@ func New(eng Engine, cfg Config) (*Server, error) {
 		eng:     eng,
 		clk:     eng.Clock(),
 		tenants: make(map[string]*tenant),
-		fq:      newFairQueue(cfg.Quantum),
+		fq:      newFairQueue(drrQuantum),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if cfg.Registry != nil {
@@ -324,10 +311,7 @@ func (s *Server) gather() {
 // register creates a tenant from its config; the caller holds no lock (New
 // runs before the dispatcher starts) or s.mu (auto-registration).
 func (s *Server) register(tc TenantConfig) (*tenant, error) {
-	weight := tc.Weight
-	if weight < 1 {
-		weight = s.cfg.DefaultWeight
-	}
+	weight := max(tc.Weight, 1)
 	depth := tc.QueueDepth
 	if depth < 1 {
 		depth = s.cfg.QueueDepth
@@ -368,7 +352,7 @@ func (s *Server) tenantLocked(name string) (*tenant, error) {
 	if t := s.tenants[name]; t != nil {
 		return t, nil
 	}
-	if len(s.tenants) >= s.cfg.MaxTenants {
+	if len(s.tenants) >= maxTenants {
 		return nil, &OverloadError{Tenant: name, Reason: OverloadTenants, RetryAfter: time.Minute}
 	}
 	return s.register(TenantConfig{Name: name})
@@ -382,17 +366,17 @@ func (s *Server) tenantLocked(name string) (*tenant, error) {
 // before completion the query is cancelled all the way into the engine's
 // workload queues and the Result carries Cancelled.
 func (s *Server) Submit(ctx context.Context, tenantName string, job core.Job) (<-chan core.Result, error) {
-	tr := trace.FromContext(ctx)
-	// The engine records its spans into the same trace.
-	job.Trace = tr
+	// The request's trace (nil untraced) rides on the job: the engine
+	// records its spans into the same trace.
+	job.Trace = trace.FromContext(ctx)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	a := s.admitLocked(ctx, tenantName, job, tr)
+	a := s.admitLocked(ctx, tenantName, job)
 	s.mu.Unlock()
-	s.recordAdmission(a, tr)
+	s.recordAdmission(a, job.Trace)
 	return a.out, a.err
 }
 
@@ -410,7 +394,7 @@ type admission struct {
 
 // admitLocked decides one submission and, on admission, queues it.
 // Caller holds s.mu.
-func (s *Server) admitLocked(ctx context.Context, tenantName string, job core.Job, tr *trace.Trace) admission {
+func (s *Server) admitLocked(ctx context.Context, tenantName string, job core.Job) admission {
 	t, err := s.tenantLocked(tenantName)
 	if err != nil {
 		return admission{tenant: tenantName, decision: decisionRejectedTenants, now: s.clk.Now(), err: err}
@@ -435,7 +419,7 @@ func (s *Server) admitLocked(ctx context.Context, tenantName string, job core.Jo
 		a.err = &OverloadError{Tenant: t.name, Reason: OverloadRate, RetryAfter: a.retry}
 	default:
 		a.decision = decisionAdmitted
-		p := &pending{job: job, ctx: ctx, tenant: t, out: make(chan core.Result, 1), enq: a.now, tr: tr}
+		p := &pending{job: job, ctx: ctx, tenant: t, out: make(chan core.Result, 1), enq: a.now}
 		s.fq.push(t.flow, p)
 		s.cond.Broadcast()
 		a.out = p.out
@@ -490,9 +474,9 @@ func (s *Server) dispatch() {
 		}
 		s.mu.Unlock()
 		s.obs.queueWait.With(p.tenant.name).Observe(p.dispatched.Sub(p.enq).Seconds())
-		p.tr.Add(trace.Span{Stage: trace.StageQueueWait, Start: p.enq, End: p.dispatched})
+		p.job.Trace.Add(trace.Span{Stage: trace.StageQueueWait, Start: p.enq, End: p.dispatched})
 		if abandoned {
-			p.tr.Add(trace.Span{Stage: trace.StageEngine, Start: p.dispatched, End: p.dispatched,
+			p.job.Trace.Add(trace.Span{Stage: trace.StageEngine, Start: p.dispatched, End: p.dispatched,
 				Err: "cancelled while queued"})
 			p.out <- core.Result{QueryID: p.job.ID, Arrived: p.enq, Completed: s.clk.Now(), Cancelled: true}
 			close(p.out)
@@ -502,8 +486,9 @@ func (s *Server) dispatch() {
 		ch, err := s.eng.SubmitCtx(p.ctx, p.job)
 		s.mu.Lock()
 		if err != nil {
-			// Engine refused (closing): resolve the waiter by closing
-			// its channel without a result.
+			// Engine refused (closing, or a query with this ID is
+			// still in flight): resolve the waiter by closing its
+			// channel without a result.
 			s.inFlight--
 			p.tenant.inFlight--
 			p.tenant.failed++
@@ -546,13 +531,13 @@ func (s *Server) await(p *pending, ch <-chan core.Result) {
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.recordMoves(moves)
-	p.tr.Add(sp)
+	p.job.Trace.Add(sp)
 	if completed {
 		// A traced request's response observation carries its trace ID
 		// as an OpenMetrics exemplar: the p99 spike on a dashboard links
 		// straight to the forensics capture. Unsampled traces get no
 		// exemplar — the capture they would link to is unpublished.
-		if id := p.tr.ID(); id != 0 && p.tr.Sampled() {
+		if id := p.job.Trace.ID(); id != 0 && p.job.Trace.Sampled() {
 			s.obs.response.With(p.tenant.name).ObserveExemplar(d.Seconds(), id.String())
 		} else {
 			s.obs.response.With(p.tenant.name).Observe(d.Seconds())

@@ -347,22 +347,23 @@ func TestServerCloseLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestServerTenantTableBound: auto-registration stops at MaxTenants.
+// TestServerTenantTableBound: auto-registration stops once the 1 024-tenant
+// table is full.
 func TestServerTenantTableBound(t *testing.T) {
 	clk := simclock.NewVirtual()
 	eng := newStubEngine(clk)
 	eng.auto = true
-	s, err := New(eng, Config{MaxTenants: 2})
+	s, err := New(eng, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 1024; i++ {
 		if _, err := s.Submit(context.Background(), fmt.Sprintf("t%d", i), core.Job{ID: uint64(i + 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, err = s.Submit(context.Background(), "one-too-many", core.Job{ID: 9})
+	_, err = s.Submit(context.Background(), "one-too-many", core.Job{ID: 1025})
 	over, ok := err.(*OverloadError)
 	if !ok || over.Reason != OverloadTenants {
 		t.Errorf("err = %v, want tenants OverloadError", err)

@@ -1,14 +1,13 @@
 // Package stats provides the statistics LifeRaft's evaluation reports:
-// query throughput, response-time summaries with coefficient of variance
-// (Figure 7b), percentiles, cumulative workload shares (Figure 6), and
-// normalized throughput/response-time trade-off curves (Figure 4).
+// response-time summaries with coefficient of variance (Figure 7b),
+// percentiles, cumulative workload shares (Figure 6), and normalized
+// throughput/response-time trade-off curves (Figure 4).
 package stats
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 )
 
 // Summary describes a sample of non-negative values (typically response
@@ -110,15 +109,6 @@ func Percentile(sorted []float64, p float64) float64 {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.3f cov=%.2f p50=%.3f p90=%.3f max=%.3f",
 		s.Count, s.Mean, s.CoV, s.P50, s.P90, s.Max)
-}
-
-// Throughput returns completed/elapsed in events per second; 0 when the
-// elapsed time is non-positive.
-func Throughput(completed int, elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(completed) / elapsed.Seconds()
 }
 
 // CumulativeShare sorts weights descending and returns, for each rank k

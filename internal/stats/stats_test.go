@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -59,15 +58,6 @@ func TestPercentile(t *testing.T) {
 	}
 	if got := Percentile([]float64{7}, 0.9); got != 7 {
 		t.Errorf("singleton percentile = %v", got)
-	}
-}
-
-func TestThroughput(t *testing.T) {
-	if got := Throughput(100, 50*time.Second); !almostEq(got, 2, 1e-12) {
-		t.Errorf("Throughput = %v", got)
-	}
-	if Throughput(5, 0) != 0 || Throughput(5, -time.Second) != 0 {
-		t.Error("non-positive elapsed should yield 0")
 	}
 }
 

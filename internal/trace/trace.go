@@ -207,20 +207,6 @@ func (t *Trace) ServiceVisit(svc Span, read *Span, hit bool) {
 	t.mu.Unlock()
 }
 
-// Cache counts one bucket-cache outcome attributed to this query.
-func (t *Trace) Cache(hit bool) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if hit {
-		t.cacheHits++
-	} else {
-		t.cacheMisses++
-	}
-	t.mu.Unlock()
-}
-
 // Data is a finished (or in-flight) trace snapshot — the JSON shape
 // /debug/traces serves.
 type Data struct {
@@ -315,7 +301,14 @@ func (t *Trace) Stitch(node string, base time.Time, spans []WireSpan) {
 	}
 }
 
-// Config tunes a Recorder.
+// The two rings hold the last recentCap published traces and the last
+// slowCap slow ones.
+const (
+	recentCap = 256
+	slowCap   = 64
+)
+
+// Config tunes a Recorder. The ring sizes are fixed (recentCap, slowCap).
 type Config struct {
 	// Now is the recorder's clock; nil means time.Now. A node on a
 	// virtual clock passes its engine clock so trace timestamps line up
@@ -325,8 +318,6 @@ type Config struct {
 	// exceeds it into the slow ring (default 2s — pair it with the
 	// serving layer's -slo-p99).
 	SlowThreshold time.Duration
-	// RecentCap and SlowCap bound the two rings (defaults 256 and 64).
-	RecentCap, SlowCap int
 	// Sample is the fraction of traces published (archived in the recent
 	// ring, echoed as trace_id, attached as exemplars). <= 0 or >= 1
 	// means every trace. Slow traces are always captured regardless of
@@ -368,12 +359,6 @@ func New(cfg Config) *Recorder {
 	if cfg.SlowThreshold <= 0 {
 		cfg.SlowThreshold = 2 * time.Second
 	}
-	if cfg.RecentCap <= 0 {
-		cfg.RecentCap = 256
-	}
-	if cfg.SlowCap <= 0 {
-		cfg.SlowCap = 64
-	}
 	cut := uint64(math.MaxUint64)
 	if cfg.Sample > 0 && cfg.Sample < 1 {
 		cut = uint64(cfg.Sample * float64(math.MaxUint64))
@@ -385,8 +370,8 @@ func New(cfg Config) *Recorder {
 		// Construction-time entropy for ID generation; wall time is fine
 		// here even under a virtual clock (it is a seed, not a stamp).
 		seed:   uint64(time.Now().UnixNano()),
-		recent: make([]Data, 0, cfg.RecentCap),
-		slow:   make([]Data, 0, cfg.SlowCap),
+		recent: make([]Data, 0, recentCap),
+		slow:   make([]Data, 0, slowCap),
 	}
 }
 

@@ -32,7 +32,7 @@ func TestIDRoundTrip(t *testing.T) {
 func TestNilSafety(t *testing.T) {
 	var tr *Trace
 	tr.Add(Span{Stage: StageAdmission})
-	tr.Cache(true)
+	tr.ServiceVisit(Span{Stage: StageService}, nil, true)
 	tr.Stitch("x", time.Now(), []WireSpan{{Stage: "s"}})
 	if tr.ID() != 0 || tr.Wire() != nil {
 		t.Fatal("nil Trace leaked state")
@@ -81,7 +81,7 @@ func TestRingsAndSlowCapture(t *testing.T) {
 	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
 	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
 
-	r := New(Config{Now: clock, SlowThreshold: time.Second, RecentCap: 4, SlowCap: 2})
+	r := New(Config{Now: clock, SlowThreshold: time.Second})
 
 	finishOne := func(d time.Duration) ID {
 		tr := r.Start("t", 1)
@@ -95,7 +95,7 @@ func TestRingsAndSlowCapture(t *testing.T) {
 
 	slow1 := finishOne(3 * time.Second)
 	var fast []ID
-	for i := 0; i < 6; i++ { // overflow RecentCap=4
+	for i := 0; i < recentCap+2; i++ { // overflow the recent ring
 		fast = append(fast, finishOne(time.Millisecond))
 	}
 
@@ -105,25 +105,35 @@ func TestRingsAndSlowCapture(t *testing.T) {
 		t.Fatal("slow trace evicted by fast burst")
 	}
 	recent := r.Recent()
-	if len(recent) != 4 {
-		t.Fatalf("recent len = %d, want 4", len(recent))
+	if len(recent) != recentCap {
+		t.Fatalf("recent len = %d, want %d", len(recent), recentCap)
 	}
-	if recent[0].TraceID != fast[5] {
-		t.Fatalf("recent not newest-first: got %v want %v", recent[0].TraceID, fast[5])
+	if recent[0].TraceID != fast[len(fast)-1] {
+		t.Fatalf("recent not newest-first: got %v want %v", recent[0].TraceID, fast[len(fast)-1])
 	}
 
-	slow2 := finishOne(2 * time.Second)
-	slow3 := finishOne(5 * time.Second)
-	slows := r.Slow()
-	if len(slows) != 2 {
-		t.Fatalf("slow len = %d, want 2", len(slows))
+	// Overflow the slow ring too: slow1 and the first extra slow trace
+	// are evicted, and the rest come back newest first.
+	var slows []ID
+	for i := 0; i < slowCap+1; i++ {
+		slows = append(slows, finishOne(time.Duration(2+i%4)*time.Second))
 	}
-	if slows[0].TraceID != slow3 || slows[1].TraceID != slow2 {
-		t.Fatalf("slow ring order wrong: %v %v", slows[0].TraceID, slows[1].TraceID)
+	got := r.Slow()
+	if len(got) != slowCap {
+		t.Fatalf("slow len = %d, want %d", len(got), slowCap)
 	}
+	for i, d := range got {
+		if want := slows[len(slows)-1-i]; d.TraceID != want {
+			t.Fatalf("slow ring[%d] = %v, want %v", i, d.TraceID, want)
+		}
+	}
+	if _, ok := r.Get(slow1); ok {
+		t.Fatal("slow1 survived a full slow ring after it")
+	}
+	n := uint64(1 + recentCap + 2 + slowCap + 1)
 	started, finished, slowN, sampledOut := r.Stats()
-	if started != 9 || finished != 9 || slowN != 3 || sampledOut != 0 {
-		t.Fatalf("stats = %d/%d/%d/%d, want 9/9/3/0", started, finished, slowN, sampledOut)
+	if started != n || finished != n || slowN != slowCap+2 || sampledOut != 0 {
+		t.Fatalf("stats = %d/%d/%d/%d, want %d/%d/%d/0", started, finished, slowN, sampledOut, n, n, slowCap+2)
 	}
 }
 
@@ -136,7 +146,7 @@ func TestSamplingGatesRecentNotSlow(t *testing.T) {
 	// Sample 1/64: over 2000 traces roughly 31 land in recent; exact
 	// counts come from the deterministic ID cut, we only pin the
 	// invariants.
-	r := New(Config{Now: clock, SlowThreshold: time.Second, Sample: 1.0 / 64, RecentCap: 4096, SlowCap: 64})
+	r := New(Config{Now: clock, SlowThreshold: time.Second, Sample: 1.0 / 64})
 	sampledN := 0
 	for i := 0; i < 2000; i++ {
 		tr := r.Start("t", uint64(i))
@@ -263,8 +273,7 @@ func TestConcurrentAdd(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				tr.Add(Span{Stage: StageService})
-				tr.Cache(i%2 == 0)
+				tr.ServiceVisit(Span{Stage: StageService}, nil, i%2 == 0)
 			}
 		}()
 	}
@@ -279,7 +288,7 @@ func TestConcurrentAdd(t *testing.T) {
 }
 
 func TestGetPrefersRings(t *testing.T) {
-	r := New(Config{RecentCap: 8, SlowCap: 2, SlowThreshold: time.Hour})
+	r := New(Config{SlowThreshold: time.Hour})
 	var ids []ID
 	for i := 0; i < 3; i++ {
 		tr := r.Start("tenant", uint64(i))

@@ -244,23 +244,12 @@ func Materialize(q Query, remote *catalog.Catalog, seed int64) []xmatch.Workload
 	objs := remote.InCap(q.Cap())
 	out := make([]xmatch.WorkloadObject, 0, int(float64(len(objs))*q.Selectivity)+1)
 	for _, o := range objs {
-		if !keep(seed, q.ID, o.ID, q.Selectivity) {
+		if !catalog.Keep(seed, q.ID, o.ID, q.Selectivity) {
 			continue
 		}
 		out = append(out, xmatch.NewWorkloadObject(q.ID, o, q.MatchRadiusRad))
 	}
 	return out
-}
-
-// keep implements deterministic Bernoulli subsampling via splitmix64.
-func keep(seed int64, qid, oid uint64, p float64) bool {
-	x := uint64(seed) ^ qid*0x9E3779B97F4A7C15 ^ oid*0xBF58476D1CE4E5B9
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return float64(x>>11)/float64(1<<53) < p
 }
 
 // Poisson is a Poisson arrival process at the given rate ("saturation" in

@@ -227,7 +227,7 @@ type (
 )
 
 // OverloadTenants is the OverloadError reason for a submission refused
-// because the tenant table is full (ServerConfig.MaxTenants).
+// because the 1 024-tenant table is full.
 const OverloadTenants = server.OverloadTenants
 
 // NewServer starts a serving layer over a Live engine.
