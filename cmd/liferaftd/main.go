@@ -9,8 +9,9 @@
 //	liferaftd -archive sdss    -addr 127.0.0.1:7701 &
 //	liferaftd -archive twomass -addr 127.0.0.1:7702 &
 //	liferaftd -archive usnob   -addr 127.0.0.1:7703 &
-//	skyquery -nodes sdss=127.0.0.1:7701,twomass=127.0.0.1:7702,usnob=127.0.0.1:7703 \
-//	         -archives twomass,sdss,usnob -ra 150 -dec 20 -radius 4
+//	skyquery -nodes sdss=127.0.0.1:7701,twomass=127.0.0.1:7702,usnob=127.0.0.1:7703 -query '
+//	    SELECT * FROM twomass t, sdss s, usnob u
+//	    WHERE XMATCH(t, s, u) < 5 AND REGION(CIRCLE, 150, 20, 4) AND SAMPLE(0.5)'
 //
 // Multi-tenant serving: -rate, -queue-depth, and -tenants put an admission
 // control + fair queueing layer in front of the engine; -http additionally

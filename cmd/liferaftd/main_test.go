@@ -7,9 +7,11 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -260,5 +262,45 @@ func TestGatewayRowsMatchRecordedBody(t *testing.T) {
 	rowCount, rows := post(queries[0] + " LIMIT 100000")
 	if line := fmt.Sprintf("%d %s", rowCount, rows); line != string(wantLines[0]) {
 		t.Errorf("LIMIT above the row count: rows differ from the recorded body\n got %.300s\nwant %.300s", line, wantLines[0])
+	}
+}
+
+// TestGatewayDeadlineReachesThePeers: a query's timeout_ms bounds the plan
+// gatewayExec runs against the -peers archives. The driving archive here
+// accepts connections and never speaks, so only the request's deadline,
+// carried through Exec and ExecuteCtx to the peer's extraction, can end the
+// plan before the client's own timeout: the gateway must answer 504 within
+// a second.
+func TestGatewayDeadlineReachesThePeers(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+		}
+	}()
+	portal := federation.NewPortal()
+	for _, name := range []string{"twomass", "sdss"} {
+		cli := federation.DialTimeout(ln.Addr().String(), 3*time.Second)
+		defer cli.Close()
+		portal.Register(name, cli)
+	}
+	gw, err := server.NewGateway(server.GatewayConfig{Exec: gatewayExec(portal)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := `{"query":"SELECT * FROM twomass t, sdss s WHERE XMATCH(t, s) < 4 AND REGION(CIRCLE, 150, 20, 6)","timeout_ms":200}`
+	rec := httptest.NewRecorder()
+	start := time.Now()
+	gw.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(body)))
+	if took := time.Since(start); rec.Code != http.StatusGatewayTimeout || took > 1200*time.Millisecond {
+		t.Fatalf("HTTP %d after %v: %s; want 504 within a second of the 200 ms deadline", rec.Code, took, rec.Body)
 	}
 }

@@ -1,6 +1,6 @@
 // Command lifevet runs the project-invariant static-analysis suite
-// (internal/lifevet) over the module: lock discipline, context flow,
-// duration overflow and dropped errors. It exits non-zero when any diagnostic survives
+// (internal/lifevet) over the module: lock discipline, duration overflow
+// and dropped errors. It exits non-zero when any diagnostic survives
 // suppression, so CI can gate on it. The only suppression is a
 // positional //lifevet:allow directive at the site, and a directive that
 // suppresses nothing is itself a finding.

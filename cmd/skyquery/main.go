@@ -1,14 +1,10 @@
 // Command skyquery is the federation portal client: it plans a serial
-// left-deep cross-match over the archives you name and prints the joined
-// rows, the way SkyQuery's web portal drove the real federation.
+// left-deep cross-match over the archives a SkyQL query names and prints
+// the joined rows, the way SkyQuery's web portal drove the real federation.
+// SkyQL is the SQL dialect SkyQuery exposed to astronomers; the XMATCH
+// aliases give the plan order, the first driving the extraction:
 //
-// Queries can be given as flags or in SkyQL, the SQL dialect SkyQuery
-// exposed to astronomers:
-//
-//	skyquery -nodes sdss=127.0.0.1:7701,twomass=127.0.0.1:7702 \
-//	         -archives twomass,sdss -ra 150 -dec 20 -radius 4 -limit 10
-//
-//	skyquery -nodes sdss=127.0.0.1:7701,twomass=127.0.0.1:7702 -query '
+//	skyquery -nodes sdss=127.0.0.1:7701,twomass=127.0.0.1:7702 -limit 10 -query '
 //	    SELECT t.id, s.id FROM twomass t, sdss s
 //	    WHERE XMATCH(t, s) < 5 AND REGION(CIRCLE, 150, 20, 4) AND SAMPLE(0.5)'
 package main
@@ -28,29 +24,35 @@ import (
 
 func main() {
 	nodes := flag.String("nodes", "", "comma-separated name=addr pairs for every archive")
-	archives := flag.String("archives", "twomass,sdss", "plan order; first archive drives the extraction")
-	ra := flag.Float64("ra", 150, "region center right ascension, degrees")
-	dec := flag.Float64("dec", 20, "region center declination, degrees")
-	radius := flag.Float64("radius", 4, "region radius, degrees")
-	match := flag.Float64("match", 5, "cross-match radius, arcseconds")
-	sel := flag.Float64("sel", 0.5, "driving-archive selectivity (0,1]")
-	magLo := flag.Float64("maglo", 0, "optional magnitude predicate lower bound")
-	magHi := flag.Float64("maghi", 0, "optional magnitude predicate upper bound")
-	limit := flag.Int("limit", 20, "max rows to print")
+	queryText := flag.String("query", "", "SkyQL query text (required)")
+	limit := flag.Int("limit", 20, "max rows to print (a LIMIT in the query overrides it)")
 	seed := flag.Int64("seed", 1, "subsampling seed")
-	queryText := flag.String("query", "", "SkyQL query text (overrides the per-field flags)")
 	traced := flag.Bool("trace", false, "trace the query across every hop and print the span tree (remote nodes need tracing enabled)")
 	flag.Parse()
 
-	if err := run(*nodes, *archives, *ra, *dec, *radius, *match, *sel, *magLo, *magHi, *limit, *seed, *queryText, *traced); err != nil {
+	if err := run(*nodes, *queryText, *limit, *seed, *traced); err != nil {
 		fmt.Fprintf(os.Stderr, "skyquery: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(nodes, archives string, ra, dec, radius, match, sel, magLo, magHi float64, limit int, seed int64, queryText string, traced bool) error {
+func run(nodes, queryText string, limit int, seed int64, traced bool) error {
 	if nodes == "" {
 		return fmt.Errorf("-nodes is required (e.g. sdss=127.0.0.1:7701,twomass=127.0.0.1:7702)")
+	}
+	if queryText == "" {
+		return fmt.Errorf("-query is required (a SkyQL cross-match)")
+	}
+	parsed, err := skyql.Parse(queryText)
+	if err != nil {
+		return err
+	}
+	q, err := skyql.Compile(parsed, 1, seed)
+	if err != nil {
+		return err
+	}
+	if parsed.Limit > 0 {
+		limit = parsed.Limit
 	}
 	portal := federation.NewPortal()
 	for _, pair := range strings.Split(nodes, ",") {
@@ -71,25 +73,6 @@ func run(nodes, archives string, ra, dec, radius, match, sel, magLo, magHi float
 		portal.Register(name, cli)
 	}
 
-	q := federation.Query{
-		ID: 1, RA: ra, Dec: dec, RadiusDeg: radius,
-		MatchRadiusArcsec: match, Selectivity: sel,
-		Archives: strings.Split(archives, ","),
-		MagLo:    magLo, MagHi: magHi, Seed: seed,
-	}
-	if queryText != "" {
-		parsed, err := skyql.Parse(queryText)
-		if err != nil {
-			return err
-		}
-		if q, err = skyql.Compile(parsed, 1, seed); err != nil {
-			return err
-		}
-		if parsed.Limit > 0 {
-			limit = parsed.Limit
-		}
-		archives = strings.Join(q.Archives, ",")
-	}
 	ctx := context.Background()
 	var rec *trace.Recorder
 	var tr *trace.Trace
@@ -107,7 +90,7 @@ func run(nodes, archives string, ra, dec, radius, match, sel, magLo, magHi float
 	if err != nil {
 		return err
 	}
-	fmt.Printf("cross-match %s: %d rows\n", archives, len(rs.Rows))
+	fmt.Printf("cross-match %s: %d rows\n", strings.Join(q.Archives, ","), len(rs.Rows))
 	for _, a := range q.Archives[1:] {
 		fmt.Printf("  %s: shipped %d objects, matched in %v\n", a, rs.Shipped[a], rs.HopElapsed[a])
 	}

@@ -9,8 +9,7 @@ import (
 	"liferaft/internal/simclock"
 )
 
-// TestRunEndToEnd drives the portal client against real TCP nodes,
-// covering both the flag and SkyQL paths.
+// TestRunEndToEnd drives the portal client against real TCP nodes.
 func TestRunEndToEnd(t *testing.T) {
 	base, err := catalog.New(catalog.Config{
 		Name: "sdss", N: 20000, Seed: 1, GenLevel: 4, CacheTrixels: true,
@@ -43,31 +42,38 @@ func TestRunEndToEnd(t *testing.T) {
 	_, tmSrv := mk(der)
 	nodes := "sdss=" + sdssSrv.Addr().String() + ",twomass=" + tmSrv.Addr().String()
 
-	// Flags path.
-	if err := run(nodes, "twomass,sdss", 150, 20, 8, 5, 0.8, 0, 0, 5, 1, "", true); err != nil {
-		t.Fatalf("flags path: %v", err)
+	// A traced plan with a sample, printed to -limit.
+	q := `SELECT * FROM twomass t, sdss s
+	      WHERE XMATCH(t, s) < 5 AND REGION(CIRCLE, 150, 20, 8) AND SAMPLE(0.8)`
+	if err := run(nodes, q, 5, 1, true); err != nil {
+		t.Fatalf("traced query: %v", err)
 	}
-	// SkyQL path.
-	q := `SELECT t.id, s.id FROM twomass t, sdss s
-	      WHERE XMATCH(t, s) < 5 AND REGION(CIRCLE, 150, 20, 8) AND SAMPLE(0.8) LIMIT 3`
-	if err := run(nodes, "", 0, 0, 0, 0, 0.5, 0, 0, 5, 1, q, false); err != nil {
-		t.Fatalf("skyql path: %v", err)
+	// A LIMIT in the query overrides -limit.
+	q = `SELECT t.id, s.id FROM twomass t, sdss s
+	     WHERE XMATCH(t, s) < 5 AND REGION(CIRCLE, 150, 20, 8) AND SAMPLE(0.8) LIMIT 3`
+	if err := run(nodes, q, 5, 1, false); err != nil {
+		t.Fatalf("query with LIMIT: %v", err)
 	}
 	// Bad SkyQL propagates.
-	if err := run(nodes, "", 0, 0, 0, 0, 0.5, 0, 0, 5, 1, "SELECT nonsense", false); err == nil {
+	if err := run(nodes, "SELECT nonsense", 5, 1, false); err == nil {
 		t.Error("bad SkyQL should fail")
 	}
 }
 
 func TestRunValidation(t *testing.T) {
-	if err := run("", "a,b", 0, 0, 1, 1, 0.5, 0, 0, 5, 1, "", false); err == nil {
+	const q = `SELECT * FROM twomass t, sdss s WHERE XMATCH(t, s) < 5 AND REGION(CIRCLE, 150, 20, 1)`
+	if err := run("", q, 5, 1, false); err == nil {
 		t.Error("missing -nodes should fail")
 	}
-	if err := run("badpair", "a,b", 0, 0, 1, 1, 0.5, 0, 0, 5, 1, "", false); err == nil ||
+	if err := run("sdss=127.0.0.1:1", "", 5, 1, false); err == nil ||
+		!strings.Contains(err.Error(), "-query") {
+		t.Errorf("missing -query error = %v", err)
+	}
+	if err := run("badpair", q, 5, 1, false); err == nil ||
 		!strings.Contains(err.Error(), "name=addr") {
 		t.Errorf("bad pair error = %v", err)
 	}
-	if err := run("sdss=127.0.0.1:1", "a,b", 0, 0, 1, 1, 0.5, 0, 0, 5, 1, "", false); err == nil {
+	if err := run("sdss=127.0.0.1:1", q, 5, 1, false); err == nil {
 		t.Error("dead node should fail")
 	}
 }

@@ -488,6 +488,13 @@ type ContextTransport interface {
 	MatchCtx(ctx context.Context, req MatchRequest) (MatchResponse, error)
 }
 
+// contextExtractor is a site whose extraction waits under a context: the
+// TCP Client. ExecuteCtx uses it when present, as it uses MatchCtx; an
+// in-process extraction does not wait on anything.
+type contextExtractor interface {
+	ExtractCtx(ctx context.Context, req ExtractRequest) (ExtractResponse, error)
+}
+
 // ExecuteCtx runs the serial left-deep plan: extract at the driving
 // archive, then cross-match the surviving tuple frontier at each
 // subsequent archive, shipping intermediate results site to site (paper
@@ -516,10 +523,16 @@ func (p *Portal) ExecuteCtx(ctx context.Context, q Query) (*ResultSet, error) {
 		return nil, err
 	}
 	stepStart := tr.Now()
-	ext, err := site.Extract(ExtractRequest{
+	ereq := ExtractRequest{
 		QueryID: q.ID, RA: q.RA, Dec: q.Dec, RadiusDeg: q.RadiusDeg,
 		Selectivity: q.Selectivity, Seed: q.Seed,
-	})
+	}
+	var ext ExtractResponse
+	if ce, ok := site.(contextExtractor); ok {
+		ext, err = ce.ExtractCtx(ctx, ereq)
+	} else {
+		ext, err = site.Extract(ereq)
+	}
 	if err != nil {
 		tr.Add(trace.Span{Stage: trace.StageFedExtract, Node: driving,
 			Start: stepStart, End: tr.Now(), Err: err.Error()})

@@ -660,15 +660,15 @@ func TestUnknownRPCKindRejected(t *testing.T) {
 	defer srv.Close()
 	cli := Dial(srv.Addr().String())
 	defer cli.Close()
-	resp, err := cli.roundTrip(rpcRequest{Kind: "bogus"})
+	resp, err := cli.roundTripCtx(context.Background(), rpcRequest{Kind: "bogus"})
 	if err == nil {
 		t.Errorf("unknown kind should error, got %+v", resp)
 	}
 	// Missing payloads are application errors, not connection killers.
-	if _, err := cli.roundTrip(rpcRequest{Kind: "extract"}); err == nil {
+	if _, err := cli.roundTripCtx(context.Background(), rpcRequest{Kind: "extract"}); err == nil {
 		t.Error("missing extract payload should error")
 	}
-	if _, err := cli.roundTrip(rpcRequest{Kind: "match"}); err == nil {
+	if _, err := cli.roundTripCtx(context.Background(), rpcRequest{Kind: "match"}); err == nil {
 		t.Error("missing match payload should error")
 	}
 	if _, err := cli.Archive(); err != nil {

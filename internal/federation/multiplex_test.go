@@ -154,8 +154,18 @@ func TestMultiplexBatchesAtTheArchive(t *testing.T) {
 // request of a second, remote match to put in flight behind it.
 func busyNode(t *testing.T) (node *Node, srv *Server, cli *Client, req MatchRequest, release func()) {
 	t.Helper()
-	f := newFixture(t)
 	node = realClockNode(t)
+	srv, cli, req, release = holdBusy(t, node, func() bool { return inFlight(node) == 1 })
+	return node, srv, cli, req, release
+}
+
+// holdBusy serves node and holds its engine busy with a large in-process
+// match until release is called; inEngine reports that the match is in
+// the engine. It returns a client to node and the request of a second,
+// remote match to put in flight behind it.
+func holdBusy(t *testing.T, node *Node, inEngine func() bool) (srv *Server, cli *Client, req MatchRequest, release func()) {
+	t.Helper()
+	f := newFixture(t)
 	srv, err := Serve(node, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -176,8 +186,8 @@ func busyNode(t *testing.T) (node *Node, srv *Server, cli *Client, req MatchRequ
 		<-blocked
 	}
 	t.Cleanup(release)
-	eventually(t, "the blocker is in the engine", func() bool { return inFlight(node) == 1 })
-	return node, srv, cli, MatchRequest{QueryID: 2, MatchRadiusArcsec: 5, Objects: shipped(t, f, 150, 6), Tenant: "remote"}, release
+	eventually(t, "the blocker is in the engine", inEngine)
+	return srv, cli, MatchRequest{QueryID: 2, MatchRadiusArcsec: 5, Objects: shipped(t, f, 150, 6), Tenant: "remote"}, release
 }
 
 func tenantStats(n *Node, tenant string) server.TenantStats {

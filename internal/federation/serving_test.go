@@ -16,32 +16,37 @@ import (
 // never speaks must not wedge the client — the deadline fails the round
 // trip promptly.
 func TestClientTimeoutOnSilentServer(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			// Deliberately silent: hold the connection open, send nothing.
-			defer conn.Close()
-		}
-	}()
-
-	c := DialTimeout(ln.Addr().String(), 100*time.Millisecond)
+	c := DialTimeout(silentPeer(t), 100*time.Millisecond)
 	defer c.Close()
 	start := time.Now()
-	_, err = c.Archive()
+	_, err := c.Archive()
 	if err == nil {
 		t.Fatal("round trip against a silent server succeeded")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("client took %v to fail; the deadline should fire at ~100ms", elapsed)
 	}
+}
+
+// silentPeer listens on a loopback port that accepts connections and never
+// speaks, until the test ends, and returns its address.
+func silentPeer(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close() // hold the connection silently
+		}
+	}()
+	return ln.Addr().String()
 }
 
 // TestClientCancelAbortsInFlight: cancelling the context mid-round-trip

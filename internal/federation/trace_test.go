@@ -2,7 +2,6 @@ package federation
 
 import (
 	"context"
-	"net"
 	"testing"
 	"time"
 
@@ -87,24 +86,9 @@ func TestTCPTracePropagation(t *testing.T) {
 // the plan died at, instead of being dropped.
 func TestSilentPeerAnnotatesTrace(t *testing.T) {
 	f := newFixture(t)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			defer c.Close() // hold the connection silently
-		}
-	}()
-
 	p := NewPortal()
 	p.Register("twomass", InProc{f.twomass})
-	p.Register("sdss", DialTimeout(ln.Addr().String(), 150*time.Millisecond))
+	p.Register("sdss", DialTimeout(silentPeer(t), 150*time.Millisecond))
 
 	rec := trace.New(trace.Config{})
 	tr := rec.Start("fed", 2)

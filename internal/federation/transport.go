@@ -29,8 +29,6 @@ func (t InProc) Archive() (string, error) { return t.Node.Name(), nil }
 func (t InProc) Extract(req ExtractRequest) (ExtractResponse, error) { return t.Node.Extract(req) }
 
 // Match implements Transport.
-//
-//lifevet:allow ctxflow -- the ctx-less Transport API's documented root: no deadline to discard; deadline-carrying callers use MatchCtx
 func (t InProc) Match(req MatchRequest) (MatchResponse, error) {
 	return t.Node.MatchCtx(context.Background(), req)
 }
@@ -405,36 +403,32 @@ func DialTimeout(addr string, timeout time.Duration) *Client {
 
 // dial establishes the client's connection and starts its reader. The
 // caller holds the write token, so there is never a second dial beside it.
-func (c *Client) dial(ctx context.Context, deadline time.Time) (*clientConn, error) {
+// The dial and the handshake run under the client timeout, and end at once
+// with the caller's context, failing with its error.
+func (c *Client) dial(ctx context.Context) (*clientConn, error) {
+	deadline := time.Now().Add(c.timeout)
 	d := net.Dialer{Deadline: deadline}
 	conn, err := d.DialContext(ctx, "tcp", c.addr)
 	if err != nil {
+		if ctx.Err() != nil {
+			err = ctx.Err()
+		}
 		return nil, fmt.Errorf("federation: dial %s: %w", c.addr, err)
 	}
 	if c.obs != nil {
 		conn = countingConn{Conn: conn, o: c.obs}
 	}
-	// The handshake runs under the request's deadline, and a cancelled
-	// caller expires it at once; the connection is not shared yet.
+	// The context expires the handshake by expiring the connection, which
+	// is not shared yet; when it did, its error is the one to report.
 	conn.SetDeadline(deadline)
 	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Now()) })
-	defer stop()
-	var server string
-	if _, err := fmt.Fscanf(conn, "%s\n", &server); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("federation: handshake read: %w", err)
-	}
-	if server != protoVersion {
-		conn.Close()
-		return nil, fmt.Errorf("federation: protocol mismatch: server speaks %q", server)
-	}
-	if _, err := fmt.Fprintf(conn, "%s\n", protoVersion); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("federation: handshake write: %w", err)
-	}
+	err = handshake(conn)
 	if !stop() {
+		err = fmt.Errorf("federation: handshake with %s: %w", c.addr, ctx.Err())
+	}
+	if err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("federation: handshake with %s: %w", c.addr, ctx.Err())
+		return nil, err
 	}
 	// The reader waits for responses without a deadline of its own: every
 	// request has its timer, and every frame written its write deadline.
@@ -449,6 +443,21 @@ func (c *Client) dial(ctx context.Context, deadline time.Time) (*clientConn, err
 	cc.wg.Add(1)
 	go c.readLoop(cc, gob.NewDecoder(conn))
 	return cc, nil
+}
+
+// handshake exchanges version lines with the server.
+func handshake(conn net.Conn) error {
+	var server string
+	if _, err := fmt.Fscanf(conn, "%s\n", &server); err != nil {
+		return fmt.Errorf("federation: handshake read: %w", err)
+	}
+	if server != protoVersion {
+		return fmt.Errorf("federation: protocol mismatch: server speaks %q", server)
+	}
+	if _, err := fmt.Fprintf(conn, "%s\n", protoVersion); err != nil {
+		return fmt.Errorf("federation: handshake write: %w", err)
+	}
+	return nil
 }
 
 // readLoop hands each response to the request waiting for its ID and drops
@@ -538,7 +547,7 @@ func (c *Client) send(ctx context.Context, deadline time.Time, req *rpcRequest) 
 		reused := cc != nil
 		if !reused {
 			var err error
-			if cc, err = c.dial(ctx, deadline); err != nil {
+			if cc, err = c.dial(ctx); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -590,15 +599,11 @@ func (c *Client) abandon(cc *clientConn, id uint64) {
 	}()
 }
 
-//lifevet:allow ctxflow -- compat shim: the ctx-less entry point's documented root; every deadline-carrying path calls roundTripCtx directly
-func (c *Client) roundTrip(req rpcRequest) (rpcResponse, error) {
-	return c.roundTripCtx(context.Background(), req)
-}
-
 // roundTripCtx sends one request and waits for its response, for the
-// context, or for the client timeout, whichever comes first. The dial,
-// handshake and frame write run under the earlier of the client timeout
-// and the context deadline. Giving up — cancellation or timeout — sends a
+// context, or for the client timeout, whichever comes first. The dial and
+// handshake end with the client timeout or the context, and the frame
+// write runs under the earlier of the client timeout and the context
+// deadline. Giving up — cancellation or timeout — sends a
 // cancel frame and returns at once; the connection stays up.
 func (c *Client) roundTripCtx(ctx context.Context, req rpcRequest) (_ rpcResponse, err error) {
 	done := c.obs.begin(req.Kind)
@@ -662,7 +667,7 @@ func (c *Client) Close() error {
 
 // Archive implements Transport.
 func (c *Client) Archive() (string, error) {
-	resp, err := c.roundTrip(rpcRequest{Kind: "archive"})
+	resp, err := c.roundTripCtx(context.Background(), rpcRequest{Kind: "archive"})
 	if err != nil {
 		return "", err
 	}
@@ -671,7 +676,13 @@ func (c *Client) Archive() (string, error) {
 
 // Extract implements Transport.
 func (c *Client) Extract(req ExtractRequest) (ExtractResponse, error) {
-	resp, err := c.roundTrip(rpcRequest{Kind: "extract", Extract: &req})
+	return c.ExtractCtx(context.Background(), req)
+}
+
+// ExtractCtx is Extract under ctx: when ctx ends before the response
+// arrives, the call returns ctx's error at once, as MatchCtx does.
+func (c *Client) ExtractCtx(ctx context.Context, req ExtractRequest) (ExtractResponse, error) {
+	resp, err := c.roundTripCtx(ctx, rpcRequest{Kind: "extract", Extract: &req})
 	if err != nil {
 		return ExtractResponse{}, err
 	}
@@ -682,8 +693,6 @@ func (c *Client) Extract(req ExtractRequest) (ExtractResponse, error) {
 }
 
 // Match implements Transport.
-//
-//lifevet:allow ctxflow -- compat shim for the ctx-less Transport API: the fresh root is the documented semantic ("no deadline"); deadline-carrying callers use MatchCtx
 func (c *Client) Match(req MatchRequest) (MatchResponse, error) {
 	return c.MatchCtx(context.Background(), req)
 }

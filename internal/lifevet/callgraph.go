@@ -7,10 +7,10 @@ import (
 )
 
 // funcIndex maps every function and method declared in the module to
-// its body, and resolves static call sites — the machinery under the
-// transitive blocking summary that lockdiscipline and ctxflow share.
-// Interface-method calls have no static callee and resolve to nil; the
-// analyzers document that boundary.
+// its body, and resolves static call sites — the machinery under
+// lockdiscipline's transitive blocking summary. Interface-method calls
+// have no static callee and resolve to nil; the analyzers document that
+// boundary.
 type funcIndex struct {
 	mod   *Module
 	decls map[*types.Func]*funcDecl

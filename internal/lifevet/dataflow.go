@@ -7,15 +7,12 @@ import (
 	"go/types"
 )
 
-// dataflow.go is the SSA-lite def-use core under lockdiscipline and
-// ctxflow. It deliberately stops short of full SSA: the analyzers need
-// two facts —
-//
-//   - single-assignment resolution: which expression a local variable
-//     provably holds (assigned exactly once, address never taken), so a
-//     value threaded through a local still matches a syntactic pattern
-//     (lockdiscipline's fresh buffered channel);
-//   - which parameters of a function are a context.Context (ctxflow).
+// dataflow.go is the SSA-lite def-use core under lockdiscipline. It
+// deliberately stops short of full SSA: the analyzer needs one fact,
+// single-assignment resolution — which expression a local variable
+// provably holds (assigned exactly once, address never taken), so a value
+// threaded through a local still matches a syntactic pattern
+// (lockdiscipline's fresh buffered channel).
 //
 // The transitive blocking summary over the static call graph lives with
 // its owner in lockdiscipline.go; everything flow-sensitive (held-sets)
@@ -175,38 +172,4 @@ func (du *defUse) freshChanCap(e ast.Expr) (int64, bool) {
 func isChanType(t types.Type) bool {
 	_, ok := t.Underlying().(*types.Chan)
 	return ok
-}
-
-// isContextType reports whether t is context.Context.
-func isContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	return named.Obj().Pkg().Path() == "context" && named.Obj().Name() == "Context"
-}
-
-// contextParams returns the named context.Context parameters of a
-// function declaration (blank ones excluded: `_ context.Context` is an
-// explicit statement that the context is unused).
-func contextParams(pkg *Package, fd *ast.FuncDecl) []*types.Var {
-	var out []*types.Var
-	if fd.Type.Params == nil {
-		return nil
-	}
-	for _, field := range fd.Type.Params.List {
-		tv, ok := pkg.Info.Types[field.Type]
-		if !ok || !isContextType(tv.Type) {
-			continue
-		}
-		for _, name := range field.Names {
-			if name.Name == "_" {
-				continue
-			}
-			if v, ok := pkg.Info.Defs[name].(*types.Var); ok {
-				out = append(out, v)
-			}
-		}
-	}
-	return out
 }

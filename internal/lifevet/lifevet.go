@@ -2,7 +2,7 @@
 // dependency-free driver (stdlib go/parser + go/types over `go list
 // -json` package graphs) with analyzers for the invariants no tier-1 test
 // can force a violation of: lock discipline (which rules out lock-order
-// cycles), context flow, duration overflow, dropped errors.
+// cycles), duration overflow, dropped errors.
 // Each is documented in docs/ANALYZERS.md, whose § Ledger also names the
 // tests that own the rest; `cmd/lifevet` wires the suite into CI.
 //
@@ -50,7 +50,6 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerLockDiscipline,
-		AnalyzerCtxflow,
 		AnalyzerDurovf,
 		AnalyzerErrdrop,
 	}

@@ -154,15 +154,6 @@ func TestDirectivesFixture(t *testing.T) {
 	assertSuppressed(t, res, 4)
 }
 
-func TestCtxflowFixture(t *testing.T) {
-	// Bare roots on the serving path and dropped ctx params before
-	// blocking are flagged; immediately bounded roots, `_` opt-outs,
-	// consulted contexts, non-blocking bodies, and out-of-scope packages
-	// are clean.
-	res := checkFixture(t, "ctxflow")
-	assertSuppressed(t, res, 0)
-}
-
 func TestDurovfFixture(t *testing.T) {
 	// Unbounded duration scale-ups, float conversions, and narrowing
 	// arithmetic are flagged; constants, mask/modulo bounds, and both
@@ -181,13 +172,12 @@ func TestErrdropFixture(t *testing.T) {
 }
 
 func TestAnalyzersRegistered(t *testing.T) {
-	// Exactly the four checks no tier-1 test can stand in for, in
-	// documentation order. The invariants of the six cut ones (wallclock,
-	// hotpath-alloc, boundedlabels, goroleak, nilguard, fdleak) are owned
-	// by the tests docs/ANALYZERS.md § Ledger names, and lockorder's by
-	// lockdiscipline's no-lock-under-a-lock rule; the meta-check names
-	// stay reserved.
-	want := []string{"lockdiscipline", "ctxflow", "durovf", "errdrop"}
+	// Exactly the three checks no tier-1 test can stand in for, in
+	// documentation order. The invariants of the seven cut ones, context
+	// flow among them, are owned by the tests docs/ANALYZERS.md § Ledger
+	// names, and lockorder's by lockdiscipline's no-lock-under-a-lock
+	// rule; the meta-check names stay reserved.
+	want := []string{"lockdiscipline", "durovf", "errdrop"}
 	var got []string
 	for _, a := range Analyzers() {
 		if a.Name == "" || a.Doc == "" || a.Run == nil {

@@ -1,14 +1,16 @@
 package core
 
 import (
-	"context"
+	"sync"
 	"time"
 )
 
 // both silences two checks with one line-scoped directive.
-func both(ms int64) (context.Context, time.Duration) {
-	//lifevet:allow ctxflow, durovf -- fixture: one directive, two checks
-	return context.Background(), time.Duration(ms) * time.Millisecond
+func both(mu *sync.Mutex, ch chan time.Duration, ms int64) {
+	mu.Lock()
+	defer mu.Unlock()
+	//lifevet:allow lockdiscipline, durovf -- fixture: one directive, two checks
+	ch <- time.Duration(ms) * time.Millisecond
 }
 
 //lifevet:allow durovf -- fixture: doc-comment directive covers the whole body

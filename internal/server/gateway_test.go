@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -240,13 +241,19 @@ func TestGatewayTimeoutOverflowClamped(t *testing.T) {
 }
 
 // TestGatewayDeadline: the request context carries the gateway timeout.
+// An Exec whose context never ends gives up after five seconds, so a
+// dropped deadline fails the test instead of hanging it.
 func TestGatewayDeadline(t *testing.T) {
 	ts := testGateway(t, func(ctx context.Context, tenant, query string) (any, error) {
 		if _, ok := ctx.Deadline(); !ok {
 			t.Error("no deadline on exec context")
 		}
-		<-ctx.Done()
-		return nil, ctx.Err()
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-time.After(5 * time.Second):
+			return nil, errors.New("the exec context never ended")
+		}
 	})
 	resp, err := http.Post(ts.URL+"/v1/query", "application/json",
 		strings.NewReader(`{"query":"q","timeout_ms":20}`))
