@@ -1,10 +1,12 @@
 // Package bucket implements the equal-sized bucket partitioning of paper
 // §3.1 (Figure 1) and the bucket store that serves them — from the modeled
 // disk, or from a Backend doing real I/O. Either way the store has two
-// reads, the two arms of the hybrid join (§3.4): Scan, whose bucket the
-// RAM cache keeps, and Probe, whose bucket nothing keeps. On a Backend
-// both are one Fill of the granules the queue's keys select, handed to the
-// join as runs of the array the fill decoded them into, uncopied.
+// reads, the two arms of the hybrid join (§3.4): Scan and Probe. On a
+// Backend both are one Fill of the granules the queue's keys select into
+// the bucket the RAM cache keeps, handed to the join as runs of the array
+// the fill decoded them into, uncopied, and they differ only in how the
+// disk accounts them. The simulated store reads whole buckets, and only a
+// Scan's is kept.
 //
 // A partition divides a catalog's objects — already linearly ordered along
 // the HTM space-filling curve — into consecutive buckets holding exactly
@@ -18,6 +20,7 @@ package bucket
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -201,24 +204,27 @@ func (p *Partition) Materialize(i int) []catalog.Object {
 // performs real I/O — a Fill blocks for as long as the hardware takes —
 // and the Store accounts the measured elapsed time to the disk's
 // statistics instead of charging model cost to the clock. Fill is the one
-// read: a Scan fills the Resident the cache keeps, an index probe fills a
-// scratch Resident the store resets for every probe and never caches.
+// read: a Scan and an index probe both fill the Resident the cache keeps.
 // internal/segment provides the file-backed implementation, whose
-// granules are the unit a fill reads.
+// granules are the unit a fill reads and the cache is weighed in.
 type Backend interface {
 	// Fill makes r hold every granule of bucket i that may hold an object
 	// with an ID in any of keys. It reads only the granules r lacks, each
-	// run of them once, and checks each granule before it decodes it into
-	// its slots of r.Objs and marks it resident; a Resident with an empty
-	// residency set is a fresh one, sized for bucket i here. In
-	// materializing mode it returns the runs of granules the keys select
-	// as slices of r.Objs, disjoint and in HTM-curve order: together a
-	// subset of the bucket that holds every object with an ID in a key,
-	// which the join merges over where it lies. The runs slice is the
-	// backend's and valid until its next Fill; the objects are r's. An
+	// run of them once, and checks every one of them before r changes at
+	// all: a failed Fill leaves r as it was. It then decodes them into
+	// r.Objs and marks them resident; a Resident with an empty residency
+	// set is a fresh one, sized for bucket i here. In materializing mode
+	// it returns the runs of granules the keys select as slices of r.Objs,
+	// disjoint and in HTM-curve order: together a subset of the bucket
+	// that holds every object with an ID in a key, which the join merges
+	// over where it lies. The runs slice is the backend's and valid until
+	// its next Fill; the objects are r's, valid until r's next Fill. An
 	// empty key (Start > End) selects nothing. It returns the data bytes
 	// it read, 0 when r held every selected granule already.
 	Fill(i int, r *Resident, keys []htm.Range) (runs [][]catalog.Object, bytesRead int64, err error)
+	// GranuleObjects returns how many objects one granule holds; only a
+	// bucket's last granule may hold fewer.
+	GranuleObjects() int
 	// Fork opens an independent backend over the same data (fresh file
 	// descriptors); each shard of a sharded engine gets its own.
 	Fork() (Backend, error)
@@ -226,16 +232,15 @@ type Backend interface {
 	Close() error
 }
 
-// Resident is one bucket as the engine's RAM cache holds it, or as an
-// index probe reads it into the store's scratch. A segment store fills it
-// granule by granule, as services need them: Objs has a slot for every
-// object of the bucket, but only the slots of the granules in the
-// residency set hold the bucket's objects — an array recycled from
-// another bucket keeps that bucket's objects in the rest. The join reads
-// the selected granules in their slots (Backend.Fill).
-// The simulated store materializes whole buckets and keeps no set.
+// Resident is one bucket as the engine's RAM cache holds it. A segment
+// store fills it granule by granule, as Scan and Probe services need them,
+// and Objs holds the resident granules' objects and nothing else, compact:
+// granule g's start at Rank(g) granules in, so a run of resident granules
+// is one slice of it, which the join reads in place (Backend.Fill). The
+// cache weighs it in granules (Store.Weight). The simulated store
+// materializes whole buckets and keeps no set.
 type Resident struct {
-	// Objs is the bucket's slot array in HTM-curve order; nil in
+	// Objs is the resident granules' objects in HTM-curve order; nil in
 	// cost-only mode, where residency alone matters.
 	Objs []catalog.Object
 	// Have is the residency set of a segment store's bucket: bit g%64 of
@@ -250,6 +255,22 @@ func (r *Resident) Holds(g int) bool { return r.Have[g/64]&(1<<(g%64)) != 0 }
 
 // Hold marks granule g resident.
 func (r *Resident) Hold(g int) { r.Have[g/64] |= 1 << (g % 64) }
+
+// Rank returns how many granules below g are resident: where granule g's
+// objects start in Objs, in granules.
+func (r *Resident) Rank(g int) int {
+	n := 0
+	for _, w := range r.Have[:g/64] {
+		n += bits.OnesCount64(w)
+	}
+	if g%64 != 0 {
+		n += bits.OnesCount64(r.Have[g/64] << (64 - g%64))
+	}
+	return n
+}
+
+// Granules returns how many granules are resident.
+func (r *Resident) Granules() int { return r.Rank(64 * len(r.Have)) }
 
 // ReadKind tells a Store observer which access pattern a read used.
 type ReadKind string
@@ -307,11 +328,8 @@ type Store struct {
 	// obs is notified of every read (see Observer): the engine's, or a
 	// no-op one.
 	obs Observer
-	// spare is the Resident Recycle kept, for the next Scan miss to fill.
+	// spare is the Resident Recycle kept, for the next miss to fill.
 	spare *Resident
-	// probe is what an index probe fills: reset for every probe, never
-	// cached, never recycled.
-	probe Resident
 	whole [][]catalog.Object // the simulated store's one run
 }
 
@@ -394,11 +412,7 @@ func (s *Store) Materializing() bool { return s.materialize }
 func (s *Store) Scan(i int, r *Resident, keys []htm.Range) (*Resident, [][]catalog.Object, int64) {
 	miss := r == nil
 	if miss {
-		r, s.spare = s.spare, nil
-		if r == nil {
-			r = new(Resident)
-		}
-		r.Have, r.Bytes = r.Have[:0], 0
+		r = s.take()
 	}
 	if s.backend == nil {
 		if !miss {
@@ -423,6 +437,47 @@ func (s *Store) Scan(i int, r *Resident, keys []htm.Range) (*Resident, [][]catal
 	return r, runs, n
 }
 
+// Probe serves an index probe service of bucket i, which the cache does
+// not hold: len(keys) probes, one per queued object, keyed as Scan keys
+// them, accounted as probes rather than a scan. A segment store fills the
+// granules the keys select into the Resident Recycle kept, as a Scan miss
+// does, and returns it for the cache to keep: a probe reads what a Scan
+// miss would, and a later service of the bucket is a hit that reads only
+// what the probe did not. The simulated store charges the model's
+// sorted-probe cost, keeps nothing (a nil Resident) and returns the whole
+// bucket as one run. Probe returns the bucket to cache, the runs the join
+// merges over (nil in cost-only mode) and the data bytes read — on the
+// simulated store, a page per probe.
+func (s *Store) Probe(i int, keys []htm.Range) (*Resident, [][]catalog.Object, int64) {
+	if s.backend == nil {
+		n := int64(len(keys)) * s.dsk.Model().PageSize
+		cost := s.dsk.ReadProbes(len(keys))
+		s.obs.ObserveRead(ReadProbe, cost, n)
+		if !s.materialize {
+			return nil, nil, n
+		}
+		return nil, s.oneRun(s.part.Materialize(i)), n
+	}
+	r := s.take()
+	runs, n, elapsed := s.fill(ReadProbe, i, r, keys)
+	r.Bytes += n
+	s.dsk.AccountProbes(len(keys), elapsed)
+	s.obs.ObserveRead(ReadProbe, elapsed, n)
+	return r, runs, n
+}
+
+// take returns the Resident Recycle kept, or a new one, emptied for a
+// miss to fill.
+func (s *Store) take() *Resident {
+	r := s.spare
+	s.spare = nil
+	if r == nil {
+		r = new(Resident)
+	}
+	r.Have, r.Bytes = r.Have[:0], 0
+	return r
+}
+
 // oneRun returns a whole bucket as the simulated store's one run.
 func (s *Store) oneRun(objs []catalog.Object) [][]catalog.Object {
 	if objs == nil {
@@ -432,41 +487,40 @@ func (s *Store) oneRun(objs []catalog.Object) [][]catalog.Object {
 	return s.whole
 }
 
-// Recycle hands back a Resident s.Scan returned, once nothing reads it
-// any more: no cache entry, join or result holds a view of it, and none
-// will. The store keeps the one with the largest array, and its next Scan
-// miss overwrites that array and residency set. A simulated store's arrays
-// come from the catalog: it reuses the Resident, never the array.
+// Recycle hands back a Resident s.Scan or s.Probe returned, once nothing
+// reads it any more: no cache entry, join or result holds a view of it,
+// and none will. The store keeps the one with the largest array, and its
+// next miss overwrites that array and residency set. A simulated store's
+// arrays come from the catalog: it reuses the Resident, never the array.
 func (s *Store) Recycle(r *Resident) {
 	if s.spare == nil || cap(r.Objs) > cap(s.spare.Objs) {
 		s.spare = r
 	}
 }
 
-// Probe serves an index probe service of bucket i: len(keys) probes, one
-// per queued object, keyed as Scan keys them, accounted as probes rather
-// than a scan. A segment store fills the granules the keys select into a
-// scratch Resident it resets for every probe and never caches, so a probe
-// reads what a Scan miss would and keeps none of it, and returns the runs
-// of the selected granules as Scan does. The simulated store charges the
-// model's sorted-probe cost and returns the whole bucket as one run.
-// Probe returns the runs the join merges over (nil in cost-only mode) and
-// the data bytes read — on the simulated store, a page per probe.
-func (s *Store) Probe(i int, keys []htm.Range) ([][]catalog.Object, int64) {
+// BucketGranules returns the granules a whole bucket holds, the unit the
+// engine budgets its RAM cache in: the cache holds Config.CacheBuckets
+// times this many. On a segment store that is a full bucket's granule
+// count. The simulated store reads and keeps whole buckets, so there a
+// bucket is one granule.
+func (s *Store) BucketGranules() int {
 	if s.backend == nil {
-		n := int64(len(keys)) * s.dsk.Model().PageSize
-		cost := s.dsk.ReadProbes(len(keys))
-		s.obs.ObserveRead(ReadProbe, cost, n)
-		if !s.materialize {
-			return nil, n
-		}
-		return s.oneRun(s.part.Materialize(i)), n
+		return 1
 	}
-	s.probe.Have = s.probe.Have[:0]
-	runs, n, elapsed := s.fill(ReadProbe, i, &s.probe, keys)
-	s.dsk.AccountProbes(len(keys), elapsed)
-	s.obs.ObserveRead(ReadProbe, elapsed, n)
-	return runs, n
+	per := s.backend.GranuleObjects()
+	return (s.part.PerBucket() + per - 1) / per
+}
+
+// Weight returns what r, a bucket this store returned, weighs in the
+// cache's budget: on a segment store its resident granules, or, if more,
+// the granules its array has room for, so the budget bounds decoded memory
+// too; on the simulated store a whole bucket, BucketGranules.
+func (s *Store) Weight(r *Resident) int {
+	if s.backend == nil {
+		return 1
+	}
+	per := s.backend.GranuleObjects()
+	return max(r.Granules(), (cap(r.Objs)+per-1)/per)
 }
 
 // fill is one Backend.Fill, timed. A backend error is fail-stop: the

@@ -292,9 +292,12 @@ func TestStoreCostAndMaterialization(t *testing.T) {
 		t.Errorf("scan cost = %v", cost)
 	}
 	before = d.Ledger().Charged
-	runs2, _ := s.Probe(0, make([]htm.Range, 7))
+	kept, runs2, _ := s.Probe(0, make([]htm.Range, 7))
 	if objs2 := slices.Concat(runs2...); len(runs2) != 1 || len(objs2) != 200 {
 		t.Errorf("probe returned %d objects in %d runs", len(objs2), len(runs2))
+	}
+	if kept != nil {
+		t.Error("the simulated store's probe returned a bucket to cache; it keeps nothing")
 	}
 	if cost2 := d.Ledger().Charged - before; cost2 != 7*d.Model().SortedProbe() {
 		t.Errorf("probe cost = %v", cost2)
@@ -308,7 +311,7 @@ func TestStoreCostAndMaterialization(t *testing.T) {
 	if objs3 != nil {
 		t.Error("cost-only store should not materialize")
 	}
-	objs4, _ := cs.Probe(1, make([]htm.Range, 3))
+	_, objs4, _ := cs.Probe(1, make([]htm.Range, 3))
 	if objs4 != nil {
 		t.Error("cost-only probe should not materialize")
 	}

@@ -1,8 +1,12 @@
 // Package cache implements the bucket cache of the LifeRaft architecture
-// (paper §4, Figure 3): a fixed-capacity in-memory store of recently read
-// buckets. The paper uses a simple least-recently-used policy with a
-// capacity of 20 buckets and manages it independently of the database
-// server (SQL Server's buffer pool is flushed after every bucket read).
+// (paper §4, Figure 3): an in-memory store of recently read buckets. The
+// paper uses a simple least-recently-used policy with a capacity of 20
+// buckets and manages it independently of the database server (SQL
+// Server's buffer pool is flushed after every bucket read). Its disk read
+// whole buckets; ours reads granules, and a bucket may hold a few of them
+// or all. So the capacity is a budget of weight — the engine weighs an
+// entry in the granules it holds, and budgets 20 whole buckets' worth —
+// and eviction removes whole least-recent entries until the rest fit.
 //
 // The scheduler consults the cache *without* touching recency (Contains)
 // when computing φ(i) in the workload throughput metric — whether a bucket
@@ -47,14 +51,19 @@ func (s Stats) String() string {
 		s.Hits, s.Misses, s.Evictions, 100*s.HitRate())
 }
 
-// LRU is a fixed-capacity least-recently-used cache, the paper's policy.
-// Entries live in a slab of slots linked into an intrusive recency list, so
-// steady-state operation at capacity performs no allocations — the
-// scheduler's zero-alloc service loop depends on this. It is not safe for
-// concurrent use; each shard's worker owns its cache.
+// LRU is a least-recently-used cache bounded by a budget of weight: every
+// entry weighs what its Put or Reweigh says, and whole least-recent entries
+// are evicted until the total weight fits the budget. Entries live in a
+// slab of slots linked into an intrusive recency list, and an evicted
+// entry's slot is the next one's, so steady-state operation at the budget
+// performs no allocations — the scheduler's zero-alloc service loop depends
+// on this. It is not safe for concurrent use; each shard's worker owns its
+// cache.
 type LRU[K comparable, V any] struct {
-	cap     int
+	budget  int
+	weight  int
 	slots   []lruSlot[K, V]
+	free    []int32 // slots of evicted entries, for the next Put
 	index   map[K]int32
 	head    int32 // most recent, -1 when empty
 	tail    int32 // least recent, -1 when empty
@@ -65,20 +74,20 @@ type LRU[K comparable, V any] struct {
 type lruSlot[K comparable, V any] struct {
 	k          K
 	v          V
+	w          int
 	prev, next int32 // -1 terminates
 }
 
-// NewLRU returns an LRU cache with the given capacity (minimum 1).
-func NewLRU[K comparable, V any](capacity int) *LRU[K, V] {
-	if capacity < 1 {
-		capacity = 1
+// NewLRU returns an LRU cache with the given weight budget (minimum 1).
+func NewLRU[K comparable, V any](budget int) *LRU[K, V] {
+	if budget < 1 {
+		budget = 1
 	}
 	return &LRU[K, V]{
-		cap:   capacity,
-		slots: make([]lruSlot[K, V], 0, capacity),
-		index: make(map[K]int32, capacity),
-		head:  -1,
-		tail:  -1,
+		budget: budget,
+		index:  make(map[K]int32),
+		head:   -1,
+		tail:   -1,
 	}
 }
 
@@ -123,39 +132,70 @@ func (c *LRU[K, V]) Get(k K) (V, bool) {
 	return zero, false
 }
 
-// Put inserts or refreshes a value as the most recent entry, evicting the
-// least recent one when the cache is full.
-func (c *LRU[K, V]) Put(k K, v V) {
+// Put inserts or refreshes a value of weight w as the most recent entry,
+// then evicts least-recent entries, never k itself, until the total weight
+// fits the budget. An entry heavier than the budget stays, alone.
+func (c *LRU[K, V]) Put(k K, v V, w int) {
 	c.stats.Puts++
-	if i, ok := c.index[k]; ok {
-		c.slots[i].v = v
+	i, ok := c.index[k]
+	if ok {
+		c.weight -= c.slots[i].w
 		c.unlink(i)
-		c.pushFront(i)
-		return
-	}
-	var (
-		i       int32
-		evicted bool
-		ek      K
-		ev      V
-	)
-	if len(c.index) >= c.cap {
-		// Reuse the least-recent slot in place of its evicted entry.
-		i = c.tail
-		ek, ev, evicted = c.slots[i].k, c.slots[i].v, true
-		c.unlink(i)
-		delete(c.index, ek)
-		c.stats.Evictions++
 	} else {
-		c.slots = append(c.slots, lruSlot[K, V]{})
-		//lifevet:allow durovf -- slot index bounded by the configured LRU capacity, far below 2^31
-		i = int32(len(c.slots) - 1)
+		if n := len(c.free); n > 0 {
+			i, c.free = c.free[n-1], c.free[:n-1]
+		} else {
+			c.slots = append(c.slots, lruSlot[K, V]{})
+			//lifevet:allow durovf -- slot index bounded by the entries the weight budget admits, far below 2^31
+			i = int32(len(c.slots) - 1)
+		}
+		c.slots[i].k = k
+		c.index[k] = i
 	}
-	c.slots[i].k, c.slots[i].v = k, v
-	c.index[k] = i
+	c.slots[i].v, c.slots[i].w = v, w
+	c.weight += w
 	c.pushFront(i)
-	if evicted && c.onEvict != nil {
-		c.onEvict(ek, ev)
+	c.evictAround(i)
+}
+
+// Reweigh sets the weight of k, if cached, to w without touching recency,
+// then evicts least-recent entries, never k itself, until the total weight
+// fits the budget. It reports whether k was cached. The engine calls it
+// when a cached bucket has filled more granules.
+func (c *LRU[K, V]) Reweigh(k K, w int) bool {
+	i, ok := c.index[k]
+	if !ok {
+		return false
+	}
+	c.weight += w - c.slots[i].w
+	c.slots[i].w = w
+	c.evictAround(i)
+	return true
+}
+
+// evictAround evicts the least-recent entry other than slot keep while the
+// total weight exceeds the budget. Each eviction completes before the hook
+// hears of it, and the loop rereads the list after every hook, so a hook
+// that calls back into the cache sees, and leaves, a consistent one.
+func (c *LRU[K, V]) evictAround(keep int32) {
+	for c.weight > c.budget {
+		i := c.tail
+		if i == keep {
+			i = c.slots[keep].prev
+		}
+		if i < 0 {
+			return
+		}
+		s := c.slots[i]
+		c.unlink(i)
+		delete(c.index, s.k)
+		c.weight -= s.w
+		c.slots[i] = lruSlot[K, V]{} // the slab keeps no reference to the value
+		c.free = append(c.free, i)
+		c.stats.Evictions++
+		if c.onEvict != nil {
+			c.onEvict(s.k, s.v)
+		}
 	}
 }
 
@@ -166,17 +206,21 @@ func (c *LRU[K, V]) Contains(k K) bool { _, ok := c.index[k]; return ok }
 // Len returns the number of cached entries.
 func (c *LRU[K, V]) Len() int { return len(c.index) }
 
-// Cap returns the capacity.
-func (c *LRU[K, V]) Cap() int { return c.cap }
+// Weight returns the total weight of the cached entries.
+func (c *LRU[K, V]) Weight() int { return c.weight }
+
+// Budget returns the weight budget.
+func (c *LRU[K, V]) Budget() int { return c.budget }
 
 // Stats returns a snapshot of the counters.
 func (c *LRU[K, V]) Stats() Stats { return c.stats }
 
-// OnEvict registers fn to be called whenever Put evicts an entry to make
-// room. The hook runs after the mutation completes, so it observes a
-// consistent cache (Contains(k) is already false for the evicted key). The
-// scheduler uses it to hand an evicted bucket's array back to its store and
-// to count the eviction. A nil fn clears the hook.
+// OnEvict registers fn to be called whenever Put or Reweigh evicts an entry
+// to make room. The hook runs after that eviction completes, so it observes
+// a consistent cache (Contains(k) is already false for the evicted key, and
+// Weight no longer counts it). The scheduler uses it to hand an evicted
+// bucket's array back to its store and to count the eviction. A nil fn
+// clears the hook.
 func (c *LRU[K, V]) OnEvict(fn func(K, V)) { c.onEvict = fn }
 
 // Keys returns the cached keys from most to least recently used; useful

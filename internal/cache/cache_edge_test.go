@@ -12,13 +12,13 @@ func TestPutOverwriteAccounting(t *testing.T) {
 		c := NewLRU[int, string](4)
 		var evicted []int
 		c.OnEvict(func(k int, _ string) { evicted = append(evicted, k) })
-		c.Put(1, "a")
+		c.Put(1, "a", 1)
 		c.Get(1)
-		c.Put(2, "b")
+		c.Put(2, "b", 1)
 		c.Get(2)
 		before := c.Stats()
-		c.Put(1, "a2") // overwrite, cache not even full
-		c.Put(2, "b2")
+		c.Put(1, "a2", 1) // overwrite, cache not even full
+		c.Put(2, "b2", 1)
 		st := c.Stats()
 		if st.Evictions != before.Evictions {
 			t.Fatalf("overwrite evicted: %d -> %d", before.Evictions, st.Evictions)
@@ -59,10 +59,10 @@ func TestOnEvictReentrancy(t *testing.T) {
 			c.Contains(k + 100)
 		})
 		for i := 0; i < 10; i++ {
-			c.Put(i, fmt.Sprint(i))
+			c.Put(i, fmt.Sprint(i), 1)
 		}
-		if c.Len() > c.Cap() {
-			t.Fatalf("len %d exceeds cap %d", c.Len(), c.Cap())
+		if c.Len() > c.Budget() {
+			t.Fatalf("len %d exceeds cap %d", c.Len(), c.Budget())
 		}
 		if len(fired) == 0 {
 			t.Fatal("no evictions fired across 10 puts into a 2-cap cache")
@@ -73,22 +73,22 @@ func TestOnEvictReentrancy(t *testing.T) {
 	// pin pattern): the cache must terminate and end consistent.
 	t.Run("lru/reput", func(t *testing.T) {
 		c := NewLRU[int, string](2)
-		c.Put(0, "pinned")
+		c.Put(0, "pinned", 1)
 		depth := 0
 		c.OnEvict(func(k int, v string) {
 			if k == 0 && depth == 0 {
 				depth++
-				c.Put(0, "pinned")
+				c.Put(0, "pinned", 1)
 			}
 		})
 		for i := 1; i <= 6; i++ {
-			c.Put(i, fmt.Sprint(i))
+			c.Put(i, fmt.Sprint(i), 1)
 		}
-		if c.Len() > c.Cap() {
-			t.Fatalf("len %d exceeds cap %d after reentrant puts", c.Len(), c.Cap())
+		if c.Len() > c.Budget() {
+			t.Fatalf("len %d exceeds cap %d after reentrant puts", c.Len(), c.Budget())
 		}
 		// The cache still works.
-		c.Put(99, "x")
+		c.Put(99, "x", 1)
 		if v, ok := c.Get(99); !ok || v != "x" {
 			t.Fatalf("cache broken after reentrant hook: %q %v", v, ok)
 		}
@@ -103,9 +103,9 @@ func TestTinyCapacities(t *testing.T) {
 		t.Run(fmt.Sprintf("lru/cap%d", capacity), func(t *testing.T) {
 			c := NewLRU[int, string](capacity)
 			for i := 0; i < 8; i++ {
-				c.Put(i, fmt.Sprint(i))
-				if c.Len() > c.Cap() {
-					t.Fatalf("len %d exceeds cap %d", c.Len(), c.Cap())
+				c.Put(i, fmt.Sprint(i), 1)
+				if c.Len() > c.Budget() {
+					t.Fatalf("len %d exceeds cap %d", c.Len(), c.Budget())
 				}
 			}
 			if !c.Contains(7) {

@@ -9,21 +9,40 @@ import (
 	"liferaft/internal/disk"
 	"liferaft/internal/segment"
 	"liferaft/internal/simclock"
+	"liferaft/internal/xmatch"
 )
 
 // Backend parity: the golden workload traces replayed through the
-// simulated disk and through the real-I/O file backend must make
-// bit-identical scheduling decisions and return bit-identical results —
-// same bucket-service sequence, same per-batch completions (down to the
-// materialized match pairs, which proves the segment encoding
-// round-trips objects exactly), same I/O and cache counters. Clocks are
-// excluded from the comparison: the file backend runs on real time.
+// simulated disk and through the real-I/O file backend must return
+// bit-identical answers: the same match pairs for every query, which
+// proves the segment encoding round-trips objects exactly.
 //
-// The replay admits the whole trace up front (batch mode). With every
-// arrival at the same instant, each queue's age is the same
-// elapsed-since-start and the Eq. 2 normalization divides it away, so
-// the scheduler's decisions are a function of queue state alone — the
-// property that makes decision-level parity well-defined across a
+// The two caches do not hold the same things. A simulated entry is a whole
+// bucket and a simulated probe keeps nothing; a file entry weighs the
+// granules it holds, and a file probe keeps what it read. A bucket
+// serviced a second time can therefore be a hit on one backend and a miss
+// on the other, and then its φ (Eq. 1), and so the pick, differ. The
+// schedules agree only while no pick sees a bucket the two caches
+// disagree on. That holds where the simulated store evicts nothing and no
+// bucket is revisited after an index service. It holds too, whatever is
+// evicted, where no bucket is serviced twice.
+//
+// Every case of TestBackendParity and the sharded case are batch replays:
+// the whole trace is admitted up front and nothing arrives later, so each
+// bucket is serviced once. They must make the same bucket-service
+// sequence, with the same completions at every step. They must also end
+// with the same RunStats, and the disk counters in them stay in parity,
+// because an index service is still accounted as probes. Excluded are the
+// clocks (the file backend runs on real time) and the cache's Puts and
+// Evictions: the file store also caches what its probes read, and evicts
+// by weight. The revisits case admits a second round after the first has
+// drained, so buckets are serviced twice and the schedules may part; it
+// requires the same answers only.
+//
+// With every arrival of a batch at the same instant, each queue's age is
+// the same elapsed-since-start and the Eq. 2 normalization divides it
+// away, so the scheduler's decisions are a function of queue state alone —
+// the property that makes decision-level parity well-defined across a
 // virtual and a real clock.
 
 // parityModel is the SkyQuery model with every duration scaled down
@@ -93,6 +112,7 @@ func TestBackendParity(t *testing.T) {
 		})
 	}
 	t.Run("sharded", func(t *testing.T) { shardedParity(t, part, dir, hotJobs) })
+	t.Run("revisits", func(t *testing.T) { revisitParity(t, part, dir, hotJobs) })
 }
 
 // mkSimParity builds the simulated-backend engine on a virtual clock.
@@ -157,10 +177,12 @@ func stripTimes(rs []Result) []Result {
 	return out
 }
 
-// stripStatTimes zeroes the clock-dependent RunStats fields.
-func stripStatTimes(st RunStats) RunStats {
+// parityStats zeroes the RunStats fields the backends need not agree on:
+// the clock-dependent ones, and the cache's puts and evictions.
+func parityStats(st RunStats) RunStats {
 	st.Makespan = 0
 	st.Disk.BusyTime = 0
+	st.Cache.Puts, st.Cache.Evictions = 0, 0
 	return st
 }
 
@@ -215,8 +237,11 @@ func replayBackends(t *testing.T, part *bucket.Partition, dir string, pc parityC
 		t.Error("materializing case never scanned a bucket")
 	}
 
-	stA := stripStatTimes(sim.finalize(cfgA.clock().Now().Sub(startA), completed))
-	stB := stripStatTimes(file.finalize(cfgB.clock().Now().Sub(startB), completed))
+	stA := parityStats(sim.finalize(cfgA.clock().Now().Sub(startA), completed))
+	stB := parityStats(file.finalize(cfgB.clock().Now().Sub(startB), completed))
+	if stA.Cache.Hits != 0 {
+		t.Fatalf("%d cache hits: a bucket was serviced twice in a batch replay", stA.Cache.Hits)
+	}
 	if !reflect.DeepEqual(stA, stB) {
 		t.Fatalf("RunStats diverged after %d services (clock fields excluded):\nsim:  %+v\nfile: %+v", steps, stA, stB)
 	}
@@ -272,4 +297,43 @@ func shardedParity(t *testing.T, part *bucket.Partition, dir string, hotJobs []J
 	if count(simStats) != count(fileStats) {
 		t.Fatalf("sharded counters diverged:\nsim:  %+v\nfile: %+v", count(simStats), count(fileStats))
 	}
+}
+
+// revisitParity replays the hot trace in two batches, the second admitted
+// once the first has drained, through both backends. The second batch
+// revisits buckets the first left cached, so the schedules may differ;
+// every query's pairs may not.
+func revisitParity(t *testing.T, part *bucket.Partition, dir string, jobs []Job) {
+	pc := parityCase{policy: PolicyLifeRaft, alpha: 0.5, materialize: true}
+	cfgA, sim := mkSimParity(t, part, pc)
+	cfgB, file := mkFileParity(t, part, dir, pc)
+	half := len(jobs) / 2
+	answers := func(cfg Config, s *scheduler) map[uint64][]xmatch.Pair {
+		out := make(map[uint64][]xmatch.Pair)
+		for _, batch := range [][]Job{jobs[:half], jobs[half:]} {
+			for _, j := range batch {
+				if r := s.admit(j, cfg.clock().Now()); r != nil {
+					out[j.ID] = nil
+				}
+			}
+			for s.pendingWork() {
+				done, _ := s.step(cfg.clock().Now())
+				for _, r := range done {
+					pairs := append([]xmatch.Pair(nil), r.Pairs...)
+					xmatch.SortPairs(pairs)
+					out[r.QueryID] = pairs
+				}
+			}
+		}
+		return out
+	}
+	ansA, ansB := answers(cfgA, sim), answers(cfgB, file)
+	if len(ansA) != len(jobs) || !reflect.DeepEqual(ansA, ansB) {
+		t.Fatalf("answers diverged: sim answered %d queries, file %d", len(ansA), len(ansB))
+	}
+	if file.stats.IndexServices == 0 || file.cache.Stats().Hits == 0 {
+		t.Fatalf("%d index services and %d cache hits on the file store; the trace must probe, and the second batch revisit buckets",
+			file.stats.IndexServices, file.cache.Stats().Hits)
+	}
+	t.Logf("%d vs %d services, %d vs %d cache hits (sim vs file)", sim.stats.BucketsServed, file.stats.BucketsServed, sim.cache.Stats().Hits, file.cache.Stats().Hits)
 }

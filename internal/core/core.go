@@ -56,8 +56,12 @@ type Config struct {
 	// most-contentious-first scheduler, 1 completes work in arrival
 	// order. Ignored by round-robin.
 	Alpha float64
-	// CacheBuckets is the bucket cache capacity (the paper fixes 20).
-	// Minimum 1.
+	// CacheBuckets is the bucket cache capacity in bucket-equivalents (the
+	// paper fixes 20): the cache is a budget of CacheBuckets whole buckets'
+	// granules (Store.BucketGranules), and a bucket weighs the granules it
+	// holds (Store.Weight), so it holds more buckets when each holds fewer
+	// granules, and exactly CacheBuckets on the simulated store, whose
+	// entries are whole buckets. Minimum 1.
 	CacheBuckets int
 	// HybridThreshold is the queue-to-bucket ratio below which an
 	// out-of-core bucket is joined via the index (paper §3.4; default
@@ -79,7 +83,8 @@ type Config struct {
 	// bucket, the paper's single-disk engine, on the same code path as
 	// any other K. Config.Store, its disk and its clock serve as
 	// templates; each shard forks its own from them. Each shard's cache
-	// holds CacheBuckets buckets (scaling out adds memory along with arms).
+	// holds CacheBuckets buckets' worth (scaling out adds memory along with
+	// arms).
 	Shards int
 	// ownsBucket, when non-nil, restricts admission to the buckets a
 	// shard owns. Set only by forkConfigs on the per-shard configs;

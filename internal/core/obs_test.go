@@ -178,13 +178,15 @@ func sampleSum(t *testing.T, scrape, family string, labels ...string) float64 {
 
 // TestCacheBytesGaugeIsResidentGranules: liferaft_cache_bytes is the
 // on-disk size of what the RAM cache holds — on a segment store, the
-// granules Scan services filled. A miss needing k granules sets it to their
+// granules services filled. A miss needing k granules sets it to their
 // bytes, a hit needing j more adds theirs, and an eviction takes away the
-// evicted bucket's.
+// evicted bucket's. The cache holds one bucket's worth of granules, 67:
+// two buckets of a few granules each fit, and a miss of 51 granules
+// evicts the least recent of them.
 func TestCacheBytesGaugeIsResidentGranules(t *testing.T) {
 	part, dir := granuleFixture(t)
 	em := NewEngineMetrics(metric.NewRegistry())
-	s := fileScheduler(t, part, dir, 2, em)
+	s := fileScheduler(t, part, dir, 1, em)
 	defer s.cfg.Store.Close()
 	gauge := em.cacheBytes.With("0", "ram")
 	held := map[int]map[int]bool{5: {}, 9: {}, 13: {}}
@@ -198,7 +200,7 @@ func TestCacheBytesGaugeIsResidentGranules(t *testing.T) {
 		{"miss", 5, stretchJob(part, 1, 5, 10, 40), -1},
 		{"hit that fills", 5, stretchJob(part, 2, 5, 30, 70), -1},
 		{"second bucket", 9, stretchJob(part, 3, 9, 100, 140), -1},
-		{"miss that evicts the first", 13, stretchJob(part, 4, 13, 200, 220), 5},
+		{"miss that evicts the first", 13, stretchJob(part, 4, 13, 40, 340), 5},
 	} {
 		serve(t, s, c.job)
 		added := selectGranules(part, c.b, c.job, held[c.b])

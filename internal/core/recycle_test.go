@@ -22,15 +22,17 @@ import (
 )
 
 // TestRecycledBucketsMatchBruteForce: a bucket array the cache evicts is
-// the one the shard's next cold scan decodes into, and a cached bucket
-// fills only the granules it lacks, so a view of an array that outlived its
-// eviction, or a join over a slot no fill reached, would answer with
-// another bucket's objects. Under eviction churn — an LRU of one, two or
-// four buckets a shard, K = 1, 2 and 4 — hot queries whose services are
-// split and run in part by idle siblings, scan-sized queries over eight
-// buckets, cancels, and queries that reach a disjoint stretch of the same
-// eight other buckets each round, so that a bucket one round left cached
-// is filled by the next, must still answer exactly the brute-force pairs
+// the one the shard's next miss decodes into, and a cached bucket merges
+// in only the granules it lacks, so a view of an array that outlived its
+// eviction, or a join over a stretch a merge moved, would answer with
+// another bucket's objects. Under eviction churn — a cache budget of one,
+// two or four buckets' granules a shard, K = 1, 2 and 4 — hot queries that
+// fill most of their buckets, so that even four buckets' worth overflows
+// at K = 4, and whose services are split and run in part by idle
+// siblings, scan-sized queries over eight buckets, cancels, and queries
+// that reach a disjoint stretch of the same eight other buckets each
+// round, so that a bucket one round left cached is filled by the next,
+// must still answer exactly the brute-force pairs
 // (a cancelled query a subset of them), round after round, the later
 // rounds starting on what the earlier ones left cached. On the file store
 // some of those hits read granules. The same churn over the simulated
@@ -54,8 +56,9 @@ func TestRecycledBucketsMatchBruteForce(t *testing.T) {
 	var jobs []Job
 	for i := 0; i < 4; i++ {
 		// Every fourth bucket is shard 0's at each K, so the other arms are
-		// idle to help with these split services.
-		jobs = append(jobs, spanQuery(part, uint64(len(jobs)+1), 4*i, 1, 3*servicePartUnits+8*i))
+		// idle to help with these split services. Each reaches six or seven
+		// of its bucket's seven granules.
+		jobs = append(jobs, spanQuery(part, uint64(len(jobs)+1), 4*i, 1, 5*servicePartUnits+16*i))
 	}
 	for i := 0; i < 4; i++ {
 		jobs = append(jobs, spanQuery(part, uint64(len(jobs)+1), 5*i, 8, 25))
@@ -223,8 +226,10 @@ func churn(t *testing.T, cfg Config, rounds [][]Job, want map[uint64][]xmatch.Pa
 // keeps the model's account — one sequential read per miss, none per hit —
 // and a traced query's scan store_read span marks a service that read or
 // missed.
-// An eviction forgets the granules, so the next miss reads them again; a
-// queue whose keys select nothing reads nothing, and its miss still counts.
+// The cache holds one bucket's worth of granules, 67: a miss whose
+// granules and the cached bucket's outweigh that evicts the bucket, which
+// forgets its granules, so the next miss reads them again. A queue whose
+// keys select nothing reads nothing, and its miss still counts.
 func TestScanReadsGranulesOnce(t *testing.T) {
 	part, dir := granuleFixture(t)
 	em := NewEngineMetrics(metric.NewRegistry())
@@ -274,7 +279,11 @@ func TestScanReadsGranulesOnce(t *testing.T) {
 	check("hit past what the miss read", stretchJob(part, 2, b, 30, 70), b, have, false)
 	check("hit on the short last granule", stretchJob(part, 3, b, 390, 400), b, have, false)
 	check("hit inside what is resident", stretchJob(part, 4, b, 15, 35), b, have, false)
-	check("miss that evicts", stretchJob(part, 5, other, 100, 140), other, make(map[int]bool), true)
+	check("miss that evicts", stretchJob(part, 5, other, 20, 380), other, make(map[int]bool), true)
+	if s.cache.Contains(b) || !s.cache.Contains(other) || s.cache.Weight() > s.cache.Budget() {
+		t.Fatalf("after the miss that evicts: bucket %d cached %v, bucket %d cached %v, %d of %d granules weighed; want only %d, within the budget",
+			b, s.cache.Contains(b), other, s.cache.Contains(other), s.cache.Weight(), s.cache.Budget(), other)
+	}
 	check("miss after the eviction", stretchJob(part, 6, b, 10, 40), b, make(map[int]bool), true)
 
 	// Objects of a far bucket queued on bucket 13 by hand: their circles
@@ -295,51 +304,146 @@ func TestScanReadsGranulesOnce(t *testing.T) {
 	}
 }
 
-// TestProbeKeepsNothing: on a segment store an index probe is a fill of a
-// Resident the store resets for every probe and no cache holds. It reads
-// the distinct granules its queue's keys select —
-// liferaft_store_read_bytes_total{kind="probe"} moves by their bytes, the
-// short last granule at its length — and the same probe again reads them
-// again. A Scan service of the bucket after the probes is still a miss,
-// accounted as one sequential read, that reads every granule its own keys
-// select, the probed ones among them.
-func TestProbeKeepsNothing(t *testing.T) {
+// TestProbeFillsTheCachedBucket: on a segment store an index probe fills
+// the bucket the cache keeps, as a Scan miss does. It reads the distinct
+// granules its queue's keys select — liferaft_store_read_bytes_total
+// {kind="probe"} moves by their bytes — and is accounted as probes, one
+// per queued object. The same keys again are a cache hit, so a Scan
+// service, that reads 0 bytes and is accounted nothing; a wider queue
+// after that is a hit too, which reads only the granules the probe did
+// not.
+func TestProbeFillsTheCachedBucket(t *testing.T) {
 	part, dir := granuleFixture(t)
 	em := NewEngineMetrics(metric.NewRegistry())
 	s := fileScheduler(t, part, dir, 4, em)
 	defer s.cfg.Store.Close()
 	locals := allObjects(part)
 	probeBytes, scanBytes := em.readBytes.With("0", "probe"), em.readBytes.With("0", "scan")
-	misses := em.cacheMiss.With("0", "ram")
+	hits := em.cacheHits.With("0", "ram")
 	const b = 5
+	have := make(map[int]bool)
 	for id := uint64(1); id <= 2; id++ {
 		// Four units of a 400-object bucket: under the 3% threshold.
 		job := stretchJob(part, id, b, 100, 104)
-		before := probeBytes.Value()
+		probed, scanned, hit, disk := probeBytes.Value(), scanBytes.Value(), hits.Value(), s.cfg.Store.Disk().Stats()
 		r := serve(t, s, job)
 		if pairs := xmatch.BruteForce(locals, job.Objects, nil); len(pairs) == 0 || !samePairSet(r.Pairs, pairs) {
-			t.Errorf("probe %d: %d pairs, not the %d brute-force pairs", id, len(r.Pairs), len(pairs))
+			t.Errorf("service %d: %d pairs, not the %d brute-force pairs", id, len(r.Pairs), len(pairs))
 		}
-		if s.stats.IndexServices != int64(id) || s.stats.ScanServices != 0 {
-			t.Fatalf("after probe %d: %d index and %d scan services; the fixture must probe", id, s.stats.IndexServices, s.stats.ScanServices)
-		}
-		want := selectGranules(part, b, job, make(map[int]bool))
-		if got := probeBytes.Value() - before; got != float64(want) || want == 0 {
-			t.Errorf("probe %d read %.0f bytes, want the %d bytes of the granules its keys select", id, got, want)
+		want := selectGranules(part, b, job, have)
+		read := probeBytes.Value() - probed + scanBytes.Value() - scanned
+		after := s.cfg.Store.Disk().Stats()
+		switch id {
+		case 1:
+			if s.stats.IndexServices != 1 || s.stats.ScanServices != 0 {
+				t.Fatalf("%d index and %d scan services; the fixture must probe", s.stats.IndexServices, s.stats.ScanServices)
+			}
+			if read != float64(want) || want == 0 || probeBytes.Value() != read {
+				t.Errorf("the probe read %.0f bytes, want the %d bytes of the granules its keys select", read, want)
+			}
+			if after.Probes-disk.Probes != int64(len(job.Objects)) || after.SeqReads != disk.SeqReads {
+				t.Errorf("the probe was accounted %d probes and %d sequential reads, want %d and none",
+					after.Probes-disk.Probes, after.SeqReads-disk.SeqReads, len(job.Objects))
+			}
+			if !s.cache.Contains(b) {
+				t.Fatal("the probed bucket is not cached")
+			}
+		case 2:
+			if s.stats.IndexServices != 1 || s.stats.ScanServices != 1 || hits.Value() != hit+1 {
+				t.Errorf("the same keys again: %d index and %d scan services, %.0f hits; want a hit, which scans", s.stats.IndexServices, s.stats.ScanServices, hits.Value()-hit)
+			}
+			if read != 0 || want != 0 || after.SeqReads != disk.SeqReads || after.Probes != disk.Probes {
+				t.Errorf("the same keys again read %.0f bytes and were accounted %d sequential reads and %d probes; want nothing",
+					read, after.SeqReads-disk.SeqReads, after.Probes-disk.Probes)
+			}
 		}
 	}
 	job := stretchJob(part, 3, b, 90, 130)
-	missed, seq := misses.Value(), s.cfg.Store.Disk().Stats().SeqReads
+	scanned, disk := scanBytes.Value(), s.cfg.Store.Disk().Stats()
 	r := serve(t, s, job)
 	if pairs := xmatch.BruteForce(locals, job.Objects, nil); !samePairSet(r.Pairs, pairs) {
 		t.Errorf("scan: %d pairs, not the %d brute-force pairs", len(r.Pairs), len(pairs))
 	}
-	if s.stats.ScanServices != 1 || misses.Value() != missed+1 || s.cfg.Store.Disk().Stats().SeqReads != seq+1 {
-		t.Errorf("the scan after the probes: %d scan services, %.0f cache misses and %d sequential reads; want 1 each: the probed bucket is not resident",
-			s.stats.ScanServices, misses.Value()-missed, s.cfg.Store.Disk().Stats().SeqReads-seq)
+	if got := s.cfg.Store.Disk().Stats(); got.SeqReads != disk.SeqReads {
+		t.Errorf("the wider queue on the probed bucket was accounted %d sequential reads, want none: it is a hit", got.SeqReads-disk.SeqReads)
 	}
-	if got, want := scanBytes.Value(), selectGranules(part, b, job, make(map[int]bool)); got != float64(want) {
-		t.Errorf("the scan read %.0f bytes, want all %d its keys select", got, want)
+	if got, want := scanBytes.Value()-scanned, selectGranules(part, b, job, have); got != float64(want) || want == 0 {
+		t.Errorf("the wider queue read %.0f bytes, want the %d of the granules the probe did not read", got, want)
+	}
+}
+
+// TestCacheBudgetBoundsDecodedObjects: the RAM cache is a budget of
+// CacheBuckets whole buckets' granules, and an entry weighs what its array
+// has room for if that is more than it holds, so the decoded objects the
+// cache keeps never outgrow the budget. Over a segment store of 8-object
+// granules (50 a bucket), a sweep of sparse queues over every bucket —
+// index probes, each filling a few granules — leaves more entries than
+// CacheBuckets resident, with Σ ⌈cap(Objs)/8⌉ within the budget after
+// every service. A sweep of queues that reach nearly every object of each
+// bucket leaves exactly CacheBuckets entries, as the simulated store does.
+func TestCacheBudgetBoundsDecodedObjects(t *testing.T) {
+	shardPart, _ := shardFixture(t)
+	part, err := bucket.NewPartition(shardPart.Catalog(), shardPart.PerBucket(), 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := segment.Write(dir, part, segment.WriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	const cached, per = 4, 8
+	// sweep serves, bucket by bucket, the objects of each whose error
+	// circles reach that bucket alone, every step-th of them, and checks
+	// the budget after every service.
+	sweep := func(s *scheduler, step int) {
+		t.Helper()
+		for b := 0; b < part.NumBuckets(); b++ {
+			job := Job{ID: uint64(b + 1)}
+			for k, o := range part.Materialize(b) {
+				wo := xmatch.NewWorkloadObject(job.ID, o, geom.ArcsecToRad(5))
+				if k%step == 0 && len(part.BucketsForRanges(wo.Ranges())) == 1 {
+					job.Objects = append(job.Objects, wo)
+				}
+			}
+			serve(t, s, job)
+			if s.cache.Weight() > s.cache.Budget() {
+				t.Fatalf("after bucket %d: %d granules weighed, over the budget of %d", b, s.cache.Weight(), s.cache.Budget())
+			}
+		}
+	}
+
+	sparse := fileScheduler(t, part, dir, cached, nil)
+	defer sparse.cfg.Store.Close()
+	if got, want := sparse.cache.Budget(), cached*50; got != want {
+		t.Fatalf("a budget of %d granules, want %d buckets of 50", got, want)
+	}
+	sweep(sparse, 50)
+	if sparse.stats.IndexServices != int64(part.NumBuckets()) {
+		t.Fatalf("%d of %d services were index probes; the sparse sweep must probe", sparse.stats.IndexServices, part.NumBuckets())
+	}
+	decoded := 0
+	for _, b := range sparse.cache.Keys() {
+		r, _ := sparse.cache.Get(b)
+		decoded += (cap(r.Objs) + per - 1) / per
+	}
+	t.Logf("sparse sweep: %d entries weigh %d granules, room for %d granules of objects", sparse.cache.Len(), sparse.cache.Weight(), decoded)
+	if n := sparse.cache.Len(); n <= cached || decoded > sparse.cache.Budget() {
+		t.Errorf("sparse sweep: %d entries resident, room for %d granules of objects; want more than %d entries, within %d granules",
+			n, decoded, cached, sparse.cache.Budget())
+	}
+
+	dense := fileScheduler(t, part, dir, cached, nil)
+	defer dense.cfg.Store.Close()
+	sweep(dense, 1)
+	simCfg, _ := NewVirtual(part, 0.25, false)
+	simCfg.CacheBuckets = cached
+	sim, err := newScheduler(simCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep(sim, 1)
+	if dense.cache.Len() != cached || sim.cache.Len() != cached {
+		t.Errorf("dense sweep: %d entries on the file store, %d on the simulated one; want %d on both", dense.cache.Len(), sim.cache.Len(), cached)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // is shared) and in arrival order"). Each query still gets the hybrid join
 // strategy for its own per-bucket workloads, keyed and read as the
 // engine's services are (Store.Scan, Store.Probe), but no bucket cache
-// persists across queries: a scanned bucket goes back to the store
+// persists across queries: a bucket read goes back to the store
 // (Store.Recycle) once joined.
 func RunNoShare(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunStats, error) {
 	cfg, err := checkReplay(cfg, jobs, offsets)
@@ -64,7 +64,7 @@ func RunNoShare(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunS
 				r, runs, _ = cfg.Store.Scan(bi, nil, keys)
 				stats.ScanServices++
 			} else {
-				runs, _ = cfg.Store.Probe(bi, keys)
+				r, runs, _ = cfg.Store.Probe(bi, keys)
 				stats.IndexServices++
 			}
 			cfg.Store.Disk().MatchObjects(len(wos))

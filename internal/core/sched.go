@@ -183,7 +183,7 @@ func newScheduler(cfg Config) (*scheduler, error) {
 	tb, tm := cfg.Store.Disk().Model().Calibrate(part.BucketBytes(0))
 	s := &scheduler{
 		cfg:     cfg,
-		cache:   cache.NewLRU[int, *bucket.Resident](cfg.CacheBuckets),
+		cache:   cache.NewLRU[int, *bucket.Resident](cfg.CacheBuckets * cfg.Store.BucketGranules()),
 		queues:  make(map[int]*bqueue),
 		queries: make(map[uint64]*queryState),
 		preds:   make(map[uint64]xmatch.Predicate),
@@ -194,9 +194,10 @@ func newScheduler(cfg Config) (*scheduler, error) {
 	s.fj.preds, s.fj.materialize = s.preds, cfg.Store.Materializing()
 	// An evicted bucket — array and residency set — goes back to the
 	// store: the cache held its one view, and the store overwrites it no
-	// earlier than this shard's next Scan miss, which follows the current
+	// earlier than this shard's next miss, which follows the current
 	// service's fj.finish, so no part, helper or join can still be reading
-	// it.
+	// it. The bucket a service fills is the one entry its Put or Reweigh
+	// never evicts.
 	s.cache.OnEvict(func(_ int, r *bucket.Resident) {
 		s.cacheBytes -= r.Bytes
 		s.cfg.Store.Recycle(r)
@@ -737,30 +738,36 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 	if traced {
 		readT0 = s.cfg.clock().Now()
 	}
+	// A miss caches the bucket the store returns — a probe's too, on a
+	// segment store — and a hit fills the granules it lacks. Either way
+	// what was read is what became resident, and the entry weighs what it
+	// now holds.
+	var read int64
 	switch strategy {
 	case xmatch.Scan:
-		// A miss caches the bucket; a hit fills the granules it lacks.
-		// Either way what was read is what became resident.
-		var read int64
 		res, runs, read = s.cfg.Store.Scan(idx, res, ranges)
-		s.cacheBytes += read
 		if traced && (!inMem || read > 0) {
 			readT1, readKind = s.cfg.clock().Now(), "scan"
-		}
-		if !inMem {
-			s.cache.Put(idx, res)
 		}
 		s.stats.ScanServices++
 		s.obs.scanSvc.Inc()
 	case xmatch.Index:
-		// One probe per queued object: the scan's read, into nothing the
-		// cache keeps.
-		runs, _ = s.cfg.Store.Probe(idx, ranges)
+		// One probe per queued object.
+		res, runs, read = s.cfg.Store.Probe(idx, ranges)
 		if traced {
 			readT1, readKind = s.cfg.clock().Now(), "probe"
 		}
 		s.stats.IndexServices++
 		s.obs.indexSvc.Inc()
+	}
+	if res != nil {
+		s.cacheBytes += read
+		switch {
+		case !inMem:
+			s.cache.Put(idx, res, s.cfg.Store.Weight(res))
+		case read > 0:
+			s.cache.Reweigh(idx, s.cfg.Store.Weight(res))
+		}
 	}
 	s.stats.BucketsServed++
 	var svcAttr string

@@ -114,7 +114,7 @@ func TestWorkloadThroughputEquation(t *testing.T) {
 		t.Errorf("Ut = %v, want %v", got, want)
 	}
 	// Cached: Ut = n / (Tm*n) = 1/Tm regardless of n.
-	s.cache.Put(0, nil)
+	s.cache.Put(0, nil, 1)
 	wantCached := 100 / (s.tmSec * 100)
 	if got := s.workloadThroughput(q); math.Abs(got-wantCached) > 1e-9*wantCached {
 		t.Errorf("cached Ut = %v, want %v", got, wantCached)
@@ -168,7 +168,7 @@ func TestCachedBucketPreferredAtAlphaZero(t *testing.T) {
 	}
 	mk(1, 50)  // cached below
 	mk(2, 400) // longer but out of core
-	s.cache.Put(1, nil)
+	s.cache.Put(1, nil, 1)
 	// Eq. 1: a cached bucket's Ut = 1/Tm dwarfs any out-of-core queue
 	// (Tb dominates), so the scheduler "favors buckets in memory" (§3.2).
 	idx, ok := s.pick(simclock.Epoch.Add(time.Second))

@@ -17,7 +17,8 @@ import (
 // VSCAN(R) analogy of §3.3.
 
 // AblationCacheSize sweeps the bucket cache capacity at α=0 (the paper
-// fixes 20 buckets).
+// fixes 20 buckets). The experiments run on the simulated store, whose
+// entries are whole buckets, so a capacity of n holds n buckets.
 func AblationCacheSize(env *Env) (Table, error) {
 	offs := env.SaturatedOffsets()
 	t := Table{

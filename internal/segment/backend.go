@@ -7,8 +7,8 @@ import (
 )
 
 // FileBackend adapts a Set to the bucket.Backend interface: a fill — a
-// Scan service, or an index probe into a Resident the store does not
-// keep — becomes preads of just the granules its queue's keys select that
+// Scan service or an index probe, either into the Resident the cache
+// keeps — becomes preads of just the granules its queue's keys select that
 // the Resident lacks, each checked against its fence CRC. In cost-only
 // mode (the configuration scheduling experiments use) a fill moves and
 // checks the same bytes — that is the point — but skips decoding.
@@ -46,6 +46,13 @@ func (b *FileBackend) ReadBucket(i int) ([]catalog.Object, int64, error) {
 // backend's fill scratch until its next Fill.
 func (b *FileBackend) Fill(i int, r *bucket.Resident, keys []htm.Range) ([][]catalog.Object, int64, error) {
 	return b.set.fill(&b.scratch, i, r, keys, b.materialize)
+}
+
+// GranuleObjects implements bucket.Backend: the records one granule of
+// the set holds.
+func (b *FileBackend) GranuleObjects() int {
+	stride := b.set.man.ObjectBytes
+	return int(granuleBytes(stride) / stride)
 }
 
 // Probe is an index probe for a caller that does not know its keys: a

@@ -77,6 +77,15 @@ func probeStore(t *testing.T, part *bucket.Partition, dir string) *bucket.Store 
 	return st
 }
 
+// probe is one index probe of a store no cache sits over: the bucket it
+// fills goes straight back to the store, for the next probe to fill. The
+// runs stay valid until then.
+func probe(store *bucket.Store, bi int, ranges []htm.Range) ([][]catalog.Object, int64) {
+	r, runs, read := store.Probe(bi, ranges)
+	store.Recycle(r)
+	return runs, read
+}
+
 // failStop runs read and returns the message the store's fail-stop
 // panicked with, "" if it did not.
 func failStop(read func()) (msg string) {
@@ -291,7 +300,7 @@ func TestProbeRangesProperty(t *testing.T) {
 		want := xmatch.BruteForce(whole, queue, nil)
 		xmatch.SortPairs(want)
 		what := fmt.Sprintf("probe %d, bucket %d", n, bi)
-		runs, read := store.Probe(bi, ranges)
+		runs, read := probe(store, bi, ranges)
 		got := slices.Concat(runs...)
 		checkProbe(t, what, whole, got, ranges)
 		if read != int64(len(got))*part.ObjectBytes() {
@@ -353,7 +362,7 @@ func TestProbeByBucketKeys(t *testing.T) {
 			span := part.Bucket(bi).Span
 			key := wo.RangeIn(span)
 			whole := part.Materialize(bi)
-			runs, read := store.Probe(bi, []htm.Range{key})
+			runs, read := probe(store, bi, []htm.Range{key})
 			got := slices.Concat(runs...)
 			reached := false
 			for _, r := range cover {
@@ -384,10 +393,13 @@ func TestProbeByBucketKeys(t *testing.T) {
 
 // A flipped bit inside a granule a probe reads fails the probe; one in a
 // granule it skips does not, and the next whole-bucket read fails on the
-// bucket checksum. A probe is a fill the store does not keep, and a Scan
-// service's fill checks the granules it reads through the same path: one
-// that skips the flipped granule succeeds, and a later fill of the now
-// resident bucket that reaches it fails the store's fail-stop.
+// bucket checksum. A probe and a Scan service fill the cached bucket
+// through the same path, so no corrupt granule ever becomes resident: a
+// fill that skips the flipped granule succeeds; a later fill of the now
+// partly resident bucket that reaches it fails the store's fail-stop and
+// leaves the bucket exactly as it was; and a fill after that whose keys
+// skip the flipped granule again merges its granules around the resident
+// ones and answers the brute-force pairs.
 func TestProbeChecksumPerGranule(t *testing.T) {
 	part := probeFixture(t)
 	dir, _ := writeFixture(t, part, 3)
@@ -422,32 +434,70 @@ func TestProbeChecksumPerGranule(t *testing.T) {
 		}
 	}
 	flip(5)
-	if msg := failStop(func() { store.Probe(bi, ranges) }); !strings.Contains(msg, "granule 5 checksum") {
+	if msg := failStop(func() { probe(store, bi, ranges) }); !strings.Contains(msg, "granule 5 checksum") {
 		t.Fatalf("probe over a corrupt granule = %q, want a granule checksum panic", msg)
 	}
 	flip(17)
-	runs, _ := store.Probe(bi, ranges)
+	runs, _ := probe(store, bi, ranges)
 	checkProbe(t, "skip", whole, slices.Concat(runs...), ranges)
 	if _, _, err := be.ReadBucket(bi); err == nil || !strings.Contains(err.Error(), "data checksum") {
 		t.Fatalf("scan of the corrupt bucket = %v, want the whole-bucket checksum error", err)
 	}
-	if msg := failStop(func() { store.Probe(bi, everyID) }); msg == "" {
+	if msg := failStop(func() { probe(store, bi, everyID) }); msg == "" {
 		t.Fatal("probe over every granule of the corrupt bucket succeeded")
 	}
 
 	flip(5)
 	far := whole[10*perGranule+perGranule/2].HTMID
 	skip := []htm.Range{{Start: far, End: far}}
-	r, runs, _ := store.Scan(bi, nil, skip)
+	r, runs, _ := store.Probe(bi, skip)
 	checkProbe(t, "fill that skips the corrupt granule", whole, slices.Concat(runs...), skip)
-	if msg := failStop(func() { store.Scan(bi, r, ranges) }); !strings.Contains(msg, "granule 5 checksum") {
+	// The failing fill reads and checks granule 2 before it reaches 5.
+	near := whole[2*perGranule+perGranule/2].HTMID
+	have, objs := slices.Clone(r.Have), slices.Clone(r.Objs)
+	if msg := failStop(func() { store.Scan(bi, r, append([]htm.Range{{Start: near, End: near}}, ranges...)) }); !strings.Contains(msg, "granule 5 checksum") {
 		t.Errorf("fill of a resident bucket over a corrupt granule = %q, want a granule checksum panic", msg)
+	}
+	if !slices.Equal(r.Have, have) || !slices.Equal(r.Objs, objs) {
+		t.Fatalf("the failed fill changed the bucket: residency %x -> %x, %d -> %d objects", have, r.Have, len(objs), len(r.Objs))
+	}
+
+	// Objects of granules 2 and 14, either side of the resident ones, and
+	// their circles reach neither granule 5 nor granule 17.
+	var queue []xmatch.WorkloadObject
+	for _, g := range []int{2, 14} {
+		for _, o := range whole[g*perGranule+1:][:3] {
+			queue = append(queue, xmatch.NewWorkloadObject(1, o, geom.ArcsecToRad(5)))
+		}
+	}
+	span := part.Bucket(bi).Span
+	var keys []htm.Range
+	for _, wo := range queue {
+		keys = append(keys, wo.RangeIn(span))
+	}
+	var runs2 [][]catalog.Object
+	if msg := failStop(func() { _, runs2, _ = store.Scan(bi, r, keys) }); msg != "" {
+		t.Fatalf("a fill that skips the corrupt granule after a failed one: %s", msg)
+	}
+	xmatch.SortQueue(queue)
+	var join xmatch.Joiner
+	got := join.Merge(runs2, queue, nil)
+	want := xmatch.BruteForce(whole, queue, nil)
+	xmatch.SortPairs(got)
+	xmatch.SortPairs(want)
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("the join over the fill found %d pairs, brute force over the bucket %d (want some)", len(got), len(want))
+	}
+	_, runs, read := store.Scan(bi, r, skip)
+	checkProbe(t, "the granule resident before the merge", whole, slices.Concat(runs...), skip)
+	if read != 0 {
+		t.Errorf("a fill of resident granules read %d bytes", read)
 	}
 }
 
 // A steady-state probe allocates nothing: the granule runs, the raw bytes
 // and the runs of objects it returns live in the backend's scratch, and
-// the decoded granules in the store's probe Resident.
+// the decoded granules in the Resident the store recycles.
 func TestProbeRangesZeroAlloc(t *testing.T) {
 	part := probeFixture(t)
 	dir, _ := writeFixture(t, part, 3)
@@ -459,11 +509,11 @@ func TestProbeRangesZeroAlloc(t *testing.T) {
 	}
 	probeAll := func() {
 		for bi, rs := range ranges {
-			store.Probe(bi, rs)
+			probe(store, bi, rs)
 		}
 	}
-	probeAll()              // grow the scratch
-	store.Probe(0, everyID) // and the Resident, to a whole bucket
+	probeAll()               // grow the scratch
+	probe(store, 0, everyID) // and the Resident, to a whole bucket
 	if allocs := testing.AllocsPerRun(50, probeAll); allocs != 0 {
 		t.Errorf("a steady-state round of probes allocates %.2f times, want 0", allocs)
 	}

@@ -108,8 +108,9 @@
 // separate backend option, and a real-I/O store on a virtual clock is
 // rejected). Every shard opens its own segment set, and
 // federation nodes take FedNodeConfig.DataDir (liferaftd -data-dir). A
-// parity test proves the file backend makes bit-identical scheduling
-// decisions to the simulated disk on the golden traces.
+// parity test proves the file backend gives bit-identical answers to the
+// simulated disk on the golden traces, and makes the same scheduling
+// decisions where no bucket is serviced twice.
 //
 //	set, _, err := liferaft.EnsureSegments("/var/lib/liferaft/sdss", part, liferaft.SegmentWriteOptions{})
 //	cfg, err := liferaft.NewFileBackedConfigFrom(part, 0.25, true, set) // takes ownership of set
