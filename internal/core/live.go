@@ -313,7 +313,10 @@ func (l *Live) SubmitCtx(ctx context.Context, job Job) (<-chan Result, error) {
 		if m.parts[s].share == 0 {
 			continue
 		}
-		//lifevet:allow lockdiscipline -- the sends deliberately happen inside l.mu: the closed check and the fan-out must be one atomic step against Close, and every worker drains its inbox until closing, so each send bounds in one shard step
+		// The sends deliberately happen inside l.mu: the closed check and
+		// the fan-out must be one atomic step against Close, and every
+		// worker drains its inbox until closing, so each send bounds in
+		// one shard step.
 		l.workers[s].inbox <- submission{job: m.job(job, s), m: m}
 	}
 	l.mu.Unlock()
@@ -352,7 +355,8 @@ func (l *Live) broadcast(ctl submission) error {
 		return ErrClosed
 	}
 	for _, w := range l.workers {
-		//lifevet:allow lockdiscipline -- same atomic closed-check-and-enqueue pattern as SubmitCtx: each worker drains its inbox until closing
+		// The same atomic closed-check-and-enqueue as SubmitCtx's: each
+		// worker drains its inbox until closing.
 		w.inbox <- ctl
 	}
 	return nil

@@ -180,7 +180,13 @@ type serverConn struct {
 	ioTimeout time.Duration
 	cancel    context.CancelFunc // of the connection's context
 
-	wmu sync.Mutex // one response frame at a time
+	// wmu writes one response frame at a time, the one write the serving
+	// path makes under a mutex. A peer that stops reading holds up only
+	// this connection's replies: the blocked write fails at ioTimeout and
+	// tears the connection down, then each reply queued behind it encodes
+	// its frame and fails at once, while other connections are answered
+	// throughout (TestNothingWaitsOnALockBehindAStall).
+	wmu sync.Mutex
 	enc *gob.Encoder
 
 	mu      sync.Mutex

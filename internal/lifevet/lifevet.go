@@ -1,8 +1,7 @@
 // Package lifevet is the project-invariant static-analysis suite: a
 // dependency-free driver (stdlib go/parser + go/types over `go list
 // -json` package graphs) with analyzers for the invariants no tier-1 test
-// can force a violation of: lock discipline (which rules out lock-order
-// cycles), duration overflow, dropped errors.
+// can force a violation of: duration overflow and dropped errors.
 // Each is documented in docs/ANALYZERS.md, whose § Ledger also names the
 // tests that own the rest; `cmd/lifevet` wires the suite into CI.
 //
@@ -49,7 +48,6 @@ type Analyzer struct {
 // Analyzers returns the full suite in documentation order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		AnalyzerLockDiscipline,
 		AnalyzerDurovf,
 		AnalyzerErrdrop,
 	}

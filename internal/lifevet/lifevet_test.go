@@ -136,16 +136,6 @@ func assertSuppressed(t *testing.T, res Result, n int) {
 	}
 }
 
-func TestLockDisciplineFixture(t *testing.T) {
-	// Disk and channel traffic under a held mutex flagged, including
-	// through the transitive summary; so is every Lock or RLock under
-	// another mutex (both sides of an inversion, one through a helper; a
-	// consistent order; hand-over-hand; RLock under Lock). Unlock-first,
-	// select-with-default, TryLock and release-before-acquire are clean.
-	res := checkFixture(t, "lockdiscipline")
-	assertSuppressed(t, res, 0)
-}
-
 func TestDirectivesFixture(t *testing.T) {
 	// One line directive carrying two checks suppresses both; a
 	// doc-comment directive covers the whole function; stale, unknown,
@@ -172,12 +162,12 @@ func TestErrdropFixture(t *testing.T) {
 }
 
 func TestAnalyzersRegistered(t *testing.T) {
-	// Exactly the three checks no tier-1 test can stand in for, in
-	// documentation order. The invariants of the seven cut ones, context
-	// flow among them, are owned by the tests docs/ANALYZERS.md § Ledger
-	// names, and lockorder's by lockdiscipline's no-lock-under-a-lock
-	// rule; the meta-check names stay reserved.
-	want := []string{"lockdiscipline", "durovf", "errdrop"}
+	// Exactly the two checks no tier-1 test can stand in for, in
+	// documentation order. The invariants of the nine cut ones, context
+	// flow and lock discipline among them, are owned by the tests
+	// docs/ANALYZERS.md § Ledger names; the meta-check names stay
+	// reserved.
+	want := []string{"durovf", "errdrop"}
 	var got []string
 	for _, a := range Analyzers() {
 		if a.Name == "" || a.Doc == "" || a.Run == nil {

@@ -1,16 +1,14 @@
-package core
+package segment
 
 import (
-	"sync"
+	"os"
 	"time"
 )
 
 // both silences two checks with one line-scoped directive.
-func both(mu *sync.Mutex, ch chan time.Duration, ms int64) {
-	mu.Lock()
-	defer mu.Unlock()
-	//lifevet:allow lockdiscipline, durovf -- fixture: one directive, two checks
-	ch <- time.Duration(ms) * time.Millisecond
+func both(f *os.File, ms int64) {
+	//lifevet:allow durovf, errdrop -- fixture: one directive, two checks
+	f.SetDeadline(time.Now().Add(time.Duration(ms) * time.Millisecond))
 }
 
 //lifevet:allow durovf -- fixture: doc-comment directive covers the whole body
