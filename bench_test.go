@@ -90,8 +90,8 @@ func BenchmarkFig7Schedulers(b *testing.B) {
 	b.ReportMetric(ratio, "greedy/noshare-x")
 }
 
-// BenchmarkFig8Saturation regenerates one column of the Figure 8 sweep
-// (all α at the highest saturation).
+// BenchmarkFig8Saturation regenerates one curve of the Figure 8 sweep
+// (all α at the highest saturation) via BuildCurve, as exper.Fig8 does.
 func BenchmarkFig8Saturation(b *testing.B) {
 	e := env(b)
 	cap, err := e.Capacity()
@@ -101,10 +101,11 @@ func BenchmarkFig8Saturation(b *testing.B) {
 	offs := e.PoissonOffsets(1.25 * cap)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, alpha := range []float64{0, 0.25, 0.5, 0.75, 1} {
-			if _, _, err := core.Run(e.Config(alpha), e.Jobs, offs); err != nil {
-				b.Fatal(err)
-			}
+		_, err := core.BuildCurve(core.DefaultAlphas, func(alpha float64) ([]core.Result, core.RunStats, error) {
+			return core.Run(e.Config(alpha), e.Jobs, offs)
+		})
+		if err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -75,18 +75,18 @@ func run(scaleName, expName string, shards int) error {
 		t.Fprint(os.Stdout)
 		return nil
 	}
-	var fig8grid []exper.GridPoint
+	var fig8curves []exper.SaturationCurve
 	all := []experiment{
 		{"fig2", func() error { exper.Fig2(env).Fprint(os.Stdout); return nil }},
 		{"fig5", func() error { exper.Fig5(env).Fprint(os.Stdout); return nil }},
 		{"fig6", func() error { exper.Fig6(env).Fprint(os.Stdout); return nil }},
 		{"fig7", func() error { return show(exper.Fig7(env)) }},
 		{"fig8", func() error {
-			t, grid, err := exper.Fig8(env)
-			fig8grid = grid
+			t, curves, err := exper.Fig8(env)
+			fig8curves = curves
 			return show(t, err)
 		}},
-		{"fig4", func() error { return show(exper.Fig4(env, fig8grid)) }},
+		{"fig4", func() error { return show(exper.Fig4(env, fig8curves)) }},
 		{"indexonly", func() error { return show(exper.IndexOnlyExp(env)) }},
 		{"cache", func() error { return show(exper.CacheHitRates(env)) }},
 		{"ablations", func() error {
@@ -102,11 +102,7 @@ func run(scaleName, expName string, shards int) error {
 			if err := show(exper.AblationQoS(env)); err != nil {
 				return err
 			}
-			if err := show(exper.AblationOverflow(env)); err != nil {
-				return err
-			}
-			exper.AblationVSCAN(env).Fprint(os.Stdout)
-			return nil
+			return show(exper.AblationOverflow(env))
 		}},
 	}
 	if expName == "all" {

@@ -1,13 +1,13 @@
 // Command skygen generates and inspects synthetic SkyQuery workload
-// traces: the query streams the experiments replay (paper §5.1). With
-// -stats it prints the trace's workload characterization — the statistics
-// behind Figures 5 and 6. With -write-segments it builds the on-disk
+// traces: the query streams the experiments replay (paper §5.1). The
+// workload characterization behind Figures 5 and 6 is skybench's
+// -exp fig5 and -exp fig6. With -write-segments it builds the on-disk
 // segment store (internal/segment) a file-backed engine serves real I/O
 // from.
 //
 // Usage:
 //
-//	skygen [-n 2000] [-seed 42] [-stats] [-json]
+//	skygen [-n 2000] [-seed 42] [-json]
 //	skygen -write-segments DIR [-objects 120000] [-genlevel 4] [-bucket 400] [-object-bytes 4096] [-seed 42]
 package main
 
@@ -20,7 +20,6 @@ import (
 
 	"liferaft/internal/bucket"
 	"liferaft/internal/catalog"
-	"liferaft/internal/exper"
 	"liferaft/internal/geom"
 	"liferaft/internal/segment"
 	"liferaft/internal/workload"
@@ -29,7 +28,6 @@ import (
 func main() {
 	n := flag.Int("n", 2000, "number of queries")
 	seed := flag.Int64("seed", 42, "trace seed (and catalog seed for -write-segments)")
-	stats := flag.Bool("stats", false, "print Figure 5/6 workload statistics (builds catalogs)")
 	asJSON := flag.Bool("json", false, "emit the trace as JSON lines")
 	segDir := flag.String("write-segments", "", "build a segment store for a file-backed engine under this directory and exit")
 	objects := flag.Int("objects", 120_000, "catalog size for -write-segments")
@@ -45,7 +43,7 @@ func main() {
 		}
 		return
 	}
-	if err := run(*n, *seed, *stats, *asJSON); err != nil {
+	if err := run(*n, *seed, *asJSON); err != nil {
 		fmt.Fprintf(os.Stderr, "skygen: %v\n", err)
 		os.Exit(1)
 	}
@@ -89,7 +87,7 @@ func writeSegments(dir string, objects int, seed int64, genLevel, perBucket int,
 	return nil
 }
 
-func run(n int, seed int64, stats, asJSON bool) error {
+func run(n int, seed int64, asJSON bool) error {
 	cfg := workload.DefaultTraceConfig(seed)
 	cfg.NumQueries = n
 	trace, err := workload.Generate(cfg)
@@ -128,25 +126,5 @@ func run(n int, seed int64, stats, asJSON bool) error {
 	for i, q := range trace.Queries[:min(5, len(trace.Queries))] {
 		fmt.Printf("  %d: %v\n", i, q)
 	}
-	if !stats {
-		fmt.Println("(run with -stats for the Figure 5/6 workload characterization)")
-		return nil
-	}
-	scale := exper.CI()
-	scale.NumQueries = n
-	scale.Seed = seed
-	env, err := exper.NewEnv(scale)
-	if err != nil {
-		return err
-	}
-	exper.Fig5(env).Fprint(os.Stdout)
-	exper.Fig6(env).Fprint(os.Stdout)
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -7,11 +7,13 @@
 // sequential-versus-random cost asymmetry that the hybrid join strategy
 // (paper §3.4) and the workload throughput metric (Eq. 1) depend on.
 //
-// It also implements the VSCAN(R) disk-head scheduler (Geist & Daniel,
-// TOCS 1987) that inspired LifeRaft's blend of greedy throughput and
-// arrival-order age (paper §3.3): VSCAN(R) scores a request by a convex
-// combination of seek distance and wait time exactly as LifeRaft's aged
-// workload throughput metric blends contention and age.
+// The blend of greedy throughput and arrival-order age that the scheduler
+// charges these costs for is inspired by the VSCAN(R) disk-head scheduler
+// (Geist & Daniel, TOCS 1987; paper §3.3), which scores a request by a
+// convex combination of seek distance and wait time as LifeRaft's aged
+// workload throughput metric blends contention and age. That head
+// scheduler is cited, not implemented: this package holds only the cost
+// model the engine charges.
 //
 // # What a charge means on a clock
 //

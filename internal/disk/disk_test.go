@@ -111,93 +111,3 @@ func TestDiskNilClockDefaultsToReal(t *testing.T) {
 		t.Error("zero read should be free")
 	}
 }
-
-func TestVSCANGreedyPrefersNearest(t *testing.T) {
-	v := NewVSCAN(0, 1000)
-	now := simclock.Epoch
-	v.Add(Request{Cylinder: 900, Arrived: now.Add(-time.Hour), ID: 1}) // old but far
-	v.Add(Request{Cylinder: 10, Arrived: now, ID: 2})                  // new but near
-	req, ok := v.Next(now)
-	if !ok || req.ID != 2 {
-		t.Errorf("R=0 should pick nearest, got %+v", req)
-	}
-	if v.Head() != 10 {
-		t.Errorf("head = %d", v.Head())
-	}
-}
-
-func TestVSCANAgedPrefersOldest(t *testing.T) {
-	v := NewVSCAN(1, 1000)
-	now := simclock.Epoch.Add(time.Hour)
-	v.Add(Request{Cylinder: 900, Arrived: simclock.Epoch, ID: 1}) // old, far
-	v.Add(Request{Cylinder: 10, Arrived: now, ID: 2})             // new, near
-	req, ok := v.Next(now)
-	if !ok || req.ID != 1 {
-		t.Errorf("R=1 should pick oldest, got %+v", req)
-	}
-}
-
-func TestVSCANDrainsAll(t *testing.T) {
-	v := NewVSCAN(0.5, 100)
-	now := simclock.Epoch
-	for i := 0; i < 20; i++ {
-		v.Add(Request{Cylinder: i * 5, Arrived: now, ID: i})
-	}
-	seen := map[int]bool{}
-	for i := 0; i < 20; i++ {
-		req, ok := v.Next(now.Add(time.Duration(i) * time.Second))
-		if !ok {
-			t.Fatal("ran out of requests early")
-		}
-		if seen[req.ID] {
-			t.Fatalf("request %d serviced twice", req.ID)
-		}
-		seen[req.ID] = true
-	}
-	if _, ok := v.Next(now); ok {
-		t.Error("Next on empty should fail")
-	}
-	if v.Pending() != 0 {
-		t.Error("pending should be zero")
-	}
-}
-
-func TestVSCANParamClamping(t *testing.T) {
-	if v := NewVSCAN(-1, 0); v.R != 0 || v.Cylinders != 1 {
-		t.Errorf("clamping failed: %+v", v)
-	}
-	if v := NewVSCAN(2, 10); v.R != 1 {
-		t.Errorf("clamping failed: %+v", v)
-	}
-}
-
-// SSTF (R=0) must yield total seek distance no worse than FIFO-ish aged
-// order (R=1) on a scattered batch: the throughput/fairness trade-off the
-// paper's Eq. 2 mirrors.
-func TestVSCANSeekTradeoff(t *testing.T) {
-	run := func(r float64) int {
-		v := NewVSCAN(r, 1000)
-		now := simclock.Epoch
-		cyls := []int{500, 10, 510, 20, 520, 30, 530, 40}
-		for i, c := range cyls {
-			v.Add(Request{Cylinder: c, Arrived: now.Add(time.Duration(i) * time.Millisecond), ID: i})
-		}
-		total, prev := 0, 0
-		for {
-			req, ok := v.Next(now.Add(time.Hour))
-			if !ok {
-				break
-			}
-			d := req.Cylinder - prev
-			if d < 0 {
-				d = -d
-			}
-			total += d
-			prev = req.Cylinder
-		}
-		return total
-	}
-	if greedy, aged := run(0), run(1); greedy > aged {
-		t.Errorf("SSTF total seek %d should not exceed aged order %d", greedy, aged)
-	}
-}

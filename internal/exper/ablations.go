@@ -3,18 +3,14 @@ package exper
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"liferaft/internal/core"
-	"liferaft/internal/disk"
-	"liferaft/internal/simclock"
 )
 
 // This file contains the ablation studies: design
 // choices the paper fixes (the LRU cache's 20 buckets, the 3% hybrid
 // threshold, most-contentious-first) swept to show why those choices hold,
-// plus the §6 extensions (QoS age depreciation, workload overflow) and the
-// VSCAN(R) analogy of §3.3.
+// plus the §6 extensions (QoS age depreciation, workload overflow).
 
 // AblationCacheSize sweeps the bucket cache capacity at α=0 (the paper
 // fixes 20 buckets). The experiments run on the simulated store, whose
@@ -164,65 +160,6 @@ func AblationOverflow(env *Env) (Table, error) {
 	}
 	t.Notes = append(t.Notes, "answers are unchanged under spilling; only I/O and timing shift")
 	return t, nil
-}
-
-// AblationVSCAN demonstrates the §3.3 analogy quantitatively on the disk
-// head scheduler that inspired Eq. 2: VSCAN(R) at R=0 minimizes total seek
-// (high throughput, starvation-prone) and at R=1 approaches arrival order,
-// exactly mirroring LifeRaft's α.
-func AblationVSCAN(env *Env) Table {
-	t := Table{
-		Title:  "Analogy: VSCAN(R) disk-head scheduling (§3.3)",
-		Header: []string{"R", "total seek (cyl)", "max wait (reqs serviced)"},
-	}
-	for _, r := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		seek, maxWait := runVSCAN(r, env.Scale.Seed)
-		t.Rows = append(t.Rows, []string{f2(r), fmt.Sprintf("%d", seek), fmt.Sprintf("%d", maxWait)})
-	}
-	t.Notes = append(t.Notes, "R blends seek distance with request age as α blends contention with age (Eq. 2)")
-	return t
-}
-
-// runVSCAN replays a fixed scattered request stream through VSCAN(R) and
-// reports total seek distance plus the maximum number of other requests
-// serviced while any single request waited (the starvation proxy).
-func runVSCAN(r float64, seed int64) (totalSeek, maxWait int) {
-	v := disk.NewVSCAN(r, 1000)
-	now := simclock.Epoch
-	// Deterministic scattered batch: two hot tracks plus a spread.
-	id := 0
-	for i := 0; i < 60; i++ {
-		cyl := (i * 37) % 1000
-		if i%3 != 0 {
-			cyl = 100 + (i%2)*700 // clustered hot regions
-		}
-		//lifevet:allow durovf -- paper-figure sweep over fixed small inputs; bounds are the experiment definition
-		v.Add(disk.Request{Cylinder: cyl, Arrived: now.Add(time.Duration(i) * time.Second), ID: id})
-		id++
-	}
-	order := map[int]int{}
-	prev := 0
-	step := 0
-	for {
-		req, ok := v.Next(now.Add(2 * time.Minute))
-		if !ok {
-			break
-		}
-		d := req.Cylinder - prev
-		if d < 0 {
-			d = -d
-		}
-		totalSeek += d
-		prev = req.Cylinder
-		order[req.ID] = step
-		step++
-	}
-	for idx, pos := range order {
-		if wait := pos - idx; wait > maxWait {
-			maxWait = wait
-		}
-	}
-	return totalSeek, maxWait
 }
 
 func medianInt(xs []int) int {

@@ -37,8 +37,6 @@ type Scale struct {
 	NumQueries int
 	// CacheBuckets is the bucket cache capacity (paper: 20).
 	CacheBuckets int
-	// Materialize runs real joins; cost-only mode otherwise.
-	Materialize bool
 	// Shards runs every experiment's engine across K disk/worker
 	// shards (core.Config.Shards); 0 or 1 is the paper's single disk.
 	Shards int
@@ -51,8 +49,7 @@ type Scale struct {
 func CI() Scale {
 	return Scale{
 		Name: "ci", LocalN: 120_000, RemoteFraction: 0.8, GenLevel: 4,
-		ObjectsPerBucket: 400, NumQueries: 600, CacheBuckets: 20,
-		Materialize: false, Seed: 42,
+		ObjectsPerBucket: 400, NumQueries: 600, CacheBuckets: 20, Seed: 42,
 	}
 }
 
@@ -61,8 +58,7 @@ func CI() Scale {
 func Mid() Scale {
 	return Scale{
 		Name: "mid", LocalN: 1_000_000, RemoteFraction: 0.8, GenLevel: 6,
-		ObjectsPerBucket: 500, NumQueries: 2000, CacheBuckets: 20,
-		Materialize: false, Seed: 42,
+		ObjectsPerBucket: 500, NumQueries: 2000, CacheBuckets: 20, Seed: 42,
 	}
 }
 
@@ -71,8 +67,7 @@ func Mid() Scale {
 func Paper() Scale {
 	return Scale{
 		Name: "paper", LocalN: 200_000_000, RemoteFraction: 0.5, GenLevel: 8,
-		ObjectsPerBucket: 10_000, NumQueries: 2000, CacheBuckets: 20,
-		Materialize: false, Seed: 42,
+		ObjectsPerBucket: 10_000, NumQueries: 2000, CacheBuckets: 20, Seed: 42,
 	}
 }
 
@@ -146,9 +141,11 @@ func NewEnv(scale Scale) (*Env, error) {
 	return env, nil
 }
 
-// Config builds an engine config for this environment at the given α.
+// Config builds an engine config for this environment at the given α. The
+// experiments run cost-only: the schedule, not the joins' answers, is what
+// they measure.
 func (e *Env) Config(alpha float64) core.Config {
-	cfg, _ := core.NewVirtual(e.Part, alpha, e.Scale.Materialize)
+	cfg, _ := core.NewVirtual(e.Part, alpha, false)
 	cfg.CacheBuckets = e.Scale.CacheBuckets
 	cfg.Shards = e.Scale.Shards
 	return cfg

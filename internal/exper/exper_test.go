@@ -209,39 +209,42 @@ func TestFig7Shapes(t *testing.T) {
 
 func TestFig8AndFig4(t *testing.T) {
 	env := ciEnv(t)
-	tab, grid, err := Fig8(env)
+	tab, curves, err := Fig8(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(grid) != 25 || len(tab.Rows) != 25 {
-		t.Fatalf("grid size %d, want 25", len(grid))
+	if len(curves) != 5 || len(tab.Rows) != 25 {
+		t.Fatalf("%d curves and %d rows, want 5 and 25", len(curves), len(tab.Rows))
+	}
+	for _, c := range curves {
+		if len(c.Points) != 5 {
+			t.Fatalf("curve at %.3f q/s has %d points, want 5", c.Saturation, len(c.Points))
+		}
 	}
 	// Throughput rises with saturation for the greedy scheduler.
 	var greedyT []float64
-	for _, p := range grid {
-		if p.Alpha == 0 {
-			greedyT = append(greedyT, p.Throughput)
-		}
+	for _, c := range curves {
+		greedyT = append(greedyT, c.Points[0].Throughput)
 	}
 	if greedyT[len(greedyT)-1] <= greedyT[0] {
 		t.Errorf("greedy throughput should rise with saturation: %v", greedyT)
 	}
 	// At the highest saturation the α-gap is material (paper: α=0 tops
 	// α=1 by ~1.24x; CI scale compresses the gap).
-	last := grid[20:]
+	first, last := curves[0].Points, curves[4].Points
 	if last[0].Throughput < 1.02*last[4].Throughput {
 		t.Errorf("at high saturation α=0 (%.3f) should beat α=1 (%.3f)",
 			last[0].Throughput, last[4].Throughput)
 	}
 	// And the gap must widen with saturation: at the lowest saturation
 	// the schedulers are within noise of each other.
-	lowGap := grid[0].Throughput / grid[4].Throughput
+	lowGap := first[0].Throughput / first[4].Throughput
 	highGap := last[0].Throughput / last[4].Throughput
 	if highGap < lowGap {
 		t.Errorf("throughput gap should widen with saturation: low %.3f high %.3f", lowGap, highGap)
 	}
 
-	tab4, err := Fig4(env, grid)
+	tab4, err := Fig4(env, curves)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +260,7 @@ func TestFig8AndFig4(t *testing.T) {
 			}
 		}
 	}
-	// Fig4 also runs standalone (building its own grid).
+	// Fig4 also runs standalone (running Figure 8's sweep itself).
 	if _, err := Fig4(env, nil); err != nil {
 		t.Error(err)
 	}
@@ -316,17 +319,6 @@ func TestAblations(t *testing.T) {
 	}
 	if cell(t, ovf, 2, 2) == 0 {
 		t.Error("tight cap should spill objects")
-	}
-	vs := AblationVSCAN(env)
-	if len(vs.Rows) != 5 {
-		t.Fatal("VSCAN rows")
-	}
-	// Seek grows and starvation shrinks as R rises.
-	if cell(t, vs, 0, 1) > cell(t, vs, 4, 1) {
-		t.Error("R=0 should have the smallest total seek")
-	}
-	if cell(t, vs, 0, 2) < cell(t, vs, 4, 2) {
-		t.Error("R=0 should starve more than R=1")
 	}
 }
 

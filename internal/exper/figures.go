@@ -260,49 +260,23 @@ func Fig7(env *Env) (Table, error) {
 	return t, nil
 }
 
-// GridPoint is one (saturation, α) cell of the Figure 8 sweep.
-type GridPoint struct {
+// SaturationCurve is one saturation's trade-off curve of the Figure 8
+// sweep: the workload replayed at each of core.DefaultAlphas.
+type SaturationCurve struct {
 	Saturation float64 // queries/sec
-	Alpha      float64
-	Throughput float64
-	RespMean   float64
-}
-
-// Fig8Grid sweeps arrival rate × age bias. Rates are chosen as the same
-// fractions of system capacity the paper's 0.1–0.5 q/s represent relative
-// to its ~0.4 q/s maximum, so the sweep transfers across scales.
-func Fig8Grid(env *Env) ([]GridPoint, error) {
-	capacity, err := env.Capacity()
-	if err != nil {
-		return nil, err
-	}
-	fractions := []float64{0.25, 0.33, 0.42, 0.62, 1.25} // = paper's 0.1..0.5 over 0.4
-	alphas := []float64{0, 0.25, 0.5, 0.75, 1.0}
-	var grid []GridPoint
-	for _, f := range fractions {
-		rate := f * capacity
-		offs := env.PoissonOffsets(rate)
-		for _, a := range alphas {
-			res, stats, err := core.Run(env.Config(a), env.Jobs, offs)
-			if err != nil {
-				return nil, err
-			}
-			grid = append(grid, GridPoint{
-				Saturation: rate, Alpha: a,
-				Throughput: stats.Throughput(), RespMean: respSummary(res).Mean,
-			})
-		}
-	}
-	return grid, nil
+	Points     stats.Curve
 }
 
 // Fig8 regenerates Figure 8: throughput (a) and response time (b) versus
-// workload saturation for each α. The paper's findings: the throughput gap
-// across α widens with saturation, while the response-time gap stays
-// comparatively flat; raising α is progressively more attractive at lower
-// saturation.
-func Fig8(env *Env) (Table, []GridPoint, error) {
-	grid, err := Fig8Grid(env)
+// workload saturation for each α. Each saturation's curve is measured by
+// core.BuildCurve, the §4 calibration step. Rates are chosen as the same
+// fractions of system capacity the paper's 0.1–0.5 q/s represent relative
+// to its ~0.4 q/s maximum, so the sweep transfers across scales. The
+// paper's findings: the throughput gap across α widens with saturation,
+// while the response-time gap stays comparatively flat; raising α is
+// progressively more attractive at lower saturation.
+func Fig8(env *Env) (Table, []SaturationCurve, error) {
+	capacity, err := env.Capacity()
 	if err != nil {
 		return Table{}, nil, err
 	}
@@ -310,64 +284,71 @@ func Fig8(env *Env) (Table, []GridPoint, error) {
 		Title:  "Figure 8: parameter selection by workload saturation",
 		Header: []string{"saturation (q/s)", "alpha", "throughput (q/s)", "mean resp (s)"},
 	}
-	for _, p := range grid {
-		t.Rows = append(t.Rows, []string{f3(p.Saturation), f2(p.Alpha), f3(p.Throughput), f2(p.RespMean)})
+	var curves []SaturationCurve
+	for _, f := range []float64{0.25, 0.33, 0.42, 0.62, 1.25} { // = paper's 0.1..0.5 over 0.4
+		rate := f * capacity
+		offs := env.PoissonOffsets(rate)
+		curve, err := core.BuildCurve(core.DefaultAlphas, func(alpha float64) ([]core.Result, core.RunStats, error) {
+			return core.Run(env.Config(alpha), env.Jobs, offs)
+		})
+		if err != nil {
+			return Table{}, nil, err
+		}
+		curves = append(curves, SaturationCurve{Saturation: rate, Points: curve})
+		for _, p := range curve {
+			t.Rows = append(t.Rows, []string{f3(rate), f2(p.Alpha), f3(p.Throughput), f2(p.RespTime)})
+		}
 	}
 	// The §5.2 trade-off observation: moving α 0→1 at the lowest
 	// saturation costs little throughput but cuts response time a lot.
-	lo := grid[:5]
-	dropT := 1 - lo[4].Throughput/lo[0].Throughput
-	dropR := 1 - lo[4].RespMean/lo[0].RespMean
+	lo := curves[0].Points
+	dropT := 1 - lo[len(lo)-1].Throughput/lo[0].Throughput
+	dropR := 1 - lo[len(lo)-1].RespTime/lo[0].RespTime
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"at the lowest saturation, α 0→1 sacrifices %s throughput for a %s response-time cut (paper: 7%% for 54%%)",
 		pct(dropT), pct(dropR)))
-	return t, grid, nil
+	return t, curves, nil
 }
 
 // Fig4 regenerates Figure 4: normalized throughput/response trade-off
-// curves at low and high saturation, and the α each curve selects under a
-// 20% throughput tolerance (paper: α=1.0 at low saturation, α=0.25 at
-// high).
-func Fig4(env *Env, grid []GridPoint) (Table, error) {
-	if grid == nil {
+// curves at low and high saturation, and the α a core.Tuner selects from
+// each under a 20% throughput tolerance (paper: α=1.0 at low saturation,
+// α=0.25 at high). With nil curves it runs Figure 8's sweep itself.
+func Fig4(env *Env, curves []SaturationCurve) (Table, error) {
+	if curves == nil {
 		var err error
-		grid, err = Fig8Grid(env)
-		if err != nil {
+		if _, curves, err = Fig8(env); err != nil {
 			return Table{}, err
 		}
 	}
-	sats := map[float64]stats.Curve{}
-	var ordered []float64
-	for _, p := range grid {
-		if _, ok := sats[p.Saturation]; !ok {
-			ordered = append(ordered, p.Saturation)
+	if len(curves) < 2 {
+		return Table{}, fmt.Errorf("exper: %d saturation curves, need >= 2", len(curves))
+	}
+	tuner, err := core.NewTuner(0.20)
+	if err != nil {
+		return Table{}, err
+	}
+	for _, c := range curves {
+		if err := tuner.AddCurve(c.Saturation, c.Points); err != nil {
+			return Table{}, err
 		}
-		sats[p.Saturation] = append(sats[p.Saturation], stats.TradeoffPoint{
-			Alpha: p.Alpha, Throughput: p.Throughput, RespTime: p.RespMean,
-		})
 	}
-	if len(ordered) < 2 {
-		return Table{}, fmt.Errorf("exper: grid has %d saturations, need >= 2", len(ordered))
-	}
-	low, high := ordered[0], ordered[len(ordered)-1]
 	t := Table{
 		Title:  "Figure 4: trade-off curves by saturation (normalized)",
 		Header: []string{"saturation", "alpha", "norm throughput", "norm resp"},
 	}
-	for _, s := range []float64{low, high} {
-		label := "low"
-		if s == high {
-			label = "high"
-		}
-		for _, p := range sats[s].Normalized() {
+	for _, end := range []struct {
+		label, paper string
+		c            SaturationCurve
+	}{{"low", "1.0", curves[0]}, {"high", "0.25", curves[len(curves)-1]}} {
+		for _, p := range end.c.Points.Normalized() {
 			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("%s (%.3f q/s)", label, s), f2(p.Alpha), f2(p.Throughput), f2(p.RespTime),
+				fmt.Sprintf("%s (%.3f q/s)", end.label, end.c.Saturation), f2(p.Alpha), f2(p.Throughput), f2(p.RespTime),
 			})
 		}
-		if pick, err := sats[s].PickAlpha(0.20); err == nil {
+		if alpha, err := tuner.Alpha(end.c.Saturation); err == nil {
 			t.Notes = append(t.Notes, fmt.Sprintf(
-				"%s saturation, 20%% tolerance selects α=%.2f (paper: %s)",
-				label, pick.Alpha, map[string]string{"low": "1.0", "high": "0.25"}[label]))
+				"%s saturation, 20%% tolerance selects α=%.2f (paper: %s)", end.label, alpha, end.paper))
 		}
 	}
 	return t, nil

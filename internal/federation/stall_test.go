@@ -2,6 +2,7 @@ package federation
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -163,9 +164,9 @@ func TestNothingWaitsOnALockBehindAStall(t *testing.T) {
 				if s.completed(func(c completion) bool { return c.kind == "second" && c.ok && c.at.After(reached) }) == 0 {
 					t.Error("no request on the second connection was answered while the first stalled")
 				}
-				// ...and the replies queued behind it take wmu in turn, each
-				// encoding its frame before its write fails.
-				within(t, reached.Add(seamIOTimeout+replyEncodeSlack), "the replies queued behind the stalled write returned",
+				// ...and the replies queued behind it take wmu in turn and
+				// return without encoding, within the same bound.
+				within(t, reached.Add(seamIOTimeout+300*time.Millisecond), "the replies queued behind the stalled write returned",
 					func() bool { return waits.still(isReply) == "" })
 			},
 		},
@@ -222,16 +223,109 @@ const (
 	// seamIOTimeout is the hop's ioTimeout in these rows: long enough for
 	// both dumps, short enough to wait out.
 	seamIOTimeout = 1500 * time.Millisecond
-	// replyEncodeSlack bounds the encoding of the replies queued behind a
-	// stalled write: past ioTimeout each takes wmu in turn and encodes its
-	// frame before its write fails on the torn connection.
-	replyEncodeSlack = 2500 * time.Millisecond
 	// shardStepBound bounds one shard step: from a stalled Fill's return
 	// until the engine's callers no longer wait on its lock.
 	shardStepBound = 5 * time.Second
 	// inboxSlots is a shard worker's inbox capacity.
 	inboxSlots = 1024
 )
+
+// TestExpiredRequestSparesTheSharedConnection: a request's context bounds
+// its wait for the write token and for its reply, never its frame write. A
+// failed write tears the frame stream and retires the multiplexed
+// connection with every request pending on it, so a deadline that expires
+// while a proxy holds one request's frame must fail that request alone:
+// the eight pending beside it are answered on the connection, dialed once.
+func TestExpiredRequestSparesTheSharedConnection(t *testing.T) {
+	f := newFixture(t)
+	srv, err := Serve(f.sdss, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c2s, s2c := newStall(), newStall()
+	proxy := newStallProxy(t, srv.Addr().String(), c2s, s2c)
+	defer proxy.close()
+	defer c2s.end()
+	defer s2c.end()
+	cli := DialTimeout(proxy.ln.Addr().String(), 10*time.Second)
+	defer cli.Close()
+	if _, err := cli.Archive(); err != nil {
+		t.Fatal(err)
+	}
+	// The proxy's reader is inside a read when the stall starts: one more
+	// reply gets through before it parks.
+	s2c.start()
+	if _, err := cli.Archive(); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "the proxy holds the replies", s2c.reached)
+
+	eight := make(chan error, 8)
+	for i := range 8 {
+		go func() {
+			_, err := cli.ExtractCtx(context.Background(),
+				ExtractRequest{QueryID: uint64(i + 1), RA: 150, Dec: 20, RadiusDeg: 1, Selectivity: 1, Seed: 1})
+			eight <- err
+		}()
+	}
+	eventually(t, "eight requests are written and pending", func() bool { return len(cli.wtok) == 0 && pendingOn(cli) == 8 })
+
+	// A 7 MB frame: the sockets' buffers hold a few megabytes, so its write
+	// blocks while the proxy holds the bytes. Its radius makes the node
+	// refuse it once it arrives.
+	c2s.start()
+	big := make([]Object, 150_000)
+	obj := shipped(t, f, 150, 1)[0]
+	for i := range big {
+		big[i] = obj
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+	defer cancel()
+	ninth := make(chan error, 1)
+	go func() {
+		_, err := cli.MatchCtx(ctx, MatchRequest{QueryID: 9, Objects: big})
+		ninth <- err
+	}()
+	eventually(t, "the ninth request's frame write is held", func() bool {
+		return dumpHas("IO wait", "net.(*conn).Write", "liferaft/internal/federation.(*clientConn).write")
+	})
+	<-ctx.Done()
+	time.Sleep(50 * time.Millisecond) // a write bounded by the deadline has failed by now
+	if !dumpHas("IO wait", "net.(*conn).Write", "liferaft/internal/federation.(*clientConn).write") {
+		t.Error("the held frame write ended with the request's deadline")
+	}
+	c2s.end()
+	s2c.end()
+
+	if err := <-ninth; !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("the expired request returned %v, want its context's error", err)
+	}
+	for range 8 {
+		if err := <-eight; err != nil {
+			t.Errorf("a request pending beside the expired one failed: %v", err)
+		}
+	}
+	proxy.mu.Lock()
+	dials := len(proxy.conns) / 2
+	proxy.mu.Unlock()
+	if dials != 1 {
+		t.Errorf("the client dialed %d times, want 1", dials)
+	}
+}
+
+// pendingOn counts the requests pending on c's connection.
+func pendingOn(c *Client) int {
+	c.mu.Lock()
+	cc := c.cur
+	c.mu.Unlock()
+	if cc == nil {
+		return 0
+	}
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	return len(cc.pending)
+}
 
 // seamStack is one row's node and its traffic. The node is realClockNode's
 // sdss node built by hand: at K = 2 over a segment store whose backend
@@ -317,14 +411,8 @@ func newSeamStack(t *testing.T, part *bucket.Partition, dir string, objs [][]Obj
 		s.rec.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/debug/traces", nil))
 		return nil
 	})
-	// Requests on the stalled connection give up by a cancel, not by a
-	// deadline: a deadline bounds the request's frame write too, and a
-	// write that fails, even before its first byte, retires the connection
-	// and every request pending on it, which would end the stall the row
-	// holds.
 	s.run("hop", 5*time.Millisecond, func() error {
-		ctx, cancel := context.WithCancel(s.ctx)
-		defer time.AfterFunc(150*time.Millisecond, cancel).Stop()
+		ctx, cancel := context.WithTimeout(s.ctx, 150*time.Millisecond)
 		defer cancel()
 		_, err := s.hop.MatchCtx(ctx, s.match(s.nextQuery.Add(1), "a"))
 		return err

@@ -178,14 +178,16 @@ type serverConn struct {
 	node      *Node
 	conn      net.Conn
 	ioTimeout time.Duration
-	cancel    context.CancelFunc // of the connection's context
+	ctx       context.Context    // the connection's: done once it is torn
+	cancel    context.CancelFunc // of ctx
 
 	// wmu writes one response frame at a time, the one write the serving
 	// path makes under a mutex. A peer that stops reading holds up only
 	// this connection's replies: the blocked write fails at ioTimeout and
-	// tears the connection down, then each reply queued behind it encodes
-	// its frame and fails at once, while other connections are answered
-	// throughout (TestNothingWaitsOnALockBehindAStall).
+	// tears the connection down, then each reply queued behind it takes
+	// wmu, sees the connection torn and returns without encoding its
+	// frame, while other connections are answered throughout
+	// (TestNothingWaitsOnALockBehindAStall).
 	wmu sync.Mutex
 	enc *gob.Encoder
 
@@ -205,7 +207,7 @@ func (s *Server) handle(conn net.Conn) {
 	ctx, cancel := context.WithCancel(s.ctx)
 	var requests sync.WaitGroup
 	defer func() {
-		cancel()
+		cancel() // before the socket closes: reply stops encoding first
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
@@ -227,7 +229,7 @@ func (s *Server) handle(conn net.Conn) {
 	conn.SetDeadline(time.Time{})
 	sc := &serverConn{
 		node: s.node, conn: conn, ioTimeout: s.ioTimeout,
-		cancel: cancel, enc: gob.NewEncoder(conn),
+		ctx: ctx, cancel: cancel, enc: gob.NewEncoder(conn),
 		running: make(map[uint64]context.CancelFunc),
 	}
 	slots := make(chan struct{}, maxInFlight)
@@ -341,10 +343,15 @@ func (sc *serverConn) serve(ctx context.Context, req rpcRequest) {
 // been serviced, and a peer that stopped reading must not wedge the
 // writers. A failed write leaves the response stream torn, so it ends the
 // connection — the context for the requests still running, the socket for
-// the decode loop; reply reports whether the frame was written.
+// the decode loop; reply reports whether the frame was written. Once the
+// connection's context is done the stream is torn or closing, and reply
+// returns without encoding.
 func (sc *serverConn) reply(resp *rpcResponse) bool {
 	sc.wmu.Lock()
 	defer sc.wmu.Unlock()
+	if sc.ctx.Err() != nil {
+		return false
+	}
 	sc.conn.SetWriteDeadline(time.Now().Add(sc.ioTimeout))
 	if err := sc.enc.Encode(resp); err != nil {
 		sc.cancel()
@@ -380,10 +387,11 @@ type Client struct {
 
 // clientConn is one established connection and the requests pending on it.
 type clientConn struct {
-	conn net.Conn
-	enc  *gob.Encoder   // used by the write-token holder only
-	dead chan struct{}  // closed when the connection is retired
-	wg   sync.WaitGroup // the reader and the cancel senders
+	conn    net.Conn
+	timeout time.Duration  // the client's: bounds each frame write
+	enc     *gob.Encoder   // used by the write-token holder only
+	dead    chan struct{}  // closed when the connection is retired
+	wg      sync.WaitGroup // the reader and the cancel senders
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -440,7 +448,7 @@ func (c *Client) dial(ctx context.Context) (*clientConn, error) {
 	// request has its timer, and every frame written its write deadline.
 	conn.SetDeadline(time.Time{})
 	cc := &clientConn{
-		conn: conn, enc: gob.NewEncoder(conn), dead: make(chan struct{}),
+		conn: conn, timeout: c.timeout, enc: gob.NewEncoder(conn), dead: make(chan struct{}),
 		pending: make(map[uint64]chan rpcResponse),
 	}
 	c.mu.Lock()
@@ -533,10 +541,12 @@ func (cc *clientConn) register(req *rpcRequest) (chan rpcResponse, error) {
 	return reply, nil
 }
 
-// write encodes one frame under a write deadline of its own. The caller
-// holds the write token.
-func (cc *clientConn) write(deadline time.Time, req *rpcRequest) error {
-	cc.conn.SetWriteDeadline(deadline)
+// write encodes one frame under the client timeout, never a request's own
+// deadline: a write that fails leaves the frame stream torn and retires the
+// connection, so one request's deadline must not end the requests sharing
+// it. The caller holds the write token.
+func (cc *clientConn) write(req *rpcRequest) error {
+	cc.conn.SetWriteDeadline(time.Now().Add(cc.timeout))
 	if err := cc.enc.Encode(req); err != nil {
 		return fmt.Errorf("federation: send: %w", err)
 	}
@@ -545,7 +555,7 @@ func (cc *clientConn) write(deadline time.Time, req *rpcRequest) error {
 
 // send registers req on the client's connection, dialing if there is none,
 // and writes its frame. The caller holds the write token.
-func (c *Client) send(ctx context.Context, deadline time.Time, req *rpcRequest) (*clientConn, chan rpcResponse, error) {
+func (c *Client) send(ctx context.Context, req *rpcRequest) (*clientConn, chan rpcResponse, error) {
 	for {
 		c.mu.Lock()
 		cc := c.cur
@@ -559,7 +569,7 @@ func (c *Client) send(ctx context.Context, deadline time.Time, req *rpcRequest) 
 		}
 		reply, err := cc.register(req)
 		if err == nil {
-			if err = cc.write(deadline, req); err == nil {
+			if err = cc.write(req); err == nil {
 				return cc, reply, nil
 			}
 			c.retire(cc, err)
@@ -597,7 +607,7 @@ func (c *Client) abandon(cc *clientConn, id uint64) {
 		case <-cc.dead:
 			return
 		}
-		err := cc.write(time.Now().Add(c.timeout), &rpcRequest{ID: id, Kind: "cancel"})
+		err := cc.write(&rpcRequest{ID: id, Kind: "cancel"})
 		<-c.wtok
 		if err != nil {
 			c.retire(cc, err)
@@ -606,11 +616,13 @@ func (c *Client) abandon(cc *clientConn, id uint64) {
 }
 
 // roundTripCtx sends one request and waits for its response, for the
-// context, or for the client timeout, whichever comes first. The dial and
-// handshake end with the client timeout or the context, and the frame
-// write runs under the earlier of the client timeout and the context
-// deadline. Giving up — cancellation or timeout — sends a
-// cancel frame and returns at once; the connection stays up.
+// context, or for the client timeout, whichever comes first. The context
+// bounds the wait for the write token and for the response, and the dial
+// and handshake end with it too; the frame write runs under the client
+// timeout alone (see write). A request whose context is done by the time it
+// holds the token returns without writing. Giving up — cancellation or
+// timeout — sends a cancel frame and returns at once; the connection stays
+// up.
 func (c *Client) roundTripCtx(ctx context.Context, req rpcRequest) (_ rpcResponse, err error) {
 	done := c.obs.begin(req.Kind)
 	defer func() { done(err) }()
@@ -619,10 +631,6 @@ func (c *Client) roundTripCtx(ctx context.Context, req rpcRequest) (_ rpcRespons
 	}
 	timer := time.NewTimer(c.timeout)
 	defer timer.Stop()
-	deadline := time.Now().Add(c.timeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
 	gaveUp := func(cause error) (rpcResponse, error) {
 		return rpcResponse{}, fmt.Errorf("federation: %s at %s: %w", req.Kind, c.addr, cause)
 	}
@@ -634,7 +642,11 @@ func (c *Client) roundTripCtx(ctx context.Context, req rpcRequest) (_ rpcRespons
 	case <-timer.C:
 		return gaveUp(os.ErrDeadlineExceeded)
 	}
-	cc, reply, err := c.send(ctx, deadline, &req)
+	if err := ctx.Err(); err != nil { // done as the token came free
+		<-c.wtok
+		return gaveUp(err)
+	}
+	cc, reply, err := c.send(ctx, &req)
 	<-c.wtok
 	if err != nil {
 		return rpcResponse{}, err

@@ -213,41 +213,6 @@ func (s *Set) NumBuckets() int { return s.man.NumBuckets }
 // ObjectBytes returns the on-disk record stride.
 func (s *Set) ObjectBytes() int64 { return s.man.ObjectBytes }
 
-// Geometry describes the store's recorded layout and catalog
-// provenance, from the manifest.
-type Geometry struct {
-	// Catalog is the archive name the store was built from.
-	Catalog string
-	// TotalObjects, NumBuckets, PerBucket, and ObjectBytes are the
-	// partition geometry.
-	TotalObjects int64
-	NumBuckets   int
-	PerBucket    int
-	ObjectBytes  int64
-	// GenLevel and Seed identify a base survey's content exactly;
-	// Derived marks a store whose catalog additionally depends on a
-	// base survey (so Seed alone cannot re-synthesize it).
-	GenLevel int
-	Seed     int64
-	Derived  bool
-}
-
-// Geometry returns the store's recorded geometry, letting a tool that
-// holds only the directory rebuild the matching catalog and partition
-// (for a non-Derived store).
-func (s *Set) Geometry() Geometry {
-	return Geometry{
-		Catalog:      s.man.Catalog,
-		TotalObjects: s.man.TotalObjects,
-		NumBuckets:   s.man.NumBuckets,
-		PerBucket:    s.man.PerBucket,
-		ObjectBytes:  s.man.ObjectBytes,
-		GenLevel:     s.man.GenLevel,
-		Seed:         s.man.Seed,
-		Derived:      s.man.Derived,
-	}
-}
-
 // Validate checks the set's recorded geometry and provenance against a
 // partition; a store built for a different catalog, bucket size, or
 // object stride — or from a different seed or materialization level,

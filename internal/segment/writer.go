@@ -40,9 +40,8 @@ type WriteStats struct {
 
 // manifest is the directory-level completion marker and geometry
 // record. Readers validate it against the partition they serve;
-// GenLevel/Seed/Derived record the catalog's provenance so a tool
-// holding only the directory can re-synthesize the base survey the
-// store was built from (see Set.Geometry).
+// GenLevel/Seed/Derived record the catalog's provenance, so a store
+// synthesized from another seed or level is refused (see Set.Validate).
 type manifest struct {
 	FormatVersion     int      `json:"format_version"`
 	Catalog           string   `json:"catalog"`

@@ -36,10 +36,10 @@ import (
 )
 
 // Engine is the scheduling engine the serving layer feeds; *core.Live
-// (any shard count) implements it.
+// (any shard count) implements it. The serving layer withdraws a query by
+// ending the context it submitted the query with.
 type Engine interface {
 	SubmitCtx(ctx context.Context, job core.Job) (<-chan core.Result, error)
-	Cancel(id uint64) error
 	Clock() simclock.Clock
 }
 
