@@ -19,13 +19,6 @@
 // row (| `liferaft_...` | ...) must name a registered family. Deleting a
 // flag or a metric without its row breaks the build.
 //
-// It also keeps docs/ANALYZERS.md in lockstep with the static-analysis
-// suite, in both directions: every analyzer lifevet registers (plus the
-// stale-directive meta-check) must have a `## `name“
-// section there, and every such section must name one of them, so adding
-// an analyzer without documenting it, or cutting one and leaving its
-// section behind, breaks the build.
-//
 // And it keeps Go comments pointing at documents that exist: a comment
 // that names a `*.md` path must name a file, looked up relative to the
 // commenting file's directory first and then the module root, so a doc
@@ -52,14 +45,9 @@ import (
 	"slices"
 	"sort"
 	"strings"
-
-	"liferaft/internal/lifevet"
 )
 
-const (
-	manualPath    = "docs/OPERATIONS.md"
-	analyzersPath = "docs/ANALYZERS.md"
-)
+const manualPath = "docs/OPERATIONS.md"
 
 // flagRe matches a flag registration and captures the flag name: the
 // first string literal on the line of flag.String("name", ...) or
@@ -77,10 +65,6 @@ var metricRe = regexp.MustCompile(`"(liferaft_[a-z0-9_]+)"`)
 // ...) or mux.HandleFunc("/path", ...) — and captures the path.
 var endpointRe = regexp.MustCompile(`\.Handle(?:Func)?\(\s*"(/[^"
 ]+)"`)
-
-// sectionRe matches an analyzer section heading in the analyzer manual,
-// "## `name` — ...", and captures the name.
-var sectionRe = regexp.MustCompile("(?m)^## `([^`]+)`")
 
 // binaryHeadingRe matches a binary's flag section in the manual,
 // "### liferaftd — ...", and captures the binary's name.
@@ -122,15 +106,11 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("reading the manual: %w (run from the repository root)", err)
 	}
-	analyzersDoc, err := os.ReadFile(analyzersPath)
-	if err != nil {
-		return fmt.Errorf("reading the analyzer manual: %w (run from the repository root)", err)
-	}
 	inv, err := collectInventory(".")
 	if err != nil {
 		return err
 	}
-	missing, checks := audit(inv, string(manual), string(analyzersDoc))
+	missing := audit(inv, string(manual))
 	dangling, err := danglingDocRefs(".")
 	if err != nil {
 		return err
@@ -140,10 +120,10 @@ func run() error {
 		for _, line := range missing {
 			fmt.Fprintln(os.Stderr, "docdrift:", line)
 		}
-		return fmt.Errorf("%d undocumented, stale or dangling name(s) — fix %s, %s or the comments named", len(missing), manualPath, analyzersPath)
+		return fmt.Errorf("%d undocumented, stale or dangling name(s) — fix %s or the comments named", len(missing), manualPath)
 	}
-	fmt.Printf("docdrift: %s covers all %d flags, %d metric families, %d endpoints, and names no other flag or metric; %s covers all %d analyzers; every .md file a Go comment names exists\n",
-		manualPath, len(inv.flags), len(inv.metrics), len(inv.endpoints), analyzersPath, checks)
+	fmt.Printf("docdrift: %s covers all %d flags, %d metric families, %d endpoints, and names no other flag or metric; every .md file a Go comment names exists\n",
+		manualPath, len(inv.flags), len(inv.metrics), len(inv.endpoints))
 	return nil
 }
 
@@ -236,10 +216,8 @@ func collectInventory(root string) (inventory, error) {
 	return inv, nil
 }
 
-// audit checks the manual and the analyzer manual against inv and the
-// registered analyzers. It returns every problem, sorted, and the number
-// of analyzer checks it looked for.
-func audit(inv inventory, doc, analyzersDoc string) (missing []string, checks int) {
+// audit checks the manual against inv. It returns every problem, sorted.
+func audit(inv inventory, doc string) (missing []string) {
 	for _, f := range inv.flags {
 		// Flags are documented backticked with their dash: `-slo-p99`.
 		if !strings.Contains(doc, "`-"+f.name+"`") {
@@ -270,27 +248,8 @@ func audit(inv inventory, doc, analyzersDoc string) (missing []string, checks in
 
 	missing = append(missing, staleRows(inv, doc)...)
 
-	// Analyzer coverage: the registry in internal/lifevet is the ground
-	// truth (imported directly, no regex), and every entry — plus the
-	// stale-directive meta-check — needs its own section heading.
-	names := []string{lifevet.StaleDirectiveCheck}
-	for _, a := range lifevet.Analyzers() {
-		names = append(names, a.Name)
-	}
-	for _, name := range names {
-		if !strings.Contains(analyzersDoc, "## `"+name+"`") {
-			missing = append(missing, fmt.Sprintf("analyzer %s (registered in internal/lifevet) has no \"## `%s`\" section in %s", name, name, analyzersPath))
-		}
-	}
-	// And the reverse: a section for a check lifevet no longer registers
-	// documents an invariant nothing enforces.
-	for _, m := range sectionRe.FindAllStringSubmatch(analyzersDoc, -1) {
-		if !slices.Contains(names, m[1]) {
-			missing = append(missing, fmt.Sprintf("section \"## `%s`\" in %s names no registered analyzer or meta-check", m[1], analyzersPath))
-		}
-	}
 	sort.Strings(missing)
-	return missing, len(names)
+	return missing
 }
 
 // staleRows walks the manual's tables (fenced code blocks skipped) and

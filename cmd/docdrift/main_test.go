@@ -9,21 +9,18 @@ import (
 
 const repoRoot = "../.."
 
-// manuals returns the inventory of the repository and its two manuals.
-func manuals(t *testing.T) (inventory, string, string) {
+// manual returns the inventory of the repository and its manual.
+func manual(t *testing.T) (inventory, string) {
 	t.Helper()
 	inv, err := collectInventory(repoRoot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	read := func(path string) string {
-		b, err := os.ReadFile(filepath.Join(repoRoot, path))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
+	b, err := os.ReadFile(filepath.Join(repoRoot, manualPath))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return inv, read(manualPath), read(analyzersPath)
+	return inv, string(b)
 }
 
 // plantAfter inserts row on the line after the first line of doc that
@@ -39,9 +36,9 @@ func plantAfter(t *testing.T, doc, anchor, row string) string {
 }
 
 func TestManualsMatchTheTree(t *testing.T) {
-	inv, doc, analyzersDoc := manuals(t)
-	if missing, _ := audit(inv, doc, analyzersDoc); len(missing) > 0 {
-		t.Fatalf("docdrift fails on the committed manuals:\n%s", strings.Join(missing, "\n"))
+	inv, doc := manual(t)
+	if missing := audit(inv, doc); len(missing) > 0 {
+		t.Fatalf("docdrift fails on the committed manual:\n%s", strings.Join(missing, "\n"))
 	}
 }
 
@@ -49,7 +46,7 @@ func TestManualsMatchTheTree(t *testing.T) {
 // flag row is checked against its own binary: -data-dir is a liferaftd
 // flag, so it passes there and fails under skybench.
 func TestStaleRowsFail(t *testing.T) {
-	inv, doc, analyzersDoc := manuals(t)
+	inv, doc := manual(t)
 	for _, tc := range []struct {
 		name, anchor, row, want string
 	}{
@@ -63,14 +60,14 @@ func TestStaleRowsFail(t *testing.T) {
 			"flag row -cache sits under no"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			missing, _ := audit(inv, plantAfter(t, doc, tc.anchor, tc.row), analyzersDoc)
+			missing := audit(inv, plantAfter(t, doc, tc.anchor, tc.row))
 			if len(missing) != 1 || !strings.Contains(missing[0], tc.want) {
 				t.Fatalf("audit = %q, want one problem containing %q", missing, tc.want)
 			}
 		})
 	}
 	live := plantAfter(t, doc, "| `-addr` |", "| `-data-dir` | (empty) | segment store |")
-	if missing, _ := audit(inv, live, analyzersDoc); len(missing) > 0 {
+	if missing := audit(inv, live); len(missing) > 0 {
 		t.Fatalf("a row for a flag liferaftd registers was refused: %q", missing)
 	}
 }

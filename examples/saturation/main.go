@@ -90,7 +90,6 @@ func main() {
 	est, _ := liferaft.NewSaturationEstimator(time.Minute)
 	now := time.Now()
 	for i := 0; i < 100; i++ {
-		//lifevet:allow durovf -- demo binary: i counts a fixed 100-query burst
 		est.Observe(now.Add(time.Duration(i) * 250 * time.Millisecond)) // 4 q/s burst
 	}
 	alpha, _ := tuner.Alpha(est.Rate())

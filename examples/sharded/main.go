@@ -54,7 +54,6 @@ func main() {
 	// A saturating stream: one arrival per virtual millisecond.
 	offs := make([]time.Duration, len(jobs))
 	for i := range offs {
-		//lifevet:allow durovf -- demo binary: i indexes the generated job list
 		offs[i] = time.Duration(i) * time.Millisecond
 	}
 	fmt.Printf("%d buckets, %d queries, uniform arrivals\n\n", part.NumBuckets(), len(jobs))

@@ -146,7 +146,8 @@ func (c *LRU[K, V]) Put(k K, v V, w int) {
 			i, c.free = c.free[n-1], c.free[:n-1]
 		} else {
 			c.slots = append(c.slots, lruSlot[K, V]{})
-			//lifevet:allow durovf -- slot index bounded by the entries the weight budget admits, far below 2^31
+			// The slot index is bounded by the entries the weight budget admits,
+			// far below 2^31.
 			i = int32(len(c.slots) - 1)
 		}
 		c.slots[i].k = k

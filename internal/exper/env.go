@@ -164,7 +164,6 @@ func (e *Env) SaturatedOffsets() []time.Duration {
 	interval := time.Duration(float64(time.Second) / (1.25 * cap))
 	out := make([]time.Duration, len(e.Jobs))
 	for i := range out {
-		//lifevet:allow durovf -- trace generator over paper-scale constants; bounds are the experiment definition
 		out[i] = time.Duration(i) * interval
 	}
 	return out

@@ -20,8 +20,10 @@ import (
 
 	"liferaft/internal/bucket"
 	"liferaft/internal/catalog"
+	"liferaft/internal/core"
 	"liferaft/internal/geom"
 	"liferaft/internal/segment"
+	"liferaft/internal/server"
 	"liferaft/internal/simclock"
 	"liferaft/internal/xmatch"
 )
@@ -92,15 +94,66 @@ func testQuery() Query {
 	}
 }
 
+// TestNodeValidation: a config that NewNode, or the partition, file store,
+// engine or serving layer it builds, rejects fails NewNode with that
+// error.
 func TestNodeValidation(t *testing.T) {
-	if _, err := NewNode(NodeConfig{}); err == nil {
-		t.Error("nil catalog should fail")
-	}
 	c, _ := catalog.New(catalog.Config{Name: "x", N: 100, Seed: 1, GenLevel: 2})
-	if _, err := NewNode(NodeConfig{Catalog: c}); err == nil {
-		t.Error("zero bucket size should fail")
+	for _, tc := range []struct {
+		name string
+		cfg  NodeConfig
+		want string
+	}{
+		{"nil catalog", NodeConfig{}, "Catalog is required"},
+		{"zero bucket size", NodeConfig{Catalog: c}, "ObjectsPerBucket must be positive"},
+		{"partition", NodeConfig{Catalog: c, ObjectsPerBucket: 10, ObjectBytes: -1}, "negative objectBytes"},
+		{"file store", NodeConfig{Catalog: c, ObjectsPerBucket: 10, DataDir: t.TempDir()}, segment.ManifestName},
+		{"engine", NodeConfig{Catalog: c, ObjectsPerBucket: 10, Shards: -1}, "negative Shards"},
+		{"serving layer", NodeConfig{Catalog: c, ObjectsPerBucket: 10, Serving: &server.Config{QueueDepth: -1}}, "QueueDepth"},
+	} {
+		if n, err := NewNode(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if n != nil {
+				n.Close()
+			}
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }
+
+// TestClosedNode: Close releases the node's store last and reports the
+// store's error, which for a file-backed node is a segment file's close;
+// a match on the closed node fails with its engine's error.
+func TestClosedNode(t *testing.T) {
+	c, _ := catalog.New(catalog.Config{Name: "x", N: 100, Seed: 1, GenLevel: 2})
+	n, err := NewNode(NodeConfig{Catalog: c, ObjectsPerBucket: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.store = n.store.WithBackend(closeFails{})
+	if err := n.Close(); !errors.Is(err, errCloseFails) {
+		t.Errorf("Close = %v, want the store's error", err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := n.MatchCtx(context.Background(), MatchRequest{QueryID: 1, MatchRadiusArcsec: 5})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, core.ErrClosed) {
+			t.Errorf("a match on the closed node: err = %v, want %v", err, core.ErrClosed)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a match on the closed node did not return")
+	}
+}
+
+var errCloseFails = errors.New("the backend's close failed")
+
+// closeFails is a store backend whose Close fails; nothing else is called.
+type closeFails struct{ bucket.Backend }
+
+func (closeFails) Close() error { return errCloseFails }
 
 func TestExtractValidation(t *testing.T) {
 	f := newFixture(t)
@@ -204,10 +257,12 @@ func TestPortalValidation(t *testing.T) {
 	if _, err := f.portal.ExecuteCtx(context.Background(), q); err == nil {
 		t.Error("single-archive plan should fail")
 	}
-	q = testQuery()
-	q.Archives = []string{"nope", "sdss"}
-	if _, err := f.portal.ExecuteCtx(context.Background(), q); err == nil || !strings.Contains(err.Error(), "unknown archive") {
-		t.Errorf("unknown archive error = %v", err)
+	for _, archives := range [][]string{{"nope", "sdss"}, {"sdss", "nope"}} {
+		q = testQuery()
+		q.Archives = archives
+		if _, err := f.portal.ExecuteCtx(context.Background(), q); err == nil || !strings.Contains(err.Error(), `unknown archive "nope"`) {
+			t.Errorf("plan %v: err = %v, want unknown archive \"nope\"", archives, err)
+		}
 	}
 	q = testQuery()
 	q.MatchRadiusArcsec = 0
@@ -223,6 +278,11 @@ func TestPortalValidation(t *testing.T) {
 	q.MagHi = math.Inf(1)
 	if _, err := f.portal.ExecuteCtx(context.Background(), q); err == nil || !strings.Contains(err.Error(), "MagHi +Inf") {
 		t.Errorf("infinite magnitude bound: err = %v, want one naming MagHi", err)
+	}
+	// The window is checked before any archive is asked.
+	q.Archives = []string{"nope", "gone"}
+	if _, err := f.portal.ExecuteCtx(context.Background(), q); err == nil || !strings.Contains(err.Error(), "MagHi +Inf") {
+		t.Errorf("infinite magnitude bound over unknown archives: err = %v, want one naming MagHi", err)
 	}
 	got := f.portal.Archives()
 	if len(got) != 3 || got[0] != "sdss" {
@@ -521,6 +581,12 @@ func TestNodeRefusesMalformedRequests(t *testing.T) {
 			t.Errorf("%s: a well-formed match after the malformed ones: %v", tr.name, err)
 		}
 	}
+	// The context-less Transport method refuses alike.
+	for _, tr := range []Transport{InProc{f.sdss}, cli} {
+		if _, err := tr.Match(*match(nan)); err == nil || !strings.Contains(err.Error(), "match radius NaN") {
+			t.Errorf("%T.Match: err = %v, want one naming the match radius", tr, err)
+		}
+	}
 }
 
 // TestProtocolMismatchRefusedBothWays: a LIFERAFT/3 peer is refused at the
@@ -580,10 +646,40 @@ func TestProtocolMismatchRefusedBothWays(t *testing.T) {
 	}
 }
 
+// TestDialFailure: a client fails when nothing listens, and when the peer
+// hangs up before its version line, with the handshake read's error.
+// Serve fails on an address it cannot listen on.
 func TestDialFailure(t *testing.T) {
 	cli := Dial("127.0.0.1:1") // nothing listens there
 	if _, err := cli.Archive(); err == nil {
 		t.Error("dial to dead address should fail")
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conn.Close()
+		}
+	}()
+	cli = DialTimeout(ln.Addr().String(), 5*time.Second)
+	defer cli.Close()
+	if _, err := cli.Archive(); err == nil || !strings.Contains(err.Error(), "handshake read") {
+		t.Errorf("a peer that hangs up at once: err = %v, want a handshake read error", err)
+	}
+
+	if srv, err := Serve(newFixture(t).sdss, "127.0.0.1:-1"); err == nil || !strings.Contains(err.Error(), "listen") {
+		if srv != nil {
+			srv.Close()
+		}
+		t.Errorf("Serve on an invalid port: err = %v, want a listen error", err)
 	}
 }
 
@@ -613,6 +709,24 @@ func TestServerSurvivesGarbageClient(t *testing.T) {
 		}
 	}
 	conn.Close()
+
+	// So is a client whose first frame after the handshake is not one,
+	// unanswered.
+	conn, err = net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	r := bufio.NewReader(conn)
+	if banner, err := r.ReadString('\n'); err != nil || banner != protoVersion+"\n" {
+		t.Fatalf("server banner %q, %v", banner, err)
+	}
+	fmt.Fprintf(conn, "%s\nGET / HTTP/1.1\r\n\r\n", protoVersion)
+	conn.(*net.TCPConn).CloseWrite()
+	if n, err := r.Read(buf); err != io.EOF {
+		t.Errorf("after a garbage frame the server sent %d bytes, %v; want a hang-up", n, err)
+	}
 
 	// A well-behaved client still works afterwards.
 	cli := Dial(srv.Addr().String())

@@ -259,6 +259,9 @@ func TestRowsJSONEquivalence(t *testing.T) {
 				if _, err := rs.AppendJSON(nil); !errors.As(err, &unsupported) {
 					t.Errorf("field %d = %v: AppendJSON error %v, want an UnsupportedValueError", field, bad, err)
 				}
+				if _, err := json.Marshal(rs[len(rs)-1]); !errors.As(err, &unsupported) {
+					t.Errorf("field %d = %v: Row error %v, want an UnsupportedValueError", field, bad, err)
+				}
 				if _, refErr := json.Marshal(plain(rs)); refErr == nil {
 					t.Fatalf("reference encoder accepted %v", bad)
 				}

@@ -93,8 +93,9 @@ func TestClientCancelAbortsInFlight(t *testing.T) {
 }
 
 // TestServerDropsSilentClient: a dialer that never completes the handshake
-// is disconnected by the server's I/O deadline instead of pinning a
-// handler goroutine.
+// is disconnected instead of pinning a handler goroutine: one that sends
+// nothing, by the server's I/O deadline, and one whose version line holds
+// more than the version, at once.
 func TestServerDropsSilentClient(t *testing.T) {
 	f := newFixture(t)
 	defer func(d time.Duration) { ioTimeout = d }(ioTimeout)
@@ -105,27 +106,30 @@ func TestServerDropsSilentClient(t *testing.T) {
 	}
 	defer srv.Close()
 
-	conn, err := net.Dial("tcp", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// Send nothing. The server (after emitting its handshake line) must
-	// close the connection once its handshake deadline passes; reading
-	// then hits EOF/reset. Our own 5s read deadline firing instead means
-	// the server kept the silent connection alive.
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	buf := make([]byte, 256)
-	for {
-		_, err := conn.Read(buf)
-		if err == nil {
-			continue // the server's handshake line
+	for _, sent := range []string{"", protoVersion + " x\n"} {
+		conn, err := net.Dial("tcp", srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
 		}
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			t.Fatal("server never dropped the silent connection")
+		defer conn.Close()
+		conn.Write([]byte(sent))
+		// The server (after emitting its handshake line) must close the
+		// connection once its handshake deadline passes; reading then
+		// hits EOF/reset. Our own 5s read deadline firing instead means
+		// the server kept the silent connection alive.
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		buf := make([]byte, 256)
+		for {
+			_, err := conn.Read(buf)
+			if err == nil {
+				continue // the server's handshake line
+			}
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				t.Fatalf("server never dropped the silent connection that sent %q", sent)
+			}
+			break // dropped by the server — expected
 		}
-		return // dropped by the server — expected
 	}
 }
 

@@ -231,11 +231,12 @@ const (
 )
 
 // TestExpiredRequestSparesTheSharedConnection: a request's context bounds
-// its wait for the write token and for its reply, never its frame write. A
-// failed write tears the frame stream and retires the multiplexed
-// connection with every request pending on it, so a deadline that expires
-// while a proxy holds one request's frame must fail that request alone:
-// the eight pending beside it are answered on the connection, dialed once.
+// how long its caller waits, never its frame write. A failed write tears
+// the frame stream and retires the multiplexed connection with every
+// request pending on it, so a deadline that expires while a proxy holds one
+// request's frame must fail that request alone, within a second of the
+// deadline and while the frame is still held; the eight pending beside it
+// are answered on the connection, dialed once.
 func TestExpiredRequestSparesTheSharedConnection(t *testing.T) {
 	f := newFixture(t)
 	srv, err := Serve(f.sdss, "127.0.0.1:0")
@@ -255,6 +256,7 @@ func TestExpiredRequestSparesTheSharedConnection(t *testing.T) {
 	}
 	// The proxy's reader is inside a read when the stall starts: one more
 	// reply gets through before it parks.
+	eventually(t, "the proxy's reader is inside a read", func() bool { return s2c.reading.Load() > 0 })
 	s2c.start()
 	if _, err := cli.Archive(); err != nil {
 		t.Fatal(err)
@@ -291,16 +293,21 @@ func TestExpiredRequestSparesTheSharedConnection(t *testing.T) {
 		return dumpHas("IO wait", "net.(*conn).Write", "liferaft/internal/federation.(*clientConn).write")
 	})
 	<-ctx.Done()
-	time.Sleep(50 * time.Millisecond) // a write bounded by the deadline has failed by now
+	// The caller returns at its deadline while the proxy still holds its
+	// frame: the write runs on a goroutine of its own.
+	select {
+	case err := <-ninth:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("the expired request returned %v, want its context's error", err)
+		}
+	case <-time.After(time.Second):
+		t.Error("the expired request did not return within 1 s of its deadline while its frame write was held")
+	}
 	if !dumpHas("IO wait", "net.(*conn).Write", "liferaft/internal/federation.(*clientConn).write") {
 		t.Error("the held frame write ended with the request's deadline")
 	}
 	c2s.end()
 	s2c.end()
-
-	if err := <-ninth; !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("the expired request returned %v, want its context's error", err)
-	}
 	for range 8 {
 		if err := <-eight; err != nil {
 			t.Errorf("a request pending beside the expired one failed: %v", err)
@@ -311,6 +318,59 @@ func TestExpiredRequestSparesTheSharedConnection(t *testing.T) {
 	proxy.mu.Unlock()
 	if dials != 1 {
 		t.Errorf("the client dialed %d times, want 1", dials)
+	}
+}
+
+// TestFailedFrameWriteRetiresTheConnection: a frame write that fails at the
+// client timeout leaves a partial frame on the stream, so it retires the
+// connection, and the next request is answered on a fresh dial rather than
+// written behind the torn frame.
+func TestFailedFrameWriteRetiresTheConnection(t *testing.T) {
+	f := newFixture(t)
+	srv, err := Serve(f.sdss, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c2s, s2c := newStall(), newStall()
+	proxy := newStallProxy(t, srv.Addr().String(), c2s, s2c)
+	defer proxy.close()
+	defer c2s.end()
+	cli := DialTimeout(proxy.ln.Addr().String(), 2*time.Second)
+	defer cli.Close()
+	if _, err := cli.Archive(); err != nil {
+		t.Fatal(err)
+	}
+
+	c2s.start()
+	big := make([]Object, 150_000) // 7 MB: more than the sockets' buffers hold
+	obj := shipped(t, f, 150, 1)[0]
+	for i := range big {
+		big[i] = obj
+	}
+	match := make(chan error, 1)
+	go func() {
+		_, err := cli.MatchCtx(context.Background(), MatchRequest{QueryID: 1, Objects: big})
+		match <- err
+	}()
+	writing := func() bool {
+		return dumpHas("IO wait", "net.(*conn).Write", "liferaft/internal/federation.(*Client).send")
+	}
+	eventually(t, "the frame write is held", writing)
+	eventually(t, "the held frame write has failed", func() bool { return !writing() })
+	if err := <-match; err == nil {
+		t.Fatal("a match whose frame the proxy held past the client timeout succeeded")
+	}
+	c2s.end()
+
+	if name, err := cli.Archive(); err != nil || name != "sdss" {
+		t.Fatalf("the request after the failed write: %q, %v", name, err)
+	}
+	proxy.mu.Lock()
+	dials := len(proxy.conns) / 2
+	proxy.mu.Unlock()
+	if dials != 2 {
+		t.Errorf("the client dialed %d times, want 2", dials)
 	}
 }
 
@@ -547,12 +607,14 @@ func (s *seamStack) completed(match func(completion) bool) int {
 }
 
 // stall is one seam's switch. Once it is on, wait parks its caller until
-// end; reached reports that a caller is parked.
+// end; reached reports that a caller is parked. A proxy pipe counts itself
+// in reading while it is past the switch and inside a read.
 type stall struct {
-	on     atomic.Bool
-	parked atomic.Int32
-	open   chan struct{}
-	end    func()
+	on      atomic.Bool
+	parked  atomic.Int32
+	reading atomic.Int32
+	open    chan struct{}
+	end     func()
 }
 
 func newStall() *stall {
@@ -686,7 +748,9 @@ func (p *stallProxy) pipe(dst, src net.Conn, st *stall) {
 	buf := make([]byte, 32<<10)
 	for {
 		st.wait()
+		st.reading.Add(1)
 		n, err := src.Read(buf)
+		st.reading.Add(-1)
 		if n > 0 {
 			if _, werr := dst.Write(buf[:n]); werr != nil {
 				return

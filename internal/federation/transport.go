@@ -615,14 +615,23 @@ func (c *Client) abandon(cc *clientConn, id uint64) {
 	}()
 }
 
+// sent is what the write token holder's send hands back to its caller.
+type sent struct {
+	cc    *clientConn
+	reply chan rpcResponse
+	err   error
+}
+
 // roundTripCtx sends one request and waits for its response, for the
 // context, or for the client timeout, whichever comes first. The context
-// bounds the wait for the write token and for the response, and the dial
-// and handshake end with it too; the frame write runs under the client
-// timeout alone (see write). A request whose context is done by the time it
-// holds the token returns without writing. Giving up — cancellation or
-// timeout — sends a cancel frame and returns at once; the connection stays
-// up.
+// bounds the wait for the write token, for the frame write and for the
+// response, and the dial and handshake end with it too. The frame write
+// itself runs under the client timeout alone (see write), on a goroutine of
+// its own, so the caller can return at its context's end while the write
+// finishes. A request whose context is done by the time it holds the token
+// returns without writing. Giving up — cancellation or timeout — returns at
+// once and sends a cancel frame once the request's frame is out; the
+// connection stays up.
 func (c *Client) roundTripCtx(ctx context.Context, req rpcRequest) (_ rpcResponse, err error) {
 	done := c.obs.begin(req.Kind)
 	defer func() { done(err) }()
@@ -646,11 +655,33 @@ func (c *Client) roundTripCtx(ctx context.Context, req rpcRequest) (_ rpcRespons
 		<-c.wtok
 		return gaveUp(err)
 	}
-	cc, reply, err := c.send(ctx, &req)
-	<-c.wtok
-	if err != nil {
-		return rpcResponse{}, err
+	out := make(chan sent) // unbuffered: the caller takes the send or leaves gone
+	gone := make(chan struct{})
+	go func() {
+		cc, reply, err := c.send(ctx, &req)
+		<-c.wtok
+		select {
+		case out <- sent{cc, reply, err}:
+		case <-gone:
+			if err == nil {
+				c.abandon(cc, req.ID)
+			}
+		}
+	}()
+	var s sent
+	select {
+	case s = <-out:
+	case <-ctx.Done():
+		close(gone)
+		return gaveUp(ctx.Err())
+	case <-timer.C:
+		close(gone)
+		return gaveUp(os.ErrDeadlineExceeded)
 	}
+	if s.err != nil {
+		return rpcResponse{}, s.err
+	}
+	cc, reply := s.cc, s.reply
 
 	select {
 	case resp, ok := <-reply:

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"liferaft/internal/bucket"
@@ -124,9 +125,11 @@ func (f *faultFile) Close() error {
 // can reach must return with as many descriptors open as before it. A
 // daemon that retries a failed open would otherwise run out of them.
 //
-// The named cases reach real failures: a Write whose rename fails, an
-// OpenSet over a corrupt or missing segment, a Reopen over a replaced
-// file, an Ensure over another geometry. The fault sweep runs Write,
+// The named cases reach real failures: a Write whose directory, segment
+// file or rename fails, an OpenSet over a corrupt or missing segment, a
+// Reopen over a replaced file, an Ensure over another geometry. Where a
+// case names its cause, the error must report it, not a later call's
+// failure on what the failed one left behind. The fault sweep runs Write,
 // OpenSet, Reopen (through FileBackend.Fork) and Ensure once to count
 // their file operations, then once per operation with that one failing.
 // Each failure must also return the injected error, leave no *.tmp
@@ -142,7 +145,28 @@ func TestFailuresLeakNoFileDescriptors(t *testing.T) {
 		name string
 		// prepare builds the failing situation and returns the failing call.
 		prepare func(t *testing.T) func() error
+		cause   string // in the error, when not empty
 	}{
+		{"Write/store-directory-fails", func(t *testing.T) func() error {
+			file := filepath.Join(t.TempDir(), "file")
+			if err := os.WriteFile(file, nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return func() error {
+				_, err := Write(filepath.Join(file, "store"), part, WriteOptions{BucketsPerSegment: 8})
+				return err
+			}
+		}, "mkdir"},
+		{"Write/create-fails", func(t *testing.T) func() error {
+			dir := t.TempDir()
+			if err := os.Mkdir(filepath.Join(dir, segmentName(1)+".tmp"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			return func() error {
+				_, err := Write(dir, part, WriteOptions{BucketsPerSegment: 8})
+				return err
+			}
+		}, "is a directory"},
 		{"Write/rename-fails", func(t *testing.T) func() error {
 			dir := t.TempDir()
 			if err := os.Mkdir(filepath.Join(dir, segmentName(1)), 0o755); err != nil {
@@ -152,7 +176,7 @@ func TestFailuresLeakNoFileDescriptors(t *testing.T) {
 				_, err := Write(dir, part, WriteOptions{BucketsPerSegment: 8})
 				return err
 			}
-		}},
+		}, ""},
 		{"OpenSet/corrupt-second-header", func(t *testing.T) func() error {
 			dir, _ := writeFixture(t, part, 8)
 			path := filepath.Join(dir, segmentName(1))
@@ -165,14 +189,14 @@ func TestFailuresLeakNoFileDescriptors(t *testing.T) {
 				t.Fatal(err)
 			}
 			return func() error { _, err := OpenSet(dir); return err }
-		}},
+		}, ""},
 		{"OpenSet/missing-segment", func(t *testing.T) func() error {
 			dir, _ := writeFixture(t, part, 8)
 			if err := os.Remove(filepath.Join(dir, segmentName(2))); err != nil {
 				t.Fatal(err)
 			}
 			return func() error { _, err := OpenSet(dir); return err }
-		}},
+		}, "no such file"},
 		{"Reopen/replaced-segment", func(t *testing.T) func() error {
 			dir, _ := writeFixture(t, part, 8)
 			set, err := OpenSet(dir)
@@ -194,7 +218,7 @@ func TestFailuresLeakNoFileDescriptors(t *testing.T) {
 				t.Fatal(err)
 			}
 			return func() error { _, err := set.Reopen(); return err }
-		}},
+		}, ""},
 		{"Ensure/foreign-geometry", func(t *testing.T) func() error {
 			dir, _ := writeFixture(t, part, 8)
 			other, err := bucket.NewPartition(part.Catalog(), 150, 64)
@@ -202,14 +226,18 @@ func TestFailuresLeakNoFileDescriptors(t *testing.T) {
 				t.Fatal(err)
 			}
 			return func() error { _, _, err := Ensure(dir, other, WriteOptions{}); return err }
-		}},
+		}, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			fail := c.prepare(t)
 			before := openFDs(t)
-			if err := fail(); err == nil {
+			err := fail()
+			if err == nil {
 				t.Fatal("the call succeeded; the case no longer reaches a failure")
+			}
+			if !strings.Contains(err.Error(), c.cause) {
+				t.Errorf("err = %v, want one reporting %q", err, c.cause)
 			}
 			if after := openFDs(t); after != before {
 				t.Errorf("%d descriptors open after the failure, %d before", after, before)
@@ -299,5 +327,26 @@ func TestFailuresLeakNoFileDescriptors(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestCloseReportsAFailedClose: closing a file store reports a segment
+// file's failed close; the other files still close.
+func TestCloseReportsAFailedClose(t *testing.T) {
+	dir, _ := writeFixture(t, fixture(t), 8)
+	openFDs(t)
+	before := openFDs(t)
+	fs, restore := injectFaults(0)
+	defer restore()
+	set, err := OpenSet(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.k = len(fs.ops) + 1 // the first segment file's close
+	if err := NewBackend(set, true).Close(); !errors.Is(err, errInjected) {
+		t.Errorf("Close = %v, want the injected fault", err)
+	}
+	if after := openFDs(t); after != before {
+		t.Errorf("%d descriptors open after Close, %d before OpenSet", after, before)
 	}
 }

@@ -262,7 +262,8 @@ func TestBackendCostOnlyStillReads(t *testing.T) {
 
 // Regression: a manifest that parses as JSON but carries nonsense
 // geometry must fail open like any other corruption — the negative
-// bucket count used to panic allocating the lookup table.
+// bucket count used to panic allocating the lookup table. So must one
+// that is not JSON at all.
 func TestSegmentOpenRejectsCorruptManifestGeometry(t *testing.T) {
 	part := fixture(t)
 	dir, _ := writeFixture(t, part, 8)
@@ -287,6 +288,35 @@ func TestSegmentOpenRejectsCorruptManifestGeometry(t *testing.T) {
 		}
 		if _, err := OpenSet(dir); err == nil || !strings.Contains(err.Error(), "corrupt manifest") {
 			t.Errorf("open with %s = %v, want corrupt-manifest error", bad.repl, err)
+		}
+	}
+	if err := os.WriteFile(path, good[:len(good)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenSet(dir); err == nil || !strings.Contains(err.Error(), "corrupt manifest") {
+		t.Errorf("open of a truncated manifest = %v, want corrupt-manifest error", err)
+	}
+}
+
+// A bucket index outside the set fails every read with an error naming
+// it: a whole-bucket read, a fill and a probe.
+func TestReadsRefuseABucketOutsideTheSet(t *testing.T) {
+	part := fixture(t)
+	dir, _ := writeFixture(t, part, 8)
+	set, err := OpenSet(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBackend(set, true)
+	defer b.Close()
+	for _, i := range []int{-1, set.NumBuckets()} {
+		_, _, rerr := set.ReadBucket(i)
+		_, _, ferr := b.Fill(i, &bucket.Resident{}, everyID)
+		_, _, perr := b.Probe(i, 0)
+		for call, err := range map[string]error{"ReadBucket": rerr, "Fill": ferr, "Probe": perr} {
+			if err == nil || !strings.Contains(err.Error(), "out of") {
+				t.Errorf("%s(%d) = %v, want an out-of-range error", call, i, err)
+			}
 		}
 	}
 }

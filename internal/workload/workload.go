@@ -269,7 +269,6 @@ func (p Poisson) Offsets(n int, seed int64) []time.Duration {
 	t := 0.0
 	for i := range out {
 		t += rng.ExpFloat64() / p.RatePerSec
-		//lifevet:allow durovf -- synthetic arrival-time math over generator-bounded rates; bounds are the trace definition
 		out[i] = time.Duration(t * float64(time.Second))
 	}
 	return out
