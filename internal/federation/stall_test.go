@@ -2,11 +2,13 @@ package federation
 
 import (
 	"context"
+	"encoding/gob"
 	"errors"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"slices"
 	"strings"
@@ -48,14 +50,18 @@ import (
 // channel, or another lock whose holder blocks. The dumps see through the
 // interface calls the seams are reached by.
 //
-// Two holds are deliberate, each named with its bound:
-//   - Live sends to a shard's inbox under l.mu, so the closed check and the
-//     fan-out are one step against Close. With the inbox full, every caller
-//     of the engine waits on l.mu until the shard takes its next step: its
-//     waiters must be gone within shardStepBound of the Fill returning.
-//   - serverConn.reply writes a frame under wmu, one frame at a time. A
-//     stalled reader holds up only its own connection's replies, for at most
-//     ioTimeout: requests on the second connection are answered meanwhile.
+// One hold is deliberate, named with its bound: Live sends to a shard's
+// inbox under l.mu, so the closed check and the fan-out are one step
+// against Close. With the inbox full, every caller of the engine waits on
+// l.mu until the shard takes its next step: its waiters must be gone within
+// shardStepBound of the Fill returning.
+//
+// The hop writes each connection's frames on one writer goroutine per side,
+// with no lock in front of it. The server to client row bounds what a
+// stalled reader holds up: its own connection's writer, until the write
+// fails at ioTimeout; requests on the second connection are answered
+// meanwhile, and the torn connection's request goroutines exit within the
+// same bound, their replies dropped unencoded.
 func TestNothingWaitsOnALockBehindAStall(t *testing.T) {
 	defer func(d time.Duration) { ioTimeout = d }(ioTimeout)
 	ioTimeout = seamIOTimeout
@@ -75,8 +81,7 @@ func TestNothingWaitsOnALockBehindAStall(t *testing.T) {
 	}
 
 	fromLive := func(waiter string) bool { return strings.HasPrefix(waiter, "liferaft/internal/core.(*Live).") }
-	const reply = "liferaft/internal/federation.(*serverConn).reply"
-	isReply := func(waiter string) bool { return waiter == reply }
+	var writer goroutine // the server's writer the hop's stall holds
 	for _, row := range []struct {
 		name string
 		// stall stalls the seam and reports when a goroutine is parked in it.
@@ -129,7 +134,7 @@ func TestNothingWaitsOnALockBehindAStall(t *testing.T) {
 					s.spawn(func() { s.hop.MatchCtx(s.ctx, MatchRequest{QueryID: 1, Objects: big}) })
 				}
 				return func() bool {
-					return dumpHas("IO wait", "net.(*conn).Write", "liferaft/internal/federation.(*clientConn).")
+					return dumpHas("IO wait", "net.(*conn).Write", clientWriter)
 				}
 			},
 		},
@@ -138,36 +143,45 @@ func TestNothingWaitsOnALockBehindAStall(t *testing.T) {
 			stall: func(s *seamStack) func() bool {
 				s.s2c.start()
 				// Half-sky samples answer with 1 MB frames: a few of them
-				// fill both sockets' buffers. Each reply's write deadline
-				// runs from before its encoding, which the race detector
-				// slows to a large part of a second.
+				// fill both sockets' buffers. A reply's write deadline runs
+				// from its write, so it ends within ioTimeout of the stall
+				// however long the race detector makes its encoding.
 				for range 8 {
 					s.spawn(func() {
 						s.hop.ExtractCtx(s.ctx, ExtractRequest{QueryID: 1, RadiusDeg: 180, Selectivity: 0.5, Seed: 1})
 					})
 				}
-				return func() bool { return dumpHas("IO wait", "net.(*conn).Write", reply) }
+				return func() bool {
+					for _, g := range goroutines() {
+						if g.state == "IO wait" && g.calls("net.(*conn).Write", serverWriter) {
+							writer = g
+							return true
+						}
+					}
+					return false
+				}
 			},
-			held: isReply,
-			bound: func(t *testing.T, s *seamStack, reached time.Time, waits lockWaits) {
+			bound: func(t *testing.T, s *seamStack, reached time.Time, _ lockWaits) {
 				// The stalled write fails at its deadline and tears the
 				// connection down...
-				writing := map[string]bool{}
-				for _, g := range goroutines() {
-					if g.state == "IO wait" && g.calls("net.(*conn).Write", reply) {
-						writing[g.id] = true
-					}
+				torn := writer.receiver(serverWriter)
+				if torn == "" {
+					t.Fatalf("no receiver in the stalled writer's stack:\n%s", writer.stack)
 				}
-				within(t, reached.Add(seamIOTimeout+300*time.Millisecond), "the stalled reply write failed at ioTimeout", func() bool {
-					return !slices.ContainsFunc(goroutines(), func(g goroutine) bool { return writing[g.id] && g.calls(reply) })
+				bound := reached.Add(seamIOTimeout + 300*time.Millisecond)
+				within(t, bound, "the stalled reply write failed at ioTimeout", func() bool {
+					return !slices.ContainsFunc(goroutines(), func(g goroutine) bool { return g.id == writer.id })
 				})
 				if s.completed(func(c completion) bool { return c.kind == "second" && c.ok && c.at.After(reached) }) == 0 {
 					t.Error("no request on the second connection was answered while the first stalled")
 				}
-				// ...and the replies queued behind it take wmu in turn and
-				// return without encoding, within the same bound.
-				within(t, reached.Add(seamIOTimeout+300*time.Millisecond), "the replies queued behind the stalled write returned",
-					func() bool { return waits.still(isReply) == "" })
+				// ...and the request goroutines of the torn connection hand
+				// their replies over, to be dropped unencoded, and exit
+				// within the same bound.
+				const serve = "liferaft/internal/federation.(*serverConn).serve"
+				within(t, bound, "the torn connection's request goroutines exited", func() bool {
+					return !slices.ContainsFunc(goroutines(), func(g goroutine) bool { return g.receiver(serve) == torn })
+				})
 			},
 		},
 		{
@@ -271,7 +285,10 @@ func TestExpiredRequestSparesTheSharedConnection(t *testing.T) {
 			eight <- err
 		}()
 	}
-	eventually(t, "eight requests are written and pending", func() bool { return len(cli.wtok) == 0 && pendingOn(cli) == 8 })
+	eventually(t, "eight requests are written and pending", func() bool {
+		pending, written := pendingOn(cli)
+		return pending == 8 && written
+	})
 
 	// A 7 MB frame: the sockets' buffers hold a few megabytes, so its write
 	// blocks while the proxy holds the bytes. Its radius makes the node
@@ -290,7 +307,7 @@ func TestExpiredRequestSparesTheSharedConnection(t *testing.T) {
 		ninth <- err
 	}()
 	eventually(t, "the ninth request's frame write is held", func() bool {
-		return dumpHas("IO wait", "net.(*conn).Write", "liferaft/internal/federation.(*clientConn).write")
+		return dumpHas("IO wait", "net.(*conn).Write", clientWriter)
 	})
 	<-ctx.Done()
 	// The caller returns at its deadline while the proxy still holds its
@@ -303,7 +320,7 @@ func TestExpiredRequestSparesTheSharedConnection(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Error("the expired request did not return within 1 s of its deadline while its frame write was held")
 	}
-	if !dumpHas("IO wait", "net.(*conn).Write", "liferaft/internal/federation.(*clientConn).write") {
+	if !dumpHas("IO wait", "net.(*conn).Write", clientWriter) {
 		t.Error("the held frame write ended with the request's deadline")
 	}
 	c2s.end()
@@ -354,7 +371,7 @@ func TestFailedFrameWriteRetiresTheConnection(t *testing.T) {
 		match <- err
 	}()
 	writing := func() bool {
-		return dumpHas("IO wait", "net.(*conn).Write", "liferaft/internal/federation.(*Client).send")
+		return dumpHas("IO wait", "net.(*conn).Write", clientWriter)
 	}
 	eventually(t, "the frame write is held", writing)
 	eventually(t, "the held frame write has failed", func() bool { return !writing() })
@@ -374,17 +391,78 @@ func TestFailedFrameWriteRetiresTheConnection(t *testing.T) {
 	}
 }
 
-// pendingOn counts the requests pending on c's connection.
-func pendingOn(c *Client) int {
-	c.mu.Lock()
-	cc := c.cur
-	c.mu.Unlock()
+// TestFailedCancelWriteRetiresTheConnection: a cancel frame is written as a
+// request's is, by the connection's writer under the client timeout, and a
+// cancel whose write fails retires the connection: the partial frame it
+// leaves on the stream would otherwise stand in front of the next request,
+// which would get no answer. The test plays the server on the other end of
+// a net.Pipe, which buffers nothing: it reads one match request's frame,
+// then the request is cancelled and the test stops reading.
+func TestFailedCancelWriteRetiresTheConnection(t *testing.T) {
+	f := newFixture(t)
+	srv, err := Serve(f.sdss, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli := DialTimeout(srv.Addr().String(), 200*time.Millisecond)
+	defer cli.Close()
+	client, server := net.Pipe()
+	defer server.Close()
+	cc := cli.start(client)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := MatchRequest{QueryID: 1, MatchRadiusArcsec: 5, Objects: shipped(t, f, 150, 1)}
+	match := make(chan error, 1)
+	go func() {
+		_, err := cli.MatchCtx(ctx, req)
+		match <- err
+	}()
+	var frame rpcRequest
+	if err := gob.NewDecoder(server).Decode(&frame); err != nil || frame.Kind != "match" {
+		t.Fatalf("the first frame: %+v, %v", frame, err)
+	}
+	cancel()
+	if err := <-match; err == nil {
+		t.Fatal("a cancelled match succeeded")
+	}
+	select {
+	case <-cc.dead:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the connection was not retired after its cancel frame's write failed")
+	}
+	if err := cc.err; !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("the connection was retired by %v, want the cancel frame's write timing out", err)
+	}
+	if cur := cli.current(); cur != nil {
+		t.Error("the retired connection is still the client's")
+	}
+	if name, err := cli.Archive(); err != nil || name != "sdss" {
+		t.Fatalf("the request after the failed cancel: %q, %v", name, err)
+	}
+	if cur := cli.current(); cur == nil || cur == cc {
+		t.Error("the request after the failed cancel did not dial afresh")
+	}
+}
+
+// clientWriter and serverWriter are the functions that write a client's
+// and a server connection's frames.
+const (
+	clientWriter = "liferaft/internal/federation.(*Client).writeLoop"
+	serverWriter = "liferaft/internal/federation.(*serverConn).writeLoop"
+)
+
+// pendingOn counts the requests pending on c's connection and reports
+// whether every frame registered on it has been written.
+func pendingOn(c *Client) (int, bool) {
+	cc := c.current()
 	if cc == nil {
-		return 0
+		return 0, true
 	}
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	return len(cc.pending)
+	return len(cc.pending), cc.written.Load() == cc.nextID
 }
 
 // seamStack is one row's node and its traffic. The node is realClockNode's
@@ -821,6 +899,20 @@ func (g goroutine) calls(prefixes ...string) bool {
 		}
 	}
 	return true
+}
+
+// receiver is the first argument of g's innermost frame in function fn —
+// for a method, the receiver, which tells one connection's goroutines from
+// another's — or "" if fn is not on g's stack.
+func (g goroutine) receiver(fn string) string {
+	for _, line := range strings.Split(g.stack, "\n") {
+		if args, ok := strings.CutPrefix(line, fn+"("); ok {
+			arg, _, _ := strings.Cut(args, ",")
+			arg, _, _ = strings.Cut(arg, ")")
+			return arg
+		}
+	}
+	return ""
 }
 
 // lockWaiter is the module function that called the Lock or RLock g is

@@ -10,6 +10,7 @@ import (
 	"os"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"liferaft/internal/catalog"
@@ -106,13 +107,10 @@ type Server struct {
 	ln        net.Listener
 	ioTimeout time.Duration
 	// ctx is the parent of every connection's context; Close cancels it,
-	// which withdraws every match still in the engine.
+	// which closes every connection and withdraws every match still in the
+	// engine.
 	ctx    context.Context
 	cancel context.CancelFunc
-
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
 	wg     sync.WaitGroup
 }
 
@@ -125,7 +123,7 @@ func Serve(node *Node, addr string) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("federation: listen %s: %w", addr, err)
 	}
-	s := &Server{node: node, ln: ln, ioTimeout: ioTimeout, conns: make(map[net.Conn]struct{})}
+	s := &Server{node: node, ln: ln, ioTimeout: ioTimeout}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -139,12 +137,6 @@ func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 // still running on them from the node's engine, and returns once every
 // handler has exited. The node itself is not closed (the caller owns it).
 func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
 	s.cancel()
 	err := s.ln.Close()
 	s.wg.Wait()
@@ -158,38 +150,26 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
 		s.wg.Add(1)
-		s.mu.Unlock()
 		go s.handle(conn)
 	}
 }
 
-// serverConn is one accepted connection: the decode loop in handle and the
-// request goroutines it starts share the response encoder and the table of
-// running requests.
+// serverConn is one accepted connection: the decode loop in handle, the
+// request goroutines it starts and the writer share the table of running
+// requests, and every response frame goes through the writer.
 type serverConn struct {
-	node      *Node
-	conn      net.Conn
-	ioTimeout time.Duration
-	ctx       context.Context    // the connection's: done once it is torn
-	cancel    context.CancelFunc // of ctx
+	node   *Node
+	ctx    context.Context    // the connection's: done once it is torn
+	cancel context.CancelFunc // of ctx
 
-	// wmu writes one response frame at a time, the one write the serving
-	// path makes under a mutex. A peer that stops reading holds up only
-	// this connection's replies: the blocked write fails at ioTimeout and
-	// tears the connection down, then each reply queued behind it takes
-	// wmu, sees the connection torn and returns without encoding its
-	// frame, while other connections are answered throughout
-	// (TestNothingWaitsOnALockBehindAStall).
-	wmu sync.Mutex
-	enc *gob.Encoder
+	// replies is the writer's queue. A reply that finds it full waits for
+	// room or for the connection to be torn, never on a lock: a peer that
+	// stops reading holds up only its own connection, and holds its
+	// requests' slots until the blocked write fails at ioTimeout. Its 16
+	// slots take the replies of one engine step's completed queries
+	// without a hand-off each, and hold few behind a stalled peer.
+	replies chan rpcResponse
 
 	mu      sync.Mutex
 	running map[uint64]context.CancelFunc // dispatched requests, by ID
@@ -198,21 +178,21 @@ type serverConn struct {
 // handle runs one connection: the handshake, then a decode loop that
 // answers cheap requests itself and gives every extract and match a
 // goroutine of its own, so the node's engine sees the peer's concurrent
-// queries together. It returns once those goroutines have exited.
+// queries together. It returns once those goroutines and the writer have
+// exited.
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	// Everything started for this connection runs under ctx: a dropped
 	// connection, a failed write or Server.Close withdraws its matches from
-	// the engine's queues instead of leaving them to finish for nobody.
+	// the engine's queues instead of leaving them to finish for nobody. The
+	// socket closes with ctx, which ends a decode or a handshake in flight.
 	ctx, cancel := context.WithCancel(s.ctx)
-	var requests sync.WaitGroup
+	context.AfterFunc(ctx, func() { conn.Close() })
+	var wg sync.WaitGroup // the writer and the request goroutines
 	defer func() {
-		cancel() // before the socket closes: reply stops encoding first
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
+		cancel() // before the socket closes: the writer stops encoding first
 		conn.Close()
-		requests.Wait()
+		wg.Wait()
 	}()
 	// Handshake, under the I/O deadline: a silent dialer is dropped
 	// instead of pinning this goroutine.
@@ -228,10 +208,14 @@ func (s *Server) handle(conn net.Conn) {
 	// deadline.
 	conn.SetDeadline(time.Time{})
 	sc := &serverConn{
-		node: s.node, conn: conn, ioTimeout: s.ioTimeout,
-		ctx: ctx, cancel: cancel, enc: gob.NewEncoder(conn),
-		running: make(map[uint64]context.CancelFunc),
+		node: s.node, ctx: ctx, cancel: cancel,
+		replies: make(chan rpcResponse, 16), running: make(map[uint64]context.CancelFunc),
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		sc.writeLoop(gob.NewEncoder(timedWriter{conn, s.ioTimeout}))
+	}()
 	slots := make(chan struct{}, maxInFlight)
 	dec := gob.NewDecoder(conn)
 	for {
@@ -266,9 +250,9 @@ func (s *Server) handle(conn net.Conn) {
 				rcancel()
 				return
 			}
-			requests.Add(1)
+			wg.Add(1)
 			go func() {
-				defer requests.Done()
+				defer wg.Done()
 				defer func() { <-slots }()
 				sc.serve(rctx, req)
 			}()
@@ -276,7 +260,7 @@ func (s *Server) handle(conn net.Conn) {
 		default:
 			resp.Err = fmt.Sprintf("federation: unknown request kind %q", req.Kind)
 		}
-		if !sc.reply(&resp) {
+		if !sc.reply(resp) {
 			return
 		}
 	}
@@ -336,29 +320,54 @@ func (sc *serverConn) serve(ctx context.Context, req rpcRequest) {
 			resp.Match = &r
 		}
 	}
-	sc.reply(&resp)
+	sc.reply(resp)
 }
 
-// reply writes one response frame under the I/O deadline: the request has
-// been serviced, and a peer that stopped reading must not wedge the
-// writers. A failed write leaves the response stream torn, so it ends the
-// connection — the context for the requests still running, the socket for
-// the decode loop; reply reports whether the frame was written. Once the
-// connection's context is done the stream is torn or closing, and reply
-// returns without encoding.
-func (sc *serverConn) reply(resp *rpcResponse) bool {
-	sc.wmu.Lock()
-	defer sc.wmu.Unlock()
-	if sc.ctx.Err() != nil {
+// reply hands resp to the writer; it reports false once the connection is
+// torn, when the response can no longer be written.
+func (sc *serverConn) reply(resp rpcResponse) bool {
+	select {
+	case sc.replies <- resp:
+		return true
+	case <-sc.ctx.Done():
 		return false
 	}
-	sc.conn.SetWriteDeadline(time.Now().Add(sc.ioTimeout))
-	if err := sc.enc.Encode(resp); err != nil {
-		sc.cancel()
-		sc.conn.Close()
-		return false
+}
+
+// writeLoop is the connection's one writer: it writes each queued reply
+// under the I/O deadline, so a peer that stopped reading cannot wedge it. A
+// failed write leaves the response stream torn, so it ends the connection:
+// the context for the requests still running, the socket for the decode
+// loop. Replies still queued then are dropped unencoded.
+func (sc *serverConn) writeLoop(enc *gob.Encoder) {
+	var resp rpcResponse
+	for {
+		select {
+		case resp = <-sc.replies:
+		case <-sc.ctx.Done():
+			return
+		}
+		if sc.ctx.Err() != nil {
+			return
+		}
+		if err := enc.Encode(&resp); err != nil {
+			sc.cancel() // and the socket closes with the context
+			return
+		}
 	}
-	return true
+}
+
+// timedWriter writes to a connection under a deadline that starts with each
+// write, so the time a frame takes to encode does not count against it: the
+// deadline bounds how long a peer that stopped reading holds the writer.
+type timedWriter struct {
+	conn    net.Conn
+	timeout time.Duration
+}
+
+func (w timedWriter) Write(p []byte) (int, error) {
+	w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
+	return w.conn.Write(p)
 }
 
 // Client is a TCP Transport to a remote archive node. It holds one
@@ -376,27 +385,33 @@ type Client struct {
 	timeout time.Duration
 	obs     *clientObs // nil: uninstrumented, records nothing (see Instrument)
 
-	// wtok is the write token: its holder alone dials, handshakes and
-	// writes request frames. It is a one-slot channel, not a mutex, so that
-	// waiting for it ends with the waiter's context or deadline.
-	wtok chan struct{}
+	// dtok is the dial token: its holder alone dials, so there is never a
+	// second connection beside the current one. It is a one-slot channel,
+	// not a mutex, so that waiting for it ends with the waiter's context or
+	// deadline. No frame is written under it.
+	dtok chan struct{}
 
 	mu  sync.Mutex
 	cur *clientConn // nil before first use and after a failure or Close
 }
 
-// clientConn is one established connection and the requests pending on it.
+// clientConn is one established connection, the requests pending on it and
+// the frames queued for its writer.
 type clientConn struct {
 	conn    net.Conn
-	timeout time.Duration  // the client's: bounds each frame write
-	enc     *gob.Encoder   // used by the write-token holder only
 	dead    chan struct{}  // closed when the connection is retired
-	wg      sync.WaitGroup // the reader and the cancel senders
+	wake    chan struct{}  // one slot: a frame was queued for the writer
+	wg      sync.WaitGroup // the reader and the writer
+	written atomic.Uint64  // the ID of the last request frame written whole
 
 	mu      sync.Mutex
 	nextID  uint64
 	pending map[uint64]chan rpcResponse // one-slot reply channels by request ID; nil once retired
 	err     error                       // why the connection was retired
+	// queue is the writer's, in the order the frames are written, so
+	// request IDs ascend in it. It holds at most one frame per request: its
+	// own until the writer takes it, then its cancel if it is withdrawn.
+	queue []rpcRequest
 }
 
 // DefaultClientTimeout bounds a client round trip (including the dial and
@@ -412,13 +427,13 @@ func DialTimeout(addr string, timeout time.Duration) *Client {
 	if timeout <= 0 {
 		timeout = DefaultClientTimeout
 	}
-	return &Client{addr: addr, timeout: timeout, wtok: make(chan struct{}, 1)}
+	return &Client{addr: addr, timeout: timeout, dtok: make(chan struct{}, 1)}
 }
 
-// dial establishes the client's connection and starts its reader. The
-// caller holds the write token, so there is never a second dial beside it.
-// The dial and the handshake run under the client timeout, and end at once
-// with the caller's context, failing with its error.
+// dial establishes the client's connection and starts its reader and its
+// writer. The caller holds the dial token. The dial and the handshake run
+// under the client timeout, and end at once with the caller's context,
+// failing with its error.
 func (c *Client) dial(ctx context.Context) (*clientConn, error) {
 	deadline := time.Now().Add(c.timeout)
 	d := net.Dialer{Deadline: deadline}
@@ -447,16 +462,50 @@ func (c *Client) dial(ctx context.Context) (*clientConn, error) {
 	// The reader waits for responses without a deadline of its own: every
 	// request has its timer, and every frame written its write deadline.
 	conn.SetDeadline(time.Time{})
+	return c.start(conn), nil
+}
+
+// start puts an established connection in service: it becomes the
+// client's, with a reader and a writer of its own.
+func (c *Client) start(conn net.Conn) *clientConn {
 	cc := &clientConn{
-		conn: conn, timeout: c.timeout, enc: gob.NewEncoder(conn), dead: make(chan struct{}),
+		conn: conn, dead: make(chan struct{}), wake: make(chan struct{}, 1),
 		pending: make(map[uint64]chan rpcResponse),
 	}
 	c.mu.Lock()
 	c.cur = cc
 	c.mu.Unlock()
-	cc.wg.Add(1)
+	cc.wg.Add(2)
 	go c.readLoop(cc, gob.NewDecoder(conn))
-	return cc, nil
+	go c.writeLoop(cc, gob.NewEncoder(timedWriter{conn, c.timeout}))
+	return cc
+}
+
+// current returns the client's connection, nil if there is none.
+func (c *Client) current() *clientConn {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.cur
+}
+
+// connect returns the client's connection, dialing one if there is none.
+// Waiting for the dial token ends with ctx or when expired fires.
+func (c *Client) connect(ctx context.Context, expired <-chan time.Time) (*clientConn, error) {
+	if cc := c.current(); cc != nil {
+		return cc, nil
+	}
+	select {
+	case c.dtok <- struct{}{}:
+	case <-ctx.Done():
+		return nil, fmt.Errorf("federation: dial %s: %w", c.addr, ctx.Err())
+	case <-expired:
+		return nil, fmt.Errorf("federation: dial %s: %w", c.addr, os.ErrDeadlineExceeded)
+	}
+	defer func() { <-c.dtok }()
+	if cc := c.current(); cc != nil { // dialed while this caller waited
+		return cc, nil
+	}
+	return c.dial(ctx)
 }
 
 // handshake exchanges version lines with the server.
@@ -496,6 +545,47 @@ func (c *Client) readLoop(cc *clientConn, dec *gob.Decoder) {
 	}
 }
 
+// writeLoop is the connection's one writer. It writes the queued frames in
+// order until the connection is retired, each under the client timeout and
+// never under a request's own deadline, which must not end the requests
+// sharing the connection. A write that fails, a request's or a cancel's,
+// leaves the frame stream torn and retires the connection.
+func (c *Client) writeLoop(cc *clientConn, enc *gob.Encoder) {
+	defer cc.wg.Done()
+	var f rpcRequest
+	for {
+		cc.mu.Lock()
+		if cc.pending == nil || len(cc.queue) == 0 {
+			cc.mu.Unlock()
+			select {
+			case <-cc.wake:
+				continue
+			case <-cc.dead:
+				return
+			}
+		}
+		f = cc.queue[0]
+		cc.queue = slices.Delete(cc.queue, 0, 1)
+		cc.mu.Unlock()
+		if err := enc.Encode(&f); err != nil {
+			c.retire(cc, fmt.Errorf("federation: send: %w", err))
+			return
+		}
+		if f.Kind != "cancel" {
+			cc.written.Store(f.ID)
+		}
+	}
+}
+
+// push queues frame f for the writer. The caller holds cc.mu.
+func (cc *clientConn) push(f rpcRequest) {
+	cc.queue = append(cc.queue, f)
+	select {
+	case cc.wake <- struct{}{}:
+	default: // the writer has a wake-up pending already
+	}
+}
+
 // retire takes cc out of service: the next request dials afresh, and every
 // request pending on cc fails with err (its reply channel closes). Only the
 // first retirement of a connection has any effect.
@@ -520,117 +610,48 @@ func (c *Client) retire(cc *clientConn, err error) {
 	}
 }
 
-// failure reports why the connection was retired.
-func (cc *clientConn) failure() error {
+// send gives req the connection's next ID and a reply channel, and queues
+// its frame. On a retired connection the ID is spent unwritten and send
+// fails with the retirement's cause.
+func (cc *clientConn) send(req *rpcRequest) (chan rpcResponse, error) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	return cc.err
-}
-
-// register gives req the connection's next ID and a reply channel.
-func (cc *clientConn) register(req *rpcRequest) (chan rpcResponse, error) {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
+	cc.nextID++ // 2^64 IDs per connection: never wraps
+	req.ID = cc.nextID
 	if cc.pending == nil {
 		return nil, cc.err
 	}
-	cc.nextID++ // 2^64 IDs per connection: never wraps
-	req.ID = cc.nextID
 	reply := make(chan rpcResponse, 1)
 	cc.pending[req.ID] = reply
+	cc.push(*req)
 	return reply, nil
 }
 
-// write encodes one frame under the client timeout, never a request's own
-// deadline: a write that fails leaves the frame stream torn and retires the
-// connection, so one request's deadline must not end the requests sharing
-// it. The caller holds the write token.
-func (cc *clientConn) write(req *rpcRequest) error {
-	cc.conn.SetWriteDeadline(time.Now().Add(cc.timeout))
-	if err := cc.enc.Encode(req); err != nil {
-		return fmt.Errorf("federation: send: %w", err)
-	}
-	return nil
-}
-
-// send registers req on the client's connection, dialing if there is none,
-// and writes its frame. The caller holds the write token.
-func (c *Client) send(ctx context.Context, req *rpcRequest) (*clientConn, chan rpcResponse, error) {
-	for {
-		c.mu.Lock()
-		cc := c.cur
-		c.mu.Unlock()
-		reused := cc != nil
-		if !reused {
-			var err error
-			if cc, err = c.dial(ctx); err != nil {
-				return nil, nil, err
-			}
-		}
-		reply, err := cc.register(req)
-		if err == nil {
-			if err = cc.write(req); err == nil {
-				return cc, reply, nil
-			}
-			c.retire(cc, err)
-		}
-		if !reused {
-			return nil, nil, err
-		}
-		// A held connection failed before the request left — typically
-		// the server dropped it while it sat idle and the reader has not
-		// seen the EOF yet. The request was not executed: retry it on a
-		// fresh dial (cur is nil now, so the next pass is the last).
-	}
-}
-
-// abandon stops waiting for request id on cc and tells the server to
-// withdraw it. The cancel frame is written by a goroutine of its own, so
-// the abandoning caller returns at once and the requests sharing the
-// connection are not disturbed; the response, if it still comes, is dropped
-// by the reader.
-func (c *Client) abandon(cc *clientConn, id uint64) {
+// abandon stops waiting for request id and withdraws it: a frame the writer
+// has not taken yet is dropped from the queue, and once it has, a cancel
+// frame is queued behind it. Either way the caller returns at once and the
+// requests sharing the connection are not disturbed; the response, if it
+// still comes, is dropped by the reader.
+func (cc *clientConn) abandon(id uint64) {
 	cc.mu.Lock()
-	_, waiting := cc.pending[id] // false: answered just now, or cc retired
-	delete(cc.pending, id)
-	if waiting {
-		cc.wg.Add(1)
+	defer cc.mu.Unlock()
+	if _, waiting := cc.pending[id]; !waiting {
+		return // answered just now, or cc retired
 	}
-	cc.mu.Unlock()
-	if !waiting {
+	delete(cc.pending, id)
+	if i := slices.IndexFunc(cc.queue, func(f rpcRequest) bool { return f.ID == id }); i >= 0 {
+		cc.queue = slices.Delete(cc.queue, i, i+1)
 		return
 	}
-	go func() {
-		defer cc.wg.Done()
-		select {
-		case c.wtok <- struct{}{}:
-		case <-cc.dead:
-			return
-		}
-		err := cc.write(&rpcRequest{ID: id, Kind: "cancel"})
-		<-c.wtok
-		if err != nil {
-			c.retire(cc, err)
-		}
-	}()
-}
-
-// sent is what the write token holder's send hands back to its caller.
-type sent struct {
-	cc    *clientConn
-	reply chan rpcResponse
-	err   error
+	cc.push(rpcRequest{ID: id, Kind: "cancel"})
 }
 
 // roundTripCtx sends one request and waits for its response, for the
 // context, or for the client timeout, whichever comes first. The context
-// bounds the wait for the write token, for the frame write and for the
-// response, and the dial and handshake end with it too. The frame write
-// itself runs under the client timeout alone (see write), on a goroutine of
-// its own, so the caller can return at its context's end while the write
-// finishes. A request whose context is done by the time it holds the token
-// returns without writing. Giving up — cancellation or timeout — returns at
-// once and sends a cancel frame once the request's frame is out; the
+// and the timeout bound the dial too, but never the frame write, which is
+// the writer's (see writeLoop): the caller can return at its context's end
+// while its frame is still being written. Giving up — cancellation or
+// timeout — returns at once and withdraws the request (see abandon); the
 // connection stays up.
 func (c *Client) roundTripCtx(ctx context.Context, req rpcRequest) (_ rpcResponse, err error) {
 	done := c.obs.begin(req.Kind)
@@ -643,71 +664,45 @@ func (c *Client) roundTripCtx(ctx context.Context, req rpcRequest) (_ rpcRespons
 	gaveUp := func(cause error) (rpcResponse, error) {
 		return rpcResponse{}, fmt.Errorf("federation: %s at %s: %w", req.Kind, c.addr, cause)
 	}
-
-	select {
-	case c.wtok <- struct{}{}:
-	case <-ctx.Done():
-		return gaveUp(ctx.Err())
-	case <-timer.C:
-		return gaveUp(os.ErrDeadlineExceeded)
-	}
-	if err := ctx.Err(); err != nil { // done as the token came free
-		<-c.wtok
-		return gaveUp(err)
-	}
-	out := make(chan sent) // unbuffered: the caller takes the send or leaves gone
-	gone := make(chan struct{})
-	go func() {
-		cc, reply, err := c.send(ctx, &req)
-		<-c.wtok
-		select {
-		case out <- sent{cc, reply, err}:
-		case <-gone:
-			if err == nil {
-				c.abandon(cc, req.ID)
+	for retried := false; ; retried = true {
+		cc, err := c.connect(ctx, timer.C)
+		if err != nil {
+			return rpcResponse{}, err
+		}
+		reply, err := cc.send(&req)
+		if err == nil {
+			select {
+			case resp, ok := <-reply:
+				if ok {
+					if resp.Err != "" {
+						return rpcResponse{}, errors.New(resp.Err)
+					}
+					return resp, nil
+				}
+				err = cc.err // set before retire closed reply
+			case <-ctx.Done():
+				cc.abandon(req.ID)
+				return gaveUp(ctx.Err())
+			case <-timer.C:
+				cc.abandon(req.ID)
+				return gaveUp(os.ErrDeadlineExceeded)
 			}
 		}
-	}()
-	var s sent
-	select {
-	case s = <-out:
-	case <-ctx.Done():
-		close(gone)
-		return gaveUp(ctx.Err())
-	case <-timer.C:
-		close(gone)
-		return gaveUp(os.ErrDeadlineExceeded)
-	}
-	if s.err != nil {
-		return rpcResponse{}, s.err
-	}
-	cc, reply := s.cc, s.reply
-
-	select {
-	case resp, ok := <-reply:
-		if !ok {
-			return rpcResponse{}, cc.failure()
+		if retried || cc.written.Load() >= req.ID {
+			return rpcResponse{}, err
 		}
-		if resp.Err != "" {
-			return rpcResponse{}, errors.New(resp.Err)
-		}
-		return resp, nil
-	case <-ctx.Done():
-		c.abandon(cc, req.ID)
-		return gaveUp(ctx.Err())
-	case <-timer.C:
-		c.abandon(cc, req.ID)
-		return gaveUp(os.ErrDeadlineExceeded)
+		// The connection was retired before the request's frame left it —
+		// typically the server dropped it while it sat idle and the reader
+		// had not seen the EOF yet. The request was not executed: retry it
+		// once, on a fresh dial.
 	}
 }
 
 // Close tears the connection down, failing the requests pending on it, and
-// returns once its reader has exited. A later request dials afresh.
+// returns once its reader and its writer have exited. A later request dials
+// afresh.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	cc := c.cur
-	c.mu.Unlock()
-	if cc != nil {
+	if cc := c.current(); cc != nil {
 		c.retire(cc, errors.New("federation: client closed"))
 		cc.wg.Wait()
 	}
