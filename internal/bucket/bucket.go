@@ -1,12 +1,14 @@
 // Package bucket implements the equal-sized bucket partitioning of paper
 // §3.1 (Figure 1) and the bucket store that serves them — from the modeled
-// disk, or from a Backend doing real I/O. Either way the store has two
-// reads, the two arms of the hybrid join (§3.4): Scan and Probe. On a
-// Backend both are one Fill of the granules the queue's keys select into
-// the bucket the RAM cache keeps, handed to the join as runs of the array
-// the fill decoded them into, uncopied, and they differ only in how the
-// disk accounts them. The simulated store reads whole buckets, and only a
-// Scan's is kept.
+// disk, or from a Backend doing real I/O — through one call, Store.Serve,
+// which owns the hybrid join's scan-or-probe choice (§3.4). The simulated
+// store reads whole buckets, so the choice prices its disk: a sparse queue
+// on an uncached bucket is a run of index probes that keeps nothing, any
+// other service a scan of the bucket the RAM cache keeps. On a Backend
+// every service is a scan-kind fill: one Fill of the granules the queue's
+// keys select into the bucket the cache keeps, handed to the join as runs
+// of the array the fill decoded them into, uncopied. Index probes are the
+// simulated store's alone.
 //
 // A partition divides a catalog's objects — already linearly ordered along
 // the HTM space-filling curve — into consecutive buckets holding exactly
@@ -28,6 +30,7 @@ import (
 	"liferaft/internal/disk"
 	"liferaft/internal/geom"
 	"liferaft/internal/htm"
+	"liferaft/internal/xmatch"
 )
 
 // DefaultObjectBytes reproduces the paper's bucket geometry: 10,000-object
@@ -204,7 +207,8 @@ func (p *Partition) Materialize(i int) []catalog.Object {
 // performs real I/O — a Fill blocks for as long as the hardware takes —
 // and the Store accounts the measured elapsed time to the disk's
 // statistics instead of charging model cost to the clock. Fill is the one
-// read: a Scan and an index probe both fill the Resident the cache keeps.
+// read: every service of a bucket fills the Resident the cache keeps, and
+// is a scan-kind read, whatever its queue's length (Store.Serve).
 // internal/segment provides the file-backed implementation, whose
 // granules are the unit a fill reads and the cache is weighed in.
 type Backend interface {
@@ -233,7 +237,7 @@ type Backend interface {
 }
 
 // Resident is one bucket as the engine's RAM cache holds it. A segment
-// store fills it granule by granule, as Scan and Probe services need them,
+// store fills it granule by granule, as services need them,
 // and Objs holds the resident granules' objects and nothing else, compact:
 // granule g's start at Rank(g) granules in, so a run of resident granules
 // is one slice of it, which the join reads in place (Backend.Fill). The
@@ -277,11 +281,13 @@ type ReadKind string
 
 // Store read kinds.
 const (
-	// ReadScan: what a Scan service reads — the granules its queue
+	// ReadScan: what a scan service reads — the granules its queue
 	// selects that the cached bucket lacks on a segment store, the whole
-	// bucket on the simulated disk.
+	// bucket on the simulated disk. Every service of a segment store is
+	// one.
 	ReadScan ReadKind = "scan"
-	// ReadProbe: index probes into a bucket's block run.
+	// ReadProbe: the simulated store's index probes into a bucket's
+	// block run, one sorted probe per queued object.
 	ReadProbe ReadKind = "probe"
 )
 
@@ -308,12 +314,13 @@ type nopObserver struct{}
 func (nopObserver) ObserveRead(ReadKind, time.Duration, int64) {}
 func (nopObserver) ObserveReadError(ReadKind, error)           {}
 
-// Store serves buckets from the modeled disk, charging sequential-scan
-// cost for bucket scans and sorted-probe cost for indexed access. It owns
-// the engine's disk, and through it the clock the engine runs on and
+// Store serves buckets (Serve) from the modeled disk, charging
+// sequential-scan cost for bucket scans and sorted-probe cost for indexed
+// access, or from a Backend, whose every service is a scan-kind fill. It
+// owns the engine's disk, and through it the clock the engine runs on and
 // charges: core.Config takes both from its Store. The cache layer sits
 // above the store (see the engine); every Store read is a real disk
-// transfer. Both reads return what the join merges over as runs (see
+// transfer. A service returns what the join merges over as runs (see
 // Backend.Fill), valid until the store's next read.
 type Store struct {
 	part        *Partition
@@ -397,73 +404,71 @@ func (s *Store) Close() error {
 // Materializing reports whether reads return objects.
 func (s *Store) Materializing() bool { return s.materialize }
 
-// Scan serves a Scan service of bucket i whose queue's probe keys are
-// keys, one per queued object (xmatch.WorkloadObject.RangeIn). r is the
-// bucket as the cache holds it, nil on a miss; a miss takes the Resident
-// Recycle kept, if any, and is accounted as one sequential read of the
-// whole bucket on either backend, the model's account RunStats.Disk keeps.
-// A segment store then reads only the granules the keys select that r
-// lacks (Backend.Fill); a hit that reads is accounted nothing, and only
-// the store observer sees the bytes it moved. The simulated store
-// materializes the whole bucket on a miss and reads nothing on a hit.
-// Scan returns the bucket to cache (r itself on a hit), the runs of it
-// the join merges over (the selected granules, or the whole bucket; nil
-// in cost-only mode) and the data bytes read.
-func (s *Store) Scan(i int, r *Resident, keys []htm.Range) (*Resident, [][]catalog.Object, int64) {
+// Serve serves one service of bucket i whose queue's probe keys are keys,
+// one per queued object (xmatch.WorkloadObject.RangeIn), and makes the
+// hybrid join's choice (§3.4) for it. r is the bucket as the cache holds
+// it, nil on a miss; a miss takes the Resident Recycle kept, if any.
+//
+// The simulated store reads whole buckets, so the choice prices its disk:
+// a miss whose queue is under threshold times the bucket's objects
+// (xmatch.ChooseStrategy) is len(keys) sorted index probes, a page each,
+// that keep nothing (a nil Resident). Any other miss is one sequential
+// read of the whole bucket, materialized; a hit reads nothing.
+//
+// A segment store reads only the granules the keys select that r lacks
+// (Backend.Fill), so a probe would read what a scan reads: it always
+// fills, and ignores threshold. A miss is accounted as one sequential
+// read of the whole bucket, the model's account RunStats.Disk keeps; a
+// hit that reads is accounted nothing, and only the store observer sees
+// the bytes it moved. A backend error is fail-stop: the observer hears of
+// it, then Serve panics.
+//
+// Serve returns the bucket to cache (r itself on a hit, nil after a
+// probe), the runs of it the join merges over (the selected granules, or
+// the whole bucket; nil in cost-only mode), the data bytes read, and
+// which read it was: ReadProbe only for the simulated store's probes.
+func (s *Store) Serve(i int, r *Resident, keys []htm.Range, threshold float64) (*Resident, [][]catalog.Object, int64, ReadKind) {
 	miss := r == nil
-	if miss {
-		r = s.take()
-	}
-	if s.backend == nil {
-		if !miss {
-			return r, s.oneRun(r.Objs), 0
+	if s.backend != nil {
+		if miss {
+			r = s.take()
 		}
-		r.Objs, r.Bytes = nil, s.part.BucketBytes(i)
-		cost := s.dsk.ReadSequential(r.Bytes)
-		s.obs.ObserveRead(ReadScan, cost, r.Bytes)
-		if s.materialize {
-			r.Objs = s.part.Materialize(i)
+		start := time.Now()
+		runs, n, err := s.backend.Fill(i, r, keys)
+		if err != nil {
+			s.obs.ObserveReadError(ReadScan, err)
+			panic(fmt.Sprintf("bucket: backend fill of bucket %d: %v", i, err))
 		}
-		return r, s.oneRun(r.Objs), r.Bytes
+		elapsed := time.Since(start)
+		r.Bytes += n
+		if miss {
+			s.dsk.AccountSequential(s.part.BucketBytes(i), elapsed)
+		}
+		if n > 0 {
+			s.obs.ObserveRead(ReadScan, elapsed, n)
+		}
+		return r, runs, n, ReadScan
 	}
-	runs, n, elapsed := s.fill(ReadScan, i, r, keys)
-	r.Bytes += n
-	if miss {
-		s.dsk.AccountSequential(s.part.BucketBytes(i), elapsed)
+	if !miss {
+		return r, s.oneRun(r.Objs), 0, ReadScan
 	}
-	if n > 0 {
-		s.obs.ObserveRead(ReadScan, elapsed, n)
-	}
-	return r, runs, n
-}
-
-// Probe serves an index probe service of bucket i, which the cache does
-// not hold: len(keys) probes, one per queued object, keyed as Scan keys
-// them, accounted as probes rather than a scan. A segment store fills the
-// granules the keys select into the Resident Recycle kept, as a Scan miss
-// does, and returns it for the cache to keep: a probe reads what a Scan
-// miss would, and a later service of the bucket is a hit that reads only
-// what the probe did not. The simulated store charges the model's
-// sorted-probe cost, keeps nothing (a nil Resident) and returns the whole
-// bucket as one run. Probe returns the bucket to cache, the runs the join
-// merges over (nil in cost-only mode) and the data bytes read — on the
-// simulated store, a page per probe.
-func (s *Store) Probe(i int, keys []htm.Range) (*Resident, [][]catalog.Object, int64) {
-	if s.backend == nil {
+	if xmatch.ChooseStrategy(len(keys), s.part.Bucket(i).Count(), threshold, false) == xmatch.Index {
 		n := int64(len(keys)) * s.dsk.Model().PageSize
 		cost := s.dsk.ReadProbes(len(keys))
 		s.obs.ObserveRead(ReadProbe, cost, n)
 		if !s.materialize {
-			return nil, nil, n
+			return nil, nil, n, ReadProbe
 		}
-		return nil, s.oneRun(s.part.Materialize(i)), n
+		return nil, s.oneRun(s.part.Materialize(i)), n, ReadProbe
 	}
-	r := s.take()
-	runs, n, elapsed := s.fill(ReadProbe, i, r, keys)
-	r.Bytes += n
-	s.dsk.AccountProbes(len(keys), elapsed)
-	s.obs.ObserveRead(ReadProbe, elapsed, n)
-	return r, runs, n
+	r = s.take()
+	r.Objs, r.Bytes = nil, s.part.BucketBytes(i)
+	cost := s.dsk.ReadSequential(r.Bytes)
+	s.obs.ObserveRead(ReadScan, cost, r.Bytes)
+	if s.materialize {
+		r.Objs = s.part.Materialize(i)
+	}
+	return r, s.oneRun(r.Objs), r.Bytes, ReadScan
 }
 
 // take returns the Resident Recycle kept, or a new one, emptied for a
@@ -487,7 +492,7 @@ func (s *Store) oneRun(objs []catalog.Object) [][]catalog.Object {
 	return s.whole
 }
 
-// Recycle hands back a Resident s.Scan or s.Probe returned, once nothing
+// Recycle hands back a Resident s.Serve returned, once nothing
 // reads it any more: no cache entry, join or result holds a view of it,
 // and none will. The store keeps the one with the largest array, and its
 // next miss overwrites that array and residency set. A simulated store's
@@ -521,16 +526,4 @@ func (s *Store) Weight(r *Resident) int {
 	}
 	per := s.backend.GranuleObjects()
 	return max(r.Granules(), (cap(r.Objs)+per-1)/per)
-}
-
-// fill is one Backend.Fill, timed. A backend error is fail-stop: the
-// observer hears of it, then fill panics.
-func (s *Store) fill(kind ReadKind, i int, r *Resident, keys []htm.Range) ([][]catalog.Object, int64, time.Duration) {
-	start := time.Now()
-	runs, n, err := s.backend.Fill(i, r, keys)
-	if err != nil {
-		s.obs.ObserveReadError(kind, err)
-		panic(fmt.Sprintf("bucket: backend %s of bucket %d: %v", kind, i, err))
-	}
-	return runs, n, time.Since(start)
 }

@@ -283,18 +283,24 @@ func TestStoreCostAndMaterialization(t *testing.T) {
 	if !s.Materializing() || s.Partition() != p {
 		t.Error("accessors")
 	}
+	// At a threshold of 5%, a queue of 10 scans a 200-object bucket and a
+	// queue of 9 or fewer probes it, unless the bucket is cached.
+	const th = 0.05
 	before := d.Ledger().Charged
-	_, runs, _ := s.Scan(0, nil, nil)
-	if objs := slices.Concat(runs...); len(runs) != 1 || len(objs) != 200 {
-		t.Errorf("read returned %d objects in %d runs", len(objs), len(runs))
+	r, runs, _, kind := s.Serve(0, nil, make([]htm.Range, 10), th)
+	if objs := slices.Concat(runs...); kind != ReadScan || len(runs) != 1 || len(objs) != 200 {
+		t.Errorf("a %s returned %d objects in %d runs; want a scan of 200 in one", kind, len(objs), len(runs))
 	}
 	if cost := d.Ledger().Charged - before; cost != d.Model().SequentialRead(p.BucketBytes(0)) {
 		t.Errorf("scan cost = %v", cost)
 	}
 	before = d.Ledger().Charged
-	kept, runs2, _ := s.Probe(0, make([]htm.Range, 7))
-	if objs2 := slices.Concat(runs2...); len(runs2) != 1 || len(objs2) != 200 {
-		t.Errorf("probe returned %d objects in %d runs", len(objs2), len(runs2))
+	if hit, runs, n, kind := s.Serve(0, r, make([]htm.Range, 1), th); hit != r || kind != ReadScan || n != 0 || len(slices.Concat(runs...)) != 200 || d.Ledger().Charged != before {
+		t.Errorf("one queued object on the cached bucket: a %s reading %d bytes; want a scan of the cached bucket that reads and charges nothing", kind, n)
+	}
+	kept, runs2, _, kind := s.Serve(0, nil, make([]htm.Range, 7), th)
+	if objs2 := slices.Concat(runs2...); kind != ReadProbe || len(runs2) != 1 || len(objs2) != 200 {
+		t.Errorf("a %s returned %d objects in %d runs; want a probe of 200 in one", kind, len(objs2), len(runs2))
 	}
 	if kept != nil {
 		t.Error("the simulated store's probe returned a bucket to cache; it keeps nothing")
@@ -307,11 +313,11 @@ func TestStoreCostAndMaterialization(t *testing.T) {
 	if cs.Disk() != d {
 		t.Error("a store's disk is the one it was built with")
 	}
-	_, objs3, _ := cs.Scan(1, nil, nil)
+	_, objs3, _, _ := cs.Serve(1, nil, make([]htm.Range, 10), th)
 	if objs3 != nil {
 		t.Error("cost-only store should not materialize")
 	}
-	_, objs4, _ := cs.Probe(1, make([]htm.Range, 3))
+	_, objs4, _, _ := cs.Serve(1, nil, make([]htm.Range, 3), th)
 	if objs4 != nil {
 		t.Error("cost-only probe should not materialize")
 	}

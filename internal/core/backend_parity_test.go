@@ -18,11 +18,12 @@ import (
 // proves the segment encoding round-trips objects exactly.
 //
 // The two caches do not hold the same things. A simulated entry is a whole
-// bucket and a simulated probe keeps nothing; a file entry weighs the
-// granules it holds, and a file probe keeps what it read. A bucket
-// serviced a second time can therefore be a hit on one backend and a miss
-// on the other, and then its φ (Eq. 1), and so the pick, differ. The
-// schedules agree only while no pick sees a bucket the two caches
+// bucket and a simulated index probe keeps nothing; a file entry weighs
+// the granules it holds, and a file store serves every bucket as a
+// scan-kind fill that keeps what it read, whatever its queue's length. A
+// bucket serviced a second time can therefore be a hit on one backend and
+// a miss on the other, and then its φ (Eq. 1), and so the pick, differ.
+// The schedules agree only while no pick sees a bucket the two caches
 // disagree on. That holds where the simulated store evicts nothing and no
 // bucket is revisited after an index service. It holds too, whatever is
 // evicted, where no bucket is serviced twice.
@@ -30,14 +31,15 @@ import (
 // Every case of TestBackendParity and the sharded case are batch replays:
 // the whole trace is admitted up front and nothing arrives later, so each
 // bucket is serviced once. They must make the same bucket-service
-// sequence, with the same completions at every step. They must also end
-// with the same RunStats, and the disk counters in them stay in parity,
-// because an index service is still accounted as probes. Excluded are the
-// clocks (the file backend runs on real time) and the cache's Puts and
-// Evictions: the file store also caches what its probes read, and evicts
-// by weight. The revisits case admits a second round after the first has
-// drained, so buckets are serviced twice and the schedules may part; it
-// requires the same answers only.
+// sequence, with the same completions at every step. The file run must
+// also end with the simulated run's RunStats mapped onto a file store
+// (fileStats): each of the simulated run's index services is a scan there,
+// accounted as one sequential read of its bucket instead of its probes.
+// Excluded are the clocks (the file backend runs on real time) and the
+// cache's Puts and Evictions: the file store also caches what its sparse
+// queues read, and evicts by weight. The revisits case admits a second
+// round after the first has drained, so buckets are serviced twice and the
+// schedules may part; it requires the same answers only.
 //
 // With every arrival of a batch at the same instant, each queue's age is
 // the same elapsed-since-start and the Eq. 2 normalization divides it
@@ -242,12 +244,52 @@ func replayBackends(t *testing.T, part *bucket.Partition, dir string, pc parityC
 	if stA.Cache.Hits != 0 {
 		t.Fatalf("%d cache hits: a bucket was serviced twice in a batch replay", stA.Cache.Hits)
 	}
-	if !reflect.DeepEqual(stA, stB) {
-		t.Fatalf("RunStats diverged after %d services (clock fields excluded):\nsim:  %+v\nfile: %+v", steps, stA, stB)
+	if want := fileStats(t, stA, part, jobs, sim.cfg.HybridThreshold); !reflect.DeepEqual(want, stB) {
+		t.Fatalf("RunStats diverged after %d services (clock fields excluded):\nsim:  %+v %+v\nwant: %+v %+v\nfile: %+v %+v",
+			steps, stA, stA.Disk, want, want.Disk, stB, stB.Disk)
 	}
-	if stB.Disk.SeqBytes == 0 && stB.Disk.Probes == 0 {
+	if stB.Disk.SeqBytes == 0 {
 		t.Error("file backend performed no I/O at all")
 	}
+}
+
+// fileStats maps the RunStats of a simulated batch replay of jobs onto the
+// ones a file store's replay of them must end with. Each bucket is
+// serviced once, with every unit the trace queues on it, so the buckets
+// the simulated store probed are those whose queue is under threshold
+// (xmatch.ChooseStrategy). A file store serves each of them as a scan-kind
+// fill, accounted as one sequential read of the whole bucket: its scans
+// are the simulated scans and index services, it has neither index
+// services nor probes, and its sequential reads gain one per probed bucket
+// and that bucket's bytes.
+func fileStats(t *testing.T, sim RunStats, part *bucket.Partition, jobs []Job, threshold float64) RunStats {
+	t.Helper()
+	queued := make(map[int]int)
+	var reached []int
+	for _, j := range jobs {
+		for _, wo := range j.Objects {
+			reached = part.AppendBucketsReached(reached[:0], wo.Range(), wo.Cap())
+			for _, b := range reached {
+				queued[b]++
+			}
+		}
+	}
+	st := sim
+	var probed int64
+	for b, n := range queued {
+		if xmatch.ChooseStrategy(n, part.Bucket(b).Count(), threshold, false) == xmatch.Index {
+			probed++
+			st.Disk.SeqBytes += part.BucketBytes(b)
+		}
+	}
+	if probed != sim.IndexServices || probed == 0 {
+		t.Fatalf("%d queues under the threshold, %d index services on the simulated store; want them equal and above 0", probed, sim.IndexServices)
+	}
+	st.ScanServices += st.IndexServices
+	st.IndexServices = 0
+	st.Disk.Probes = 0
+	st.Disk.SeqReads += probed
+	return st
 }
 
 // shardedParity proves the file backend composes with the sharded
@@ -277,7 +319,7 @@ func shardedParity(t *testing.T, part *bucket.Partition, dir string, hotJobs []J
 		Store: bucket.NewStore(part, fileDisk, false).WithBackend(segment.NewBackend(set, false)),
 		Alpha: 0.5, CacheBuckets: 20, Shards: 4,
 	}
-	fileRes, fileStats, err := Run(fileCfg, hotJobs, offsets)
+	fileRes, fileRunStats, err := Run(fileCfg, hotJobs, offsets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,8 +336,9 @@ func shardedParity(t *testing.T, part *bucket.Partition, dir string, hotJobs []J
 		return counters{st.BucketsServed, st.ScanServices, st.IndexServices,
 			st.Disk.SeqReads, st.Disk.SeqBytes, st.Disk.Probes, st.Disk.Matches}
 	}
-	if count(simStats) != count(fileStats) {
-		t.Fatalf("sharded counters diverged:\nsim:  %+v\nfile: %+v", count(simStats), count(fileStats))
+	want := fileStats(t, simStats, part, hotJobs, xmatch.DefaultThreshold)
+	if count(want) != count(fileRunStats) {
+		t.Fatalf("sharded counters diverged:\nsim:  %+v\nwant: %+v\nfile: %+v", count(simStats), count(want), count(fileRunStats))
 	}
 }
 
@@ -331,9 +374,9 @@ func revisitParity(t *testing.T, part *bucket.Partition, dir string, jobs []Job)
 	if len(ansA) != len(jobs) || !reflect.DeepEqual(ansA, ansB) {
 		t.Fatalf("answers diverged: sim answered %d queries, file %d", len(ansA), len(ansB))
 	}
-	if file.stats.IndexServices == 0 || file.cache.Stats().Hits == 0 {
-		t.Fatalf("%d index services and %d cache hits on the file store; the trace must probe, and the second batch revisit buckets",
-			file.stats.IndexServices, file.cache.Stats().Hits)
+	if sim.stats.IndexServices == 0 || file.stats.IndexServices != 0 || file.cache.Stats().Hits == 0 {
+		t.Fatalf("%d index services on the simulated store, %d index services and %d cache hits on the file store; some queue must be under the threshold, the file store must scan it, and the second batch must revisit buckets",
+			sim.stats.IndexServices, file.stats.IndexServices, file.cache.Stats().Hits)
 	}
 	t.Logf("%d vs %d services, %d vs %d cache hits (sim vs file)", sim.stats.BucketsServed, file.stats.BucketsServed, sim.cache.Stats().Hits, file.cache.Stats().Hits)
 }

@@ -65,7 +65,8 @@ type Config struct {
 	CacheBuckets int
 	// HybridThreshold is the queue-to-bucket ratio below which an
 	// out-of-core bucket is joined via the index (paper §3.4; default
-	// 0.03 per Figure 2).
+	// 0.03 per Figure 2). The store applies it (bucket.Store.Serve); a
+	// segment store serves every bucket as a scan and ignores it.
 	HybridThreshold float64
 
 	// Shards is K, the number of independent disk/worker shards the

@@ -52,7 +52,7 @@ func NewEngineMetrics(reg *metric.Registry) *EngineMetrics {
 			"Wall-clock latency of one scheduler pick (bucket selection).",
 			shard, metric.ExpBuckets(5e-7, 4, 10), metric.VecOpts{}),
 		services: reg.NewCounterVec("liferaft_engine_services_total",
-			"Bucket services by join strategy (scan joins against the cached bucket, filling the granules it lacks; index probes the bucket).",
+			"Bucket services by join strategy (scan joins against the cached bucket, filling the granules it lacks; index probes the bucket, on the simulated store only: a segment store serves every bucket as a scan).",
 			[]string{"shard", "strategy"}, metric.VecOpts{}),
 		parts: reg.NewCounterVec("liferaft_engine_service_parts_total",
 			"Parts of bucket services run by this shard's arm: own = of a service this shard picked (every service has at least one), helped = of a sibling shard's split scan service, taken while this worker was idle. The match time of a part is charged to the arm that ran it.",
@@ -70,10 +70,10 @@ func NewEngineMetrics(reg *metric.Registry) *EngineMetrics {
 			"Shards each submitted query had work on (0 = no bucket overlapped). Region queries cover consecutive buckets, which are dealt round-robin, so this sits at the shard count.",
 			[]float64{0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64}),
 		readSec: reg.NewHistogramVec("liferaft_store_read_seconds",
-			"Store read latency by kind (scan = a scan service's read: the granules its queue selects that the cached bucket lacks on segment files, the whole bucket on a sim miss; probe = index lookups); modeled cost on the sim backend, measured on segment files. A scan service that reads nothing is not observed.",
+			"Store read latency by kind (scan = a scan service's read: the granules its queue selects that the cached bucket lacks on segment files, the whole bucket on a sim miss; probe = the simulated store's index lookups); modeled cost on the sim backend, measured on segment files. A scan service that reads nothing is not observed.",
 			[]string{"shard", "kind"}, metric.ExpBuckets(1e-5, 4, 10), metric.VecOpts{}),
 		readBytes: reg.NewCounterVec("liferaft_store_read_bytes_total",
-			"Data bytes moved by store reads, by kind; divide by liferaft_store_read_seconds_count for the bytes one scan read or one probe pass costs here. RunStats.Disk keeps the model's account instead (a whole bucket per scan miss).",
+			"Data bytes moved by store reads, by kind (every segment-file read is a scan); divide by liferaft_store_read_seconds_count for the bytes one scan read or one probe pass costs here. RunStats.Disk keeps the model's account instead (a whole bucket per scan miss).",
 			[]string{"shard", "kind"}, metric.VecOpts{}),
 		readErrs: reg.NewCounterVec("liferaft_store_read_errors_total",
 			"Store read failures by kind, including checksum mismatches; the store fail-stops after counting.",

@@ -10,9 +10,9 @@ import (
 	"time"
 
 	"liferaft/internal/bucket"
-	"liferaft/internal/catalog"
 	"liferaft/internal/disk"
 	"liferaft/internal/metric"
+	"liferaft/internal/segment"
 	"liferaft/internal/simclock"
 	"liferaft/internal/xmatch"
 )
@@ -25,25 +25,33 @@ import (
 // records: a real clock at
 // K = 1 and 2 — where a 300-unit service is split and the idle arm runs
 // parts of it — and a virtual one, scan and index services, cache
-// evictions, spilled queues, a cancel, and Close. Every query that was not
-// cancelled answers the brute-force pairs.
+// evictions, spilled queues, a cancel, and Close; and a segment store on
+// the real clock, which serves every bucket as a scan-kind fill. Every
+// query that was not cancelled answers the brute-force pairs.
 func TestLiveWithoutMetrics(t *testing.T) {
-	part, _ := shardFixture(t)
-	var locals []catalog.Object
-	for b := 0; b < part.NumBuckets(); b++ {
-		locals = append(locals, part.Materialize(b)...)
+	part, dir := granuleFixture(t)
+	set, err := segment.OpenSet(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer set.Close()
+	locals := allObjects(part)
 	clocks := []struct {
 		name string
 		clk  func() simclock.Clock
+		file bool
 	}{
-		{"real", func() simclock.Clock { return simclock.Real{} }},
-		{"virtual", func() simclock.Clock { return simclock.NewVirtual() }},
+		{"real", func() simclock.Clock { return simclock.Real{} }, false},
+		{"virtual", func() simclock.Clock { return simclock.NewVirtual() }, false},
+		{"file", func() simclock.Clock { return simclock.Real{} }, true},
 	}
 	for _, c := range clocks {
 		for _, k := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/K=%d", c.name, k), func(t *testing.T) {
 				cfg := NewOn(part, 0.25, true, c.clk())
+				if c.file {
+					cfg.Store = cfg.Store.WithBackend(segment.NewBackend(set, true))
+				}
 				cfg.Shards, cfg.CacheBuckets, cfg.WorkloadMemoryCap = k, 1, 200
 				l, err := NewLive(cfg)
 				if err != nil {
@@ -93,9 +101,14 @@ func TestLiveWithoutMetrics(t *testing.T) {
 					t.Fatal(err)
 				}
 				st, _ := l.Stats()
-				if st.ScanServices == 0 || st.IndexServices == 0 || st.Cache.Evictions == 0 || st.SpilledObjects == 0 {
-					t.Errorf("%d scan and %d index services, %d evictions, %d objects spilled: want all four above 0",
-						st.ScanServices, st.IndexServices, st.Cache.Evictions, st.SpilledObjects)
+				if st.Cache.Evictions == 0 || st.SpilledObjects == 0 {
+					t.Errorf("%d evictions, %d objects spilled: want both above 0", st.Cache.Evictions, st.SpilledObjects)
+				}
+				switch {
+				case c.file && (st.IndexServices != 0 || st.ScanServices != st.BucketsServed):
+					t.Errorf("%d scan and %d index services of %d on a segment store: want every one a scan", st.ScanServices, st.IndexServices, st.BucketsServed)
+				case !c.file && (st.ScanServices == 0 || st.IndexServices == 0):
+					t.Errorf("%d scan and %d index services on the simulated store: want both above 0", st.ScanServices, st.IndexServices)
 				}
 			})
 		}

@@ -11,12 +11,14 @@ import (
 	"liferaft/internal/xmatch"
 )
 
-// servicePartUnits is how many work units one part of a split Scan
-// service holds. A service is split only when its queue fills two parts;
-// below that the fork-join costs more than the overlap buys (and every
-// cold_sweep service, at ≈10 units, is far below it). A constant, not a
-// knob: hot_batch at 2 shards (parent: 41.3 qps and 1.7–2.2 ms of CPU per
-// query; two-arm ceiling ≈52 qps) read, over 20 s windows,
+// servicePartUnits is how many work units one part of a split scan-kind
+// service holds — on a segment store every service is one, on the
+// simulated store every one but an index probe. A service is split only
+// when its queue fills two parts; below that the fork-join costs more
+// than the overlap buys (and every cold_sweep service, at ≈10 units, is
+// far below it). A constant, not a knob: hot_batch at 2 shards (parent:
+// 41.3 qps and 1.7–2.2 ms of CPU per query; two-arm ceiling ≈52 qps)
+// read, over 20 s windows,
 //
 //	units/part          8      16     32     64     128
 //	qps, seed 3         50.1   50.3   49.9   48.7   46.8

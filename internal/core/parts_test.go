@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,8 +13,10 @@ import (
 
 	"liferaft/internal/bucket"
 	"liferaft/internal/catalog"
+	"liferaft/internal/disk"
 	"liferaft/internal/geom"
 	"liferaft/internal/metric"
+	"liferaft/internal/segment"
 	"liferaft/internal/simclock"
 	"liferaft/internal/xmatch"
 )
@@ -383,6 +386,75 @@ func TestOneHotBucketScalesWithShards(t *testing.T) {
 	t.Logf("one %d-unit bucket service: %v at K=1, %v at K=2 (%.2fx)", units, solo, both, float64(both)/float64(solo))
 	if float64(both) > 0.7*float64(solo) {
 		t.Errorf("K=2 takes %v, %.2fx the K=1 time %v, want <= 0.70x", both, float64(both)/float64(solo), solo)
+	}
+}
+
+// TestFileStoreSplitsASparseService: a segment store serves every bucket
+// as a scan-kind fill, so a service of two parts' worth or more is split on
+// a real clock however small its queue is beside the bucket. With the
+// hybrid threshold raised until 300 units of hotBucket's 400 objects sit
+// under it, a K = 2 engine cuts their one service into ⌈300/64⌉ = 5 parts
+// over a segment store, counted by liferaft_engine_service_parts_total,
+// own and helped; over the simulated store the same queue is one index
+// service, in one part. Both answer the brute-force pairs.
+func TestFileStoreSplitsASparseService(t *testing.T) {
+	part, dir := granuleFixture(t)
+	const units, threshold = 300, 0.9
+	job := hotJob(part, 1, units)
+	if len(job.Objects) != units || xmatch.ChooseStrategy(units, part.Bucket(hotBucket).Count(), threshold, false) != xmatch.Index {
+		t.Fatalf("fixture: %d units, which must sit under the threshold", len(job.Objects))
+	}
+	want := xmatch.BruteForce(allObjects(part), job.Objects, nil)
+	for _, c := range []struct {
+		name           string
+		file           bool
+		parts          float64
+		scans, indexes int64
+	}{
+		{"file", true, (units + servicePartUnits - 1) / servicePartUnits, 1, 0},
+		{"sim", false, 1, 0, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			st := bucket.NewStore(part, disk.New(parityModel(), simclock.Real{}), true)
+			if c.file {
+				set, err := segment.OpenSet(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer set.Close()
+				st = st.WithBackend(segment.NewBackend(set, true))
+			}
+			reg := metric.NewRegistry()
+			l, err := NewLive(Config{
+				Store: st, Alpha: 0.25, CacheBuckets: 20, HybridThreshold: threshold,
+				Shards: 2, Metrics: NewEngineMetrics(reg),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			ch, err := l.SubmitCtx(context.Background(), job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := <-ch
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 || !samePairSet(r.Pairs, want) {
+				t.Errorf("%d pairs, brute force %d (want some)", len(r.Pairs), len(want))
+			}
+			stats, _ := l.Stats()
+			var scrape strings.Builder
+			if err := reg.WriteText(&scrape); err != nil {
+				t.Fatal(err)
+			}
+			parts := sampleSum(t, scrape.String(), "liferaft_engine_service_parts_total")
+			if stats.BucketsServed != 1 || stats.ScanServices != c.scans || stats.IndexServices != c.indexes || parts != c.parts {
+				t.Errorf("%d services, %d scan and %d index, in %v parts; want 1, %d and %d, in %v",
+					stats.BucketsServed, stats.ScanServices, stats.IndexServices, parts, c.scans, c.indexes, c.parts)
+			}
+		})
 	}
 }
 

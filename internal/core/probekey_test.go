@@ -14,11 +14,12 @@ import (
 	"liferaft/internal/xmatch"
 )
 
-// probeMeter records what each fill — every service here is an index
-// probe — read of the backend under it.
+// probeMeter records what each fill — every service here is one object's
+// queue, under the hybrid threshold, which a file store serves as a fill
+// like any other — read of the backend under it.
 type probeMeter struct {
 	bucket.Backend
-	bytes map[int]int64 // bucket -> bytes its probes read
+	bytes map[int]int64 // bucket -> bytes its fills read
 }
 
 func (m *probeMeter) Fill(i int, r *bucket.Resident, keys []htm.Range) ([][]catalog.Object, int64, error) {
@@ -31,8 +32,8 @@ func (m *probeMeter) Fill(i int, r *bucket.Resident, keys []htm.Range) ([][]cata
 // over whole faces. It is queued only on the buckets its error circle
 // reaches — one assignment per bucket span the cover overlaps, not one per
 // bucket between the two ends of its cover — so no bucket the circle misses
-// is probed at all, and the pairs equal the brute-force join over the
-// whole catalog.
+// is read at all, and the pairs equal the brute-force join over the whole
+// catalog.
 func TestSweepingObjectReadsOnlyWhatItsCircleReaches(t *testing.T) {
 	part, dir, _, _ := parityFixture(t)
 	set, err := segment.OpenSet(dir)
@@ -74,16 +75,22 @@ func TestSweepingObjectReadsOnlyWhatItsCircleReaches(t *testing.T) {
 	if len(res) != 1 || res[0].Assignments != len(reached) {
 		t.Fatalf("%d results, %d assignments; want one query with one per bucket the cover reaches (%d)", len(res), res[0].Assignments, len(reached))
 	}
-	if s.stats.IndexServices != int64(res[0].Assignments) {
-		t.Fatalf("%d of %d services were index probes; the fixture must probe", s.stats.IndexServices, res[0].Assignments)
+	for _, bi := range reached {
+		if xmatch.ChooseStrategy(1, part.Bucket(bi).Count(), s.cfg.HybridThreshold, false) != xmatch.Index {
+			t.Fatalf("one object on bucket %d is not under the threshold; the fixture must probe", bi)
+		}
+	}
+	if s.stats.ScanServices != int64(res[0].Assignments) || s.stats.IndexServices != 0 {
+		t.Fatalf("%d scan and %d index services for %d assignments; a file store serves every one as a scan-kind fill",
+			s.stats.ScanServices, s.stats.IndexServices, res[0].Assignments)
 	}
 	for bi := range meter.bytes {
 		if !htm.RangesOverlap(cover, []htm.Range{part.Bucket(bi).Span}) {
-			t.Errorf("bucket %d was probed, yet the circle does not reach it", bi)
+			t.Errorf("bucket %d was read, yet the circle does not reach it", bi)
 		}
 	}
 	if len(meter.bytes) != len(reached) {
-		t.Errorf("%d buckets probed, the circle reaches %d", len(meter.bytes), len(reached))
+		t.Errorf("%d buckets read, the circle reaches %d", len(meter.bytes), len(reached))
 	}
 
 	all := part.Catalog().Objects(0, int64(part.Catalog().Total()))

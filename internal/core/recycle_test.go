@@ -225,7 +225,10 @@ func churn(t *testing.T, cfg Config, rounds [][]Job, want map[uint64][]xmatch.Pa
 // length, in one observation per service that read anything. RunStats.Disk
 // keeps the model's account — one sequential read per miss, none per hit —
 // and a traced query's scan store_read span marks a service that read or
-// missed.
+// missed. A query's objects near an end of the bucket reach the next one
+// too, whose few units are a service of their own: a miss there, a scan
+// like any other on a segment store, that reads nothing here (its keys lie
+// below the bucket's first object).
 // The cache holds one bucket's worth of granules, 67: a miss whose
 // granules and the cached bucket's outweigh that evicts the bucket, which
 // forgets its granules, so the next miss reads them again. A queue whose
@@ -241,6 +244,17 @@ func TestScanReadsGranulesOnce(t *testing.T) {
 	var want float64
 	check := func(what string, job Job, b int, have map[int]bool, miss bool) {
 		t.Helper()
+		// The buckets other than b the job reaches that are not cached:
+		// each is a miss of its own.
+		others := make(map[int]bool)
+		for _, wo := range job.Objects {
+			for _, c := range part.AppendBucketsReached(nil, wo.Range(), wo.Cap()) {
+				if c != b && !s.cache.Contains(c) {
+					others[c] = true
+				}
+			}
+		}
+		misses := len(others)
 		seq, obs := s.cfg.Store.Disk().Stats().SeqReads, reads.Count()
 		job.Trace = rec.Start("read-once", job.ID)
 		r := serve(t, s, job)
@@ -262,10 +276,14 @@ func TestScanReadsGranulesOnce(t *testing.T) {
 		if n := reads.Count() - obs; n != 0 && n != 1 || (n == 1) != (added > 0) {
 			t.Errorf("%s: %d scan read observations for a service that read %d bytes", what, n, added)
 		}
-		if (spans == 1) != (miss || added > 0) || spans > 1 {
-			t.Errorf("%s: %d scan store_read spans for a service that read %d bytes", what, spans, added)
+		wantSpans := misses
+		if miss || added > 0 {
+			wantSpans++
 		}
-		wantSeq := seq
+		if spans != wantSpans {
+			t.Errorf("%s: %d scan store_read spans for a service that read %d bytes and %d misses of other buckets", what, spans, added, misses)
+		}
+		wantSeq := seq + int64(misses)
 		if miss {
 			wantSeq++
 		}
@@ -294,24 +312,26 @@ func TestScanReadsGranulesOnce(t *testing.T) {
 	for _, wo := range far.Objects {
 		s.pushItem(13, item{wo: wo, arrived: now, ageWeight: 1})
 	}
-	seq, obs, before := s.cfg.Store.Disk().Stats().SeqReads, reads.Count(), bytes.Value()
+	scans, seq, obs, before := s.stats.ScanServices, s.cfg.Store.Disk().Stats().SeqReads, reads.Count(), bytes.Value()
 	if done, _ := s.step(now); len(done) != 1 || len(done[0].Pairs) != 0 {
 		t.Fatalf("the far queue's service completed %v, want q%d with no pairs", done, far.ID)
 	}
-	if s.stats.ScanServices != 7 || reads.Count() != obs || bytes.Value() != before || s.cfg.Store.Disk().Stats().SeqReads != seq+1 {
-		t.Errorf("a scan miss whose keys select nothing: %d scan services (want 7), %d read observations and %.0f bytes (want none), %d sequential reads accounted (want 1)",
-			s.stats.ScanServices, reads.Count()-obs, bytes.Value()-before, s.cfg.Store.Disk().Stats().SeqReads-seq)
+	if s.stats.ScanServices != scans+1 || reads.Count() != obs || bytes.Value() != before || s.cfg.Store.Disk().Stats().SeqReads != seq+1 {
+		t.Errorf("a scan miss whose keys select nothing: %d scan services (want 1), %d read observations and %.0f bytes (want none), %d sequential reads accounted (want 1)",
+			s.stats.ScanServices-scans, reads.Count()-obs, bytes.Value()-before, s.cfg.Store.Disk().Stats().SeqReads-seq)
 	}
 }
 
-// TestProbeFillsTheCachedBucket: on a segment store an index probe fills
-// the bucket the cache keeps, as a Scan miss does. It reads the distinct
-// granules its queue's keys select — liferaft_store_read_bytes_total
-// {kind="probe"} moves by their bytes — and is accounted as probes, one
-// per queued object. The same keys again are a cache hit, so a Scan
+// TestProbeFillsTheCachedBucket: a queue under the hybrid threshold, which
+// the simulated store serves by index probes, is on a segment store a
+// scan-kind fill of the bucket the cache keeps, as any miss is. It reads
+// the distinct granules its queue's keys select —
+// liferaft_store_read_bytes_total{kind="scan"} moves by their bytes, and
+// {kind="probe"} stays 0 — and is accounted as one sequential read of the
+// whole bucket, no probes. The same keys again are a cache hit, so a scan
 // service, that reads 0 bytes and is accounted nothing; a wider queue
-// after that is a hit too, which reads only the granules the probe did
-// not.
+// after that is a hit too, which reads only the granules the first fill
+// did not.
 func TestProbeFillsTheCachedBucket(t *testing.T) {
 	part, dir := granuleFixture(t)
 	em := NewEngineMetrics(metric.NewRegistry())
@@ -325,6 +345,9 @@ func TestProbeFillsTheCachedBucket(t *testing.T) {
 	for id := uint64(1); id <= 2; id++ {
 		// Four units of a 400-object bucket: under the 3% threshold.
 		job := stretchJob(part, id, b, 100, 104)
+		if xmatch.ChooseStrategy(len(job.Objects), part.Bucket(b).Count(), s.cfg.HybridThreshold, false) != xmatch.Index {
+			t.Fatalf("%d units of a %d-object bucket are not under the threshold; the fixture must probe", len(job.Objects), part.Bucket(b).Count())
+		}
 		probed, scanned, hit, disk := probeBytes.Value(), scanBytes.Value(), hits.Value(), s.cfg.Store.Disk().Stats()
 		r := serve(t, s, job)
 		if pairs := xmatch.BruteForce(locals, job.Objects, nil); len(pairs) == 0 || !samePairSet(r.Pairs, pairs) {
@@ -335,21 +358,21 @@ func TestProbeFillsTheCachedBucket(t *testing.T) {
 		after := s.cfg.Store.Disk().Stats()
 		switch id {
 		case 1:
-			if s.stats.IndexServices != 1 || s.stats.ScanServices != 0 {
-				t.Fatalf("%d index and %d scan services; the fixture must probe", s.stats.IndexServices, s.stats.ScanServices)
+			if s.stats.IndexServices != 0 || s.stats.ScanServices != 1 {
+				t.Fatalf("%d index and %d scan services; a file store serves the sparse queue as a scan", s.stats.IndexServices, s.stats.ScanServices)
 			}
-			if read != float64(want) || want == 0 || probeBytes.Value() != read {
-				t.Errorf("the probe read %.0f bytes, want the %d bytes of the granules its keys select", read, want)
+			if read != float64(want) || want == 0 || scanBytes.Value() != read || probeBytes.Value() != 0 {
+				t.Errorf("the fill read %.0f bytes (%.0f of them probes), want the %d bytes of the granules its keys select, all of a scan", read, probeBytes.Value(), want)
 			}
-			if after.Probes-disk.Probes != int64(len(job.Objects)) || after.SeqReads != disk.SeqReads {
-				t.Errorf("the probe was accounted %d probes and %d sequential reads, want %d and none",
-					after.Probes-disk.Probes, after.SeqReads-disk.SeqReads, len(job.Objects))
+			if after.Probes != disk.Probes || after.SeqReads-disk.SeqReads != 1 || after.SeqBytes-disk.SeqBytes != part.BucketBytes(b) {
+				t.Errorf("the fill was accounted %d probes and %d sequential reads of %d bytes, want none and one of the bucket's %d",
+					after.Probes-disk.Probes, after.SeqReads-disk.SeqReads, after.SeqBytes-disk.SeqBytes, part.BucketBytes(b))
 			}
 			if !s.cache.Contains(b) {
-				t.Fatal("the probed bucket is not cached")
+				t.Fatal("the filled bucket is not cached")
 			}
 		case 2:
-			if s.stats.IndexServices != 1 || s.stats.ScanServices != 1 || hits.Value() != hit+1 {
+			if s.stats.IndexServices != 0 || s.stats.ScanServices != 2 || hits.Value() != hit+1 {
 				t.Errorf("the same keys again: %d index and %d scan services, %.0f hits; want a hit, which scans", s.stats.IndexServices, s.stats.ScanServices, hits.Value()-hit)
 			}
 			if read != 0 || want != 0 || after.SeqReads != disk.SeqReads || after.Probes != disk.Probes {
@@ -365,10 +388,10 @@ func TestProbeFillsTheCachedBucket(t *testing.T) {
 		t.Errorf("scan: %d pairs, not the %d brute-force pairs", len(r.Pairs), len(pairs))
 	}
 	if got := s.cfg.Store.Disk().Stats(); got.SeqReads != disk.SeqReads {
-		t.Errorf("the wider queue on the probed bucket was accounted %d sequential reads, want none: it is a hit", got.SeqReads-disk.SeqReads)
+		t.Errorf("the wider queue on the filled bucket was accounted %d sequential reads, want none: it is a hit", got.SeqReads-disk.SeqReads)
 	}
 	if got, want := scanBytes.Value()-scanned, selectGranules(part, b, job, have); got != float64(want) || want == 0 {
-		t.Errorf("the wider queue read %.0f bytes, want the %d of the granules the probe did not read", got, want)
+		t.Errorf("the wider queue read %.0f bytes, want the %d of the granules the first fill did not read", got, want)
 	}
 }
 
@@ -377,9 +400,9 @@ func TestProbeFillsTheCachedBucket(t *testing.T) {
 // has room for if that is more than it holds, so the decoded objects the
 // cache keeps never outgrow the budget. Over a segment store of 8-object
 // granules (50 a bucket), a sweep of sparse queues over every bucket —
-// index probes, each filling a few granules — leaves more entries than
-// CacheBuckets resident, with Σ ⌈cap(Objs)/8⌉ within the budget after
-// every service. A sweep of queues that reach nearly every object of each
+// each under the hybrid threshold, a scan-kind fill of a few granules —
+// leaves more entries than CacheBuckets resident, with Σ ⌈cap(Objs)/8⌉
+// within the budget after every service. A sweep of queues that reach nearly every object of each
 // bucket leaves exactly CacheBuckets entries, as the simulated store does.
 func TestCacheBudgetBoundsDecodedObjects(t *testing.T) {
 	shardPart, _ := shardFixture(t)
@@ -394,8 +417,9 @@ func TestCacheBudgetBoundsDecodedObjects(t *testing.T) {
 	const cached, per = 4, 8
 	// sweep serves, bucket by bucket, the objects of each whose error
 	// circles reach that bucket alone, every step-th of them, and checks
-	// the budget after every service.
-	sweep := func(s *scheduler, step int) {
+	// the budget after every service. It returns how many of the queues
+	// were under the hybrid threshold.
+	sweep := func(s *scheduler, step int) (under int) {
 		t.Helper()
 		for b := 0; b < part.NumBuckets(); b++ {
 			job := Job{ID: uint64(b + 1)}
@@ -405,11 +429,15 @@ func TestCacheBudgetBoundsDecodedObjects(t *testing.T) {
 					job.Objects = append(job.Objects, wo)
 				}
 			}
+			if xmatch.ChooseStrategy(len(job.Objects), part.Bucket(b).Count(), s.cfg.HybridThreshold, false) == xmatch.Index {
+				under++
+			}
 			serve(t, s, job)
 			if s.cache.Weight() > s.cache.Budget() {
 				t.Fatalf("after bucket %d: %d granules weighed, over the budget of %d", b, s.cache.Weight(), s.cache.Budget())
 			}
 		}
+		return under
 	}
 
 	sparse := fileScheduler(t, part, dir, cached, nil)
@@ -417,9 +445,12 @@ func TestCacheBudgetBoundsDecodedObjects(t *testing.T) {
 	if got, want := sparse.cache.Budget(), cached*50; got != want {
 		t.Fatalf("a budget of %d granules, want %d buckets of 50", got, want)
 	}
-	sweep(sparse, 50)
-	if sparse.stats.IndexServices != int64(part.NumBuckets()) {
-		t.Fatalf("%d of %d services were index probes; the sparse sweep must probe", sparse.stats.IndexServices, part.NumBuckets())
+	if under := sweep(sparse, 50); under != part.NumBuckets() {
+		t.Fatalf("%d of %d queues were under the threshold; the sparse sweep must probe", under, part.NumBuckets())
+	}
+	if sparse.stats.ScanServices != int64(part.NumBuckets()) || sparse.stats.IndexServices != 0 {
+		t.Fatalf("%d scan and %d index services for %d buckets; a file store serves every one as a scan-kind fill",
+			sparse.stats.ScanServices, sparse.stats.IndexServices, part.NumBuckets())
 	}
 	decoded := 0
 	for _, b := range sparse.cache.Keys() {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"liferaft/internal/bucket"
-	"liferaft/internal/catalog"
 	"liferaft/internal/htm"
 	"liferaft/internal/xmatch"
 )
@@ -14,9 +13,10 @@ import (
 // RunNoShare is the paper's NoShare baseline: each query is evaluated
 // independently and strictly in arrival order, sharing no I/O with other
 // queries (§5: "NoShare, which evaluates each query independently (no I/O
-// is shared) and in arrival order"). Each query still gets the hybrid join
-// strategy for its own per-bucket workloads, keyed and read as the
-// engine's services are (Store.Scan, Store.Probe), but no bucket cache
+// is shared) and in arrival order"). Each of a query's per-bucket
+// workloads is one Store.Serve, keyed and read as the engine's services
+// are: the simulated store still makes the hybrid join's choice for it,
+// and a file store serves every one as a scan-kind fill. No bucket cache
 // persists across queries: a bucket read goes back to the store
 // (Store.Recycle) once joined.
 func RunNoShare(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunStats, error) {
@@ -58,13 +58,10 @@ func RunNoShare(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunS
 			for _, wo := range wos {
 				keys = append(keys, wo.RangeIn(span))
 			}
-			var r *bucket.Resident
-			var runs [][]catalog.Object
-			if xmatch.ChooseStrategy(len(wos), part.Bucket(bi).Count(), cfg.HybridThreshold, false) == xmatch.Scan {
-				r, runs, _ = cfg.Store.Scan(bi, nil, keys)
+			r, runs, _, kind := cfg.Store.Serve(bi, nil, keys, cfg.HybridThreshold)
+			if kind == bucket.ReadScan {
 				stats.ScanServices++
 			} else {
-				r, runs, _ = cfg.Store.Probe(bi, keys)
 				stats.IndexServices++
 			}
 			cfg.Store.Disk().MatchObjects(len(wos))

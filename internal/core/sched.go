@@ -9,7 +9,6 @@ import (
 
 	"liferaft/internal/bucket"
 	"liferaft/internal/cache"
-	"liferaft/internal/catalog"
 	"liferaft/internal/disk"
 	"liferaft/internal/htm"
 	"liferaft/internal/trace"
@@ -703,60 +702,48 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 		s.memObjects -= len(items)
 	}
 
-	part := s.cfg.Store.Partition()
-	bucketLen := part.Bucket(idx).Count()
-	count := len(items)
-
-	// The Join Evaluator: hybrid strategy per §3.4.
+	// The Join Evaluator: the store makes the hybrid choice of §3.4.
 	res, inMem := s.cache.Get(idx)
 	if inMem {
 		s.obs.cacheHits.Inc()
 	} else {
 		s.obs.cacheMiss.Inc()
 	}
-	strategy := xmatch.ChooseStrategy(count, bucketLen, s.cfg.HybridThreshold, inMem)
+	count := len(items)
 	wos := s.wosBuf[:0]
 	for _, it := range items {
 		wos = append(wos, it.wo)
 	}
 	s.wosBuf = wos
-	// Either strategy keys each queued object by the IDs its error circle
-	// reaches in this bucket (its bounding range, unless that runs on past
-	// the bucket). A real backend reads only the granules those keys
-	// select, and either way the join merges over runs the store hands
-	// back where they were decoded, valid until its next read: runs is not
-	// kept past the join (pairs copy the objects they hold).
-	span := part.Bucket(idx).Span
+	// Each queued object is keyed by the IDs its error circle reaches in
+	// this bucket (its bounding range, unless that runs on past the
+	// bucket). A real backend reads only the granules those keys select,
+	// and either way the join merges over runs the store hands back where
+	// they were decoded, valid until its next read: runs is not kept past
+	// the join (pairs copy the objects they hold).
+	span := s.cfg.Store.Partition().Bucket(idx).Span
 	ranges := s.rangesBuf[:0]
 	for _, it := range items {
 		ranges = append(ranges, it.wo.RangeIn(span))
 	}
 	s.rangesBuf = ranges
-	var runs [][]catalog.Object
 	var readT0, readT1 time.Time
 	var readKind string
 	if traced {
 		readT0 = s.cfg.clock().Now()
 	}
-	// A miss caches the bucket the store returns — a probe's too, on a
-	// segment store — and a hit fills the granules it lacks. Either way
-	// what was read is what became resident, and the entry weighs what it
-	// now holds.
-	var read int64
-	switch strategy {
-	case xmatch.Scan:
-		res, runs, read = s.cfg.Store.Scan(idx, res, ranges)
-		if traced && (!inMem || read > 0) {
-			readT1, readKind = s.cfg.clock().Now(), "scan"
-		}
+	// A miss caches the bucket the store returns (none after a simulated
+	// probe), and a hit fills the granules it lacks. Either way what was
+	// read is what became resident, and the entry weighs what it now
+	// holds.
+	res, runs, read, kind := s.cfg.Store.Serve(idx, res, ranges, s.cfg.HybridThreshold)
+	if traced && (!inMem || read > 0) {
+		readT1, readKind = s.cfg.clock().Now(), string(kind)
+	}
+	if kind == bucket.ReadScan {
 		s.stats.ScanServices++
 		s.obs.scanSvc.Inc()
-	case xmatch.Index:
-		// One probe per queued object.
-		res, runs, read = s.cfg.Store.Probe(idx, ranges)
-		if traced {
-			readT1, readKind = s.cfg.clock().Now(), "probe"
-		}
+	} else {
 		s.stats.IndexServices++
 		s.obs.indexSvc.Inc()
 	}
@@ -773,7 +760,7 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 	var svcAttr string
 	if traced {
 		switch {
-		case strategy == xmatch.Index:
+		case kind == bucket.ReadProbe:
 			svcAttr = trace.AttrIndex
 		case inMem:
 			svcAttr = trace.AttrScanHit
@@ -783,7 +770,7 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 	}
 
 	// Join, charge Tm per object, and distribute the results. The queue is
-	// sorted once, in MinID order, the order the merge sweeps it in. A Scan
+	// sorted once, in MinID order, the order the merge sweeps it in. A scan
 	// service whose queue fills two parts or more is cut into runs of it,
 	// and idle sibling workers run some of them on their own arms; the
 	// owner waits for every part, so what follows — fan-out, retire,
@@ -792,7 +779,7 @@ func (s *scheduler) serviceBucket(idx int, now time.Time) []Result {
 	xmatch.SortQueue(wos)
 	fj := &s.fj
 	n := 1
-	if strategy == xmatch.Scan && s.offers != nil && count >= 2*servicePartUnits {
+	if kind == bucket.ReadScan && s.offers != nil && count >= 2*servicePartUnits {
 		n = (count + servicePartUnits - 1) / servicePartUnits
 	}
 	fj.runs, fj.wos = runs, wos

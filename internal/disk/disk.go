@@ -246,24 +246,15 @@ func (d *Disk) ReadProbes(n int) time.Duration {
 // AccountSequential records a real sequential read of n bytes that took
 // elapsed wall time: the statistics advance exactly as ReadSequential's
 // would, but nothing is charged to the clock — the time already passed
-// while the I/O blocked. The file-backed bucket store reports each Scan
-// miss this way, as one read of the whole bucket whatever granules it
-// moved, and a fill on a cache hit not at all, so RunStats.Disk is the
-// model's account on both backends; the bytes actually moved go to the
-// store observer.
+// while the I/O blocked. The file-backed bucket store reports each
+// service of a bucket the cache did not hold this way, as one read of the
+// whole bucket whatever granules it moved, and a fill on a cache hit not
+// at all, so RunStats.Disk is the model's account on both backends; the
+// bytes actually moved go to the store observer.
 func (d *Disk) AccountSequential(n int64, elapsed time.Duration) {
 	d.mu.Lock()
 	d.stats.SeqReads++
 	d.stats.SeqBytes += n
-	d.stats.BusyTime += elapsed
-	d.mu.Unlock()
-}
-
-// AccountProbes records n real index probes that took elapsed wall
-// time, without charging the clock (see AccountSequential).
-func (d *Disk) AccountProbes(n int, elapsed time.Duration) {
-	d.mu.Lock()
-	d.stats.Probes += int64(n)
 	d.stats.BusyTime += elapsed
 	d.mu.Unlock()
 }

@@ -636,14 +636,28 @@ func (s *seamStack) end() {
 }
 
 // close stops the traffic, ends the stalls and waits for every request to
-// return, then closes the clients, the proxy, the server and the node.
+// return, then closes the clients, the proxy, the server and the node. A
+// wait that does not end within 10 s fails the test with the goroutines
+// still in the project's code, rather than hanging it.
 func (s *seamStack) close(t *testing.T) {
 	close(s.stop)
 	s.end()
 	s.cancel()
+	within10s(t, "requests still running", s.wg.Wait)
+	s.hop.Close()
+	s.second.Close()
+	s.proxy.close()
+	within10s(t, "the server's Close still waiting", func() { s.srv.Close() })
+	within10s(t, "the node's Close still waiting", func() { s.node.Close() })
+}
+
+// within10s runs wait and returns when it does, or after 10 s with an
+// error naming what and dumping every goroutine in liferaft/ code.
+func within10s(t *testing.T, what string, wait func()) {
+	t.Helper()
 	returned := make(chan struct{})
 	go func() {
-		s.wg.Wait()
+		wait()
 		close(returned)
 	}()
 	select {
@@ -655,13 +669,8 @@ func (s *seamStack) close(t *testing.T) {
 				b.WriteString(g.stack + "\n\n")
 			}
 		}
-		t.Errorf("requests still running 10 s after the stall ended:\n%s", b.String())
+		t.Errorf("%s 10 s after the stall ended:\n%s", what, b.String())
 	}
-	s.hop.Close()
-	s.second.Close()
-	s.proxy.close()
-	s.srv.Close()
-	s.node.Close()
 }
 
 // completion is one request of the traffic returning.

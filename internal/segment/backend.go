@@ -6,10 +6,10 @@ import (
 	"liferaft/internal/htm"
 )
 
-// FileBackend adapts a Set to the bucket.Backend interface: a fill — a
-// Scan service or an index probe, either into the Resident the cache
-// keeps — becomes preads of just the granules its queue's keys select that
-// the Resident lacks, each checked against its fence CRC. In cost-only
+// FileBackend adapts a Set to the bucket.Backend interface: a fill — every
+// service of a bucket, into the Resident the cache keeps — becomes preads
+// of just the granules its queue's keys select that the Resident lacks,
+// each checked against its fence CRC. In cost-only
 // mode (the configuration scheduling experiments use) a fill moves and
 // checks the same bytes — that is the point — but skips decoding.
 //

@@ -50,9 +50,10 @@ func rawRanges(ranges []htm.Range) string {
 	return b.String()
 }
 
-// prober fills as bucket.Store.Probe does, for the tests that drive a Set
-// with no partition behind it: each probe resets the Resident first, so it
-// reads every granule its ranges select and keeps none of them.
+// prober fills as bucket.Store.Serve does on a miss, for the tests that
+// drive a Set with no partition behind it: each probe resets the Resident
+// first, so it reads every granule its ranges select and keeps none of
+// them.
 type prober struct {
 	sc fillScratch
 	r  bucket.Resident
@@ -77,11 +78,11 @@ func probeStore(t *testing.T, part *bucket.Partition, dir string) *bucket.Store 
 	return st
 }
 
-// probe is one index probe of a store no cache sits over: the bucket it
-// fills goes straight back to the store, for the next probe to fill. The
-// runs stay valid until then.
+// probe is one service of a store no cache sits over, a fill of the
+// granules ranges select: the bucket it fills goes straight back to the
+// store, for the next probe to fill. The runs stay valid until then.
 func probe(store *bucket.Store, bi int, ranges []htm.Range) ([][]catalog.Object, int64) {
-	r, runs, read := store.Probe(bi, ranges)
+	r, runs, read, _ := store.Serve(bi, nil, ranges, xmatch.DefaultThreshold)
 	store.Recycle(r)
 	return runs, read
 }
@@ -393,8 +394,8 @@ func TestProbeByBucketKeys(t *testing.T) {
 
 // A flipped bit inside a granule a probe reads fails the probe; one in a
 // granule it skips does not, and the next whole-bucket read fails on the
-// bucket checksum. A probe and a Scan service fill the cached bucket
-// through the same path, so no corrupt granule ever becomes resident: a
+// bucket checksum. A sparse queue's service and any other fill the cached
+// bucket through the same path, so no corrupt granule ever becomes resident: a
 // fill that skips the flipped granule succeeds; a later fill of the now
 // partly resident bucket that reaches it fails the store's fail-stop and
 // leaves the bucket exactly as it was; and a fill after that whose keys
@@ -450,12 +451,14 @@ func TestProbeChecksumPerGranule(t *testing.T) {
 	flip(5)
 	far := whole[10*perGranule+perGranule/2].HTMID
 	skip := []htm.Range{{Start: far, End: far}}
-	r, runs, _ := store.Probe(bi, skip)
+	r, runs, _, _ := store.Serve(bi, nil, skip, xmatch.DefaultThreshold)
 	checkProbe(t, "fill that skips the corrupt granule", whole, slices.Concat(runs...), skip)
 	// The failing fill reads and checks granule 2 before it reaches 5.
 	near := whole[2*perGranule+perGranule/2].HTMID
 	have, objs := slices.Clone(r.Have), slices.Clone(r.Objs)
-	if msg := failStop(func() { store.Scan(bi, r, append([]htm.Range{{Start: near, End: near}}, ranges...)) }); !strings.Contains(msg, "granule 5 checksum") {
+	if msg := failStop(func() {
+		store.Serve(bi, r, append([]htm.Range{{Start: near, End: near}}, ranges...), xmatch.DefaultThreshold)
+	}); !strings.Contains(msg, "granule 5 checksum") {
 		t.Errorf("fill of a resident bucket over a corrupt granule = %q, want a granule checksum panic", msg)
 	}
 	if !slices.Equal(r.Have, have) || !slices.Equal(r.Objs, objs) {
@@ -476,7 +479,7 @@ func TestProbeChecksumPerGranule(t *testing.T) {
 		keys = append(keys, wo.RangeIn(span))
 	}
 	var runs2 [][]catalog.Object
-	if msg := failStop(func() { _, runs2, _ = store.Scan(bi, r, keys) }); msg != "" {
+	if msg := failStop(func() { _, runs2, _, _ = store.Serve(bi, r, keys, xmatch.DefaultThreshold) }); msg != "" {
 		t.Fatalf("a fill that skips the corrupt granule after a failed one: %s", msg)
 	}
 	xmatch.SortQueue(queue)
@@ -488,7 +491,7 @@ func TestProbeChecksumPerGranule(t *testing.T) {
 	if len(want) == 0 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("the join over the fill found %d pairs, brute force over the bucket %d (want some)", len(got), len(want))
 	}
-	_, runs, read := store.Scan(bi, r, skip)
+	_, runs, read, _ := store.Serve(bi, r, skip, xmatch.DefaultThreshold)
 	checkProbe(t, "the granule resident before the merge", whole, slices.Concat(runs...), skip)
 	if read != 0 {
 		t.Errorf("a fill of resident granules read %d bytes", read)

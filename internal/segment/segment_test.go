@@ -88,18 +88,21 @@ func TestSegmentProbePages(t *testing.T) {
 	store := bucket.NewStore(part, d, false).WithBackend(NewBackend(set, false))
 	defer store.Close()
 	// Bucket 0 holds 120*64 = 7680 data bytes in two granules of 64 and
-	// 56 records. A cost-only probe reads and checks the granules its keys
-	// select and decodes none of them: one ID reads the first granule,
-	// every ID the whole region.
+	// 56 records. A cost-only service of a bucket the cache lacks reads
+	// and checks the granules its keys select and decodes none of them:
+	// one ID reads the first granule, every ID the whole region. A queue
+	// of one is an index probe by the hybrid rule, but a file store
+	// serves every queue as a scan-kind fill, accounted as one sequential
+	// read of the whole bucket.
 	id := part.Materialize(0)[0].HTMID
-	if _, objs, n := store.Probe(0, []htm.Range{{Start: id, End: id}}); objs != nil || n != BlockSize {
-		t.Errorf("cost-only probe of one ID = %d objects, %d bytes; want none, %d", len(objs), n, BlockSize)
+	if _, objs, n, kind := store.Serve(0, nil, []htm.Range{{Start: id, End: id}}, 0.03); objs != nil || n != BlockSize || kind != bucket.ReadScan {
+		t.Errorf("cost-only %s of one ID = %d objects, %d bytes; want a scan of none, %d", kind, len(objs), n, BlockSize)
 	}
-	if _, objs, n := store.Probe(0, everyID); objs != nil || n != 7680 {
-		t.Errorf("cost-only probe of every ID = %d objects, %d bytes; want none, 7680", len(objs), n)
+	if _, objs, n, kind := store.Serve(0, nil, everyID, 0.03); objs != nil || n != 7680 || kind != bucket.ReadScan {
+		t.Errorf("cost-only %s of every ID = %d objects, %d bytes; want a scan of none, 7680", kind, len(objs), n)
 	}
-	if st := d.Stats(); st.Probes != 2 || st.SeqReads != 0 {
-		t.Errorf("two probes accounted as %+v", st)
+	if st := d.Stats(); st.Probes != 0 || st.SeqReads != 2 || st.SeqBytes != 2*part.BucketBytes(0) {
+		t.Errorf("two services accounted as %+v; want two sequential reads of the bucket", st)
 	}
 }
 

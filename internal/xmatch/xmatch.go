@@ -5,7 +5,8 @@
 // apply query-specific predicates.
 //
 // The hybrid plan of §3.4 (ChooseStrategy) picks a scan or an index probe
-// per bucket service; they differ in what they read, not in how they join:
+// per service of the simulated bucket store (bucket.Store.Serve); they
+// differ in what they read, not in how they join:
 //
 //   - Merge (Joiner.Merge, MergeJoin): both inputs sorted by level-14 HTM
 //     ID are swept and merged in one pass, the plane-sweep of Partition
@@ -299,15 +300,14 @@ func (s Strategy) String() string {
 // ratio.
 const DefaultThreshold = 0.03
 
-// ChooseStrategy implements the hybrid decision. bucketInMemory short-
-// circuits to Scan (merge over cached objects costs no I/O at all, so the
-// index can never win).
+// ChooseStrategy implements the hybrid decision: Index when the queue is
+// under threshold times the bucket's objects. threshold is used as given
+// (core.Config fills in DefaultThreshold). bucketInMemory short-circuits
+// to Scan (merge over cached objects costs no I/O at all, so the index can
+// never win).
 func ChooseStrategy(queueLen, bucketLen int, threshold float64, bucketInMemory bool) Strategy {
 	if bucketInMemory {
 		return Scan
-	}
-	if threshold <= 0 {
-		threshold = DefaultThreshold
 	}
 	if bucketLen > 0 && float64(queueLen) < threshold*float64(bucketLen) {
 		return Index

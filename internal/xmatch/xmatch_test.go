@@ -188,10 +188,6 @@ func TestChooseStrategy(t *testing.T) {
 	if ChooseStrategy(300, 10000, 0.03, false) != Scan {
 		t.Error("queue at threshold should scan")
 	}
-	// Default threshold kicks in for 0.
-	if ChooseStrategy(299, 10000, 0, false) != Index {
-		t.Error("default threshold")
-	}
 	// Empty bucket: scan (nothing to probe).
 	if ChooseStrategy(10, 0, 0.03, false) != Scan {
 		t.Error("empty bucket should scan")
